@@ -11,6 +11,12 @@ chain alternately to the two coordinate half-spaces, v_map builds the
 classical nested-substitution maps independently of the flow machinery, and
 check_reparam verifies the linear reparametrization identities that tie the
 two constructions together.
+
+chain_at_point runs the same recursion on exact values at one point, carrying
+the derivatives in the u-blocks along (forward-mode differentiation), so an
+EXACT chain can be ranked without being expanded; sampled_chain hands
+generic_rank that pointwise form in EXACT mode and the expanded chart map for
+truncated jets.
 """
 
 from __future__ import annotations
@@ -18,9 +24,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DimensionMismatch, OffManifold, SegreError, UnknownVariable
+from .errors import (
+    DimensionMismatch,
+    OffManifold,
+    SegreError,
+    TruncationUnsound,
+    UnknownVariable,
+)
 from .manifold import Basepoint, CRManifold, _ambient_subst
+from .scalars import ONE, ZERO
 from .series import Series, SeriesMap, VarSpace
+
+# coordinate charts of the complexified manifold, by ambient blocks
+_CHARTS = {
+    "ambient": ("w", "z", "zeta", "xi"),
+    "wzzeta": ("w", "z", "zeta"),
+    "wzetaxi": ("w", "zeta", "xi"),
+    "t": ("w", "z"),
+    "tau": ("zeta", "xi"),
+}
+
+
+def _chart_names(M: CRManifold, chart: str):
+    if chart not in _CHARTS:
+        raise UnknownVariable(f"unknown chart {chart!r}")
+    return [v for b in _CHARTS[chart] for v in M.space.block_vars(b)]
+
+
+def _chain_chart(k: int) -> str:
+    """Intrinsic chart of a length-k chain: "wzetaxi" for odd k, "wzzeta" for even."""
+    return "wzetaxi" if k % 2 else "wzzeta"
+
+
+def psi_chart(k: int, parity: str) -> str:
+    """Half-space psi projects to: even chains to tau = (zeta, xi), odd chains
+    to t = (w, z), swapped for the conjugate parity."""
+    to_tau = (k % 2 == 0) if parity == "L" else (k % 2 == 1)
+    return "tau" if to_tau else "t"
+
+
+def u_blocks(k: int):
+    return [f"u{i}" for i in range(1, k + 1)]
 
 
 def default_kmax(M: CRManifold) -> int:
@@ -59,6 +103,72 @@ def _flow_step(M: CRManifold, which: str, comps, params, space, order):
         new_xi = [M.q[j].compose(sub) for j in range(d)]
         return w + z + new_zeta + new_xi
     raise ValueError(f"unknown flow kind {which!r}")
+
+
+def _flow_gradients(M: CRManifold):
+    """Nonzero ambient partials (index, series) of each qbar_j (the L flow) and
+    each q_j (the Lbar flow); differentiated on first use, then kept on M."""
+    grads = getattr(M, "_flow_gradient_cache", None)
+    if grads is None:
+        grads = M._flow_gradient_cache = {}
+        for which, fns in (("L", M.qbar), ("Lbar", M.q)):
+            grads[which] = [
+                [(a, p) for a, p in enumerate(f.diff(v) for v in M.space.names)
+                 if not p.is_zero()]
+                for f in fns
+            ]
+    return grads
+
+
+def chain_at_point(M: CRManifold, k: int, basepoint: Basepoint, parity: str, point):
+    """Exact ambient values of Gamma_k at `point` and their Jacobian in u1..uk.
+
+    `point` assigns every variable of chain_space(M, k, basepoint).  Each
+    state component is carried as a (value, gradient) pair through the
+    recursion of _flow_step (forward-mode differentiation): the moving block
+    gains u_s and its unit derivative, and the recomputed block takes the value
+    of qbar or q at the point and the chain rule of their partials.  The
+    basepoint contributes values and zero derivatives.  Valid in EXACT mode
+    only: a truncated jet does not commute with pointwise evaluation.
+    """
+    if M.order is not None:
+        raise TruncationUnsound("forward-mode chain values need an EXACT manifold")
+    m, d = M.m, M.d
+    dim = chain_space(M, k, basepoint).dim
+    if len(point) != dim:
+        raise DimensionMismatch(f"point dimension {len(point)} != space dim {dim}")
+    ncols = m * k
+    values = basepoint.state_values(M, point[ncols:])
+    zero_row = [ZERO] * ncols
+    rows = [zero_row] * (2 * M.n)  # rows are replaced, never mutated
+    grads = _flow_gradients(M)
+    for s in range(1, k + 1):
+        which = _flow_kind(parity, s)
+        if which == "L":
+            moved, target, fns = range(m), range(m, m + d), M.qbar
+        else:
+            moved, target, fns = range(m + d, 2 * m + d), range(2 * m + d, 2 * M.n), M.q
+        for i, a in enumerate(moved):
+            col = (s - 1) * m + i
+            values[a] = values[a] + point[col]
+            row = list(rows[a])
+            row[col] = row[col] + ONE
+            rows[a] = row
+        at = list(values)
+        if which == "L":
+            at[m : m + d] = [ZERO] * d  # qbar is taken with z = 0, as in _ambient_subst
+        powers = {}
+        new = []
+        for f, partials in zip(fns, grads[which]):
+            row = zero_row
+            for a, p in partials:
+                c = p.evaluate(at, powers)
+                if not c.is_zero():
+                    row = [x + c * y if y else x for x, y in zip(row, rows[a])]
+            new.append((f.evaluate(at, powers), row))
+        for t, (value, row) in zip(target, new):
+            values[t], rows[t] = value, row
+    return values, rows
 
 
 def flow(M: CRManifold, which: str, state: SeriesMap, param_block: str) -> SeriesMap:
@@ -106,19 +216,10 @@ class ChainMap:
     def in_chart(self, chart: Optional[str] = None) -> SeriesMap:
         """Project the ambient map to a coordinate chart of the manifold."""
         chart = chart or self.chart
-        M = self.manifold
         if chart == "ambient":
             return self.map
-        charts = {
-            "wzzeta": ("w", "z", "zeta"),
-            "wzetaxi": ("w", "zeta", "xi"),
-            "t": ("w", "z"),
-            "tau": ("zeta", "xi"),
-        }
-        if chart not in charts:
-            raise UnknownVariable(f"unknown chart {chart!r}")
-        names = [v for b in charts[chart] for v in M.space.block_vars(b)]
-        return self.map.project(names, M.space.subspace(charts[chart]))
+        names = _chart_names(self.manifold, chart)
+        return self.map.project(names, self.manifold.space.subspace(_CHARTS[chart]))
 
     def param_names(self):
         return [
@@ -128,7 +229,46 @@ class ChainMap:
         ]
 
     def u_blocks(self):
-        return [f"u{i}" for i in range(1, self.k + 1)]
+        return u_blocks(self.k)
+
+
+class PointwiseChain:
+    """Gamma_k of an EXACT manifold in one chart, never expanded.
+
+    It offers what generic_rank and rank_at_point read from a SeriesMap
+    (domain, order, values and Jacobian at a point), each point going through
+    chain_at_point.  The Jacobian is always taken in all u-blocks.  (A plain
+    class: building a dataclass costs milliseconds at every import.)
+    """
+
+    __slots__ = ("manifold", "k", "parity", "basepoint", "chart")
+
+    def __init__(self, manifold: CRManifold, k: int, parity: str,
+                 basepoint: Basepoint, chart: str):
+        self.manifold, self.k, self.parity = manifold, k, parity
+        self.basepoint, self.chart = basepoint, chart
+
+    @property
+    def domain(self) -> VarSpace:
+        return chain_space(self.manifold, self.k, self.basepoint)
+
+    @property
+    def order(self):
+        return self.manifold.order
+
+    def _rows(self):
+        M = self.manifold
+        return [M.space.index_of(v) for v in _chart_names(M, self.chart)]
+
+    def evaluate(self, point):
+        values, _ = chain_at_point(self.manifold, self.k, self.basepoint, self.parity, point)
+        return [values[a] for a in self._rows()]
+
+    def jacobian_at(self, point, wrt=None):
+        if wrt is not None and list(wrt) != u_blocks(self.k):
+            raise DimensionMismatch("a pointwise chain is differentiated in all its u-blocks")
+        _, rows = chain_at_point(self.manifold, self.k, self.basepoint, self.parity, point)
+        return [rows[a] for a in self._rows()]
 
 
 def _chain_states(M: CRManifold, k: int, basepoint: Basepoint, parity: str):
@@ -162,10 +302,23 @@ def gamma(M: CRManifold, k: int, basepoint: Optional[Basepoint] = None,
     basepoint = basepoint or Basepoint.origin()
     comps = _chain_states(M, k, basepoint, parity)
     smap = SeriesMap(comps, M.space)
-    chain = ChainMap(M, k, parity, basepoint, smap, "wzetaxi" if k % 2 else "wzzeta")
+    chain = ChainMap(M, k, parity, basepoint, smap, _chain_chart(k))
     if verify:
         verify_in_manifold(chain)
     return chain
+
+
+def sampled_chain(M: CRManifold, k: int, basepoint: Basepoint, parity: str,
+                  chart: Optional[str] = None):
+    """Gamma_k in a chart (by default its own) in the form ranks samples it.
+
+    EXACT manifolds give a PointwiseChain; truncated jets give the expanded
+    chart map, because truncation does not commute with pointwise evaluation.
+    """
+    chart = chart or _chain_chart(k)
+    if M.order is None:
+        return PointwiseChain(M, k, parity, basepoint, chart)
+    return gamma(M, k, basepoint, parity, verify=False).in_chart(chart)
 
 
 def verify_in_manifold(chain: ChainMap) -> bool:
@@ -184,8 +337,7 @@ def psi(M: CRManifold, k: int, basepoint: Optional[Basepoint] = None,
     """Projected chain: even chains to the (zeta, xi) half-space, odd chains to
     (w, z) — with the two projections swapped for the conjugate parity."""
     chain = gamma(M, k, basepoint, parity, verify=False)
-    to_tau = (k % 2 == 0) if parity == "L" else (k % 2 == 1)
-    return chain.in_chart("tau" if to_tau else "t")
+    return chain.in_chart(psi_chart(k, parity))
 
 
 def v_space(M: CRManifold, k: int) -> VarSpace:

@@ -7,6 +7,8 @@ Grammar:
     atom    := rational | 'i' | variable | '(' expr ')'
     rational:= integer ['/' integer]
 
+Parentheses and prefix signs may nest at most MAX_NESTING deep.
+
 Variables are the names of the target VarSpace (w1..wm, z1..zd,
 zeta1..zetam, xi1..xid for manifolds; x1..xn, chain parameters u{k}_{j},
 and so on elsewhere).  Canonical serialization sorts terms by
@@ -21,6 +23,8 @@ import re
 from .errors import ParseError
 from .scalars import GaussianRational, format_scalar
 from .series import Series, VarSpace, grlex_key
+
+MAX_NESTING = 64
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
@@ -53,6 +57,7 @@ class _Parser:
         self.pos = 0
         self.space = space
         self.order = order
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -104,6 +109,15 @@ class _Parser:
             return base ** val
         return base
 
+    def nested(self, parse) -> Series:
+        """Run a parse one nesting level deeper, refusing more than MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested more than {MAX_NESTING} deep")
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
+
     def parse_atom(self) -> Series:
         kind, val = self.take()
         if kind == "int":
@@ -127,13 +141,13 @@ class _Parser:
                 raise ParseError(f"unknown variable {val!r}")
             return Series.variable(self.space, val, self.order)
         if kind == "op" and val == "(":
-            inner = self.parse_expr()
+            inner = self.nested(self.parse_expr)
             self.expect_op(")")
             return inner
         if kind == "op" and val == "-":
-            return -self.parse_atom()
+            return -self.nested(self.parse_atom)
         if kind == "op" and val == "+":
-            return self.parse_atom()
+            return self.nested(self.parse_atom)
         raise ParseError(f"unexpected token {val!r}")
 
 

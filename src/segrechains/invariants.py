@@ -7,6 +7,12 @@ at the first plateau (an optional paranoid mode keeps going and asserts that
 no later jump occurs).  kappa counts the positive increments, the type is
 mu = 2 + kappa, the multitype is (m, m, e_1, ..., e_kappa), and the manifold
 is minimal at the basepoint exactly when the increments sum to d.
+
+Every rank here is sampled through ranks.generic_rank / rank_at_point on
+chains.sampled_chain: in EXACT mode the chains are never expanded, their
+Jacobians at the sample points come from forward-mode differentiation, and a
+certified rank rests on evaluation being a ring homomorphism; truncated jets
+are expanded and their witnessed minors certified symbolically.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .chains import default_kmax, gamma, psi
+from .chains import default_kmax, psi_chart, sampled_chain, u_blocks
 from .errors import NotAHypersurface, SegreError, WitnessNotFound
 from .manifold import Basepoint, CRManifold
 from .ranks import (
@@ -64,10 +70,9 @@ def _chain_rank(M, k, basepoint, parity, trials, seed, certify):
     # ranks are taken in the intrinsic (2m+d)-coordinate chart of the chain:
     # equivalent to the ambient rank for exact manifolds, and structurally
     # bounded by dim M for truncated jets
-    chain = gamma(M, k, basepoint, parity, verify=False)
     return generic_rank(
-        chain.in_chart(), wrt=chain.u_blocks(), trials=trials, seed=seed + k,
-        certify=certify,
+        sampled_chain(M, k, basepoint, parity), wrt=u_blocks(k), trials=trials,
+        seed=seed + k, certify=certify,
     )
 
 
@@ -180,13 +185,9 @@ class WitnessRecord:
 
 
 def _basepoint_values(M: CRManifold, basepoint: Basepoint):
-    if basepoint.kind == "origin":
-        return [ZERO] * (2 * M.n)
-    if basepoint.kind == "numeric":
-        return list(basepoint.w) + list(basepoint.z) + list(basepoint.zeta) + list(
-            basepoint.xi
-        )
-    raise SegreError("witness search needs a numeric basepoint")
+    if basepoint.kind == "symbolic":
+        raise SegreError("witness search needs a numeric basepoint")
+    return basepoint.state_values(M)
 
 
 def witness_point(
@@ -204,14 +205,14 @@ def witness_point(
     mu = invariants.mu
     target = invariants.orbit_dim_complexified
     m = M.m
-    chain_mu = gamma(M, mu, basepoint, parity, verify=False)
+    chain_mu = sampled_chain(M, mu, basepoint, parity)
     rng = random.Random(seed)
     found = None
     for attempt in range(2 * retries):
         bound = NUM_BOUND if attempt < retries else NUM_BOUND * 10
         blocks = [random_point(rng, m, bound) for _ in range(mu - 1)]
         point = [c for blk in blocks for c in blk] + [ZERO] * m
-        if rank_at_point(chain_mu.in_chart(), chain_mu.u_blocks(), point) == target:
+        if rank_at_point(chain_mu, u_blocks(mu), point) == target:
             found = blocks
             break
     if found is None:
@@ -221,11 +222,10 @@ def witness_point(
     w_star = tuple(tuple(blk) for blk in found) + ((ZERO,) * m,)
     omega_star = tuple(tuple(-c for c in blk) for blk in reversed(found))
     length = 2 * mu - 1
-    chain_long = gamma(M, length, basepoint, parity, verify=False)
     point = [c for blk in (w_star + omega_star) for c in blk]
-    value = chain_long.map.evaluate(point)
+    value = sampled_chain(M, length, basepoint, parity, "ambient").evaluate(point)
     returns = value == _basepoint_values(M, basepoint)
-    rank = rank_at_point(chain_long.in_chart(), chain_long.u_blocks(), point)
+    rank = rank_at_point(sampled_chain(M, length, basepoint, parity), u_blocks(length), point)
     if M.order is None:
         # exact mode: the return identity and the attained rank are theorems
         if not returns:
@@ -250,21 +250,21 @@ def psi_rank_checks(
     results = []
     upto = len(profile.r) - 2
     for k in range(0, upto + 1):
-        pm = psi(M, k + 1, basepoint, "L")
-        blocks = [f"u{i}" for i in range(1, k + 2)]
-        lhs = M.m + generic_rank(pm, wrt=blocks, trials=trials, seed=seed + k).rank
+        pm = sampled_chain(M, k + 1, basepoint, "L", psi_chart(k + 1, "L"))
+        lhs = M.m + generic_rank(pm, wrt=u_blocks(k + 1), trials=trials, seed=seed + k).rank
         rhs = profile.rank(k + 2)
         results.append({"k": k, "lhs": lhs, "rhs": rhs, "ok": lhs == rhs})
     witness_ok = None
     if basepoint.kind in ("origin", "numeric") and M.order is None:
         witness = witness_point(M, inv, basepoint, parity="Lbar", seed=seed)
         two_nu = 2 * inv.nu
-        pm = psi(M, two_nu, basepoint, "Lbar")  # projects to the (w, z) space
+        # psi of the conjugate parity at even length projects to the (w, z) space
+        pm = sampled_chain(M, two_nu, basepoint, "Lbar", psi_chart(two_nu, "Lbar"))
         blocks_flat = witness.w_star + witness.omega_star
         point = [c for blk in blocks_flat[:two_nu] for c in blk]
         value = pm.evaluate(point)
         expected_t = _basepoint_values(M, basepoint)[: M.n]
-        rank = rank_at_point(pm, [f"u{i}" for i in range(1, two_nu + 1)], point)
+        rank = rank_at_point(pm, u_blocks(two_nu), point)
         witness_ok = (value == expected_t) and rank == inv.orbit_dim_intrinsic
     return {
         "identities": results,

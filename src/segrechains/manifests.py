@@ -143,9 +143,11 @@ def parse_manifest(text: str, source: Optional[str] = None) -> Manifest:
         elif key in ("m", "d", "n", "a"):
             try:
                 params[key] = int(value)
+                if params[key] < 1:
+                    raise ValueError
             except ValueError:
                 raise ParseError(
-                    f"{source or '<manifest>'}:{lineno}: {key} must be an integer"
+                    f"{source or '<manifest>'}:{lineno}: {key} must be a positive integer"
                 ) from None
         elif key == "order":
             if value != "EXACT":

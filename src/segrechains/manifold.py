@@ -272,13 +272,24 @@ class Basepoint:
             ("pxi", tuple(f"pxi{j}" for j in range(1, M.d + 1))),
         )
 
+    def state_values(self, M: CRManifold, params=()):
+        """The 2n starting values (w, z, zeta, xi); for a symbolic basepoint
+        `params` gives its pw, pzeta, pxi values and z = qbar(pw, pzeta, pxi)."""
+        if self.kind == "origin":
+            return [ZERO] * (2 * M.n)
+        if self.kind == "numeric":
+            return list(self.w) + list(self.z) + list(self.zeta) + list(self.xi)
+        m = M.m
+        pw, pzeta, pxi = list(params[:m]), list(params[m : 2 * m]), list(params[2 * m :])
+        at = pw + [ZERO] * M.d + pzeta + pxi
+        return pw + [q.evaluate(at) for q in M.qbar] + pzeta + pxi
+
     def state_components(self, M: CRManifold, space: VarSpace, order):
         """The 2n starting components (w, z, zeta, xi) over a chain domain."""
         if self.kind == "origin":
             return [Series.zero(space, order) for _ in range(2 * M.n)]
         if self.kind == "numeric":
-            values = list(self.w) + list(self.z) + list(self.zeta) + list(self.xi)
-            return [Series.constant(space, v, order) for v in values]
+            return [Series.constant(space, v, order) for v in self.state_values(M)]
         pw = [Series.variable(space, f"pw{i}", order) for i in range(1, M.m + 1)]
         pzeta = [Series.variable(space, f"pzeta{i}", order) for i in range(1, M.m + 1)]
         pxi = [Series.variable(space, f"pxi{j}", order) for j in range(1, M.d + 1)]

@@ -3,8 +3,17 @@
 The generic rank of a holomorphic map is realized by sampling: evaluate the
 Jacobian at pseudo-random Gaussian-rational points and take the maximum of
 the exact numeric ranks.  The result is a certified lower bound for the
-generic rank and equals it outside a measure-zero set of sample failures;
-an optional certification path expands the witnessed minor symbolically.
+generic rank and equals it outside a measure-zero set of sample failures.
+
+A SeriesMap is differentiated symbolically once and its Jacobian evaluated
+at each point.  An EXACT chain (chains.PointwiseChain) is never expanded:
+its Jacobian at each point comes from forward-mode differentiation through
+the flow recursion (chains.chain_at_point).
+
+Certification: in EXACT mode evaluation is a ring homomorphism, so the
+nonzero pivot minor of the exact matrix at the witness point proves that the
+symbolic minor is a nonzero polynomial.  Only in truncated (jet) mode, where
+that argument fails, is the witnessed minor expanded symbolically.
 """
 
 from __future__ import annotations
@@ -137,8 +146,21 @@ class RankResult:
     certified: bool
 
 
+def _jacobian_source(f, wrt):
+    """(point -> exact Jacobian of f in the `wrt` columns, symbolic Jacobian or None).
+
+    A SeriesMap is differentiated once here; any other ranked object (a
+    chains.PointwiseChain) computes its Jacobian at each point itself.
+    """
+    if isinstance(f, SeriesMap):
+        names = f._resolve_names(wrt)
+        jac = [[s.diff(v) for v in names] for s in f.components]
+        return (lambda point: [[entry.evaluate(point) for entry in row] for row in jac]), jac
+    return (lambda point: f.jacobian_at(point, wrt)), None
+
+
 def generic_rank(
-    f: SeriesMap,
+    f,
     wrt=None,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
@@ -147,45 +169,48 @@ def generic_rank(
 ) -> RankResult:
     """Generic rank of f with respect to the given variables (blocks or names).
 
-    Deterministic in (seed, trials); monotone nondecreasing in trials; the
-    evaluation points range over all domain variables, while only the `wrt`
-    columns are differentiated.  With certify=True and an attained rank of at
-    most CERTIFY_MAX_SIZE, the witnessed minor is expanded symbolically and
-    the result is flagged certified when that minor is a nonzero series.
+    f is a SeriesMap or a chains.PointwiseChain.  Deterministic in
+    (seed, trials); monotone nondecreasing in trials; the evaluation points
+    range over all domain variables, while only the `wrt` columns are
+    differentiated.  With certify=True and an attained rank of at most
+    CERTIFY_MAX_SIZE the result is flagged certified when the witnessed minor
+    is a nonzero series: in EXACT mode that follows from the nonzero minor at
+    the witness point, in jet mode the minor is expanded symbolically.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    names = f._resolve_names(wrt)
-    jac = [[s.diff(v) for v in names] for s in f.components]
+    jacobian_at, jac = _jacobian_source(f, wrt)
     rng = random.Random(seed)
     best_rank = 0
     best_point = None
     best_matrix = None
-    max_rank = min(len(jac), len(names))
     for _ in range(trials):
         point = random_point(rng, f.domain.dim, num_bound)
-        matrix = [[entry.evaluate(point) for entry in row] for row in jac]
+        matrix = jacobian_at(point)
         r = exact_rank(matrix)
         if r > best_rank or best_point is None:
             best_rank, best_point, best_matrix = r, point, matrix
-        if best_rank == max_rank:
+        if best_rank == min(len(matrix), len(matrix[0])):
             break
     certified = False
-    if certify and 0 < best_rank <= CERTIFY_MAX_SIZE and best_matrix is not None:
-        pivots = pivot_positions(best_matrix)
-        rows = [p[0] for p in pivots]
-        cols = [p[1] for p in pivots]
-        minor = [[jac[r][c] for c in cols] for r in rows]
-        certified = not symbolic_determinant(minor).is_zero()
+    if certify and 0 < best_rank <= CERTIFY_MAX_SIZE:
+        if f.order is None:
+            # evaluation is a ring homomorphism: a minor that is nonzero at
+            # the witness point is a nonzero polynomial
+            certified = True
+        else:
+            pivots = pivot_positions(best_matrix)
+            rows = [p[0] for p in pivots]
+            cols = [p[1] for p in pivots]
+            minor = [[jac[r][c] for c in cols] for r in rows]
+            certified = not symbolic_determinant(minor).is_zero()
     return RankResult(best_rank, best_point, trials, seed, certified)
 
 
-def rank_at_point(f: SeriesMap, wrt, point) -> int:
-    """Exact rank of the Jacobian of f at one explicit point."""
-    names = f._resolve_names(wrt)
-    jac = [[s.diff(v) for v in names] for s in f.components]
-    matrix = [[entry.evaluate(point) for entry in row] for row in jac]
-    return exact_rank(matrix)
+def rank_at_point(f, wrt, point) -> int:
+    """Exact rank of the Jacobian of f (SeriesMap or PointwiseChain) at one point."""
+    jacobian_at, _ = _jacobian_source(f, wrt)
+    return exact_rank(jacobian_at(point))
 
 
 def span_dimension(vectors: Sequence[Sequence[GaussianRational]]) -> int:

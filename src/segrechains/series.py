@@ -345,23 +345,28 @@ class Series:
         order = None if self.order is None else max(self.order - 1, 0)
         return Series(self.space, terms, order)
 
-    def evaluate(self, point: Sequence) -> GaussianRational:
+    def evaluate(self, point: Sequence, powers: Optional[dict] = None) -> GaussianRational:
         """Exact value of the stored polynomial part at a Gaussian-rational point.
 
         In truncated mode this is jet evaluation: the value of the stored
-        polynomial, used only for rank sampling.
+        polynomial, used only for rank sampling.  `powers`, a dict kept by the
+        caller for one point, shares the coordinate powers between calls.
         """
         if len(point) != self.space.dim:
             raise DimensionMismatch(
                 f"point dimension {len(point)} != space dim {self.space.dim}"
             )
-        point = [_as_scalar(p) for p in point]
+        if powers is None:
+            powers = {}
         total = ZERO
         for exp, c in self.terms.items():
             v = c
             for i, e in enumerate(exp):
                 if e:
-                    v = v * point[i] ** e
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        pw = powers[(i, e)] = _as_scalar(point[i]) ** e
+                    v = v * pw
             total = total + v
         return total
 

@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 
+from segrechains.corpus import corpus
 from segrechains.lie import bracket, chart_point, tangent_fields
-from segrechains.manifold import graph_from_real, real_graph_space
+from segrechains.manifests import load_manifest
+from segrechains.manifold import Basepoint, graph_from_real, new_manifold, real_graph_space
 from segrechains.ranks import exact_rank
-from segrechains.scalars import GaussianRational
+from segrechains.scalars import GaussianRational, ZERO
 from segrechains.series import Series
 
 
@@ -109,3 +111,61 @@ def brute_ladder(M, basepoint, max_length):
         if dims[i] > dims[i - 1]:
             ladder.append((i + 1, dims[i] - dims[i - 1]))
     return ladder, dims
+
+
+def codim_family(d):
+    """The m = 1 manifold with theta_bar_1 = w1*zeta1 and, for j = 2..d,
+    theta_bar_j = c_j*w1^j*zeta1 + conj(c_j)*w1*zeta1^j, c_j = 1 + (j-1)*i:
+    multitype (1, 1, ..., 1), minimal, rank increments up to length d + 2."""
+    theta = ["w1*zeta1"] + [
+        f"(1+{j - 1}*i)*w1^{j}*zeta1 + (1-{j - 1}*i)*w1*zeta1^{j}"
+        for j in range(2, d + 1)
+    ]
+    return new_manifold(1, d, theta)
+
+
+def exact_manifolds():
+    """(name, manifold) for every EXACT corpus manifold and the d = 2..6 family."""
+    out = []
+    for name, path in corpus():
+        manifest = load_manifest(path)
+        if manifest.kind == "manifold" and manifest.order_value() is None:
+            out.append((name, manifest.build_manifold()))
+    return out + [(f"codim_d{d}", codim_family(d)) for d in range(2, 7)]
+
+
+def gaussian_integer_point(rng, dim):
+    """A point with small nonzero Gaussian-integer coordinates."""
+    return [GaussianRational(rng.randint(1, 3), rng.randint(-2, 2)) for _ in range(dim)]
+
+
+def numeric_basepoint(M, rng):
+    """A Gaussian-integer point of the complexified manifold: z = qbar(w, zeta, xi)."""
+    m, d = M.m, M.d
+    v = Basepoint.symbolic().state_values(M, gaussian_integer_point(rng, 2 * m + d))
+    return Basepoint.numeric(M, v[:m], v[m : m + d], v[m + d : 2 * m + d], v[2 * m + d :])
+
+
+def expanded_values_and_jacobian(f, names, point):
+    """Values of an expanded SeriesMap at a point with no zero coordinate, and
+    its Jacobian in the `names` columns, read off term by term:
+    d(c*u^e)/du_i = e_i*c*u^e/u_i, summed per column before the one division."""
+    cols = [f.domain.index_of(n) for n in names]
+    powers = {}
+    values, rows = [], []
+    for s in f.components:
+        value, sums = ZERO, [ZERO] * len(cols)
+        for exp, c in s.terms.items():
+            mono = c
+            for i, e in enumerate(exp):
+                if e:
+                    if (i, e) not in powers:
+                        powers[(i, e)] = point[i] ** e
+                    mono = mono * powers[(i, e)]
+            value = value + mono
+            for col, i in enumerate(cols):
+                if exp[i]:
+                    sums[col] = sums[col] + mono * exp[i]
+        values.append(value)
+        rows.append([t / point[i] for t, i in zip(sums, cols)])
+    return values, rows

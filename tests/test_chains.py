@@ -3,23 +3,34 @@ import random
 import pytest
 
 from segrechains.chains import (
+    chain_at_point,
     chain_space,
     check_reparam,
     default_kmax,
     flow,
     gamma,
     psi,
+    psi_chart,
+    sampled_chain,
     sigma_image,
     v_map,
     verify_in_manifold,
 )
-from segrechains.errors import OffManifold
+from segrechains.errors import DimensionMismatch, OffManifold, TruncationUnsound
 from segrechains.exprs import format_series
-from segrechains.manifold import Basepoint
+from segrechains.manifold import Basepoint, new_manifold
 from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import Series, SeriesMap
 
-from helpers import random_real_graph
+from helpers import (
+    exact_manifolds,
+    expanded_values_and_jacobian,
+    gaussian_integer_point,
+    numeric_basepoint,
+    random_real_graph,
+)
+
+EXACT_MANIFOLDS = exact_manifolds()
 
 
 def origin_state(M, space, order=None):
@@ -245,3 +256,43 @@ def test_psi_components_are_chain_projections(quartic, c3_tube):
             pm = psi(M, k)
             want = chain.in_chart("tau" if k % 2 == 0 else "t")
             assert pm.components == want.components
+
+
+def _forward_lengths(name, M, basepoint):
+    """Chain lengths checked against the expanded chain: up to default_kmax at
+    the origin (up to d + 3, where the rank profile stops, for the d-family,
+    whose longer expanded chains take minutes), up to 4 at other basepoints."""
+    if basepoint.kind != "origin":
+        return range(1, 5)
+    top = M.d + 3 if name.startswith("codim_d") else default_kmax(M)
+    return range(1, top + 1)
+
+
+@pytest.mark.parametrize("name, M", EXACT_MANIFOLDS, ids=[n for n, _ in EXACT_MANIFOLDS])
+def test_forward_chain_matches_expanded_chain(name, M):
+    # forward-mode values and u-Jacobian equal those of the symbolic chain
+    rng = random.Random(11)
+    for bp in (Basepoint.origin(), Basepoint.symbolic(), numeric_basepoint(M, rng)):
+        for parity in ("L", "Lbar"):
+            for k in _forward_lengths(name, M, bp):
+                chain = gamma(M, k, bp, parity, verify=False)
+                point = gaussian_integer_point(rng, chain.map.domain.dim)
+                expected = expanded_values_and_jacobian(
+                    chain.map, chain.param_names(), point
+                )
+                assert chain_at_point(M, k, bp, parity, point) == expected, (
+                    bp.kind, parity, k)
+
+
+def test_sampled_chain_follows_the_mode(heisenberg):
+    jet = new_manifold(1, 1, ["w1*zeta1"], order=6)
+    bp = Basepoint.origin()
+    assert sampled_chain(jet, 3, bp, "L") == gamma(jet, 3, verify=False).in_chart()
+    assert sampled_chain(jet, 2, bp, "L", psi_chart(2, "L")) == psi(jet, 2)
+    pointwise = sampled_chain(heisenberg, 2, bp, "L", psi_chart(2, "L"))
+    point = [G(2, 1), G(-1, 3)]
+    assert pointwise.evaluate(point) == psi(heisenberg, 2).evaluate(point)
+    with pytest.raises(DimensionMismatch):
+        pointwise.evaluate(point[:1])
+    with pytest.raises(TruncationUnsound):
+        chain_at_point(jet, 2, bp, "L", point)

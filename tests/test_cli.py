@@ -162,3 +162,33 @@ def test_checkall_detects_failure(tmp_path, capsys):
     (tmp_path / "wrong.expected.json").write_text(json.dumps({"minimal": False}))
     code, out, _ = run_cli(capsys, "checkall", str(tmp_path))
     assert code == 1 and "FAIL" in out
+
+
+def _single_error_line(err):
+    lines = err.strip().splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_trials_below_one_is_usage_error(capsys):
+    for trials in ("0", "-3"):
+        code, out, err = run_cli(
+            capsys, "ranks", data_path("heisenberg"), "--trials", trials
+        )
+        assert code == 2 and out == "" and _single_error_line(err)
+
+
+def test_max_length_below_two_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "hormander", data_path("heisenberg"), "--max-length", "1"
+    )
+    assert code == 2 and out == "" and _single_error_line(err)
+
+
+def test_bad_manifests_are_usage_errors(tmp_path, capsys):
+    zero_m = tmp_path / "zero_m.mf"
+    zero_m.write_text("m=0\nd=1\ntheta_bar_1 = 0\n")
+    deep = tmp_path / "deep.mf"
+    deep.write_text("m=1\nd=1\ntheta_bar_1 = " + "(" * 2000 + "w1*zeta1" + ")" * 2000 + "\n")
+    for path in (zero_m, deep):
+        code, out, err = run_cli(capsys, "multitype", str(path))
+        assert code == 2 and out == "" and _single_error_line(err)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from segrechains.errors import ParseError
-from segrechains.exprs import format_series, parse_series
+from segrechains.exprs import MAX_NESTING, format_series, parse_series
 from segrechains.manifold import ambient_space
 from segrechains.scalars import GaussianRational
 from segrechains.series import Series
@@ -32,6 +32,15 @@ def test_parse_parentheses_and_signs():
 def test_parse_errors():
     space = ambient_space(1, 1)
     for bad in ("w1 +", "q7", "w1^(2)", "1/0", "w1 ** 2", "(w1", "w1 @ 2"):
+        with pytest.raises(ParseError):
+            parse_series(bad, space)
+
+
+def test_nesting_is_capped():
+    space = ambient_space(1, 1)
+    ok = "(" * MAX_NESTING + "w1" + ")" * MAX_NESTING
+    assert parse_series(ok, space) == Series.variable(space, "w1")
+    for bad in ("(" * 2000 + "w1" + ")" * 2000, "-" * 2000 + "w1"):
         with pytest.raises(ParseError):
             parse_series(bad, space)
 

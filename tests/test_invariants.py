@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from segrechains import invariants
 from segrechains.errors import NotAHypersurface
 from segrechains.invariants import (
     hypersurface_minimality,
@@ -11,11 +13,17 @@ from segrechains.invariants import (
     witness_point,
 )
 from segrechains.manifold import Basepoint, new_manifold
-from segrechains.ranks import rank_at_point
+from segrechains.ranks import (
+    CERTIFY_MAX_SIZE,
+    generic_rank,
+    pivot_positions,
+    rank_at_point,
+    symbolic_determinant,
+)
 from segrechains.chains import gamma
 from segrechains.scalars import GaussianRational as G, ZERO
 
-from helpers import random_hypersurface
+from helpers import exact_manifolds, random_hypersurface
 
 
 def test_rank_profile_quartic(quartic):
@@ -202,3 +210,40 @@ def test_cr_dimension_one_increments_all_one():
         inv = segre_invariants(M)
         assert all(e == 1 for e in inv.multitype[2:]), name
         assert inv.minimal == (inv.kappa == M.d), name
+
+
+def _expanded_chain(M, k, basepoint, parity, chart=None):
+    return gamma(M, k, basepoint, parity, verify=False).in_chart(chart)
+
+
+def _laplace_certified_rank(f, wrt=None, trials=5, seed=0, certify=False):
+    """generic_rank of an expanded map, certified by expanding the pivot minor."""
+    res = generic_rank(f, wrt=wrt, trials=trials, seed=seed)
+    certified = False
+    if certify and 0 < res.rank <= CERTIFY_MAX_SIZE:
+        jac = f.jacobian(wrt)
+        matrix = [[e.evaluate(res.witness) for e in row] for row in jac]
+        rows, cols = zip(*pivot_positions(matrix))
+        minor = [[jac[r][c] for c in cols] for r in rows]
+        certified = not symbolic_determinant(minor).is_zero()
+    return dataclasses.replace(res, certified=certified)
+
+
+# the Laplace expansion takes seconds to minutes on the longer-profile inputs
+PROFILE_CASES = [
+    (n, M) for n, M in exact_manifolds() if n not in ("ex8_6", "codim_d4", "codim_d5", "codim_d6")
+]
+
+
+@pytest.mark.parametrize("name, M", PROFILE_CASES, ids=[n for n, _ in PROFILE_CASES])
+def test_certified_profile_matches_expanded_chains(name, M, monkeypatch):
+    # the forward-mode profile equals the one ranked on expanded chains with
+    # symbolically expanded certificates, field by field
+    for bp in (Basepoint.origin(), Basepoint.symbolic()):
+        forward = rank_profile(M, bp, certify=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(invariants, "sampled_chain", _expanded_chain)
+            patch.setattr(invariants, "generic_rank", _laplace_certified_rank)
+            expanded = rank_profile(M, bp, certify=True)
+        for field in dataclasses.fields(forward):
+            assert getattr(forward, field.name) == getattr(expanded, field.name), field.name

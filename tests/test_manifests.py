@@ -66,6 +66,16 @@ def test_parse_errors_have_location():
         parse_manifest("m=1\nd=1\norder=-3\ntheta_bar_1 = 0\n")
 
 
+def test_dimensions_must_be_positive():
+    with pytest.raises(ParseError) as err:
+        parse_manifest("m=0\nd=1\ntheta_bar_1 = 0\n", source="zero.mf")
+    assert "zero.mf:1" in str(err.value)
+    with pytest.raises(ParseError):
+        parse_manifest("m=1\nd=-1\ntheta_bar_1 = 0\n")
+    with pytest.raises(ParseError):
+        parse_manifest(SYSTEM.replace("a=2", "a=0"))
+
+
 def test_unknown_keys_become_diagnostics():
     mf = parse_manifest("m=1\nd=1\nflavor=blue\ntheta_bar_1 = 0\n")
     assert any("flavor" in d for d in mf.diagnostics)
