@@ -33,7 +33,7 @@ from .errors import (
 )
 from .manifold import Basepoint, CRManifold, _ambient_subst
 from .scalars import ONE, ZERO
-from .series import Series, SeriesMap, VarSpace
+from .series import Series, SeriesMap, VarSpace, forward_step, nonzero_partials
 
 # coordinate charts of the complexified manifold, by ambient blocks
 _CHARTS = {
@@ -110,13 +110,10 @@ def _flow_gradients(M: CRManifold):
     each q_j (the Lbar flow); differentiated on first use, then kept on M."""
     grads = getattr(M, "_flow_gradient_cache", None)
     if grads is None:
-        grads = M._flow_gradient_cache = {}
-        for which, fns in (("L", M.qbar), ("Lbar", M.q)):
-            grads[which] = [
-                [(a, p) for a, p in enumerate(f.diff(v) for v in M.space.names)
-                 if not p.is_zero()]
-                for f in fns
-            ]
+        grads = M._flow_gradient_cache = {
+            "L": [nonzero_partials(f) for f in M.qbar],
+            "Lbar": [nonzero_partials(f) for f in M.q],
+        }
     return grads
 
 
@@ -127,9 +124,10 @@ def chain_at_point(M: CRManifold, k: int, basepoint: Basepoint, parity: str, poi
     state component is carried as a (value, gradient) pair through the
     recursion of _flow_step (forward-mode differentiation): the moving block
     gains u_s and its unit derivative, and the recomputed block takes the value
-    of qbar or q at the point and the chain rule of their partials.  The
-    basepoint contributes values and zero derivatives.  Valid in EXACT mode
-    only: a truncated jet does not commute with pointwise evaluation.
+    of qbar or q at the point and the chain rule of their partials
+    (series.forward_step).  The basepoint contributes values and zero
+    derivatives.  Valid in EXACT mode only: a truncated jet does not commute
+    with pointwise evaluation.
     """
     if M.order is not None:
         raise TruncationUnsound("forward-mode chain values need an EXACT manifold")
@@ -139,8 +137,7 @@ def chain_at_point(M: CRManifold, k: int, basepoint: Basepoint, parity: str, poi
         raise DimensionMismatch(f"point dimension {len(point)} != space dim {dim}")
     ncols = m * k
     values = basepoint.state_values(M, point[ncols:])
-    zero_row = [ZERO] * ncols
-    rows = [zero_row] * (2 * M.n)  # rows are replaced, never mutated
+    rows = [[ZERO] * ncols] * (2 * M.n)  # rows are replaced, never mutated
     grads = _flow_gradients(M)
     for s in range(1, k + 1):
         which = _flow_kind(parity, s)
@@ -157,15 +154,7 @@ def chain_at_point(M: CRManifold, k: int, basepoint: Basepoint, parity: str, poi
         at = list(values)
         if which == "L":
             at[m : m + d] = [ZERO] * d  # qbar is taken with z = 0, as in _ambient_subst
-        powers = {}
-        new = []
-        for f, partials in zip(fns, grads[which]):
-            row = zero_row
-            for a, p in partials:
-                c = p.evaluate(at, powers)
-                if not c.is_zero():
-                    row = [x + c * y if y else x for x, y in zip(row, rows[a])]
-            new.append((f.evaluate(at, powers), row))
+        new = forward_step(fns, grads[which], at, rows)
         for t, (value, row) in zip(target, new):
             values[t], rows[t] = value, row
     return values, rows

@@ -31,7 +31,7 @@ from .lie import (
     hormander_numbers,
     levi_type,
 )
-from .manifests import load_manifest
+from .manifests import load_manifest, parse_order
 from .manifold import Basepoint
 from .orbit import cr_pair_system, greedy_multitype, lie_span_dimension
 from .ranks import DEFAULT_TRIALS
@@ -121,12 +121,22 @@ def _provenance(args, order):
     }
 
 
+def _order_option(text):
+    """The --order value: None when absent, "EXACT", or a degree >= 1."""
+    if text is None or text == "EXACT":
+        return text
+    try:
+        return parse_order(text)
+    except ValueError as exc:
+        raise ParseError(f"--order: {exc}") from None
+
+
 def _load_manifold(args):
     manifest = load_manifest(args.manifest)
     if manifest.kind != "manifold":
         raise ParseError(f"{args.manifest}: expected a manifold manifest")
-    if getattr(args, "order", None):
-        manifest.params["order"] = args.order
+    if args.order is not None:
+        manifest.params["order"] = str(args.order)
     return manifest, manifest.build_manifold()
 
 
@@ -352,9 +362,12 @@ def cmd_orbit(args):
         system = cr_pair_system(M)
     else:
         system = manifest.build_system()
-    order = int(args.order) if args.order and args.order != "EXACT" else None
+    if args.kmax is not None and args.kmax < system.a:
+        raise ParseError(f"--kmax must be >= {system.a}, the number of fields")
+    order = None if args.order == "EXACT" else args.order
     result = greedy_multitype(
-        system, kmax=args.kmax, order=order, trials=args.trials, seed=args.seed
+        system, kmax=args.kmax, order=order, trials=args.trials, seed=args.seed,
+        witness=False,
     )
     oracle = lie_span_dimension(system)
     payload = {
@@ -578,10 +591,10 @@ def build_parser():
     specs = [
         ("validate", cmd_validate, {}),
         ("chains", cmd_chains, {"parity": True}),
-        ("ranks", cmd_ranks, {"certify": True}),
-        ("minimality", cmd_minimality, {}),
-        ("multitype", cmd_multitype, {}),
-        ("witness", cmd_witness, {}),
+        ("ranks", cmd_ranks, {"certify": True, "kmax_min": 3}),
+        ("minimality", cmd_minimality, {"kmax_min": 3}),
+        ("multitype", cmd_multitype, {"kmax_min": 3}),
+        ("witness", cmd_witness, {"kmax_min": 3}),
         ("hormander", cmd_hormander, {"max_length": True}),
         ("levi", cmd_levi, {}),
         ("e1det", cmd_e1det, {}),
@@ -611,7 +624,8 @@ def build_parser():
                                 "only in jet mode")
         if opts.get("max_length"):
             p.add_argument("--max-length", dest="max_length", type=int, default=None)
-        p.set_defaults(func=func)
+        # rank profiles need chains of length 3 (orbit checks its own bound)
+        p.set_defaults(func=func, kmax_min=opts.get("kmax_min", 1))
     return parser
 
 
@@ -621,6 +635,9 @@ def main(argv=None) -> int:
     try:
         if args.trials < 1:
             raise ParseError("--trials must be >= 1")
+        if args.kmax is not None and args.kmax < args.kmax_min:
+            raise ParseError(f"--kmax must be >= {args.kmax_min}")
+        args.order = _order_option(args.order)
         return args.func(args)
     except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -220,22 +220,36 @@ def levi_type(
 ) -> Optional[int]:
     """Smallest k with Span{Lbar^beta grad rho_j : |beta| <= k} = C^n at the
     basepoint; None when kmax (default m + d) is exhausted.  A symbolic
-    basepoint yields the generic Levi type."""
+    basepoint yields the generic Levi type.
+
+    beta runs over multi-indices, not ordered words: the chart fields Lbar_i
+    commute (checked here, one bracket per pair; an internal SegreError if
+    not), so Lbar_{i_k}...Lbar_{i_1} grad rho_j is the same row for every
+    order of i_1..i_k.  Each level therefore extends a row only by the
+    fields whose index is at least the last one applied, and builds every
+    beta once: d*C(m+k-1, k) rows at level k instead of d*m^k.
+    """
     basepoint = basepoint or Basepoint.origin()
     kmax = kmax or (M.m + M.d)
     _, Lbar = tangent_fields(M)
+    for i, X in enumerate(Lbar):
+        for Y in Lbar[i + 1 :]:
+            if not bracket(X, Y).is_zero():
+                raise SegreError(f"internal: chart fields {X.label}, {Y.label} do not commute")
     cs = Lbar[0].space
     point = chart_point(M, basepoint)
     rows = gradient_rows(M)
     all_rows = list(rows)
     if _span_dim(all_rows, point, cs.dim, trials, seed) == M.n:
         return 0
-    level = rows
+    level = [(0, row) for row in rows]  # (index of the last field applied, row)
     for k in range(1, kmax + 1):
         level = [
-            [f.apply(c) for c in row] for f in Lbar for row in level
+            (i, [Lbar[i].apply(c) for c in row])
+            for last, row in level
+            for i in range(last, M.m)
         ]
-        all_rows.extend(level)
+        all_rows.extend(row for _, row in level)
         if _span_dim(all_rows, point, cs.dim, trials, seed) == M.n:
             return k
     return None

@@ -39,6 +39,19 @@ _THETA_KEY = re.compile(r"^theta_bar_(\d+)$")
 _FIELD_KEY = re.compile(r"^field_(\d+)_(\d+)_([A-Za-z_][A-Za-z0-9_]*)$")
 
 
+def parse_order(text: str) -> Optional[int]:
+    """None for "EXACT", else a truncation degree >= 1 (ValueError otherwise)."""
+    if text == "EXACT":
+        return None
+    try:
+        order = int(text)
+    except ValueError:
+        order = 0
+    if order < 1:
+        raise ValueError("order must be EXACT or a positive integer")
+    return order
+
+
 @dataclass
 class Manifest:
     kind: str  # "manifold" | "system"
@@ -50,8 +63,7 @@ class Manifest:
     # -- building -----------------------------------------------------------
 
     def order_value(self):
-        order = self.params.get("order", "EXACT")
-        return None if order == "EXACT" else int(order)
+        return parse_order(self.params.get("order", "EXACT"))
 
     def build(self):
         if self.kind == "manifold":
@@ -150,15 +162,10 @@ def parse_manifest(text: str, source: Optional[str] = None) -> Manifest:
                     f"{source or '<manifest>'}:{lineno}: {key} must be a positive integer"
                 ) from None
         elif key == "order":
-            if value != "EXACT":
-                try:
-                    if int(value) < 1:
-                        raise ValueError
-                except ValueError:
-                    raise ParseError(
-                        f"{source or '<manifest>'}:{lineno}: order must be EXACT "
-                        f"or a positive integer"
-                    ) from None
+            try:
+                parse_order(value)
+            except ValueError as exc:
+                raise ParseError(f"{source or '<manifest>'}:{lineno}: {exc}") from None
             params["order"] = value
         else:
             diagnostics.append(f"{source or '<manifest>'}:{lineno}: ignored key {key!r}")

@@ -12,6 +12,16 @@ whose extra flow maximizes the generic-rank increment, stopping when no
 field adds rank.  The resulting orbit dimension am + sum(e) can be
 cross-checked against the independent left-normed bracket span oracle
 lie_span_dimension.
+
+With EXACT flows (order=None) no concatenated flow is expanded: a
+PointwiseFlow carries exact (value, d/dt) pairs from the origin through the
+word's flows at each sample point (forward-mode differentiation, the same
+series.forward_step that chains.chain_at_point uses), with each flow's
+partials differentiated once.  The witness's return map adds the reversed
+flows at the constant times -t_i* as further chain-rule steps in x.
+Truncated jets keep the expanded concatenated_flow, which is also the test
+oracle for the pointwise form; their witness is None, because a truncated
+flow cannot be evaluated at a nonzero time.
 """
 
 from __future__ import annotations
@@ -37,8 +47,8 @@ from .ranks import (
     random_point,
     rank_at_point,
 )
-from .scalars import ZERO
-from .series import Series, SeriesMap, VarSpace
+from .scalars import ONE, ZERO
+from .series import Series, SeriesMap, VarSpace, forward_step, nonzero_partials
 
 
 def coordinate_space(n: int, prefix: str = "x") -> VarSpace:
@@ -112,14 +122,23 @@ class VFSystem:
                 )
 
 
-@dataclass(frozen=True)
 class FlowMap:
     """exp(s.L) as a SeriesMap over (s, x); exact=True when the Lie series
-    terminated below the truncation order."""
+    terminated below the truncation order.  (A plain class: building a
+    dataclass costs milliseconds at every import.)"""
 
-    map: SeriesMap
-    exact: bool
-    order: Optional[int]
+    __slots__ = ("map", "exact", "order", "_partials")
+
+    def __init__(self, map: SeriesMap, exact: bool, order: Optional[int]):
+        self.map, self.exact, self.order = map, exact, order
+        self._partials = None
+
+    def partials(self):
+        """Nonzero partials of each component in (s, x), for
+        series.forward_step; differentiated on first use, then kept."""
+        if self._partials is None:
+            self._partials = [nonzero_partials(c) for c in self.map.components]
+        return self._partials
 
 
 def formal_flow(system: VFSystem, alpha: int, order: Optional[int],
@@ -195,6 +214,13 @@ def _time_space(system: VFSystem, k: int) -> VarSpace:
     return VarSpace(blocks)
 
 
+def _flow(system: VFSystem, flows: dict, alpha: int, order: Optional[int]) -> FlowMap:
+    """flows[alpha], built on first use."""
+    if alpha not in flows:
+        flows[alpha] = formal_flow(system, alpha, order)
+    return flows[alpha]
+
+
 def concatenated_flow(system: VFSystem, word: Sequence[int],
                       flows: Optional[dict] = None,
                       order: Optional[int] = None) -> Tuple[SeriesMap, bool]:
@@ -208,9 +234,7 @@ def concatenated_flow(system: VFSystem, word: Sequence[int],
     exact = True
     flows = flows if flows is not None else {}
     for step, alpha in enumerate(word, start=1):
-        if alpha not in flows:
-            flows[alpha] = formal_flow(system, alpha, order)
-        fl = flows[alpha]
+        fl = _flow(system, flows, alpha, order)
         exact = exact and fl.exact
         sub = {}
         for j in range(1, system.m + 1):
@@ -219,6 +243,80 @@ def concatenated_flow(system: VFSystem, word: Sequence[int],
             sub[name] = state[a]
         state = [c.compose(sub) for c in fl.map.components]
     return SeriesMap(state, system.space), exact
+
+
+class PointwiseFlow:
+    """concatenated_flow(system, word) of EXACT flows, never expanded.
+
+    It offers what generic_rank and rank_at_point read from a SeriesMap
+    (domain, order, Jacobian at a point); `at` gives values and Jacobian.  A
+    point is carried from the origin as exact (value, d/dt) pairs through the
+    word's flows exp(t_i.L_alpha), one series.forward_step each.  `returns`
+    lists further flows (alpha, times) at constant times, applied after: they are
+    chain-rule steps in x only and add no column (the witness's return map).
+    `prefixes`, a dict kept by the caller, holds the state before the last
+    flow per (word prefix, point prefix): greedy candidates share both, since
+    generic_rank draws the same points for every candidate of one step.  The
+    Jacobian is always taken in all t-blocks.
+    """
+
+    __slots__ = ("system", "word", "flows", "returns", "prefixes", "domain")
+    order = None
+
+    def __init__(self, system: VFSystem, word: Sequence[int], flows: dict,
+                 returns=(), prefixes: Optional[dict] = None):
+        self.system, self.word, self.flows = system, tuple(word), flows
+        self.returns, self.prefixes = tuple(returns), prefixes
+        self.domain = _time_space(system, len(self.word))
+
+    def at(self, point):
+        """(values, Jacobian rows in the t-blocks) of the flow at `point`."""
+        m, n, word = self.system.m, self.system.n, self.word
+        ncols = m * len(word)
+        if len(point) != ncols:
+            raise DimensionMismatch(f"point dimension {len(point)} != space dim {ncols}")
+        last = len(word) - 1
+        key = (word[:last], tuple(point[: last * m]))
+        if self.prefixes is not None and key in self.prefixes:
+            first, (values, rows) = last, self.prefixes[key]
+        else:
+            first, values, rows = 0, [ZERO] * n, [[ZERO] * ncols] * n
+        for i in range(first, len(word)):
+            if i == last and self.prefixes is not None:
+                self.prefixes[key] = (values, rows)
+            units = [[ONE if c == i * m + j else ZERO for c in range(ncols)]
+                     for j in range(m)]
+            values, rows = self._step(word[i], point[i * m : (i + 1) * m], units,
+                                      values, rows)
+        zero_rows = [[ZERO] * ncols] * m
+        for alpha, times in self.returns:
+            values, rows = self._step(alpha, list(times), zero_rows, values, rows)
+        return values, rows
+
+    def _step(self, alpha, times, time_rows, values, rows):
+        """exp(times.L_alpha) at (values, rows); time_rows are d(times)/dt."""
+        fl = _flow(self.system, self.flows, alpha, None)
+        new = forward_step(fl.map.components, fl.partials(), times + values,
+                           time_rows + rows)
+        return [v for v, _ in new], [r for _, r in new]
+
+    def jacobian_at(self, point, wrt=None):
+        if wrt is not None and list(wrt) != list(self.domain.block_names()):
+            raise DimensionMismatch("a pointwise flow is differentiated in all its t-blocks")
+        return self.at(point)[1]
+
+
+def _ranked_flow(system: VFSystem, word, flows: dict, order: Optional[int],
+                 prefixes: Optional[dict] = None):
+    """(concatenated flow of `word` in the form ranks samples, all flows exact).
+
+    EXACT flows (order None) give a PointwiseFlow; truncated jets give the
+    expanded map, because truncation does not commute with evaluation.
+    """
+    if order is not None:
+        return concatenated_flow(system, word, flows, order)
+    fls = [_flow(system, flows, alpha, None) for alpha in word]
+    return PointwiseFlow(system, word, flows, prefixes=prefixes), all(f.exact for f in fls)
 
 
 @dataclass(frozen=True)
@@ -247,15 +345,21 @@ def greedy_multitype(
 
     Ties among rank-maximizing candidate fields break to the lowest index;
     kmax bounds the word length (default a + n - a*m + 1); `order` is the
-    flow jet order (None = require terminating Lie series).
+    flow jet order (None = require terminating Lie series).  EXACT flows are
+    ranked pointwise (PointwiseFlow), jets from their expanded maps.  The
+    witness needs flows at nonzero constant times, which truncated flows
+    cannot give soundly, so with a finite order it is None.
     """
     a, m, n = system.a, system.m, system.n
     kmax = kmax or (a + (n - a * m) + 1)
     word = list(start_order) if start_order is not None else list(range(a))
     if sorted(word) != list(range(a)):
         raise DimensionMismatch("start_order must be a permutation of the fields")
+    if kmax < a:
+        raise DimensionMismatch(f"kmax must be >= a = {a}, the starting word's length")
     flows: dict = {}
-    base_map, exact = concatenated_flow(system, word, flows, order)
+    prefixes: dict = {}  # states shared by the candidates of one step
+    base_map, exact = _ranked_flow(system, word, flows, order)
     blocks = [f"t{i}" for i in range(1, a + 1)]
     zero_pt = [ZERO] * (a * m)
     if rank_at_point(base_map, blocks, zero_pt) != a * m:
@@ -268,7 +372,7 @@ def greedy_multitype(
     while len(word) < kmax:
         best_alpha, best_rank = None, rank
         for alpha in range(a):
-            cand, cexact = concatenated_flow(system, word + [alpha], flows, order)
+            cand, cexact = _ranked_flow(system, word + [alpha], flows, order, prefixes)
             cblocks = [f"t{i}" for i in range(1, len(word) + 2)]
             r = generic_rank(
                 cand, wrt=cblocks, trials=trials, seed=seed + len(word)
@@ -295,22 +399,23 @@ def greedy_multitype(
         flows_exact=exact,
         witness=None,
     )
-    if witness:
+    if witness and order is None:
         try:
-            record = _orbit_witness(system, result, flows, order, trials, seed)
+            record = _orbit_witness(system, result, flows, seed)
         except WitnessNotFound:
             record = None
         result = replace(result, witness=record)
     return result
 
 
-def _orbit_witness(system, result, flows, order, trials, seed, retries=20):
+def _orbit_witness(system, result, flows, seed, retries=20):
     """Witness per the greedy construction: a point t* = (t_1*, .., t_{mu0-1}*, 0)
-    of maximal rank whose reversed, negated flows return the endpoint to 0."""
+    of maximal rank whose reversed, negated flows return the endpoint to 0.
+    EXACT flows only: both maps are ranked pointwise."""
     mu0 = result.mu0
     m = system.m
     target = result.orbit_dim
-    fwd, exact = concatenated_flow(system, result.word, flows, order)
+    fwd = PointwiseFlow(system, result.word, flows)
     blocks = [f"t{i}" for i in range(1, mu0 + 1)]
     rng = random.Random(seed)
     found = None
@@ -323,28 +428,16 @@ def _orbit_witness(system, result, flows, order, trials, seed, retries=20):
             break
     if found is None:
         raise WitnessNotFound("no maximal-rank point of the required shape")
-    # reversed flows at the negated times, composed symbolically
-    space = fwd.domain
-    state = list(fwd.components)
-    for i in range(mu0 - 1, 0, -1):
-        alpha = result.word[i - 1]
-        fl = flows[alpha]
-        sub = {}
-        for j in range(1, m + 1):
-            sub[f"s{j}"] = Series.constant(space, -found[i - 1][j - 1], order)
-        for a, name in enumerate(system.space.names):
-            sub[name] = state[a]
-        state = [c.compose(sub) for c in fl.map.components]
-    ret = SeriesMap(state, system.space)
+    # the reversed flows at the negated times, after the forward word
+    back = [(result.word[i - 1], [-c for c in found[i - 1]]) for i in range(mu0 - 1, 0, -1)]
+    ret = PointwiseFlow(system, result.word, flows, back)
     point = [c for blk in found for c in blk] + [ZERO] * m
-    value = ret.evaluate(point)
-    returns = all(v == ZERO for v in value)
-    rank = rank_at_point(ret, blocks, point)
+    value, rows = ret.at(point)
     return {
         "t_star": tuple(tuple(blk) for blk in found) + ((ZERO,) * m,),
-        "rank_at_t_star": rank,
-        "returns_to_origin": returns,
-        "exact_flows": exact,
+        "rank_at_t_star": exact_rank(rows),
+        "returns_to_origin": all(v == ZERO for v in value),
+        "exact_flows": all(flows[alpha].exact for alpha in result.word),
     }
 
 

@@ -6,9 +6,10 @@ the exact numeric ranks.  The result is a certified lower bound for the
 generic rank and equals it outside a measure-zero set of sample failures.
 
 A SeriesMap is differentiated symbolically once and its Jacobian evaluated
-at each point.  An EXACT chain (chains.PointwiseChain) is never expanded:
-its Jacobian at each point comes from forward-mode differentiation through
-the flow recursion (chains.chain_at_point).
+at each point.  An EXACT chain (chains.PointwiseChain) or concatenated
+orbit flow (orbit.PointwiseFlow) is never expanded: its Jacobian at each
+point comes from forward-mode differentiation through the flow recursion
+(series.forward_step).
 
 Certification: in EXACT mode evaluation is a ring homomorphism, so the
 nonzero pivot minor of the exact matrix at the witness point proves that the
@@ -150,7 +151,8 @@ def _jacobian_source(f, wrt):
     """(point -> exact Jacobian of f in the `wrt` columns, symbolic Jacobian or None).
 
     A SeriesMap is differentiated once here; any other ranked object (a
-    chains.PointwiseChain) computes its Jacobian at each point itself.
+    chains.PointwiseChain or orbit.PointwiseFlow) computes its Jacobian at
+    each point itself.
     """
     if isinstance(f, SeriesMap):
         names = f._resolve_names(wrt)
@@ -169,7 +171,8 @@ def generic_rank(
 ) -> RankResult:
     """Generic rank of f with respect to the given variables (blocks or names).
 
-    f is a SeriesMap or a chains.PointwiseChain.  Deterministic in
+    f is a SeriesMap or a pointwise map (chains.PointwiseChain,
+    orbit.PointwiseFlow).  Deterministic in
     (seed, trials); monotone nondecreasing in trials; the evaluation points
     range over all domain variables, while only the `wrt` columns are
     differentiated.  With certify=True and an attained rank of at most
@@ -208,7 +211,7 @@ def generic_rank(
 
 
 def rank_at_point(f, wrt, point) -> int:
-    """Exact rank of the Jacobian of f (SeriesMap or PointwiseChain) at one point."""
+    """Exact rank of the Jacobian of f (SeriesMap or pointwise map) at one point."""
     jacobian_at, _ = _jacobian_source(f, wrt)
     return exact_rank(jacobian_at(point))
 

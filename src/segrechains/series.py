@@ -551,6 +551,33 @@ class SeriesMap:
         return f"SeriesMap({self.domain!r} -> {self.codomain!r})"
 
 
+def nonzero_partials(f: Series):
+    """(index, partial derivative) for every variable that occurs in f."""
+    return [(a, f.diff(f.space.names[a])) for a in sorted(f.used_indices())]
+
+
+def forward_step(fns, partials, at, rows):
+    """One forward-mode chain-rule step through polynomials at an exact point.
+
+    at[a] is the value of the a-th variable of the fns' space and rows[a] its
+    gradient row (all rows of one length); partials[j] is
+    nonzero_partials(fns[j]).  Returns a (value, row) pair per function:
+    fns[j](at) and sum_a dfns[j]/dx_a(at) * rows[a].  Rows are built new,
+    never mutated, and one powers table serves the whole step.
+    """
+    zero_row = [ZERO] * len(rows[0])
+    powers = {}
+    out = []
+    for f, parts in zip(fns, partials):
+        row = zero_row
+        for a, p in parts:
+            c = p.evaluate(at, powers)
+            if not c.is_zero():
+                row = [x + c * y if y else x for x, y in zip(row, rows[a])]
+        out.append((f.evaluate(at, powers), row))
+    return out
+
+
 def identity_map(space: VarSpace, order=None) -> SeriesMap:
     return SeriesMap(
         [Series.variable(space, n, order) for n in space.names], space

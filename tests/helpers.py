@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from segrechains.corpus import corpus
-from segrechains.lie import bracket, chart_point, tangent_fields
+from segrechains.lie import _span_dim, bracket, chart_point, gradient_rows, tangent_fields
 from segrechains.manifests import load_manifest
 from segrechains.manifold import Basepoint, graph_from_real, new_manifold, real_graph_space
 from segrechains.ranks import exact_rank
@@ -111,6 +111,25 @@ def brute_ladder(M, basepoint, max_length):
         if dims[i] > dims[i - 1]:
             ladder.append((i + 1, dims[i] - dims[i - 1]))
     return ladder, dims
+
+
+def ordered_word_levi_type(M, basepoint, kmax, trials=5, seed=0):
+    """Levi-type reference over ORDERED words Lbar_{i_k}...Lbar_{i_1} grad rho_j
+    (m^k rows per gradient at level k, no use of commutation); the same span
+    test and sampling as lie.levi_type."""
+    _, Lbar = tangent_fields(M)
+    dim = Lbar[0].space.dim
+    point = chart_point(M, basepoint)
+    level = gradient_rows(M)
+    all_rows = list(level)
+    if _span_dim(all_rows, point, dim, trials, seed) == M.n:
+        return 0
+    for k in range(1, kmax + 1):
+        level = [[f.apply(c) for c in row] for f in Lbar for row in level]
+        all_rows.extend(level)
+        if _span_dim(all_rows, point, dim, trials, seed) == M.n:
+            return k
+    return None
 
 
 def codim_family(d):

@@ -192,3 +192,53 @@ def test_bad_manifests_are_usage_errors(tmp_path, capsys):
     for path in (zero_m, deep):
         code, out, err = run_cli(capsys, "multitype", str(path))
         assert code == 2 and out == "" and _single_error_line(err)
+
+
+def test_orbit_with_truncation_order_reports(tmp_path, capsys):
+    # truncated flows used to crash the witness search (TruncationUnsound)
+    code, out, err = run_cli(
+        capsys, "orbit", data_path("heisenberg"), "--order", "3", "--format", "machine"
+    )
+    report = json.loads(out)
+    assert code == 0 and err == ""
+    assert report["results"]["orbit_dim"] == 3
+    assert report["provenance"]["order"] == 3
+    # degree-3 jets lose this manifold's length-4 bracket: an honest disagreement
+    probe = tmp_path / "probe.mf"
+    probe.write_text("m=2\nd=1\ntheta_bar_1 = w1^2*zeta1^2 + w2^3*zeta2^3\n")
+    code, out, err = run_cli(capsys, "orbit", str(probe), "--order", "3",
+                             "--format", "machine")
+    results = json.loads(out)["results"]
+    assert err == "" and code == (0 if results["certified"] else 1)
+    assert results["flows_exact"] is False
+
+
+def test_bad_order_is_usage_error(tmp_path, capsys):
+    for command in ("ranks", "orbit", "levi"):
+        for order in ("abc", "0", "-2", "3.5"):
+            code, out, err = run_cli(
+                capsys, command, data_path("heisenberg"), "--order", order
+            )
+            assert code == 2 and out == "" and _single_error_line(err), (command, order)
+    for order in ("abc", "0"):
+        bad = tmp_path / f"order_{order}.mf"
+        bad.write_text(f"m=1\nd=1\norder={order}\ntheta_bar_1 = w1*zeta1\n")
+        code, out, err = run_cli(capsys, "ranks", str(bad))
+        assert code == 2 and out == "" and _single_error_line(err)
+        assert f"{bad}:3:" in err
+
+
+def test_bad_kmax_is_usage_error(capsys):
+    for argv in (
+        ("levi", data_path("heisenberg"), "--kmax", "0"),
+        ("levi", data_path("heisenberg"), "--kmax", "-1"),
+        ("chains", data_path("heisenberg"), "--kmax", "0"),
+        ("ranks", data_path("heisenberg"), "--kmax", "2"),
+        ("multitype", data_path("heisenberg"), "--kmax", "0"),
+        ("orbit", data_path("heisenberg"), "--kmax", "1"),
+        ("orbit", data_path("orbit_heisenberg_like"), "--kmax", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and _single_error_line(err), argv
+    code, out, _ = run_cli(capsys, "levi", data_path("heisenberg"), "--kmax", "1")
+    assert code == 0 and "Levi type at base = 1" in out

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from segrechains.errors import ChartMismatch, WrongDimensions
+from segrechains.errors import ChartMismatch, SegreError, WrongDimensions
 from segrechains.exprs import format_series
 from segrechains.lie import (
     TangentVectorField,
@@ -273,3 +273,47 @@ def test_hormander_generic_basepoint():
         (mu, l)
         for mu, l, _ in hormander_numbers(quartic, Basepoint.symbolic()).ladder
     ] == [(2, 1)]
+
+
+def _levi_inputs():
+    from helpers import exact_manifolds, random_real_graph
+
+    out = [(name, M, None) for name, M in exact_manifolds()]
+    for a, b in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 1)):
+        M = new_manifold(2, 1, [f"w1^{a}*zeta1^{a} + w2^{b}*zeta2^{b}"])
+        out.append((f"w1^{a}zeta1^{a}+w2^{b}zeta2^{b}", M, 2 * max(a, b)))
+    t1 = "w1*zeta1 + w1^2*zeta2 + zeta1^2*w2"
+    out.append(("levi_type_2", new_manifold(2, 2, [t1, f"({t1})^2"]), None))
+    rng = random.Random(23)
+    for i in range(4):
+        M = random_real_graph(2, rng, with_x=True, transversal=i % 2 == 1, order=8)
+        out.append((f"jet8_m2_{i}", M, 6))
+    return out
+
+
+LEVI_INPUTS = _levi_inputs()
+
+
+@pytest.mark.parametrize("name,M,kmax", LEVI_INPUTS, ids=[n for n, _, _ in LEVI_INPUTS])
+def test_levi_type_matches_ordered_words(name, M, kmax):
+    from helpers import ordered_word_levi_type
+
+    kmax = kmax or M.m + M.d
+    for bp in (Basepoint.origin(), Basepoint.symbolic()):
+        assert levi_type(M, bp, kmax) == ordered_word_levi_type(M, bp, kmax), bp.kind
+
+
+def test_levi_type_rejects_noncommuting_fields(monkeypatch):
+    import segrechains.lie as lie
+
+    M = new_manifold(2, 1, ["w1*zeta1 + w2*zeta2"])
+    L, Lbar = tangent_fields(M)
+    cs = Lbar[0].space
+    # Lbar_2 + zeta1 d/dzeta1 no longer commutes with Lbar_1 = d/dzeta1 + ...
+    coeffs = list(Lbar[1].coefficients)
+    coeffs[cs.index_of("zeta1")] = Series.variable(cs, "zeta1")
+    bent = TangentVectorField(cs, tuple(coeffs), "Lbar2'")
+    assert not bracket(Lbar[0], bent).is_zero()
+    monkeypatch.setattr(lie, "tangent_fields", lambda _: (L, [Lbar[0], bent]))
+    with pytest.raises(SegreError, match="commute"):
+        levi_type(M)

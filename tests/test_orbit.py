@@ -1,9 +1,10 @@
 import pytest
 
-from segrechains.errors import RankAssumptionViolated, SegreError
+from segrechains.errors import DimensionMismatch, RankAssumptionViolated, SegreError
 from segrechains.exprs import format_series
 from segrechains.invariants import segre_invariants
 from segrechains.orbit import (
+    PointwiseFlow,
     VFSystem,
     concatenated_flow,
     coordinate_space,
@@ -13,8 +14,9 @@ from segrechains.orbit import (
     lie_span_dimension,
     orbit_dimension,
 )
+from segrechains.ranks import generic_rank
 from segrechains.scalars import GaussianRational as G
-from segrechains.series import Series, VarSpace
+from segrechains.series import Series, SeriesMap, VarSpace
 
 
 
@@ -222,3 +224,108 @@ def test_single_flow_composition_order_irrelevant():
     a = compose(f1, f2, "s1", "s2")
     b = compose(f2, f1, "s2", "s1")
     assert a == b == list(joint.map.components)
+
+
+# -- pointwise (forward-mode) flows against the expanded concatenated flows ---
+
+
+def _oracle_systems():
+    from segrechains.corpus import corpus
+    from segrechains.manifests import load_manifest
+
+    from helpers import codim_family, exact_manifolds
+
+    out = [
+        ("bracket", simple_system(3, [[{0: "1"}], [{1: "1", 2: "x1"}]])),
+        ("translations", simple_system(3, [[{0: "1"}], [{1: "1"}]])),
+        ("length3", simple_system(4, [[{0: "1"}], [{1: "1", 2: "x1", 3: "x1^2"}]])),
+        ("nilpotent", simple_system(2, [[{0: "1"}], [{1: "x1"}]], check=False)),
+        ("orbit_heisenberg_like",
+         load_manifest(dict(corpus())["orbit_heisenberg_like"]).build_system()),
+    ]
+    out += [(name, cr_pair_system(M)) for name, M in exact_manifolds()
+            if not name.startswith("codim_")]
+    out += [(f"codim_d{d}", cr_pair_system(codim_family(d))) for d in range(2, 6)]
+    return out
+
+
+ORACLE_SYSTEMS = _oracle_systems()
+
+
+def _default_kmax(system):
+    return system.a + (system.n - system.a * system.m) + 1
+
+
+def _expanded_at(smap, point):
+    values = smap.evaluate(point)
+    rows = [[entry.evaluate(point) for entry in row] for row in smap.jacobian()]
+    return values, rows
+
+
+def _return_map(system, fwd, flows, returns):
+    """The forward map followed by flows at constant times, composed symbolically."""
+    state = list(fwd.components)
+    for alpha, times in returns:
+        sub = {f"s{j}": Series.constant(fwd.domain, c) for j, c in enumerate(times, 1)}
+        sub.update(zip(system.space.names, state))
+        state = [c.compose(sub) for c in flows[alpha].map.components]
+    return SeriesMap(state, system.space)
+
+
+@pytest.mark.parametrize("name,system", ORACLE_SYSTEMS, ids=[n for n, _ in ORACLE_SYSTEMS])
+def test_pointwise_flow_matches_concatenated_flow(name, system):
+    import random
+
+    from helpers import gaussian_integer_point
+
+    rng = random.Random(len(name))
+    m = system.m
+    k = _default_kmax(system)
+    word = [i % system.a for i in range(k)]
+    flows = {}
+    point = gaussian_integer_point(rng, m * k)
+    fwd, exact = concatenated_flow(system, word, flows)
+    assert exact
+    pw = PointwiseFlow(system, word, flows)
+    assert pw.domain == fwd.domain
+    assert pw.at(point) == _expanded_at(fwd, point)
+    # the witness's return map: reversed flows at negated constant times
+    back = [(word[i - 1], [-c for c in point[(i - 1) * m : i * m]])
+            for i in range(k - 1, 0, -1)]
+    ret = PointwiseFlow(system, word, flows, back)
+    assert ret.at(point) == _expanded_at(_return_map(system, fwd, flows, back), point)
+    # greedy candidates sharing prefix states give the same values
+    prefixes = {}
+    other = gaussian_integer_point(rng, m * k)
+    for pt in (point, other):
+        for alpha in range(system.a):
+            cand = word[:-1] + [alpha]
+            shared = PointwiseFlow(system, cand, flows, prefixes=prefixes).at(pt)
+            assert shared == PointwiseFlow(system, cand, flows).at(pt)
+    assert len(prefixes) == (1 if point[: m * (k - 1)] == other[: m * (k - 1)] else 2)
+
+
+def test_pointwise_flow_rank_matches_expanded(heisenberg, quartic, c3_tube):
+    for M in (heisenberg, quartic, c3_tube):
+        system = cr_pair_system(M)
+        for word in ([0, 1], [0, 1, 0], [1, 0, 1, 0]):
+            blocks = [f"t{i}" for i in range(1, len(word) + 1)]
+            flows = {}
+            fwd, _ = concatenated_flow(system, word, flows)
+            a = generic_rank(fwd, wrt=blocks, seed=3)
+            b = generic_rank(PointwiseFlow(system, word, flows), wrt=blocks, seed=3)
+            assert (a.rank, a.witness) == (b.rank, b.witness)
+            with pytest.raises(DimensionMismatch):
+                PointwiseFlow(system, word, flows).jacobian_at(a.witness, blocks[:1])
+
+
+def test_truncated_flows_record_no_witness(heisenberg):
+    system = cr_pair_system(heisenberg)
+    res = greedy_multitype(system, order=3, witness=True)
+    assert res.witness is None
+    assert res.orbit_dim == 3
+
+
+def test_kmax_below_starting_word_rejected(heisenberg):
+    with pytest.raises(DimensionMismatch):
+        greedy_multitype(cr_pair_system(heisenberg), kmax=1)
