@@ -88,7 +88,7 @@ def rank_profile(
     """Generic ranks of the chains at the basepoint, with early stop at the
     first plateau; one conjugate-parity rank is recomputed as a symmetry check."""
     basepoint = basepoint or Basepoint.origin()
-    kmax = kmax or default_kmax(M)
+    kmax = default_kmax(M) if kmax is None else kmax
     if kmax < 3:
         raise SegreError("kmax must be >= 3")
     rs: List[int] = []

@@ -6,72 +6,30 @@ complexified manifold, where the pair of m-vector fields takes the form
     L_i    = d/dw_i
     Lbar_i = d/dzeta_i - i * sum_j theta_{j, zeta_i}(zeta, w, qbar) d/dxi_j.
 
-Span dimensions are exact row reductions over Q(i) at numeric basepoints;
-a symbolic basepoint leaves the chart variables in the matrix and samples
-its generic rank.
+The field type, the bracket and the deduplicated bracket ladder are
+series.TangentVectorField, series.bracket and series.bracket_levels
+(re-exported here).  Span dimensions are exact row reductions over Q(i) at
+numeric basepoints; a symbolic basepoint leaves the chart variables in the
+matrix, and its generic rank comes from ranks.sample_rank, the sampler that
+generic_rank uses too.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import ChartMismatch, SegreError, WrongDimensions
+from .errors import SegreError, WrongDimensions
 from .invariants import segre_invariants
 from .manifold import Basepoint, CRManifold
-from .ranks import DEFAULT_TRIALS, exact_rank, random_point
+from .ranks import DEFAULT_TRIALS, exact_rank, sample_rank
 from .scalars import I, ZERO
-from .series import Series, VarSpace
+from .series import Series, TangentVectorField, VarSpace, bracket, bracket_levels
 
 
 def chart_space(M: CRManifold) -> VarSpace:
     """The intrinsic (w, zeta, xi) chart of the complexified manifold."""
     return M.space.subspace(("w", "zeta", "xi"))
-
-
-@dataclass(frozen=True)
-class TangentVectorField:
-    """A single vector field in the intrinsic chart, one coefficient per variable."""
-
-    space: VarSpace
-    coefficients: tuple
-    label: str = ""
-
-    def apply(self, f: Series) -> Series:
-        out = Series.zero(self.space, f.order)
-        for a, coeff in enumerate(self.coefficients):
-            if coeff.is_zero():
-                continue
-            out = out + coeff * f.diff(self.space.names[a])
-        return out
-
-    def value_at(self, point) -> list:
-        return [c.evaluate(point) for c in self.coefficients]
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coefficients)
-
-    def key(self):
-        return tuple(
-            tuple(sorted(c.terms.items(), key=lambda t: t[0])) for c in self.coefficients
-        )
-
-    def __neg__(self):
-        return TangentVectorField(
-            self.space, tuple(-c for c in self.coefficients), f"-{self.label}"
-        )
-
-
-def bracket(X: TangentVectorField, Y: TangentVectorField) -> TangentVectorField:
-    """[X, Y]_i = X(Y_i) - Y(X_i), exact."""
-    if X.space != Y.space:
-        raise ChartMismatch("bracket of fields over different charts")
-    coeffs = tuple(
-        X.apply(Y.coefficients[a]) - Y.apply(X.coefficients[a])
-        for a in range(X.space.dim)
-    )
-    return TangentVectorField(X.space, coeffs, f"[{X.label},{Y.label}]")
 
 
 def tangent_fields(M: CRManifold) -> Tuple[List[TangentVectorField], List[TangentVectorField]]:
@@ -108,16 +66,13 @@ def chart_point(M: CRManifold, basepoint: Basepoint):
 
 def _span_dim(rows, point, dim, trials, seed) -> int:
     """Span dimension of symbolic row vectors at a point (or generic, sampled)."""
+
+    def values(p):
+        return [[c.evaluate(p) for c in row] for row in rows]
+
     if point is not None:
-        matrix = [[c.evaluate(point) for c in row] for row in rows]
-        return exact_rank(matrix)
-    rng = random.Random(seed)
-    best = 0
-    for _ in range(trials):
-        p = random_point(rng, dim)
-        matrix = [[c.evaluate(p) for c in row] for row in rows]
-        best = max(best, exact_rank(matrix))
-    return best
+        return exact_rank(values(point))
+    return sample_rank(values, dim, trials, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -146,11 +101,12 @@ def hormander_numbers(
 
     Brackets are enumerated as left-normed words [X, [..., Y]] with X among
     the 2m generators, which span every bracket level of the generated Lie
-    algebra.  Identically zero and duplicate fields are dropped; the ladder
-    stops at the full dimension 2m + d or at max_length (default 2d + 2).
+    algebra (series.bracket_levels: identically zero and duplicate fields
+    are dropped).  The ladder stops at the full dimension 2m + d, after an
+    empty level, or at max_length (default 2d + 2, at least 2).
     """
     basepoint = basepoint or Basepoint.origin()
-    max_length = max_length or (2 * M.d + 2)
+    max_length = 2 * M.d + 2 if max_length is None else max_length
     if max_length < 2:
         raise SegreError("max_length must be >= 2")
     L, Lbar = tangent_fields(M)
@@ -163,30 +119,13 @@ def hormander_numbers(
     if dims[0] != 2 * M.m:
         raise SegreError("internal: the 2m chart fields must be independent")
     ladder = []
-    level = generators
-    seen = {f.key() for f in generators}
-    for mu in range(2, max_length + 1):
-        new_level = []
-        for g in generators:
-            for h in level:
-                b = bracket(g, h)
-                if b.is_zero():
-                    continue
-                k = b.key()
-                nk = (-b).key()
-                if k in seen or nk in seen:
-                    continue
-                seen.add(k)
-                new_level.append(b)
-        level = new_level
+    for mu, level in bracket_levels(generators, max_length):
         rows.extend(f.coefficients for f in level)
         dim = _span_dim(rows, point, cs.dim, trials, seed)
         dims.append(dim)
         if dim > dims[-2]:
             ladder.append((mu, dim - dims[-2], dim))
-        if dim == full:
-            break
-        if not level:
+        if dim == full or not level:
             break
     return HormanderData(
         ladder=tuple(ladder),
@@ -219,8 +158,8 @@ def levi_type(
     seed: int = 0,
 ) -> Optional[int]:
     """Smallest k with Span{Lbar^beta grad rho_j : |beta| <= k} = C^n at the
-    basepoint; None when kmax (default m + d) is exhausted.  A symbolic
-    basepoint yields the generic Levi type.
+    basepoint; None when kmax (default m + d, at least 1) is exhausted.  A
+    symbolic basepoint yields the generic Levi type.
 
     beta runs over multi-indices, not ordered words: the chart fields Lbar_i
     commute (checked here, one bracket per pair; an internal SegreError if
@@ -230,7 +169,9 @@ def levi_type(
     beta once: d*C(m+k-1, k) rows at level k instead of d*m^k.
     """
     basepoint = basepoint or Basepoint.origin()
-    kmax = kmax or (M.m + M.d)
+    kmax = M.m + M.d if kmax is None else kmax
+    if kmax < 1:
+        raise SegreError("kmax must be >= 1")
     _, Lbar = tangent_fields(M)
     for i, X in enumerate(Lbar):
         for Y in Lbar[i + 1 :]:
@@ -263,7 +204,7 @@ def holomorphic_nondegeneracy(
     return {
         "nondegenerate": ell is not None,
         "levi_type_generic": ell,
-        "kmax": kmax or (M.m + M.d),
+        "kmax": M.m + M.d if kmax is None else kmax,
     }
 
 

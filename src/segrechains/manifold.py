@@ -26,7 +26,7 @@ from .errors import (
 )
 from .exprs import format_series, parse_series
 from .scalars import GaussianRational, I, ZERO
-from .series import Series, SeriesMap, VarSpace, grlex_key
+from .series import Series, SeriesMap, TangentVectorField, VarSpace, bracket, grlex_key
 
 
 def ambient_space(m: int, d: int) -> VarSpace:
@@ -329,23 +329,14 @@ class MVectorField:
 
     def apply(self, i: int, f: Series) -> Series:
         """Derivation: component i applied to an ambient series."""
-        space = self.manifold.space
-        out = Series.zero(space, f.order)
-        for a, coeff in enumerate(self.coefficients[i]):
-            if coeff.is_zero():
-                continue
-            out = out + coeff * f.diff(space.names[a])
-        return out
+        return self._component(i).apply(f)
 
     def bracket_coefficients(self, i: int, j: int):
         """Ambient coefficients of [X_i, X_j] (used by the commutation check)."""
-        space = self.manifold.space
-        out = []
-        for a in range(space.dim):
-            cj = self.coefficients[j][a]
-            ci = self.coefficients[i][a]
-            out.append(self.apply(i, cj) - self.apply(j, ci))
-        return out
+        return bracket(self._component(i), self._component(j)).coefficients
+
+    def _component(self, i: int) -> TangentVectorField:
+        return TangentVectorField(self.manifold.space, self.coefficients[i])
 
 
 def vector_fields(M: CRManifold) -> Tuple[MVectorField, MVectorField]:

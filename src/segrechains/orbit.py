@@ -48,7 +48,16 @@ from .ranks import (
     rank_at_point,
 )
 from .scalars import ONE, ZERO
-from .series import Series, SeriesMap, VarSpace, forward_step, nonzero_partials
+from .series import (
+    Series,
+    SeriesMap,
+    TangentVectorField,
+    VarSpace,
+    bracket,
+    bracket_levels,
+    forward_step,
+    nonzero_partials,
+)
 
 
 def coordinate_space(n: int, prefix: str = "x") -> VarSpace:
@@ -85,25 +94,15 @@ class VFSystem:
             self._check_commutation()
             self._check_pointwise_rank(trials, seed)
 
-    def _apply(self, coeffs, f: Series) -> Series:
-        out = Series.zero(self.space, f.order)
-        for a, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            out = out + c * f.diff(self.space.names[a])
-        return out
-
     def _check_commutation(self):
         for fld in self.fields:
-            for i in range(self.m):
-                for j in range(i + 1, self.m):
-                    for a in range(self.n):
-                        lhs = self._apply(fld[i], fld[j][a])
-                        rhs = self._apply(fld[j], fld[i][a])
-                        if lhs != rhs:
-                            raise ChartMismatch(
-                                "components within an m-vector field must commute"
-                            )
+            comps = [TangentVectorField(self.space, comp) for comp in fld]
+            for i, X in enumerate(comps):
+                for Y in comps[i + 1 :]:
+                    if not bracket(X, Y).is_zero():
+                        raise ChartMismatch(
+                            "components within an m-vector field must commute"
+                        )
 
     def _coefficient_rows(self):
         return [comp for fld in self.fields for comp in fld]
@@ -164,14 +163,7 @@ def formal_flow(system: VFSystem, alpha: int, order: Optional[int],
         for a in range(n):
             idx = domain.index_of(system.space.names[a])
             dcoeffs[idx] = dcoeffs[idx] + svars[j] * lifted[j][a]
-
-    def D(f: Series) -> Series:
-        out = Series.zero(domain)
-        for a, c in enumerate(dcoeffs):
-            if c.is_zero():
-                continue
-            out = out + c * f.diff(domain.names[a])
-        return out
+    D = TangentVectorField(domain, tuple(dcoeffs))
 
     def drop_high(f: Series):
         if order is None:
@@ -190,7 +182,7 @@ def formal_flow(system: VFSystem, alpha: int, order: Optional[int],
         dropped_any = False
         while k < cap:
             k += 1
-            term, dropped = drop_high(D(term) * Fraction(1, k))
+            term, dropped = drop_high(D.apply(term) * Fraction(1, k))
             dropped_any = dropped_any or dropped
             if term.is_zero():
                 terminated = True
@@ -351,7 +343,7 @@ def greedy_multitype(
     cannot give soundly, so with a finite order it is None.
     """
     a, m, n = system.a, system.m, system.n
-    kmax = kmax or (a + (n - a * m) + 1)
+    kmax = a + (n - a * m) + 1 if kmax is None else kmax
     word = list(start_order) if start_order is not None else list(range(a))
     if sorted(word) != list(range(a)):
         raise DimensionMismatch("start_order must be a permutation of the fields")
@@ -465,45 +457,15 @@ def lie_span_dimension(system: VFSystem, max_length: Optional[int] = None) -> in
             default=0,
         )
         max_length = max(system.n + 2, degmax + 1)
-    singles = [comp for fld in system.fields for comp in fld]
-    space = system.space
+    singles = [TangentVectorField(system.space, comp)
+               for fld in system.fields for comp in fld]
     origin = [ZERO] * system.n
-
-    def apply(coeffs, f):
-        out = Series.zero(space, f.order)
-        for a, c in enumerate(coeffs):
-            if c.is_zero():
-                continue
-            out = out + c * f.diff(space.names[a])
-        return out
-
-    def brkt(x, y):
-        return tuple(apply(x, y[a]) - apply(y, x[a]) for a in range(system.n))
-
-    def key(f):
-        return tuple(tuple(sorted(c.terms.items(), key=lambda t: t[0])) for c in f)
-
-    rows = [[c.evaluate(origin) for c in f] for f in singles]
-    level = list(singles)
-    seen = {key(f) for f in singles}
+    rows = [f.value_at(origin) for f in singles]
     dim = exact_rank(rows)
-    for _ in range(2, max_length + 1):
-        new_level = []
-        for g in singles:
-            for h in level:
-                b = brkt(g, h)
-                if all(c.is_zero() for c in b):
-                    continue
-                kb = key(b)
-                nb = key(tuple(-c for c in b))
-                if kb in seen or nb in seen:
-                    continue
-                seen.add(kb)
-                new_level.append(b)
-        if not new_level:
+    for _, level in bracket_levels(singles, max_length):
+        if not level:
             break
-        level = new_level
-        rows.extend([c.evaluate(origin) for c in f] for f in level)
+        rows.extend(f.value_at(origin) for f in level)
         dim = exact_rank(rows)
         if dim == system.n:
             break

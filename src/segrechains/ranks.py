@@ -4,6 +4,9 @@ The generic rank of a holomorphic map is realized by sampling: evaluate the
 Jacobian at pseudo-random Gaussian-rational points and take the maximum of
 the exact numeric ranks.  The result is a certified lower bound for the
 generic rank and equals it outside a measure-zero set of sample failures.
+There is one sampler (sample_rank, used by generic_rank and by lie's
+symbolic span dimensions) and one eliminator (pivot_positions; exact_rank
+counts its pivots).
 
 A SeriesMap is differentiated symbolically once and its Jacobian evaluated
 at each point.  An EXACT chain (chains.PointwiseChain) or concatenated
@@ -36,40 +39,11 @@ DEFAULT_TRIALS = 5
 CERTIFY_MAX_SIZE = 6
 
 
-def exact_rank(matrix: Sequence[Sequence[GaussianRational]]) -> int:
-    """Rank over Q(i) by fraction-free-enough Gaussian elimination."""
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col].is_zero():
-                continue
-            f = rows[r][col] / pv
-            for c in range(col, ncols):
-                rows[r][c] = rows[r][c] - f * rows[rank][c]
-        rank += 1
-        col += 1
-    return rank
-
-
 def pivot_positions(
     matrix: Sequence[Sequence[GaussianRational]],
 ) -> List[Tuple[int, int]]:
-    """(row, col) pivot positions of a rank-revealing elimination."""
+    """(row, col) pivot positions of a rank-revealing Gaussian elimination
+    over Q(i), the one eliminator of the package."""
     rows = [list(r) for r in matrix]
     if not rows or not rows[0]:
         return []
@@ -102,6 +76,11 @@ def pivot_positions(
     return pivots
 
 
+def exact_rank(matrix: Sequence[Sequence[GaussianRational]]) -> int:
+    """Rank over Q(i): the number of pivots of the elimination."""
+    return len(pivot_positions(matrix))
+
+
 def random_scalar(rng: random.Random, num_bound: int = NUM_BOUND) -> GaussianRational:
     return GaussianRational(
         Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, DEN_BOUND)),
@@ -113,6 +92,28 @@ def random_point(
     rng: random.Random, dim: int, num_bound: int = NUM_BOUND
 ) -> List[GaussianRational]:
     return [random_scalar(rng, num_bound) for _ in range(dim)]
+
+
+def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
+                num_bound: int = NUM_BOUND):
+    """(rank, point, matrix): the highest exact rank of matrix_at(point) over
+    up to `trials` seeded points of `dim` coordinates, with the first point
+    reaching it and its matrix.  The loop stops early at full rank, which
+    no later point can exceed, so the answer is the maximum over all trials.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = random.Random(seed)
+    best = (0, None, None)
+    for _ in range(trials):
+        point = random_point(rng, dim, num_bound)
+        matrix = matrix_at(point)
+        r = exact_rank(matrix)
+        if r > best[0] or best[1] is None:
+            best = (r, point, matrix)
+        if best[0] == min(len(matrix), len(matrix[0])):
+            break
+    return best
 
 
 def symbolic_determinant(matrix: List[List[Series]]) -> Series:
@@ -180,21 +181,10 @@ def generic_rank(
     is a nonzero series: in EXACT mode that follows from the nonzero minor at
     the witness point, in jet mode the minor is expanded symbolically.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     jacobian_at, jac = _jacobian_source(f, wrt)
-    rng = random.Random(seed)
-    best_rank = 0
-    best_point = None
-    best_matrix = None
-    for _ in range(trials):
-        point = random_point(rng, f.domain.dim, num_bound)
-        matrix = jacobian_at(point)
-        r = exact_rank(matrix)
-        if r > best_rank or best_point is None:
-            best_rank, best_point, best_matrix = r, point, matrix
-        if best_rank == min(len(matrix), len(matrix[0])):
-            break
+    best_rank, best_point, best_matrix = sample_rank(
+        jacobian_at, f.domain.dim, trials, seed, num_bound
+    )
     certified = False
     if certify and 0 < best_rank <= CERTIFY_MAX_SIZE:
         if f.order is None:
@@ -218,6 +208,4 @@ def rank_at_point(f, wrt, point) -> int:
 
 def span_dimension(vectors: Sequence[Sequence[GaussianRational]]) -> int:
     """Dimension of the span of exact row vectors."""
-    if not vectors:
-        return 0
     return exact_rank(vectors)

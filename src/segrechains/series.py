@@ -7,6 +7,12 @@ GaussianRational coefficients, either EXACT (a polynomial, order=None) or a
 jet truncated at a total degree.  A SeriesMap is a tuple of Series sharing one
 domain, with its components assigned to the variables of a codomain space.
 
+The calculus on Series lives here too, once for every caller: the
+forward-mode chain-rule step (forward_step), the vector field acting as a
+derivation (TangentVectorField), the bracket of two fields, and the
+deduplicated left-normed bracket ladder (bracket_levels) that both the
+Hormander ladder and the orbit oracle walk.
+
 All values are immutable after construction; results are kept canonical
 (no zero coefficients, no terms beyond the truncation order), so equality
 is plain dict equality.
@@ -14,10 +20,12 @@ is plain dict equality.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
+    ChartMismatch,
     DimensionMismatch,
     TruncationUnsound,
     UnknownVariable,
@@ -576,6 +584,77 @@ def forward_step(fns, partials, at, rows):
                 row = [x + c * y if y else x for x, y in zip(row, rows[a])]
         out.append((f.evaluate(at, powers), row))
     return out
+
+
+# -- vector fields and brackets ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class TangentVectorField:
+    """A vector field sum_a coefficients[a] * d/d(space.names[a]) on Series."""
+
+    space: VarSpace
+    coefficients: tuple
+    label: str = ""
+
+    def apply(self, f: Series) -> Series:
+        """The field as a derivation: sum_a c_a * df/dx_a."""
+        out = Series.zero(self.space, f.order)
+        for a, coeff in enumerate(self.coefficients):
+            if coeff.is_zero():
+                continue
+            out = out + coeff * f.diff(self.space.names[a])
+        return out
+
+    def value_at(self, point) -> list:
+        return [c.evaluate(point) for c in self.coefficients]
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coefficients)
+
+    def key(self):
+        return tuple(
+            tuple(sorted(c.terms.items(), key=lambda t: t[0])) for c in self.coefficients
+        )
+
+    def __neg__(self):
+        return TangentVectorField(
+            self.space, tuple(-c for c in self.coefficients), f"-{self.label}"
+        )
+
+
+def bracket(X: TangentVectorField, Y: TangentVectorField) -> TangentVectorField:
+    """[X, Y]_a = X(Y_a) - Y(X_a), exact."""
+    if X.space != Y.space:
+        raise ChartMismatch("bracket of fields over different charts")
+    coeffs = tuple(
+        X.apply(Y.coefficients[a]) - Y.apply(X.coefficients[a])
+        for a in range(X.space.dim)
+    )
+    return TangentVectorField(X.space, coeffs, f"[{X.label},{Y.label}]")
+
+
+def bracket_levels(generators, max_length: int):
+    """Yield (mu, level) for mu = 2..max_length: level mu holds the left-normed
+    brackets [g, h] of a generator g with a field h of level mu - 1 (level 1
+    is the generators), without zero fields and without fields equal up to
+    sign to an earlier one of any level.  An empty level stays empty."""
+    level = list(generators)
+    seen = {f.key() for f in level}
+    for mu in range(2, max_length + 1):
+        new_level = []
+        for g in generators:
+            for h in level:
+                b = bracket(g, h)
+                if b.is_zero():
+                    continue
+                k = b.key()
+                if k in seen or (-b).key() in seen:
+                    continue
+                seen.add(k)
+                new_level.append(b)
+        level = new_level
+        yield mu, level
 
 
 def identity_map(space: VarSpace, order=None) -> SeriesMap:

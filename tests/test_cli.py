@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from segrechains.cli import main
 from segrechains.corpus import corpus
 
@@ -242,3 +244,22 @@ def test_bad_kmax_is_usage_error(capsys):
         assert code == 2 and out == "" and _single_error_line(err), argv
     code, out, _ = run_cli(capsys, "levi", data_path("heisenberg"), "--kmax", "1")
     assert code == 0 and "Levi type at base = 1" in out
+
+
+def test_argparse_errors_are_one_error_line(capsys):
+    # type errors used to print a usage block before the error line
+    for argv in (
+        ("ranks", data_path("heisenberg"), "--kmax", "abc"),
+        ("ranks", data_path("heisenberg"), "--seed", "x"),
+        ("ranks", data_path("heisenberg"), "--trials", "x"),
+        ("hormander", data_path("heisenberg"), "--max-length", "x"),
+        ("ranks", data_path("heisenberg"), "--format", "xml"),
+        ("no_such_command",),
+        (),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and _single_error_line(err), argv
+    for flag in ("-h", "--version"):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0 and capsys.readouterr().out

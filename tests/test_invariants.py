@@ -4,7 +4,7 @@ import random
 import pytest
 
 from segrechains import invariants
-from segrechains.errors import NotAHypersurface
+from segrechains.errors import NotAHypersurface, SegreError
 from segrechains.invariants import (
     hypersurface_minimality,
     psi_rank_checks,
@@ -247,3 +247,11 @@ def test_certified_profile_matches_expanded_chains(name, M, monkeypatch):
             expanded = rank_profile(M, bp, certify=True)
         for field in dataclasses.fields(forward):
             assert getattr(forward, field.name) == getattr(expanded, field.name), field.name
+
+
+def test_rank_profile_kmax_zero_is_not_the_default(heisenberg):
+    # kmax=0 used to be read as "use the default"
+    for kmax in (0, 2):
+        with pytest.raises(SegreError, match="kmax"):
+            rank_profile(heisenberg, kmax=kmax)
+    assert rank_profile(heisenberg, kmax=3).kmax == 3

@@ -317,3 +317,22 @@ def test_levi_type_rejects_noncommuting_fields(monkeypatch):
     monkeypatch.setattr(lie, "tangent_fields", lambda _: (L, [Lbar[0], bent]))
     with pytest.raises(SegreError, match="commute"):
         levi_type(M)
+
+
+def test_kmax_and_max_length_are_taken_literally(heisenberg):
+    # 0 used to mean the default, and kmax=-1 gave "not finite" for Levi type 1
+    assert levi_type(heisenberg, kmax=1) == 1
+    for kmax in (0, -1):
+        with pytest.raises(SegreError, match="kmax"):
+            levi_type(heisenberg, kmax=kmax)
+        with pytest.raises(SegreError, match="kmax"):
+            holomorphic_nondegeneracy(heisenberg, kmax=kmax)
+    assert holomorphic_nondegeneracy(heisenberg, kmax=1)["kmax"] == 1
+    with pytest.raises(SegreError, match="max_length"):
+        hormander_numbers(heisenberg, max_length=0)
+
+
+def test_symbolic_span_rejects_zero_trials(heisenberg):
+    # the generic Levi type samples through ranks.sample_rank, like generic_rank
+    with pytest.raises(ValueError, match="trials"):
+        levi_type(heisenberg, Basepoint.symbolic(), trials=0)

@@ -1,6 +1,11 @@
 import pytest
 
-from segrechains.errors import DimensionMismatch, RankAssumptionViolated, SegreError
+from segrechains.errors import (
+    ChartMismatch,
+    DimensionMismatch,
+    RankAssumptionViolated,
+    SegreError,
+)
 from segrechains.exprs import format_series
 from segrechains.invariants import segre_invariants
 from segrechains.orbit import (
@@ -329,3 +334,20 @@ def test_truncated_flows_record_no_witness(heisenberg):
 def test_kmax_below_starting_word_rejected(heisenberg):
     with pytest.raises(DimensionMismatch):
         greedy_multitype(cr_pair_system(heisenberg), kmax=1)
+
+
+def test_kmax_zero_is_not_the_default(heisenberg):
+    # kmax=0 used to be read as "use the default"
+    with pytest.raises(DimensionMismatch):
+        greedy_multitype(cr_pair_system(heisenberg), kmax=0)
+
+
+def test_noncommuting_components_raise_chart_mismatch():
+    # d/dx1 and d/dx2 + x1 d/dx3 are independent everywhere, but their
+    # bracket is d/dx3: the commutation check, not the rank check, refuses them
+    S = simple_system(3, [[{0: "1"}, {1: "1", 2: "x1"}]], check=False)
+    with pytest.raises(ChartMismatch, match="commute"):
+        VFSystem(S.space, S.fields)
+    # the same components in two separate fields are a valid system
+    two = VFSystem(S.space, [[S.fields[0][0]], [S.fields[0][1]]])
+    assert lie_span_dimension(two) == 3

@@ -1,9 +1,13 @@
+import random
+
 from segrechains.manifold import ambient_space
 from segrechains.ranks import (
     exact_rank,
     generic_rank,
     pivot_positions,
+    random_point,
     rank_at_point,
+    sample_rank,
     span_dimension,
     symbolic_determinant,
 )
@@ -95,3 +99,25 @@ def test_rank_at_point_vs_generic():
 def test_span_dimension():
     assert span_dimension([]) == 0
     assert span_dimension([[G(1), G(2)], [G(2), G(4)], [G(0), G(1)]]) == 2
+
+
+def test_sampler_early_exit_matches_max_over_all_trials():
+    # 0/1 matrices read off the sample point: their rank changes from point
+    # to point, and a repeated row makes some of them rank-deficient
+    rng = random.Random(11)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        dim, trials, seed = nrows * ncols, rng.randint(1, 6), rng.randrange(1000)
+        repeat = nrows > 1 and rng.random() < 0.5
+
+        def matrix_at(point):
+            rows = [[G(point[r * ncols + c].re.numerator % 2) for c in range(ncols)]
+                    for r in range(nrows)]
+            return rows[:-1] + [rows[0]] if repeat else rows
+
+        draw = random.Random(seed)
+        points = [random_point(draw, dim) for _ in range(trials)]
+        ranks = [exact_rank(matrix_at(p)) for p in points]
+        rank, point, matrix = sample_rank(matrix_at, dim, trials, seed)
+        assert rank == max(ranks)
+        assert point == points[ranks.index(rank)] and matrix == matrix_at(point)
