@@ -12,11 +12,12 @@ classical nested-substitution maps independently of the flow machinery, and
 check_reparam verifies the linear reparametrization identities that tie the
 two constructions together.
 
-chain_at_point runs the same recursion on exact values at one point, carrying
-the derivatives in the u-blocks along (forward-mode differentiation), so an
-EXACT chain can be ranked without being expanded; sampled_chain hands
-generic_rank that pointwise form in EXACT mode and the expanded chart map for
-truncated jets.
+In EXACT mode the same recursion also runs on exact values at one point,
+carrying the derivatives in the u-blocks along (forward-mode
+differentiation): the two flows are steps of a series.PointwiseWord, so a
+chain can be ranked without being expanded.  chain_at_point gives its
+ambient values and Jacobian; sampled_chain hands generic_rank that pointwise
+form in EXACT mode and the expanded chart map for truncated jets.
 """
 
 from __future__ import annotations
@@ -32,8 +33,15 @@ from .errors import (
     UnknownVariable,
 )
 from .manifold import Basepoint, CRManifold, _ambient_subst
-from .scalars import ONE, ZERO
-from .series import Series, SeriesMap, VarSpace, forward_step, nonzero_partials
+from .scalars import ONE
+from .series import (
+    PointwiseWord,
+    Series,
+    SeriesMap,
+    VarSpace,
+    forward_step,
+    nonzero_partials,
+)
 
 # coordinate charts of the complexified manifold, by ambient blocks
 _CHARTS = {
@@ -105,59 +113,63 @@ def _flow_step(M: CRManifold, which: str, comps, params, space, order):
     raise ValueError(f"unknown flow kind {which!r}")
 
 
-def _flow_gradients(M: CRManifold):
-    """Nonzero ambient partials (index, series) of each qbar_j (the L flow) and
-    each q_j (the Lbar flow); differentiated on first use, then kept on M."""
-    grads = getattr(M, "_flow_gradient_cache", None)
-    if grads is None:
-        grads = M._flow_gradient_cache = {
-            "L": [nonzero_partials(f) for f in M.qbar],
-            "Lbar": [nonzero_partials(f) for f in M.q],
+class _ChainFlow:
+    """The closed-form L or Lbar flow on exact (value, gradient row) pairs, as
+    a series.PointwiseWord step: the moved block gains its times and their
+    unit columns, and the recomputed block takes the values of qbar or q and
+    the chain rule of their partials (series.forward_step).  qbar never reads
+    z (reality validation refuses a theta_bar that uses it)."""
+
+    __slots__ = ("moved", "target", "fns", "partials")
+
+    def __init__(self, moved, target, fns):
+        self.moved, self.target, self.fns = moved, target, fns
+        self.partials = [nonzero_partials(f) for f in fns]
+
+    def advance(self, values, rows, times, col):
+        values, rows = list(values), list(rows)
+        for i, a in enumerate(self.moved):
+            values[a] = values[a] + times[i]
+            row = list(rows[a])
+            row[col + i] = row[col + i] + ONE
+            rows[a] = row
+        new = forward_step(self.fns, self.partials, values, rows)
+        for t, (value, row) in zip(self.target, new):
+            values[t], rows[t] = value, row
+        return values, rows
+
+
+def _chain_flows(M: CRManifold):
+    """The L and Lbar flows of M, built on first use, then kept on M."""
+    flows = getattr(M, "_chain_flow_cache", None)
+    if flows is None:
+        m, d, n = M.m, M.d, M.n
+        flows = M._chain_flow_cache = {
+            "L": _ChainFlow(range(m), range(m, m + d), M.qbar),
+            "Lbar": _ChainFlow(range(m + d, 2 * m + d), range(2 * m + d, 2 * n), M.q),
         }
-    return grads
+    return flows
+
+
+def _chain_word(M: CRManifold, k: int, basepoint: Basepoint, parity: str, out=None):
+    """Gamma_k as a series.PointwiseWord over chain_space(M, k, basepoint)."""
+    if M.order is not None:
+        raise TruncationUnsound("forward-mode chain values need an EXACT manifold")
+    flows = [_chain_flows(M)[_flow_kind(parity, s)] for s in range(1, k + 1)]
+    return PointwiseWord(chain_space(M, k, basepoint), flows,
+                         lambda params: basepoint.state_values(M, params), out)
 
 
 def chain_at_point(M: CRManifold, k: int, basepoint: Basepoint, parity: str, point):
     """Exact ambient values of Gamma_k at `point` and their Jacobian in u1..uk.
 
-    `point` assigns every variable of chain_space(M, k, basepoint).  Each
-    state component is carried as a (value, gradient) pair through the
-    recursion of _flow_step (forward-mode differentiation): the moving block
-    gains u_s and its unit derivative, and the recomputed block takes the value
-    of qbar or q at the point and the chain rule of their partials
-    (series.forward_step).  The basepoint contributes values and zero
-    derivatives.  Valid in EXACT mode only: a truncated jet does not commute
-    with pointwise evaluation.
+    `point` assigns every variable of chain_space(M, k, basepoint).  The
+    recursion of _flow_step runs on exact (value, gradient) pairs
+    (forward-mode differentiation, series.PointwiseWord); the basepoint
+    contributes values and zero derivatives.  Valid in EXACT mode only: a
+    truncated jet does not commute with pointwise evaluation.
     """
-    if M.order is not None:
-        raise TruncationUnsound("forward-mode chain values need an EXACT manifold")
-    m, d = M.m, M.d
-    dim = chain_space(M, k, basepoint).dim
-    if len(point) != dim:
-        raise DimensionMismatch(f"point dimension {len(point)} != space dim {dim}")
-    ncols = m * k
-    values = basepoint.state_values(M, point[ncols:])
-    rows = [[ZERO] * ncols] * (2 * M.n)  # rows are replaced, never mutated
-    grads = _flow_gradients(M)
-    for s in range(1, k + 1):
-        which = _flow_kind(parity, s)
-        if which == "L":
-            moved, target, fns = range(m), range(m, m + d), M.qbar
-        else:
-            moved, target, fns = range(m + d, 2 * m + d), range(2 * m + d, 2 * M.n), M.q
-        for i, a in enumerate(moved):
-            col = (s - 1) * m + i
-            values[a] = values[a] + point[col]
-            row = list(rows[a])
-            row[col] = row[col] + ONE
-            rows[a] = row
-        at = list(values)
-        if which == "L":
-            at[m : m + d] = [ZERO] * d  # qbar is taken with z = 0, as in _ambient_subst
-        new = forward_step(fns, grads[which], at, rows)
-        for t, (value, row) in zip(target, new):
-            values[t], rows[t] = value, row
-    return values, rows
+    return _chain_word(M, k, basepoint, parity).at(point)
 
 
 def flow(M: CRManifold, which: str, state: SeriesMap, param_block: str) -> SeriesMap:
@@ -221,45 +233,6 @@ class ChainMap:
         return u_blocks(self.k)
 
 
-class PointwiseChain:
-    """Gamma_k of an EXACT manifold in one chart, never expanded.
-
-    It offers what generic_rank and rank_at_point read from a SeriesMap
-    (domain, order, values and Jacobian at a point), each point going through
-    chain_at_point.  The Jacobian is always taken in all u-blocks.  (A plain
-    class: building a dataclass costs milliseconds at every import.)
-    """
-
-    __slots__ = ("manifold", "k", "parity", "basepoint", "chart")
-
-    def __init__(self, manifold: CRManifold, k: int, parity: str,
-                 basepoint: Basepoint, chart: str):
-        self.manifold, self.k, self.parity = manifold, k, parity
-        self.basepoint, self.chart = basepoint, chart
-
-    @property
-    def domain(self) -> VarSpace:
-        return chain_space(self.manifold, self.k, self.basepoint)
-
-    @property
-    def order(self):
-        return self.manifold.order
-
-    def _rows(self):
-        M = self.manifold
-        return [M.space.index_of(v) for v in _chart_names(M, self.chart)]
-
-    def evaluate(self, point):
-        values, _ = chain_at_point(self.manifold, self.k, self.basepoint, self.parity, point)
-        return [values[a] for a in self._rows()]
-
-    def jacobian_at(self, point, wrt=None):
-        if wrt is not None and list(wrt) != u_blocks(self.k):
-            raise DimensionMismatch("a pointwise chain is differentiated in all its u-blocks")
-        _, rows = chain_at_point(self.manifold, self.k, self.basepoint, self.parity, point)
-        return [rows[a] for a in self._rows()]
-
-
 def _chain_states(M: CRManifold, k: int, basepoint: Basepoint, parity: str):
     """Ambient state components after 0..k flows, each over its own chain space."""
     cache = getattr(M, "_chain_cache", None)
@@ -301,12 +274,14 @@ def sampled_chain(M: CRManifold, k: int, basepoint: Basepoint, parity: str,
                   chart: Optional[str] = None):
     """Gamma_k in a chart (by default its own) in the form ranks samples it.
 
-    EXACT manifolds give a PointwiseChain; truncated jets give the expanded
-    chart map, because truncation does not commute with pointwise evaluation.
+    EXACT manifolds give a series.PointwiseWord reporting the chart's
+    components; truncated jets give the expanded chart map, because
+    truncation does not commute with pointwise evaluation.
     """
     chart = chart or _chain_chart(k)
     if M.order is None:
-        return PointwiseChain(M, k, parity, basepoint, chart)
+        out = [M.space.index_of(v) for v in _chart_names(M, chart)]
+        return _chain_word(M, k, basepoint, parity, out)
     return gamma(M, k, basepoint, parity, verify=False).in_chart(chart)
 
 

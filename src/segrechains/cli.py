@@ -137,12 +137,42 @@ def _load_manifold(args):
         raise ParseError(f"{args.manifest}: expected a manifold manifest")
     if args.order is not None:
         manifest.params["order"] = str(args.order)
-    return manifest, manifest.build_manifold()
+    return manifest.build_manifold()
+
+
+def _report(args, inputs, results, order):
+    """The machine report of one subcommand run on one manifest."""
+    return {
+        "command": args.command,
+        "manifest": str(args.manifest),
+        "inputs": inputs,
+        "results": results,
+        "provenance": _provenance(args, order),
+    }
+
+
+def _manifold_command(run, base=True):
+    """A subcommand on one manifold manifest: load the manifold and (with
+    `base`) the --base point, then emit what run(args, M, bp) returns:
+    (results, human lines[, exit code])."""
+
+    def command(args):
+        M = _load_manifold(args)
+        inputs = {"m": M.m, "d": M.d}
+        bp = None
+        if base:
+            bp = _basepoint(M, args.base)
+            inputs["base"] = args.base
+        results, lines, *code = run(args, M, bp)
+        _emit(_report(args, inputs, results, M.order), args, lines)
+        return code[0] if code else 0
+
+    return command
 
 
 def cmd_validate(args):
     try:
-        manifest, M = _load_manifold(args)
+        M = _load_manifold(args)
     except RealityViolation as exc:
         report = {
             "command": "validate",
@@ -151,22 +181,15 @@ def cmd_validate(args):
         }
         _emit(report, args, [f"INVALID: {exc}"])
         return 1
-    report = {
-        "command": "validate",
-        "manifest": str(args.manifest),
-        "inputs": {"m": M.m, "d": M.d},
-        "results": {"valid": True},
-        "provenance": _provenance(args, M.order),
-    }
+    report = _report(args, {"m": M.m, "d": M.d}, {"valid": True}, M.order)
     _emit(report, args, [f"valid manifold: m={M.m}, d={M.d}, "
                          f"order={'EXACT' if M.order is None else M.order}"])
     return 0
 
 
-def cmd_chains(args):
-    manifest, M = _load_manifold(args)
+@_manifold_command
+def cmd_chains(args, M, bp):
     kmax = min(default_kmax(M), 5) if args.kmax is None else args.kmax
-    bp = _basepoint(M, args.base)
     items = []
     lines = []
     for k in range(1, kmax + 1):
@@ -179,76 +202,39 @@ def cmd_chains(args):
         lines.append(f"Gamma_{k} ({args.parity}-first):")
         for name, text in comps.items():
             lines.append(f"  {name} = {text}")
-    report = {
-        "command": "chains",
-        "manifest": str(args.manifest),
-        "inputs": {"m": M.m, "d": M.d, "base": args.base},
-        "results": {"chains": items},
-        "provenance": _provenance(args, M.order),
-    }
-    _emit(report, args, lines)
-    return 0
+    return {"chains": items}, lines
 
 
-def cmd_ranks(args):
-    manifest, M = _load_manifold(args)
-    bp = _basepoint(M, args.base)
+@_manifold_command
+def cmd_ranks(args, M, bp):
     profile = rank_profile(
         M, bp, args.kmax, args.trials, args.seed, certify=args.certify
     )
-    report = {
-        "command": "ranks",
-        "manifest": str(args.manifest),
-        "inputs": {"m": M.m, "d": M.d, "base": args.base},
-        "results": _profile_payload(profile),
-        "provenance": _provenance(args, M.order),
-    }
     lines = [
         "k    : " + "  ".join(f"{k + 1:3d}" for k in range(len(profile.r))),
         "rank : " + "  ".join(f"{r:3d}" for r in profile.r),
         f"increments e = {list(profile.e)}",
         f"certified = {profile.certified}",
     ]
-    _emit(report, args, lines)
-    return 0
+    return _profile_payload(profile), lines
 
 
-def cmd_minimality(args):
-    manifest, M = _load_manifold(args)
-    bp = _basepoint(M, args.base)
+@_manifold_command
+def cmd_minimality(args, M, bp):
     inv = segre_invariants(M, bp, args.kmax, args.trials, args.seed)
     results = {"minimal": inv.minimal, "mu": inv.mu, "kappa": inv.kappa}
+    lines = [f"minimal = {inv.minimal}   (mu = {inv.mu}, kappa = {inv.kappa})"]
     if M.d == 1:
         hm = hypersurface_minimality(M)
         results["hypersurface_test"] = hm
         results["tests_agree"] = hm == inv.minimal
-    report = {
-        "command": "minimality",
-        "manifest": str(args.manifest),
-        "inputs": {"m": M.m, "d": M.d, "base": args.base},
-        "results": results,
-        "provenance": _provenance(args, M.order),
-    }
-    lines = [f"minimal = {inv.minimal}   (mu = {inv.mu}, kappa = {inv.kappa})"]
-    if "hypersurface_test" in results:
-        lines.append(
-            f"hypersurface criterion agrees: {results['tests_agree']}"
-        )
-    _emit(report, args, lines)
-    return 0 if results.get("tests_agree", True) else 1
+        lines.append(f"hypersurface criterion agrees: {results['tests_agree']}")
+    return results, lines, 0 if results.get("tests_agree", True) else 1
 
 
-def cmd_multitype(args):
-    manifest, M = _load_manifold(args)
-    bp = _basepoint(M, args.base)
+@_manifold_command
+def cmd_multitype(args, M, bp):
     inv = segre_invariants(M, bp, args.kmax, args.trials, args.seed)
-    report = {
-        "command": "multitype",
-        "manifest": str(args.manifest),
-        "inputs": {"m": M.m, "d": M.d, "base": args.base},
-        "results": _invariants_payload(inv),
-        "provenance": _provenance(args, M.order),
-    }
     lines = [
         f"multitype = {inv.multitype}",
         f"kappa = {inv.kappa}, mu = {inv.mu}, nu = {inv.nu}",
@@ -256,13 +242,11 @@ def cmd_multitype(args):
         f"orbit dims: complexified = {inv.orbit_dim_complexified}, "
         f"intrinsic = {inv.orbit_dim_intrinsic}",
     ]
-    _emit(report, args, lines)
-    return 0
+    return _invariants_payload(inv), lines
 
 
-def cmd_witness(args):
-    manifest, M = _load_manifold(args)
-    bp = _basepoint(M, args.base)
+@_manifold_command
+def cmd_witness(args, M, bp):
     if bp.kind == "symbolic":
         raise ParseError("witness search needs a numeric basepoint")
     inv = segre_invariants(M, bp, args.kmax, args.trials, args.seed)
@@ -274,13 +258,6 @@ def cmd_witness(args):
         "rank_at_witness": record.rank_at_witness,
         "returns_to_basepoint": record.returns_to_basepoint,
     }
-    report = {
-        "command": "witness",
-        "manifest": str(args.manifest),
-        "inputs": {"m": M.m, "d": M.d, "base": args.base},
-        "results": payload,
-        "provenance": _provenance(args, M.order),
-    }
     lines = [
         f"chain length {record.chain_length} returns to basepoint: "
         f"{record.returns_to_basepoint}",
@@ -289,34 +266,21 @@ def cmd_witness(args):
         f"w* = {payload['w_star']}",
         f"omega* = {payload['omega_star']}",
     ]
-    _emit(report, args, lines)
-    return 0
+    return payload, lines
 
 
-def cmd_hormander(args):
-    if args.max_length is not None and args.max_length < 2:
-        raise ParseError("--max-length must be >= 2")
-    manifest, M = _load_manifold(args)
-    bp = _basepoint(M, args.base)
+@_manifold_command
+def cmd_hormander(args, M, bp):
     hd = hormander_numbers(M, bp, args.max_length, args.trials, args.seed)
-    report = {
-        "command": "hormander",
-        "manifest": str(args.manifest),
-        "inputs": {"m": M.m, "d": M.d, "base": args.base},
-        "results": _hormander_payload(hd),
-        "provenance": _provenance(args, M.order),
-    }
     lines = ["ladder (length, multiplicity, dim):"]
     for mu, l, dim in hd.ladder:
         lines.append(f"  ({mu}, {l}, {dim})")
     lines.append(f"minimal = {hd.minimal}")
-    _emit(report, args, lines)
-    return 0
+    return _hormander_payload(hd), lines
 
 
-def cmd_levi(args):
-    manifest, M = _load_manifold(args)
-    bp = _basepoint(M, args.base)
+@_manifold_command
+def cmd_levi(args, M, bp):
     ell = levi_type(M, bp, args.kmax, args.trials, args.seed)
     hn = holomorphic_nondegeneracy(M, args.kmax, args.trials, args.seed)
     results = {
@@ -325,34 +289,21 @@ def cmd_levi(args):
         "holomorphically_nondegenerate": hn["nondegenerate"],
         "kmax": hn["kmax"],
     }
-    report = {
-        "command": "levi",
-        "manifest": str(args.manifest),
-        "inputs": {"m": M.m, "d": M.d, "base": args.base},
-        "results": results,
-        "provenance": _provenance(args, M.order),
-    }
     lines = [
         f"Levi type at base = {ell if ell is not None else 'not finite (up to kmax)'}",
         f"generic Levi type = {hn['levi_type_generic']}",
         f"holomorphically nondegenerate = {hn['nondegenerate']}",
     ]
-    _emit(report, args, lines)
-    return 0
+    return results, lines
 
 
-def cmd_e1det(args):
-    manifest, M = _load_manifold(args)
+def _e1det(args, M, bp):
     det, nonzero = e1_determinant(M)
-    report = {
-        "command": "e1det",
-        "manifest": str(args.manifest),
-        "inputs": {"m": M.m, "d": M.d},
-        "results": {"determinant": format_series(det), "nonzero": nonzero},
-        "provenance": _provenance(args, M.order),
-    }
-    _emit(report, args, [f"det = {format_series(det)}", f"nonzero = {nonzero}"])
-    return 0
+    results = {"determinant": format_series(det), "nonzero": nonzero}
+    return results, [f"det = {format_series(det)}", f"nonzero = {nonzero}"]
+
+
+cmd_e1det = _manifold_command(_e1det, base=False)
 
 
 def cmd_orbit(args):
@@ -385,13 +336,7 @@ def cmd_orbit(args):
             seed=args.seed, start_order=[1, 0], witness=False,
         )
         payload["multitype_conjugate_start"] = list(other.multitype)
-    report = {
-        "command": "orbit",
-        "manifest": str(args.manifest),
-        "inputs": {"n": system.n, "m": system.m, "a": system.a},
-        "results": payload,
-        "provenance": _provenance(args, order),
-    }
+    report = _report(args, {"n": system.n, "m": system.m, "a": system.a}, payload, order)
     lines = [
         f"multitype = {payload['multitype']}",
         f"orbit_dim = {payload['orbit_dim']} "
@@ -416,13 +361,9 @@ def cmd_corpus(args):
 
 
 def _check_manifold_expectations(name, manifest, expected, args, emit):
-    failures = 0
-
     def check(key, actual, detail=None, want=None):
         """Emit one item: `actual` against `want` (default expected[key])."""
-        nonlocal failures
         ok = (expected[key] if want is None else want) == actual
-        failures += not ok
         emit(name, key, ok, f"got {actual}" if detail is None else detail)
 
     try:
@@ -430,7 +371,7 @@ def _check_manifold_expectations(name, manifest, expected, args, emit):
         emit(name, "validate", True, "")
     except RealityViolation as exc:
         emit(name, "validate", False, str(exc))
-        return 1
+        return
     seed, trials = args.seed, args.trials
     inv = None
     if any(k in expected for k in ("minimal", "kappa", "mu", "nu", "multitype", "e", "r")):
@@ -491,7 +432,6 @@ def _check_manifold_expectations(name, manifest, expected, args, emit):
     if "reparam_upto" in expected:
         ok = all(check_reparam(M, k) for k in range(1, expected["reparam_upto"] + 1))
         check("reparametrization", ok, "", want=True)
-    return failures
 
 
 def cmd_checkall(args):
@@ -508,6 +448,7 @@ def cmd_checkall(args):
 
     def emit(name, key, ok, detail):
         nonlocal total_failures
+        total_failures += not ok
         status = "PASS" if ok else "FAIL"
         suffix = "" if ok or not detail else f"  ({detail})"
         lines.append(f"{status}  {name}.{key}{suffix}")
@@ -520,22 +461,16 @@ def cmd_checkall(args):
         if expected_path.exists():
             expected = json.loads(expected_path.read_text(encoding="utf-8"))
         if manifest.kind == "manifold":
-            total_failures += _check_manifold_expectations(
-                name, manifest, expected, args, emit
-            )
+            _check_manifold_expectations(name, manifest, expected, args, emit)
         else:
             system = manifest.build_system()
             dim = greedy_multitype(
                 system, trials=args.trials, seed=args.seed, witness=False
             ).orbit_dim
             if "orbit_dim" in expected:
-                ok = expected["orbit_dim"] == dim
-                total_failures += not ok
-                emit(name, "orbit_dim", ok, f"got {dim}")
+                emit(name, "orbit_dim", expected["orbit_dim"] == dim, f"got {dim}")
             oracle = lie_span_dimension(system)
-            ok = oracle == dim
-            total_failures += not ok
-            emit(name, "orbit_oracle_agreement", ok, f"{dim} vs {oracle}")
+            emit(name, "orbit_oracle_agreement", oracle == dim, f"{dim} vs {oracle}")
     report = {
         "command": "checkall",
         "results": {"items": items, "failures": total_failures},
@@ -614,7 +549,7 @@ def build_parser():
         if opts.get("max_length"):
             p.add_argument("--max-length", dest="max_length", type=int, default=None)
         # rank profiles need chains of length 3 (orbit checks its own bound)
-        p.set_defaults(func=func, kmax_min=opts.get("kmax_min", 1))
+        p.set_defaults(func=func, kmax_min=opts.get("kmax_min", 1), max_length=None)
     return parser
 
 
@@ -626,6 +561,8 @@ def main(argv=None) -> int:
         if args.kmax is not None and args.kmax < args.kmax_min:
             raise ParseError(f"--kmax must be >= {args.kmax_min}")
         args.order = _order_option(args.order)
+        if args.max_length is not None and args.max_length < 2:
+            raise ParseError("--max-length must be >= 2")
         return args.func(args)
     except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,10 +24,6 @@ def corpus() -> List[Tuple[str, Path]]:
     return sorted((p.stem, p) for p in root.glob("*.mf"))
 
 
-def corpus_names() -> List[str]:
-    return [name for name, _ in corpus()]
-
-
 def load_entry(name: str) -> Tuple[Manifest, Optional[dict]]:
     """Manifest and expected-results sidecar (None when absent) for one entry."""
     root = _data_dir()

@@ -7,7 +7,11 @@ Grammar:
     atom    := rational | 'i' | variable | '(' expr ')'
     rational:= integer ['/' integer]
 
-Parentheses and prefix signs may nest at most MAX_NESTING deep.
+Parentheses and prefix signs may nest at most MAX_NESTING deep.  An exponent
+literal may not exceed MAX_EXPONENT, and a product or power that could have
+more than MAX_TERMS terms is refused before it is computed (a power of a
+t-term base by the count of its monomials, comb(t - 1 + e, e)), so one short
+expression cannot take minutes or exhaust memory.
 
 Variables are the names of the target VarSpace (w1..wm, z1..zd,
 zeta1..zetam, xi1..xid for manifolds; x1..xn, chain parameters u{k}_{j},
@@ -19,12 +23,15 @@ graded-lexicographic exponent order and prints coefficients as
 from __future__ import annotations
 
 import re
+from math import comb
 
 from .errors import ParseError
 from .scalars import GaussianRational, format_scalar
 from .series import Series, VarSpace, grlex_key
 
 MAX_NESTING = 64
+MAX_EXPONENT = 32
+MAX_TERMS = 2_000
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()]))"
@@ -94,7 +101,9 @@ class _Parser:
             kind, val = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                result = result * self.parse_factor()
+                factor = self.parse_factor()
+                _check_terms(len(result.terms) * len(factor.terms), "product")
+                result = result * factor
             else:
                 return result
 
@@ -106,6 +115,11 @@ class _Parser:
             kind, val = self.take()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer literal")
+            if val > MAX_EXPONENT:
+                raise ParseError(f"exponent {val} exceeds the limit {MAX_EXPONENT}")
+            t = len(base.terms)
+            if t > 1:
+                _check_terms(comb(t - 1 + val, val), "power")
             return base ** val
         return base
 
@@ -149,6 +163,11 @@ class _Parser:
         if kind == "op" and val == "+":
             return self.nested(self.parse_atom)
         raise ParseError(f"unexpected token {val!r}")
+
+
+def _check_terms(bound: int, what: str):
+    if bound > MAX_TERMS:
+        raise ParseError(f"{what} could have {bound} terms, over the limit {MAX_TERMS}")
 
 
 def parse_series(text: str, space: VarSpace, order=None) -> Series:

@@ -9,28 +9,23 @@ mu = 2 + kappa, the multitype is (m, m, e_1, ..., e_kappa), and the manifold
 is minimal at the basepoint exactly when the increments sum to d.
 
 Every rank here is sampled through ranks.generic_rank / rank_at_point on
-chains.sampled_chain: in EXACT mode the chains are never expanded, their
-Jacobians at the sample points come from forward-mode differentiation, and a
-certified rank rests on evaluation being a ring homomorphism; truncated jets
-are expanded and their witnessed minors certified symbolically.
+chains.sampled_chain: in EXACT mode the chains are never expanded (each is a
+series.PointwiseWord), their Jacobians at the sample points come from
+forward-mode differentiation, and a certified rank rests on evaluation being
+a ring homomorphism; truncated jets are expanded and their witnessed minors
+certified symbolically.  The witness point comes from ranks.find_rank_point,
+the search the orbit witness uses too.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional
 
 from .chains import default_kmax, psi_chart, sampled_chain, u_blocks
-from .errors import NotAHypersurface, SegreError, WitnessNotFound
+from .errors import NotAHypersurface, SegreError
 from .manifold import Basepoint, CRManifold
-from .ranks import (
-    DEFAULT_TRIALS,
-    NUM_BOUND,
-    generic_rank,
-    random_point,
-    rank_at_point,
-)
+from .ranks import DEFAULT_TRIALS, find_rank_point, generic_rank, rank_at_point
 from .scalars import ZERO
 from .series import Series
 
@@ -196,7 +191,6 @@ def witness_point(
     basepoint: Optional[Basepoint] = None,
     parity: str = "L",
     seed: int = 0,
-    retries: int = 20,
 ) -> WitnessRecord:
     """Find w* = (w_1*, ..., w_{mu-1}*, 0) where the length-mu chain attains
     rank 2m + sum(e), set omega* = (-w_{mu-1}*, ..., -w_1*), and verify that
@@ -206,19 +200,7 @@ def witness_point(
     target = invariants.orbit_dim_complexified
     m = M.m
     chain_mu = sampled_chain(M, mu, basepoint, parity)
-    rng = random.Random(seed)
-    found = None
-    for attempt in range(2 * retries):
-        bound = NUM_BOUND if attempt < retries else NUM_BOUND * 10
-        blocks = [random_point(rng, m, bound) for _ in range(mu - 1)]
-        point = [c for blk in blocks for c in blk] + [ZERO] * m
-        if rank_at_point(chain_mu, u_blocks(mu), point) == target:
-            found = blocks
-            break
-    if found is None:
-        raise WitnessNotFound(
-            f"no rank-{target} point of the required shape after {2 * retries} tries"
-        )
+    found = find_rank_point(chain_mu, u_blocks(mu), m, mu - 1, target, seed)
     w_star = tuple(tuple(blk) for blk in found) + ((ZERO,) * m,)
     omega_star = tuple(tuple(-c for c in blk) for blk in reversed(found))
     length = 2 * mu - 1

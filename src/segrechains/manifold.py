@@ -104,7 +104,6 @@ class CRManifold:
     def _validate_reality(self):
         w_vars = self.space.block_vars("w")
         zeta_vars = self.space.block_vars("zeta")
-        z_vars = self.space.block_vars("z")
         xi_vars = self.space.block_vars("xi")
         for j, tb in enumerate(self.theta_bar):
             if not tb.constant_term().is_zero():
@@ -120,11 +119,8 @@ class CRManifold:
                     f"theta_bar_{j + 1} uses forbidden variables {names}",
                     component=j + 1,
                 )
-        sub = {n: Series.variable(self.space, n, self.order) for n in self.space.names}
-        for j, zn in enumerate(z_vars):
-            sub[zn] = self.qbar[j]
         for j in range(self.d):
-            residual = self.theta[j].compose(sub) - self.theta_bar[j]
+            residual = self.restrict(self.theta[j]) - self.theta_bar[j]
             if not residual.is_zero():
                 exp = min(residual.terms, key=grlex_key)
                 mono = format_series(
@@ -160,7 +156,12 @@ def new_manifold(m: int, d: int, theta_bar, order=None) -> CRManifold:
     return CRManifold(m, d, parsed, order, space)
 
 
-def graph_from_real(m: int, d: int, h, order=None, max_iter: int = 32) -> CRManifold:
+# Fixed-point iterations graph_from_real allows an EXACT input before it
+# refuses a transversal elimination that does not terminate.
+GRAPH_MAX_ITER = 32
+
+
+def graph_from_real(m: int, d: int, h, order=None) -> CRManifold:
     """Convert the real graph form 2*Im(z) = h(w, conj(w), Re(z)) to theta_bar.
 
     Requires h(0) = 0, dh(0) = 0 and the reality condition (swapping the w
@@ -198,7 +199,7 @@ def graph_from_real(m: int, d: int, h, order=None, max_iter: int = 32) -> CRMani
     )
     half_i = GaussianRational(0, "1/2")
     x = [Series.variable(space, xi_vars[j], order) for j in range(d)]
-    limit = max_iter if order is None else max(order, 1)
+    limit = GRAPH_MAX_ITER if order is None else max(order, 1)
     converged = False
     for _ in range(limit):
         sub = dict(base)

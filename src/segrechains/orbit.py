@@ -14,11 +14,12 @@ cross-checked against the independent left-normed bracket span oracle
 lie_span_dimension.
 
 With EXACT flows (order=None) no concatenated flow is expanded: a
-PointwiseFlow carries exact (value, d/dt) pairs from the origin through the
-word's flows at each sample point (forward-mode differentiation, the same
-series.forward_step that chains.chain_at_point uses), with each flow's
-partials differentiated once.  The witness's return map adds the reversed
-flows at the constant times -t_i* as further chain-rule steps in x.
+PointwiseFlow, the series.PointwiseWord that also runs the Segre chains,
+carries exact (value, d/dt) pairs from the origin through the word's flows at
+each sample point (forward-mode differentiation), with each flow's partials
+differentiated once.  The witness's return map adds the reversed flows at the
+constant times -t_i* as further chain-rule steps in x, and its point comes
+from ranks.find_rank_point, the witness search the chains use too.
 Truncated jets keep the expanded concatenated_flow, which is also the test
 oracle for the pointwise form; their witness is None, because a truncated
 flow cannot be evaluated at a nonzero time.
@@ -41,14 +42,15 @@ from .errors import (
 from .manifold import CRManifold
 from .ranks import (
     DEFAULT_TRIALS,
-    NUM_BOUND,
     exact_rank,
+    find_rank_point,
     generic_rank,
     random_point,
     rank_at_point,
 )
 from .scalars import ONE, ZERO
 from .series import (
+    PointwiseWord,
     Series,
     SeriesMap,
     TangentVectorField,
@@ -123,8 +125,9 @@ class VFSystem:
 
 class FlowMap:
     """exp(s.L) as a SeriesMap over (s, x); exact=True when the Lie series
-    terminated below the truncation order.  (A plain class: building a
-    dataclass costs milliseconds at every import.)"""
+    terminated below the truncation order.  advance makes it a step of a
+    series.PointwiseWord.  (A plain class: building a dataclass costs
+    milliseconds at every import.)"""
 
     __slots__ = ("map", "exact", "order", "_partials")
 
@@ -139,9 +142,21 @@ class FlowMap:
             self._partials = [nonzero_partials(c) for c in self.map.components]
         return self._partials
 
+    def advance(self, values, rows, times, col):
+        """exp(times.L) at exact (values, rows); the times move columns col,
+        col + 1, ..., or no column when col is None (constant times)."""
+        ncols = len(rows[0])
+        if col is None:
+            time_rows = [[ZERO] * ncols] * len(times)
+        else:
+            time_rows = [[ONE if c == col + j else ZERO for c in range(ncols)]
+                         for j in range(len(times))]
+        new = forward_step(self.map.components, self.partials(), list(times) + values,
+                           time_rows + rows)
+        return [v for v, _ in new], [r for _, r in new]
 
-def formal_flow(system: VFSystem, alpha: int, order: Optional[int],
-                time_prefix: str = "s") -> FlowMap:
+
+def formal_flow(system: VFSystem, alpha: int, order: Optional[int]) -> FlowMap:
     """Truncated-exponential flow of the alpha-th m-vector field (0-based).
 
     With an integer order, the result is the degree-order jet in (s, x); with
@@ -150,8 +165,8 @@ def formal_flow(system: VFSystem, alpha: int, order: Optional[int],
     """
     field = system.fields[alpha]
     n, m = system.n, system.m
-    times = tuple(f"{time_prefix}{j}" for j in range(1, m + 1))
-    domain = VarSpace([(time_prefix, times)] + list(system.space.blocks))
+    times = tuple(f"s{j}" for j in range(1, m + 1))
+    domain = VarSpace([("s", times)] + list(system.space.blocks))
     lifted = [[c.lift(domain) for c in comp] for comp in field]
     svars = [Series.variable(domain, t) for t in times]
     # D = sum_j s_j * L_j as one derivation over (s, x).  The Lie series is
@@ -237,65 +252,26 @@ def concatenated_flow(system: VFSystem, word: Sequence[int],
     return SeriesMap(state, system.space), exact
 
 
-class PointwiseFlow:
-    """concatenated_flow(system, word) of EXACT flows, never expanded.
+class PointwiseFlow(PointwiseWord):
+    """concatenated_flow(system, word) of EXACT flows as a series.PointwiseWord:
+    a point is carried from the origin through the word's flows
+    exp(t_i.L_alpha).  `returns` lists further (alpha, times) flows at
+    constant times, applied after (the witness's return map); `prefixes` is
+    shared by greedy candidates (see PointwiseWord).  `flows` is the dict of
+    FlowMaps by field index, filled on first use."""
 
-    It offers what generic_rank and rank_at_point read from a SeriesMap
-    (domain, order, Jacobian at a point); `at` gives values and Jacobian.  A
-    point is carried from the origin as exact (value, d/dt) pairs through the
-    word's flows exp(t_i.L_alpha), one series.forward_step each.  `returns`
-    lists further flows (alpha, times) at constant times, applied after: they are
-    chain-rule steps in x only and add no column (the witness's return map).
-    `prefixes`, a dict kept by the caller, holds the state before the last
-    flow per (word prefix, point prefix): greedy candidates share both, since
-    generic_rank draws the same points for every candidate of one step.  The
-    Jacobian is always taken in all t-blocks.
-    """
-
-    __slots__ = ("system", "word", "flows", "returns", "prefixes", "domain")
-    order = None
+    __slots__ = ()
 
     def __init__(self, system: VFSystem, word: Sequence[int], flows: dict,
                  returns=(), prefixes: Optional[dict] = None):
-        self.system, self.word, self.flows = system, tuple(word), flows
-        self.returns, self.prefixes = tuple(returns), prefixes
-        self.domain = _time_space(system, len(self.word))
-
-    def at(self, point):
-        """(values, Jacobian rows in the t-blocks) of the flow at `point`."""
-        m, n, word = self.system.m, self.system.n, self.word
-        ncols = m * len(word)
-        if len(point) != ncols:
-            raise DimensionMismatch(f"point dimension {len(point)} != space dim {ncols}")
-        last = len(word) - 1
-        key = (word[:last], tuple(point[: last * m]))
-        if self.prefixes is not None and key in self.prefixes:
-            first, (values, rows) = last, self.prefixes[key]
-        else:
-            first, values, rows = 0, [ZERO] * n, [[ZERO] * ncols] * n
-        for i in range(first, len(word)):
-            if i == last and self.prefixes is not None:
-                self.prefixes[key] = (values, rows)
-            units = [[ONE if c == i * m + j else ZERO for c in range(ncols)]
-                     for j in range(m)]
-            values, rows = self._step(word[i], point[i * m : (i + 1) * m], units,
-                                      values, rows)
-        zero_rows = [[ZERO] * ncols] * m
-        for alpha, times in self.returns:
-            values, rows = self._step(alpha, list(times), zero_rows, values, rows)
-        return values, rows
-
-    def _step(self, alpha, times, time_rows, values, rows):
-        """exp(times.L_alpha) at (values, rows); time_rows are d(times)/dt."""
-        fl = _flow(self.system, self.flows, alpha, None)
-        new = forward_step(fl.map.components, fl.partials(), times + values,
-                           time_rows + rows)
-        return [v for v, _ in new], [r for _, r in new]
-
-    def jacobian_at(self, point, wrt=None):
-        if wrt is not None and list(wrt) != list(self.domain.block_names()):
-            raise DimensionMismatch("a pointwise flow is differentiated in all its t-blocks")
-        return self.at(point)[1]
+        n = system.n
+        super().__init__(
+            _time_space(system, len(word)),
+            [_flow(system, flows, alpha, None) for alpha in word],
+            lambda params: [ZERO] * n,
+            returns=[(_flow(system, flows, a, None), times) for a, times in returns],
+            prefixes=prefixes,
+        )
 
 
 def _ranked_flow(system: VFSystem, word, flows: dict, order: Optional[int],
@@ -307,8 +283,8 @@ def _ranked_flow(system: VFSystem, word, flows: dict, order: Optional[int],
     """
     if order is not None:
         return concatenated_flow(system, word, flows, order)
-    fls = [_flow(system, flows, alpha, None) for alpha in word]
-    return PointwiseFlow(system, word, flows, prefixes=prefixes), all(f.exact for f in fls)
+    pw = PointwiseFlow(system, word, flows, prefixes=prefixes)
+    return pw, all(f.exact for f in pw.flows)
 
 
 @dataclass(frozen=True)
@@ -400,26 +376,15 @@ def greedy_multitype(
     return result
 
 
-def _orbit_witness(system, result, flows, seed, retries=20):
+def _orbit_witness(system, result, flows, seed):
     """Witness per the greedy construction: a point t* = (t_1*, .., t_{mu0-1}*, 0)
     of maximal rank whose reversed, negated flows return the endpoint to 0.
     EXACT flows only: both maps are ranked pointwise."""
     mu0 = result.mu0
     m = system.m
-    target = result.orbit_dim
-    fwd = PointwiseFlow(system, result.word, flows)
     blocks = [f"t{i}" for i in range(1, mu0 + 1)]
-    rng = random.Random(seed)
-    found = None
-    for attempt in range(2 * retries):
-        bound = NUM_BOUND if attempt < retries else NUM_BOUND * 10
-        tblocks = [random_point(rng, m, bound) for _ in range(mu0 - 1)]
-        point = [c for blk in tblocks for c in blk] + [ZERO] * m
-        if rank_at_point(fwd, blocks, point) == target:
-            found = tblocks
-            break
-    if found is None:
-        raise WitnessNotFound("no maximal-rank point of the required shape")
+    fwd = PointwiseFlow(system, result.word, flows)
+    found = find_rank_point(fwd, blocks, m, mu0 - 1, result.orbit_dim, seed)
     # the reversed flows at the negated times, after the forward word
     back = [(result.word[i - 1], [-c for c in found[i - 1]]) for i in range(mu0 - 1, 0, -1)]
     ret = PointwiseFlow(system, result.word, flows, back)

@@ -9,10 +9,10 @@ symbolic span dimensions) and one eliminator (pivot_positions; exact_rank
 counts its pivots).
 
 A SeriesMap is differentiated symbolically once and its Jacobian evaluated
-at each point.  An EXACT chain (chains.PointwiseChain) or concatenated
-orbit flow (orbit.PointwiseFlow) is never expanded: its Jacobian at each
-point comes from forward-mode differentiation through the flow recursion
-(series.forward_step).
+at each point.  An EXACT chain or concatenated orbit flow is never expanded:
+it is a series.PointwiseWord, whose Jacobian at each point comes from
+forward-mode differentiation through the word's flows.  find_rank_point is
+the witness search of both: a seeded point of a given shape and rank.
 
 Certification: in EXACT mode evaluation is a ring homomorphism, so the
 nonzero pivot minor of the exact matrix at the witness point proves that the
@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .scalars import GaussianRational
+from .errors import WitnessNotFound
+from .scalars import GaussianRational, ZERO
 from .series import Series, SeriesMap
 
 # Sampling box: numerators in [-99, 99], denominators in [1, 9] for both the
@@ -37,6 +38,7 @@ NUM_BOUND = 99
 DEN_BOUND = 9
 DEFAULT_TRIALS = 5
 CERTIFY_MAX_SIZE = 6
+WITNESS_RETRIES = 20
 
 
 def pivot_positions(
@@ -94,8 +96,7 @@ def random_point(
     return [random_scalar(rng, num_bound) for _ in range(dim)]
 
 
-def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
-                num_bound: int = NUM_BOUND):
+def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0):
     """(rank, point, matrix): the highest exact rank of matrix_at(point) over
     up to `trials` seeded points of `dim` coordinates, with the first point
     reaching it and its matrix.  The loop stops early at full rank, which
@@ -106,7 +107,7 @@ def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0
     rng = random.Random(seed)
     best = (0, None, None)
     for _ in range(trials):
-        point = random_point(rng, dim, num_bound)
+        point = random_point(rng, dim)
         matrix = matrix_at(point)
         r = exact_rank(matrix)
         if r > best[0] or best[1] is None:
@@ -152,8 +153,7 @@ def _jacobian_source(f, wrt):
     """(point -> exact Jacobian of f in the `wrt` columns, symbolic Jacobian or None).
 
     A SeriesMap is differentiated once here; any other ranked object (a
-    chains.PointwiseChain or orbit.PointwiseFlow) computes its Jacobian at
-    each point itself.
+    series.PointwiseWord) computes its Jacobian at each point itself.
     """
     if isinstance(f, SeriesMap):
         names = f._resolve_names(wrt)
@@ -168,22 +168,21 @@ def generic_rank(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     certify: bool = False,
-    num_bound: int = NUM_BOUND,
 ) -> RankResult:
     """Generic rank of f with respect to the given variables (blocks or names).
 
-    f is a SeriesMap or a pointwise map (chains.PointwiseChain,
-    orbit.PointwiseFlow).  Deterministic in
-    (seed, trials); monotone nondecreasing in trials; the evaluation points
-    range over all domain variables, while only the `wrt` columns are
-    differentiated.  With certify=True and an attained rank of at most
-    CERTIFY_MAX_SIZE the result is flagged certified when the witnessed minor
-    is a nonzero series: in EXACT mode that follows from the nonzero minor at
-    the witness point, in jet mode the minor is expanded symbolically.
+    f is a SeriesMap or a series.PointwiseWord (an EXACT chain or orbit
+    flow).  Deterministic in (seed, trials); monotone nondecreasing in
+    trials; the evaluation points range over all domain variables, while only
+    the `wrt` columns are differentiated.  With certify=True and an attained
+    rank of at most CERTIFY_MAX_SIZE the result is flagged certified when the
+    witnessed minor is a nonzero series: in EXACT mode that follows from the
+    nonzero minor at the witness point, in jet mode the minor is expanded
+    symbolically.
     """
     jacobian_at, jac = _jacobian_source(f, wrt)
     best_rank, best_point, best_matrix = sample_rank(
-        jacobian_at, f.domain.dim, trials, seed, num_bound
+        jacobian_at, f.domain.dim, trials, seed
     )
     certified = False
     if certify and 0 < best_rank <= CERTIFY_MAX_SIZE:
@@ -201,9 +200,28 @@ def generic_rank(
 
 
 def rank_at_point(f, wrt, point) -> int:
-    """Exact rank of the Jacobian of f (SeriesMap or pointwise map) at one point."""
+    """Exact rank of the Jacobian of f (SeriesMap or PointwiseWord) at one point."""
     jacobian_at, _ = _jacobian_source(f, wrt)
     return exact_rank(jacobian_at(point))
+
+
+def find_rank_point(f, wrt, m: int, blocks: int, target: int, seed: int):
+    """Seeded blocks b_1..b_blocks of m scalars each at which the Jacobian of f
+    (SeriesMap or series.PointwiseWord) in the `wrt` columns has rank `target` at
+    (b_1, ..., b_blocks, 0): the witness search of chains and orbits.  Tries
+    WITNESS_RETRIES points in the sampling box, then as many in a box ten
+    times wider; WitnessNotFound if none reaches the target."""
+    jacobian_at, _ = _jacobian_source(f, wrt)
+    rng = random.Random(seed)
+    for attempt in range(2 * WITNESS_RETRIES):
+        bound = NUM_BOUND if attempt < WITNESS_RETRIES else NUM_BOUND * 10
+        found = [random_point(rng, m, bound) for _ in range(blocks)]
+        point = [c for blk in found for c in blk] + [ZERO] * m
+        if exact_rank(jacobian_at(point)) == target:
+            return found
+    raise WitnessNotFound(
+        f"no rank-{target} point of the required shape after {2 * WITNESS_RETRIES} tries"
+    )
 
 
 def span_dimension(vectors: Sequence[Sequence[GaussianRational]]) -> int:

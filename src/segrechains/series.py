@@ -8,10 +8,11 @@ jet truncated at a total degree.  A SeriesMap is a tuple of Series sharing one
 domain, with its components assigned to the variables of a codomain space.
 
 The calculus on Series lives here too, once for every caller: the
-forward-mode chain-rule step (forward_step), the vector field acting as a
-derivation (TangentVectorField), the bracket of two fields, and the
-deduplicated left-normed bracket ladder (bracket_levels) that both the
-Hormander ladder and the orbit oracle walk.
+forward-mode chain-rule step (forward_step) and the runner that carries a
+point through a word of flows with it (PointwiseWord: Segre chains and orbit
+flows alike), the vector field acting as a derivation (TangentVectorField),
+the bracket of two fields, and the deduplicated left-normed bracket ladder
+(bracket_levels) that both the Hormander ladder and the orbit oracle walk.
 
 All values are immutable after construction; results are kept canonical
 (no zero coefficients, no terms beyond the truncation order), so equality
@@ -105,13 +106,6 @@ class VarSpace:
 
     def pairs(self):
         return tuple(sorted((min(a, b), max(a, b)) for a, b in self._partner.items()))
-
-    def extended(self, blocks, pairs=()) -> "VarSpace":
-        """A new space with extra blocks appended; existing pairing is kept."""
-        old_pairs = [
-            (self.names[a], self.names[b]) for a, b in self._partner.items() if a <= b
-        ]
-        return VarSpace(tuple(self.blocks) + tuple(blocks), old_pairs + list(pairs))
 
     def subspace(self, block_names) -> "VarSpace":
         """The space made of the given blocks, keeping internal pairings."""
@@ -236,9 +230,6 @@ class Series:
                 if e:
                     used.add(i)
         return used
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -586,6 +577,71 @@ def forward_step(fns, partials, at, rows):
     return out
 
 
+class PointwiseWord:
+    """A word of flows from a start state, evaluated at one exact point at a
+    time and never expanded: the one runner behind Segre chains and orbit flows.
+
+    The first len(flows) blocks of `domain` hold the times of the word's
+    flows, one block each; the remaining coordinates (`params`) go to
+    start(params), the initial state values.  Each state component is carried
+    as a (value, gradient row in the time blocks) pair: flow i maps the
+    state through flow.advance(values, rows, times, col), whose times move
+    columns col, col + 1, ...  `returns` lists further (flow, times) at
+    constant times, applied afterwards with col None: chain-rule steps in the
+    state only (a witness's return map).  `out` picks the state components
+    reported (default all).  `prefixes`, a dict kept by the caller, holds the
+    state before the last flow per (flow prefix, point prefix with the start
+    parameters): words that differ only in their last flow share it, since
+    generic_rank draws the same points for each.  It offers what ranks reads
+    from a SeriesMap (domain, order, Jacobian at a point), the Jacobian always
+    in all time blocks.  (A plain class: building a dataclass costs
+    milliseconds at every import.)
+    """
+
+    __slots__ = ("domain", "flows", "start", "out", "returns", "prefixes")
+    order = None
+
+    def __init__(self, domain: VarSpace, flows, start, out=None, returns=(),
+                 prefixes: Optional[dict] = None):
+        self.domain, self.flows, self.start = domain, tuple(flows), start
+        self.out, self.returns, self.prefixes = out, tuple(returns), prefixes
+
+    def at(self, point):
+        """(values, Jacobian rows in the time blocks) at `point`."""
+        if len(point) != self.domain.dim:
+            raise DimensionMismatch(
+                f"point dimension {len(point)} != space dim {self.domain.dim}"
+            )
+        width = len(self.domain.blocks[0][1])
+        last = len(self.flows) - 1
+        ncols = width * (last + 1)
+        params = tuple(point[ncols:])
+        key = (self.flows[:last], tuple(point[: last * width]) + params)
+        if self.prefixes is not None and key in self.prefixes:
+            first, (values, rows) = last, self.prefixes[key]
+        else:
+            first, values = 0, self.start(params)
+            rows = [[ZERO] * ncols] * len(values)  # rows are replaced, never mutated
+        for i in range(first, last + 1):
+            if i == last and self.prefixes is not None:
+                self.prefixes[key] = (values, rows)
+            times = point[i * width : (i + 1) * width]
+            values, rows = self.flows[i].advance(values, rows, times, i * width)
+        for flow, times in self.returns:
+            values, rows = flow.advance(values, rows, times, None)
+        if self.out is not None:
+            values, rows = [values[a] for a in self.out], [rows[a] for a in self.out]
+        return values, rows
+
+    def evaluate(self, point):
+        return self.at(point)[0]
+
+    def jacobian_at(self, point, wrt=None):
+        if wrt is not None and tuple(wrt) != self.domain.block_names()[: len(self.flows)]:
+            raise DimensionMismatch("a pointwise word is differentiated in all its time blocks")
+        return self.at(point)[1]
+
+
 # -- vector fields and brackets ----------------------------------------------
 
 
@@ -661,8 +717,3 @@ def identity_map(space: VarSpace, order=None) -> SeriesMap:
     return SeriesMap(
         [Series.variable(space, n, order) for n in space.names], space
     )
-
-
-def constant_map(domain: VarSpace, values, codomain: VarSpace, order=None) -> SeriesMap:
-    comps = [Series.constant(domain, v, order) for v in values]
-    return SeriesMap(comps, codomain)

@@ -1,6 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from segrechains import new_manifold
+
+# Subprocesses started by tests (the CLI, the demos) import the package from
+# this checkout too, as pytest's `pythonpath` setting does for the tests.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                os.environ.get("PYTHONPATH")) if p
+)
 
 
 @pytest.fixture(scope="session")

@@ -263,3 +263,11 @@ def test_argparse_errors_are_one_error_line(capsys):
         with pytest.raises(SystemExit) as exc:
             main([flag])
         assert exc.value.code == 0 and capsys.readouterr().out
+
+
+def test_oversized_expressions_are_usage_errors(tmp_path, capsys):
+    for i, text in enumerate(("(1+w1+zeta1+xi1)^60", "w1^100000*zeta1")):
+        path = tmp_path / f"big{i}.mf"
+        path.write_text(f"m=1\nd=1\ntheta_bar_1 = {text}\n")
+        code, out, err = run_cli(capsys, "ranks", str(path))
+        assert code == 2 and out == "" and _single_error_line(err)

@@ -81,3 +81,26 @@ def test_transcendental_input_rejected():
         parse_series("e^(-1/w1^2)", space)
     with pytest.raises(ParseError):
         parse_series("exp(w1)", space)
+
+
+def test_exponents_and_term_counts_are_capped():
+    import time
+
+    from segrechains.exprs import MAX_EXPONENT, MAX_TERMS
+
+    space = ambient_space(1, 1)
+    assert parse_series(f"w1^{MAX_EXPONENT}*zeta1", space).total_degree() == MAX_EXPONENT + 1
+    start = time.perf_counter()
+    for text in (
+        f"w1^{MAX_EXPONENT + 1}*zeta1",
+        "w1^100000*zeta1",
+        "(1+w1+zeta1+xi1)^60",  # took more than 60 s before the caps
+        "(1+w1+zeta1+xi1)^30",  # under the exponent cap, 5,456 terms
+        "(1+w1+zeta1)^9*(1+xi1+w1)^9",  # 55 * 55 possible terms
+    ):
+        with pytest.raises(ParseError):
+            parse_series(text, space)
+    assert time.perf_counter() - start < 1.0
+    assert 55 * 55 > MAX_TERMS >= 55
+    # the bound is the number of monomials, met exactly by a generic base
+    assert len(parse_series("(1+w1+zeta1+xi1)^8", space).terms) == 165
