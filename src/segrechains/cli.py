@@ -489,67 +489,69 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+# The flags a subcommand may declare, by destination name.
+_FLAGS = {
+    "order": ("--order", {"default": None,
+                          "help": "EXACT or a truncation degree (overrides manifest)"}),
+    "seed": ("--seed", {"type": int, "default": 0}),
+    "trials": ("--trials", {"type": int, "default": DEFAULT_TRIALS}),
+    "kmax": ("--kmax", {"type": int, "default": None}),
+    "base": ("--base", {"default": "origin",
+                        "help": "origin | generic | comma-separated w,z,zeta,xi scalars"}),
+    "parity": ("--parity", {"choices": ("L", "Lbar"), "default": "L"}),
+    "certify": ("--certify", {
+        "action": "store_true",
+        "help": "flag ranks up to 6 whose witnessed minor is a nonzero series.  "
+                "EXACT chains are ranked from forward-mode Jacobians and certified "
+                "by the exact minor at the sample point (evaluation is a ring "
+                "homomorphism); the minor is expanded symbolically only in jet mode"}),
+    "max_length": ("--max-length", {"type": int, "default": None}),
+}
+_SAMPLING = ("order", "seed", "trials", "kmax", "base")
+
+# name, handler, manifest argument ("required", "optional" or None), the
+# flags it reads, and the least --kmax it accepts (rank profiles need chains
+# of length 3; orbit checks its own bound).
+_COMMANDS = (
+    ("validate", cmd_validate, "required", ("order",), 1),
+    ("chains", cmd_chains, "required", ("order", "kmax", "base", "parity"), 1),
+    ("ranks", cmd_ranks, "required", _SAMPLING + ("certify",), 3),
+    ("minimality", cmd_minimality, "required", _SAMPLING, 3),
+    ("multitype", cmd_multitype, "required", _SAMPLING, 3),
+    ("witness", cmd_witness, "required", _SAMPLING, 3),
+    ("hormander", cmd_hormander, "required",
+     ("order", "seed", "trials", "base", "max_length"), 1),
+    ("levi", cmd_levi, "required", _SAMPLING, 1),
+    ("e1det", cmd_e1det, "required", ("order",), 1),
+    ("orbit", cmd_orbit, "required", ("order", "seed", "trials", "kmax"), 1),
+    ("corpus", cmd_corpus, None, (), 1),
+    ("checkall", cmd_checkall, "optional", ("seed", "trials"), 1),
+)
+
+
 def build_parser():
+    """The parser: each subcommand accepts only the flags it reads, so an
+    ignored flag is a usage error rather than silently dropped."""
     parser = _Parser(
         prog="segrechains",
         description="Exact Segre-chain geometry of CR-generic manifolds",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, manifest=True, base=True):
-        if manifest:
-            p.add_argument("manifest", help="manifest file path")
-        p.add_argument("--order", default=None,
-                       help="EXACT or a truncation degree (overrides manifest)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-        p.add_argument("--kmax", type=int, default=None)
-        if base:
-            p.add_argument(
-                "--base", default="origin",
-                help="origin | generic | comma-separated w,z,zeta,xi scalars",
-            )
-        p.add_argument("--format", choices=("human", "machine"), default="human")
-
-    specs = [
-        ("validate", cmd_validate, {}),
-        ("chains", cmd_chains, {"parity": True}),
-        ("ranks", cmd_ranks, {"certify": True, "kmax_min": 3}),
-        ("minimality", cmd_minimality, {"kmax_min": 3}),
-        ("multitype", cmd_multitype, {"kmax_min": 3}),
-        ("witness", cmd_witness, {"kmax_min": 3}),
-        ("hormander", cmd_hormander, {"max_length": True}),
-        ("levi", cmd_levi, {}),
-        ("e1det", cmd_e1det, {}),
-        ("orbit", cmd_orbit, {}),
-        ("corpus", cmd_corpus, {"no_manifest": True, "no_base": True}),
-        ("checkall", cmd_checkall, {"optional_manifest": True, "no_base": True}),
-    ]
-    for name, func, opts in specs:
+    for name, func, manifest, flags, kmax_min in _COMMANDS:
         p = sub.add_parser(name)
-        if opts.get("no_manifest"):
-            common(p, manifest=False, base=not opts.get("no_base"))
-        elif opts.get("optional_manifest"):
+        if manifest == "required":
+            p.add_argument("manifest", help="manifest file path")
+        elif manifest == "optional":
             p.add_argument("manifest", nargs="?", default=None,
                            help="directory of manifests (default: bundled corpus)")
-            common(p, manifest=False, base=not opts.get("no_base"))
-        else:
-            common(p, base=not opts.get("no_base"))
-        if opts.get("parity"):
-            p.add_argument("--parity", choices=("L", "Lbar"), default="L")
-        if opts.get("certify"):
-            p.add_argument("--certify", action="store_true",
-                           help="flag ranks up to 6 whose witnessed minor is a "
-                                "nonzero series.  EXACT chains are ranked from "
-                                "forward-mode Jacobians and certified by the exact "
-                                "minor at the sample point (evaluation is a ring "
-                                "homomorphism); the minor is expanded symbolically "
-                                "only in jet mode")
-        if opts.get("max_length"):
-            p.add_argument("--max-length", dest="max_length", type=int, default=None)
-        # rank profiles need chains of length 3 (orbit checks its own bound)
-        p.set_defaults(func=func, kmax_min=opts.get("kmax_min", 1), max_length=None)
+        for flag in flags:
+            option, settings = _FLAGS[flag]
+            p.add_argument(option, **settings)
+        p.add_argument("--format", choices=("human", "machine"), default="human")
+        # main and the report provenance read these whether declared or not
+        p.set_defaults(func=func, kmax_min=kmax_min, order=None, seed=0,
+                       trials=DEFAULT_TRIALS, kmax=None, max_length=None)
     return parser
 
 

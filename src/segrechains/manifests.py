@@ -19,8 +19,8 @@ System manifests:
     field_2_1_x3 = x1
 
 Blank lines and `#` comments are ignored.  Parsing collects diagnostics with
-line numbers; serialization is canonical, so parse -> serialize -> parse is
-the identity.
+line numbers, and an error in an entry's expression names the entry's line;
+serialization is canonical, so parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -59,6 +59,20 @@ class Manifest:
     entries: dict  # theta_bar index -> text, or (alpha, i, var) -> text
     source: Optional[str] = None
     diagnostics: list = field(default_factory=list)
+    lines: dict = field(default_factory=dict, compare=False)  # entry key -> line
+
+    def location(self, key) -> str:
+        """`<source>:<line>` of entry `key` (`<source>` when the line is unknown)."""
+        where = self.source or "<manifest>"
+        return f"{where}:{self.lines[key]}" if key in self.lines else where
+
+    def parse_entry(self, key, space, order) -> Series:
+        """The expression of entry `key` over `space`; a ParseError in it
+        is located at the entry's line."""
+        try:
+            return parse_series(self.entries[key], space, order)
+        except ParseError as exc:
+            raise ParseError(f"{self.location(key)}: {exc}") from None
 
     # -- building -----------------------------------------------------------
 
@@ -72,12 +86,13 @@ class Manifest:
 
     def build_manifold(self) -> CRManifold:
         m, d = int(self.params["m"]), int(self.params["d"])
+        space, order = ambient_space(m, d), self.order_value()
         theta = []
         for j in range(1, d + 1):
             if j not in self.entries:
                 raise ParseError(f"{self.source}: missing theta_bar_{j}")
-            theta.append(self.entries[j])
-        return new_manifold(m, d, theta, self.order_value())
+            theta.append(self.parse_entry(j, space, order))
+        return new_manifold(m, d, theta, order)
 
     def build_system(self) -> VFSystem:
         n, m, a = (int(self.params[k]) for k in ("n", "m", "a"))
@@ -85,13 +100,14 @@ class Manifest:
         order = self.order_value()
         zero = Series.zero(space, order)
         fields = [[[zero] * n for _ in range(m)] for _ in range(a)]
-        for (alpha, i, var), text in self.entries.items():
+        for key in self.entries:
+            alpha, i, var = key
             if not (1 <= alpha <= a and 1 <= i <= m):
-                raise ParseError(
-                    f"{self.source}: field_{alpha}_{i}_{var} out of range"
-                )
+                raise ParseError(f"{self.location(key)}: field_{alpha}_{i}_{var} out of range")
+            if var not in space:
+                raise ParseError(f"{self.location(key)}: unknown variable {var!r}")
             col = space.index_of(var)
-            fields[alpha - 1][i - 1][col] = parse_series(text, space, order)
+            fields[alpha - 1][i - 1][col] = self.parse_entry(key, space, order)
         return VFSystem(space, fields, order=order)
 
     # -- serialization --------------------------------------------------------
@@ -116,25 +132,22 @@ class Manifest:
     def canonical(self) -> "Manifest":
         """Re-express every entry in canonical serialized form."""
         if self.kind == "manifold":
-            m, d = int(self.params["m"]), int(self.params["d"])
-            space = ambient_space(m, d)
-            entries = {
-                j: format_series(parse_series(t, space, self.order_value()))
-                for j, t in self.entries.items()
-            }
+            space = ambient_space(int(self.params["m"]), int(self.params["d"]))
         else:
             space = coordinate_space(int(self.params["n"]))
-            entries = {
-                k: format_series(parse_series(t, space, self.order_value()))
-                for k, t in self.entries.items()
-            }
-        return Manifest(self.kind, dict(self.params), entries, self.source, [])
+        entries = {
+            k: format_series(self.parse_entry(k, space, self.order_value()))
+            for k in self.entries
+        }
+        return Manifest(self.kind, dict(self.params), entries, self.source, [],
+                        dict(self.lines))
 
 
 def parse_manifest(text: str, source: Optional[str] = None) -> Manifest:
     params = {}
     theta_entries = {}
     field_entries = {}
+    lines = {}
     diagnostics = []
     kind = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -148,8 +161,11 @@ def parse_manifest(text: str, source: Optional[str] = None) -> Manifest:
         fm = _FIELD_KEY.match(key)
         if tm:
             theta_entries[int(tm.group(1))] = value
+            lines[int(tm.group(1))] = lineno
         elif fm:
-            field_entries[(int(fm.group(1)), int(fm.group(2)), fm.group(3))] = value
+            entry = (int(fm.group(1)), int(fm.group(2)), fm.group(3))
+            field_entries[entry] = value
+            lines[entry] = lineno
         elif key == "kind":
             kind = value
         elif key in ("m", "d", "n", "a"):
@@ -188,7 +204,7 @@ def parse_manifest(text: str, source: Optional[str] = None) -> Manifest:
         entries = field_entries
     else:
         raise ParseError(f"{source or '<manifest>'}: unknown kind {kind!r}")
-    return Manifest(kind, params, entries, source, diagnostics)
+    return Manifest(kind, params, entries, source, diagnostics, lines)
 
 
 def load_manifest(path) -> Manifest:

@@ -6,7 +6,8 @@ the exact numeric ranks.  The result is a certified lower bound for the
 generic rank and equals it outside a measure-zero set of sample failures.
 There is one sampler (sample_rank, used by generic_rank and by lie's
 symbolic span dimensions) and one eliminator (pivot_positions; exact_rank
-counts its pivots).
+counts its pivots): Bareiss's fraction-free elimination over the Gaussian
+integers, on rows cleared of denominators, whose divisions are all exact.
 
 A SeriesMap is differentiated symbolically once and its Jacobian evaluated
 at each point.  An EXACT chain or concatenated orbit flow is never expanded:
@@ -25,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import WitnessNotFound
@@ -41,23 +43,50 @@ CERTIFY_MAX_SIZE = 6
 WITNESS_RETRIES = 20
 
 
+def _gaussian_integer_rows(matrix):
+    """Each row times the lcm of its entries' denominators, as (re, im) int
+    pairs: a row scaling, which changes neither the rank nor the pivots."""
+    out = []
+    for row in matrix:
+        scale = 1
+        for x in row:
+            scale = lcm(scale, x.re.denominator, x.im.denominator)
+        out.append([
+            (x.re.numerator * (scale // x.re.denominator),
+             x.im.numerator * (scale // x.im.denominator))
+            for x in row
+        ])
+    return out
+
+
 def pivot_positions(
     matrix: Sequence[Sequence[GaussianRational]],
 ) -> List[Tuple[int, int]]:
-    """(row, col) pivot positions of a rank-revealing Gaussian elimination
-    over Q(i), the one eliminator of the package."""
-    rows = [list(r) for r in matrix]
+    """(row, col) pivot positions of a rank-revealing elimination over Q(i),
+    the one eliminator of the package.
+
+    The pivot of a column is its first nonzero entry below the pivot rows.
+    Elimination is fraction-free (Bareiss 1968) over the Gaussian integers:
+    rows are cleared of denominators, then each step replaces an entry a of
+    a later row by (p*a - f*b) / q, with p the new pivot, f the row's entry
+    in the pivot column, b the pivot row's entry and q the previous pivot.
+    The division is exact in Z[i], and every entry is a nonzero multiple of
+    the entry Gaussian elimination over Q(i) would hold there, so the pivots
+    are those of Gaussian elimination.
+    """
+    rows = _gaussian_integer_rows(matrix)
     if not rows or not rows[0]:
         return []
-    ncols = len(rows[0])
-    order = list(range(len(rows)))
+    nrows, ncols = len(rows), len(rows[0])
+    order = list(range(nrows))
     pivots = []
+    qr, qi, qn = 1, 0, 1  # previous pivot and its norm
     rank = 0
     col = 0
-    while rank < len(rows) and col < ncols:
+    while rank < nrows and col < ncols:
         pivot = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
+        for r in range(rank, nrows):
+            if rows[r][col] != (0, 0):
                 pivot = r
                 break
         if pivot is None:
@@ -66,13 +95,21 @@ def pivot_positions(
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         order[rank], order[pivot] = order[pivot], order[rank]
         pivots.append((order[rank], col))
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col].is_zero():
-                continue
-            f = rows[r][col] / pv
-            for c in range(col, ncols):
-                rows[r][c] = rows[r][c] - f * rows[rank][c]
+        prow = rows[rank]
+        pr, pi = prow[col]
+        for r in range(rank + 1, nrows):
+            row = rows[r]
+            fr, fi = row[col]
+            for c in range(col + 1, ncols):
+                ar, ai = row[c]
+                br, bi = prow[c]
+                xr = pr * ar - pi * ai - fr * br + fi * bi
+                xi = pr * ai + pi * ar - fr * bi - fi * br
+                if qi:
+                    row[c] = ((xr * qr + xi * qi) // qn, (xi * qr - xr * qi) // qn)
+                else:
+                    row[c] = (xr // qr, xi // qr)
+        qr, qi, qn = pr, pi, pr * pr + pi * pi
         rank += 1
         col += 1
     return pivots

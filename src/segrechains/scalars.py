@@ -1,8 +1,11 @@
-"""Exact Gaussian-rational scalars: complex numbers with Fraction real/imaginary parts.
+"""Exact Gaussian-rational scalars: complex numbers with rational real and
+imaginary parts, each an int when it is integral and a Fraction otherwise.
 
 Every coefficient in this package is a GaussianRational, so equality,
 conjugation and rank computations are decidable.  There is no floating
-point anywhere.
+point anywhere.  Integral parts stay Python ints, which spares the
+construction and gcd normalization of a Fraction in the common case of
+integer coefficients.
 """
 
 from __future__ import annotations
@@ -10,28 +13,33 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _frac(x):
+    """The canonical part for x: an int when x is integral, else a Fraction."""
+    if type(x) is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):  # bool and other int subclasses
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return _frac(Fraction(x))
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
 class GaussianRational:
-    """re + im*i with re, im arbitrary-precision rationals.
+    """re + im*i with re, im arbitrary-precision rationals (int | Fraction).
 
-    Immutable and hashable.  Fraction keeps numerator/denominator coprime
-    with positive denominator, so the stored form is canonical.
+    Immutable and hashable.  An integral part is stored as an int and any
+    other part as a Fraction, whose numerator and denominator are coprime
+    with positive denominator, so the stored form is canonical.  Equal
+    values hash alike whichever type built them (hash(2) == hash(Fraction(2))).
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        object.__setattr__(self, "re", re if type(re) is int else _frac(re))
+        object.__setattr__(self, "im", im if type(im) is int else _frac(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -73,10 +81,13 @@ class GaussianRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        # a real factor (often an integer coefficient) needs two products
+        if not b:
+            return GaussianRational(a * c, a * d)
+        if not d:
+            return GaussianRational(a * c, b * c)
+        return GaussianRational(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -87,9 +98,10 @@ class GaussianRational:
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
+        # Fraction(a, n), not a / n: int / int would be a float
         return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
+            Fraction(self.re * other.re + self.im * other.im, n),
+            Fraction(self.im * other.re - self.re * other.im, n),
         )
 
     def __rtruediv__(self, other):
@@ -115,7 +127,7 @@ class GaussianRational:
         return GaussianRational(self.re, -self.im)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     # -- comparison / hashing -----------------------------------------
 
@@ -145,7 +157,7 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def _frac_str(q: Fraction) -> str:
+def _frac_str(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

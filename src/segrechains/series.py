@@ -181,6 +181,18 @@ class Series:
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
+    @staticmethod
+    def _canonical(space: VarSpace, terms: dict, order: Optional[int]) -> "Series":
+        """A Series over `terms` as given, without __init__'s checks: only for
+        a dict of results that is canonical by construction (GaussianRational
+        coefficients, none zero, exponent tuples of the space's length, none
+        beyond `order`), and no longer mutated by the caller."""
+        s = object.__new__(Series)
+        object.__setattr__(s, "space", space)
+        object.__setattr__(s, "terms", terms)
+        object.__setattr__(s, "order", order)
+        return s
+
     # -- constructors ----------------------------------------------------
 
     @staticmethod
@@ -251,12 +263,16 @@ class Series:
                 terms.pop(exp, None)
             else:
                 terms[exp] = s
+        if self.order == other.order:
+            return Series._canonical(self.space, terms, order)
         return Series(self.space, terms, order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.space, {e: -c for e, c in self.terms.items()}, self.order)
+        return Series._canonical(
+            self.space, {e: -c for e, c in self.terms.items()}, self.order
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -273,7 +289,7 @@ class Series:
             c = _as_scalar(other)
             if c.is_zero():
                 return Series.zero(self.space, self.order)
-            return Series(
+            return Series._canonical(
                 self.space, {e: k * c for e, k in self.terms.items()}, self.order
             )
         if not isinstance(other, Series):
@@ -292,7 +308,7 @@ class Series:
                     terms.pop(exp, None)
                 else:
                     terms[exp] = s
-        return Series(self.space, terms, order)
+        return Series._canonical(self.space, terms, order)
 
     __rmul__ = __mul__
 
@@ -342,7 +358,7 @@ class Series:
             new[i] = e - 1
             terms[tuple(new)] = c * e
         order = None if self.order is None else max(self.order - 1, 0)
-        return Series(self.space, terms, order)
+        return Series._canonical(self.space, terms, order)
 
     def evaluate(self, point: Sequence, powers: Optional[dict] = None) -> GaussianRational:
         """Exact value of the stored polynomial part at a Gaussian-rational point.

@@ -12,6 +12,38 @@ from segrechains.scalars import GaussianRational, ZERO
 from segrechains.series import Series
 
 
+def reference_pivot_positions(matrix):
+    """Reference eliminator: plain Gaussian elimination over Q(i) in
+    GaussianRational arithmetic, with the first nonzero entry of a column
+    below the pivot rows as its pivot (the package's rule)."""
+    rows = [list(r) for r in matrix]
+    if not rows or not rows[0]:
+        return []
+    ncols = len(rows[0])
+    order = list(range(len(rows)))
+    pivots = []
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        pivot = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        order[rank], order[pivot] = order[pivot], order[rank]
+        pivots.append((order[rank], col))
+        pv = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col].is_zero():
+                continue
+            f = rows[r][col] / pv
+            for c in range(col, ncols):
+                rows[r][c] = rows[r][c] - f * rows[rank][c]
+        rank += 1
+        col += 1
+    return pivots
+
+
 def small_scalar(rng, bound=5):
     return GaussianRational(
         Fraction(rng.randint(-bound, bound), rng.randint(1, 3)),

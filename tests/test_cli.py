@@ -271,3 +271,49 @@ def test_oversized_expressions_are_usage_errors(tmp_path, capsys):
         path.write_text(f"m=1\nd=1\ntheta_bar_1 = {text}\n")
         code, out, err = run_cli(capsys, "ranks", str(path))
         assert code == 2 and out == "" and _single_error_line(err)
+
+
+def test_flags_a_subcommand_ignores_are_usage_errors(capsys):
+    # every subcommand declares only the flags it reads
+    heis = data_path("heisenberg")
+    for argv in (
+        ("validate", heis, "--base", "junk", "--kmax", "99"),
+        ("validate", heis, "--seed", "3"),
+        ("e1det", data_path("quadric_elliptic"), "--base", "generic"),
+        ("e1det", data_path("quadric_elliptic"), "--trials", "2"),
+        ("corpus", "--order", "3"),
+        ("corpus", "--seed", "1"),
+        ("chains", heis, "--seed", "1"),
+        ("hormander", heis, "--kmax", "4"),
+        ("orbit", heis, "--base", "generic"),
+        ("checkall", "--order", "3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and _single_error_line(err), argv
+        assert "unrecognized arguments" in err, argv
+    for argv in (
+        ("validate", heis, "--order", "4"),
+        ("e1det", data_path("quadric_elliptic"), "--order", "EXACT"),
+        ("chains", heis, "--kmax", "2", "--base", "generic", "--parity", "Lbar"),
+        ("hormander", heis, "--seed", "1", "--trials", "2", "--max-length", "3"),
+        ("orbit", heis, "--kmax", "3", "--seed", "1", "--trials", "2"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
+
+
+def test_manifest_expression_errors_name_their_line(tmp_path, capsys):
+    for text, message in (
+        ("m=1\nd=1\n\ntheta_bar_1 = w1*zeta1 + q7\n", ":4: unknown variable 'q7'"),
+        ("m=1\nd=1\ntheta_bar_1 = w1^100000*zeta1\n", ":3: exponent 100000 exceeds"),
+        ("m=1\nd=1\ntheta_bar_1 = (1+w1+zeta1+xi1)^30\n", ":3: power could have"),
+        ("kind=system\nn=2\nm=1\na=1\nfield_1_1_x1 = x1 +\n", ":5: unexpected token"),
+        ("kind=system\nn=2\nm=1\na=1\nfield_1_1_y9 = 1\n", ":5: unknown variable 'y9'"),
+        ("kind=system\nn=2\nm=1\na=1\n\nfield_2_1_x1 = 1\n", ":6: field_2_1_x1 out of range"),
+    ):
+        path = tmp_path / "located.mf"
+        path.write_text(text)
+        for command in ("validate", "orbit") if "theta" in text else ("orbit",):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 2 and out == "" and _single_error_line(err), text
+            assert f"error: {path}{message}" in err, err

@@ -105,3 +105,15 @@ def test_corpus_sidecars_well_formed():
         manifest, expected = load_entry(name)
         assert expected is not None, name
         assert isinstance(expected, dict)
+
+
+def test_expression_errors_have_location():
+    with pytest.raises(ParseError) as err:
+        parse_manifest("m=1\nd=1\n# note\ntheta_bar_1 = w1*zeta1 + q7\n",
+                       source="q7.mf").build_manifold()
+    assert str(err.value) == "q7.mf:4: unknown variable 'q7'"
+    with pytest.raises(ParseError) as err:
+        parse_manifest(SYSTEM.replace("= x1", "= x1*x9")).canonical()
+    assert str(err.value) == "<manifest>:9: unknown variable 'x9'"
+    text = parse_manifest("m=1\nd=1\ntheta_bar_1 = w1*zeta1\n").serialize()
+    assert parse_manifest("\n\n" + text) == parse_manifest(text)  # lines do not compare

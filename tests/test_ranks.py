@@ -1,11 +1,15 @@
 import random
+from fractions import Fraction
 
 from segrechains.manifold import ambient_space
 from segrechains.ranks import (
+    DEN_BOUND,
+    NUM_BOUND,
     exact_rank,
     generic_rank,
     pivot_positions,
     random_point,
+    random_scalar,
     rank_at_point,
     sample_rank,
     span_dimension,
@@ -13,6 +17,8 @@ from segrechains.ranks import (
 )
 from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import Series, SeriesMap, identity_map
+
+from helpers import reference_pivot_positions
 
 
 def test_exact_rank_known_matrices():
@@ -121,3 +127,49 @@ def test_sampler_early_exit_matches_max_over_all_trials():
         rank, point, matrix = sample_rank(matrix_at, dim, trials, seed)
         assert rank == max(ranks)
         assert point == points[ranks.index(rank)] and matrix == matrix_at(point)
+
+
+def _oracle_matrix(rng):
+    """A random matrix of shape 1..7 x 1..7 for the eliminator oracle: full,
+    low rank (A*B), or with tiny entries; sampled in the sampling box or
+    the 10x witness box; then with some entries zeroed and some rows made
+    purely real."""
+    nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+    bound = rng.choice((NUM_BOUND, 10 * NUM_BOUND))
+    kind = rng.randrange(3)
+    if kind == 0:
+        rows = [[random_scalar(rng, bound) for _ in range(ncols)] for _ in range(nrows)]
+    elif kind == 1:
+        k = rng.randint(0, min(nrows, ncols))
+        a = [[random_scalar(rng, bound) for _ in range(k)] for _ in range(nrows)]
+        b = [[random_scalar(rng, bound) for _ in range(ncols)] for _ in range(k)]
+        rows = [[sum((a[r][j] * b[j][c] for j in range(k)), ZERO) for c in range(ncols)]
+                for r in range(nrows)]
+    else:
+        rows = [[G(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(ncols)]
+                for _ in range(nrows)]
+    zero_p, real_p = rng.choice((0.0, 0.3, 0.7)), rng.choice((0.0, 0.5, 1.0))
+    for r in range(nrows):
+        if rng.random() < real_p:
+            rows[r] = [G(x.re) for x in rows[r]]
+        rows[r] = [ZERO if rng.random() < zero_p else x for x in rows[r]]
+    return rows
+
+
+def test_bareiss_pivots_match_gaussian_elimination_oracle():
+    rng = random.Random(20260)
+    shapes = set()
+    for _ in range(2500):
+        m = _oracle_matrix(rng)
+        shapes.add((len(m), len(m[0])))
+        assert pivot_positions(m) == reference_pivot_positions(m), m
+    assert len(shapes) == 49
+
+
+def test_bareiss_handles_denominators_up_to_den_bound():
+    # rows whose lcm of denominators is as large as the box allows
+    dens = range(1, DEN_BOUND + 1)
+    m = [[G(Fraction(1, a), Fraction(-1, b)) for a in dens] for b in dens]
+    assert pivot_positions(m) == reference_pivot_positions(m)
+    vander = [[G(Fraction(k, DEN_BOUND)) ** e for e in range(7)] for k in range(1, 8)]
+    assert pivot_positions(vander) == [(r, r) for r in range(7)]

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from segrechains.manifold import ambient_space
 from segrechains.scalars import GaussianRational, format_scalar
+from segrechains.series import Series
 
 from helpers import small_scalar
 
@@ -69,3 +72,103 @@ def test_floats_are_rejected():
         GaussianRational(0.5)
     with pytest.raises(TypeError):
         GaussianRational(1, 0.25)
+
+
+# -- integer-first parts -------------------------------------------------------
+
+parts = st.one_of(
+    st.integers(-50, 50),
+    st.booleans(),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+)
+scalars = st.builds(GaussianRational, parts, parts)
+INVARIANTS = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+def _canonical_part(x):
+    """An int when integral (never a bool), else a Fraction with denominator > 1."""
+    if type(x) is int:
+        return True
+    return type(x) is Fraction and x.denominator > 1
+
+
+def test_integral_parts_are_ints():
+    for value in (GaussianRational(Fraction(4, 2), Fraction(-6, 3)), GaussianRational("8/4"),
+                  GaussianRational(3) / GaussianRational(3),
+                  GaussianRational(2, 2) / GaussianRational(1, 1),
+                  GaussianRational(Fraction(1, 2)) * 2, GaussianRational(True, False)):
+        assert type(value.re) is int and type(value.im) is int, repr(value)
+    half = GaussianRational(1) / GaussianRational(2)
+    assert half.re == Fraction(1, 2) and type(half.im) is int
+
+
+@INVARIANTS
+@given(scalars, scalars, st.integers(0, 4))
+def test_every_operation_keeps_parts_canonical(a, b, n):
+    results = [a + b, a - b, a * b, -a, a.conjugate(), a ** n, a + 1, 2 * a,
+               a * Fraction(1, 3), 1 - a]
+    if not b.is_zero():
+        results += [a / b, 1 / b]
+    for value in [a, b] + results:
+        assert _canonical_part(value.re) and _canonical_part(value.im), repr(value)
+
+
+@INVARIANTS
+@given(scalars)
+def test_int_and_fraction_built_values_agree(a):
+    twin = GaussianRational(Fraction(a.re), Fraction(a.im))
+    assert twin == a and hash(twin) == hash(a)
+    assert type(twin.re) is type(a.re) and type(twin.im) is type(a.im)
+    if a.im == 0:
+        assert a == Fraction(a.re) and hash(a) == hash(GaussianRational(a.re))
+
+
+def _fraction_format(re, im):
+    """format_scalar's text computed with both parts as Fractions."""
+    re, im = Fraction(re), Fraction(im)
+    im_text = {1: "i", -1: "-i"}.get(im, f"{im}*i")
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return im_text
+    return f"{re}{'' if im_text.startswith('-') else '+'}{im_text}"
+
+
+@INVARIANTS
+@given(scalars)
+def test_format_matches_fraction_parts(a):
+    assert format_scalar(a) == _fraction_format(a.re, a.im)
+
+
+# -- Series results built without the constructor's checks --------------------
+
+SPACE = ambient_space(1, 1)
+orders = st.one_of(st.none(), st.integers(1, 4))
+exponents = st.tuples(*[st.integers(0, 2)] * SPACE.dim)
+
+
+def series(order, constant=True, size=5):
+    terms = st.dictionaries(exponents, scalars, max_size=size)
+    if not constant:
+        terms = terms.map(lambda t: {e: c for e, c in t.items() if any(e)})
+    return terms.map(lambda t: Series(SPACE, t, order))
+
+
+def _assert_canonical(s):
+    assert s == Series(s.space, s.terms, s.order)
+    for exp, c in s.terms.items():
+        assert type(c) is GaussianRational and not c.is_zero()
+        assert len(exp) == SPACE.dim and (s.order is None or sum(exp) <= s.order)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.data(), orders, orders)
+def test_series_results_are_canonical(data, order, other_order):
+    f, g = data.draw(series(order)), data.draw(series(order))
+    h = data.draw(series(other_order))
+    c = data.draw(scalars)
+    for s in (f + g, f - g, f * g, -f, f * c, f + h, f * h, f - f, f ** 2,
+              f.diff("w1"), f.diff("xi1")):
+        _assert_canonical(s)
+    sub = {n: data.draw(series(order, constant=order is None, size=2)) for n in SPACE.names}
+    _assert_canonical(f.compose(sub))
