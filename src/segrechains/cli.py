@@ -489,6 +489,15 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+class _Refused(argparse.Action):
+    """A flag of _FLAGS that a subcommand does not read: it takes its value
+    (if the flag has one), so the error names both and argparse never reads
+    the value as a positional argument."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise ParseError(" ".join(["unrecognized arguments:", option_string, *values]))
+
+
 # The flags a subcommand may declare, by destination name.
 _FLAGS = {
     "order": ("--order", {"default": None,
@@ -531,7 +540,8 @@ _COMMANDS = (
 
 def build_parser():
     """The parser: each subcommand accepts only the flags it reads, so an
-    ignored flag is a usage error rather than silently dropped."""
+    ignored flag (with its value) is a usage error rather than silently
+    dropped."""
     parser = _Parser(
         prog="segrechains",
         description="Exact Segre-chain geometry of CR-generic manifolds",
@@ -545,9 +555,13 @@ def build_parser():
         elif manifest == "optional":
             p.add_argument("manifest", nargs="?", default=None,
                            help="directory of manifests (default: bundled corpus)")
-        for flag in flags:
-            option, settings = _FLAGS[flag]
-            p.add_argument(option, **settings)
+        for flag, (option, settings) in _FLAGS.items():
+            if flag in flags:
+                p.add_argument(option, **settings)
+            else:
+                nargs = 0 if settings.get("action") == "store_true" else 1
+                p.add_argument(option, action=_Refused, nargs=nargs,
+                               dest=argparse.SUPPRESS, help=argparse.SUPPRESS)
         p.add_argument("--format", choices=("human", "machine"), default="human")
         # main and the report provenance read these whether declared or not
         p.set_defaults(func=func, kmax_min=kmax_min, order=None, seed=0,

@@ -24,7 +24,9 @@ from .invariants import segre_invariants
 from .manifold import Basepoint, CRManifold
 from .ranks import DEFAULT_TRIALS, exact_rank, sample_rank
 from .scalars import I, ZERO
-from .series import Series, TangentVectorField, VarSpace, bracket, bracket_levels
+from .series import (
+    Series, TangentVectorField, VarSpace, bracket, bracket_levels, evaluate_rows,
+)
 
 
 def chart_space(M: CRManifold) -> VarSpace:
@@ -66,13 +68,9 @@ def chart_point(M: CRManifold, basepoint: Basepoint):
 
 def _span_dim(rows, point, dim, trials, seed) -> int:
     """Span dimension of symbolic row vectors at a point (or generic, sampled)."""
-
-    def values(p):
-        return [[c.evaluate(p) for c in row] for row in rows]
-
     if point is not None:
-        return exact_rank(values(point))
-    return sample_rank(values, dim, trials, seed)[0]
+        return exact_rank(evaluate_rows(rows, point))
+    return sample_rank(lambda p: evaluate_rows(rows, p), dim, trials, seed)[0]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,9 @@ from .errors import (
 )
 from .exprs import format_series, parse_series
 from .scalars import GaussianRational, I, ZERO
-from .series import Series, SeriesMap, TangentVectorField, VarSpace, bracket, grlex_key
+from .series import (
+    Series, SeriesMap, TangentVectorField, VarSpace, bracket, evaluate_rows, grlex_key,
+)
 
 
 def ambient_space(m: int, d: int) -> VarSpace:
@@ -283,7 +285,7 @@ class Basepoint:
         m = M.m
         pw, pzeta, pxi = list(params[:m]), list(params[m : 2 * m]), list(params[2 * m :])
         at = pw + [ZERO] * M.d + pzeta + pxi
-        return pw + [q.evaluate(at) for q in M.qbar] + pzeta + pxi
+        return pw + evaluate_rows([M.qbar], at)[0] + pzeta + pxi
 
     def state_components(self, M: CRManifold, space: VarSpace, order):
         """The 2n starting components (w, z, zeta, xi) over a chain domain."""

@@ -57,6 +57,7 @@ from .series import (
     VarSpace,
     bracket,
     bracket_levels,
+    evaluate_rows,
     forward_step,
     nonzero_partials,
 )
@@ -115,8 +116,7 @@ class VFSystem:
         rng = random.Random(seed)
         points += [random_point(rng, self.n) for _ in range(trials)]
         for p in points:
-            matrix = [[c.evaluate(p) for c in row] for row in rows]
-            if exact_rank(matrix) != self.a * self.m:
+            if exact_rank(evaluate_rows(rows, p)) != self.a * self.m:
                 raise RankAssumptionViolated(
                     f"the {self.a * self.m} component fields must be pointwise "
                     f"independent (rank deficit at {p})"

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import WitnessNotFound
 from .scalars import GaussianRational, ZERO
-from .series import Series, SeriesMap
+from .series import Series, SeriesMap, evaluate_rows
 
 # Sampling box: numerators in [-99, 99], denominators in [1, 9] for both the
 # real and imaginary parts.  Keeps bignum growth bounded while making an
@@ -195,7 +195,7 @@ def _jacobian_source(f, wrt):
     if isinstance(f, SeriesMap):
         names = f._resolve_names(wrt)
         jac = [[s.diff(v) for v in names] for s in f.components]
-        return (lambda point: [[entry.evaluate(point) for entry in row] for row in jac]), jac
+        return (lambda point: evaluate_rows(jac, point)), jac
     return (lambda point: f.jacobian_at(point, wrt)), None
 
 

@@ -7,12 +7,15 @@ GaussianRational coefficients, either EXACT (a polynomial, order=None) or a
 jet truncated at a total degree.  A SeriesMap is a tuple of Series sharing one
 domain, with its components assigned to the variables of a codomain space.
 
-The calculus on Series lives here too, once for every caller: the
-forward-mode chain-rule step (forward_step) and the runner that carries a
-point through a word of flows with it (PointwiseWord: Segre chains and orbit
-flows alike), the vector field acting as a derivation (TangentVectorField),
-the bracket of two fields, and the deduplicated left-normed bracket ladder
-(bracket_levels) that both the Hormander ladder and the orbit oracle walk.
+The calculus on Series lives here too, once for every caller: exact
+evaluation at a Gaussian-rational point (Series.evaluate, summed over the
+Gaussian integers against a PointTable of the point and divided once;
+evaluate_rows shares one table across a matrix of Series), the forward-mode
+chain-rule step (forward_step) and the runner that carries a point through a
+word of flows with it (PointwiseWord: Segre chains and orbit flows alike),
+the vector field acting as a derivation (TangentVectorField), the bracket of
+two fields, and the deduplicated left-normed bracket ladder (bracket_levels)
+that both the Hormander ladder and the orbit oracle walk.
 
 All values are immutable after construction; results are kept canonical
 (no zero coefficients, no terms beyond the truncation order), so equality
@@ -21,6 +24,7 @@ is plain dict equality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -149,6 +153,58 @@ def _as_scalar(c) -> GaussianRational:
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
+def _common_denominator(scalars) -> int:
+    """The lcm of the denominators of all real and imaginary parts."""
+    return math.lcm(*(
+        part.denominator for c in scalars for part in (c.re, c.im) if type(part) is not int
+    ))
+
+
+def _scaled(part, q: int) -> int:
+    """part * q as an int, for a part (int or Fraction) whose denominator divides q."""
+    if type(part) is int:
+        return part * q
+    return part.numerator * (q // part.denominator)
+
+
+class PointTable:
+    """An exact point over Z[i], shared by the Series evaluated at it.
+
+    Every coordinate is put over one common denominator q, the lcm of all
+    real and imaginary denominators: pows[i][e] is N_i^e as an (re, im) int
+    pair for the numerator N_i of coordinate i, and qpow[k] is q^k.  The
+    first Series.evaluate with the table fills it (so the work counts as
+    evaluation), and both lists grow as later calls need higher powers.
+    """
+
+    __slots__ = ("point", "q", "qpow", "pows")
+
+    def __init__(self, point: Sequence):
+        self.point = point
+        self.pows = None
+
+    def fill(self):
+        coords = [_as_scalar(x) for x in self.point]
+        self.q = q = _common_denominator(coords)
+        self.qpow = [1]
+        self.pows = [[(1, 0), (_scaled(c.re, q), _scaled(c.im, q))] for c in coords]
+
+    def extend(self, i: int, e: int):
+        """Fill pows[i] up to N_i^e."""
+        row = self.pows[i]
+        nr, ni = row[1]
+        while len(row) <= e:
+            a, b = row[-1]
+            row.append((a * nr - b * ni, a * ni + b * nr))
+
+
+def evaluate_rows(rows, point: Sequence) -> list:
+    """The matrix of values of a matrix of Series at one point, every entry
+    through Series.evaluate with one PointTable for the point."""
+    table = PointTable(point)
+    return [[s.evaluate(point, table) for s in row] for row in rows]
+
+
 def grlex_key(exp):
     """Graded-lexicographic sort key used for canonical term order."""
     return (sum(exp), exp)
@@ -157,7 +213,8 @@ def grlex_key(exp):
 class Series:
     """A sparse polynomial (order=None) or truncated jet (order=N) over Q(i)."""
 
-    __slots__ = ("space", "terms", "order")
+    # _form: the integer form evaluate caches on first use (_integer_form)
+    __slots__ = ("space", "terms", "order", "_form")
 
     def __init__(self, space: VarSpace, terms=None, order: Optional[int] = None):
         clean = {}
@@ -360,30 +417,68 @@ class Series:
         order = None if self.order is None else max(self.order - 1, 0)
         return Series._canonical(self.space, terms, order)
 
-    def evaluate(self, point: Sequence, powers: Optional[dict] = None) -> GaussianRational:
+    def evaluate(self, point: Sequence,
+                 table: Optional[PointTable] = None) -> GaussianRational:
         """Exact value of the stored polynomial part at a Gaussian-rational point.
 
         In truncated mode this is jet evaluation: the value of the stored
-        polynomial, used only for rank sampling.  `powers`, a dict kept by the
-        caller for one point, shares the coordinate powers between calls.
+        polynomial.  It gives the Jacobians of rank sampling, the values and
+        gradient rows of every forward_step, basepoint state values and
+        reality checks.  The sum is taken over Z[i] and divided once:
+        sum(L*c_e * N^e * q^(D - |e|)) / (L * q^D), with N/q the point over
+        its common denominator q (`table`, a PointTable of `point` that the
+        caller may share between calls) and L the lcm of the coefficients'
+        denominators, D the total degree (both cached on first use).
         """
         if len(point) != self.space.dim:
             raise DimensionMismatch(
                 f"point dimension {len(point)} != space dim {self.space.dim}"
             )
-        if powers is None:
-            powers = {}
-        total = ZERO
+        try:
+            lcd, degree, needed, terms = self._form
+        except AttributeError:
+            lcd, degree, needed, terms = self._integer_form()
+        if not terms:
+            return ZERO
+        if table is None:
+            table = PointTable(point)
+        if table.pows is None:
+            table.fill()
+        pows, qpow = table.pows, table.qpow
+        for i, e in needed:
+            if len(pows[i]) <= e:
+                table.extend(i, e)
+        while len(qpow) <= degree:
+            qpow.append(qpow[-1] * table.q)
+        re = im = 0
+        for factors, deg, a, b in terms:
+            for i, e in factors:
+                c, d = pows[i][e]
+                a, b = a * c - b * d, a * d + b * c
+            k = qpow[degree - deg]
+            re += a * k
+            im += b * k
+        den = lcd * qpow[degree]
+        if den == 1:
+            return GaussianRational(re, im)
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+    def _integer_form(self):
+        """(L, D, ((i, largest e), ...), ((factors, |e|, L*c.re, L*c.im), ...))
+        where factors are the (i, e) with e > 0 of a term; kept in _form."""
+        lcd = _common_denominator(self.terms.values())
+        needed = {}
+        terms = []
         for exp, c in self.terms.items():
-            v = c
-            for i, e in enumerate(exp):
-                if e:
-                    pw = powers.get((i, e))
-                    if pw is None:
-                        pw = powers[(i, e)] = _as_scalar(point[i]) ** e
-                    v = v * pw
-            total = total + v
-        return total
+            factors = tuple((i, e) for i, e in enumerate(exp) if e)
+            for i, e in factors:
+                if e > needed.get(i, 0):
+                    needed[i] = e
+            terms.append((factors, sum(exp), _scaled(c.re, lcd), _scaled(c.im, lcd)))
+        degree = max((t[1] for t in terms), default=0)
+        form = (lcd, degree, tuple(needed.items()), tuple(terms))
+        object.__setattr__(self, "_form", form)
+        return form
 
     def sigma_conjugate(self) -> "Series":
         """Conjugate coefficients and transport exponents along the sigma-pairing."""
@@ -442,19 +537,25 @@ class Series:
                 break
             if target is None:
                 raise VarSpaceMismatch("empty substitution for a constant series")
-        result = Series.zero(target, order)
+        terms = {}
+        constant = {(0,) * target.dim: ONE}
         powers = {}  # var index -> [1, s, s^2, ...]
         for exp, c in self.terms.items():
-            prod = Series.constant(target, c, order)
+            prod = None
             for i, e in enumerate(exp):
                 if not e:
                     continue
                 cache = powers.setdefault(i, [Series.constant(target, 1, order)])
                 while len(cache) <= e:
                     cache.append(cache[-1] * mapping[self.space.names[i]])
-                prod = prod * cache[e]
-            result = result + prod
-        return result
+                prod = cache[e] if prod is None else prod * cache[e]
+            for e, v in (constant if prod is None else prod.terms).items():
+                t = terms.get(e, ZERO) + c * v
+                if t.is_zero():
+                    terms.pop(e, None)
+                else:
+                    terms[e] = t
+        return Series._canonical(target, terms, order)
 
     def lift(self, space: VarSpace) -> "Series":
         """Re-express over a larger space containing all used variables (by name)."""
@@ -524,7 +625,7 @@ class SeriesMap:
         return self.components[self.codomain.index_of(name)]
 
     def evaluate(self, point: Sequence):
-        return [s.evaluate(point) for s in self.components]
+        return evaluate_rows([self.components], point)[0]
 
     def jacobian(self, wrt=None):
         """Matrix of Series: rows follow components, columns the given variables.
@@ -578,18 +679,18 @@ def forward_step(fns, partials, at, rows):
     gradient row (all rows of one length); partials[j] is
     nonzero_partials(fns[j]).  Returns a (value, row) pair per function:
     fns[j](at) and sum_a dfns[j]/dx_a(at) * rows[a].  Rows are built new,
-    never mutated, and one powers table serves the whole step.
+    never mutated, and one PointTable serves the whole step.
     """
     zero_row = [ZERO] * len(rows[0])
-    powers = {}
+    table = PointTable(at)
     out = []
     for f, parts in zip(fns, partials):
         row = zero_row
         for a, p in parts:
-            c = p.evaluate(at, powers)
+            c = p.evaluate(at, table)
             if not c.is_zero():
                 row = [x + c * y if y else x for x, y in zip(row, rows[a])]
-        out.append((f.evaluate(at, powers), row))
+        out.append((f.evaluate(at, table), row))
     return out
 
 
@@ -679,7 +780,7 @@ class TangentVectorField:
         return out
 
     def value_at(self, point) -> list:
-        return [c.evaluate(point) for c in self.coefficients]
+        return evaluate_rows([self.coefficients], point)[0]
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coefficients)

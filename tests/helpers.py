@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from segrechains.corpus import corpus
+from segrechains.errors import DimensionMismatch
 from segrechains.lie import _span_dim, bracket, chart_point, gradient_rows, tangent_fields
 from segrechains.manifests import load_manifest
 from segrechains.manifold import Basepoint, graph_from_real, new_manifold, real_graph_space
@@ -42,6 +43,23 @@ def reference_pivot_positions(matrix):
         rank += 1
         col += 1
     return pivots
+
+
+def reference_evaluate(series, point):
+    """Reference evaluator: the value of a Series at a point summed term by
+    term in GaussianRational arithmetic, one Fraction product per factor."""
+    if len(point) != series.space.dim:
+        raise DimensionMismatch(
+            f"point dimension {len(point)} != space dim {series.space.dim}"
+        )
+    total = ZERO
+    for exp, c in series.terms.items():
+        v = c
+        for i, e in enumerate(exp):
+            if e:
+                v = v * GaussianRational._coerce(point[i]) ** e
+        total = total + v
+    return total
 
 
 def small_scalar(rng, bound=5):

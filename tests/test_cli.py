@@ -287,10 +287,15 @@ def test_flags_a_subcommand_ignores_are_usage_errors(capsys):
         ("hormander", heis, "--kmax", "4"),
         ("orbit", heis, "--base", "generic"),
         ("checkall", "--order", "3"),
+        ("checkall", "--kmax", "3"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and _single_error_line(err), argv
         assert "unrecognized arguments" in err, argv
+    # the refused flag keeps its value, which is not read as the manifest directory
+    for argv in (("checkall", "--kmax", "3"), ("validate", heis, "--seed", "3")):
+        _, _, err = run_cli(capsys, *argv)
+        assert err == f"error: unrecognized arguments: {argv[-2]} 3\n", argv
     for argv in (
         ("validate", heis, "--order", "4"),
         ("e1det", data_path("quadric_elliptic"), "--order", "EXACT"),

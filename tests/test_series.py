@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segrechains.errors import (
+    DimensionMismatch,
     TruncationUnsound,
     UnknownVariable,
     UnpairedVariable,
@@ -10,9 +13,11 @@ from segrechains.errors import (
 )
 from segrechains.manifold import ambient_space
 from segrechains.scalars import GaussianRational, ZERO
-from segrechains.series import Series, SeriesMap, VarSpace, identity_map
+from segrechains.series import (
+    PointTable, Series, SeriesMap, VarSpace, evaluate_rows, identity_map,
+)
 
-from helpers import random_series, small_scalar
+from helpers import random_series, reference_evaluate, small_scalar
 
 
 def simple_space():
@@ -182,6 +187,56 @@ def test_evaluate_exact():
     assert (f + g).evaluate(pt) == f.evaluate(pt) + g.evaluate(pt)
     zero_pt = [ZERO] * space.dim
     assert f.evaluate(zero_pt) == f.constant_term()
+
+
+# -- integer-first evaluation against the term-by-term reference ---------------
+
+_small = st.one_of(
+    st.integers(-20, 20), st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+)
+# coordinates as large as forward-mode intermediate values
+_large = st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64), st.integers(1, 2 ** 64))
+_coefficients = st.builds(GaussianRational, _small, _small)
+_coordinates = st.one_of(
+    st.just(0), st.just(ZERO), st.integers(-99, 99), _small, _large,
+    st.builds(GaussianRational, _small, _small),
+    st.builds(GaussianRational, _large, _large),
+)
+
+
+def _evaluated_series(order):
+    space = simple_space()
+    exponents = st.tuples(*[st.integers(0, 3)] * space.dim)
+    terms = st.dictionaries(exponents, _coefficients, max_size=6)
+    return terms.map(lambda t: Series(space, t, order))
+
+
+def _canonical_parts(value):
+    """Each part an int exactly when integral, else a Fraction."""
+    return all(type(p) is int or (type(p) is Fraction and p.denominator > 1)
+               for p in (value.re, value.im))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data(), st.one_of(st.none(), st.integers(0, 5)))
+def test_evaluate_matches_reference_evaluation(data, order):
+    fs = data.draw(st.lists(_evaluated_series(order), min_size=1, max_size=4))
+    point = data.draw(st.lists(_coordinates, min_size=4, max_size=4))
+    hashes = [hash(f) for f in fs]
+    expected = [reference_evaluate(f, point) for f in fs]
+    table = PointTable(point)  # one table across the series and repeated calls
+    for _ in range(2):
+        for f, want in zip(fs, expected):
+            for got in (f.evaluate(point, table), f.evaluate(point)):
+                assert got == want and _canonical_parts(got)
+    assert evaluate_rows([fs, fs[::-1]], point) == [expected, expected[::-1]]
+    for f, h in zip(fs, hashes):
+        assert hash(f) == h and f == Series(f.space, f.terms, f.order)
+    for short in (point[:3], point + [1]):
+        with pytest.raises(DimensionMismatch):
+            fs[0].evaluate(short)
+        with pytest.raises(DimensionMismatch):
+            fs[0].evaluate(short, PointTable(short))
 
 
 def test_seriesmap_evaluate_and_jacobian():
