@@ -1,18 +1,20 @@
 """Concatenated flow maps on the complexified manifold.
 
 gamma(M, k, ...) builds the chain map in k parameter blocks u1..uk by
-alternating the two exact vectorial flows
+alternating the two exact vectorial flows of manifold.cr_flows
 
     L-flow:    (w, z, zeta, xi) |-> (w + u, qbar(w + u, zeta, xi), zeta, xi)
     Lbar-flow: (w, z, zeta, xi) |-> (w, z, zeta + u, q(zeta + u, w, z))
 
-starting from a basepoint (origin, numeric, or symbolic).  psi projects the
-chain alternately to the two coordinate half-spaces, v_map builds the
-classical nested-substitution maps independently of the flow machinery, and
+starting from a basepoint (origin, numeric, or symbolic): the word of flows
+is expanded by series.expand_word, which keeps the chains from one basepoint
+on M, so Gamma_k extends Gamma_{k-1}.  psi projects the chain alternately to
+the two coordinate half-spaces, v_map builds the classical
+nested-substitution maps independently of the flow machinery, and
 check_reparam verifies the linear reparametrization identities that tie the
 two constructions together.
 
-In EXACT mode the same recursion also runs on exact values at one point,
+In EXACT mode the same word also runs on exact values at one point,
 carrying the derivatives in the u-blocks along (forward-mode
 differentiation): the two flows are steps of a series.PointwiseWord, so a
 chain can be ranked without being expanded.  chain_at_point gives its
@@ -32,16 +34,8 @@ from .errors import (
     TruncationUnsound,
     UnknownVariable,
 )
-from .manifold import Basepoint, CRManifold, _ambient_subst
-from .scalars import ONE
-from .series import (
-    PointwiseWord,
-    Series,
-    SeriesMap,
-    VarSpace,
-    forward_step,
-    nonzero_partials,
-)
+from .manifold import Basepoint, CRManifold, cr_flows
+from .series import PointwiseWord, Series, SeriesMap, VarSpace, expand_word
 
 # coordinate charts of the complexified manifold, by ambient blocks
 _CHARTS = {
@@ -95,68 +89,11 @@ def chain_space(M: CRManifold, k: int, basepoint: Basepoint) -> VarSpace:
     return VarSpace(blocks, pairs)
 
 
-def _flow_step(M: CRManifold, which: str, comps, params, space, order):
-    """One vectorial flow applied to ambient state components over `space`."""
-    m, d = M.m, M.d
-    w, z = list(comps[:m]), list(comps[m : m + d])
-    zeta, xi = list(comps[m + d : 2 * m + d]), list(comps[2 * m + d :])
-    if which == "L":
-        new_w = [w[i] + params[i] for i in range(m)]
-        sub = _ambient_subst(M, space, new_w, zeta, xi, order)
-        new_z = [M.qbar[j].compose(sub) for j in range(d)]
-        return new_w + new_z + zeta + xi
-    if which == "Lbar":
-        new_zeta = [zeta[i] + params[i] for i in range(m)]
-        sub = _ambient_subst(M, space, w, new_zeta, xi, order, z_vals=z)
-        new_xi = [M.q[j].compose(sub) for j in range(d)]
-        return w + z + new_zeta + new_xi
-    raise ValueError(f"unknown flow kind {which!r}")
-
-
-class _ChainFlow:
-    """The closed-form L or Lbar flow on exact (value, gradient row) pairs, as
-    a series.PointwiseWord step: the moved block gains its times and their
-    unit columns, and the recomputed block takes the values of qbar or q and
-    the chain rule of their partials (series.forward_step).  qbar never reads
-    z (reality validation refuses a theta_bar that uses it)."""
-
-    __slots__ = ("moved", "target", "fns", "partials")
-
-    def __init__(self, moved, target, fns):
-        self.moved, self.target, self.fns = moved, target, fns
-        self.partials = [nonzero_partials(f) for f in fns]
-
-    def advance(self, values, rows, times, col):
-        values, rows = list(values), list(rows)
-        for i, a in enumerate(self.moved):
-            values[a] = values[a] + times[i]
-            row = list(rows[a])
-            row[col + i] = row[col + i] + ONE
-            rows[a] = row
-        new = forward_step(self.fns, self.partials, values, rows)
-        for t, (value, row) in zip(self.target, new):
-            values[t], rows[t] = value, row
-        return values, rows
-
-
-def _chain_flows(M: CRManifold):
-    """The L and Lbar flows of M, built on first use, then kept on M."""
-    flows = getattr(M, "_chain_flow_cache", None)
-    if flows is None:
-        m, d, n = M.m, M.d, M.n
-        flows = M._chain_flow_cache = {
-            "L": _ChainFlow(range(m), range(m, m + d), M.qbar),
-            "Lbar": _ChainFlow(range(m + d, 2 * m + d), range(2 * m + d, 2 * n), M.q),
-        }
-    return flows
-
-
 def _chain_word(M: CRManifold, k: int, basepoint: Basepoint, parity: str, out=None):
     """Gamma_k as a series.PointwiseWord over chain_space(M, k, basepoint)."""
     if M.order is not None:
         raise TruncationUnsound("forward-mode chain values need an EXACT manifold")
-    flows = [_chain_flows(M)[_flow_kind(parity, s)] for s in range(1, k + 1)]
-    return PointwiseWord(chain_space(M, k, basepoint), flows,
+    return PointwiseWord(chain_space(M, k, basepoint), _flow_word(M, k, parity),
                          lambda params: basepoint.state_values(M, params), out)
 
 
@@ -164,7 +101,7 @@ def chain_at_point(M: CRManifold, k: int, basepoint: Basepoint, parity: str, poi
     """Exact ambient values of Gamma_k at `point` and their Jacobian in u1..uk.
 
     `point` assigns every variable of chain_space(M, k, basepoint).  The
-    recursion of _flow_step runs on exact (value, gradient) pairs
+    word of manifold.CRFlows runs on exact (value, gradient) pairs
     (forward-mode differentiation, series.PointwiseWord); the basepoint
     contributes values and zero derivatives.  Valid in EXACT mode only: a
     truncated jet does not commute with pointwise evaluation.
@@ -189,9 +126,15 @@ def flow(M: CRManifold, which: str, state: SeriesMap, param_block: str) -> Serie
     names = space.block_vars(param_block)
     if len(names) != M.m:
         raise DimensionMismatch(f"block {param_block!r} must have {M.m} variables")
+    if which not in ("L", "Lbar"):
+        raise ValueError(f"unknown flow kind {which!r}")
     params = [Series.variable(space, nm, state.order) for nm in names]
-    comps = _flow_step(M, which, list(state.components), params, space, state.order)
-    return SeriesMap(comps, M.space)
+    return SeriesMap(cr_flows(M)[which].expand(state.components, params), M.space)
+
+
+def _flow_word(M: CRManifold, k: int, parity: str):
+    """The k CRFlows of a chain of the given parity."""
+    return [cr_flows(M)[_flow_kind(parity, s)] for s in range(1, k + 1)]
 
 
 def _flow_kind(parity: str, step: int) -> str:
@@ -234,26 +177,13 @@ class ChainMap:
 
 
 def _chain_states(M: CRManifold, k: int, basepoint: Basepoint, parity: str):
-    """Ambient state components after 0..k flows, each over its own chain space."""
-    cache = getattr(M, "_chain_cache", None)
-    if cache is None:
-        cache = M._chain_cache = {}
-    key = (basepoint, parity, k)
-    if key in cache:
-        return cache[key]
-    if k == 0:
-        space = chain_space(M, 0, basepoint)
-        comps = basepoint.state_components(M, space, M.order)
-    else:
-        prev = _chain_states(M, k - 1, basepoint, parity)
-        space = chain_space(M, k, basepoint)
-        lifted = [s.lift(space) for s in prev]
-        params = [
-            Series.variable(space, f"u{k}_{j}", M.order) for j in range(1, M.m + 1)
-        ]
-        comps = _flow_step(M, _flow_kind(parity, k), lifted, params, space, M.order)
-    cache[key] = comps
-    return comps
+    """Ambient state components of Gamma_k over chain_space(M, k, basepoint),
+    expanded by series.expand_word.  The states of the chains from one
+    basepoint are kept on M, so a chain extends the shorter one."""
+    cache = vars(M).setdefault("_chain_cache", {}).setdefault(basepoint, {})
+    return expand_word(_flow_word(M, k, parity),
+                       lambda space: basepoint.state_components(M, space, M.order),
+                       lambda i: chain_space(M, i, basepoint), M.order, cache)
 
 
 def gamma(M: CRManifold, k: int, basepoint: Optional[Basepoint] = None,
@@ -304,12 +234,9 @@ def psi(M: CRManifold, k: int, basepoint: Optional[Basepoint] = None,
     return chain.in_chart(psi_chart(k, parity))
 
 
-def v_space(M: CRManifold, k: int) -> VarSpace:
-    blocks = [
-        (f"u{i}", tuple(f"u{i}_{j}" for j in range(1, M.m + 1)))
-        for i in range(1, max(k, 1) + 1)
-    ][: k if k else 0]
-    return VarSpace(blocks, [(v, v) for _, vs in blocks for v in vs])
+def _ambient_subst(M: CRManifold, w, z, zeta, xi) -> dict:
+    """Substitution of the ambient variables by the given component series."""
+    return dict(zip(M.space.names, [*w, *z, *zeta, *xi]))
 
 
 def v_map(M: CRManifold, k: int) -> SeriesMap:
@@ -322,7 +249,7 @@ def v_map(M: CRManifold, k: int) -> SeriesMap:
         space = VarSpace([])
         comps = [Series.zero(space, M.order) for _ in range(M.n)]
         return SeriesMap(comps, t_space)
-    space = v_space(M, k)
+    space = chain_space(M, k, Basepoint.origin())
     order = M.order
     zero = [Series.zero(space, order)] * max(M.m, M.d)
 
@@ -331,24 +258,22 @@ def v_map(M: CRManifold, k: int) -> SeriesMap:
 
     # innermost transversal value, then fold outwards down to slot 2
     if k % 2 == 1:
-        sub = _ambient_subst(M, space, ublock(k), zero[: M.m], zero[: M.d], order)
+        sub = _ambient_subst(M, ublock(k), zero[: M.d], zero[: M.m], zero[: M.d])
         tail = [M.qbar[j].compose(sub) for j in range(M.d)]
     else:
-        sub = _ambient_subst(M, space, zero[: M.m], ublock(k), zero[: M.d], order,
-                             z_vals=zero[: M.d])
+        sub = _ambient_subst(M, zero[: M.m], zero[: M.d], ublock(k), zero[: M.d])
         tail = [M.q[j].compose(sub) for j in range(M.d)]
     for s in range(k - 1, 1, -1):
         if s % 2 == 0:
-            sub = _ambient_subst(M, space, ublock(s + 1), ublock(s), zero[: M.d],
-                                 order, z_vals=tail)
+            sub = _ambient_subst(M, ublock(s + 1), tail, ublock(s), zero[: M.d])
             tail = [M.q[j].compose(sub) for j in range(M.d)]
         else:
-            sub = _ambient_subst(M, space, ublock(s), ublock(s + 1), tail, order)
+            sub = _ambient_subst(M, ublock(s), zero[: M.d], ublock(s + 1), tail)
             tail = [M.qbar[j].compose(sub) for j in range(M.d)]
     if k == 1:
         comps = ublock(1) + tail
     else:
-        sub = _ambient_subst(M, space, ublock(1), ublock(2), tail, order)
+        sub = _ambient_subst(M, ublock(1), zero[: M.d], ublock(2), tail)
         comps = ublock(1) + [M.qbar[j].compose(sub) for j in range(M.d)]
     return SeriesMap(comps, t_space)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .chains import check_reparam, default_kmax, gamma, sigma_image
-from .corpus import corpus
+from .corpus import corpus, load_with_sidecar
 from .errors import ParseError, SegreError, RealityViolation
 from .exprs import format_series, parse_series
 from .invariants import (
@@ -435,13 +435,10 @@ def _check_manifold_expectations(name, manifest, expected, args, emit):
 
 
 def cmd_checkall(args):
-    if args.manifest:
-        root = Path(args.manifest)
-        entries = sorted((p.stem, p) for p in root.glob("*.mf"))
-        if not entries:
-            raise ParseError(f"no .mf manifests under {root}")
-    else:
-        entries = corpus()
+    root = Path(args.manifest) if args.manifest else None
+    entries = corpus(root)
+    if not entries:
+        raise ParseError(f"no .mf manifests under {root}")
     lines = []
     items = []
     total_failures = 0
@@ -455,11 +452,8 @@ def cmd_checkall(args):
         items.append({"name": name, "check": key, "ok": bool(ok)})
 
     for name, path in entries:
-        manifest = load_manifest(path)
-        expected_path = path.parent / f"{name}.expected.json"
-        expected = {}
-        if expected_path.exists():
-            expected = json.loads(expected_path.read_text(encoding="utf-8"))
+        manifest, expected = load_with_sidecar(path)
+        expected = expected or {}
         if manifest.kind == "manifold":
             _check_manifold_expectations(name, manifest, expected, args, emit)
         else:

@@ -6,7 +6,8 @@ complexified manifold, where the pair of m-vector fields takes the form
     L_i    = d/dw_i
     Lbar_i = d/dzeta_i - i * sum_j theta_{j, zeta_i}(zeta, w, qbar) d/dxi_j.
 
-The field type, the bracket and the deduplicated bracket ladder are
+The chart fields come from the ambient rows of manifold.cr_pair_rows.  The
+field type, the bracket and the deduplicated bracket ladder are
 series.TangentVectorField, series.bracket and series.bracket_levels
 (re-exported here).  Span dimensions are exact row reductions over Q(i) at
 numeric basepoints; a symbolic basepoint leaves the chart variables in the
@@ -21,11 +22,12 @@ from typing import List, Optional, Tuple
 
 from .errors import SegreError, WrongDimensions
 from .invariants import segre_invariants
-from .manifold import Basepoint, CRManifold
+from .manifold import Basepoint, CRManifold, cr_pair_rows
 from .ranks import DEFAULT_TRIALS, exact_rank, sample_rank
 from .scalars import I, ZERO
 from .series import (
     Series, TangentVectorField, VarSpace, bracket, bracket_levels, evaluate_rows,
+    noncommuting_pair,
 )
 
 
@@ -35,26 +37,22 @@ def chart_space(M: CRManifold) -> VarSpace:
 
 
 def tangent_fields(M: CRManifold) -> Tuple[List[TangentVectorField], List[TangentVectorField]]:
-    """The 2m chart fields (L_1..L_m, Lbar_1..Lbar_m)."""
+    """The 2m chart fields (L_1..L_m, Lbar_1..Lbar_m): the rows of
+    manifold.cr_pair_rows without their z coefficients, each coefficient that
+    reads z restricted to the graph z = qbar, lifted to the chart."""
     cs = chart_space(M)
-    order = M.order
-    zero = Series.zero(cs, order)
-    one = Series.constant(cs, 1, order)
-    L = []
-    for i, wv in enumerate(cs.block_vars("w")):
-        coeffs = [zero] * cs.dim
-        coeffs[cs.index_of(wv)] = one
-        L.append(TangentVectorField(cs, tuple(coeffs), f"L{i + 1}"))
-    Lbar = []
-    xi_idx = [cs.index_of(v) for v in cs.block_vars("xi")]
-    for i, zv in enumerate(cs.block_vars("zeta")):
-        coeffs = [zero] * cs.dim
-        coeffs[cs.index_of(zv)] = one
-        for j in range(M.d):
-            c = M.restrict(M.theta[j].diff(M.space.block_vars("zeta")[i]))
-            coeffs[xi_idx[j]] = (-I) * c.lift(cs)
-        Lbar.append(TangentVectorField(cs, tuple(coeffs), f"Lbar{i + 1}"))
-    return L, Lbar
+    z_idx = set(M.space.block("z"))
+    keep = [M.space.index_of(v) for v in cs.names]
+
+    def chart_field(row, label):
+        coeffs = tuple(
+            (M.restrict(row[a]) if row[a].used_indices() & z_idx else row[a]).lift(cs)
+            for a in keep
+        )
+        return TangentVectorField(cs, coeffs, label)
+
+    return tuple([chart_field(row, f"{name}{i + 1}") for i, row in enumerate(rows)]
+                 for name, rows in zip(("L", "Lbar"), cr_pair_rows(M)))
 
 
 def chart_point(M: CRManifold, basepoint: Basepoint):
@@ -141,9 +139,7 @@ def gradient_rows(M: CRManifold) -> List[List[Series]]:
     rows = []
     for j in range(M.d):
         row = [(-I) * M.theta_bar[j].diff(wv) for wv in M.space.block_vars("w")]
-        unit = [
-            Series.constant(M.space, 1 if l == j else 0, M.order) for l in range(M.d)
-        ]
+        unit = [Series.constant(M.space, int(l == j), M.order) for l in range(M.d)]
         rows.append([c.lift(cs) for c in row] + [u.lift(cs) for u in unit])
     return rows
 
@@ -171,10 +167,10 @@ def levi_type(
     if kmax < 1:
         raise SegreError("kmax must be >= 1")
     _, Lbar = tangent_fields(M)
-    for i, X in enumerate(Lbar):
-        for Y in Lbar[i + 1 :]:
-            if not bracket(X, Y).is_zero():
-                raise SegreError(f"internal: chart fields {X.label}, {Y.label} do not commute")
+    pair = noncommuting_pair(Lbar)
+    if pair is not None:
+        X, Y = (Lbar[i] for i in pair)
+        raise SegreError(f"internal: chart fields {X.label}, {Y.label} do not commute")
     cs = Lbar[0].space
     point = chart_point(M, basepoint)
     rows = gradient_rows(M)

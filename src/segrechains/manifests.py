@@ -87,6 +87,9 @@ class Manifest:
     def build_manifold(self) -> CRManifold:
         m, d = int(self.params["m"]), int(self.params["d"])
         space, order = ambient_space(m, d), self.order_value()
+        for j in self.entries:
+            if not 1 <= j <= d:
+                raise ParseError(f"{self.location(j)}: theta_bar_{j} out of range")
         theta = []
         for j in range(1, d + 1):
             if j not in self.entries:
@@ -207,6 +210,20 @@ def parse_manifest(text: str, source: Optional[str] = None) -> Manifest:
     return Manifest(kind, params, entries, source, diagnostics, lines)
 
 
+def read_text(path) -> str:
+    """The UTF-8 text at `path`; FileNotFoundError if it is missing, a
+    ParseError naming it if unreadable (a directory, not UTF-8)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        where = f"byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+        raise ParseError(f"{path}: not UTF-8 text ({where})") from None
+
+
 def load_manifest(path) -> Manifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_manifest(fh.read(), source=str(path))
+    return parse_manifest(read_text(path), source=str(path))

@@ -10,6 +10,14 @@ sigma-conjugate of theta_bar.  Construction validates the reality identity
 
 term by term (exactly in polynomial mode, modulo the truncation order
 otherwise); failure raises RealityViolation with the first bad monomial.
+
+The complexified CR pair (L, Lbar) is built here once: cr_pair_rows gives
+its ambient coefficient rows, which vector_fields certifies and
+lie.tangent_fields takes to the intrinsic chart, and cr_flows its closed-form
+flows (CRFlow), stepping exact values at a point (advance) or Series
+(expand).  A Segre variety (segre_leaf) and a symbolic basepoint are one
+flow of a fixed point; the Segre chains of the chains module are words of
+flows.
 """
 
 from __future__ import annotations
@@ -25,9 +33,10 @@ from .errors import (
     SingularInput,
 )
 from .exprs import format_series, parse_series
-from .scalars import GaussianRational, I, ZERO
+from .scalars import GaussianRational, I, ONE, ZERO
 from .series import (
-    Series, SeriesMap, TangentVectorField, VarSpace, bracket, evaluate_rows, grlex_key,
+    Series, SeriesMap, TangentVectorField, VarSpace, bracket, evaluate_rows, forward_step,
+    grlex_key, noncommuting_pair, nonzero_partials,
 )
 
 
@@ -282,10 +291,8 @@ class Basepoint:
             return [ZERO] * (2 * M.n)
         if self.kind == "numeric":
             return list(self.w) + list(self.z) + list(self.zeta) + list(self.xi)
-        m = M.m
-        pw, pzeta, pxi = list(params[:m]), list(params[m : 2 * m]), list(params[2 * m :])
-        at = pw + [ZERO] * M.d + pzeta + pxi
-        return pw + evaluate_rows([M.qbar], at)[0] + pzeta + pxi
+        at = list(params[: M.m]) + [ZERO] * M.d + list(params[M.m :])
+        return at[: M.m] + evaluate_rows([M.qbar], at)[0] + at[M.n :]
 
     def state_components(self, M: CRManifold, space: VarSpace, order):
         """The 2n starting components (w, z, zeta, xi) over a chain domain."""
@@ -293,26 +300,62 @@ class Basepoint:
             return [Series.zero(space, order) for _ in range(2 * M.n)]
         if self.kind == "numeric":
             return [Series.constant(space, v, order) for v in self.state_values(M)]
-        pw = [Series.variable(space, f"pw{i}", order) for i in range(1, M.m + 1)]
-        pzeta = [Series.variable(space, f"pzeta{i}", order) for i in range(1, M.m + 1)]
-        pxi = [Series.variable(space, f"pxi{j}", order) for j in range(1, M.d + 1)]
-        sub = _ambient_subst(M, space, pw, pzeta, pxi, order)
-        z = [M.qbar[j].compose(sub) for j in range(M.d)]
-        return pw + z + pzeta + pxi
+        # the L-flow of (0, 0, pzeta, pxi) by the times pw
+        p = [Series.variable(space, v, order) for _, vs in self.param_blocks(M) for v in vs]
+        state = [Series.zero(space, order)] * M.n + p[M.m :]
+        return cr_flows(M)["L"].expand(state, p[: M.m])
 
 
-def _ambient_subst(M: CRManifold, space, w_vals, zeta_vals, xi_vals, order, z_vals=None):
-    """Substitution ambient -> target space from component series."""
-    sub = {}
-    for i, name in enumerate(M.space.block_vars("w")):
-        sub[name] = w_vals[i]
-    for i, name in enumerate(M.space.block_vars("zeta")):
-        sub[name] = zeta_vals[i]
-    for j, name in enumerate(M.space.block_vars("xi")):
-        sub[name] = xi_vals[j]
-    for j, name in enumerate(M.space.block_vars("z")):
-        sub[name] = z_vals[j] if z_vals is not None else Series.zero(space, order)
-    return sub
+# -- the CR flows -------------------------------------------------------------
+
+
+class CRFlow:
+    """The L or Lbar flow of M: the moved block (w or zeta) gains its times,
+    then the recomputed block (z or xi) takes the values of qbar or q on the
+    whole state (qbar never reads z, q never reads xi).  advance steps exact
+    (value, gradient row) pairs, expand steps Series."""
+
+    __slots__ = ("names", "moved", "target", "fns", "_partials")
+
+    def __init__(self, space: VarSpace, moved, target, fns):
+        self.names, self.moved, self.target, self.fns = space.names, moved, target, fns
+        self._partials = None
+
+    def advance(self, values, rows, times, col):
+        if self._partials is None:
+            self._partials = [nonzero_partials(f) for f in self.fns]
+        values, rows = list(values), list(rows)
+        for i, a in enumerate(self.moved):
+            values[a] = values[a] + times[i]
+            row = list(rows[a])
+            row[col + i] = row[col + i] + ONE
+            rows[a] = row
+        new = forward_step(self.fns, self._partials, values, rows)
+        for t, (value, row) in zip(self.target, new):
+            values[t], rows[t] = value, row
+        return values, rows
+
+    def expand(self, state, times):
+        """The flow at the Series `times` of ambient state components."""
+        state = list(state)
+        for i, a in enumerate(self.moved):
+            state[a] = state[a] + times[i]
+        sub = dict(zip(self.names, state))
+        for t, f in zip(self.target, self.fns):
+            state[t] = f.compose(sub)
+        return state
+
+
+def cr_flows(M: CRManifold) -> dict:
+    """The "L" and "Lbar" CRFlows of M, built on first use, then kept on M."""
+    flows = getattr(M, "_cr_flows", None)
+    if flows is None:
+        m, d, n = M.m, M.d, M.n
+        flows = M._cr_flows = {
+            "L": CRFlow(M.space, range(m), range(m, m + d), M.qbar),
+            "Lbar": CRFlow(M.space, range(m + d, 2 * m + d), range(2 * m + d, 2 * n), M.q),
+        }
+    return flows
 
 
 # -- ambient CR vector fields ------------------------------------------------
@@ -335,43 +378,49 @@ class MVectorField:
         return self._component(i).apply(f)
 
     def bracket_coefficients(self, i: int, j: int):
-        """Ambient coefficients of [X_i, X_j] (used by the commutation check)."""
+        """Ambient coefficients of [X_i, X_j]."""
         return bracket(self._component(i), self._component(j)).coefficients
 
     def _component(self, i: int) -> TangentVectorField:
         return TangentVectorField(self.manifold.space, self.coefficients[i])
 
 
-def vector_fields(M: CRManifold) -> Tuple[MVectorField, MVectorField]:
-    """The complexified CR pair: L = d/dw + i*theta_bar_w d/dz and
-    Lbar = d/dzeta - i*theta_zeta d/dxi, with symbolic tangency and
-    commutativity certificates."""
+def cr_pair_rows(M: CRManifold):
+    """(L rows, Lbar rows): the ambient coefficients of the complexified CR
+    pair L_i = d/dw_i + i*theta_bar_{w_i} d/dz and
+    Lbar_i = d/dzeta_i - i*theta_{zeta_i} d/dxi, one Series per ambient
+    variable in each row."""
     space = M.space
-    w_vars = space.block_vars("w")
-    zeta_vars = space.block_vars("zeta")
-    z_idx = space.block("z")
-    xi_idx = space.block("xi")
     zero = Series.zero(space, M.order)
+    one = Series.constant(space, 1, M.order)
 
-    L_rows = []
-    for i, wv in enumerate(w_vars):
-        row = [zero] * space.dim
-        row[space.index_of(wv)] = Series.constant(space, 1, M.order)
-        for j in range(M.d):
-            row[z_idx[j]] = I * M.theta_bar[j].diff(wv)
-        L_rows.append(tuple(row))
-    Lbar_rows = []
-    for i, zv in enumerate(zeta_vars):
-        row = [zero] * space.dim
-        row[space.index_of(zv)] = Series.constant(space, 1, M.order)
-        for j in range(M.d):
-            row[xi_idx[j]] = -I * M.theta[j].diff(zv)
-        Lbar_rows.append(tuple(row))
-    L = MVectorField(M, "L", tuple(L_rows))
-    Lbar = MVectorField(M, "Lbar", tuple(Lbar_rows))
+    def rows(moved, target, fns, c):
+        out = []
+        for v in space.block_vars(moved):
+            row = [zero] * space.dim
+            row[space.index_of(v)] = one
+            for t, f in zip(space.block(target), fns):
+                row[t] = c * f.diff(v)
+            out.append(tuple(row))
+        return tuple(out)
+
+    return rows("w", "z", M.theta_bar, I), rows("zeta", "xi", M.theta, -I)
+
+
+def vector_fields(M: CRManifold) -> Tuple[MVectorField, MVectorField]:
+    """The complexified CR pair (cr_pair_rows) with symbolic tangency and
+    commutativity certificates."""
+    L_rows, Lbar_rows = cr_pair_rows(M)
+    L = MVectorField(M, "L", L_rows)
+    Lbar = MVectorField(M, "Lbar", Lbar_rows)
     for X in (L, Lbar):
         _certify_tangency(M, X)
-        _certify_commutation(M, X)
+        pair = noncommuting_pair([X._component(i) for i in range(M.m)])
+        if pair is not None:
+            i, j = pair
+            raise SegreError(
+                f"internal: components {i + 1},{j + 1} of {X.label} do not commute"
+            )
     return L, Lbar
 
 
@@ -384,20 +433,12 @@ def _certify_tangency(M: CRManifold, X: MVectorField):
                 )
 
 
-def _certify_commutation(M: CRManifold, X: MVectorField):
-    for i in range(M.m):
-        for j in range(i + 1, M.m):
-            if any(not c.is_zero() for c in X.bracket_coefficients(i, j)):
-                raise SegreError(
-                    f"internal: components {i + 1},{j + 1} of {X.label} do not commute"
-                )
-
-
 # -- complexified Segre varieties --------------------------------------------
 
 
 def segre_leaf(M: CRManifold, tau_p=None, t_p=None, order=None) -> SeriesMap:
-    """Parametrized complexified Segre variety.
+    """Parametrized complexified Segre variety: the L or Lbar flow of its
+    fixed point.
 
     With tau_p=(zeta_p, xi_p): the leaf w |-> (w, qbar(w, zeta_p, xi_p),
     zeta_p, xi_p) of the first flow foliation.  With t_p=(w_p, z_p): the
@@ -408,45 +449,21 @@ def segre_leaf(M: CRManifold, tau_p=None, t_p=None, order=None) -> SeriesMap:
         raise DimensionMismatch("give exactly one of tau_p, t_p")
     order = M.order if order is None else order
     conjugate = t_p is not None
-    leaf_block = ("zeta", tuple(f"zeta{i}" for i in range(1, M.m + 1))) if conjugate \
-        else ("w", tuple(f"w{i}" for i in range(1, M.m + 1)))
-    symbolic = (tau_p == "symbolic") or (t_p == "symbolic")
-    blocks = [leaf_block]
+    fixed_p = t_p if conjugate else tau_p
+    symbolic = fixed_p == "symbolic"
+    names = ("zeta", "pw", "pz") if conjugate else ("w", "pzeta", "pxi")
+    blocks = [(b, tuple(f"{b}{i}" for i in range(1, size + 1)))
+              for b, size in zip(names, (M.m, M.m, M.d) if symbolic else (M.m,))]
+    space = VarSpace(blocks, [(v, v) for v in blocks[0][1]])
+    leaf_vars = [Series.variable(space, v, order) for v in blocks[0][1]]
     if symbolic:
-        if conjugate:
-            blocks += [
-                ("pw", tuple(f"pw{i}" for i in range(1, M.m + 1))),
-                ("pz", tuple(f"pz{j}" for j in range(1, M.d + 1))),
-            ]
-        else:
-            blocks += [
-                ("pzeta", tuple(f"pzeta{i}" for i in range(1, M.m + 1))),
-                ("pxi", tuple(f"pxi{j}" for j in range(1, M.d + 1))),
-            ]
-    space = VarSpace(blocks, [(v, v) for v in leaf_block[1]])
-    leaf_vars = [Series.variable(space, v, order) for v in leaf_block[1]]
-    zero = Series.zero(space, order)
-
-    if not conjugate:
-        if symbolic:
-            zeta_p = [Series.variable(space, f"pzeta{i}", order) for i in range(1, M.m + 1)]
-            xi_p = [Series.variable(space, f"pxi{j}", order) for j in range(1, M.d + 1)]
-        else:
-            zeta_c, xi_c = tau_p
-            zeta_p = [Series.constant(space, v, order) for v in zeta_c]
-            xi_p = [Series.constant(space, v, order) for v in xi_c]
-        sub = _ambient_subst(M, space, leaf_vars, zeta_p, xi_p, order)
-        z = [M.qbar[j].compose(sub) for j in range(M.d)]
-        comps = leaf_vars + z + zeta_p + xi_p
+        fixed = [Series.variable(space, v, order) for _, vs in blocks[1:] for v in vs]
     else:
-        if symbolic:
-            w_p = [Series.variable(space, f"pw{i}", order) for i in range(1, M.m + 1)]
-            z_p = [Series.variable(space, f"pz{j}", order) for j in range(1, M.d + 1)]
-        else:
-            w_c, z_c = t_p
-            w_p = [Series.constant(space, v, order) for v in w_c]
-            z_p = [Series.constant(space, v, order) for v in z_c]
-        sub = _ambient_subst(M, space, w_p, leaf_vars, [zero] * M.d, order, z_vals=z_p)
-        xi = [M.q[j].compose(sub) for j in range(M.d)]
-        comps = w_p + z_p + leaf_vars + xi
+        first, second = fixed_p
+        if (len(first), len(second)) != (M.m, M.d):
+            raise DimensionMismatch("fixed-point coordinate sizes do not match (m, d)")
+        fixed = [Series.constant(space, v, order) for v in (*first, *second)]
+    moving = [Series.zero(space, order)] * M.n
+    state = fixed + moving if conjugate else moving + fixed
+    comps = cr_flows(M)["Lbar" if conjugate else "L"].expand(state, leaf_vars)
     return SeriesMap(comps, M.space)

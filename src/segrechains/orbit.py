@@ -20,9 +20,12 @@ each sample point (forward-mode differentiation), with each flow's partials
 differentiated once.  The witness's return map adds the reversed flows at the
 constant times -t_i* as further chain-rule steps in x, and its point comes
 from ranks.find_rank_point, the witness search the chains use too.
-Truncated jets keep the expanded concatenated_flow, which is also the test
-oracle for the pointwise form; their witness is None, because a truncated
-flow cannot be evaluated at a nonzero time.
+Truncated jets keep the expanded concatenated_flow (series.expand_word, the
+expander of the Segre chains too), which is also the test oracle for the
+pointwise form: the candidates of one greedy step differ only in their last
+flow, so the expanded state of their common prefix is kept and each
+candidate composes one flow more.  A jet's witness is None, because a
+truncated flow cannot be evaluated at a nonzero time.
 """
 
 from __future__ import annotations
@@ -55,10 +58,11 @@ from .series import (
     SeriesMap,
     TangentVectorField,
     VarSpace,
-    bracket,
     bracket_levels,
     evaluate_rows,
+    expand_word,
     forward_step,
+    noncommuting_pair,
     nonzero_partials,
 )
 
@@ -99,13 +103,9 @@ class VFSystem:
 
     def _check_commutation(self):
         for fld in self.fields:
-            comps = [TangentVectorField(self.space, comp) for comp in fld]
-            for i, X in enumerate(comps):
-                for Y in comps[i + 1 :]:
-                    if not bracket(X, Y).is_zero():
-                        raise ChartMismatch(
-                            "components within an m-vector field must commute"
-                        )
+            pair = noncommuting_pair([TangentVectorField(self.space, c) for c in fld])
+            if pair is not None:
+                raise ChartMismatch("components within an m-vector field must commute")
 
     def _coefficient_rows(self):
         return [comp for fld in self.fields for comp in fld]
@@ -126,8 +126,8 @@ class VFSystem:
 class FlowMap:
     """exp(s.L) as a SeriesMap over (s, x); exact=True when the Lie series
     terminated below the truncation order.  advance makes it a step of a
-    series.PointwiseWord.  (A plain class: building a dataclass costs
-    milliseconds at every import.)"""
+    series.PointwiseWord, expand a step of series.expand_word.  (A plain
+    class: building a dataclass costs milliseconds at every import.)"""
 
     __slots__ = ("map", "exact", "order", "_partials")
 
@@ -135,25 +135,26 @@ class FlowMap:
         self.map, self.exact, self.order = map, exact, order
         self._partials = None
 
-    def partials(self):
-        """Nonzero partials of each component in (s, x), for
-        series.forward_step; differentiated on first use, then kept."""
-        if self._partials is None:
-            self._partials = [nonzero_partials(c) for c in self.map.components]
-        return self._partials
-
     def advance(self, values, rows, times, col):
         """exp(times.L) at exact (values, rows); the times move columns col,
-        col + 1, ..., or no column when col is None (constant times)."""
+        col + 1, ..., or no column when col is None (constant times).  The
+        partials in (s, x) are differentiated on first use, then kept."""
+        if self._partials is None:
+            self._partials = [nonzero_partials(c) for c in self.map.components]
         ncols = len(rows[0])
         if col is None:
             time_rows = [[ZERO] * ncols] * len(times)
         else:
             time_rows = [[ONE if c == col + j else ZERO for c in range(ncols)]
                          for j in range(len(times))]
-        new = forward_step(self.map.components, self.partials(), list(times) + values,
+        new = forward_step(self.map.components, self._partials, list(times) + values,
                            time_rows + rows)
         return [v for v, _ in new], [r for _, r in new]
+
+    def expand(self, state, times):
+        """exp(times.L) of the Series `state`: the map composed with (times, state)."""
+        sub = dict(zip(self.map.domain.names, [*times, *state]))
+        return [c.compose(sub) for c in self.map.components]
 
 
 def formal_flow(system: VFSystem, alpha: int, order: Optional[int]) -> FlowMap:
@@ -230,26 +231,19 @@ def _flow(system: VFSystem, flows: dict, alpha: int, order: Optional[int]) -> Fl
 
 def concatenated_flow(system: VFSystem, word: Sequence[int],
                       flows: Optional[dict] = None,
-                      order: Optional[int] = None) -> Tuple[SeriesMap, bool]:
+                      order: Optional[int] = None,
+                      prefixes: Optional[dict] = None) -> Tuple[SeriesMap, bool]:
     """The map t_(k) -> flow_{word[k-1]}(t_k, ... flow_{word[0]}(t_1, 0) ...).
 
-    Returns (map over the t-blocks, all_flows_exact).
+    Returns (map over the t-blocks, all_flows_exact).  The word is expanded
+    by series.expand_word; `prefixes`, shared by words of one system, order
+    and `flows` dict, keeps the expanded state after each of their prefixes.
     """
-    k = len(word)
-    space = _time_space(system, k)
-    state = [Series.zero(space, order) for _ in range(system.n)]
-    exact = True
     flows = flows if flows is not None else {}
-    for step, alpha in enumerate(word, start=1):
-        fl = _flow(system, flows, alpha, order)
-        exact = exact and fl.exact
-        sub = {}
-        for j in range(1, system.m + 1):
-            sub[f"s{j}"] = Series.variable(space, f"t{step}_{j}", order)
-        for a, name in enumerate(system.space.names):
-            sub[name] = state[a]
-        state = [c.compose(sub) for c in fl.map.components]
-    return SeriesMap(state, system.space), exact
+    word_flows = [_flow(system, flows, alpha, order) for alpha in word]
+    state = expand_word(word_flows, lambda space: [Series.zero(space, order)] * system.n,
+                        lambda k: _time_space(system, k), order, prefixes)
+    return SeriesMap(state, system.space), all(f.exact for f in word_flows)
 
 
 class PointwiseFlow(PointwiseWord):
@@ -279,10 +273,11 @@ def _ranked_flow(system: VFSystem, word, flows: dict, order: Optional[int],
     """(concatenated flow of `word` in the form ranks samples, all flows exact).
 
     EXACT flows (order None) give a PointwiseFlow; truncated jets give the
-    expanded map, because truncation does not commute with evaluation.
+    expanded map, because truncation does not commute with evaluation.  In
+    both forms `prefixes` lets words that share a prefix share its work.
     """
     if order is not None:
-        return concatenated_flow(system, word, flows, order)
+        return concatenated_flow(system, word, flows, order, prefixes)
     pw = PointwiseFlow(system, word, flows, prefixes=prefixes)
     return pw, all(f.exact for f in pw.flows)
 
@@ -327,7 +322,7 @@ def greedy_multitype(
         raise DimensionMismatch(f"kmax must be >= a = {a}, the starting word's length")
     flows: dict = {}
     prefixes: dict = {}  # states shared by the candidates of one step
-    base_map, exact = _ranked_flow(system, word, flows, order)
+    base_map, exact = _ranked_flow(system, word, flows, order, prefixes)
     blocks = [f"t{i}" for i in range(1, a + 1)]
     zero_pt = [ZERO] * (a * m)
     if rank_at_point(base_map, blocks, zero_pt) != a * m:

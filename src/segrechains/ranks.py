@@ -26,12 +26,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import WitnessNotFound
 from .scalars import GaussianRational, ZERO
-from .series import Series, SeriesMap, evaluate_rows
+from .series import Series, SeriesMap, _common_denominator, _scaled, evaluate_rows
 
 # Sampling box: numerators in [-99, 99], denominators in [1, 9] for both the
 # real and imaginary parts.  Keeps bignum growth bounded while making an
@@ -48,14 +47,8 @@ def _gaussian_integer_rows(matrix):
     pairs: a row scaling, which changes neither the rank nor the pivots."""
     out = []
     for row in matrix:
-        scale = 1
-        for x in row:
-            scale = lcm(scale, x.re.denominator, x.im.denominator)
-        out.append([
-            (x.re.numerator * (scale // x.re.denominator),
-             x.im.numerator * (scale // x.im.denominator))
-            for x in row
-        ])
+        scale = _common_denominator(row)
+        out.append([(_scaled(x.re, scale), _scaled(x.im, scale)) for x in row])
     return out
 
 
@@ -193,8 +186,7 @@ def _jacobian_source(f, wrt):
     series.PointwiseWord) computes its Jacobian at each point itself.
     """
     if isinstance(f, SeriesMap):
-        names = f._resolve_names(wrt)
-        jac = [[s.diff(v) for v in names] for s in f.components]
+        jac = f.jacobian(wrt)
         return (lambda point: evaluate_rows(jac, point)), jac
     return (lambda point: f.jacobian_at(point, wrt)), None
 

@@ -13,9 +13,12 @@ Gaussian integers against a PointTable of the point and divided once;
 evaluate_rows shares one table across a matrix of Series), the forward-mode
 chain-rule step (forward_step) and the runner that carries a point through a
 word of flows with it (PointwiseWord: Segre chains and orbit flows alike),
-the vector field acting as a derivation (TangentVectorField), the bracket of
-two fields, and the deduplicated left-normed bracket ladder (bracket_levels)
-that both the Hormander ladder and the orbit oracle walk.
+beside it the symbolic expansion of the same words (expand_word, which keeps
+the state after every prefix, so words that share one expand it once), the
+vector field acting as a derivation (TangentVectorField), the bracket of two
+fields, the commutation check (noncommuting_pair), and the deduplicated
+left-normed bracket ladder (bracket_levels) that both the Hormander ladder
+and the orbit oracle walk.
 
 All values are immutable after construction; results are kept canonical
 (no zero coefficients, no terms beyond the truncation order), so equality
@@ -759,6 +762,28 @@ class PointwiseWord:
         return self.at(point)[1]
 
 
+def expand_word(flows, start, space_of, order, prefixes: Optional[dict] = None):
+    """The state after a word of flows as Series: the one expander of Segre
+    chains and truncated orbit flows (PointwiseWord evaluates them instead).
+    Starting from start(space_of(0)), flow i (1-based) maps the state, lifted
+    into space_of(i), by flows[i - 1].expand(state, times), the times being
+    block i - 1 of space_of(i).  `prefixes`, a cache kept by the caller for
+    one start and space_of, holds the state after each prefix of the word by
+    its flows, so words that share a prefix expand it once."""
+    flows = tuple(flows)
+    prefixes = {} if prefixes is None else prefixes
+    if () not in prefixes:
+        prefixes[()] = start(space_of(0))
+    done = next(i for i in range(len(flows), -1, -1) if flows[:i] in prefixes)
+    state = prefixes[flows[:done]]
+    for i in range(done + 1, len(flows) + 1):
+        space = space_of(i)
+        times = [Series.variable(space, v, order) for v in space.blocks[i - 1][1]]
+        state = flows[i - 1].expand([s.lift(space) for s in state], times)
+        prefixes[flows[:i]] = state
+    return state
+
+
 # -- vector fields and brackets ----------------------------------------------
 
 
@@ -805,6 +830,15 @@ def bracket(X: TangentVectorField, Y: TangentVectorField) -> TangentVectorField:
         for a in range(X.space.dim)
     )
     return TangentVectorField(X.space, coeffs, f"[{X.label},{Y.label}]")
+
+
+def noncommuting_pair(fields):
+    """(i, j), i < j, of the first two fields whose bracket is nonzero, or None."""
+    for i, X in enumerate(fields):
+        for j in range(i + 1, len(fields)):
+            if not bracket(X, fields[j]).is_zero():
+                return i, j
+    return None
 
 
 def bracket_levels(generators, max_length: int):

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 from segrechains.corpus import corpus
 from segrechains.errors import DimensionMismatch
-from segrechains.lie import _span_dim, bracket, chart_point, gradient_rows, tangent_fields
+from segrechains.lie import (
+    _span_dim, bracket, chart_point, chart_space, gradient_rows, tangent_fields,
+)
 from segrechains.manifests import load_manifest
 from segrechains.manifold import Basepoint, graph_from_real, new_manifold, real_graph_space
 from segrechains.ranks import exact_rank
-from segrechains.scalars import GaussianRational, ZERO
-from segrechains.series import Series
+from segrechains.scalars import GaussianRational, I, ZERO
+from segrechains.series import Series, SeriesMap, TangentVectorField, VarSpace
 
 
 def reference_pivot_positions(matrix):
@@ -238,3 +240,89 @@ def expanded_values_and_jacobian(f, names, point):
         values.append(value)
         rows.append([t / point[i] for t, i in zip(sums, cols)])
     return values, rows
+
+
+def reference_tangent_fields(M):
+    """Reference chart fields, built directly in the chart: L_i = d/dw_i and
+    Lbar_i = d/dzeta_i - i*sum_j theta_{j,zeta_i}(zeta, w, qbar) d/dxi_j, every
+    xi coefficient restricted to the graph."""
+    cs = chart_space(M)
+    order = M.order
+    zero = Series.zero(cs, order)
+    one = Series.constant(cs, 1, order)
+    L = []
+    for i, wv in enumerate(cs.block_vars("w")):
+        coeffs = [zero] * cs.dim
+        coeffs[cs.index_of(wv)] = one
+        L.append(TangentVectorField(cs, tuple(coeffs), f"L{i + 1}"))
+    Lbar = []
+    xi_idx = [cs.index_of(v) for v in cs.block_vars("xi")]
+    for i, zv in enumerate(cs.block_vars("zeta")):
+        coeffs = [zero] * cs.dim
+        coeffs[cs.index_of(zv)] = one
+        for j in range(M.d):
+            c = M.restrict(M.theta[j].diff(M.space.block_vars("zeta")[i]))
+            coeffs[xi_idx[j]] = (-I) * c.lift(cs)
+        Lbar.append(TangentVectorField(cs, tuple(coeffs), f"Lbar{i + 1}"))
+    return L, Lbar
+
+
+def reference_segre_leaf(M, tau_p=None, t_p=None, order=None):
+    """Reference Segre variety by hand-built substitutions: the leaf
+    w |-> (w, qbar(w, zeta_p, xi_p), zeta_p, xi_p), or with t_p the
+    conjugate leaf zeta |-> (w_p, z_p, zeta, q(zeta, w_p, z_p))."""
+    order = M.order if order is None else order
+    conjugate = t_p is not None
+    leaf_block = ("zeta", tuple(f"zeta{i}" for i in range(1, M.m + 1))) if conjugate \
+        else ("w", tuple(f"w{i}" for i in range(1, M.m + 1)))
+    symbolic = (tau_p == "symbolic") or (t_p == "symbolic")
+    blocks = [leaf_block]
+    if symbolic:
+        if conjugate:
+            blocks += [
+                ("pw", tuple(f"pw{i}" for i in range(1, M.m + 1))),
+                ("pz", tuple(f"pz{j}" for j in range(1, M.d + 1))),
+            ]
+        else:
+            blocks += [
+                ("pzeta", tuple(f"pzeta{i}" for i in range(1, M.m + 1))),
+                ("pxi", tuple(f"pxi{j}" for j in range(1, M.d + 1))),
+            ]
+    space = VarSpace(blocks, [(v, v) for v in leaf_block[1]])
+    leaf_vars = [Series.variable(space, v, order) for v in leaf_block[1]]
+    zero = Series.zero(space, order)
+    if not conjugate:
+        if symbolic:
+            zeta_p = [Series.variable(space, f"pzeta{i}", order) for i in range(1, M.m + 1)]
+            xi_p = [Series.variable(space, f"pxi{j}", order) for j in range(1, M.d + 1)]
+        else:
+            zeta_p = [Series.constant(space, v, order) for v in tau_p[0]]
+            xi_p = [Series.constant(space, v, order) for v in tau_p[1]]
+        sub = dict(zip(M.space.names, leaf_vars + [zero] * M.d + zeta_p + xi_p))
+        z = [M.qbar[j].compose(sub) for j in range(M.d)]
+        comps = leaf_vars + z + zeta_p + xi_p
+    else:
+        if symbolic:
+            w_p = [Series.variable(space, f"pw{i}", order) for i in range(1, M.m + 1)]
+            z_p = [Series.variable(space, f"pz{j}", order) for j in range(1, M.d + 1)]
+        else:
+            w_p = [Series.constant(space, v, order) for v in t_p[0]]
+            z_p = [Series.constant(space, v, order) for v in t_p[1]]
+        sub = dict(zip(M.space.names, w_p + z_p + leaf_vars + [zero] * M.d))
+        xi = [M.q[j].compose(sub) for j in range(M.d)]
+        comps = w_p + z_p + leaf_vars + xi
+    return SeriesMap(comps, M.space)
+
+
+def cr_oracle_manifolds():
+    """(name, manifold) inputs of the CR-pair and Segre-leaf oracles: the
+    EXACT corpus, the d = 2..5 family, an m = d = 2 manifold and two
+    graph_from_real jets, of orders 5 and 6."""
+    exact = [(n, M) for n, M in exact_manifolds() if n != "codim_d6"]
+    mixed = new_manifold(2, 2, ["w1*zeta1", "w1*zeta2 + w2*zeta1"])
+    jets = [
+        (f"jet_order{order}", graph_from_real(
+            1, 1, ["w1*wb1 + w1^2*wb1^2*x1 + (1+i)*w1^2*wb1 + (1-i)*w1*wb1^2"], order))
+        for order in (5, 6)
+    ]
+    return exact + [("m2d2", mixed)] + jets

@@ -322,3 +322,36 @@ def test_manifest_expression_errors_name_their_line(tmp_path, capsys):
             code, out, err = run_cli(capsys, command, str(path))
             assert code == 2 and out == "" and _single_error_line(err), text
             assert f"error: {path}{message}" in err, err
+
+
+def test_unreadable_manifests_are_usage_errors(tmp_path, capsys):
+    binary = tmp_path / "binary.mf"
+    binary.write_bytes(b"m=1\nd=1\ntheta_bar_1 = w1*zeta1 \xff\n")
+    code, out, err = run_cli(capsys, "validate", str(binary))
+    assert code == 2 and out == "" and _single_error_line(err)
+    assert err == f"error: {binary}: not UTF-8 text (byte 0xff at offset 31)\n"
+    folder = tmp_path / "folder.mf"
+    folder.mkdir()
+    code, out, err = run_cli(capsys, "validate", str(folder))
+    assert code == 2 and out == "" and _single_error_line(err)
+    assert err.startswith(f"error: {folder}: cannot read")
+    # checkall reaches the same loader through the directory's *.mf entries
+    code, out, err = run_cli(capsys, "checkall", str(tmp_path))
+    assert code == 2 and out == "" and _single_error_line(err)
+    # a missing file keeps its message
+    code, _, err = run_cli(capsys, "validate", str(tmp_path / "absent.mf"))
+    assert code == 2 and "No such file or directory" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"minimal": tru', "invalid JSON"),
+    ("[1, 2]", "expected a JSON object"),
+    ('{"minmal": true}', "unknown key 'minmal'"),
+])
+def test_bad_checkall_sidecars_are_usage_errors(tmp_path, capsys, text, message):
+    (tmp_path / "heis.mf").write_text("m=1\nd=1\ntheta_bar_1 = w1*zeta1\n")
+    sidecar = tmp_path / "heis.expected.json"
+    sidecar.write_text(text)
+    code, out, err = run_cli(capsys, "checkall", str(tmp_path))
+    assert code == 2 and out == "" and _single_error_line(err)
+    assert err.startswith(f"error: {sidecar}: {message}")

@@ -20,7 +20,12 @@ from segrechains.manifold import Basepoint, new_manifold
 from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import Series
 
-from helpers import brute_ladder, random_series
+from helpers import (
+    brute_ladder,
+    cr_oracle_manifolds,
+    random_series,
+    reference_tangent_fields,
+)
 
 
 def test_constant_fields_commute(heisenberg):
@@ -336,3 +341,13 @@ def test_symbolic_span_rejects_zero_trials(heisenberg):
     # the generic Levi type samples through ranks.sample_rank, like generic_rank
     with pytest.raises(ValueError, match="trials"):
         levi_type(heisenberg, Basepoint.symbolic(), trials=0)
+
+
+CR_ORACLE = cr_oracle_manifolds()
+
+
+@pytest.mark.parametrize("name, M", CR_ORACLE, ids=[n for n, _ in CR_ORACLE])
+def test_tangent_fields_match_reference(name, M):
+    """The chart fields derived from manifold.cr_pair_rows equal the fields
+    built directly in the chart."""
+    assert tangent_fields(M) == reference_tangent_fields(M)

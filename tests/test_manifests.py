@@ -117,3 +117,11 @@ def test_expression_errors_have_location():
     assert str(err.value) == "<manifest>:9: unknown variable 'x9'"
     text = parse_manifest("m=1\nd=1\ntheta_bar_1 = w1*zeta1\n").serialize()
     assert parse_manifest("\n\n" + text) == parse_manifest(text)  # lines do not compare
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_theta_bar_index_out_of_range(j):
+    text = f"m=1\nd=1\ntheta_bar_1 = w1*zeta1\ntheta_bar_{j} = w1^2*zeta1\n"
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text, source="range.mf").build_manifold()
+    assert str(err.value) == f"range.mf:4: theta_bar_{j} out of range"

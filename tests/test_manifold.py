@@ -6,6 +6,7 @@ from segrechains.errors import (
     OffManifold,
     RealityViolation,
     SingularInput,
+    TruncationUnsound,
 )
 from segrechains.exprs import format_series, parse_series
 from segrechains.manifold import (
@@ -18,7 +19,13 @@ from segrechains.manifold import (
 from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import Series
 
-from helpers import random_real_graph, small_scalar
+from helpers import (
+    cr_oracle_manifolds,
+    gaussian_integer_point,
+    random_real_graph,
+    reference_segre_leaf,
+    small_scalar,
+)
 
 
 def test_heisenberg_theta_and_reality(heisenberg):
@@ -228,3 +235,24 @@ def test_segre_leaf_sigma_relation(heisenberg):
     ren = {"zeta1": Series.variable(dom, "w1")}
     renamed = [c.compose(ren) for c in conj.components]
     assert renamed == swapped
+
+
+CR_ORACLE = cr_oracle_manifolds()
+
+
+@pytest.mark.parametrize("name, M", CR_ORACLE, ids=[n for n, _ in CR_ORACLE])
+def test_segre_leaf_matches_reference(name, M):
+    """Both leaves, symbolic and numeric fixed points, against hand-built
+    substitutions.  A jet takes only the zero numeric point: a nonzero
+    constant cannot be substituted into a truncated series."""
+    rng = random.Random(len(name))
+    for leaf in ("tau_p", "t_p"):
+        numeric = (gaussian_integer_point(rng, M.m), gaussian_integer_point(rng, M.d))
+        zero = ((ZERO,) * M.m, (ZERO,) * M.d)
+        points = ["symbolic", zero] + ([numeric] if M.order is None else [])
+        for p in points:
+            assert segre_leaf(M, **{leaf: p}) == reference_segre_leaf(M, **{leaf: p})
+        if M.order is not None:
+            for build in (segre_leaf, reference_segre_leaf):
+                with pytest.raises(TruncationUnsound):
+                    build(M, **{leaf: numeric})

@@ -1,5 +1,6 @@
 import pytest
 
+from segrechains.corpus import corpus
 from segrechains.errors import (
     ChartMismatch,
     DimensionMismatch,
@@ -308,6 +309,33 @@ def test_pointwise_flow_matches_concatenated_flow(name, system):
             shared = PointwiseFlow(system, cand, flows, prefixes=prefixes).at(pt)
             assert shared == PointwiseFlow(system, cand, flows).at(pt)
     assert len(prefixes) == (1 if point[: m * (k - 1)] == other[: m * (k - 1)] else 2)
+
+
+CORPUS_SYSTEMS = [(n, s) for n, s in ORACLE_SYSTEMS if n in dict(corpus())]
+
+
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("name,system", CORPUS_SYSTEMS, ids=[n for n, _ in CORPUS_SYSTEMS])
+def test_jet_flows_share_expanded_prefixes(name, system, order, monkeypatch):
+    """Every candidate word of a jet-mode greedy run, expanded with one shared
+    prefixes dict, equals its fresh expansion, with fewer compose calls."""
+    word = greedy_multitype(system, order=order, witness=False).word
+    words = [list(word[:length]) + [alpha]
+             for length in range(system.a, len(word) + 1) for alpha in range(system.a)]
+    calls = []
+    compose = Series.compose
+
+    def counted(series, sub):
+        calls.append(sub)
+        return compose(series, sub)
+
+    monkeypatch.setattr(Series, "compose", counted)
+    flows, prefixes = {}, {}
+    shared = [concatenated_flow(system, w, flows, order, prefixes) for w in words]
+    shared_calls = len(calls)
+    fresh = [concatenated_flow(system, w, flows, order) for w in words]
+    assert shared == fresh
+    assert shared_calls < len(calls) - shared_calls
 
 
 def test_pointwise_flow_rank_matches_expanded(heisenberg, quartic, c3_tube):
