@@ -15,13 +15,30 @@ from typing import List, Optional, Tuple
 from .errors import ParseError
 from .manifests import Manifest, load_manifest, read_text
 
-# The sidecar keys `checkall` reads, by manifest kind.
+# What a sidecar value may be: (description, test), JSON types as Python
+# reads them (a JSON true is a bool, never an int).
+_BOOL = ("true or false", lambda v: type(v) is bool)
+_INT = ("an integer", lambda v: type(v) is int)
+_INT_OR_NULL = ("an integer or null", lambda v: v is None or type(v) is int)
+_INTS = ("a list of integers", lambda v: type(v) is list and all(type(x) is int for x in v))
+_LADDER = ("a list of [length, count] integer pairs", lambda v: type(v) is list and all(
+    type(p) is list and len(p) == 2 and all(type(x) is int for x in p) for p in v))
+_CHAINS = ("an object from chain lengths >= 1 to lists of strings", lambda v: type(v) is dict
+           and all(k.isdecimal() and int(k) >= 1 and type(c) is list
+                   and all(type(x) is str for x in c) for k, c in v.items()))
+
+# The sidecar keys `checkall` reads, by manifest kind, each with its value type.
 SIDECAR_KEYS = {
-    "manifold": frozenset("""minimal kappa mu nu multitype e r hypersurface_minimal
-        e1_generic hormander_ladder hormander_max_length levi_kmax levi_type_origin
-        levi_type_generic holomorphically_nondegenerate e1_det_nonzero orbit_dim
-        gamma_components sigma_symmetry_upto reparam_upto""".split()),
-    "system": frozenset(["orbit_dim"]),
+    "manifold": {
+        "minimal": _BOOL, "kappa": _INT, "mu": _INT, "nu": _INT, "multitype": _INTS,
+        "e": _INTS, "r": _INTS, "hypersurface_minimal": _BOOL, "e1_generic": _INT,
+        "hormander_ladder": _LADDER, "hormander_max_length": _INT_OR_NULL,
+        "levi_kmax": _INT_OR_NULL, "levi_type_origin": _INT_OR_NULL,
+        "levi_type_generic": _INT_OR_NULL, "holomorphically_nondegenerate": _BOOL,
+        "e1_det_nonzero": _BOOL, "orbit_dim": _INT, "gamma_components": _CHAINS,
+        "sigma_symmetry_upto": _INT, "reparam_upto": _INT,
+    },
+    "system": {"orbit_dim": _INT},
 }
 
 
@@ -37,8 +54,8 @@ def corpus(root: Optional[Path] = None) -> List[Tuple[str, Path]]:
 
 def load_with_sidecar(path: Path) -> Tuple[Manifest, Optional[dict]]:
     """The manifest at `path` and its <name>.expected.json, None if absent;
-    bad JSON, a non-object or a key checkall does not read in the sidecar
-    is a ParseError naming it."""
+    bad JSON, a non-object, a key checkall does not read or a value of the
+    wrong type in the sidecar is a ParseError naming it."""
     manifest = load_manifest(path)
     sidecar = path.with_suffix(".expected.json")
     if not sidecar.exists():
@@ -49,9 +66,13 @@ def load_with_sidecar(path: Path) -> Tuple[Manifest, Optional[dict]]:
         raise ParseError(f"{sidecar}: invalid JSON: {exc}") from None
     if not isinstance(expected, dict):
         raise ParseError(f"{sidecar}: expected a JSON object")
-    unknown = sorted(set(expected) - SIDECAR_KEYS[manifest.kind])
-    if unknown:
-        raise ParseError(f"{sidecar}: unknown key {unknown[0]!r}")
+    keys = SIDECAR_KEYS[manifest.kind]
+    for key in sorted(expected):
+        if key not in keys:
+            raise ParseError(f"{sidecar}: unknown key {key!r}")
+        description, valid = keys[key]
+        if not valid(expected[key]):
+            raise ParseError(f"{sidecar}: key {key!r} must be {description}")
     return manifest, expected
 
 

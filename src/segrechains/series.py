@@ -7,18 +7,20 @@ GaussianRational coefficients, either EXACT (a polynomial, order=None) or a
 jet truncated at a total degree.  A SeriesMap is a tuple of Series sharing one
 domain, with its components assigned to the variables of a codomain space.
 
-The calculus on Series lives here too, once for every caller: exact
-evaluation at a Gaussian-rational point (Series.evaluate, summed over the
-Gaussian integers against a PointTable of the point and divided once;
-evaluate_rows shares one table across a matrix of Series), the forward-mode
-chain-rule step (forward_step) and the runner that carries a point through a
-word of flows with it (PointwiseWord: Segre chains and orbit flows alike),
-beside it the symbolic expansion of the same words (expand_word, which keeps
-the state after every prefix, so words that share one expand it once), the
-vector field acting as a derivation (TangentVectorField), the bracket of two
-fields, the commutation check (noncommuting_pair), and the deduplicated
-left-normed bracket ladder (bracket_levels) that both the Hormander ladder
-and the orbit oracle walk.
+The calculus on Series lives here too, once for every caller: substitution
+(Series.compose, summed over the Gaussian integers with one denominator per
+series and divided once per output term, its truncated products cut off by
+degree), exact evaluation at a Gaussian-rational point (Series.evaluate,
+summed over the Gaussian integers against a PointTable of the point and
+divided once; evaluate_rows shares one table across a matrix of Series), the
+forward-mode chain-rule step (forward_step) and the runner that carries a
+point through a word of flows with it (PointwiseWord: Segre chains and orbit
+flows alike), beside it the symbolic expansion of the same words
+(expand_word, which keeps the state after every prefix, so words that share
+one expand it once), the vector field acting as a derivation
+(TangentVectorField), the bracket of two fields, the commutation check
+(noncommuting_pair), and the deduplicated left-normed bracket ladder
+(bracket_levels) that both the Hormander ladder and the orbit oracle walk.
 
 All values are immutable after construction; results are kept canonical
 (no zero coefficients, no terms beyond the truncation order), so equality
@@ -28,6 +30,7 @@ is plain dict equality.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -206,6 +209,39 @@ def evaluate_rows(rows, point: Sequence) -> list:
     through Series.evaluate with one PointTable for the point."""
     table = PointTable(point)
     return [[s.evaluate(point, table) for s in row] for row in rows]
+
+
+_UNIT = ((0, 1, 0),)  # the term list of the constant 1
+
+
+def _zi_product(left, right, cap, out):
+    """Add the product of two term lists over Z[i] into `out` (packed
+    exponent -> [re, im]).  Terms are (packed exponent, re, im), sorted by
+    packed exponent, whose top field is the total degree: a product whose key
+    reaches `cap` lies beyond the truncation order, and so do all later ones
+    of the row, so the row stops there."""
+    if not right:
+        return out
+    first = right[0][0]
+    for k1, a, b in left:
+        if k1 + first >= cap:
+            break
+        for k2, c, d in right:
+            k = k1 + k2
+            if k >= cap:
+                break
+            v = out.get(k)
+            if v is None:
+                out[k] = [a * c - b * d, a * d + b * c]
+            else:
+                v[0] += a * c - b * d
+                v[1] += a * d + b * c
+    return out
+
+
+def _sorted_terms(acc):
+    """The nonzero terms of a _zi_product sum as a sorted term list."""
+    return sorted((k, a, b) for k, (a, b) in acc.items() if a or b)
 
 
 def grlex_key(exp):
@@ -466,9 +502,10 @@ class Series:
             return GaussianRational(re, im)
         return GaussianRational(Fraction(re, den), Fraction(im, den))
 
-    def _integer_form(self):
+    def _integer_form(self, keep: bool = True):
         """(L, D, ((i, largest e), ...), ((factors, |e|, L*c.re, L*c.im), ...))
-        where factors are the (i, e) with e > 0 of a term; kept in _form."""
+        where factors are the (i, e) with e > 0 of a term; kept in _form
+        when `keep`."""
         lcd = _common_denominator(self.terms.values())
         needed = {}
         terms = []
@@ -480,7 +517,8 @@ class Series:
             terms.append((factors, sum(exp), _scaled(c.re, lcd), _scaled(c.im, lcd)))
         degree = max((t[1] for t in terms), default=0)
         form = (lcd, degree, tuple(needed.items()), tuple(terms))
-        object.__setattr__(self, "_form", form)
+        if keep:
+            object.__setattr__(self, "_form", form)
         return form
 
     def sigma_conjugate(self) -> "Series":
@@ -509,6 +547,19 @@ class Series:
         truncated mode every substituted series that actually occurs must
         have zero constant term, otherwise the truncated result would be
         wrong (TruncationUnsound).
+
+        The sum is taken over Z[i] and divided once.  This series is taken in
+        its integer form (L*c over the lcm L of its coefficient denominators,
+        E_i the largest exponent of variable i, as evaluate caches it), and
+        each series s_i that occurs is put over the lcm L_i of its own, so
+        the power s_i^e is a list of int pairs over L_i^e.  The monomial
+        c * prod s_i^e_i, scaled by prod L_i^(E_i - e_i), is added into one
+        sum over D = L * prod L_i^E_i, and each output coefficient is divided
+        by D once.  Exponents of the target are packed into one int per term,
+        `width` bits per variable under a top field holding the total degree:
+        adding keys multiplies monomials, and a key of `cap` or more lies
+        beyond the order (no field overflows below it), so truncated
+        products stop there (see _zi_product).
         """
         if isinstance(sub, SeriesMap):
             mapping = sub.as_subst()
@@ -540,24 +591,54 @@ class Series:
                 break
             if target is None:
                 raise VarSpaceMismatch("empty substitution for a constant series")
+        try:
+            lcd, _, top, monomials = self._form
+        except AttributeError:
+            # not kept: a jet flow composes each manifold's graph functions at
+            # every step without evaluating them, so kept forms only add memory
+            lcd, _, top, monomials = self._integer_form(keep=False)
+        subs = {i: mapping[self.space.names[i]] for i, _ in top}
+        limit = order
+        if limit is None:
+            limit = sum(e * max(subs[i].total_degree(), 0) for i, e in top)
+        width = max(limit, 1).bit_length()
+        shift = width * target.dim
+        cap = (limit + 1) << shift
+        weights = [(1 << j) + (1 << shift) for j in range(0, shift, width)]
+        lcds, powers, den = {}, {}, lcd  # powers[i][e]: s_i^e over lcds[i]^e
+        for i, e in top:
+            lcds[i] = q = _common_denominator(subs[i].terms.values())
+            den *= q ** e
+            powers[i] = [_UNIT, sorted(
+                (sum(map(operator.mul, exp, weights)), _scaled(c.re, q), _scaled(c.im, q))
+                for exp, c in subs[i].terms.items()
+            )]
+        acc = {}
+        for factors, _, a, b in monomials:
+            scale = den // lcd
+            tables = []
+            for i, e in factors:
+                scale //= lcds[i] ** e
+                table = powers[i]
+                while len(table) <= e:
+                    table.append(_sorted_terms(_zi_product(table[-1], table[1], cap, {})))
+                tables.append(table[e])
+            # the largest factor last, multiplied straight into the sum
+            tables.sort(key=len)
+            last = tables.pop() if tables else _UNIT
+            prod = [(0, a * scale, b * scale)]
+            for table in tables:
+                prod = _sorted_terms(_zi_product(prod, table, cap, {}))
+            _zi_product(prod, last, cap, acc)
+        mask = (1 << width) - 1
         terms = {}
-        constant = {(0,) * target.dim: ONE}
-        powers = {}  # var index -> [1, s, s^2, ...]
-        for exp, c in self.terms.items():
-            prod = None
-            for i, e in enumerate(exp):
-                if not e:
-                    continue
-                cache = powers.setdefault(i, [Series.constant(target, 1, order)])
-                while len(cache) <= e:
-                    cache.append(cache[-1] * mapping[self.space.names[i]])
-                prod = cache[e] if prod is None else prod * cache[e]
-            for e, v in (constant if prod is None else prod.terms).items():
-                t = terms.get(e, ZERO) + c * v
-                if t.is_zero():
-                    terms.pop(e, None)
-                else:
-                    terms[e] = t
+        for k, (re, im) in acc.items():
+            if re or im:
+                exp = tuple([(k >> j) & mask for j in range(0, shift, width)])
+                terms[exp] = GaussianRational(
+                    re // den if re % den == 0 else Fraction(re, den),
+                    im // den if im % den == 0 else Fraction(im, den),
+                )
         return Series._canonical(target, terms, order)
 
     def lift(self, space: VarSpace) -> "Series":

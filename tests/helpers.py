@@ -4,15 +4,17 @@ import random
 from fractions import Fraction
 
 from segrechains.corpus import corpus
-from segrechains.errors import DimensionMismatch
+from segrechains.errors import (
+    DimensionMismatch, TruncationUnsound, UnknownVariable, VarSpaceMismatch,
+)
 from segrechains.lie import (
     _span_dim, bracket, chart_point, chart_space, gradient_rows, tangent_fields,
 )
 from segrechains.manifests import load_manifest
 from segrechains.manifold import Basepoint, graph_from_real, new_manifold, real_graph_space
 from segrechains.ranks import exact_rank
-from segrechains.scalars import GaussianRational, I, ZERO
-from segrechains.series import Series, SeriesMap, TangentVectorField, VarSpace
+from segrechains.scalars import GaussianRational, I, ONE, ZERO
+from segrechains.series import Series, SeriesMap, TangentVectorField, VarSpace, _merge_order
 
 
 def reference_pivot_positions(matrix):
@@ -62,6 +64,60 @@ def reference_evaluate(series, point):
                 v = v * GaussianRational._coerce(point[i]) ** e
         total = total + v
     return total
+
+
+def reference_compose(series, sub):
+    """Reference substitution: every monomial multiplied out in Series
+    arithmetic (one cached power per variable, one GaussianRational product
+    and sum per term), with the package's checks and messages."""
+    if isinstance(sub, SeriesMap):
+        mapping = sub.as_subst()
+    else:
+        mapping = dict(sub)
+    missing = [n for n in series.space.names if n not in mapping]
+    if missing:
+        raise UnknownVariable(f"substitution missing variables {missing}")
+    used = series.used_indices()
+    target = None
+    order = series.order
+    for i in sorted(used):
+        s = mapping[series.space.names[i]]
+        if target is None:
+            target = s.space
+        elif s.space != target:
+            raise VarSpaceMismatch("substituted series live over different spaces")
+        if series.order is not None and not s.constant_term().is_zero():
+            raise TruncationUnsound(
+                f"substituting a series with nonzero constant term for "
+                f"{series.space.names[i]!r} into a truncated series"
+            )
+        order = _merge_order(order, s.order)
+    if target is None:
+        for s in mapping.values():
+            target = s.space
+            order = _merge_order(order, s.order)
+            break
+        if target is None:
+            raise VarSpaceMismatch("empty substitution for a constant series")
+    terms = {}
+    constant = {(0,) * target.dim: ONE}
+    powers = {}
+    for exp, c in series.terms.items():
+        prod = None
+        for i, e in enumerate(exp):
+            if not e:
+                continue
+            cache = powers.setdefault(i, [Series.constant(target, 1, order)])
+            while len(cache) <= e:
+                cache.append(cache[-1] * mapping[series.space.names[i]])
+            prod = cache[e] if prod is None else prod * cache[e]
+        for e, v in (constant if prod is None else prod.terms).items():
+            t = terms.get(e, ZERO) + c * v
+            if t.is_zero():
+                terms.pop(e, None)
+            else:
+                terms[e] = t
+    return Series(target, terms, order)
 
 
 def small_scalar(rng, bound=5):

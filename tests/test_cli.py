@@ -347,6 +347,11 @@ def test_unreadable_manifests_are_usage_errors(tmp_path, capsys):
     ('{"minimal": tru', "invalid JSON"),
     ("[1, 2]", "expected a JSON object"),
     ('{"minmal": true}', "unknown key 'minmal'"),
+    ('{"reparam_upto": "3"}', "key 'reparam_upto' must be an integer"),
+    ('{"gamma_components": [1]}', "key 'gamma_components' must be an object"),
+    ('{"minimal": "yes"}', "key 'minimal' must be true or false"),
+    ('{"sigma_symmetry_upto": true}', "key 'sigma_symmetry_upto' must be an integer"),
+    ('{"gamma_components": {"0": ["u1_1"]}}', "key 'gamma_components' must be an object"),
 ])
 def test_bad_checkall_sidecars_are_usage_errors(tmp_path, capsys, text, message):
     (tmp_path / "heis.mf").write_text("m=1\nd=1\ntheta_bar_1 = w1*zeta1\n")

@@ -1,5 +1,6 @@
 """Golden machine reports: the exit code, JSON report and error text of every
-subcommand on four corpus manifests, of a few `--base generic` runs and of
+subcommand on four corpus manifests, of a few `--base generic` runs, of the
+jet (`--order 5`) runs of the subcommands that build series, and of
 `checkall`, pinned byte for byte in tests/data/reports.json.
 
 Corpus paths are written as the entry name, so the file does not depend on
@@ -25,6 +26,7 @@ DATA = Path(__file__).parent / "data" / "reports.json"
 NAMES = ("heisenberg", "ex8_6", "quadric_elliptic", "orbit_heisenberg_like")
 COMMANDS = ("validate", "chains", "ranks", "minimality", "multitype", "witness",
             "hormander", "levi", "e1det", "orbit")
+JET_COMMANDS = ("chains", "ranks", "multitype", "orbit", "levi", "hormander")
 
 
 def cases():
@@ -34,6 +36,7 @@ def cases():
         out.append(["ranks", name, "--base", "generic", "--certify"])
         out.append(["levi", name, "--base", "generic"])
         out.append(["hormander", name, "--base", "generic"])
+    out += [[cmd, name, "--order", "5"] for name in NAMES for cmd in JET_COMMANDS]
     return out + [["corpus"], ["checkall"]]
 
 

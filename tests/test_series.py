@@ -17,7 +17,7 @@ from segrechains.series import (
     PointTable, Series, SeriesMap, VarSpace, evaluate_rows, identity_map,
 )
 
-from helpers import random_series, reference_evaluate, small_scalar
+from helpers import random_series, reference_compose, reference_evaluate, small_scalar
 
 
 def simple_space():
@@ -237,6 +237,93 @@ def test_evaluate_matches_reference_evaluation(data, order):
             fs[0].evaluate(short)
         with pytest.raises(DimensionMismatch):
             fs[0].evaluate(short, PointTable(short))
+
+
+# -- integer-first composition against the term-by-term reference -----------
+
+_TARGET = VarSpace([("t", ("t1", "t2", "t3"))])
+_ELSEWHERE = VarSpace([("u", ("u1",))])
+_ORDERS = (None,) + tuple(range(9))
+
+
+def _random_part(rng):
+    """An int, a small fraction, or a fraction with denominator up to 2**64."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-20, 20)
+    bound = 12 if kind == 1 else 2 ** 64
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def _random_coefficient(rng):
+    while True:
+        c = GaussianRational(_random_part(rng), _random_part(rng))
+        if c:
+            return c
+
+
+def _random_series(rng, space, order, size, constant, live=None):
+    """Up to `size` nonconstant terms in the variables `live` (default all)
+    with exponents up to 3, and a constant term if `constant`."""
+    live = range(space.dim) if live is None else live
+    terms = {}
+    for _ in range(size):
+        exp = tuple(rng.randint(0, 3) if i in live else 0 for i in range(space.dim))
+        if any(exp):
+            terms[exp] = _random_coefficient(rng)
+    if constant:
+        terms[(0,) * space.dim] = _random_coefficient(rng)
+    return Series(space, terms, order)
+
+
+def _composed(compose, f, sub):
+    """compose(f, sub), or the type and message of the error it raised."""
+    try:
+        return compose(f, sub)
+    except (TruncationUnsound, UnknownVariable, VarSpaceMismatch) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_compose_matches_reference_compose(seed):
+    """Zero, constant and general outer series, EXACT or truncated at 0..8,
+    with coefficients whose denominators reach 2**64 on both sides; the
+    substituted series are often at another order, and those of unused
+    variables often have a constant term.  Some cases are errors: a missing
+    variable, a series over another space, a constant term put into a
+    truncated series."""
+    rng = random.Random(seed)
+    space = simple_space()
+    order = rng.choice(_ORDERS)
+    live = rng.sample(range(space.dim), rng.randint(1, space.dim))
+    shape = rng.randrange(8)  # 0: zero, 1: constant, else general
+    size = 0 if shape < 2 else rng.randint(1, 5)
+    constant = shape == 1 or (shape > 1 and rng.random() < 0.5)
+    f = _random_series(rng, space, order, size, constant, live)
+    sub = {}
+    for i, name in enumerate(space.names):
+        s_order = order if rng.random() < 0.5 else rng.choice(_ORDERS)
+        constant = rng.random() < (0.1 if i in live else 0.5)
+        sub[name] = _random_series(rng, _TARGET, s_order, rng.randint(1, 3), constant)
+    fault = rng.randrange(10)
+    if fault == 0:
+        del sub[rng.choice(space.names)]
+    elif fault == 1:
+        sub[rng.choice(space.names)] = _random_series(rng, _ELSEWHERE, order, 2, False)
+    want = _composed(reference_compose, f, sub)
+    got = _composed(Series.compose, f, sub)
+    assert got == want
+    if isinstance(got, Series):
+        assert got.order == want.order and got.space == want.space
+        assert all(_canonical_parts(c) for c in got.terms.values())
+
+
+def test_compose_of_a_constant_over_no_variables_matches_reference():
+    empty = VarSpace([])
+    for f, sub in ((Series.constant(empty, 3), {}),
+                   (Series.constant(empty, 3, order=2), {"x": Series.variable(_TARGET, "t1")})):
+        assert _composed(Series.compose, f, sub) == _composed(reference_compose, f, sub)
 
 
 def test_seriesmap_evaluate_and_jacobian():
