@@ -297,15 +297,23 @@ def _reparam_args(M: CRManifold, k: int, space: VarSpace):
     return sub
 
 
+# The longest chain the reparametrization identities are stated for, and so
+# the longest a sidecar may ask checkall to build.
+REPARAM_MAX_K = 5
+
+
 def check_reparam(M: CRManifold, k: int) -> bool:
     """Verify the reparametrization identity tying v^k to the projected chain.
 
     Odd k:  v^k(partial sums)            == pi_t(Gamma_k).
     Even k: conj(v^k)(partial sums)      == pi_tau(Gamma_k).
-    Stated for k <= 5; a failed identity returns False rather than raising.
+    Stated for k <= REPARAM_MAX_K; a failed identity returns False rather
+    than raising.
     """
-    if not 1 <= k <= 5:
-        raise DimensionMismatch("reparametrization identities are stated for k <= 5")
+    if not 1 <= k <= REPARAM_MAX_K:
+        raise DimensionMismatch(
+            f"reparametrization identities are stated for k <= {REPARAM_MAX_K}"
+        )
     chain = gamma(M, k, Basepoint.origin(), "L", verify=False)
     space = chain.map.domain
     v = v_map(M, k)

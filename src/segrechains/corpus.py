@@ -12,6 +12,7 @@ from importlib import resources
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from .chains import REPARAM_MAX_K
 from .errors import ParseError
 from .manifests import Manifest, load_manifest, read_text
 
@@ -23,9 +24,14 @@ _INT_OR_NULL = ("an integer or null", lambda v: v is None or type(v) is int)
 _INTS = ("a list of integers", lambda v: type(v) is list and all(type(x) is int for x in v))
 _LADDER = ("a list of [length, count] integer pairs", lambda v: type(v) is list and all(
     type(p) is list and len(p) == 2 and all(type(x) is int for x in p) for p in v))
-_CHAINS = ("an object from chain lengths >= 1 to lists of strings", lambda v: type(v) is dict
-           and all(k.isdecimal() and int(k) >= 1 and type(c) is list
-                   and all(type(x) is str for x in c) for k, c in v.items()))
+# Chain lengths are bounded, since checkall builds every chain a sidecar names.
+_LENGTH = (f"an integer from 1 to {REPARAM_MAX_K}",
+           lambda v: type(v) is int and 1 <= v <= REPARAM_MAX_K)
+_LENGTH_KEYS = {str(k) for k in range(1, REPARAM_MAX_K + 1)}
+_CHAINS = (f"an object from chain lengths 1 to {REPARAM_MAX_K} to lists of strings",
+           lambda v: type(v) is dict and all(
+               k.lstrip("0") in _LENGTH_KEYS and type(c) is list
+               and all(type(x) is str for x in c) for k, c in v.items()))
 
 # The sidecar keys `checkall` reads, by manifest kind, each with its value type.
 SIDECAR_KEYS = {
@@ -36,7 +42,7 @@ SIDECAR_KEYS = {
         "levi_kmax": _INT_OR_NULL, "levi_type_origin": _INT_OR_NULL,
         "levi_type_generic": _INT_OR_NULL, "holomorphically_nondegenerate": _BOOL,
         "e1_det_nonzero": _BOOL, "orbit_dim": _INT, "gamma_components": _CHAINS,
-        "sigma_symmetry_upto": _INT, "reparam_upto": _INT,
+        "sigma_symmetry_upto": _LENGTH, "reparam_upto": _LENGTH,
     },
     "system": {"orbit_dim": _INT},
 }

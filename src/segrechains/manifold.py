@@ -33,10 +33,10 @@ from .errors import (
     SingularInput,
 )
 from .exprs import format_series, parse_series
-from .scalars import GaussianRational, I, ONE, ZERO
+from .scalars import GaussianRational, I, ZERO
 from .series import (
     Series, SeriesMap, TangentVectorField, VarSpace, bracket, evaluate_rows, forward_step,
-    grlex_key, noncommuting_pair, nonzero_partials,
+    grlex_key, noncommuting_pair, nonzero_partials, zi_add,
 )
 
 
@@ -312,8 +312,8 @@ class Basepoint:
 class CRFlow:
     """The L or Lbar flow of M: the moved block (w or zeta) gains its times,
     then the recomputed block (z or xi) takes the values of qbar or q on the
-    whole state (qbar never reads z, q never reads xi).  advance steps exact
-    (value, gradient row) pairs, expand steps Series."""
+    whole state (qbar never reads z, q never reads xi).  advance steps Z[i]
+    values and gradient rows (see series.forward_step), expand steps Series."""
 
     __slots__ = ("names", "moved", "target", "fns", "_partials")
 
@@ -326,10 +326,11 @@ class CRFlow:
             self._partials = [nonzero_partials(f) for f in self.fns]
         values, rows = list(values), list(rows)
         for i, a in enumerate(self.moved):
-            values[a] = values[a] + times[i]
-            row = list(rows[a])
-            row[col + i] = row[col + i] + ONE
-            rows[a] = row
+            values[a] = zi_add(values[a], times[i])
+            den, re, im = rows[a]
+            re = list(re)
+            re[col + i] += den  # the unit time entry, den / den
+            rows[a] = (den, re, im)
         new = forward_step(self.fns, self._partials, values, rows)
         for t, (value, row) in zip(self.target, new):
             values[t], rows[t] = value, row

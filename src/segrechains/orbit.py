@@ -51,7 +51,7 @@ from .ranks import (
     random_point,
     rank_at_point,
 )
-from .scalars import ONE, ZERO
+from .scalars import ZERO
 from .series import (
     PointwiseWord,
     Series,
@@ -136,16 +136,18 @@ class FlowMap:
         self._partials = None
 
     def advance(self, values, rows, times, col):
-        """exp(times.L) at exact (values, rows); the times move columns col,
-        col + 1, ..., or no column when col is None (constant times).  The
-        partials in (s, x) are differentiated on first use, then kept."""
+        """exp(times.L) at Z[i] values and gradient rows (see
+        series.forward_step); the times move columns col, col + 1, ..., or
+        no column when col is None (constant times).  The partials in (s, x)
+        are differentiated on first use, then kept."""
         if self._partials is None:
             self._partials = [nonzero_partials(c) for c in self.map.components]
-        ncols = len(rows[0])
+        ncols = len(rows[0][1])
+        zeros = [0] * ncols
         if col is None:
-            time_rows = [[ZERO] * ncols] * len(times)
+            time_rows = [(1, zeros, zeros)] * len(times)
         else:
-            time_rows = [[ONE if c == col + j else ZERO for c in range(ncols)]
+            time_rows = [(1, [int(c == col + j) for c in range(ncols)], zeros)
                          for j in range(len(times))]
         new = forward_step(self.map.components, self._partials, list(times) + values,
                            time_rows + rows)

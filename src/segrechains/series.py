@@ -13,9 +13,12 @@ series and divided once per output term, its truncated products cut off by
 degree), exact evaluation at a Gaussian-rational point (Series.evaluate,
 summed over the Gaussian integers against a PointTable of the point and
 divided once; evaluate_rows shares one table across a matrix of Series), the
-forward-mode chain-rule step (forward_step) and the runner that carries a
-point through a word of flows with it (PointwiseWord: Segre chains and orbit
-flows alike), beside it the symbolic expansion of the same words
+forward-mode chain-rule step (forward_step, whose values and gradient rows
+stay over the Gaussian integers, one denominator per value and per row) and
+the runner that carries a point through a word of flows with it
+(PointwiseWord: Segre chains and orbit flows alike, divided out only when a
+word's values and Jacobian are read), beside it the symbolic expansion of the
+same words
 (expand_word, which keeps the state after every prefix, so words that share
 one expand it once), the vector field acting as a derivation
 (TangentVectorField), the bracket of two fields, the commutation check
@@ -173,14 +176,43 @@ def _scaled(part, q: int) -> int:
     return part.numerator * (q // part.denominator)
 
 
+def _zi(x):
+    """An exact scalar x as a Z[i] scalar: ints (re, im, den) in lowest
+    terms with x = (re + i*im) / den and den > 0."""
+    c = _as_scalar(x)
+    if type(c.re) is int and type(c.im) is int:
+        return c.re, c.im, 1
+    den = _common_denominator((c,))
+    return _scaled(c.re, den), _scaled(c.im, den), den
+
+
+def _gaussian(re: int, im: int, den: int) -> GaussianRational:
+    """(re + i*im) / den, for ints with den > 0, as a GaussianRational."""
+    if den == 1:
+        return GaussianRational(re, im)
+    return GaussianRational(re // den if re % den == 0 else Fraction(re, den),
+                            im // den if im % den == 0 else Fraction(im, den))
+
+
+def zi_add(x, y):
+    """The sum of two Z[i] scalars (re, im, den), in lowest terms."""
+    a, b, d = x
+    c, e, f = y
+    re, im, den = a * f + c * d, b * f + e * d, d * f
+    g = math.gcd(re, im, den)
+    return re // g, im // g, den // g
+
+
 class PointTable:
     """An exact point over Z[i], shared by the Series evaluated at it.
 
     Every coordinate is put over one common denominator q, the lcm of all
     real and imaginary denominators: pows[i][e] is N_i^e as an (re, im) int
     pair for the numerator N_i of coordinate i, and qpow[k] is q^k.  The
-    first Series.evaluate with the table fills it (so the work counts as
-    evaluation), and both lists grow as later calls need higher powers.
+    first Series.value_over (or evaluate) with the table fills it, so the
+    work counts as evaluation, and both lists grow as later calls need
+    higher powers.  PointTable.of_zi builds the filled table of a point
+    given as Z[i] scalars.
     """
 
     __slots__ = ("point", "q", "qpow", "pows")
@@ -189,11 +221,21 @@ class PointTable:
         self.point = point
         self.pows = None
 
+    @staticmethod
+    def of_zi(coords) -> "PointTable":
+        """The filled table of the point whose coordinates are the Z[i]
+        scalars (re, im, den) `coords`."""
+        table = PointTable(None)
+        table._fill(coords)
+        return table
+
     def fill(self):
-        coords = [_as_scalar(x) for x in self.point]
-        self.q = q = _common_denominator(coords)
+        self._fill([_zi(x) for x in self.point])
+
+    def _fill(self, coords):
+        self.q = q = math.lcm(*(den for _, _, den in coords))
         self.qpow = [1]
-        self.pows = [[(1, 0), (_scaled(c.re, q), _scaled(c.im, q))] for c in coords]
+        self.pows = [[(1, 0), (re * (q // den), im * (q // den))] for re, im, den in coords]
 
     def extend(self, i: int, e: int):
         """Fill pows[i] up to N_i^e."""
@@ -452,7 +494,7 @@ class Series:
                 continue
             new = list(exp)
             new[i] = e - 1
-            terms[tuple(new)] = c * e
+            terms[tuple(new)] = GaussianRational(c.re * e, c.im * e)
         order = None if self.order is None else max(self.order - 1, 0)
         return Series._canonical(self.space, terms, order)
 
@@ -461,26 +503,29 @@ class Series:
         """Exact value of the stored polynomial part at a Gaussian-rational point.
 
         In truncated mode this is jet evaluation: the value of the stored
-        polynomial.  It gives the Jacobians of rank sampling, the values and
-        gradient rows of every forward_step, basepoint state values and
-        reality checks.  The sum is taken over Z[i] and divided once:
-        sum(L*c_e * N^e * q^(D - |e|)) / (L * q^D), with N/q the point over
-        its common denominator q (`table`, a PointTable of `point` that the
-        caller may share between calls) and L the lcm of the coefficients'
-        denominators, D the total degree (both cached on first use).
+        polynomial.  It gives the Jacobians of rank sampling, basepoint state
+        values and reality checks: the integer value_over `table` (a
+        PointTable of `point` that the caller may share between calls),
+        divided once.
         """
         if len(point) != self.space.dim:
             raise DimensionMismatch(
                 f"point dimension {len(point)} != space dim {self.space.dim}"
             )
+        return _gaussian(*self.value_over(PointTable(point) if table is None else table))
+
+    def value_over(self, table: PointTable):
+        """The value at the table's point as ints (re, im, den), not reduced:
+        sum(L*c_e * N^e * q^(D - |e|)) over den = L * q^D, with N/q the point
+        over its common denominator q and L the lcm of the coefficients'
+        denominators, D the total degree (both cached on first use).
+        forward_step takes its partials' values in this form."""
         try:
             lcd, degree, needed, terms = self._form
         except AttributeError:
             lcd, degree, needed, terms = self._integer_form()
         if not terms:
-            return ZERO
-        if table is None:
-            table = PointTable(point)
+            return 0, 0, 1
         if table.pows is None:
             table.fill()
         pows, qpow = table.pows, table.qpow
@@ -497,10 +542,7 @@ class Series:
             k = qpow[degree - deg]
             re += a * k
             im += b * k
-        den = lcd * qpow[degree]
-        if den == 1:
-            return GaussianRational(re, im)
-        return GaussianRational(Fraction(re, den), Fraction(im, den))
+        return re, im, lcd * qpow[degree]
 
     def _integer_form(self, keep: bool = True):
         """(L, D, ((i, largest e), ...), ((factors, |e|, L*c.re, L*c.im), ...))
@@ -635,10 +677,7 @@ class Series:
         for k, (re, im) in acc.items():
             if re or im:
                 exp = tuple([(k >> j) & mask for j in range(0, shift, width)])
-                terms[exp] = GaussianRational(
-                    re // den if re % den == 0 else Fraction(re, den),
-                    im // den if im % den == 0 else Fraction(im, den),
-                )
+                terms[exp] = _gaussian(re, im, den)
         return Series._canonical(target, terms, order)
 
     def lift(self, space: VarSpace) -> "Series":
@@ -757,25 +796,56 @@ def nonzero_partials(f: Series):
 
 
 def forward_step(fns, partials, at, rows):
-    """One forward-mode chain-rule step through polynomials at an exact point.
+    """One forward-mode chain-rule step through polynomials at an exact point,
+    over the Gaussian integers.
 
-    at[a] is the value of the a-th variable of the fns' space and rows[a] its
-    gradient row (all rows of one length); partials[j] is
-    nonzero_partials(fns[j]).  Returns a (value, row) pair per function:
-    fns[j](at) and sum_a dfns[j]/dx_a(at) * rows[a].  Rows are built new,
-    never mutated, and one PointTable serves the whole step.
+    at[a] is the value of the a-th variable of the fns' space, a Z[i] scalar
+    (re, im, den), and rows[a] its gradient row, an integer row (den, re, im):
+    den > 0 an int, re and im lists of ints (all of one length), entry k
+    being (re[k] + i*im[k]) / den.  partials[j] is nonzero_partials(fns[j]).
+    Returns a (value, row) pair per function: fns[j](at) as a Z[i] scalar in
+    lowest terms and the row sum_a dfns[j]/dx_a(at) * rows[a].  One PointTable
+    serves the whole step; each partial's value comes from
+    Series.value_over, reduced by one gcd, and the row is one integer linear
+    combination over the lcm of the partial-times-row denominators, reduced
+    by one gcd over the whole row, so no factor of den divides every entry.
+    Rows are built new, never mutated: callers share them.
     """
-    zero_row = [ZERO] * len(rows[0])
-    table = PointTable(at)
+    zeros = [0] * len(rows[0][1])
+    table = PointTable.of_zi(at)
     out = []
     for f, parts in zip(fns, partials):
-        row = zero_row
+        products = []
+        lcd = 1
         for a, p in parts:
-            c = p.evaluate(at, table)
-            if not c.is_zero():
-                row = [x + c * y if y else x for x, y in zip(row, rows[a])]
-        out.append((f.evaluate(at, table), row))
+            cr, ci, den = p.value_over(table)
+            d, xs, ys = rows[a]
+            if (cr or ci) and (any(xs) or any(ys)):
+                g = math.gcd(cr, ci, den)
+                den = den // g * d
+                lcd = math.lcm(lcd, den)
+                products.append((cr // g, ci // g, den, xs, ys))
+        re = im = zeros
+        for cr, ci, den, xs, ys in products:
+            scale = lcd // den
+            cr, ci = cr * scale, ci * scale
+            re = [u + cr * x - ci * y for u, x, y in zip(re, xs, ys)]
+            im = [v + cr * y + ci * x for v, x, y in zip(im, xs, ys)]
+        g = math.gcd(lcd, *re, *im)
+        if g > 1:
+            row = (lcd // g, [x // g for x in re], [y // g for y in im])
+        else:
+            row = (lcd, re, im)  # (1, zeros, zeros) when no product is nonzero
+        re, im, den = f.value_over(table)
+        g = math.gcd(re, im, den)
+        out.append(((re // g, im // g, den // g), row))
     return out
+
+
+def _gaussian_row(row) -> list:
+    """The entries of an integer row (den, re, im) as GaussianRationals."""
+    den, re, im = row
+    return [_gaussian(x, y, den) for x, y in zip(re, im)]
 
 
 class PointwiseWord:
@@ -785,11 +855,15 @@ class PointwiseWord:
     The first len(flows) blocks of `domain` hold the times of the word's
     flows, one block each; the remaining coordinates (`params`) go to
     start(params), the initial state values.  Each state component is carried
-    as a (value, gradient row in the time blocks) pair: flow i maps the
-    state through flow.advance(values, rows, times, col), whose times move
-    columns col, col + 1, ...  `returns` lists further (flow, times) at
-    constant times, applied afterwards with col None: chain-rule steps in the
-    state only (a witness's return map).  `out` picks the state components
+    as a (value, gradient row in the time blocks) pair over the Gaussian
+    integers, in the representation of forward_step: the value a Z[i] scalar
+    (re, im, den), the row an integer row (den, re, im) that starts as the
+    zero row (1, zeros, zeros).  Both become GaussianRationals once, at the
+    end.  Flow i maps the state through flow.advance(values, rows, times,
+    col), its times given as Z[i] scalars, which move columns col, col + 1,
+    ...  `returns` lists further (flow, times) at constant times, applied
+    afterwards with col None: chain-rule steps in the state only (a
+    witness's return map).  `out` picks the state components
     reported (default all).  `prefixes`, a dict kept by the caller, holds the
     state before the last flow per (flow prefix, point prefix with the start
     parameters): words that differ only in their last flow share it, since
@@ -821,18 +895,19 @@ class PointwiseWord:
         if self.prefixes is not None and key in self.prefixes:
             first, (values, rows) = last, self.prefixes[key]
         else:
-            first, values = 0, self.start(params)
-            rows = [[ZERO] * ncols] * len(values)  # rows are replaced, never mutated
+            first, values = 0, [_zi(x) for x in self.start(params)]
+            zeros = [0] * ncols
+            rows = [(1, zeros, zeros)] * len(values)  # rows are replaced, never mutated
         for i in range(first, last + 1):
             if i == last and self.prefixes is not None:
                 self.prefixes[key] = (values, rows)
-            times = point[i * width : (i + 1) * width]
+            times = [_zi(t) for t in point[i * width : (i + 1) * width]]
             values, rows = self.flows[i].advance(values, rows, times, i * width)
         for flow, times in self.returns:
-            values, rows = flow.advance(values, rows, times, None)
+            values, rows = flow.advance(values, rows, [_zi(t) for t in times], None)
         if self.out is not None:
             values, rows = [values[a] for a in self.out], [rows[a] for a in self.out]
-        return values, rows
+        return [_gaussian(*v) for v in values], [_gaussian_row(row) for row in rows]
 
     def evaluate(self, point):
         return self.at(point)[0]

@@ -14,7 +14,9 @@ from segrechains.manifests import load_manifest
 from segrechains.manifold import Basepoint, graph_from_real, new_manifold, real_graph_space
 from segrechains.ranks import exact_rank
 from segrechains.scalars import GaussianRational, I, ONE, ZERO
-from segrechains.series import Series, SeriesMap, TangentVectorField, VarSpace, _merge_order
+from segrechains.series import (
+    PointTable, Series, SeriesMap, TangentVectorField, VarSpace, _merge_order,
+)
 
 
 def reference_pivot_positions(matrix):
@@ -118,6 +120,22 @@ def reference_compose(series, sub):
             else:
                 terms[e] = t
     return Series(target, terms, order)
+
+
+def reference_forward_step(fns, partials, at, rows):
+    """Reference forward-mode step: the chain rule on rows of
+    GaussianRationals, every product and sum in GaussianRational arithmetic."""
+    zero_row = [ZERO] * len(rows[0])
+    table = PointTable(at)
+    out = []
+    for f, parts in zip(fns, partials):
+        row = zero_row
+        for a, p in parts:
+            c = p.evaluate(at, table)
+            if not c.is_zero():
+                row = [x + c * y if y else x for x, y in zip(row, rows[a])]
+        out.append((f.evaluate(at, table), row))
+    return out
 
 
 def small_scalar(rng, bound=5):

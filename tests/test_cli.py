@@ -352,6 +352,14 @@ def test_unreadable_manifests_are_usage_errors(tmp_path, capsys):
     ('{"minimal": "yes"}', "key 'minimal' must be true or false"),
     ('{"sigma_symmetry_upto": true}', "key 'sigma_symmetry_upto' must be an integer"),
     ('{"gamma_components": {"0": ["u1_1"]}}', "key 'gamma_components' must be an object"),
+    # chain lengths above the reparametrization bound would run without end
+    ('{"gamma_components": {"400": ["x"]}}',
+     "key 'gamma_components' must be an object from chain lengths 1 to 5"),
+    pytest.param('{"gamma_components": {"%s": ["x"]}}' % ("9" * 5000),
+                 "key 'gamma_components' must be an object", id="5000-digit-chain-length"),
+    ('{"sigma_symmetry_upto": 6}', "key 'sigma_symmetry_upto' must be an integer from 1 to 5"),
+    ('{"reparam_upto": 6}', "key 'reparam_upto' must be an integer from 1 to 5"),
+    ('{"reparam_upto": 0}', "key 'reparam_upto' must be an integer from 1 to 5"),
 ])
 def test_bad_checkall_sidecars_are_usage_errors(tmp_path, capsys, text, message):
     (tmp_path / "heis.mf").write_text("m=1\nd=1\ntheta_bar_1 = w1*zeta1\n")

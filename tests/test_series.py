@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,10 +15,14 @@ from segrechains.errors import (
 from segrechains.manifold import ambient_space
 from segrechains.scalars import GaussianRational, ZERO
 from segrechains.series import (
-    PointTable, Series, SeriesMap, VarSpace, evaluate_rows, identity_map,
+    PointTable, Series, SeriesMap, VarSpace, _gaussian, _gaussian_row, _zi, evaluate_rows,
+    forward_step, identity_map, nonzero_partials, zi_add,
 )
 
-from helpers import random_series, reference_compose, reference_evaluate, small_scalar
+from helpers import (
+    random_series, reference_compose, reference_evaluate, reference_forward_step,
+    small_scalar,
+)
 
 
 def simple_space():
@@ -324,6 +329,75 @@ def test_compose_of_a_constant_over_no_variables_matches_reference():
     for f, sub in ((Series.constant(empty, 3), {}),
                    (Series.constant(empty, 3, order=2), {"x": Series.variable(_TARGET, "t1")})):
         assert _composed(Series.compose, f, sub) == _composed(reference_compose, f, sub)
+
+
+# -- the forward step over Z[i] against the GaussianRational reference -------
+
+
+def _random_coordinate(rng):
+    """0, an int, a Fraction (small or up to 2**64) or a GaussianRational."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice((0, ZERO))
+    if kind == 1:
+        return rng.randint(-99, 99)
+    if kind == 2:
+        return _random_part(rng)
+    return GaussianRational(_random_part(rng), _random_part(rng))
+
+
+def _random_int_row(rng, ncols):
+    """An integer row (den, re, im): all zero, or with zero entries and a
+    denominator that is 1, small, or up to 2**64."""
+    zeros = [0] * ncols
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 1, zeros, zeros
+    den = (1, rng.randint(2, 12), rng.randint(2, 2 ** 64))[kind - 1]
+    bound = rng.choice((5, 2 ** 70))
+
+    def entry():
+        return 0 if rng.random() < 0.3 else rng.randint(-bound, bound)
+    return den, [entry() for _ in range(ncols)], [entry() for _ in range(ncols)]
+
+
+def _exact_row(row):
+    den, re, im = row
+    return [GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(re, im)]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_forward_step_matches_reference_forward_step(seed):
+    """Polynomials with int, small-fraction and 2**64-denominator complex
+    coefficients at points mixing int, Fraction and GaussianRational
+    coordinates (zero ones make partials vanish), given to the step as Z[i]
+    scalars, through integer rows with zero entries, all-zero rows and
+    differing denominators."""
+    rng = random.Random(seed)
+    space = simple_space()
+    ncols = rng.randint(1, 4)
+    fns = [_random_series(rng, space, None, rng.randint(0, 5), rng.random() < 0.5)
+           for _ in range(rng.randint(1, 3))]
+    partials = [nonzero_partials(f) for f in fns]
+    at = [_random_coordinate(rng) for _ in range(space.dim)]
+    rows = [_random_int_row(rng, ncols) for _ in range(space.dim)]
+    given_rows = [(den, list(re), list(im)) for den, re, im in rows]
+    want = reference_forward_step(fns, partials, at, [_exact_row(r) for r in rows])
+    got = forward_step(fns, partials, [_zi(x) for x in at], rows)
+    assert rows == given_rows  # rows are shared, never mutated
+    for (value, row), (want_value, want_row) in zip(got, want):
+        re, im, den = value
+        assert den > 0 and math.gcd(re, im, den) == 1  # in lowest terms
+        assert GaussianRational(Fraction(re, den), Fraction(im, den)) == want_value
+        den, re, im = row
+        assert den > 0 and len(re) == len(im) == ncols
+        assert math.gcd(den, *re, *im) == 1  # one gcd reduced the row
+        assert _exact_row(row) == _gaussian_row(row) == want_row
+        assert all(_canonical_parts(c) for c in [_gaussian(*value), *_gaussian_row(row)])
+    # a flow moves its coordinates by its times with zi_add
+    total = zi_add(_zi(at[0]), _zi(at[1]))
+    assert math.gcd(*total) == 1 and _gaussian(*total) == GaussianRational._coerce(at[0]) + at[1]
 
 
 def test_seriesmap_evaluate_and_jacobian():
