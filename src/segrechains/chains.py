@@ -165,16 +165,6 @@ class ChainMap:
         names = _chart_names(self.manifold, chart)
         return self.map.project(names, self.manifold.space.subspace(_CHARTS[chart]))
 
-    def param_names(self):
-        return [
-            f"u{i}_{j}"
-            for i in range(1, self.k + 1)
-            for j in range(1, self.manifold.m + 1)
-        ]
-
-    def u_blocks(self):
-        return u_blocks(self.k)
-
 
 def _chain_states(M: CRManifold, k: int, basepoint: Basepoint, parity: str):
     """Ambient state components of Gamma_k over chain_space(M, k, basepoint),
@@ -278,10 +268,6 @@ def v_map(M: CRManifold, k: int) -> SeriesMap:
     return SeriesMap(comps, t_space)
 
 
-def _conjugate_coefficients(s: Series) -> Series:
-    return Series(s.space, {e: c.conjugate() for e, c in s.terms.items()}, s.order)
-
-
 def _reparam_args(M: CRManifold, k: int, space: VarSpace):
     """Slot s of the nested map receives u_{k+1-s} + u_{k-1-s} + ... (step 2)."""
     order = M.order
@@ -320,7 +306,7 @@ def check_reparam(M: CRManifold, k: int) -> bool:
     args = _reparam_args(M, k, space)
     comps = list(v.components)
     if k % 2 == 0:
-        comps = [_conjugate_coefficients(c) for c in comps]
+        comps = [c.conjugate() for c in comps]
     lhs = [c.compose(args) for c in comps]
     rhs = chain.in_chart("t" if k % 2 else "tau").components
     return all(a == b for a, b in zip(lhs, rhs))

@@ -27,7 +27,7 @@ from math import comb
 
 from .errors import ParseError
 from .scalars import GaussianRational, format_scalar
-from .series import Series, VarSpace, grlex_key
+from .series import Series, VarSpace, _gaussian, grlex_key
 
 MAX_NESTING = 64
 MAX_EXPONENT = 32
@@ -102,7 +102,7 @@ class _Parser:
             if kind == "op" and val == "*":
                 self.take()
                 factor = self.parse_factor()
-                _check_terms(len(result.terms) * len(factor.terms), "product")
+                _check_terms(len(result.pairs) * len(factor.pairs), "product")
                 result = result * factor
             else:
                 return result
@@ -117,7 +117,7 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer literal")
             if val > MAX_EXPONENT:
                 raise ParseError(f"exponent {val} exceeds the limit {MAX_EXPONENT}")
-            t = len(base.terms)
+            t = len(base.pairs)
             if t > 1:
                 _check_terms(comb(t - 1 + val, val), "power")
             return base ** val
@@ -204,8 +204,8 @@ def format_series(s: Series) -> str:
     if s.is_zero():
         return "0"
     parts = []
-    for exp, coef in sorted(s.terms.items(), key=lambda t: grlex_key(t[0])):
-        text = _format_term(s.space, exp, coef)
+    for exp, (re, im) in sorted(s.pairs.items(), key=lambda t: grlex_key(t[0])):
+        text = _format_term(s.space, exp, _gaussian(re, im, s.den))
         if parts and not text.startswith("-"):
             parts.append("+" + text)
         else:

@@ -31,7 +31,7 @@ from typing import Optional
 
 from .errors import ParseError
 from .exprs import format_series, parse_series
-from .manifold import CRManifold, ambient_space, new_manifold
+from .manifold import ORDER_MESSAGE, CRManifold, ambient_space, new_manifold
 from .orbit import VFSystem, coordinate_space
 from .series import Series
 
@@ -48,7 +48,7 @@ def parse_order(text: str) -> Optional[int]:
     except ValueError:
         order = 0
     if order < 1:
-        raise ValueError("order must be EXACT or a positive integer")
+        raise ValueError(ORDER_MESSAGE)
     return order
 
 

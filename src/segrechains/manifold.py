@@ -31,11 +31,12 @@ from .errors import (
     RealityViolation,
     SegreError,
     SingularInput,
+    TruncationUnsound,
 )
 from .exprs import format_series, parse_series
 from .scalars import GaussianRational, I, ZERO
 from .series import (
-    Series, SeriesMap, TangentVectorField, VarSpace, bracket, evaluate_rows, forward_step,
+    Series, SeriesMap, TangentVectorField, VarSpace, evaluate_rows, forward_step,
     grlex_key, noncommuting_pair, nonzero_partials, zi_add,
 )
 
@@ -133,9 +134,10 @@ class CRManifold:
         for j in range(self.d):
             residual = self.restrict(self.theta[j]) - self.theta_bar[j]
             if not residual.is_zero():
-                exp = min(residual.terms, key=grlex_key)
+                exp = min(residual.pairs, key=grlex_key)
                 mono = format_series(
-                    Series(self.space, {exp: residual.terms[exp]}, self.order)
+                    Series._reduced(self.space, residual.den, {exp: residual.pairs[exp]},
+                                    self.order)
                 )
                 raise RealityViolation(
                     f"reality identity fails for component {j + 1}: "
@@ -149,6 +151,24 @@ class CRManifold:
         return f"CRManifold(m={self.m}, d={self.d}, {tag})"
 
 
+ORDER_MESSAGE = "order must be EXACT or a positive integer"
+
+
+def _input_series(items, space: VarSpace, order):
+    """Expression strings or Series taken to `space` at the truncation order,
+    None or an int >= 1, not a bool (else SegreError); a jet of a lower order
+    than asked for, or asked for as EXACT, is refused (TruncationUnsound)."""
+    if order is not None and (type(order) is not int or order < 1):
+        raise SegreError(ORDER_MESSAGE)
+    out = [parse_series(s, space, order) if isinstance(s, str)
+           else s.lift(space).truncate(order) for s in items]
+    for s in out:
+        if s.order != order:
+            raise TruncationUnsound(
+                f"a series known to order {s.order} cannot give order {order or 'EXACT'}")
+    return out
+
+
 def new_manifold(m: int, d: int, theta_bar, order=None) -> CRManifold:
     """Build and validate a manifold from its graph data.
 
@@ -158,13 +178,7 @@ def new_manifold(m: int, d: int, theta_bar, order=None) -> CRManifold:
     if len(theta_bar) != d:
         raise DimensionMismatch(f"expected {d} graph components, got {len(theta_bar)}")
     space = ambient_space(m, d)
-    parsed = []
-    for item in theta_bar:
-        if isinstance(item, str):
-            parsed.append(parse_series(item, space, order))
-        else:
-            parsed.append(item.lift(space).truncate(order))
-    return CRManifold(m, d, parsed, order, space)
+    return CRManifold(m, d, _input_series(theta_bar, space, order), order, space)
 
 
 # Fixed-point iterations graph_from_real allows an EXACT input before it
@@ -181,19 +195,13 @@ def graph_from_real(m: int, d: int, h, order=None) -> CRManifold:
     x = xi + (i/2) h(w, zeta, x); for polynomial h with transversal
     dependence that does not terminate, a finite truncation order is required.
     """
-    hspace = real_graph_space(m, d)
-    hs = []
-    for item in h:
-        if isinstance(item, str):
-            hs.append(parse_series(item, hspace, order))
-        else:
-            hs.append(item.lift(hspace).truncate(order))
+    hs = _input_series(h, real_graph_space(m, d), order)
     if len(hs) != d:
         raise DimensionMismatch(f"expected {d} components, got {len(hs)}")
     for j, s in enumerate(hs):
         if not s.constant_term().is_zero():
             raise SingularInput(f"h_{j + 1}(0) != 0")
-        if any(sum(exp) == 1 for exp in s.terms):
+        if any(sum(exp) == 1 for exp in s.pairs):
             raise SingularInput(f"dh_{j + 1}(0) != 0")
         if s.sigma_conjugate() != s:
             raise RealityViolation(
@@ -377,10 +385,6 @@ class MVectorField:
     def apply(self, i: int, f: Series) -> Series:
         """Derivation: component i applied to an ambient series."""
         return self._component(i).apply(f)
-
-    def bracket_coefficients(self, i: int, j: int):
-        """Ambient coefficients of [X_i, X_j]."""
-        return bracket(self._component(i), self._component(j)).coefficients
 
     def _component(self, i: int) -> TangentVectorField:
         return TangentVectorField(self.manifold.space, self.coefficients[i])

@@ -107,11 +107,8 @@ class VFSystem:
             if pair is not None:
                 raise ChartMismatch("components within an m-vector field must commute")
 
-    def _coefficient_rows(self):
-        return [comp for fld in self.fields for comp in fld]
-
     def _check_pointwise_rank(self, trials, seed):
-        rows = self._coefficient_rows()
+        rows = [comp for fld in self.fields for comp in fld]
         points = [[ZERO] * self.n]
         rng = random.Random(seed)
         points += [random_point(rng, self.n) for _ in range(trials)]
@@ -186,8 +183,8 @@ def formal_flow(system: VFSystem, alpha: int, order: Optional[int]) -> FlowMap:
     def drop_high(f: Series):
         if order is None:
             return f, False
-        kept = {e: c for e, c in f.terms.items() if sum(e) <= order}
-        return Series(domain, kept, None), len(kept) != len(f.terms)
+        kept = {e: p for e, p in f.pairs.items() if sum(e) <= order}
+        return Series._reduced(domain, f.den, kept, None), len(kept) != len(f.pairs)
 
     cap = order if order is not None else 200
     comps = []
@@ -212,7 +209,7 @@ def formal_flow(system: VFSystem, alpha: int, order: Optional[int]) -> FlowMap:
                 "pass a finite truncation order"
             )
         exact = exact and terminated and not dropped_any
-        comps.append(Series(domain, total.terms, order))
+        comps.append(total.truncate(order))
     return FlowMap(SeriesMap(comps, system.space), exact, order)
 
 
@@ -422,12 +419,12 @@ def lie_span_dimension(system: VFSystem, max_length: Optional[int] = None) -> in
     singles = [TangentVectorField(system.space, comp)
                for fld in system.fields for comp in fld]
     origin = [ZERO] * system.n
-    rows = [f.value_at(origin) for f in singles]
+    rows = evaluate_rows([f.coefficients for f in singles], origin)
     dim = exact_rank(rows)
     for _, level in bracket_levels(singles, max_length):
         if not level:
             break
-        rows.extend(f.value_at(origin) for f in level)
+        rows.extend(evaluate_rows([f.coefficients for f in level], origin))
         dim = exact_rank(rows)
         if dim == system.n:
             break

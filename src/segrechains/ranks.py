@@ -251,8 +251,3 @@ def find_rank_point(f, wrt, m: int, blocks: int, target: int, seed: int):
     raise WitnessNotFound(
         f"no rank-{target} point of the required shape after {2 * WITNESS_RETRIES} tries"
     )
-
-
-def span_dimension(vectors: Sequence[Sequence[GaussianRational]]) -> int:
-    """Dimension of the span of exact row vectors."""
-    return exact_rank(vectors)

@@ -3,31 +3,36 @@
 A VarSpace is an ordered collection of named variable blocks with an optional
 sigma-pairing (the involution that swaps each holomorphic variable with its
 complexified conjugate).  A Series is a finite map from exponent vectors to
-GaussianRational coefficients, either EXACT (a polynomial, order=None) or a
-jet truncated at a total degree.  A SeriesMap is a tuple of Series sharing one
-domain, with its components assigned to the variables of a codomain space.
+Q(i) coefficients, EXACT (a polynomial, order=None) or a jet truncated at a
+total degree, stored over the Gaussian integers: one positive int `den` and a
+dict `pairs` from exponent tuple to an (re, im) int pair, the coefficient
+being (re + i*im) / den.  GaussianRational appears only at the boundary: the
+constructor converts its input once; coefficient, constant_term, formatting
+and the read-only `terms` view divide out.  A SeriesMap is a tuple of Series
+sharing one domain, its components assigned to the variables of a codomain.
 
-The calculus on Series lives here too, once for every caller: substitution
-(Series.compose, summed over the Gaussian integers with one denominator per
-series and divided once per output term, its truncated products cut off by
-degree), exact evaluation at a Gaussian-rational point (Series.evaluate,
-summed over the Gaussian integers against a PointTable of the point and
-divided once; evaluate_rows shares one table across a matrix of Series), the
-forward-mode chain-rule step (forward_step, whose values and gradient rows
-stay over the Gaussian integers, one denominator per value and per row) and
-the runner that carries a point through a word of flows with it
+The calculus on Series lives here too, once for every caller: sums,
+derivatives and products by one term or a scalar on the stored ints, one
+polynomial product (_zi_product over packed exponents, cut off by degree)
+behind other Series products and substitution (Series.compose, summed over
+one denominator), exact evaluation at a Gaussian-rational point
+(Series.evaluate, summed over the Gaussian integers against a PointTable of
+the point and divided once; evaluate_rows shares one table across a matrix
+of Series), the forward-mode chain-rule step (forward_step, whose values and
+gradient rows stay over the Gaussian integers, one denominator per value and
+per row) and the runner that carries a point through a word of flows with it
 (PointwiseWord: Segre chains and orbit flows alike, divided out only when a
-word's values and Jacobian are read), beside it the symbolic expansion of the
-same words
-(expand_word, which keeps the state after every prefix, so words that share
-one expand it once), the vector field acting as a derivation
-(TangentVectorField), the bracket of two fields, the commutation check
-(noncommuting_pair), and the deduplicated left-normed bracket ladder
+word's values and Jacobian are read), beside it the symbolic expansion of
+the same words (expand_word, which keeps the state after every prefix, so
+words that share one expand it once), the vector field acting as a
+derivation (TangentVectorField), the bracket of two fields, the commutation
+check (noncommuting_pair), and the deduplicated left-normed bracket ladder
 (bracket_levels) that both the Hormander ladder and the orbit oracle walk.
 
 All values are immutable after construction; results are kept canonical
-(no zero coefficients, no terms beyond the truncation order), so equality
-is plain dict equality.
+(no (0, 0) pair, no term beyond the truncation order, and no factor of den
+above 1 divides every part: one gcd per result), so equality and hashing
+are plain data comparisons.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -46,7 +54,7 @@ from .errors import (
     UnpairedVariable,
     VarSpaceMismatch,
 )
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ZERO
 
 
 class VarSpace:
@@ -116,9 +124,6 @@ class VarSpace:
 
     def partner(self, index: int) -> Optional[int]:
         return self._partner.get(index)
-
-    def pairs(self):
-        return tuple(sorted((min(a, b), max(a, b)) for a, b in self._partner.items()))
 
     def subspace(self, block_names) -> "VarSpace":
         """The space made of the given blocks, keeping internal pairings."""
@@ -258,10 +263,11 @@ _UNIT = ((0, 1, 0),)  # the term list of the constant 1
 
 def _zi_product(left, right, cap, out):
     """Add the product of two term lists over Z[i] into `out` (packed
-    exponent -> [re, im]).  Terms are (packed exponent, re, im), sorted by
-    packed exponent, whose top field is the total degree: a product whose key
-    reaches `cap` lies beyond the truncation order, and so do all later ones
-    of the row, so the row stops there."""
+    exponent -> [re, im]): the one polynomial product of the package.  Terms
+    are (packed exponent, re, im), sorted by packed exponent, whose top field
+    is the total degree: a product whose key reaches `cap` lies beyond the
+    truncation order, and so do all later ones of the row, so the row stops
+    there."""
     if not right:
         return out
     first = right[0][0]
@@ -286,100 +292,139 @@ def _sorted_terms(acc):
     return sorted((k, a, b) for k, (a, b) in acc.items() if a or b)
 
 
+@lru_cache(maxsize=256)
+def _packing(dim: int, limit: int):
+    """(cap, weights, shifts, mask) of exponents over `dim` variables packed
+    into one int each, variable j in the field of mask's bits at shifts[j]
+    (weights[j] the key of x_j), under a top field holding the total degree:
+    adding keys multiplies monomials, and a key of `cap` or more lies beyond
+    total degree `limit` (no field below overflows), see _zi_product."""
+    width = max(limit, 1).bit_length()
+    top = width * dim
+    shifts = tuple(range(0, top, width))
+    weights = tuple((1 << j) + (1 << top) for j in shifts)
+    return (limit + 1) << top, weights, shifts, (1 << width) - 1
+
+
+def _packed(s, packing):
+    """The stored pairs of the Series s as a sorted term list (key, re, im)."""
+    weights = packing[1]
+    return sorted((sum(map(operator.mul, e, weights)), a, b) for e, (a, b) in s.pairs.items())
+
+
+def _unpacked(space, packing, acc, den: int, order):
+    """The reduced Series of a _zi_product sum `acc` over `den`."""
+    _, _, shifts, mask = packing
+    return Series._reduced(space, den, {
+        tuple(map(operator.and_, map(operator.rshift, repeat(k), shifts), repeat(mask))): (re, im)
+        for k, (re, im) in acc.items() if re or im
+    }, order)
+
+
+_new, _set = object.__new__, object.__setattr__
+
+
 def grlex_key(exp):
     """Graded-lexicographic sort key used for canonical term order."""
     return (sum(exp), exp)
 
 
 class Series:
-    """A sparse polynomial (order=None) or truncated jet (order=N) over Q(i)."""
+    """A sparse polynomial (order=None) or truncated jet (order=N) over Q(i),
+    stored over Z[i]: the coefficient of x^e is pairs[e] = (re, im) over the
+    one positive int denominator den."""
 
-    # _form: the integer form evaluate caches on first use (_integer_form)
-    __slots__ = ("space", "terms", "order", "_form")
+    # _plan: the per-term factors value_over keeps on first use (_factor_plan)
+    __slots__ = ("space", "den", "pairs", "order", "_plan")
 
     def __init__(self, space: VarSpace, terms=None, order: Optional[int] = None):
         clean = {}
-        if terms:
-            for exp, c in terms.items():
-                c = _as_scalar(c)
-                if c.is_zero():
-                    continue
-                exp = tuple(exp)
-                if len(exp) != space.dim:
-                    raise DimensionMismatch(
-                        f"exponent length {len(exp)} != space dim {space.dim}"
-                    )
-                if order is not None and sum(exp) > order:
-                    continue
-                clean[exp] = c
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "order", order)
+        for exp, c in (terms or {}).items():
+            c = _as_scalar(c)
+            if c.is_zero():
+                continue
+            exp = tuple(exp)
+            if len(exp) != space.dim:
+                raise DimensionMismatch(f"exponent length {len(exp)} != space dim {space.dim}")
+            if order is not None and sum(exp) > order:
+                continue
+            clean[exp] = c
+        # over the lcm of the part denominators, no factor of den divides every part
+        den = _common_denominator(clean.values())
+        _set(self, "space", space)
+        _set(self, "den", den)
+        _set(self, "pairs", {e: (_scaled(c.re, den), _scaled(c.im, den))
+                             for e, c in clean.items()})
+        _set(self, "order", order)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
     @staticmethod
-    def _canonical(space: VarSpace, terms: dict, order: Optional[int]) -> "Series":
-        """A Series over `terms` as given, without __init__'s checks: only for
-        a dict of results that is canonical by construction (GaussianRational
-        coefficients, none zero, exponent tuples of the space's length, none
-        beyond `order`), and no longer mutated by the caller."""
-        s = object.__new__(Series)
-        object.__setattr__(s, "space", space)
-        object.__setattr__(s, "terms", terms)
-        object.__setattr__(s, "order", order)
+    def _reduced(space: VarSpace, den: int, pairs: dict, order: Optional[int]) -> "Series":
+        """The Series of coefficients pairs[e] / den without __init__'s checks:
+        `pairs` maps exponent tuples of the space's length, none beyond
+        `order`, to nonzero (re, im) int pairs, and the caller no longer
+        mutates it.  One gcd divides out the common factor of den and them."""
+        if den > 1:
+            g = math.gcd(den, *(x for p in pairs.values() for x in p))
+            if g > 1:
+                den //= g
+                pairs = {e: (a // g, b // g) for e, (a, b) in pairs.items()}
+        s = _new(Series)
+        _set(s, "space", space)
+        _set(s, "den", den)
+        _set(s, "pairs", pairs)
+        _set(s, "order", order)
         return s
 
     # -- constructors ----------------------------------------------------
 
     @staticmethod
     def zero(space: VarSpace, order=None) -> "Series":
-        return Series(space, {}, order)
+        return Series._reduced(space, 1, {}, order)
 
     @staticmethod
     def constant(space: VarSpace, c, order=None) -> "Series":
-        zero_exp = (0,) * space.dim
-        return Series(space, {zero_exp: _as_scalar(c)}, order)
+        return Series.monomial(space, {}, c, order)
 
     @staticmethod
     def variable(space: VarSpace, name: str, order=None) -> "Series":
-        i = space.index_of(name)
-        exp = tuple(1 if j == i else 0 for j in range(space.dim))
-        return Series(space, {exp: ONE}, order)
+        return Series.monomial(space, {name: 1}, 1, order)
 
     @staticmethod
     def monomial(space: VarSpace, powers: dict, c=1, order=None) -> "Series":
         exp = [0] * space.dim
         for name, e in powers.items():
             exp[space.index_of(name)] += int(e)
-        return Series(space, {tuple(exp): _as_scalar(c)}, order)
+        return Series(space, {tuple(exp): c}, order)
 
     # -- basic queries ----------------------------------------------------
 
+    @property
+    def terms(self):
+        """A read-only view: exponent tuple -> GaussianRational coefficient."""
+        return MappingProxyType({e: _gaussian(*p, self.den) for e, p in self.pairs.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.pairs
 
     def constant_term(self) -> GaussianRational:
-        return self.terms.get((0,) * self.space.dim, ZERO)
+        return self.coefficient({})
 
     def total_degree(self) -> int:
         """Degree of the stored polynomial part (-1 for the zero series)."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max(map(sum, self.pairs), default=-1)
 
     def coefficient(self, powers: dict) -> GaussianRational:
         exp = [0] * self.space.dim
         for name, e in powers.items():
             exp[self.space.index_of(name)] = int(e)
-        return self.terms.get(tuple(exp), ZERO)
+        pair = self.pairs.get(tuple(exp))
+        return ZERO if pair is None else _gaussian(*pair, self.den)
 
     def used_indices(self):
-        used = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(i)
-        return used
+        return {i for exp in self.pairs for i, e in enumerate(exp) if e}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -387,68 +432,80 @@ class Series:
         if self.space != other.space:
             raise VarSpaceMismatch("series live over different variable spaces")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Series.constant(self.space, other, self.order)
+    def _sum(self, other, sign: int) -> "Series":
+        """self + sign * other over the lcm of the two denominators."""
         if not isinstance(other, Series):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, GaussianRational)):
+                return NotImplemented
+            other = Series.constant(self.space, other, self.order)
         self._check_space(other)
         order = _merge_order(self.order, other.order)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = terms.get(exp, ZERO) + c
-            if s.is_zero():
-                terms.pop(exp, None)
+        f, g = self.truncate(order), other.truncate(order)
+        if not g.pairs:
+            return f
+        if not f.pairs and sign == 1:
+            return g
+        den = math.lcm(f.den, g.den)
+        scale, other_scale = den // f.den, sign * (den // g.den)
+        pairs = dict(f.pairs) if scale == 1 else {
+            e: (a * scale, b * scale) for e, (a, b) in f.pairs.items()}
+        for e, (c, d) in g.pairs.items():
+            a, b = pairs.get(e, (0, 0))
+            a, b = a + c * other_scale, b + d * other_scale
+            if a or b:
+                pairs[e] = (a, b)
             else:
-                terms[exp] = s
-        if self.order == other.order:
-            return Series._canonical(self.space, terms, order)
-        return Series(self.space, terms, order)
+                del pairs[e]
+        return Series._reduced(self.space, den, pairs, order)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series._canonical(
-            self.space, {e: -c for e, c in self.terms.items()}, self.order
-        )
+        pairs = {e: (-a, -b) for e, (a, b) in self.pairs.items()}
+        return Series._reduced(self.space, self.den, pairs, self.order)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = Series.constant(self.space, other, self.order)
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = _as_scalar(other)
-            if c.is_zero():
-                return Series.zero(self.space, self.order)
-            return Series._canonical(
-                self.space, {e: k * c for e, k in self.terms.items()}, self.order
-            )
         if not isinstance(other, Series):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction, GaussianRational)):
+                return NotImplemented
+            re, im, den = _zi(other)
+            if not re and not im:
+                return Series.zero(self.space, self.order)
+            return self._times_term((0,) * self.space.dim, re, im, den, self.order)
         self._check_space(other)
         order = _merge_order(self.order, other.order)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if order is not None and d1 + sum(e2) > order:
-                    continue
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exp, ZERO) + c1 * c2
-                if s.is_zero():
-                    terms.pop(exp, None)
-                else:
-                    terms[exp] = s
-        return Series._canonical(self.space, terms, order)
+        f, g = (self, other) if len(self.pairs) >= len(other.pairs) else (other, self)
+        if not g.pairs:
+            return Series.zero(self.space, order)
+        if len(g.pairs) == 1:
+            ((exp, (re, im)),) = g.pairs.items()
+            return f._times_term(exp, re, im, g.den, order)
+        limit = order
+        if limit is None:
+            limit = f.total_degree() + g.total_degree()
+        packing = _packing(self.space.dim, limit)
+        acc = _zi_product(_packed(f, packing), _packed(g, packing), packing[0], {})
+        return _unpacked(self.space, packing, acc, f.den * g.den, order)
 
     __rmul__ = __mul__
+
+    def _times_term(self, exp, c: int, d: int, den: int, order) -> "Series":
+        """self * (c + i*d)/den * x^exp (nonzero) cut at `order`: no two terms meet."""
+        pairs = {}
+        for e, (a, b) in self.pairs.items():
+            e = tuple(map(operator.add, e, exp))
+            if order is None or sum(e) <= order:
+                pairs[e] = (a * c - b * d, a * d + b * c)
+        return Series._reduced(self.space, self.den * den, pairs, order)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -464,39 +521,35 @@ class Series:
         return result
 
     def truncate(self, order: Optional[int]) -> "Series":
-        if order is None:
-            return Series(self.space, self.terms, None)
-        return Series(self.space, self.terms, _merge_order(self.order, order))
+        """The series cut at the lower of its order and `order`; a jet never
+        becomes EXACT (order None cuts nothing)."""
+        order = _merge_order(self.order, order)
+        if order == self.order:
+            return self
+        pairs = {e: p for e, p in self.pairs.items() if sum(e) <= order}
+        return Series._reduced(self.space, self.den, pairs, order)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (
-            self.space == other.space
-            and self.order == other.order
-            and self.terms == other.terms
-        )
+        return ((self.space, self.order, self.den, self.pairs)
+                == (other.space, other.order, other.den, other.pairs))
 
     def __hash__(self):
-        return hash(
-            (self.space, self.order, tuple(sorted(self.terms.items(), key=lambda t: t[0])))
-        )
+        return hash((self.space, self.order, self.den, tuple(sorted(self.pairs.items()))))
 
     # -- calculus ------------------------------------------------------------
 
     def diff(self, name: str) -> "Series":
         """Partial derivative; the truncation order drops by one."""
         i = self.space.index_of(name)
-        terms = {}
-        for exp, c in self.terms.items():
+        pairs = {}
+        for exp, (a, b) in self.pairs.items():
             e = exp[i]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[i] = e - 1
-            terms[tuple(new)] = GaussianRational(c.re * e, c.im * e)
+            if e:
+                pairs[exp[:i] + (e - 1,) + exp[i + 1:]] = (a * e, b * e)
         order = None if self.order is None else max(self.order - 1, 0)
-        return Series._canonical(self.space, terms, order)
+        return Series._reduced(self.space, self.den, pairs, order)
 
     def evaluate(self, point: Sequence,
                  table: Optional[PointTable] = None) -> GaussianRational:
@@ -516,14 +569,14 @@ class Series:
 
     def value_over(self, table: PointTable):
         """The value at the table's point as ints (re, im, den), not reduced:
-        sum(L*c_e * N^e * q^(D - |e|)) over den = L * q^D, with N/q the point
-        over its common denominator q and L the lcm of the coefficients'
-        denominators, D the total degree (both cached on first use).
-        forward_step takes its partials' values in this form."""
+        sum((re + i*im)_e * N^e * q^(D - |e|)) over den * q^D, with N/q the
+        point over its common denominator q and D the total degree (the
+        per-term factors are kept on first use).  forward_step takes its
+        partials' values in this form."""
         try:
-            lcd, degree, needed, terms = self._form
+            degree, needed, terms = self._plan
         except AttributeError:
-            lcd, degree, needed, terms = self._integer_form()
+            degree, needed, terms = self._factor_plan()
         if not terms:
             return 0, 0, 1
         if table.pows is None:
@@ -542,44 +595,53 @@ class Series:
             k = qpow[degree - deg]
             re += a * k
             im += b * k
-        return re, im, lcd * qpow[degree]
+        return re, im, self.den * qpow[degree]
 
-    def _integer_form(self, keep: bool = True):
-        """(L, D, ((i, largest e), ...), ((factors, |e|, L*c.re, L*c.im), ...))
-        where factors are the (i, e) with e > 0 of a term; kept in _form
-        when `keep`."""
-        lcd = _common_denominator(self.terms.values())
+    def _factor_plan(self, keep: bool = True):
+        """(D, ((i, largest e), ...), ((factors, |e|, re, im), ...)), factors
+        the (i, e) with e > 0 of a term: from _plan, else kept there if `keep`."""
+        if hasattr(self, "_plan"):
+            return self._plan
         needed = {}
         terms = []
-        for exp, c in self.terms.items():
+        for exp, (a, b) in self.pairs.items():
             factors = tuple((i, e) for i, e in enumerate(exp) if e)
             for i, e in factors:
                 if e > needed.get(i, 0):
                     needed[i] = e
-            terms.append((factors, sum(exp), _scaled(c.re, lcd), _scaled(c.im, lcd)))
+            terms.append((factors, sum(exp), a, b))
         degree = max((t[1] for t in terms), default=0)
-        form = (lcd, degree, tuple(needed.items()), tuple(terms))
+        plan = (degree, tuple(needed.items()), tuple(terms))
         if keep:
-            object.__setattr__(self, "_form", form)
-        return form
+            _set(self, "_plan", plan)
+        return plan
+
+    def conjugate(self) -> "Series":
+        """Conjugate every coefficient; the exponents stay."""
+        pairs = {e: (a, -b) for e, (a, b) in self.pairs.items()}
+        return Series._reduced(self.space, self.den, pairs, self.order)
 
     def sigma_conjugate(self) -> "Series":
         """Conjugate coefficients and transport exponents along the sigma-pairing."""
         space = self.space
-        terms = {}
-        for exp, c in self.terms.items():
+        return self.conjugate()._moved(
+            space, [space.partner(i) for i in range(space.dim)],
+            lambda i: UnpairedVariable(f"variable {space.names[i]!r} has no sigma-partner"),
+        )
+
+    def _moved(self, space: VarSpace, index, error) -> "Series":
+        """The series over `space` with variable i moved to index[i]; the
+        exception error(i) when a variable i that occurs has index[i] None."""
+        pairs = {}
+        for exp, p in self.pairs.items():
             new = [0] * space.dim
             for i, e in enumerate(exp):
-                if not e:
-                    continue
-                j = space.partner(i)
-                if j is None:
-                    raise UnpairedVariable(
-                        f"variable {space.names[i]!r} has no sigma-partner"
-                    )
-                new[j] += e
-            terms[tuple(new)] = c.conjugate()
-        return Series(space, terms, self.order)
+                if e:
+                    if index[i] is None:
+                        raise error(i)
+                    new[index[i]] = e
+            pairs[tuple(new)] = p
+        return Series._reduced(space, self.den, pairs, self.order)
 
     def compose(self, sub) -> "Series":
         """Substitute a series for every variable.
@@ -590,36 +652,31 @@ class Series:
         have zero constant term, otherwise the truncated result would be
         wrong (TruncationUnsound).
 
-        The sum is taken over Z[i] and divided once.  This series is taken in
-        its integer form (L*c over the lcm L of its coefficient denominators,
-        E_i the largest exponent of variable i, as evaluate caches it), and
-        each series s_i that occurs is put over the lcm L_i of its own, so
-        the power s_i^e is a list of int pairs over L_i^e.  The monomial
-        c * prod s_i^e_i, scaled by prod L_i^(E_i - e_i), is added into one
-        sum over D = L * prod L_i^E_i, and each output coefficient is divided
-        by D once.  Exponents of the target are packed into one int per term,
-        `width` bits per variable under a top field holding the total degree:
-        adding keys multiplies monomials, and a key of `cap` or more lies
-        beyond the order (no field overflows below it), so truncated
-        products stop there (see _zi_product).
+        The sum is taken over Z[i] and reduced once.  With L this series'
+        denominator, E_i the largest exponent of variable i and L_i the
+        denominator of the series s_i substituted for it, the power s_i^e is
+        a list of int pairs over L_i^e.  The monomial c * prod s_i^e_i,
+        scaled by prod L_i^(E_i - e_i), is added into one sum over
+        D = L * prod L_i^E_i, whose common factor one gcd divides out.
+        Exponents of the target are packed (_packing), and truncated
+        products stop at the order.
         """
-        if isinstance(sub, SeriesMap):
-            mapping = sub.as_subst()
-        else:
-            mapping = dict(sub)
+        mapping = sub.as_subst() if isinstance(sub, SeriesMap) else dict(sub)
         missing = [n for n in self.space.names if n not in mapping]
         if missing:
             raise UnknownVariable(f"substitution missing variables {missing}")
-        used = self.used_indices()
-        target = None
-        order = self.order
-        for i in sorted(used):
-            s = mapping[self.space.names[i]]
+        # not kept: the series composed once each (a manifold's theta when it
+        # is validated) outnumber those composed again, so kept plans only add memory
+        _, top, monomials = self._factor_plan(keep=False)
+        subs = {i: mapping[self.space.names[i]] for i, _ in top}
+        target, order = None, self.order
+        for i in sorted(subs):
+            s = subs[i]
             if target is None:
                 target = s.space
             elif s.space != target:
                 raise VarSpaceMismatch("substituted series live over different spaces")
-            if self.order is not None and not s.constant_term().is_zero():
+            if self.order is not None and (0,) * s.space.dim in s.pairs:
                 raise TruncationUnsound(
                     f"substituting a series with nonzero constant term for "
                     f"{self.space.names[i]!r} into a truncated series"
@@ -627,40 +684,25 @@ class Series:
             order = _merge_order(order, s.order)
         if target is None:
             # no variable occurs: constant (or zero) series transported verbatim
-            for s in mapping.values():
-                target = s.space
-                order = _merge_order(order, s.order)
-                break
-            if target is None:
+            s = next(iter(mapping.values()), None)
+            if s is None:
                 raise VarSpaceMismatch("empty substitution for a constant series")
-        try:
-            lcd, _, top, monomials = self._form
-        except AttributeError:
-            # not kept: a jet flow composes each manifold's graph functions at
-            # every step without evaluating them, so kept forms only add memory
-            lcd, _, top, monomials = self._integer_form(keep=False)
-        subs = {i: mapping[self.space.names[i]] for i, _ in top}
+            target, order = s.space, _merge_order(order, s.order)
         limit = order
         if limit is None:
             limit = sum(e * max(subs[i].total_degree(), 0) for i, e in top)
-        width = max(limit, 1).bit_length()
-        shift = width * target.dim
-        cap = (limit + 1) << shift
-        weights = [(1 << j) + (1 << shift) for j in range(0, shift, width)]
-        lcds, powers, den = {}, {}, lcd  # powers[i][e]: s_i^e over lcds[i]^e
+        packing = _packing(target.dim, limit)
+        cap = packing[0]
+        powers, den = {}, self.den  # powers[i][e]: s_i^e over subs[i].den^e
         for i, e in top:
-            lcds[i] = q = _common_denominator(subs[i].terms.values())
-            den *= q ** e
-            powers[i] = [_UNIT, sorted(
-                (sum(map(operator.mul, exp, weights)), _scaled(c.re, q), _scaled(c.im, q))
-                for exp, c in subs[i].terms.items()
-            )]
+            den *= subs[i].den ** e
+            powers[i] = [_UNIT, _packed(subs[i], packing)]
         acc = {}
         for factors, _, a, b in monomials:
-            scale = den // lcd
+            scale = den // self.den
             tables = []
             for i, e in factors:
-                scale //= lcds[i] ** e
+                scale //= subs[i].den ** e
                 table = powers[i]
                 while len(table) <= e:
                     table.append(_sorted_terms(_zi_product(table[-1], table[1], cap, {})))
@@ -672,34 +714,17 @@ class Series:
             for table in tables:
                 prod = _sorted_terms(_zi_product(prod, table, cap, {}))
             _zi_product(prod, last, cap, acc)
-        mask = (1 << width) - 1
-        terms = {}
-        for k, (re, im) in acc.items():
-            if re or im:
-                exp = tuple([(k >> j) & mask for j in range(0, shift, width)])
-                terms[exp] = _gaussian(re, im, den)
-        return Series._canonical(target, terms, order)
+        return _unpacked(target, packing, acc, den, order)
 
     def lift(self, space: VarSpace) -> "Series":
         """Re-express over a larger space containing all used variables (by name)."""
         if space == self.space:
             return self
-        table = []
-        for i, name in enumerate(self.space.names):
-            table.append(space.index_of(name) if name in space else None)
-        terms = {}
-        for exp, c in self.terms.items():
-            new = [0] * space.dim
-            for i, e in enumerate(exp):
-                if not e:
-                    continue
-                if table[i] is None:
-                    raise UnknownVariable(
-                        f"variable {self.space.names[i]!r} absent from target space"
-                    )
-                new[table[i]] = e
-            terms[tuple(new)] = c
-        return Series(space, terms, self.order)
+        names = self.space.names
+        return self._moved(
+            space, [space.index_of(n) if n in space else None for n in names],
+            lambda i: UnknownVariable(f"variable {names[i]!r} absent from target space"),
+        )
 
     # -- display ---------------------------------------------------------
 
@@ -960,16 +985,12 @@ class TangentVectorField:
             out = out + coeff * f.diff(self.space.names[a])
         return out
 
-    def value_at(self, point) -> list:
-        return evaluate_rows([self.coefficients], point)[0]
-
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coefficients)
 
     def key(self):
-        return tuple(
-            tuple(sorted(c.terms.items(), key=lambda t: t[0])) for c in self.coefficients
-        )
+        """The coefficients' values, whatever their truncation orders."""
+        return tuple((c.den, tuple(sorted(c.pairs.items()))) for c in self.coefficients)
 
     def __neg__(self):
         return TangentVectorField(
@@ -1019,8 +1040,3 @@ def bracket_levels(generators, max_length: int):
         level = new_level
         yield mu, level
 
-
-def identity_map(space: VarSpace, order=None) -> SeriesMap:
-    return SeriesMap(
-        [Series.variable(space, n, order) for n in space.names], space
-    )

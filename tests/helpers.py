@@ -69,9 +69,9 @@ def reference_evaluate(series, point):
 
 
 def reference_compose(series, sub):
-    """Reference substitution: every monomial multiplied out in Series
-    arithmetic (one cached power per variable, one GaussianRational product
-    and sum per term), with the package's checks and messages."""
+    """Reference substitution: every monomial multiplied out by
+    reference_product (one cached power per variable, one GaussianRational
+    product and sum per term), with the package's checks and messages."""
     if isinstance(sub, SeriesMap):
         mapping = sub.as_subst()
     else:
@@ -111,8 +111,8 @@ def reference_compose(series, sub):
                 continue
             cache = powers.setdefault(i, [Series.constant(target, 1, order)])
             while len(cache) <= e:
-                cache.append(cache[-1] * mapping[series.space.names[i]])
-            prod = cache[e] if prod is None else prod * cache[e]
+                cache.append(reference_product(cache[-1], mapping[series.space.names[i]]))
+            prod = cache[e] if prod is None else reference_product(prod, cache[e])
         for e, v in (constant if prod is None else prod.terms).items():
             t = terms.get(e, ZERO) + c * v
             if t.is_zero():
@@ -120,6 +120,40 @@ def reference_compose(series, sub):
             else:
                 terms[e] = t
     return Series(target, terms, order)
+
+
+def reference_product(f, g):
+    """Reference Series product: every pair of terms multiplied and summed
+    in GaussianRational arithmetic, cut at the lower truncation order."""
+    if f.space != g.space:
+        raise VarSpaceMismatch("series live over different variable spaces")
+    order = _merge_order(f.order, g.order)
+    terms = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            if order is not None and sum(e1) + sum(e2) > order:
+                continue
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            terms[exp] = terms.get(exp, ZERO) + c1 * c2
+    return Series(f.space, terms, order)
+
+
+def reference_diff(f, name):
+    """Reference partial derivative in GaussianRational arithmetic; the
+    truncation order drops by one."""
+    i = f.space.index_of(name)
+    terms = {}
+    for exp, c in f.terms.items():
+        if exp[i]:
+            new = list(exp)
+            new[i] -= 1
+            terms[tuple(new)] = c * exp[i]
+    return Series(f.space, terms, None if f.order is None else max(f.order - 1, 0))
+
+
+def variables_map(space, order=None):
+    """The identity SeriesMap of a space: each variable as its own component."""
+    return SeriesMap([Series.variable(space, n, order) for n in space.names], space)
 
 
 def reference_forward_step(fns, partials, at, rows):

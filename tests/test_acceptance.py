@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from segrechains.chains import check_reparam, default_kmax, gamma, sigma_image
+from segrechains.chains import check_reparam, default_kmax, gamma, sigma_image, u_blocks
 from segrechains.corpus import corpus, corpus_manifolds
 from segrechains.exprs import parse_series
 from segrechains.invariants import (
@@ -116,7 +116,7 @@ def test_criterion_03_no_submersive_length4_chain(quartic_m):
         a = small_scalar(rng)
         for family in ([ZERO, a, ZERO, -a], [a, ZERO, -a, ZERO]):
             ok = ok and g4.map.evaluate(family) == [ZERO] * 4
-            rank = rank_at_point(g4.map, g4.u_blocks(), family)
+            rank = rank_at_point(g4.map, u_blocks(g4.k), family)
             ok = ok and rank == 2 and rank != 3
     report(3, "every sampled return point of the length-4 chain has rank 2, "
               "never 3", ok)
@@ -140,7 +140,7 @@ def test_criterion_04_hypersurface_dichotomy():
 def test_criterion_05_codim2_rank4():
     M = new_manifold(1, 2, ["w1*zeta1", "w1^2*zeta1 + w1*zeta1^2"])
     chain = gamma(M, 4)
-    rank = generic_rank(chain.in_chart(), wrt=chain.u_blocks(), seed=0).rank
+    rank = generic_rank(chain.in_chart(), wrt=u_blocks(chain.k), seed=0).rank
     inv = segre_invariants(M)
     ok = rank == 4 and inv.multitype == (1, 1, 1, 1) and inv.mu == M.d + 2 == 4
     report(5, "the codimension-2 four-parameter chain map has generic rank 4 "
@@ -169,8 +169,8 @@ def test_criterion_07_sigma_symmetry():
         # consequently the generic ranks agree; verify one rank pair exactly
         g = gamma(M, 3, verify=False)
         gb = gamma(M, 3, parity="Lbar", verify=False)
-        ra = generic_rank(g.in_chart(), wrt=g.u_blocks(), seed=3).rank
-        rb = generic_rank(gb.in_chart(), wrt=gb.u_blocks(), seed=3).rank
+        ra = generic_rank(g.in_chart(), wrt=u_blocks(g.k), seed=3).rank
+        rb = generic_rank(gb.in_chart(), wrt=u_blocks(gb.k), seed=3).rank
         ok = ok and ra == rb
     report(7, "sigma transports each chain to the conjugate-parity chain "
               "symbolically (k up to 2d+3), so conjugate ranks agree", ok)

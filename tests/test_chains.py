@@ -277,9 +277,8 @@ def test_forward_chain_matches_expanded_chain(name, M):
             for k in _forward_lengths(name, M, bp):
                 chain = gamma(M, k, bp, parity, verify=False)
                 point = gaussian_integer_point(rng, chain.map.domain.dim)
-                expected = expanded_values_and_jacobian(
-                    chain.map, chain.param_names(), point
-                )
+                names = [f"u{i}_{j}" for i in range(1, k + 1) for j in range(1, M.m + 1)]
+                expected = expanded_values_and_jacobian(chain.map, names, point)
                 assert chain_at_point(M, k, bp, parity, point) == expected, (
                     bp.kind, parity, k)
 

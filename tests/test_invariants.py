@@ -20,7 +20,7 @@ from segrechains.ranks import (
     rank_at_point,
     symbolic_determinant,
 )
-from segrechains.chains import gamma
+from segrechains.chains import gamma, u_blocks
 from segrechains.scalars import GaussianRational as G, ZERO
 
 from helpers import exact_manifolds, random_hypersurface
@@ -133,7 +133,7 @@ def test_no_submersive_length4_return_chain(quartic):
         a = small_scalar(rng)
         for family in ([ZERO, a, ZERO, -a], [a, ZERO, -a, ZERO]):
             assert g4.map.evaluate(family) == [ZERO] * 4
-            assert rank_at_point(g4.map, g4.u_blocks(), family) == 2
+            assert rank_at_point(g4.map, u_blocks(g4.k), family) == 2
 
 
 def test_psi_rank_identity(heisenberg, quartic, c3_tube):

@@ -5,19 +5,22 @@ import pytest
 from segrechains.errors import (
     OffManifold,
     RealityViolation,
+    SegreError,
     SingularInput,
     TruncationUnsound,
 )
 from segrechains.exprs import format_series, parse_series
 from segrechains.manifold import (
     Basepoint,
+    ambient_space,
     graph_from_real,
     new_manifold,
+    real_graph_space,
     segre_leaf,
     vector_fields,
 )
 from segrechains.scalars import GaussianRational as G, ZERO
-from segrechains.series import Series
+from segrechains.series import Series, TangentVectorField, bracket
 
 from helpers import (
     cr_oracle_manifolds,
@@ -167,7 +170,8 @@ def test_commutativity_certificates_m2():
     for X in (L, Lbar):
         for i in range(2):
             for j in range(i + 1, 2):
-                assert all(c.is_zero() for c in X.bracket_coefficients(i, j))
+                Xi, Xj = (TangentVectorField(M.space, X.coefficients[k]) for k in (i, j))
+                assert all(c.is_zero() for c in bracket(Xi, Xj).coefficients)
 
 
 def test_basepoint_numeric_validation(heisenberg):
@@ -256,3 +260,24 @@ def test_segre_leaf_matches_reference(name, M):
             for build in (segre_leaf, reference_segre_leaf):
                 with pytest.raises(TruncationUnsound):
                     build(M, **{leaf: numeric})
+
+
+@pytest.mark.parametrize("order", [0, -1, True, False, 2.5, "3"])
+def test_builders_refuse_an_order_that_is_not_exact_or_positive(order):
+    for build, data in ((new_manifold, ["w1*zeta1"]), (graph_from_real, ["w1*wb1"])):
+        with pytest.raises(SegreError) as info:
+            build(1, 1, data, order)
+        assert str(info.value) == "order must be EXACT or a positive integer"
+
+
+def test_builders_refuse_a_jet_where_more_is_asked():
+    theta = parse_series("w1*zeta1 + w1^2*zeta1^2", ambient_space(1, 1), 2)
+    h = parse_series("w1*wb1 + w1^2*wb1^2", real_graph_space(1, 1), 2)
+    for build, s in ((new_manifold, theta), (graph_from_real, h)):
+        for order in (None, 3):
+            with pytest.raises(TruncationUnsound):
+                build(1, 1, [s], order)
+        M = build(1, 1, [s], 2)
+        assert M.order == 2 and M.theta_bar[0].order == 2
+    lower = new_manifold(1, 1, [theta], 1)
+    assert lower.theta_bar[0] == Series.zero(ambient_space(1, 1), 1)

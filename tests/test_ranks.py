@@ -12,13 +12,12 @@ from segrechains.ranks import (
     random_scalar,
     rank_at_point,
     sample_rank,
-    span_dimension,
     symbolic_determinant,
 )
 from segrechains.scalars import GaussianRational as G, ZERO
-from segrechains.series import Series, SeriesMap, identity_map
+from segrechains.series import Series, SeriesMap
 
-from helpers import reference_pivot_positions
+from helpers import reference_pivot_positions, variables_map
 
 
 def test_exact_rank_known_matrices():
@@ -41,7 +40,7 @@ def test_generic_rank_zero_identity_and_determinism():
     space = ambient_space(1, 1)
     zero_map = SeriesMap([Series.zero(space)] * 4, space)
     assert generic_rank(zero_map).rank == 0
-    ident = identity_map(space)
+    ident = variables_map(space)
     res = generic_rank(ident, trials=3, seed=5)
     assert res.rank == 4
     again = generic_rank(ident, trials=3, seed=5)
@@ -103,8 +102,8 @@ def test_rank_at_point_vs_generic():
 
 
 def test_span_dimension():
-    assert span_dimension([]) == 0
-    assert span_dimension([[G(1), G(2)], [G(2), G(4)], [G(0), G(1)]]) == 2
+    assert exact_rank([]) == 0
+    assert exact_rank([[G(1), G(2)], [G(2), G(4)], [G(0), G(1)]]) == 2
 
 
 def test_sampler_early_exit_matches_max_over_all_trials():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -155,10 +156,19 @@ def series(order, constant=True, size=5):
 
 
 def _assert_canonical(s):
-    assert s == Series(s.space, s.terms, s.order)
+    rebuilt = Series(s.space, s.terms, s.order)
+    assert s == rebuilt and hash(s) == hash(rebuilt)
     for exp, c in s.terms.items():
         assert type(c) is GaussianRational and not c.is_zero()
         assert len(exp) == SPACE.dim and (s.order is None or sum(exp) <= s.order)
+    # the stored form: one positive denominator, coprime to the parts as a
+    # whole, and nonzero int pairs within the order
+    assert type(s.den) is int and s.den > 0
+    assert math.gcd(s.den, *(x for pair in s.pairs.values() for x in pair)) == 1
+    assert s.pairs.keys() == s.terms.keys()
+    for exp, pair in s.pairs.items():
+        assert type(pair) is tuple and all(type(x) is int for x in pair) and any(pair)
+        assert s.order is None or sum(exp) <= s.order
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -167,8 +177,9 @@ def test_series_results_are_canonical(data, order, other_order):
     f, g = data.draw(series(order)), data.draw(series(order))
     h = data.draw(series(other_order))
     c = data.draw(scalars)
-    for s in (f + g, f - g, f * g, -f, f * c, f + h, f * h, f - f, f ** 2,
-              f.diff("w1"), f.diff("xi1")):
+    for s in (f, h, f + g, f - g, f * g, -f, f * c, f + h, f * h, f - f, f ** 2,
+              f.diff("w1"), f.diff("xi1"), f.sigma_conjugate(), 1 - f,
+              f.truncate(2)):
         _assert_canonical(s)
     sub = {n: data.draw(series(order, constant=order is None, size=2)) for n in SPACE.names}
     _assert_canonical(f.compose(sub))

@@ -15,13 +15,14 @@ from segrechains.errors import (
 from segrechains.manifold import ambient_space
 from segrechains.scalars import GaussianRational, ZERO
 from segrechains.series import (
-    PointTable, Series, SeriesMap, VarSpace, _gaussian, _gaussian_row, _zi, evaluate_rows,
-    forward_step, identity_map, nonzero_partials, zi_add,
+    PointTable, Series, SeriesMap, VarSpace, _gaussian, _gaussian_row, _merge_order, _zi,
+    evaluate_rows,
+    forward_step, nonzero_partials, zi_add,
 )
 
 from helpers import (
-    random_series, reference_compose, reference_evaluate, reference_forward_step,
-    small_scalar,
+    random_series, reference_compose, reference_diff, reference_evaluate,
+    reference_forward_step, reference_product, small_scalar, variables_map,
 )
 
 
@@ -120,7 +121,7 @@ def test_diff_product_rule_exact():
 def test_compose_identity_and_hand_substitution(quartic):
     space = simple_space()
     f = random_series(random.Random(5), space)
-    assert f.compose(identity_map(space)) == f
+    assert f.compose(variables_map(space)) == f
     # f = z, z -> xi + i*w*zeta, then zeta, xi -> 0 gives 0
     z = Series.variable(space, "z1")
     i = GaussianRational(0, 1)
@@ -324,6 +325,47 @@ def test_compose_matches_reference_compose(seed):
         assert all(_canonical_parts(c) for c in got.terms.values())
 
 
+def _termwise(space, order, terms, fn):
+    """The Series of fn(exponent, coefficient) -> (exponent, coefficient) over
+    a terms view, in GaussianRational arithmetic."""
+    return Series(space, dict(fn(e, c) for e, c in terms.items()), order)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_arithmetic_matches_reference_arithmetic(seed):
+    """*, +, -, negation, diff, sigma_conjugate and scalar products against
+    term-by-term GaussianRational arithmetic, on zero, EXACT and truncated
+    series at mixed orders, with int, small-fraction and 2**64-denominator
+    coefficients."""
+    rng = random.Random(seed)
+    space = simple_space()
+    f, g = (_random_series(rng, space, rng.choice(_ORDERS), rng.randint(0, 5),
+                           rng.random() < 0.5) for _ in range(2))
+    order = _merge_order(f.order, g.order)
+    union = set(f.terms) | set(g.terms)
+    for sign, got in ((1, f + g), (-1, f - g)):
+        assert got == Series(space, {
+            e: f.coefficient(dict(zip(space.names, e)))
+            + sign * g.coefficient(dict(zip(space.names, e))) for e in union
+        }, order)
+    assert f * g == reference_product(f, g) == g * f
+    assert f * f == reference_product(f, f)
+    assert -f == _termwise(space, f.order, f.terms, lambda e, c: (e, -c))
+    for name in space.names:
+        assert f.diff(name) == reference_diff(f, name)
+    partner = [space.partner(i) for i in range(space.dim)]
+    assert f.sigma_conjugate() == _termwise(space, f.order, f.terms, lambda e, c: (
+        tuple(e[partner[i]] for i in range(space.dim)), c.conjugate()))
+    scalars = (_random_coefficient(rng), rng.randint(-3, 3), _random_part(rng))
+    for k in scalars:
+        want = _termwise(space, f.order, f.terms, lambda e, c: (e, c * k))
+        assert f * k == k * f == want
+        constant = Series.constant(space, k, f.order)
+        assert f + k == k + f == f + constant
+        assert f - k == f - constant and k - f == constant - f
+
+
 def test_compose_of_a_constant_over_no_variables_matches_reference():
     empty = VarSpace([])
     for f, sub in ((Series.constant(empty, 3), {}),
@@ -402,7 +444,7 @@ def test_forward_step_matches_reference_forward_step(seed):
 
 def test_seriesmap_evaluate_and_jacobian():
     space = simple_space()
-    ident = identity_map(space)
+    ident = variables_map(space)
     rng = random.Random(9)
     pt = [small_scalar(rng) for _ in range(space.dim)]
     assert ident.evaluate(pt) == pt
