@@ -35,7 +35,7 @@ from .errors import (
     UnknownVariable,
 )
 from .manifold import Basepoint, CRManifold, cr_flows
-from .series import PointwiseWord, Series, SeriesMap, VarSpace, expand_word
+from .series import PointwiseWord, Series, SeriesMap, VarSpace, _gaussian, expand_word
 
 # coordinate charts of the complexified manifold, by ambient blocks
 _CHARTS = {
@@ -98,7 +98,8 @@ def _chain_word(M: CRManifold, k: int, basepoint: Basepoint, parity: str, out=No
 
 
 def chain_at_point(M: CRManifold, k: int, basepoint: Basepoint, parity: str, point):
-    """Exact ambient values of Gamma_k at `point` and their Jacobian in u1..uk.
+    """Exact ambient values of Gamma_k at `point` and their Jacobian in u1..uk,
+    as GaussianRationals (ranks reads the word's integer rows instead).
 
     `point` assigns every variable of chain_space(M, k, basepoint).  The
     word of manifold.CRFlows runs on exact (value, gradient) pairs
@@ -106,7 +107,9 @@ def chain_at_point(M: CRManifold, k: int, basepoint: Basepoint, parity: str, poi
     contributes values and zero derivatives.  Valid in EXACT mode only: a
     truncated jet does not commute with pointwise evaluation.
     """
-    return _chain_word(M, k, basepoint, parity).at(point)
+    values, rows = _chain_word(M, k, basepoint, parity).at(point)
+    return ([_gaussian(*v) for v in values],
+            [[_gaussian(x, y, den) for x, y in zip(re, im)] for den, re, im in rows])
 
 
 def flow(M: CRManifold, which: str, state: SeriesMap, param_block: str) -> SeriesMap:

@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -532,10 +533,11 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser():
     """The parser: each subcommand accepts only the flags it reads, so an
     ignored flag (with its value) is a usage error rather than silently
-    dropped."""
+    dropped.  Built once per process: parsing keeps no state in it."""
     parser = _Parser(
         prog="segrechains",
         description="Exact Segre-chain geometry of CR-generic manifolds",

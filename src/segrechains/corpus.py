@@ -49,7 +49,14 @@ SIDECAR_KEYS = {
 
 
 def _data_dir() -> Path:
-    return Path(resources.files("segrechains") / "data")
+    """The bundled data directory.  A package imported from a zip archive has
+    none: FileNotFoundError, which the CLI reports as a usage error."""
+    root = resources.files("segrechains")
+    if not isinstance(root, Path):
+        raise FileNotFoundError(
+            "the bundled corpus is not a directory (the package was imported from "
+            "an archive); run `segrechains checkall <dir>` on a directory of manifests")
+    return root / "data"
 
 
 def corpus(root: Optional[Path] = None) -> List[Tuple[str, Path]]:

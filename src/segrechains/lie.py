@@ -23,11 +23,10 @@ from typing import List, Optional, Tuple
 from .errors import SegreError, WrongDimensions
 from .invariants import segre_invariants
 from .manifold import Basepoint, CRManifold, cr_pair_rows
-from .ranks import DEFAULT_TRIALS, exact_rank, sample_rank
+from .ranks import DEFAULT_TRIALS, exact_rank, integer_rows, sample_rank
 from .scalars import I, ZERO
 from .series import (
-    Series, TangentVectorField, VarSpace, bracket, bracket_levels, evaluate_rows,
-    noncommuting_pair,
+    Series, TangentVectorField, VarSpace, bracket, bracket_levels, noncommuting_pair,
 )
 
 
@@ -67,8 +66,8 @@ def chart_point(M: CRManifold, basepoint: Basepoint):
 def _span_dim(rows, point, dim, trials, seed) -> int:
     """Span dimension of symbolic row vectors at a point (or generic, sampled)."""
     if point is not None:
-        return exact_rank(evaluate_rows(rows, point))
-    return sample_rank(lambda p: evaluate_rows(rows, p), dim, trials, seed)[0]
+        return exact_rank(integer_rows(rows, point))
+    return sample_rank(lambda p: integer_rows(rows, p), dim, trials, seed)[0]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .errors import (
 from .exprs import format_series, parse_series
 from .scalars import GaussianRational, I, ZERO
 from .series import (
-    Series, SeriesMap, TangentVectorField, VarSpace, evaluate_rows, forward_step,
+    PointTable, Series, SeriesMap, TangentVectorField, VarSpace, forward_step,
     grlex_key, noncommuting_pair, nonzero_partials, zi_add,
 )
 
@@ -300,7 +300,8 @@ class Basepoint:
         if self.kind == "numeric":
             return list(self.w) + list(self.z) + list(self.zeta) + list(self.xi)
         at = list(params[: M.m]) + [ZERO] * M.d + list(params[M.m :])
-        return at[: M.m] + evaluate_rows([M.qbar], at)[0] + at[M.n :]
+        table = PointTable(at)
+        return at[: M.m] + [s.evaluate(at, table) for s in M.qbar] + at[M.n :]
 
     def state_components(self, M: CRManifold, space: VarSpace, order):
         """The 2n starting components (w, z, zeta, xi) over a chain domain."""

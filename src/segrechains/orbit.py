@@ -48,6 +48,7 @@ from .ranks import (
     exact_rank,
     find_rank_point,
     generic_rank,
+    integer_rows,
     random_point,
     rank_at_point,
 )
@@ -59,7 +60,6 @@ from .series import (
     TangentVectorField,
     VarSpace,
     bracket_levels,
-    evaluate_rows,
     expand_word,
     forward_step,
     noncommuting_pair,
@@ -113,7 +113,7 @@ class VFSystem:
         rng = random.Random(seed)
         points += [random_point(rng, self.n) for _ in range(trials)]
         for p in points:
-            if exact_rank(evaluate_rows(rows, p)) != self.a * self.m:
+            if exact_rank(integer_rows(rows, p)) != self.a * self.m:
                 raise RankAssumptionViolated(
                     f"the {self.a * self.m} component fields must be pointwise "
                     f"independent (rank deficit at {p})"
@@ -387,7 +387,7 @@ def _orbit_witness(system, result, flows, seed):
     return {
         "t_star": tuple(tuple(blk) for blk in found) + ((ZERO,) * m,),
         "rank_at_t_star": exact_rank(rows),
-        "returns_to_origin": all(v == ZERO for v in value),
+        "returns_to_origin": not any(re or im for re, im, _ in value),
         "exact_flows": all(flows[alpha].exact for alpha in result.word),
     }
 
@@ -419,12 +419,12 @@ def lie_span_dimension(system: VFSystem, max_length: Optional[int] = None) -> in
     singles = [TangentVectorField(system.space, comp)
                for fld in system.fields for comp in fld]
     origin = [ZERO] * system.n
-    rows = evaluate_rows([f.coefficients for f in singles], origin)
+    rows = integer_rows([f.coefficients for f in singles], origin)
     dim = exact_rank(rows)
     for _, level in bracket_levels(singles, max_length):
         if not level:
             break
-        rows.extend(evaluate_rows([f.coefficients for f in level], origin))
+        rows.extend(integer_rows([f.coefficients for f in level], origin))
         dim = exact_rank(rows)
         if dim == system.n:
             break

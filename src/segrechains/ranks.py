@@ -1,13 +1,26 @@
-"""Exact rank of Gaussian-rational matrices and generic rank of series maps.
+"""Exact rank of matrices over Q(i) and generic rank of series maps.
+
+The matrix type here is the integer row (den, re, im): den > 0 an int, re
+and im lists of ints, entry k being (re[k] + i*im[k]) / den.  integer_rows
+builds it from a matrix of Series at a point (Series.value_over against one
+PointTable), series.forward_step from a word of flows.  Ranks and pivots
+ignore den, a row scaling.  The public exact_rank and pivot_positions also
+take GaussianRational matrices, converted once at entry.
 
 The generic rank of a holomorphic map is realized by sampling: evaluate the
 Jacobian at pseudo-random Gaussian-rational points and take the maximum of
 the exact numeric ranks.  The result is a certified lower bound for the
 generic rank and equals it outside a measure-zero set of sample failures.
 There is one sampler (sample_rank, used by generic_rank and by lie's
-symbolic span dimensions) and one eliminator (pivot_positions; exact_rank
-counts its pivots): Bareiss's fraction-free elimination over the Gaussian
-integers, on rows cleared of denominators, whose divisions are all exact.
+symbolic span dimensions), one rank (exact_rank) and one exact eliminator
+(pivot_positions, Bareiss's fraction-free elimination over Z[i]).
+
+exact_rank first eliminates modulo the prime P under re + i*im ->
+re + ROOT*im, ROOT^2 = -1 mod P: a ring homomorphism Z[i] -> F_P, which
+maps minors to minors.  So the rank mod P never exceeds the exact rank, and
+one of min(rows, cols) proves it.  Any other matrix is eliminated exactly:
+no probability enters a rank.  pivot_positions, which jet certification
+reads, is always exact.
 
 A SeriesMap is differentiated symbolically once and its Jacobian evaluated
 at each point.  An EXACT chain or concatenated orbit flow is never expanded:
@@ -23,14 +36,15 @@ that argument fails, is the witnessed minor expanded symbolically.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import WitnessNotFound
 from .scalars import GaussianRational, ZERO
-from .series import Series, SeriesMap, _common_denominator, _scaled, evaluate_rows
+from .series import PointTable, Series, SeriesMap, _zi
 
 # Sampling box: numerators in [-99, 99], denominators in [1, 9] for both the
 # real and imaginary parts.  Keeps bignum growth bounded while making an
@@ -40,34 +54,77 @@ DEN_BOUND = 9
 DEFAULT_TRIALS = 5
 CERTIFY_MAX_SIZE = 6
 WITNESS_RETRIES = 20
+# The prime of exact_rank's shortcut, below 2**30 so that a residue is one
+# CPython digit, and ROOT, a square root of -1 modulo it.
+P = 1_073_741_789
+ROOT = 933_053_945
 
 
-def _gaussian_integer_rows(matrix):
-    """Each row times the lcm of its entries' denominators, as (re, im) int
-    pairs: a row scaling, which changes neither the rank nor the pivots."""
-    out = []
-    for row in matrix:
-        scale = _common_denominator(row)
-        out.append([(_scaled(x.re, scale), _scaled(x.im, scale)) for x in row])
-    return out
+def _integer_row(values) -> tuple:
+    """The integer row of Z[i] scalars (re, im, den): over the lcm of their
+    denominators, reduced by one gcd."""
+    den = math.lcm(*(d for _, _, d in values))
+    re = [a * (den // d) for a, _, d in values]
+    im = [b * (den // d) for _, b, d in values]
+    g = math.gcd(den, *re, *im)
+    if g > 1:
+        return den // g, [x // g for x in re], [y // g for y in im]
+    return den, re, im
 
 
-def pivot_positions(
-    matrix: Sequence[Sequence[GaussianRational]],
-) -> List[Tuple[int, int]]:
-    """(row, col) pivot positions of a rank-revealing elimination over Q(i),
-    the one eliminator of the package.
+def integer_rows(matrix, point) -> list:
+    """The integer rows of a matrix of Series at one point, every entry
+    through Series.value_over with one PointTable for the point."""
+    table = PointTable(point)
+    return [_integer_row([s.value_over(table) for s in row]) for row in matrix]
+
+
+def _integer_matrix(matrix) -> list:
+    """A matrix of integer rows as it is, with every row of GaussianRationals
+    (or of no entries) converted: the public entries' one conversion."""
+    return [_integer_row([_zi(x) for x in row])
+            if not row or isinstance(row[0], GaussianRational) else row
+            for row in matrix]
+
+
+def _full_rank(rows) -> int:
+    """min(rows, cols) of integer rows."""
+    return min(len(rows), len(rows[0][1])) if rows else 0
+
+
+def _rank_mod_p(rows) -> int:
+    """The rank of the image of integer rows in F_P (see the module docstring)."""
+    m = [[(a + ROOT * b) % P for a, b in zip(re, im)] for _, re, im in rows]
+    rank = 0
+    while m and m[0]:
+        pivot = next((r for r, row in enumerate(m) if row[0]), None)
+        if pivot is None:
+            m = [row[1:] for row in m]
+            continue
+        head, *tail = m.pop(pivot)
+        rest = []
+        for row in m:  # row -> head * row - f * pivot row, head a unit mod P
+            f = row[0]
+            rest.append([(head * x - f * y) % P for x, y in zip(row[1:], tail)] if f else row[1:])
+        m = rest
+        rank += 1
+    return rank
+
+
+def pivot_positions(matrix) -> List[Tuple[int, int]]:
+    """(row, col) pivot positions of a rank-revealing elimination over Q(i)
+    of integer rows or of a GaussianRational matrix.
 
     The pivot of a column is its first nonzero entry below the pivot rows.
-    Elimination is fraction-free (Bareiss 1968) over the Gaussian integers:
-    rows are cleared of denominators, then each step replaces an entry a of
-    a later row by (p*a - f*b) / q, with p the new pivot, f the row's entry
-    in the pivot column, b the pivot row's entry and q the previous pivot.
-    The division is exact in Z[i], and every entry is a nonzero multiple of
-    the entry Gaussian elimination over Q(i) would hold there, so the pivots
-    are those of Gaussian elimination.
+    Elimination is fraction-free (Bareiss 1968) over the Gaussian integers,
+    on the rows' numerators: each step replaces an entry a of a later row by
+    (p*a - f*b) / q, with p the new pivot, f the row's entry in the pivot
+    column, b the pivot row's entry and q the previous pivot.  The division
+    is exact in Z[i], and every entry is a nonzero multiple of the entry
+    Gaussian elimination over Q(i) would hold there, so the pivots are those
+    of Gaussian elimination.
     """
-    rows = _gaussian_integer_rows(matrix)
+    rows = [list(zip(re, im)) for _, re, im in _integer_matrix(matrix)]
     if not rows or not rows[0]:
         return []
     nrows, ncols = len(rows), len(rows[0])
@@ -108,9 +165,13 @@ def pivot_positions(
     return pivots
 
 
-def exact_rank(matrix: Sequence[Sequence[GaussianRational]]) -> int:
-    """Rank over Q(i): the number of pivots of the elimination."""
-    return len(pivot_positions(matrix))
+def exact_rank(matrix) -> int:
+    """Rank over Q(i) of integer rows or of a GaussianRational matrix, the
+    one rank of the package: the rank modulo P when it is full, which proves
+    it (see the module docstring), else the number of exact pivots."""
+    rows = _integer_matrix(matrix)
+    rank = _rank_mod_p(rows)
+    return rank if rank == _full_rank(rows) else len(pivot_positions(rows))
 
 
 def random_scalar(rng: random.Random, num_bound: int = NUM_BOUND) -> GaussianRational:
@@ -127,10 +188,11 @@ def random_point(
 
 
 def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0):
-    """(rank, point, matrix): the highest exact rank of matrix_at(point) over
-    up to `trials` seeded points of `dim` coordinates, with the first point
-    reaching it and its matrix.  The loop stops early at full rank, which
-    no later point can exceed, so the answer is the maximum over all trials.
+    """(rank, point, matrix): the highest exact rank of the integer rows
+    matrix_at(point) over up to `trials` seeded points of `dim` coordinates,
+    with the first point reaching it and its matrix.  The loop stops early at
+    full rank, which no later point can exceed, so the answer is the maximum
+    over all trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -142,7 +204,7 @@ def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0
         r = exact_rank(matrix)
         if r > best[0] or best[1] is None:
             best = (r, point, matrix)
-        if best[0] == min(len(matrix), len(matrix[0])):
+        if best[0] == _full_rank(matrix):
             break
     return best
 
@@ -180,14 +242,15 @@ class RankResult:
 
 
 def _jacobian_source(f, wrt):
-    """(point -> exact Jacobian of f in the `wrt` columns, symbolic Jacobian or None).
+    """(point -> integer rows of the Jacobian of f in the `wrt` columns,
+    symbolic Jacobian or None).
 
     A SeriesMap is differentiated once here; any other ranked object (a
     series.PointwiseWord) computes its Jacobian at each point itself.
     """
     if isinstance(f, SeriesMap):
         jac = f.jacobian(wrt)
-        return (lambda point: evaluate_rows(jac, point)), jac
+        return (lambda point: integer_rows(jac, point)), jac
     return (lambda point: f.jacobian_at(point, wrt)), None
 
 

@@ -16,18 +16,19 @@ derivatives and products by one term or a scalar on the stored ints, one
 polynomial product (_zi_product over packed exponents, cut off by degree)
 behind other Series products and substitution (Series.compose, summed over
 one denominator), exact evaluation at a Gaussian-rational point
-(Series.evaluate, summed over the Gaussian integers against a PointTable of
-the point and divided once; evaluate_rows shares one table across a matrix
-of Series), the forward-mode chain-rule step (forward_step, whose values and
-gradient rows stay over the Gaussian integers, one denominator per value and
-per row) and the runner that carries a point through a word of flows with it
-(PointwiseWord: Segre chains and orbit flows alike, divided out only when a
-word's values and Jacobian are read), beside it the symbolic expansion of
-the same words (expand_word, which keeps the state after every prefix, so
-words that share one expand it once), the vector field acting as a
-derivation (TangentVectorField), the bracket of two fields, the commutation
-check (noncommuting_pair), and the deduplicated left-normed bracket ladder
-(bracket_levels) that both the Hormander ladder and the orbit oracle walk.
+(Series.value_over, summed over the Gaussian integers against a PointTable
+of the point that callers share; Series.evaluate divides it once), the
+forward-mode chain-rule step (forward_step, whose values and gradient rows
+stay over the Gaussian integers, one denominator per value and per row:
+the integer rows that ranks eliminates) and the runner that carries a point
+through a word of flows with it (PointwiseWord: Segre chains and orbit
+flows alike, its values divided out only by evaluate), beside it the
+symbolic expansion of the same words (expand_word, which keeps the state
+after every prefix, so words that share one expand it once), the vector
+field acting as a derivation (TangentVectorField), the bracket of two
+fields, the commutation check (noncommuting_pair), and the deduplicated
+left-normed bracket ladder (bracket_levels) that both the Hormander ladder
+and the orbit oracle walk.
 
 All values are immutable after construction; results are kept canonical
 (no (0, 0) pair, no term beyond the truncation order, and no factor of den
@@ -249,13 +250,6 @@ class PointTable:
         while len(row) <= e:
             a, b = row[-1]
             row.append((a * nr - b * ni, a * ni + b * nr))
-
-
-def evaluate_rows(rows, point: Sequence) -> list:
-    """The matrix of values of a matrix of Series at one point, every entry
-    through Series.evaluate with one PointTable for the point."""
-    table = PointTable(point)
-    return [[s.evaluate(point, table) for s in row] for row in rows]
 
 
 _UNIT = ((0, 1, 0),)  # the term list of the constant 1
@@ -773,7 +767,8 @@ class SeriesMap:
         return self.components[self.codomain.index_of(name)]
 
     def evaluate(self, point: Sequence):
-        return evaluate_rows([self.components], point)[0]
+        table = PointTable(point)
+        return [s.evaluate(point, table) for s in self.components]
 
     def jacobian(self, wrt=None):
         """Matrix of Series: rows follow components, columns the given variables.
@@ -867,12 +862,6 @@ def forward_step(fns, partials, at, rows):
     return out
 
 
-def _gaussian_row(row) -> list:
-    """The entries of an integer row (den, re, im) as GaussianRationals."""
-    den, re, im = row
-    return [_gaussian(x, y, den) for x, y in zip(re, im)]
-
-
 class PointwiseWord:
     """A word of flows from a start state, evaluated at one exact point at a
     time and never expanded: the one runner behind Segre chains and orbit flows.
@@ -883,8 +872,8 @@ class PointwiseWord:
     as a (value, gradient row in the time blocks) pair over the Gaussian
     integers, in the representation of forward_step: the value a Z[i] scalar
     (re, im, den), the row an integer row (den, re, im) that starts as the
-    zero row (1, zeros, zeros).  Both become GaussianRationals once, at the
-    end.  Flow i maps the state through flow.advance(values, rows, times,
+    zero row (1, zeros, zeros).  at and jacobian_at return them so, the rows
+    being the matrix type of ranks; evaluate divides the values out.  Flow i maps the state through flow.advance(values, rows, times,
     col), its times given as Z[i] scalars, which move columns col, col + 1,
     ...  `returns` lists further (flow, times) at constant times, applied
     afterwards with col None: chain-rule steps in the state only (a
@@ -907,7 +896,8 @@ class PointwiseWord:
         self.out, self.returns, self.prefixes = out, tuple(returns), prefixes
 
     def at(self, point):
-        """(values, Jacobian rows in the time blocks) at `point`."""
+        """(values, Jacobian rows in the time blocks) at `point`: Z[i] scalars
+        and integer rows, as forward_step gives them."""
         if len(point) != self.domain.dim:
             raise DimensionMismatch(
                 f"point dimension {len(point)} != space dim {self.domain.dim}"
@@ -931,11 +921,12 @@ class PointwiseWord:
         for flow, times in self.returns:
             values, rows = flow.advance(values, rows, [_zi(t) for t in times], None)
         if self.out is not None:
-            values, rows = [values[a] for a in self.out], [rows[a] for a in self.out]
-        return [_gaussian(*v) for v in values], [_gaussian_row(row) for row in rows]
+            return [values[a] for a in self.out], [rows[a] for a in self.out]
+        return values, rows
 
     def evaluate(self, point):
-        return self.at(point)[0]
+        """The values at `point` as GaussianRationals."""
+        return [_gaussian(*v) for v in self.at(point)[0]]
 
     def jacobian_at(self, point, wrt=None):
         if wrt is not None and tuple(wrt) != self.domain.block_names()[: len(self.flows)]:

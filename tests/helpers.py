@@ -51,6 +51,12 @@ def reference_pivot_positions(matrix):
     return pivots
 
 
+def gaussian_rows(rows):
+    """Integer rows (den, re, im) as a GaussianRational matrix, divided term by term."""
+    return [[GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(re, im)]
+            for den, re, im in rows]
+
+
 def reference_evaluate(series, point):
     """Reference evaluator: the value of a Series at a point summed term by
     term in GaussianRational arithmetic, one Fraction product per factor."""

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from segrechains.cli import main
+from segrechains.cli import build_parser, main
 from segrechains.corpus import corpus
 
 
@@ -305,6 +305,55 @@ def test_flags_a_subcommand_ignores_are_usage_errors(capsys):
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0 and err == "", argv
+
+
+def test_cached_parser_answers_like_fresh_parsers(capsys):
+    # build_parser runs once per process; calls in a row must not see each other
+    heis = data_path("heisenberg")
+    argvs = [
+        ("validate", heis),
+        ("checkall", "--kmax", "3"),
+        ("ranks", heis, "--trials", "0"),
+        ("validate", heis, "--seed", "3"),
+        ("minimality", heis, "--trials", "2", "--format", "machine"),
+        ("ranks", heis, "--kmax", "abc"),
+        ("orbit", heis, "--base", "generic"),
+        ("validate", heis),
+        ("corpus",),
+        ("hormander", heis, "--max-length", "1"),
+    ]
+
+    def run(argv):
+        return run_cli(capsys, *argv)
+
+    cached = [run(argv) for argv in argvs]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 2, 2, 2, 0, 2, 2, 0, 0, 2]
+    for code, out, err in cached:
+        assert _single_error_line(err) if code else err == ""
+
+
+def test_bundled_corpus_inside_an_archive_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a package imported from a zip archive has no data directory to glob
+    import zipfile
+
+    corpus_module = sys.modules["segrechains.corpus"]  # the package re-exports corpus()
+    archive = tmp_path / "segrechains.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        zf.write(data_path("heisenberg"), "segrechains/data/heisenberg.mf")
+    monkeypatch.setattr(corpus_module.resources, "files",
+                        lambda package: zipfile.Path(archive, "segrechains/"))
+    for argv in (("checkall",), ("checkall", "--format", "machine"), ("corpus",)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and _single_error_line(err), argv
+        assert "checkall <dir>" in err, argv
+    code, out, _ = run_cli(capsys, "checkall", str(tmp_path))
+    assert code == 2 and out == ""  # no manifests in the archive's directory
 
 
 def test_manifest_expression_errors_name_their_line(tmp_path, capsys):

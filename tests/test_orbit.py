@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from segrechains.corpus import corpus
@@ -23,6 +25,8 @@ from segrechains.orbit import (
 from segrechains.ranks import generic_rank
 from segrechains.scalars import GaussianRational as G
 from segrechains.series import Series, SeriesMap, VarSpace
+
+from helpers import gaussian_rows
 
 
 
@@ -268,6 +272,12 @@ def _expanded_at(smap, point):
     return values, rows
 
 
+def _gaussian_at(pw, point):
+    """PointwiseWord.at's Z[i] values and integer rows as GaussianRationals."""
+    values, rows = pw.at(point)
+    return [G(Fraction(re, den), Fraction(im, den)) for re, im, den in values], gaussian_rows(rows)
+
+
 def _return_map(system, fwd, flows, returns):
     """The forward map followed by flows at constant times, composed symbolically."""
     state = list(fwd.components)
@@ -294,12 +304,12 @@ def test_pointwise_flow_matches_concatenated_flow(name, system):
     assert exact
     pw = PointwiseFlow(system, word, flows)
     assert pw.domain == fwd.domain
-    assert pw.at(point) == _expanded_at(fwd, point)
+    assert _gaussian_at(pw, point) == _expanded_at(fwd, point)
     # the witness's return map: reversed flows at negated constant times
     back = [(word[i - 1], [-c for c in point[(i - 1) * m : i * m]])
             for i in range(k - 1, 0, -1)]
     ret = PointwiseFlow(system, word, flows, back)
-    assert ret.at(point) == _expanded_at(_return_map(system, fwd, flows, back), point)
+    assert _gaussian_at(ret, point) == _expanded_at(_return_map(system, fwd, flows, back), point)
     # greedy candidates sharing prefix states give the same values
     prefixes = {}
     other = gaussian_integer_point(rng, m * k)

@@ -1,7 +1,18 @@
+import contextlib
+import io
+import math
 import random
+import sys
 from fractions import Fraction
 
-from segrechains.manifold import ambient_space
+import pytest
+
+from segrechains import ranks
+from segrechains.cli import main
+from segrechains.invariants import segre_invariants
+from segrechains.lie import holomorphic_nondegeneracy, hormander_numbers, levi_type
+from segrechains.manifold import ambient_space, new_manifold
+from segrechains.orbit import cr_pair_system, greedy_multitype, lie_span_dimension
 from segrechains.ranks import (
     DEN_BOUND,
     NUM_BOUND,
@@ -17,7 +28,7 @@ from segrechains.ranks import (
 from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import Series, SeriesMap
 
-from helpers import reference_pivot_positions, variables_map
+from helpers import codim_family, gaussian_rows, reference_pivot_positions, variables_map
 
 
 def test_exact_rank_known_matrices():
@@ -115,9 +126,9 @@ def test_sampler_early_exit_matches_max_over_all_trials():
         dim, trials, seed = nrows * ncols, rng.randint(1, 6), rng.randrange(1000)
         repeat = nrows > 1 and rng.random() < 0.5
 
-        def matrix_at(point):
-            rows = [[G(point[r * ncols + c].re.numerator % 2) for c in range(ncols)]
-                    for r in range(nrows)]
+        def matrix_at(point):  # integer rows (den, re, im), the sampler's matrix type
+            rows = [(1, [point[r * ncols + c].re.numerator % 2 for c in range(ncols)],
+                     [0] * ncols) for r in range(nrows)]
             return rows[:-1] + [rows[0]] if repeat else rows
 
         draw = random.Random(seed)
@@ -172,3 +183,149 @@ def test_bareiss_handles_denominators_up_to_den_bound():
     assert pivot_positions(m) == reference_pivot_positions(m)
     vander = [[G(Fraction(k, DEN_BOUND)) ** e for e in range(7)] for k in range(1, 8)]
     assert pivot_positions(vander) == [(r, r) for r in range(7)]
+
+
+# -- the rank modulo P and its exact fallback --------------------------------
+
+
+def test_modulus_is_a_prime_with_a_square_root_of_minus_one():
+    p, root = ranks.P, ranks.ROOT
+    assert p % 4 == 1 and p < 2 ** 30
+    assert all(p % d for d in range(2, math.isqrt(p) + 1))
+    assert 0 < root < p and root * root % p == p - 1
+
+
+@pytest.fixture
+def exact_eliminations(monkeypatch):
+    """The matrices exact_rank hands to the exact eliminator, in call order."""
+    calls = []
+    pivots = ranks.pivot_positions
+
+    def counted(matrix):
+        calls.append(matrix)
+        return pivots(matrix)
+
+    monkeypatch.setattr(ranks, "pivot_positions", counted)
+    return calls
+
+
+def test_rank_mod_p_is_taken_only_when_full(exact_eliminations):
+    i, p = G(0, 1), ranks.P
+    # full rank modulo P proves the rank: no exact elimination
+    assert exact_rank([[G(1), i, G(2)], [i, G(-1), G(3)]]) == 2
+    assert exact_rank([(1, [0, 5], [1, 0]), (7, [0, 0], [0, 0]), (2, [3, 0], [0, 1])]) == 2
+    assert exact_eliminations == []
+    # rows (1, i) and (i, -1) are proportional over Q(i) and so modulo P
+    assert exact_rank([[G(1), i], [i, G(-1)]]) == 1
+    assert len(exact_eliminations) == 1
+    # entries divisible by P: only the exact elimination sees the full rank
+    assert exact_rank([(1, [1, 1], [0, 0]), (1, [1, 1 + p], [0, 0])]) == 2
+    assert exact_rank([(1, [p, 0], [p, 0]), (3, [0, 0], [0, 0])]) == 1
+    assert exact_rank([[G(p, 2 * p)]]) == 1
+    assert len(exact_eliminations) == 4
+
+
+def test_exact_rank_matches_gaussian_elimination_oracle(exact_eliminations):
+    rng = random.Random(4243)
+    matrices = [_oracle_matrix(rng) for _ in range(600)]
+    for m in matrices:
+        assert exact_rank(m) == len(reference_pivot_positions(m)), m
+    # both the proven ranks modulo P and the exact fallback were exercised
+    assert 100 < len(exact_eliminations) < 500
+
+
+def _integer_rows_of(matrix, scale=1):
+    """A GaussianRational matrix as integer rows, each over `scale` times the
+    lcm of its parts' denominators (not reduced)."""
+    out = []
+    for row in matrix:
+        den = scale * math.lcm(*(Fraction(q).denominator for x in row for q in (x.re, x.im)))
+        out.append((den, [int(x.re * den) for x in row], [int(x.im * den) for x in row]))
+    return out
+
+
+def test_public_entries_take_gaussian_rational_matrices():
+    rng = random.Random(31)
+    third = G(Fraction(1, 3), Fraction(-2, 7))
+    matrices = [_oracle_matrix(rng) for _ in range(300)] + [
+        [],
+        [[], []],
+        [[ZERO, ZERO, ZERO]],
+        [[third, ZERO, G(Fraction(5, 2))], [ZERO, ZERO, ZERO], [third * 2, ZERO, G(5)]],
+        [[ZERO, G(Fraction(1, 9), 1)], [ZERO, G(2, Fraction(18, 9))], [ZERO, ZERO]],
+    ]
+    for m in matrices:
+        pivots = reference_pivot_positions(m)
+        for scale in (1, 6):
+            rows = _integer_rows_of(m, scale)
+            assert gaussian_rows(rows) == [list(row) for row in m]
+            assert exact_rank(m) == exact_rank(rows) == len(pivots), m
+            assert pivot_positions(m) == pivot_positions(rows) == pivots, m
+
+
+def _package_modules():
+    return [mod for name, mod in sys.modules.items()
+            if name == "segrechains" or name.startswith("segrechains.")]
+
+
+def _recorded_ranks(monkeypatch, run):
+    """run()'s answer and every sample_rank and generic_rank result it got,
+    in call order, through whichever module binding it called."""
+    log = []
+    with monkeypatch.context() as patch:
+        for name in ("sample_rank", "generic_rank"):
+            original = getattr(ranks, name)
+
+            def recorded(*args, _original=original, **kwargs):
+                log.append(_original(*args, **kwargs))
+                return log[-1]
+
+            for mod in _package_modules():
+                if vars(mod).get(name) is original:
+                    patch.setattr(mod, name, recorded)
+        answer = run()
+    return answer, log
+
+
+def _checkall():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["checkall", "--format", "machine", "--seed", "3"])
+    return code, out.getvalue()
+
+
+def _family():
+    return [segre_invariants(codim_family(d)) for d in range(2, 9)]
+
+
+def _orbits_levi():
+    out = []
+    for d in range(2, 6):
+        system = cr_pair_system(codim_family(d))
+        out.append((greedy_multitype(system, witness=True), lie_span_dimension(system)))
+    for a, b in ((2, 2), (3, 2), (3, 3), (2, 4)):
+        M = new_manifold(2, 1, [f"3*w1^{a}*zeta1^{a} + 5/2*w2^{b}*zeta2^{b}"])
+        out.append((levi_type(M, kmax=12), holomorphic_nondegeneracy(M),
+                    hormander_numbers(M, max_length=2 * max(a, b))))
+    return out
+
+
+@pytest.mark.parametrize("run", [_checkall, _family, _orbits_levi],
+                         ids=["corpus", "family_d2_8", "orbits_levi"])
+def test_rank_mod_p_answers_like_the_exact_path(run, monkeypatch):
+    shipped = _recorded_ranks(monkeypatch, run)
+    with monkeypatch.context() as patch:
+        patch.setattr(ranks, "_rank_mod_p", lambda rows: -1)  # never full: always exact
+        exact = _recorded_ranks(monkeypatch, run)
+    answer, log = shipped
+    assert len(log) > 10
+    assert answer == exact[0]
+    # field by field: (rank, point, matrix) of sample_rank; rank, witness,
+    # trials, seed and certified of generic_rank
+    assert log == exact[1]
+
+
+def test_family_needs_no_exact_fallback(exact_eliminations):
+    # every chain Jacobian of the d = 2..8 family is full rank modulo P
+    assert all(inv.minimal for inv in _family())
+    assert exact_eliminations == []
