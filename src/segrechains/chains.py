@@ -35,7 +35,8 @@ from .errors import (
     UnknownVariable,
 )
 from .manifold import Basepoint, CRManifold, cr_flows
-from .series import PointwiseWord, Series, SeriesMap, VarSpace, _gaussian, expand_word
+from .scalars import GaussianRational
+from .series import PointwiseWord, Series, SeriesMap, VarSpace, expand_word
 
 # coordinate charts of the complexified manifold, by ambient blocks
 _CHARTS = {
@@ -108,8 +109,9 @@ def chain_at_point(M: CRManifold, k: int, basepoint: Basepoint, parity: str, poi
     truncated jet does not commute with pointwise evaluation.
     """
     values, rows = _chain_word(M, k, basepoint, parity).at(point)
-    return ([_gaussian(*v) for v in values],
-            [[_gaussian(x, y, den) for x, y in zip(re, im)] for den, re, im in rows])
+    return ([GaussianRational.from_zi(*v) for v in values],
+            [[GaussianRational.from_zi(x, y, den) for x, y in zip(re, im)]
+             for den, re, im in rows])
 
 
 def flow(M: CRManifold, which: str, state: SeriesMap, param_block: str) -> SeriesMap:

@@ -27,7 +27,7 @@ from math import comb
 
 from .errors import ParseError
 from .scalars import GaussianRational, format_scalar
-from .series import Series, VarSpace, _gaussian, grlex_key
+from .series import Series, VarSpace, grlex_key
 
 MAX_NESTING = 64
 MAX_EXPONENT = 32
@@ -145,7 +145,7 @@ class _Parser:
                 if v == 0:
                     raise ParseError("zero denominator")
                 return Series.constant(
-                    self.space, GaussianRational(num) / GaussianRational(v), self.order
+                    self.space, GaussianRational.from_zi(num, 0, v), self.order
                 )
             return Series.constant(self.space, num, self.order)
         if kind == "name":
@@ -205,7 +205,7 @@ def format_series(s: Series) -> str:
         return "0"
     parts = []
     for exp, (re, im) in sorted(s.pairs.items(), key=lambda t: grlex_key(t[0])):
-        text = _format_term(s.space, exp, _gaussian(re, im, s.den))
+        text = _format_term(s.space, exp, GaussianRational.from_zi(re, im, s.den))
         if parts and not text.startswith("-"):
             parts.append("+" + text)
         else:

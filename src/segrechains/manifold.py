@@ -300,7 +300,7 @@ class Basepoint:
         if self.kind == "numeric":
             return list(self.w) + list(self.z) + list(self.zeta) + list(self.xi)
         at = list(params[: M.m]) + [ZERO] * M.d + list(params[M.m :])
-        table = PointTable(at)
+        table = PointTable([x.zi for x in at])
         return at[: M.m] + [s.evaluate(at, table) for s in M.qbar] + at[M.n :]
 
     def state_components(self, M: CRManifold, space: VarSpace, order):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -52,7 +51,7 @@ from .ranks import (
     random_point,
     rank_at_point,
 )
-from .scalars import ZERO
+from .scalars import GaussianRational, ZERO, format_scalar
 from .series import (
     PointwiseWord,
     Series,
@@ -65,6 +64,11 @@ from .series import (
     noncommuting_pair,
     nonzero_partials,
 )
+
+
+# A system's pointwise rank is checked at the origin and at this many points of Random(seed)
+RANK_CHECK_TRIALS = 3
+RANK_CHECK_SEED = 0
 
 
 def coordinate_space(n: int, prefix: str = "x") -> VarSpace:
@@ -81,8 +85,7 @@ class VFSystem:
     at sampled points).
     """
 
-    def __init__(self, space: VarSpace, fields, order=None, check: bool = True,
-                 trials: int = 3, seed: int = 0):
+    def __init__(self, space: VarSpace, fields, order=None, check: bool = True):
         self.space = space
         self.n = space.dim
         self.fields = tuple(tuple(tuple(comp) for comp in fld) for fld in fields)
@@ -99,7 +102,7 @@ class VFSystem:
                     raise DimensionMismatch("field components need n coefficients")
         if check:
             self._check_commutation()
-            self._check_pointwise_rank(trials, seed)
+            self._check_pointwise_rank()
 
     def _check_commutation(self):
         for fld in self.fields:
@@ -107,16 +110,16 @@ class VFSystem:
             if pair is not None:
                 raise ChartMismatch("components within an m-vector field must commute")
 
-    def _check_pointwise_rank(self, trials, seed):
+    def _check_pointwise_rank(self):
         rows = [comp for fld in self.fields for comp in fld]
         points = [[ZERO] * self.n]
-        rng = random.Random(seed)
-        points += [random_point(rng, self.n) for _ in range(trials)]
+        rng = random.Random(RANK_CHECK_SEED)
+        points += [random_point(rng, self.n) for _ in range(RANK_CHECK_TRIALS)]
         for p in points:
             if exact_rank(integer_rows(rows, p)) != self.a * self.m:
                 raise RankAssumptionViolated(
                     f"the {self.a * self.m} component fields must be pointwise "
-                    f"independent (rank deficit at {p})"
+                    f"independent (rank deficit at ({', '.join(map(format_scalar, p))}))"
                 )
 
 
@@ -197,7 +200,7 @@ def formal_flow(system: VFSystem, alpha: int, order: Optional[int]) -> FlowMap:
         dropped_any = False
         while k < cap:
             k += 1
-            term, dropped = drop_high(D.apply(term) * Fraction(1, k))
+            term, dropped = drop_high(D.apply(term) * GaussianRational.from_zi(1, 0, k))
             dropped_any = dropped_any or dropped
             if term.is_zero():
                 terminated = True

@@ -39,12 +39,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import WitnessNotFound
 from .scalars import GaussianRational, ZERO
-from .series import PointTable, Series, SeriesMap, _zi
+from .series import PointTable, Series, SeriesMap
 
 # Sampling box: numerators in [-99, 99], denominators in [1, 9] for both the
 # real and imaginary parts.  Keeps bignum growth bounded while making an
@@ -75,14 +74,14 @@ def _integer_row(values) -> tuple:
 def integer_rows(matrix, point) -> list:
     """The integer rows of a matrix of Series at one point, every entry
     through Series.value_over with one PointTable for the point."""
-    table = PointTable(point)
+    table = PointTable([x.zi for x in point])
     return [_integer_row([s.value_over(table) for s in row]) for row in matrix]
 
 
 def _integer_matrix(matrix) -> list:
     """A matrix of integer rows as it is, with every row of GaussianRationals
     (or of no entries) converted: the public entries' one conversion."""
-    return [_integer_row([_zi(x) for x in row])
+    return [_integer_row([x.zi for x in row])
             if not row or isinstance(row[0], GaussianRational) else row
             for row in matrix]
 
@@ -175,10 +174,11 @@ def exact_rank(matrix) -> int:
 
 
 def random_scalar(rng: random.Random, num_bound: int = NUM_BOUND) -> GaussianRational:
-    return GaussianRational(
-        Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, DEN_BOUND)),
-        Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, DEN_BOUND)),
-    )
+    """a/b + i*c/d from four draws in the order a, b, c, d: numerators in
+    [-num_bound, num_bound], denominators in [1, DEN_BOUND]."""
+    a, b = rng.randint(-num_bound, num_bound), rng.randint(1, DEN_BOUND)
+    c, d = rng.randint(-num_bound, num_bound), rng.randint(1, DEN_BOUND)
+    return GaussianRational.from_zi(a * d, c * b, b * d)
 
 
 def random_point(

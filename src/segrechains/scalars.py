@@ -1,75 +1,117 @@
 """Exact Gaussian-rational scalars: complex numbers with rational real and
-imaginary parts, each an int when it is integral and a Fraction otherwise.
+imaginary parts, stored over the Gaussian integers.
 
 Every coefficient in this package is a GaussianRational, so equality,
 conjugation and rank computations are decidable.  There is no floating
-point anywhere.  Integral parts stay Python ints, which spares the
-construction and gcd normalization of a Fraction in the common case of
-integer coefficients.
+point anywhere.  A scalar is stored as one Z[i] scalar, the int triple
+zi = (re, im, den) with value (re + i*im) / den, kept canonical (den > 0 and
+gcd(re, im, den) == 1): the form that Series, point tables and integer rows
+use too, so crossing into them is an attribute read.  All arithmetic runs
+on these ints.  The parts re and im are read-only views, each an int when
+it is integral and a Fraction otherwise; this module is the only one that
+reads them or builds a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+
+_new, _set = object.__new__, object.__setattr__
 
 
-def _frac(x):
-    """The canonical part for x: an int when x is integral, else a Fraction."""
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, int):  # bool and other int subclasses
-        return int(x)
+def _part(x):
+    """(numerator, denominator > 0) of an exact rational: int, bool, Fraction or text."""
+    if isinstance(x, int):
+        return int(x), 1
     if isinstance(x, str):
-        return _frac(Fraction(x))
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
-class GaussianRational:
-    """re + im*i with re, im arbitrary-precision rationals (int | Fraction).
+def _rational(n: int, d: int):
+    """n / d (d > 0) as an int when integral, else as a Fraction."""
+    if d == 1:
+        return n
+    return n // d if n % d == 0 else Fraction(n, d)
 
-    Immutable and hashable.  An integral part is stored as an int and any
-    other part as a Fraction, whose numerator and denominator are coprime
-    with positive denominator, so the stored form is canonical.  Equal
-    values hash alike whichever type built them (hash(2) == hash(Fraction(2))).
+
+class GaussianRational:
+    """re + im*i with re, im arbitrary-precision rationals, stored as the
+    canonical Z[i] scalar zi = (re, im, den) (see the module docstring).
+
+    Immutable and hashable; the stored form is canonical, so equal values
+    compare and hash alike.  GaussianRational(re, im) takes each part as an
+    int, bool, Fraction or text (floats are refused); from_zi builds a scalar
+    from Z[i] ints.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("zi",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is int else _frac(re))
-        object.__setattr__(self, "im", im if type(im) is int else _frac(im))
+        (a, b), (c, d) = _part(re), _part(im)
+        _set(self, "zi", GaussianRational.from_zi(a * d, c * b, b * d).zi)
+
+    @staticmethod
+    def from_zi(re: int, im: int, den: int = 1) -> "GaussianRational":
+        """(re + i*im) / den for ints with den > 0, put in lowest terms."""
+        if den != 1:
+            g = gcd(re, im, den)
+            if g != 1:
+                re, im, den = re // g, im // g, den // g
+        c = _new(GaussianRational)
+        _set(c, "zi", (re, im, den))
+        return c
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self):
+        """The real part: an int when integral, else a Fraction."""
+        return _rational(self.zi[0], self.zi[2])
+
+    @property
+    def im(self):
+        """The imaginary part: an int when integral, else a Fraction."""
+        return _rational(self.zi[1], self.zi[2])
 
     # -- arithmetic ---------------------------------------------------
 
     @staticmethod
     def _coerce(other):
+        """other as a GaussianRational if it is one, an int or a Fraction, else None."""
         if isinstance(other, GaussianRational):
             return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
+        if isinstance(other, int):
+            return GaussianRational.from_zi(int(other), 0)
+        if isinstance(other, Fraction):
+            return GaussianRational.from_zi(other.numerator, 0, other.denominator)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a, b, d = self.zi
+        c, e, f = other.zi
+        if d == f:
+            return GaussianRational.from_zi(a + c, b + e, d)
+        return GaussianRational.from_zi(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        a, b, d = self.zi
+        return GaussianRational.from_zi(-a, -b, d)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -81,13 +123,9 @@ class GaussianRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        # a real factor (often an integer coefficient) needs two products
-        if not b:
-            return GaussianRational(a * c, a * d)
-        if not d:
-            return GaussianRational(a * c, b * c)
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        a, b, d = self.zi
+        c, e, f = other.zi
+        return GaussianRational.from_zi(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
@@ -95,14 +133,13 @@ class GaussianRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = other.re * other.re + other.im * other.im
+        c, e, f = other.zi
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        # Fraction(a, n), not a / n: int / int would be a float
-        return GaussianRational(
-            Fraction(self.re * other.re + self.im * other.im, n),
-            Fraction(self.im * other.re - self.re * other.im, n),
-        )
+        # (a + bi)/d * f/(c + ei) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        a, b, d = self.zi
+        return GaussianRational.from_zi(f * (a * c + b * e), f * (b * c - a * e), d * n)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -124,10 +161,11 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        a, b, d = self.zi
+        return GaussianRational.from_zi(a, -b, d)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.zi[0] and not self.zi[1]
 
     # -- comparison / hashing -----------------------------------------
 
@@ -135,10 +173,10 @@ class GaussianRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.zi == other.zi
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self.zi)
 
     def __bool__(self):
         return not self.is_zero()
@@ -157,21 +195,25 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def _frac_str(q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _part_str(n: int, d: int) -> str:
+    """n / d (d > 0) in lowest terms as `a` or `a/b`."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def format_scalar(c: GaussianRational) -> str:
     """Canonical text form: `a/b`, `c/d*i` or `a/b+c/d*i` (minus signs folded in)."""
-    if c.im == 0:
-        return _frac_str(c.re)
-    if c.im == 1:
+    a, b, d = c.zi
+    if not b:
+        return _part_str(a, d)
+    if b == d:
         im = "i"
-    elif c.im == -1:
+    elif b == -d:
         im = "-i"
     else:
-        im = f"{_frac_str(c.im)}*i"
-    if c.re == 0:
+        im = f"{_part_str(b, d)}*i"
+    if not a:
         return im
     sep = "+" if not im.startswith("-") else ""
-    return f"{_frac_str(c.re)}{sep}{im}"
+    return f"{_part_str(a, d)}{sep}{im}"

@@ -6,10 +6,13 @@ complexified conjugate).  A Series is a finite map from exponent vectors to
 Q(i) coefficients, EXACT (a polynomial, order=None) or a jet truncated at a
 total degree, stored over the Gaussian integers: one positive int `den` and a
 dict `pairs` from exponent tuple to an (re, im) int pair, the coefficient
-being (re + i*im) / den.  GaussianRational appears only at the boundary: the
-constructor converts its input once; coefficient, constant_term, formatting
-and the read-only `terms` view divide out.  A SeriesMap is a tuple of Series
-sharing one domain, its components assigned to the variables of a codomain.
+being (re + i*im) / den.  A GaussianRational is stored over Z[i] as well
+(its canonical zi, (re, im, den)), so the boundary is an attribute read on
+the way in (the constructor, scalar factors, points) and one
+GaussianRational.from_zi on the way out (coefficient, constant_term,
+formatting, the read-only `terms` view); the re and im views are never read
+here.  A SeriesMap is a tuple of Series sharing one domain, its components
+assigned to the variables of a codomain.
 
 The calculus on Series lives here too, once for every caller: sums,
 derivatives and products by one term or a scalar on the stored ints, one
@@ -41,7 +44,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from types import MappingProxyType
@@ -160,46 +162,6 @@ def _merge_order(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
-def _as_scalar(c) -> GaussianRational:
-    if isinstance(c, GaussianRational):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return GaussianRational(c)
-    raise TypeError(f"not an exact scalar: {c!r}")
-
-
-def _common_denominator(scalars) -> int:
-    """The lcm of the denominators of all real and imaginary parts."""
-    return math.lcm(*(
-        part.denominator for c in scalars for part in (c.re, c.im) if type(part) is not int
-    ))
-
-
-def _scaled(part, q: int) -> int:
-    """part * q as an int, for a part (int or Fraction) whose denominator divides q."""
-    if type(part) is int:
-        return part * q
-    return part.numerator * (q // part.denominator)
-
-
-def _zi(x):
-    """An exact scalar x as a Z[i] scalar: ints (re, im, den) in lowest
-    terms with x = (re + i*im) / den and den > 0."""
-    c = _as_scalar(x)
-    if type(c.re) is int and type(c.im) is int:
-        return c.re, c.im, 1
-    den = _common_denominator((c,))
-    return _scaled(c.re, den), _scaled(c.im, den), den
-
-
-def _gaussian(re: int, im: int, den: int) -> GaussianRational:
-    """(re + i*im) / den, for ints with den > 0, as a GaussianRational."""
-    if den == 1:
-        return GaussianRational(re, im)
-    return GaussianRational(re // den if re % den == 0 else Fraction(re, den),
-                            im // den if im % den == 0 else Fraction(im, den))
-
-
 def zi_add(x, y):
     """The sum of two Z[i] scalars (re, im, den), in lowest terms."""
     a, b, d = x
@@ -212,33 +174,16 @@ def zi_add(x, y):
 class PointTable:
     """An exact point over Z[i], shared by the Series evaluated at it.
 
-    Every coordinate is put over one common denominator q, the lcm of all
-    real and imaginary denominators: pows[i][e] is N_i^e as an (re, im) int
-    pair for the numerator N_i of coordinate i, and qpow[k] is q^k.  The
-    first Series.value_over (or evaluate) with the table fills it, so the
-    work counts as evaluation, and both lists grow as later calls need
-    higher powers.  PointTable.of_zi builds the filled table of a point
-    given as Z[i] scalars.
+    Built from the point's coordinates as Z[i] scalars (re, im, den) (a
+    GaussianRational's zi), every coordinate put over one common
+    denominator q, the lcm of theirs: pows[i][e] is N_i^e as an (re, im) int
+    pair for the numerator N_i of coordinate i, and qpow[k] is q^k.  Both
+    lists grow as Series.value_over needs higher powers.
     """
 
-    __slots__ = ("point", "q", "qpow", "pows")
+    __slots__ = ("q", "qpow", "pows")
 
-    def __init__(self, point: Sequence):
-        self.point = point
-        self.pows = None
-
-    @staticmethod
-    def of_zi(coords) -> "PointTable":
-        """The filled table of the point whose coordinates are the Z[i]
-        scalars (re, im, den) `coords`."""
-        table = PointTable(None)
-        table._fill(coords)
-        return table
-
-    def fill(self):
-        self._fill([_zi(x) for x in self.point])
-
-    def _fill(self, coords):
+    def __init__(self, coords):
         self.q = q = math.lcm(*(den for _, _, den in coords))
         self.qpow = [1]
         self.pows = [[(1, 0), (re * (q // den), im * (q // den))] for re, im, den in coords]
@@ -334,8 +279,11 @@ class Series:
     def __init__(self, space: VarSpace, terms=None, order: Optional[int] = None):
         clean = {}
         for exp, c in (terms or {}).items():
-            c = _as_scalar(c)
-            if c.is_zero():
+            scalar = GaussianRational._coerce(c)
+            if scalar is None:
+                raise TypeError(f"not an exact scalar: {c!r}")
+            c = scalar.zi
+            if not c[0] and not c[1]:
                 continue
             exp = tuple(exp)
             if len(exp) != space.dim:
@@ -343,12 +291,12 @@ class Series:
             if order is not None and sum(exp) > order:
                 continue
             clean[exp] = c
-        # over the lcm of the part denominators, no factor of den divides every part
-        den = _common_denominator(clean.values())
+        # over the lcm of the canonical denominators, no factor of den divides every part
+        den = math.lcm(*(d for _, _, d in clean.values()))
         _set(self, "space", space)
         _set(self, "den", den)
-        _set(self, "pairs", {e: (_scaled(c.re, den), _scaled(c.im, den))
-                             for e, c in clean.items()})
+        _set(self, "pairs", {e: (re * (den // d), im * (den // d))
+                             for e, (re, im, d) in clean.items()})
         _set(self, "order", order)
 
     def __setattr__(self, name, value):
@@ -398,7 +346,8 @@ class Series:
     @property
     def terms(self):
         """A read-only view: exponent tuple -> GaussianRational coefficient."""
-        return MappingProxyType({e: _gaussian(*p, self.den) for e, p in self.pairs.items()})
+        return MappingProxyType({e: GaussianRational.from_zi(*p, self.den)
+                                 for e, p in self.pairs.items()})
 
     def is_zero(self) -> bool:
         return not self.pairs
@@ -415,7 +364,7 @@ class Series:
         for name, e in powers.items():
             exp[self.space.index_of(name)] = int(e)
         pair = self.pairs.get(tuple(exp))
-        return ZERO if pair is None else _gaussian(*pair, self.den)
+        return ZERO if pair is None else GaussianRational.from_zi(*pair, self.den)
 
     def used_indices(self):
         return {i for exp in self.pairs for i, e in enumerate(exp) if e}
@@ -429,7 +378,7 @@ class Series:
     def _sum(self, other, sign: int) -> "Series":
         """self + sign * other over the lcm of the two denominators."""
         if not isinstance(other, Series):
-            if not isinstance(other, (int, Fraction, GaussianRational)):
+            if GaussianRational._coerce(other) is None:
                 return NotImplemented
             other = Series.constant(self.space, other, self.order)
         self._check_space(other)
@@ -469,9 +418,10 @@ class Series:
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            if not isinstance(other, (int, Fraction, GaussianRational)):
+            scalar = GaussianRational._coerce(other)
+            if scalar is None:
                 return NotImplemented
-            re, im, den = _zi(other)
+            re, im, den = scalar.zi
             if not re and not im:
                 return Series.zero(self.space, self.order)
             return self._times_term((0,) * self.space.dim, re, im, den, self.order)
@@ -559,7 +509,9 @@ class Series:
             raise DimensionMismatch(
                 f"point dimension {len(point)} != space dim {self.space.dim}"
             )
-        return _gaussian(*self.value_over(PointTable(point) if table is None else table))
+        if table is None:
+            table = PointTable([x.zi for x in point])
+        return GaussianRational.from_zi(*self.value_over(table))
 
     def value_over(self, table: PointTable):
         """The value at the table's point as ints (re, im, den), not reduced:
@@ -573,8 +525,6 @@ class Series:
             degree, needed, terms = self._factor_plan()
         if not terms:
             return 0, 0, 1
-        if table.pows is None:
-            table.fill()
         pows, qpow = table.pows, table.qpow
         for i, e in needed:
             if len(pows[i]) <= e:
@@ -767,7 +717,7 @@ class SeriesMap:
         return self.components[self.codomain.index_of(name)]
 
     def evaluate(self, point: Sequence):
-        table = PointTable(point)
+        table = PointTable([x.zi for x in point])
         return [s.evaluate(point, table) for s in self.components]
 
     def jacobian(self, wrt=None):
@@ -832,7 +782,7 @@ def forward_step(fns, partials, at, rows):
     Rows are built new, never mutated: callers share them.
     """
     zeros = [0] * len(rows[0][1])
-    table = PointTable.of_zi(at)
+    table = PointTable(at)
     out = []
     for f, parts in zip(fns, partials):
         products = []
@@ -910,23 +860,23 @@ class PointwiseWord:
         if self.prefixes is not None and key in self.prefixes:
             first, (values, rows) = last, self.prefixes[key]
         else:
-            first, values = 0, [_zi(x) for x in self.start(params)]
+            first, values = 0, [x.zi for x in self.start(params)]
             zeros = [0] * ncols
             rows = [(1, zeros, zeros)] * len(values)  # rows are replaced, never mutated
         for i in range(first, last + 1):
             if i == last and self.prefixes is not None:
                 self.prefixes[key] = (values, rows)
-            times = [_zi(t) for t in point[i * width : (i + 1) * width]]
+            times = [t.zi for t in point[i * width : (i + 1) * width]]
             values, rows = self.flows[i].advance(values, rows, times, i * width)
         for flow, times in self.returns:
-            values, rows = flow.advance(values, rows, [_zi(t) for t in times], None)
+            values, rows = flow.advance(values, rows, [t.zi for t in times], None)
         if self.out is not None:
             return [values[a] for a in self.out], [rows[a] for a in self.out]
         return values, rows
 
     def evaluate(self, point):
         """The values at `point` as GaussianRationals."""
-        return [_gaussian(*v) for v in self.at(point)[0]]
+        return [GaussianRational.from_zi(*v) for v in self.at(point)[0]]
 
     def jacobian_at(self, point, wrt=None):
         if wrt is not None and tuple(wrt) != self.domain.block_names()[: len(self.flows)]:

@@ -19,6 +19,150 @@ from segrechains.series import (
 )
 
 
+def _reference_part(x):
+    """The canonical part for x: an int when x is integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):  # bool and other int subclasses
+        return int(x)
+    if isinstance(x, str):
+        return _reference_part(Fraction(x))
+    raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
+
+
+class ReferenceGaussianRational:
+    """Reference scalar: re + im*i with each part stored as an int when it is
+    integral and as a Fraction otherwise, every operation in Fraction
+    arithmetic (the scalar kernel before it moved onto Z[i])."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", re if type(re) is int else _reference_part(re))
+        object.__setattr__(self, "im", im if type(im) is int else _reference_part(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, ReferenceGaussianRational):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return ReferenceGaussianRational(other)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return ReferenceGaussianRational(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferenceGaussianRational(-self.re, -self.im)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return ReferenceGaussianRational(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b:
+            return ReferenceGaussianRational(a * c, a * d)
+        if not d:
+            return ReferenceGaussianRational(a * c, b * c)
+        return ReferenceGaussianRational(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        n = other.re * other.re + other.im * other.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        return ReferenceGaussianRational(
+            Fraction(self.re * other.re + self.im * other.im, n),
+            Fraction(self.im * other.re - self.re * other.im, n),
+        )
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        result = ReferenceGaussianRational(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def conjugate(self):
+        return ReferenceGaussianRational(self.re, -self.im)
+
+    def is_zero(self) -> bool:
+        return not self.re and not self.im
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        return reference_format_scalar(self)
+
+
+def _reference_part_str(q) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def reference_format_scalar(c) -> str:
+    """format_scalar's text read from the parts of a ReferenceGaussianRational."""
+    if c.im == 0:
+        return _reference_part_str(c.re)
+    if c.im == 1:
+        im = "i"
+    elif c.im == -1:
+        im = "-i"
+    else:
+        im = f"{_reference_part_str(c.im)}*i"
+    if c.re == 0:
+        return im
+    sep = "+" if not im.startswith("-") else ""
+    return f"{_reference_part_str(c.re)}{sep}{im}"
+
+
 def reference_pivot_positions(matrix):
     """Reference eliminator: plain Gaussian elimination over Q(i) in
     GaussianRational arithmetic, with the first nonzero entry of a column
@@ -166,7 +310,7 @@ def reference_forward_step(fns, partials, at, rows):
     """Reference forward-mode step: the chain rule on rows of
     GaussianRationals, every product and sum in GaussianRational arithmetic."""
     zero_row = [ZERO] * len(rows[0])
-    table = PointTable(at)
+    table = PointTable([x.zi for x in at])
     out = []
     for f, parts in zip(fns, partials):
         row = zero_row

@@ -115,6 +115,16 @@ def test_orbit_command_on_system_and_manifold(capsys):
     assert report["results"]["multitype_conjugate_start"] == report["results"]["multitype"]
 
 
+def test_orbit_rank_deficit_names_the_point(tmp_path, capsys):
+    path = tmp_path / "dependent.mf"
+    path.write_text("kind=system\nn=2\nm=1\na=2\nfield_1_1_x1 = 1\nfield_2_1_x1 = 2\n")
+    for fmt in ("human", "machine"):
+        code, out, err = run_cli(capsys, "orbit", str(path), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == ("error: the 2 component fields must be pointwise independent "
+                       "(rank deficit at (0, 0))\n")
+
+
 def test_base_generic_and_numeric(capsys):
     code, out, _ = run_cli(
         capsys, "ranks", data_path("ex8_10"), "--base", "generic",

@@ -28,7 +28,10 @@ from segrechains.ranks import (
 from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import Series, SeriesMap
 
-from helpers import codim_family, gaussian_rows, reference_pivot_positions, variables_map
+from helpers import (
+    ReferenceGaussianRational, codim_family, gaussian_rows, reference_pivot_positions,
+    variables_map,
+)
 
 
 def test_exact_rank_known_matrices():
@@ -137,6 +140,24 @@ def test_sampler_early_exit_matches_max_over_all_trials():
         rank, point, matrix = sample_rank(matrix_at, dim, trials, seed)
         assert rank == max(ranks)
         assert point == points[ranks.index(rank)] and matrix == matrix_at(point)
+
+
+def test_random_point_matches_fraction_construction():
+    """Each coordinate is a/b + i*c/d from the draws a, b, c, d in that
+    order, as two Fractions would build it: every sample point, witness and
+    report depends on these values."""
+    for seed in range(8):
+        for bound in (NUM_BOUND, 10 * NUM_BOUND):
+            rng, twin = random.Random(seed), random.Random(seed)
+            for dim in (1, 2, 5):
+                want = [ReferenceGaussianRational(
+                    Fraction(twin.randint(-bound, bound), twin.randint(1, DEN_BOUND)),
+                    Fraction(twin.randint(-bound, bound), twin.randint(1, DEN_BOUND)),
+                ) for _ in range(dim)]
+                got = random_point(rng, dim, bound)
+                assert [repr(c) for c in got] == [repr(c) for c in want]
+                assert [(c.re, c.im) for c in got] == [(c.re, c.im) for c in want]
+            assert rng.getstate() == twin.getstate()
 
 
 def _oracle_matrix(rng):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segrechains.manifold import ambient_space
-from segrechains.scalars import GaussianRational, format_scalar
+from segrechains.scalars import GaussianRational, I, ZERO, format_scalar
 from segrechains.series import Series
 
-from helpers import small_scalar
+from helpers import ReferenceGaussianRational, small_scalar
 
 
 def test_canonical_reduced_form():
@@ -183,3 +183,59 @@ def test_series_results_are_canonical(data, order, other_order):
         _assert_canonical(s)
     sub = {n: data.draw(series(order, constant=order is None, size=2)) for n in SPACE.names}
     _assert_canonical(f.compose(sub))
+
+
+# -- the Z[i] scalar against the int|Fraction reference ------------------------
+
+_wide = st.builds(Fraction, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 70))
+part_pairs = st.tuples(st.one_of(parts, _wide), st.one_of(parts, _wide))
+plain = st.one_of(st.integers(-20, 20), st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)))
+
+
+def _assert_matches(value, ref):
+    """value is canonical over Z[i] and reads exactly like the reference."""
+    assert type(value) is GaussianRational
+    re, im, den = value.zi
+    assert all(type(x) is int for x in value.zi) and den > 0 and math.gcd(re, im, den) == 1
+    assert (value.re, value.im) == (ref.re, ref.im)
+    assert (type(value.re), type(value.im)) == (type(ref.re), type(ref.im))
+    assert repr(value) == repr(ref) and str(value) == str(ref) == format_scalar(value)
+
+
+@INVARIANTS
+@given(part_pairs, part_pairs, plain, st.integers(0, 4))
+def test_operations_match_fraction_reference(x, y, k, n):
+    a, b = GaussianRational(*x), GaussianRational(*y)
+    ra, rb = ReferenceGaussianRational(*x), ReferenceGaussianRational(*y)
+    cases = [(a, ra), (b, rb), (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+             (-a, -ra), (a.conjugate(), ra.conjugate()), (a ** n, ra ** n),
+             (a + k, ra + k), (k + a, k + ra), (a - k, ra - k), (k - a, k - ra),
+             (a * k, ra * k), (k * a, k * ra)]
+    if rb.is_zero():
+        for divide in (lambda: a / b, lambda: k / b):
+            with pytest.raises(ZeroDivisionError):
+                divide()
+    else:
+        cases += [(a / b, ra / rb), (k / b, k / rb), (a / b * b, ra / rb * rb)]
+    if k:
+        cases.append((a / k, ra / k))
+    for value, ref in cases:
+        _assert_matches(value, ref)
+    assert (a == b) == (ra == rb) and (a == k) == (ra == k) and (a != b) == (ra != rb)
+    assert a.is_zero() == ra.is_zero() == (not a)
+
+
+@INVARIANTS
+@given(part_pairs, st.integers(1, 10 ** 6))
+def test_equal_values_are_stored_and_hashed_alike(x, k):
+    a = GaussianRational(*x)
+    re, im, den = a.zi
+    twins = [GaussianRational.from_zi(re * k, im * k, den * k),
+             GaussianRational(Fraction(a.re), Fraction(a.im)),
+             GaussianRational(str(a.re), str(a.im)),
+             a + k - k, a * (k + I) / (k + I), a.conjugate().conjugate()]
+    for twin in twins:
+        assert twin == a and twin.zi == a.zi and hash(twin) == hash(a)
+    assert GaussianRational.from_zi(0, 0, k).zi == ZERO.zi == (0, 0, 1)
+    with pytest.raises(AttributeError):
+        a.zi = (0, 0, 1)

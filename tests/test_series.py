@@ -15,7 +15,7 @@ from segrechains.errors import (
 from segrechains.manifold import ambient_space
 from segrechains.scalars import GaussianRational, ZERO
 from segrechains.series import (
-    PointTable, Series, SeriesMap, VarSpace, _gaussian, _merge_order, _zi,
+    PointTable, Series, SeriesMap, VarSpace, _merge_order,
     forward_step, nonzero_partials, zi_add,
 )
 from segrechains.ranks import integer_rows
@@ -207,7 +207,7 @@ _coordinates = st.one_of(
     st.just(0), st.just(ZERO), st.integers(-99, 99), _small, _large,
     st.builds(GaussianRational, _small, _small),
     st.builds(GaussianRational, _large, _large),
-)
+).map(GaussianRational._coerce)
 
 
 def _evaluated_series(order):
@@ -230,7 +230,7 @@ def test_evaluate_matches_reference_evaluation(data, order):
     point = data.draw(st.lists(_coordinates, min_size=4, max_size=4))
     hashes = [hash(f) for f in fs]
     expected = [reference_evaluate(f, point) for f in fs]
-    table = PointTable(point)  # one table across the series and repeated calls
+    table = PointTable([x.zi for x in point])  # one table across the series and repeated calls
     for _ in range(2):
         for f, want in zip(fs, expected):
             for got in (f.evaluate(point, table), f.evaluate(point)):
@@ -238,11 +238,11 @@ def test_evaluate_matches_reference_evaluation(data, order):
     assert gaussian_rows(integer_rows([fs, fs[::-1]], point)) == [expected, expected[::-1]]
     for f, h in zip(fs, hashes):
         assert hash(f) == h and f == Series(f.space, f.terms, f.order)
-    for short in (point[:3], point + [1]):
+    for short in (point[:3], point + [ZERO]):
         with pytest.raises(DimensionMismatch):
             fs[0].evaluate(short)
         with pytest.raises(DimensionMismatch):
-            fs[0].evaluate(short, PointTable(short))
+            fs[0].evaluate(short, PointTable([x.zi for x in short]))
 
 
 # -- integer-first composition against the term-by-term reference -----------
@@ -412,7 +412,7 @@ def _exact_row(row):
 @given(st.integers(0, 2 ** 32 - 1))
 def test_forward_step_matches_reference_forward_step(seed):
     """Polynomials with int, small-fraction and 2**64-denominator complex
-    coefficients at points mixing int, Fraction and GaussianRational
+    coefficients at points mixing integral, fractional and complex
     coordinates (zero ones make partials vanish), given to the step as Z[i]
     scalars, through integer rows with zero entries, all-zero rows and
     differing denominators."""
@@ -422,11 +422,11 @@ def test_forward_step_matches_reference_forward_step(seed):
     fns = [_random_series(rng, space, None, rng.randint(0, 5), rng.random() < 0.5)
            for _ in range(rng.randint(1, 3))]
     partials = [nonzero_partials(f) for f in fns]
-    at = [_random_coordinate(rng) for _ in range(space.dim)]
+    at = [GaussianRational._coerce(_random_coordinate(rng)) for _ in range(space.dim)]
     rows = [_random_int_row(rng, ncols) for _ in range(space.dim)]
     given_rows = [(den, list(re), list(im)) for den, re, im in rows]
     want = reference_forward_step(fns, partials, at, [_exact_row(r) for r in rows])
-    got = forward_step(fns, partials, [_zi(x) for x in at], rows)
+    got = forward_step(fns, partials, [x.zi for x in at], rows)
     assert rows == given_rows  # rows are shared, never mutated
     for (value, row), (want_value, want_row) in zip(got, want):
         re, im, den = value
@@ -435,12 +435,12 @@ def test_forward_step_matches_reference_forward_step(seed):
         den, re, im = row
         assert den > 0 and len(re) == len(im) == ncols
         assert math.gcd(den, *re, *im) == 1  # one gcd reduced the row
-        entries = [_gaussian(x, y, den) for x, y in zip(re, im)]
+        entries = [GaussianRational.from_zi(x, y, den) for x, y in zip(re, im)]
         assert _exact_row(row) == entries == want_row
-        assert all(_canonical_parts(c) for c in [_gaussian(*value), *entries])
+        assert all(_canonical_parts(c) for c in [GaussianRational.from_zi(*value), *entries])
     # a flow moves its coordinates by its times with zi_add
-    total = zi_add(_zi(at[0]), _zi(at[1]))
-    assert math.gcd(*total) == 1 and _gaussian(*total) == GaussianRational._coerce(at[0]) + at[1]
+    total = zi_add(at[0].zi, at[1].zi)
+    assert math.gcd(*total) == 1 and GaussianRational.from_zi(*total) == at[0] + at[1]
 
 
 def test_seriesmap_evaluate_and_jacobian():
