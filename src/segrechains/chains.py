@@ -6,20 +6,19 @@ alternating the two exact vectorial flows of manifold.cr_flows
     L-flow:    (w, z, zeta, xi) |-> (w + u, qbar(w + u, zeta, xi), zeta, xi)
     Lbar-flow: (w, z, zeta, xi) |-> (w, z, zeta + u, q(zeta + u, w, z))
 
-starting from a basepoint (origin, numeric, or symbolic): the word of flows
-is expanded by series.expand_word, which keeps the chains from one basepoint
-on M, so Gamma_k extends Gamma_{k-1}.  psi projects the chain alternately to
-the two coordinate half-spaces, v_map builds the classical
-nested-substitution maps independently of the flow machinery, and
-check_reparam verifies the linear reparametrization identities that tie the
-two constructions together.
+starting from a basepoint (origin, numeric, or symbolic).  chain_word gives
+this word of flows as a series.FlowWord, the word of the orbit flows too;
+gamma expands it, keeping the chains from one basepoint on M, so Gamma_k
+extends Gamma_{k-1}.  psi projects the chain alternately to the two
+coordinate half-spaces, v_map builds the classical nested-substitution maps
+independently of the flow machinery, and check_reparam verifies the linear
+reparametrization identities that tie the two constructions together.
 
 In EXACT mode the same word also runs on exact values at one point,
 carrying the derivatives in the u-blocks along (forward-mode
-differentiation): the two flows are steps of a series.PointwiseWord, so a
-chain can be ranked without being expanded.  chain_at_point gives its
-ambient values and Jacobian; sampled_chain hands generic_rank that pointwise
-form in EXACT mode and the expanded chart map for truncated jets.
+differentiation), so a chain can be ranked without being expanded:
+sampled_chain hands generic_rank that pointwise form in EXACT mode and the
+expanded chart map for truncated jets.
 """
 
 from __future__ import annotations
@@ -27,16 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    DimensionMismatch,
-    OffManifold,
-    SegreError,
-    TruncationUnsound,
-    UnknownVariable,
-)
+from .errors import DimensionMismatch, OffManifold, SegreError, UnknownVariable
 from .manifold import Basepoint, CRManifold, cr_flows
-from .scalars import GaussianRational
-from .series import PointwiseWord, Series, SeriesMap, VarSpace, expand_word
+from .series import FlowWord, Series, SeriesMap, VarSpace
 
 # coordinate charts of the complexified manifold, by ambient blocks
 _CHARTS = {
@@ -90,28 +82,20 @@ def chain_space(M: CRManifold, k: int, basepoint: Basepoint) -> VarSpace:
     return VarSpace(blocks, pairs)
 
 
-def _chain_word(M: CRManifold, k: int, basepoint: Basepoint, parity: str, out=None):
-    """Gamma_k as a series.PointwiseWord over chain_space(M, k, basepoint)."""
-    if M.order is not None:
-        raise TruncationUnsound("forward-mode chain values need an EXACT manifold")
-    return PointwiseWord(chain_space(M, k, basepoint), _flow_word(M, k, parity),
-                         lambda params: basepoint.state_values(M, params), out)
+def chart_indices(M: CRManifold, k: int, chart: Optional[str] = None):
+    """Ambient indices of a chart, by default a length-k chain's own chart."""
+    return [M.space.index_of(v) for v in _chart_names(M, chart or _chain_chart(k))]
 
 
-def chain_at_point(M: CRManifold, k: int, basepoint: Basepoint, parity: str, point):
-    """Exact ambient values of Gamma_k at `point` and their Jacobian in u1..uk,
-    as GaussianRationals (ranks reads the word's integer rows instead).
-
-    `point` assigns every variable of chain_space(M, k, basepoint).  The
-    word of manifold.CRFlows runs on exact (value, gradient) pairs
-    (forward-mode differentiation, series.PointwiseWord); the basepoint
-    contributes values and zero derivatives.  Valid in EXACT mode only: a
-    truncated jet does not commute with pointwise evaluation.
-    """
-    values, rows = _chain_word(M, k, basepoint, parity).at(point)
-    return ([GaussianRational.from_zi(*v) for v in values],
-            [[GaussianRational.from_zi(x, y, den) for x, y in zip(re, im)]
-             for den, re, im in rows])
+def chain_word(M: CRManifold, k: int, basepoint: Basepoint, parity: str, out=None):
+    """Gamma_k as a series.FlowWord over chain_space(M, k, basepoint): the k
+    CRFlows of the parity from the basepoint's state.  Its expanded states
+    are kept on M per basepoint, so a chain extends the shorter one."""
+    states = vars(M).setdefault("_chain_cache", {}).setdefault(basepoint, {})
+    return FlowWord(_flow_word(M, k, parity), lambda i: chain_space(M, i, basepoint),
+                    lambda space: basepoint.state_components(M, space, M.order),
+                    lambda params: basepoint.state_values(M, params), M.order, out,
+                    states=states)
 
 
 def flow(M: CRManifold, which: str, state: SeriesMap, param_block: str) -> SeriesMap:
@@ -171,24 +155,13 @@ class ChainMap:
         return self.map.project(names, self.manifold.space.subspace(_CHARTS[chart]))
 
 
-def _chain_states(M: CRManifold, k: int, basepoint: Basepoint, parity: str):
-    """Ambient state components of Gamma_k over chain_space(M, k, basepoint),
-    expanded by series.expand_word.  The states of the chains from one
-    basepoint are kept on M, so a chain extends the shorter one."""
-    cache = vars(M).setdefault("_chain_cache", {}).setdefault(basepoint, {})
-    return expand_word(_flow_word(M, k, parity),
-                       lambda space: basepoint.state_components(M, space, M.order),
-                       lambda i: chain_space(M, i, basepoint), M.order, cache)
-
-
 def gamma(M: CRManifold, k: int, basepoint: Optional[Basepoint] = None,
           parity: str = "L", verify: bool = True) -> ChainMap:
     """The length-k chain map in m*k parameters (plus basepoint parameters)."""
     if k < 1:
         raise DimensionMismatch("chain length must be >= 1")
     basepoint = basepoint or Basepoint.origin()
-    comps = _chain_states(M, k, basepoint, parity)
-    smap = SeriesMap(comps, M.space)
+    smap = SeriesMap(chain_word(M, k, basepoint, parity).expand(), M.space)
     chain = ChainMap(M, k, parity, basepoint, smap, _chain_chart(k))
     if verify:
         verify_in_manifold(chain)
@@ -199,14 +172,12 @@ def sampled_chain(M: CRManifold, k: int, basepoint: Basepoint, parity: str,
                   chart: Optional[str] = None):
     """Gamma_k in a chart (by default its own) in the form ranks samples it.
 
-    EXACT manifolds give a series.PointwiseWord reporting the chart's
-    components; truncated jets give the expanded chart map, because
-    truncation does not commute with pointwise evaluation.
+    EXACT manifolds give the chain_word reporting the chart's components;
+    truncated jets give the expanded chart map, because truncation does not
+    commute with pointwise evaluation.
     """
-    chart = chart or _chain_chart(k)
     if M.order is None:
-        out = [M.space.index_of(v) for v in _chart_names(M, chart)]
-        return _chain_word(M, k, basepoint, parity, out)
+        return chain_word(M, k, basepoint, parity, chart_indices(M, k, chart))
     return gamma(M, k, basepoint, parity, verify=False).in_chart(chart)
 
 

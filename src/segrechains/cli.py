@@ -250,6 +250,9 @@ def cmd_multitype(args, M, bp):
 def cmd_witness(args, M, bp):
     if bp.kind == "symbolic":
         raise ParseError("witness search needs a numeric basepoint")
+    if M.order is not None:
+        raise ParseError("witness search needs an EXACT manifold: a truncated "
+                         "chain cannot be evaluated at nonzero times")
     inv = segre_invariants(M, bp, args.kmax, args.trials, args.seed)
     record = witness_point(M, inv, bp, seed=args.seed)
     payload = {

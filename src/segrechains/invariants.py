@@ -3,18 +3,18 @@
 The generic ranks r_k of the chains start at r_1 = m, r_2 = 2m and grow by
 increments e_k = r_{k+2} - r_{k+1}; once an increment vanishes after a
 nonzero one, all later increments vanish, so the profile computation stops
-at the first plateau (an optional paranoid mode keeps going and asserts that
-no later jump occurs).  kappa counts the positive increments, the type is
+at the first plateau.  kappa counts the positive increments, the type is
 mu = 2 + kappa, the multitype is (m, m, e_1, ..., e_kappa), and the manifold
 is minimal at the basepoint exactly when the increments sum to d.
 
 Every rank here is sampled through ranks.generic_rank / rank_at_point on
-chains.sampled_chain: in EXACT mode the chains are never expanded (each is a
-series.PointwiseWord), their Jacobians at the sample points come from
-forward-mode differentiation, and a certified rank rests on evaluation being
-a ring homomorphism; truncated jets are expanded and their witnessed minors
-certified symbolically.  The witness point comes from ranks.find_rank_point,
-the search the orbit witness uses too.
+chains.sampled_chain: in EXACT mode the chains are never expanded (each is
+a chains.chain_word run pointwise), their Jacobians at the sample points
+come from forward-mode differentiation, and a certified rank rests on
+evaluation being a ring homomorphism; truncated jets are expanded and their
+witnessed minors certified symbolically.  The witness point comes from
+ranks.find_rank_point, the search the orbit witness uses too; a witness
+needs an EXACT manifold, since its chains run at nonzero times.
 """
 
 from __future__ import annotations
@@ -22,11 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .chains import default_kmax, psi_chart, sampled_chain, u_blocks
-from .errors import NotAHypersurface, SegreError
+from .chains import (
+    chain_word, chart_indices, default_kmax, psi_chart, sampled_chain, u_blocks,
+)
+from .errors import NotAHypersurface, SegreError, TruncationUnsound
 from .manifold import Basepoint, CRManifold
-from .ranks import DEFAULT_TRIALS, find_rank_point, generic_rank, rank_at_point
-from .scalars import ZERO
+from .ranks import (
+    DEFAULT_TRIALS, exact_rank, find_rank_point, generic_rank, rank_at_point,
+)
+from .scalars import GaussianRational, ZERO
 from .series import Series
 
 
@@ -78,7 +82,6 @@ def rank_profile(
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     certify: bool = False,
-    paranoid: bool = False,
 ) -> RankProfile:
     """Generic ranks of the chains at the basepoint, with early stop at the
     first plateau; one conjugate-parity rank is recomputed as a symmetry check."""
@@ -97,14 +100,9 @@ def rank_profile(
         certified = certified and res.certified
         if k >= 3 and rs[-1] == rs[-2]:
             stopped_at = k
-            if not paranoid:
-                break
+            break
         if k >= 3 and rs[-1] < rs[-2]:
             raise SegreError("internal: sampled ranks decreased; raise trials")
-    if paranoid:
-        plateau = rs.index(max(rs)) + 1
-        if any(rs[i] != rs[-1] for i in range(plateau - 1, len(rs))):
-            raise SegreError("internal: rank jumped after a plateau")
     if rs[0] != M.m or (len(rs) > 1 and rs[1] != 2 * M.m):
         raise SegreError(
             "internal: r_1, r_2 must equal m, 2m; sampling failed or input invalid"
@@ -194,7 +192,11 @@ def witness_point(
 ) -> WitnessRecord:
     """Find w* = (w_1*, ..., w_{mu-1}*, 0) where the length-mu chain attains
     rank 2m + sum(e), set omega* = (-w_{mu-1}*, ..., -w_1*), and verify that
-    the length-(2mu-1) chain returns to the basepoint with the same rank."""
+    the length-(2mu-1) chain returns to the basepoint with the same rank.
+    EXACT manifolds only (TruncationUnsound otherwise): a truncated chain
+    cannot be evaluated at nonzero times."""
+    if M.order is not None:
+        raise TruncationUnsound("a witness chain needs an EXACT manifold")
     basepoint = basepoint or Basepoint.origin()
     mu = invariants.mu
     target = invariants.orbit_dim_complexified
@@ -205,16 +207,14 @@ def witness_point(
     omega_star = tuple(tuple(-c for c in blk) for blk in reversed(found))
     length = 2 * mu - 1
     point = [c for blk in (w_star + omega_star) for c in blk]
-    value = sampled_chain(M, length, basepoint, parity, "ambient").evaluate(point)
-    returns = value == _basepoint_values(M, basepoint)
-    rank = rank_at_point(sampled_chain(M, length, basepoint, parity), u_blocks(length), point)
-    if M.order is None:
-        # exact mode: the return identity and the attained rank are theorems
-        if not returns:
-            raise SegreError("internal: witness chain failed to return to the basepoint")
-        if rank != target:
-            raise SegreError(f"internal: witness rank {rank} != expected {target}")
-    return WitnessRecord(w_star, omega_star, length, rank, returns, parity)
+    values, rows = chain_word(M, length, basepoint, parity).at(point)
+    rank = exact_rank([rows[a] for a in chart_indices(M, length)])
+    # the return identity and the attained rank are theorems in exact mode
+    if [GaussianRational.from_zi(*v) for v in values] != _basepoint_values(M, basepoint):
+        raise SegreError("internal: witness chain failed to return to the basepoint")
+    if rank != target:
+        raise SegreError(f"internal: witness rank {rank} != expected {target}")
+    return WitnessRecord(w_star, omega_star, length, rank, True, parity)
 
 
 def psi_rank_checks(

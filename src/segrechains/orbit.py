@@ -13,18 +13,17 @@ field adds rank.  The resulting orbit dimension am + sum(e) can be
 cross-checked against the independent left-normed bracket span oracle
 lie_span_dimension.
 
-With EXACT flows (order=None) no concatenated flow is expanded: a
-PointwiseFlow, the series.PointwiseWord that also runs the Segre chains,
+flow_word gives a concatenated flow as a series.FlowWord, the word of the
+Segre chains too.  With EXACT flows (order=None) it is never expanded: it
 carries exact (value, d/dt) pairs from the origin through the word's flows at
 each sample point (forward-mode differentiation), with each flow's partials
 differentiated once.  The witness's return map adds the reversed flows at the
 constant times -t_i* as further chain-rule steps in x, and its point comes
 from ranks.find_rank_point, the witness search the chains use too.
-Truncated jets keep the expanded concatenated_flow (series.expand_word, the
-expander of the Segre chains too), which is also the test oracle for the
-pointwise form: the candidates of one greedy step differ only in their last
-flow, so the expanded state of their common prefix is kept and each
-candidate composes one flow more.  A jet's witness is None, because a
+Truncated jets rank the expanded concatenated_flow, which is also the test
+oracle for the pointwise form: the candidates of one greedy step differ only
+in their last flow, so the expanded state of their common prefix is kept and
+each candidate composes one flow more.  A jet's witness is None, because a
 truncated flow cannot be evaluated at a nonzero time.
 """
 
@@ -53,13 +52,12 @@ from .ranks import (
 )
 from .scalars import GaussianRational, ZERO, format_scalar
 from .series import (
-    PointwiseWord,
+    FlowWord,
     Series,
     SeriesMap,
     TangentVectorField,
     VarSpace,
     bracket_levels,
-    expand_word,
     forward_step,
     noncommuting_pair,
     nonzero_partials,
@@ -125,9 +123,9 @@ class VFSystem:
 
 class FlowMap:
     """exp(s.L) as a SeriesMap over (s, x); exact=True when the Lie series
-    terminated below the truncation order.  advance makes it a step of a
-    series.PointwiseWord, expand a step of series.expand_word.  (A plain
-    class: building a dataclass costs milliseconds at every import.)"""
+    terminated below the truncation order.  advance and expand make it a step
+    of a series.FlowWord, run at a point or expanded.  (A plain class:
+    building a dataclass costs milliseconds at every import.)"""
 
     __slots__ = ("map", "exact", "order", "_partials")
 
@@ -231,57 +229,50 @@ def _flow(system: VFSystem, flows: dict, alpha: int, order: Optional[int]) -> Fl
     return flows[alpha]
 
 
+def flow_word(system: VFSystem, word: Sequence[int], flows: dict,
+              order: Optional[int] = None, returns=(), prefixes: Optional[dict] = None,
+              states: Optional[dict] = None) -> FlowWord:
+    """The concatenated flow of `word` as a series.FlowWord over the t-blocks:
+    the origin carried through the flows exp(t_i.L_word[i-1]).  `returns`
+    lists further (alpha, times) flows at constant times, applied after (the
+    witness's return map); `prefixes` and `states` are shared by greedy
+    candidates (see FlowWord).  `flows` is the dict of FlowMaps by field
+    index, filled on first use."""
+    n = system.n
+    returns = [(_flow(system, flows, a, order), times) for a, times in returns]
+    return FlowWord([_flow(system, flows, alpha, order) for alpha in word],
+                    lambda k: _time_space(system, k),
+                    lambda space: [Series.zero(space, order)] * n,
+                    lambda params: [ZERO] * n, order,
+                    returns=returns, prefixes=prefixes, states=states)
+
+
 def concatenated_flow(system: VFSystem, word: Sequence[int],
                       flows: Optional[dict] = None,
                       order: Optional[int] = None,
                       prefixes: Optional[dict] = None) -> Tuple[SeriesMap, bool]:
     """The map t_(k) -> flow_{word[k-1]}(t_k, ... flow_{word[0]}(t_1, 0) ...).
 
-    Returns (map over the t-blocks, all_flows_exact).  The word is expanded
-    by series.expand_word; `prefixes`, shared by words of one system, order
-    and `flows` dict, keeps the expanded state after each of their prefixes.
+    Returns (map over the t-blocks, all_flows_exact): the expanded flow_word.
+    `prefixes`, shared by words of one system, order and `flows` dict, keeps
+    the expanded state after each of their prefixes.
     """
-    flows = flows if flows is not None else {}
-    word_flows = [_flow(system, flows, alpha, order) for alpha in word]
-    state = expand_word(word_flows, lambda space: [Series.zero(space, order)] * system.n,
-                        lambda k: _time_space(system, k), order, prefixes)
-    return SeriesMap(state, system.space), all(f.exact for f in word_flows)
-
-
-class PointwiseFlow(PointwiseWord):
-    """concatenated_flow(system, word) of EXACT flows as a series.PointwiseWord:
-    a point is carried from the origin through the word's flows
-    exp(t_i.L_alpha).  `returns` lists further (alpha, times) flows at
-    constant times, applied after (the witness's return map); `prefixes` is
-    shared by greedy candidates (see PointwiseWord).  `flows` is the dict of
-    FlowMaps by field index, filled on first use."""
-
-    __slots__ = ()
-
-    def __init__(self, system: VFSystem, word: Sequence[int], flows: dict,
-                 returns=(), prefixes: Optional[dict] = None):
-        n = system.n
-        super().__init__(
-            _time_space(system, len(word)),
-            [_flow(system, flows, alpha, None) for alpha in word],
-            lambda params: [ZERO] * n,
-            returns=[(_flow(system, flows, a, None), times) for a, times in returns],
-            prefixes=prefixes,
-        )
+    fw = flow_word(system, word, {} if flows is None else flows, order, states=prefixes)
+    return SeriesMap(fw.expand(), system.space), all(f.exact for f in fw.flows)
 
 
 def _ranked_flow(system: VFSystem, word, flows: dict, order: Optional[int],
                  prefixes: Optional[dict] = None):
     """(concatenated flow of `word` in the form ranks samples, all flows exact).
 
-    EXACT flows (order None) give a PointwiseFlow; truncated jets give the
+    EXACT flows (order None) give the flow_word; truncated jets give the
     expanded map, because truncation does not commute with evaluation.  In
     both forms `prefixes` lets words that share a prefix share its work.
     """
     if order is not None:
         return concatenated_flow(system, word, flows, order, prefixes)
-    pw = PointwiseFlow(system, word, flows, prefixes=prefixes)
-    return pw, all(f.exact for f in pw.flows)
+    fw = flow_word(system, word, flows, prefixes=prefixes)
+    return fw, all(f.exact for f in fw.flows)
 
 
 @dataclass(frozen=True)
@@ -311,7 +302,7 @@ def greedy_multitype(
     Ties among rank-maximizing candidate fields break to the lowest index;
     kmax bounds the word length (default a + n - a*m + 1); `order` is the
     flow jet order (None = require terminating Lie series).  EXACT flows are
-    ranked pointwise (PointwiseFlow), jets from their expanded maps.  The
+    ranked pointwise (flow_word), jets from their expanded maps.  The
     witness needs flows at nonzero constant times, which truncated flows
     cannot give soundly, so with a finite order it is None.
     """
@@ -380,11 +371,11 @@ def _orbit_witness(system, result, flows, seed):
     mu0 = result.mu0
     m = system.m
     blocks = [f"t{i}" for i in range(1, mu0 + 1)]
-    fwd = PointwiseFlow(system, result.word, flows)
+    fwd = flow_word(system, result.word, flows)
     found = find_rank_point(fwd, blocks, m, mu0 - 1, result.orbit_dim, seed)
     # the reversed flows at the negated times, after the forward word
     back = [(result.word[i - 1], [-c for c in found[i - 1]]) for i in range(mu0 - 1, 0, -1)]
-    ret = PointwiseFlow(system, result.word, flows, back)
+    ret = flow_word(system, result.word, flows, returns=back)
     point = [c for blk in found for c in blk] + [ZERO] * m
     value, rows = ret.at(point)
     return {

@@ -24,7 +24,7 @@ reads, is always exact.
 
 A SeriesMap is differentiated symbolically once and its Jacobian evaluated
 at each point.  An EXACT chain or concatenated orbit flow is never expanded:
-it is a series.PointwiseWord, whose Jacobian at each point comes from
+it is a series.FlowWord, whose Jacobian at each point comes from
 forward-mode differentiation through the word's flows.  find_rank_point is
 the witness search of both: a seeded point of a given shape and rank.
 
@@ -246,7 +246,7 @@ def _jacobian_source(f, wrt):
     symbolic Jacobian or None).
 
     A SeriesMap is differentiated once here; any other ranked object (a
-    series.PointwiseWord) computes its Jacobian at each point itself.
+    series.FlowWord) computes its Jacobian at each point itself.
     """
     if isinstance(f, SeriesMap):
         jac = f.jacobian(wrt)
@@ -263,7 +263,7 @@ def generic_rank(
 ) -> RankResult:
     """Generic rank of f with respect to the given variables (blocks or names).
 
-    f is a SeriesMap or a series.PointwiseWord (an EXACT chain or orbit
+    f is a SeriesMap or a series.FlowWord (an EXACT chain or orbit
     flow).  Deterministic in (seed, trials); monotone nondecreasing in
     trials; the evaluation points range over all domain variables, while only
     the `wrt` columns are differentiated.  With certify=True and an attained
@@ -292,14 +292,14 @@ def generic_rank(
 
 
 def rank_at_point(f, wrt, point) -> int:
-    """Exact rank of the Jacobian of f (SeriesMap or PointwiseWord) at one point."""
+    """Exact rank of the Jacobian of f (SeriesMap or FlowWord) at one point."""
     jacobian_at, _ = _jacobian_source(f, wrt)
     return exact_rank(jacobian_at(point))
 
 
 def find_rank_point(f, wrt, m: int, blocks: int, target: int, seed: int):
     """Seeded blocks b_1..b_blocks of m scalars each at which the Jacobian of f
-    (SeriesMap or series.PointwiseWord) in the `wrt` columns has rank `target` at
+    (SeriesMap or series.FlowWord) in the `wrt` columns has rank `target` at
     (b_1, ..., b_blocks, 0): the witness search of chains and orbits.  Tries
     WITNESS_RETRIES points in the sampling box, then as many in a box ten
     times wider; WitnessNotFound if none reaches the target."""

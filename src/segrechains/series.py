@@ -23,13 +23,12 @@ one denominator), exact evaluation at a Gaussian-rational point
 of the point that callers share; Series.evaluate divides it once), the
 forward-mode chain-rule step (forward_step, whose values and gradient rows
 stay over the Gaussian integers, one denominator per value and per row:
-the integer rows that ranks eliminates) and the runner that carries a point
-through a word of flows with it (PointwiseWord: Segre chains and orbit
-flows alike, its values divided out only by evaluate), beside it the
-symbolic expansion of the same words (expand_word, which keeps the state
-after every prefix, so words that share one expand it once), the vector
-field acting as a derivation (TangentVectorField), the bracket of two
-fields, the commutation check (noncommuting_pair), and the deduplicated
+the integer rows that ranks eliminates), the word of flows of Segre chains
+and orbit flows alike (FlowWord: run at a point with that step, its values
+divided out only by evaluate, or expanded, keeping the state after every
+prefix, so words that share one expand it once), the vector field acting as
+a derivation (TangentVectorField), the bracket of two fields, the
+commutation check (noncommuting_pair), and the deduplicated
 left-normed bracket ladder (bracket_levels) that both the Hormander ladder
 and the orbit oracle walk.
 
@@ -812,42 +811,50 @@ def forward_step(fns, partials, at, rows):
     return out
 
 
-class PointwiseWord:
-    """A word of flows from a start state, evaluated at one exact point at a
-    time and never expanded: the one runner behind Segre chains and orbit flows.
+class FlowWord:
+    """A word of flows from a start state, the one word of Segre chains and
+    orbit flows: run at one exact point (at) or expanded to Series (expand).
 
-    The first len(flows) blocks of `domain` hold the times of the word's
-    flows, one block each; the remaining coordinates (`params`) go to
-    start(params), the initial state values.  Each state component is carried
-    as a (value, gradient row in the time blocks) pair over the Gaussian
-    integers, in the representation of forward_step: the value a Z[i] scalar
-    (re, im, den), the row an integer row (den, re, im) that starts as the
-    zero row (1, zeros, zeros).  at and jacobian_at return them so, the rows
-    being the matrix type of ranks; evaluate divides the values out.  Flow i maps the state through flow.advance(values, rows, times,
-    col), its times given as Z[i] scalars, which move columns col, col + 1,
-    ...  `returns` lists further (flow, times) at constant times, applied
-    afterwards with col None: chain-rule steps in the state only (a
-    witness's return map).  `out` picks the state components
-    reported (default all).  `prefixes`, a dict kept by the caller, holds the
-    state before the last flow per (flow prefix, point prefix with the start
-    parameters): words that differ only in their last flow share it, since
-    generic_rank draws the same points for each.  It offers what ranks reads
-    from a SeriesMap (domain, order, Jacobian at a point), the Jacobian always
-    in all time blocks.  (A plain class: building a dataclass costs
-    milliseconds at every import.)
+    Flow i (1-based) takes its times from block i - 1 of space_of(i); the
+    `domain` space_of(len(flows)) ends with the start's parameters `params`.
+    at carries (value, gradient row in the time blocks) pairs over Z[i] from
+    values(params) and zero rows through flow.advance(values, rows, times,
+    col), the times moving columns col, col + 1, ..., then through the
+    (flow, times) of `returns` at constant times (col None: a witness's
+    return map), and reports the components `out`.  `prefixes`, kept by the
+    caller, holds the state before the last flow per (flow prefix, point
+    prefix with the params), shared by words that differ in their last flow
+    only.  A jet word (order not None) is not run pointwise: truncation does
+    not commute with evaluation.  expand carries start(space_of(0)) through
+    flow i's expand(state lifted into space_of(i), times); `states`, kept by
+    the caller, holds the state after each flow prefix, so words sharing one
+    expand it once.  ranks reads a word as a SeriesMap (domain, order,
+    Jacobian at a point in all time blocks).  A plain class: a dataclass
+    costs milliseconds at every import.
     """
 
-    __slots__ = ("domain", "flows", "start", "out", "returns", "prefixes")
-    order = None
+    __slots__ = ("flows", "space_of", "start", "values", "order", "out", "returns",
+                 "prefixes", "states", "_domain")
 
-    def __init__(self, domain: VarSpace, flows, start, out=None, returns=(),
-                 prefixes: Optional[dict] = None):
-        self.domain, self.flows, self.start = domain, tuple(flows), start
-        self.out, self.returns, self.prefixes = out, tuple(returns), prefixes
+    def __init__(self, flows, space_of, start, values, order, out=None, returns=(),
+                 prefixes: Optional[dict] = None, states: Optional[dict] = None):
+        self.flows, self.space_of, self.start = tuple(flows), space_of, start
+        self.values, self.order, self.out = values, order, out
+        self.returns, self.prefixes, self.states = tuple(returns), prefixes, states
+        self._domain = None
+
+    @property
+    def domain(self) -> VarSpace:
+        """space_of(len(flows)), built on first use (expand never needs it)."""
+        if self._domain is None:
+            self._domain = self.space_of(len(self.flows))
+        return self._domain
 
     def at(self, point):
         """(values, Jacobian rows in the time blocks) at `point`: Z[i] scalars
         and integer rows, as forward_step gives them."""
+        if self.order is not None:
+            raise TruncationUnsound("a truncated word is not evaluated at a point")
         if len(point) != self.domain.dim:
             raise DimensionMismatch(
                 f"point dimension {len(point)} != space dim {self.domain.dim}"
@@ -860,7 +867,7 @@ class PointwiseWord:
         if self.prefixes is not None and key in self.prefixes:
             first, (values, rows) = last, self.prefixes[key]
         else:
-            first, values = 0, [x.zi for x in self.start(params)]
+            first, values = 0, [x.zi for x in self.values(params)]
             zeros = [0] * ncols
             rows = [(1, zeros, zeros)] * len(values)  # rows are replaced, never mutated
         for i in range(first, last + 1):
@@ -883,27 +890,20 @@ class PointwiseWord:
             raise DimensionMismatch("a pointwise word is differentiated in all its time blocks")
         return self.at(point)[1]
 
-
-def expand_word(flows, start, space_of, order, prefixes: Optional[dict] = None):
-    """The state after a word of flows as Series: the one expander of Segre
-    chains and truncated orbit flows (PointwiseWord evaluates them instead).
-    Starting from start(space_of(0)), flow i (1-based) maps the state, lifted
-    into space_of(i), by flows[i - 1].expand(state, times), the times being
-    block i - 1 of space_of(i).  `prefixes`, a cache kept by the caller for
-    one start and space_of, holds the state after each prefix of the word by
-    its flows, so words that share a prefix expand it once."""
-    flows = tuple(flows)
-    prefixes = {} if prefixes is None else prefixes
-    if () not in prefixes:
-        prefixes[()] = start(space_of(0))
-    done = next(i for i in range(len(flows), -1, -1) if flows[:i] in prefixes)
-    state = prefixes[flows[:done]]
-    for i in range(done + 1, len(flows) + 1):
-        space = space_of(i)
-        times = [Series.variable(space, v, order) for v in space.blocks[i - 1][1]]
-        state = flows[i - 1].expand([s.lift(space) for s in state], times)
-        prefixes[flows[:i]] = state
-    return state
+    def expand(self):
+        """The whole state after the word as Series over `domain`."""
+        flows, states = self.flows, {} if self.states is None else self.states
+        if () not in states:
+            states[()] = self.start(self.space_of(0))
+        done = next(i for i in range(len(flows), -1, -1) if flows[:i] in states)
+        state = states[flows[:done]]
+        for i in range(done + 1, len(flows) + 1):
+            space = self.space_of(i)
+            names = space.blocks[i - 1][1]
+            times = [Series.variable(space, t, self.order) for t in names]
+            state = flows[i - 1].expand([s.lift(space) for s in state], times)
+            states[flows[:i]] = state
+        return state
 
 
 # -- vector fields and brackets ----------------------------------------------

@@ -201,6 +201,13 @@ def gaussian_rows(rows):
             for den, re, im in rows]
 
 
+def gaussian_at(word, point):
+    """A FlowWord's Z[i] values and integer rows at `point` as GaussianRationals."""
+    values, rows = word.at(point)
+    return [GaussianRational(Fraction(re, den), Fraction(im, den))
+            for re, im, den in values], gaussian_rows(rows)
+
+
 def reference_evaluate(series, point):
     """Reference evaluator: the value of a Series at a point summed term by
     term in GaussianRational arithmetic, one Fraction product per factor."""

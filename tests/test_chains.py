@@ -3,8 +3,8 @@ import random
 import pytest
 
 from segrechains.chains import (
-    chain_at_point,
     chain_space,
+    chain_word,
     check_reparam,
     default_kmax,
     flow,
@@ -25,6 +25,7 @@ from segrechains.series import Series, SeriesMap
 from helpers import (
     exact_manifolds,
     expanded_values_and_jacobian,
+    gaussian_at,
     gaussian_integer_point,
     numeric_basepoint,
     random_real_graph,
@@ -279,7 +280,7 @@ def test_forward_chain_matches_expanded_chain(name, M):
                 point = gaussian_integer_point(rng, chain.map.domain.dim)
                 names = [f"u{i}_{j}" for i in range(1, k + 1) for j in range(1, M.m + 1)]
                 expected = expanded_values_and_jacobian(chain.map, names, point)
-                assert chain_at_point(M, k, bp, parity, point) == expected, (
+                assert gaussian_at(chain_word(M, k, bp, parity), point) == expected, (
                     bp.kind, parity, k)
 
 
@@ -294,4 +295,40 @@ def test_sampled_chain_follows_the_mode(heisenberg):
     with pytest.raises(DimensionMismatch):
         pointwise.evaluate(point[:1])
     with pytest.raises(TruncationUnsound):
-        chain_at_point(jet, 2, bp, "L", point)
+        chain_word(jet, 2, bp, "L").at(point)
+
+
+def test_chain_word_expands_to_gamma():
+    # each word is expanded on a fresh manifold, so from the basepoint's state
+    # up, and compared with the verified chain
+    c3 = ["w1*zeta1", "w1^2*zeta1 + w1*zeta1^2"]
+    cases = [(1, ["w1^2*zeta1^2"], None), (2, c3, None), (1, ["w1^2*zeta1^2"], 6)]
+    for d, theta, order in cases:
+        M = new_manifold(1, d, theta, order=order)
+        for bp in (Basepoint.origin(), Basepoint.symbolic()):
+            for parity in ("L", "Lbar"):
+                for k in (1, 2, 3, 4):
+                    fresh = new_manifold(1, d, theta, order=order)
+                    comps = chain_word(fresh, k, bp, parity).expand()
+                    assert tuple(comps) == gamma(M, k, bp, parity).map.components
+
+
+def test_chain_word_expands_only_the_last_flow(monkeypatch):
+    # the expanded states are kept on M: Gamma_{k+1} composes one CRFlow onto
+    # Gamma_k, which composes each of its d functions once
+    calls = []
+    compose = Series.compose
+
+    def counted(series, sub):
+        calls.append(sub)
+        return compose(series, sub)
+
+    monkeypatch.setattr(Series, "compose", counted)
+    for order in (None, 6):
+        M = new_manifold(1, 2, ["w1*zeta1", "w1^2*zeta1 + w1*zeta1^2"], order=order)
+        bp = Basepoint.origin()
+        for k in range(1, 6):
+            chain_word(M, k, bp, "L").expand()
+            calls.clear()
+            chain_word(M, k + 1, bp, "L").expand()
+            assert len(calls) == M.d, (order, k)

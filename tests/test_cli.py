@@ -78,6 +78,18 @@ def test_witness_command(capsys):
     assert report["results"]["chain_length"] == 5
 
 
+def test_witness_refuses_jets(tmp_path, capsys):
+    # truncated chains cannot be evaluated at the witness's nonzero times
+    jet = tmp_path / "jet.mf"
+    jet.write_text("m=1\nd=1\norder=5\ntheta_bar_1 = w1*zeta1\n")
+    for argv in (("witness", data_path("heisenberg"), "--order", "3"),
+                 ("witness", str(jet))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == ("error: witness search needs an EXACT manifold: a truncated "
+                       "chain cannot be evaluated at nonzero times\n"), argv
+
+
 def test_hormander_and_levi(capsys):
     code, out, _ = run_cli(
         capsys, "hormander", data_path("ex8_6"), "--format", "machine"

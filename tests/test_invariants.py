@@ -4,7 +4,7 @@ import random
 import pytest
 
 from segrechains import invariants
-from segrechains.errors import NotAHypersurface, SegreError
+from segrechains.errors import NotAHypersurface, SegreError, TruncationUnsound
 from segrechains.invariants import (
     hypersurface_minimality,
     psi_rank_checks,
@@ -20,7 +20,7 @@ from segrechains.ranks import (
     rank_at_point,
     symbolic_determinant,
 )
-from segrechains.chains import gamma, u_blocks
+from segrechains.chains import gamma, sampled_chain, u_blocks
 from segrechains.scalars import GaussianRational as G, ZERO
 
 from helpers import exact_manifolds, random_hypersurface
@@ -47,13 +47,17 @@ def test_rank_profile_c3(c3_tube):
 
 
 def test_rank_profile_nondecreasing_and_stable(heisenberg, quartic, c3_tube):
+    # the chains past the profile's early stop, up to 2d + 3, gain no rank
     for M in (heisenberg, quartic, c3_tube):
-        p = rank_profile(M, paranoid=True, kmax=2 * M.d + 3)
-        for a, b in zip(p.r, p.r[1:]):
+        r = [generic_rank(sampled_chain(M, k, Basepoint.origin(), "L"),
+                          wrt=u_blocks(k), seed=k).rank for k in range(1, 2 * M.d + 4)]
+        for a, b in zip(r, r[1:]):
             assert b >= a
-        top = max(p.r)
-        first = p.r.index(top)
-        assert all(r == top for r in p.r[first:])
+        top = max(r)
+        first = r.index(top)
+        assert all(x == top for x in r[first:])
+        p = rank_profile(M)
+        assert p.r == tuple(r[: len(p.r)])
 
 
 def test_rank_profile_certified_small(quartic):
@@ -121,6 +125,14 @@ def test_witness_at_numeric_basepoint(heisenberg):
     inv = segre_invariants(heisenberg, bp)
     rec = witness_point(heisenberg, inv, bp)
     assert rec.returns_to_basepoint and rec.rank_at_witness == 3
+
+
+def test_witness_refuses_a_truncated_manifold():
+    # a truncated chain cannot be evaluated at the witness's nonzero times
+    jet = new_manifold(1, 1, ["w1^2*zeta1^2"], order=6)
+    inv = segre_invariants(jet)
+    with pytest.raises(TruncationUnsound):
+        witness_point(jet, inv)
 
 
 def test_no_submersive_length4_return_chain(quartic):

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from segrechains.corpus import corpus
@@ -8,15 +6,16 @@ from segrechains.errors import (
     DimensionMismatch,
     RankAssumptionViolated,
     SegreError,
+    TruncationUnsound,
 )
 from segrechains.exprs import format_series
 from segrechains.invariants import segre_invariants
 from segrechains.orbit import (
-    PointwiseFlow,
     VFSystem,
     concatenated_flow,
     coordinate_space,
     cr_pair_system,
+    flow_word,
     formal_flow,
     greedy_multitype,
     lie_span_dimension,
@@ -26,7 +25,7 @@ from segrechains.ranks import generic_rank
 from segrechains.scalars import GaussianRational as G
 from segrechains.series import Series, SeriesMap, VarSpace
 
-from helpers import gaussian_rows
+from helpers import gaussian_at
 
 
 
@@ -272,12 +271,6 @@ def _expanded_at(smap, point):
     return values, rows
 
 
-def _gaussian_at(pw, point):
-    """PointwiseWord.at's Z[i] values and integer rows as GaussianRationals."""
-    values, rows = pw.at(point)
-    return [G(Fraction(re, den), Fraction(im, den)) for re, im, den in values], gaussian_rows(rows)
-
-
 def _return_map(system, fwd, flows, returns):
     """The forward map followed by flows at constant times, composed symbolically."""
     state = list(fwd.components)
@@ -302,22 +295,22 @@ def test_pointwise_flow_matches_concatenated_flow(name, system):
     point = gaussian_integer_point(rng, m * k)
     fwd, exact = concatenated_flow(system, word, flows)
     assert exact
-    pw = PointwiseFlow(system, word, flows)
+    pw = flow_word(system, word, flows)
     assert pw.domain == fwd.domain
-    assert _gaussian_at(pw, point) == _expanded_at(fwd, point)
+    assert gaussian_at(pw, point) == _expanded_at(fwd, point)
     # the witness's return map: reversed flows at negated constant times
     back = [(word[i - 1], [-c for c in point[(i - 1) * m : i * m]])
             for i in range(k - 1, 0, -1)]
-    ret = PointwiseFlow(system, word, flows, back)
-    assert _gaussian_at(ret, point) == _expanded_at(_return_map(system, fwd, flows, back), point)
+    ret = flow_word(system, word, flows, returns=back)
+    assert gaussian_at(ret, point) == _expanded_at(_return_map(system, fwd, flows, back), point)
     # greedy candidates sharing prefix states give the same values
     prefixes = {}
     other = gaussian_integer_point(rng, m * k)
     for pt in (point, other):
         for alpha in range(system.a):
             cand = word[:-1] + [alpha]
-            shared = PointwiseFlow(system, cand, flows, prefixes=prefixes).at(pt)
-            assert shared == PointwiseFlow(system, cand, flows).at(pt)
+            shared = flow_word(system, cand, flows, prefixes=prefixes).at(pt)
+            assert shared == flow_word(system, cand, flows).at(pt)
     assert len(prefixes) == (1 if point[: m * (k - 1)] == other[: m * (k - 1)] else 2)
 
 
@@ -356,10 +349,20 @@ def test_pointwise_flow_rank_matches_expanded(heisenberg, quartic, c3_tube):
             flows = {}
             fwd, _ = concatenated_flow(system, word, flows)
             a = generic_rank(fwd, wrt=blocks, seed=3)
-            b = generic_rank(PointwiseFlow(system, word, flows), wrt=blocks, seed=3)
+            b = generic_rank(flow_word(system, word, flows), wrt=blocks, seed=3)
             assert (a.rank, a.witness) == (b.rank, b.witness)
             with pytest.raises(DimensionMismatch):
-                PointwiseFlow(system, word, flows).jacobian_at(a.witness, blocks[:1])
+                flow_word(system, word, flows).jacobian_at(a.witness, blocks[:1])
+
+
+def test_jet_flow_word_expands_but_is_not_run_pointwise(heisenberg):
+    system = cr_pair_system(heisenberg)
+    flows = {}
+    jet = flow_word(system, [0, 1, 0], flows, order=3)
+    fwd, _ = concatenated_flow(system, [0, 1, 0], flows, 3)
+    assert SeriesMap(jet.expand(), system.space) == fwd
+    with pytest.raises(TruncationUnsound):
+        jet.at([G(1), G(2), G(3)])
 
 
 def test_truncated_flows_record_no_witness(heisenberg):
