@@ -3,9 +3,10 @@
 The matrix type here is the integer row (den, re, im): den > 0 an int, re
 and im lists of ints, entry k being (re[k] + i*im[k]) / den.  integer_rows
 builds it from a matrix of Series at a point (Series.value_over against one
-PointTable), series.forward_step from a word of flows.  Ranks and pivots
-ignore den, a row scaling.  The public exact_rank and pivot_positions also
-take GaussianRational matrices, converted once at entry.
+PointTable), jacobian_rows from a SeriesMap's Jacobian at a point, and
+series.forward_step from a word of flows.  Ranks and pivots ignore den, a
+row scaling.  The public exact_rank and pivot_positions also take
+GaussianRational matrices, converted once at entry.
 
 The generic rank of a holomorphic map is realized by sampling: evaluate the
 Jacobian at pseudo-random Gaussian-rational points and take the maximum of
@@ -22,16 +23,21 @@ one of min(rows, cols) proves it.  Any other matrix is eliminated exactly:
 no probability enters a rank.  pivot_positions, which jet certification
 reads, is always exact.
 
-A SeriesMap is differentiated symbolically once and its Jacobian evaluated
-at each point.  An EXACT chain or concatenated orbit flow is never expanded:
-it is a series.FlowWord, whose Jacobian at each point comes from
-forward-mode differentiation through the word's flows.  find_rank_point is
-the witness search of both: a seeded point of a given shape and rank.
+A SeriesMap (a jet chain, a psi map, a jet orbit flow) is never
+differentiated to be ranked: jacobian_rows takes every partial at a sample
+point from one walk over each component's terms (forward evaluation, as in
+Griewank and Walther, Evaluating Derivatives, 2008), and only the witnessed
+minor's entries are differentiated, to certify a jet rank.  An EXACT chain
+or concatenated orbit flow is never expanded: it is a series.FlowWord,
+whose Jacobian at each point comes from forward-mode differentiation
+through the word's flows.  find_rank_point is the witness search of both: a
+seeded point of a given shape and rank.
 
 Certification: in EXACT mode evaluation is a ring homomorphism, so the
 nonzero pivot minor of the exact matrix at the witness point proves that the
 symbolic minor is a nonzero polynomial.  Only in truncated (jet) mode, where
-that argument fails, is the witnessed minor expanded symbolically.
+that argument fails, are the witnessed minor's r x r entries differentiated
+and its determinant expanded symbolically.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import WitnessNotFound
+from .errors import DimensionMismatch, WitnessNotFound
 from .scalars import GaussianRational, ZERO
 from .series import PointTable, Series, SeriesMap
 
@@ -76,6 +82,59 @@ def integer_rows(matrix, point) -> list:
     through Series.value_over with one PointTable for the point."""
     table = PointTable([x.zi for x in point])
     return [_integer_row([s.value_over(table) for s in row]) for row in matrix]
+
+
+def jacobian_rows(f: SeriesMap, wrt=None):
+    """point -> the integer rows of the Jacobian of the SeriesMap f in the
+    `wrt` columns (blocks or names, all domain variables by default) at the
+    point, no partial derivative built: one walk over each component's
+    stored pairs, against one PointTable of the point.  With N/q the point
+    over its common denominator q and D the component's total degree, a term
+    (re + i*im) x^e adds e_j * (re + i*im) * N^(e - delta_j) * q^(D - |e|)
+    into each column of a variable j with e_j > 0, every column over
+    den * q^(D - 1); _integer_row reduces the row.  DimensionMismatch for a
+    point of the wrong length."""
+    domain = f.domain
+    cols = [domain.index_of(name) for name in f._resolve_names(wrt)]
+
+    def rows_at(point):
+        if len(point) != domain.dim:
+            raise DimensionMismatch(
+                f"point dimension {len(point)} != space dim {domain.dim}"
+            )
+        table = PointTable([x.zi for x in point])
+        pows, qpow = table.pows, table.qpow
+        rows = []
+        for s in f.components:
+            degree = max(map(sum, s.pairs), default=0) or 1
+            while len(qpow) < degree:
+                qpow.append(qpow[-1] * table.q)
+            re, im = [0] * len(cols), [0] * len(cols)
+            for exp, (a, b) in s.pairs.items():
+                factors = [(i, e) for i, e in enumerate(exp) if e]
+                if not factors:  # the constant term
+                    continue
+                for i, e in factors:
+                    if len(pows[i]) <= e:
+                        table.extend(i, e)
+                k = qpow[degree - sum(exp)]
+                for col, j in enumerate(cols):
+                    ej = exp[j]
+                    if ej:
+                        x, y = a * ej * k, b * ej * k
+                        for i, e in factors:
+                            if i == j:
+                                e -= 1
+                            if e:
+                                u, v = pows[i][e]
+                                x, y = x * u - y * v, x * v + y * u
+                        re[col] += x
+                        im[col] += y
+            d = s.den * qpow[degree - 1]
+            rows.append(_integer_row([(x, y, d) for x, y in zip(re, im)]))
+        return rows
+
+    return rows_at
 
 
 def _integer_matrix(matrix) -> list:
@@ -242,16 +301,12 @@ class RankResult:
 
 
 def _jacobian_source(f, wrt):
-    """(point -> integer rows of the Jacobian of f in the `wrt` columns,
-    symbolic Jacobian or None).
-
-    A SeriesMap is differentiated once here; any other ranked object (a
-    series.FlowWord) computes its Jacobian at each point itself.
-    """
+    """point -> integer rows of the Jacobian of f in the `wrt` columns: a
+    SeriesMap is walked at each point (jacobian_rows), any other ranked
+    object (a series.FlowWord) computes its Jacobian at each point itself."""
     if isinstance(f, SeriesMap):
-        jac = f.jacobian(wrt)
-        return (lambda point: integer_rows(jac, point)), jac
-    return (lambda point: f.jacobian_at(point, wrt)), None
+        return jacobian_rows(f, wrt)
+    return lambda point: f.jacobian_at(point, wrt)
 
 
 def generic_rank(
@@ -269,10 +324,12 @@ def generic_rank(
     the `wrt` columns are differentiated.  With certify=True and an attained
     rank of at most CERTIFY_MAX_SIZE the result is flagged certified when the
     witnessed minor is a nonzero series: in EXACT mode that follows from the
-    nonzero minor at the witness point, in jet mode the minor is expanded
-    symbolically.
+    nonzero minor at the witness point; in jet mode only the pivot rows and
+    columns of the minor are differentiated (components[r].diff), and its
+    determinant is expanded symbolically.  No other partial is built: the
+    sample points read the Jacobian of a SeriesMap through jacobian_rows.
     """
-    jacobian_at, jac = _jacobian_source(f, wrt)
+    jacobian_at = _jacobian_source(f, wrt)
     best_rank, best_point, best_matrix = sample_rank(
         jacobian_at, f.domain.dim, trials, seed
     )
@@ -286,14 +343,16 @@ def generic_rank(
             pivots = pivot_positions(best_matrix)
             rows = [p[0] for p in pivots]
             cols = [p[1] for p in pivots]
-            minor = [[jac[r][c] for c in cols] for r in rows]
+            names = f._resolve_names(wrt)
+            minor = [[f.components[r].diff(names[c]) for c in cols] for r in rows]
             certified = not symbolic_determinant(minor).is_zero()
     return RankResult(best_rank, best_point, trials, seed, certified)
 
 
 def rank_at_point(f, wrt, point) -> int:
-    """Exact rank of the Jacobian of f (SeriesMap or FlowWord) at one point."""
-    jacobian_at, _ = _jacobian_source(f, wrt)
+    """Exact rank of the Jacobian of f (SeriesMap or FlowWord) at one point;
+    DimensionMismatch for a point of the wrong length."""
+    jacobian_at = _jacobian_source(f, wrt)
     return exact_rank(jacobian_at(point))
 
 
@@ -303,7 +362,7 @@ def find_rank_point(f, wrt, m: int, blocks: int, target: int, seed: int):
     (b_1, ..., b_blocks, 0): the witness search of chains and orbits.  Tries
     WITNESS_RETRIES points in the sampling box, then as many in a box ten
     times wider; WitnessNotFound if none reaches the target."""
-    jacobian_at, _ = _jacobian_source(f, wrt)
+    jacobian_at = _jacobian_source(f, wrt)
     rng = random.Random(seed)
     for attempt in range(2 * WITNESS_RETRIES):
         bound = NUM_BOUND if attempt < WITNESS_RETRIES else NUM_BOUND * 10

@@ -12,7 +12,7 @@ from segrechains.lie import (
 )
 from segrechains.manifests import load_manifest
 from segrechains.manifold import Basepoint, graph_from_real, new_manifold, real_graph_space
-from segrechains.ranks import exact_rank
+from segrechains.ranks import exact_rank, integer_rows
 from segrechains.scalars import GaussianRational, I, ONE, ZERO
 from segrechains.series import (
     PointTable, Series, SeriesMap, TangentVectorField, VarSpace, _merge_order,
@@ -199,6 +199,12 @@ def gaussian_rows(rows):
     """Integer rows (den, re, im) as a GaussianRational matrix, divided term by term."""
     return [[GaussianRational(Fraction(x, den), Fraction(y, den)) for x, y in zip(re, im)]
             for den, re, im in rows]
+
+
+def reference_jacobian_rows(f, wrt, point):
+    """The integer rows of a SeriesMap's Jacobian at a point the symbolic
+    way: every partial built by SeriesMap.jacobian, then evaluated."""
+    return integer_rows(f.jacobian(wrt), point)
 
 
 def gaussian_at(word, point):

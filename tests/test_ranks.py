@@ -6,18 +6,23 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segrechains import ranks
+from segrechains.chains import sampled_chain, u_blocks
 from segrechains.cli import main
+from segrechains.errors import DimensionMismatch
 from segrechains.invariants import segre_invariants
 from segrechains.lie import holomorphic_nondegeneracy, hormander_numbers, levi_type
-from segrechains.manifold import ambient_space, new_manifold
+from segrechains.manifold import Basepoint, ambient_space, new_manifold
 from segrechains.orbit import cr_pair_system, greedy_multitype, lie_span_dimension
 from segrechains.ranks import (
     DEN_BOUND,
     NUM_BOUND,
     exact_rank,
+    find_rank_point,
     generic_rank,
+    jacobian_rows,
     pivot_positions,
     random_point,
     random_scalar,
@@ -26,11 +31,11 @@ from segrechains.ranks import (
     symbolic_determinant,
 )
 from segrechains.scalars import GaussianRational as G, ZERO
-from segrechains.series import Series, SeriesMap
+from segrechains.series import Series, SeriesMap, VarSpace
 
 from helpers import (
-    ReferenceGaussianRational, codim_family, gaussian_rows, reference_pivot_positions,
-    variables_map,
+    ReferenceGaussianRational, codim_family, gaussian_rows, reference_jacobian_rows,
+    reference_pivot_positions, variables_map,
 )
 
 
@@ -113,6 +118,80 @@ def test_rank_at_point_vs_generic():
     f = SeriesMap(comps, space)
     assert rank_at_point(f, ["w1"], [ZERO] * 4) == 1
     assert generic_rank(f, wrt=["w1"]).rank == 1
+
+
+@pytest.mark.parametrize("order", [None, 3])
+def test_jacobian_at_a_point_checks_the_point_dimension(order):
+    space = VarSpace([("x", ("x1", "x2"))])
+    x1, x2 = (Series.variable(space, n, order) for n in space.names)
+    f = SeriesMap([x1 * x2], VarSpace([("y", ("y1",))]))
+    for point in ([ZERO], [G(1), G(2), G(3)]):
+        message = f"point dimension {len(point)} != space dim 2"
+        with pytest.raises(DimensionMismatch, match=message):
+            rank_at_point(f, None, point)
+        with pytest.raises(DimensionMismatch, match=message):
+            jacobian_rows(f, ["x"])(point)
+    # the witness search draws points of its own shape: 2 blocks of 1, and 1 zero
+    with pytest.raises(DimensionMismatch, match="point dimension 3 != space dim 2"):
+        find_rank_point(f, None, 1, 2, 1, seed=0)
+    assert rank_at_point(f, None, [G(1), G(2)]) == 1
+
+
+# -- the Jacobian walk against the symbolic Jacobian ------------------------
+
+_WALK_SPACE = VarSpace([("a", ("a1", "a2")), ("b", ("b1",))])
+_small = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+_large = st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64), st.integers(1, 2 ** 64))
+_walk_coordinates = st.builds(G, *[st.one_of(st.integers(-99, 99), _small, _large)] * 2)
+
+
+def _walk_component(order):
+    exponents = st.tuples(*[st.integers(0, 3)] * _WALK_SPACE.dim)
+    terms = st.dictionaries(exponents, st.builds(G, _small, _small), max_size=6)
+    return st.one_of(
+        terms.map(lambda t: Series(_WALK_SPACE, t, order)),
+        st.just(Series.zero(_WALK_SPACE, order)),
+        st.builds(G, _small, _small).map(lambda c: Series.constant(_WALK_SPACE, c, order)),
+    )
+
+
+_wrt = st.one_of(
+    st.none(),
+    st.lists(st.sampled_from(_WALK_SPACE.block_names()), min_size=1, max_size=3),
+    st.lists(st.sampled_from(_WALK_SPACE.names), max_size=4),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data(), st.one_of(st.none(), st.integers(0, 5)), _wrt)
+def test_jacobian_walk_matches_the_symbolic_jacobian(data, order, wrt):
+    components = data.draw(st.lists(_walk_component(order), min_size=1, max_size=3))
+    f = SeriesMap(components, VarSpace([("y", tuple(f"y{i}" for i in range(len(components))))]))
+    rows_at = jacobian_rows(f, wrt)
+    for _ in range(2):
+        point = data.draw(st.lists(_walk_coordinates, min_size=3, max_size=3))
+        assert rows_at(point) == reference_jacobian_rows(f, wrt, point)
+
+
+def test_certification_differentiates_only_the_witnessed_minor(monkeypatch):
+    # a jet chain map of a quartic hypersurface: the certificate expands the
+    # pivot minor, whose entries are the only partials built
+    M = new_manifold(1, 1, ["w1^2*zeta1^2 + w1*zeta1"], 5)
+    calls = []
+    diff = Series.diff
+
+    def counted(series, name):
+        calls.append(name)
+        return diff(series, name)
+
+    for k in range(1, 5):
+        chain = sampled_chain(M, k, Basepoint.origin(), "L")
+        calls.clear()
+        monkeypatch.setattr(Series, "diff", counted)
+        res = generic_rank(chain, wrt=u_blocks(k), seed=k, certify=True)
+        monkeypatch.undo()
+        assert 0 < res.rank and res.certified
+        assert len(calls) <= res.rank ** 2
 
 
 def test_span_dimension():
