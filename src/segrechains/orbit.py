@@ -8,10 +8,11 @@ exp(s.L)(x) = sum_k (s.L)^k(x) / k!; for fields whose Lie series terminates
 
 greedy_multitype implements the greedy rank-increment construction: starting
 from the concatenated flows of all a fields, repeatedly append the field
-whose extra flow maximizes the generic-rank increment, stopping when no
-field adds rank.  The resulting orbit dimension am + sum(e) can be
-cross-checked against the independent left-normed bracket span oracle
-lie_span_dimension.
+whose extra flow maximizes the generic-rank increment, stopping at rank n or
+when no field adds rank; by the group law exp(s.X) exp(t.X) = exp((s+t).X)
+the word's last field never does, exact or jet (see greedy_multitype).  The
+resulting orbit dimension am + sum(e) can be cross-checked against the
+independent left-normed bracket span oracle lie_span_dimension.
 
 flow_word gives a concatenated flow as a series.FlowWord, the word of the
 Segre chains too.  With EXACT flows (order=None) it is never expanded: it
@@ -304,7 +305,11 @@ def greedy_multitype(
     flow jet order (None = require terminating Lie series).  EXACT flows are
     ranked pointwise (flow_word), jets from their expanded maps.  The
     witness needs flows at nonzero constant times, which truncated flows
-    cannot give soundly, so with a finite order it is None.
+    cannot give soundly, so with a finite order it is None.  The last field
+    is never a candidate: its flows form a group (Sussmann 1973), so word +
+    [word[-1]] is word after the linear surjection t_k -> t_k + t_{k+1}, of
+    equal rank; jets too, as no flow from 0 has a constant term and a linear
+    substitution commutes with truncation.  The loop ends at rank n, the most in C^n.
     """
     a, m, n = system.a, system.m, system.n
     kmax = a + (n - a * m) + 1 if kmax is None else kmax
@@ -325,15 +330,16 @@ def greedy_multitype(
     rank = generic_rank(base_map, wrt=blocks, trials=trials, seed=seed).rank
     ranks = [rank]
     e: List[int] = []
-    while len(word) < kmax:
+    while len(word) < kmax and rank < n:
         best_alpha, best_rank = None, rank
         for alpha in range(a):
-            cand, cexact = _ranked_flow(system, word + [alpha], flows, order, prefixes)
+            if alpha == word[-1]:  # the flow group law: it adds no rank
+                continue
+            cand, _ = _ranked_flow(system, word + [alpha], flows, order, prefixes)
             cblocks = [f"t{i}" for i in range(1, len(word) + 2)]
             r = generic_rank(
                 cand, wrt=cblocks, trials=trials, seed=seed + len(word)
             ).rank
-            exact = exact and cexact
             if r > best_rank:
                 best_alpha, best_rank = alpha, r
         if best_alpha is None:

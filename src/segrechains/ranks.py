@@ -77,9 +77,16 @@ def _integer_row(values) -> tuple:
     return den, re, im
 
 
+def _check_point(dim: int, point) -> None:
+    if len(point) != dim:
+        raise DimensionMismatch(f"point dimension {len(point)} != space dim {dim}")
+
+
 def integer_rows(matrix, point) -> list:
-    """The integer rows of a matrix of Series at one point, every entry
-    through Series.value_over with one PointTable for the point."""
+    """The integer rows of a matrix of Series at a point of their space's
+    dimension, every entry through Series.value_over with one PointTable."""
+    for dim in {s.space.dim for row in matrix for s in row}:
+        _check_point(dim, point)
     table = PointTable([x.zi for x in point])
     return [_integer_row([s.value_over(table) for s in row]) for row in matrix]
 
@@ -98,10 +105,7 @@ def jacobian_rows(f: SeriesMap, wrt=None):
     cols = [domain.index_of(name) for name in f._resolve_names(wrt)]
 
     def rows_at(point):
-        if len(point) != domain.dim:
-            raise DimensionMismatch(
-                f"point dimension {len(point)} != space dim {domain.dim}"
-            )
+        _check_point(domain.dim, point)
         table = PointTable([x.zi for x in point])
         pows, qpow = table.pows, table.qpow
         rows = []

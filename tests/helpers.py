@@ -1,18 +1,21 @@
 """Shared test utilities: random exact inputs and independent brute oracles."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from segrechains.corpus import corpus
 from segrechains.errors import (
-    DimensionMismatch, TruncationUnsound, UnknownVariable, VarSpaceMismatch,
+    DimensionMismatch, RankAssumptionViolated, TruncationUnsound, UnknownVariable,
+    VarSpaceMismatch, WitnessNotFound,
 )
 from segrechains.lie import (
     _span_dim, bracket, chart_point, chart_space, gradient_rows, tangent_fields,
 )
 from segrechains.manifests import load_manifest
 from segrechains.manifold import Basepoint, graph_from_real, new_manifold, real_graph_space
-from segrechains.ranks import exact_rank, integer_rows
+from segrechains.orbit import OrbitResult, _orbit_witness, _ranked_flow
+from segrechains.ranks import exact_rank, generic_rank, integer_rows, rank_at_point
 from segrechains.scalars import GaussianRational, I, ONE, ZERO
 from segrechains.series import (
     PointTable, Series, SeriesMap, TangentVectorField, VarSpace, _merge_order,
@@ -597,3 +600,66 @@ def cr_oracle_manifolds():
         for order in (5, 6)
     ]
     return exact + [("m2d2", mixed)] + jets
+
+
+def reference_greedy_multitype(system, kmax=None, order=None, trials=5, seed=0,
+                               start_order=None, witness=True):
+    """orbit.greedy_multitype as it was before it skipped the last letter's
+    repeat and stopped at rank n: every field is tried at every step, until
+    no candidate adds rank or the word reaches kmax."""
+    a, m, n = system.a, system.m, system.n
+    kmax = a + (n - a * m) + 1 if kmax is None else kmax
+    word = list(start_order) if start_order is not None else list(range(a))
+    if sorted(word) != list(range(a)):
+        raise DimensionMismatch("start_order must be a permutation of the fields")
+    if kmax < a:
+        raise DimensionMismatch(f"kmax must be >= a = {a}, the starting word's length")
+    flows: dict = {}
+    prefixes: dict = {}  # states shared by the candidates of one step
+    base_map, exact = _ranked_flow(system, word, flows, order, prefixes)
+    blocks = [f"t{i}" for i in range(1, a + 1)]
+    zero_pt = [ZERO] * (a * m)
+    if rank_at_point(base_map, blocks, zero_pt) != a * m:
+        raise RankAssumptionViolated(
+            "concatenated initial flows are rank-deficient at 0"
+        )
+    rank = generic_rank(base_map, wrt=blocks, trials=trials, seed=seed).rank
+    ranks = [rank]
+    e = []
+    while len(word) < kmax:
+        best_alpha, best_rank = None, rank
+        for alpha in range(a):
+            cand, cexact = _ranked_flow(system, word + [alpha], flows, order, prefixes)
+            cblocks = [f"t{i}" for i in range(1, len(word) + 2)]
+            r = generic_rank(
+                cand, wrt=cblocks, trials=trials, seed=seed + len(word)
+            ).rank
+            exact = exact and cexact
+            if r > best_rank:
+                best_alpha, best_rank = alpha, r
+        if best_alpha is None:
+            break
+        e.append(best_rank - rank)
+        rank = best_rank
+        ranks.append(rank)
+        word.append(best_alpha)
+    kappa0 = len(e)
+    mu0 = a + kappa0
+    result = OrbitResult(
+        word=tuple(word),
+        e=tuple(e),
+        kappa0=kappa0,
+        mu0=mu0,
+        multitype=(m,) * a + tuple(e),
+        orbit_dim=a * m + sum(e),
+        ranks=tuple(ranks),
+        flows_exact=exact,
+        witness=None,
+    )
+    if witness and order is None:
+        try:
+            record = _orbit_witness(system, result, flows, seed)
+        except WitnessNotFound:
+            record = None
+        result = replace(result, witness=record)
+    return result

@@ -25,7 +25,7 @@ from segrechains.ranks import generic_rank
 from segrechains.scalars import GaussianRational as G
 from segrechains.series import Series, SeriesMap, VarSpace
 
-from helpers import gaussian_at
+from helpers import gaussian_at, reference_greedy_multitype
 
 
 
@@ -392,3 +392,57 @@ def test_noncommuting_components_raise_chart_mismatch():
     # the same components in two separate fields are a valid system
     two = VFSystem(S.space, [[S.fields[0][0]], [S.fields[0][1]]])
     assert lie_span_dimension(two) == 3
+
+
+# -- the greedy loop against the loop that tries every candidate -------------
+
+
+def _greedy_systems():
+    """Every corpus system, the m = 1 family at d = 2..8, and two one-field
+    systems, where no candidate is left to try."""
+    from helpers import codim_family
+
+    out = list(CORPUS_SYSTEMS)
+    out += [(f"codim_d{d}", cr_pair_system(codim_family(d))) for d in range(2, 9)]
+    out += [("one_field", simple_system(2, [[{0: "1"}]])),
+            ("one_field_m2", simple_system(3, [[{0: "1"}, {1: "1"}]]))]
+    return out
+
+
+GREEDY_SYSTEMS = _greedy_systems()
+ORDERS = [None, 2, 3, 4, 5]
+
+
+def _greedy_options(system):
+    """Keyword arguments of greedy_multitype covering seeds 0 and 3, the
+    other start order and a small kmax."""
+    other = {"start_order": [1, 0]} if system.a == 2 else {}
+    return [{}, {"seed": 3, **other}, {"kmax": system.a + 2}]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: "EXACT" if o is None else f"order{o}")
+@pytest.mark.parametrize("name,system", GREEDY_SYSTEMS, ids=[n for n, _ in GREEDY_SYSTEMS])
+def test_greedy_matches_reference_greedy(name, system, order):
+    """Skipping the repeated field and stopping at rank n change no result:
+    word, e, ranks, flows_exact and witness equal those of the old loop."""
+    for options in _greedy_options(system):
+        got = greedy_multitype(system, order=order, **options)
+        assert got == reference_greedy_multitype(system, order=order, **options), options
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: "EXACT" if o is None else f"order{o}")
+@pytest.mark.parametrize("name,system", GREEDY_SYSTEMS, ids=[n for n, _ in GREEDY_SYSTEMS])
+def test_repeating_the_last_field_adds_no_rank(name, system, order):
+    """The flow group law exp(s.X) exp(t.X) = exp((s + t).X), exact and
+    truncated: at every greedy step, word + [word[-1]] has the rank of word,
+    sampled as greedy_multitype samples its candidates."""
+    from segrechains.orbit import _ranked_flow
+
+    res = greedy_multitype(system, order=order, witness=False)
+    flows = {}
+    for length in range(system.a, len(res.word) + 1):
+        word = list(res.word[:length])
+        cand, _ = _ranked_flow(system, word + [word[-1]], flows, order)
+        blocks = [f"t{i}" for i in range(1, length + 2)]
+        rank = generic_rank(cand, wrt=blocks, seed=length).rank
+        assert rank == res.ranks[length - system.a], word

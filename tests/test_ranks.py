@@ -22,6 +22,7 @@ from segrechains.ranks import (
     exact_rank,
     find_rank_point,
     generic_rank,
+    integer_rows,
     jacobian_rows,
     pivot_positions,
     random_point,
@@ -135,6 +136,18 @@ def test_jacobian_at_a_point_checks_the_point_dimension(order):
     with pytest.raises(DimensionMismatch, match="point dimension 3 != space dim 2"):
         find_rank_point(f, None, 1, 2, 1, seed=0)
     assert rank_at_point(f, None, [G(1), G(2)]) == 1
+
+
+@pytest.mark.parametrize("order", [None, 3])
+def test_integer_rows_checks_the_point_dimension(order):
+    # the rows of lie._span_dim, VFSystem's rank check and lie_span_dimension
+    space = VarSpace([("x", ("x1", "x2"))])
+    x1, x2 = (Series.variable(space, n, order) for n in space.names)
+    for point in ([G(1)], [G(1), G(2), G(3)]):
+        with pytest.raises(DimensionMismatch,
+                           match=f"point dimension {len(point)} != space dim 2"):
+            integer_rows([[x1 * x2]], point)
+    assert exact_rank(integer_rows([[x1 * x2, x2]], [G(1), G(2)])) == 1
 
 
 # -- the Jacobian walk against the symbolic Jacobian ------------------------

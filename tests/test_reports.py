@@ -1,7 +1,10 @@
 """Golden machine reports: the exit code, JSON report and error text of every
 subcommand on four corpus manifests, of a few `--base generic` runs, of the
-jet (`--order 5`) runs of the subcommands that build series, and of
-`checkall`, pinned byte for byte in tests/data/reports.json.
+jet (`--order 5`) runs of the subcommands that build series, of the greedy
+orbit at a low jet order (`orbit` and `multitype --order 3`, where ex8_6
+loses its bracket to truncation and exits 1) and at another seed
+(`minimality --seed 3`), and of `checkall`, pinned byte for byte in
+tests/data/reports.json.
 
 Corpus paths are written as the entry name, so the file does not depend on
 where the package is installed.  Regenerate it only for an intended report
@@ -37,6 +40,10 @@ def cases():
         out.append(["levi", name, "--base", "generic"])
         out.append(["hormander", name, "--base", "generic"])
     out += [[cmd, name, "--order", "5"] for name in NAMES for cmd in JET_COMMANDS]
+    for name in NAMES:
+        out.append(["orbit", name, "--order", "3"])
+        out.append(["multitype", name, "--order", "3"])
+        out.append(["minimality", name, "--seed", "3"])
     return out + [["corpus"], ["checkall"]]
 
 
