@@ -27,10 +27,12 @@ the integer rows that ranks eliminates), the word of flows of Segre chains
 and orbit flows alike (FlowWord: run at a point with that step, its values
 divided out only by evaluate, or expanded, keeping the state after every
 prefix, so words that share one expand it once), the vector field acting as
-a derivation (TangentVectorField), the bracket of two fields, the
-commutation check (noncommuting_pair), and the deduplicated
-left-normed bracket ladder (bracket_levels) that both the Hormander ladder
-and the orbit oracle walk.
+a derivation (TangentVectorField.apply) and the bracket of two fields, both
+one pass of _derivation that sums every c_a * df/dx_a straight into one dict
+over one denominator, with no intermediate Series (a bracket component is
+X(Y_a) - Y(X_a) in a single such sum), the commutation check
+(noncommuting_pair), and the deduplicated left-normed bracket ladder
+(bracket_levels) that both the Hormander ladder and the orbit oracle walk.
 
 All values are immutable after construction; results are kept canonical
 (no (0, 0) pair, no term beyond the truncation order, and no factor of den
@@ -911,20 +913,28 @@ class FlowWord:
 
 @dataclass(frozen=True)
 class TangentVectorField:
-    """A vector field sum_a coefficients[a] * d/d(space.names[a]) on Series."""
+    """A vector field sum_a coefficients[a] * d/d(space.names[a]) on Series:
+    one coefficient per variable of `space`, each a Series over it (checked
+    when the field is built, so apply and bracket need not check them)."""
 
     space: VarSpace
     coefficients: tuple
     label: str = ""
 
+    def __post_init__(self):
+        if len(self.coefficients) != self.space.dim:
+            raise DimensionMismatch(
+                f"{len(self.coefficients)} coefficients for space dim {self.space.dim}")
+        if any(c.space != self.space for c in self.coefficients):
+            raise VarSpaceMismatch("a coefficient lives over another variable space")
+
     def apply(self, f: Series) -> Series:
-        """The field as a derivation: sum_a c_a * df/dx_a."""
-        out = Series.zero(self.space, f.order)
-        for a, coeff in enumerate(self.coefficients):
-            if coeff.is_zero():
-                continue
-            out = out + coeff * f.diff(self.space.names[a])
-        return out
+        """The field as a derivation: sum_a c_a * df/dx_a in one pass
+        (_derivation), cut at f.order merged with c_a.order and
+        max(f.order - 1, 0) for every nonzero c_a."""
+        if f.space != self.space:
+            raise VarSpaceMismatch("series live over different variable spaces")
+        return _derivation(self.space, ((1, self.coefficients, f),))
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coefficients)
@@ -939,12 +949,54 @@ class TangentVectorField:
         )
 
 
+def _derivation(space: VarSpace, halves) -> Series:
+    """The sum over (sign, coefficients, f) in `halves` of
+    sign * sum_a c_a * df/dx_a: the one derivation code, of apply and bracket.
+
+    One pass: each nonzero c_a walks f's pairs once, a term x^e with e_a > 0
+    giving e_a * x^(e - 1_a) times every term of c_a.  All products go into
+    one dict over one denominator, the lcm of the c_a.den * f.den, reduced by
+    one gcd.  The order is f.order merged with c_a.order and
+    max(f.order - 1, 0) for every nonzero c_a of every half; a zero c_a
+    lowers nothing."""
+    order, den, work = None, 1, []
+    for sign, coefficients, f in halves:
+        order = _merge_order(order, f.order)
+        lowered = None if f.order is None else max(f.order - 1, 0)
+        for a, c in enumerate(coefficients):
+            if c.pairs:
+                order = _merge_order(order, _merge_order(c.order, lowered))
+                den = math.lcm(den, c.den * f.den)
+                work.append((sign, a, c, f))
+    top = math.inf if order is None else order
+    acc = {}
+    for sign, a, c, f in work:
+        scale = sign * (den // (c.den * f.den))
+        cterms = [(sum(e), e, x, y) for e, (x, y) in c.pairs.items()]
+        for exp, (re, im) in f.pairs.items():
+            k = exp[a]
+            if not k:
+                continue
+            exp = exp[:a] + (k - 1,) + exp[a + 1:]
+            k *= scale
+            room, re, im = top - sum(exp), re * k, im * k
+            for deg, e, x, y in cterms:
+                if deg > room:
+                    continue
+                key = tuple(map(operator.add, exp, e)) if deg else exp
+                u, v = acc.get(key, (0, 0))
+                acc[key] = (u + re * x - im * y, v + re * y + im * x)
+    return Series._reduced(space, den, {e: p for e, p in acc.items() if p[0] or p[1]}, order)
+
+
 def bracket(X: TangentVectorField, Y: TangentVectorField) -> TangentVectorField:
-    """[X, Y]_a = X(Y_a) - Y(X_a), exact."""
+    """[X, Y]_a = X(Y_a) - Y(X_a), exact: each component one _derivation of
+    both halves, cut at the merge of both halves' orders (see apply)."""
     if X.space != Y.space:
         raise ChartMismatch("bracket of fields over different charts")
     coeffs = tuple(
-        X.apply(Y.coefficients[a]) - Y.apply(X.coefficients[a])
+        _derivation(X.space, ((1, X.coefficients, Y.coefficients[a]),
+                              (-1, Y.coefficients, X.coefficients[a])))
         for a in range(X.space.dim)
     )
     return TangentVectorField(X.space, coeffs, f"[{X.label},{Y.label}]")

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 from segrechains.corpus import corpus
 from segrechains.errors import (
-    DimensionMismatch, RankAssumptionViolated, TruncationUnsound, UnknownVariable,
-    VarSpaceMismatch, WitnessNotFound,
+    ChartMismatch, DimensionMismatch, RankAssumptionViolated, TruncationUnsound,
+    UnknownVariable, VarSpaceMismatch, WitnessNotFound,
 )
 from segrechains.lie import (
     _span_dim, bracket, chart_point, chart_space, gradient_rows, tangent_fields,
@@ -315,6 +315,29 @@ def reference_diff(f, name):
             new[i] -= 1
             terms[tuple(new)] = c * exp[i]
     return Series(f.space, terms, None if f.order is None else max(f.order - 1, 0))
+
+
+def reference_apply(field, f):
+    """TangentVectorField.apply as it was before the one-pass derivation: a
+    loop of Series operations, one diff, product and sum per nonzero c_a,
+    each reduced on its own."""
+    out = Series.zero(field.space, f.order)
+    for a, coeff in enumerate(field.coefficients):
+        if coeff.is_zero():
+            continue
+        out = out + coeff * f.diff(field.space.names[a])
+    return out
+
+
+def reference_bracket(X, Y):
+    """series.bracket as 2n reference applies and n subtractions."""
+    if X.space != Y.space:
+        raise ChartMismatch("bracket of fields over different charts")
+    coeffs = tuple(
+        reference_apply(X, Y.coefficients[a]) - reference_apply(Y, X.coefficients[a])
+        for a in range(X.space.dim)
+    )
+    return TangentVectorField(X.space, coeffs, f"[{X.label},{Y.label}]")
 
 
 def variables_map(space, order=None):

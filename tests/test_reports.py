@@ -3,7 +3,9 @@ subcommand on four corpus manifests, of a few `--base generic` runs, of the
 jet (`--order 5`) runs of the subcommands that build series, of the greedy
 orbit at a low jet order (`orbit` and `multitype --order 3`, where ex8_6
 loses its bracket to truncation and exits 1) and at another seed
-(`minimality --seed 3`), and of `checkall`, pinned byte for byte in
+(`minimality --seed 3`), of the derivations at the lowest jet order
+(`hormander`, `levi` and `orbit --order 2`, where truncation merges the
+most orders), and of `checkall`, pinned byte for byte in
 tests/data/reports.json.
 
 Corpus paths are written as the entry name, so the file does not depend on
@@ -44,6 +46,8 @@ def cases():
         out.append(["orbit", name, "--order", "3"])
         out.append(["multitype", name, "--order", "3"])
         out.append(["minimality", name, "--seed", "3"])
+    out += [[cmd, name, "--order", "2"]
+            for name in NAMES for cmd in ("hormander", "levi", "orbit")]
     return out + [["corpus"], ["checkall"]]
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segrechains.errors import (
+    ChartMismatch,
     DimensionMismatch,
     TruncationUnsound,
     UnknownVariable,
@@ -15,14 +16,15 @@ from segrechains.errors import (
 from segrechains.manifold import ambient_space
 from segrechains.scalars import GaussianRational, ZERO
 from segrechains.series import (
-    PointTable, Series, SeriesMap, VarSpace, _merge_order,
-    forward_step, nonzero_partials, zi_add,
+    PointTable, Series, SeriesMap, TangentVectorField, VarSpace, _merge_order,
+    bracket, forward_step, nonzero_partials, zi_add,
 )
 from segrechains.ranks import integer_rows
 
 from helpers import (
-    gaussian_rows, random_series, reference_compose, reference_diff, reference_evaluate,
-    reference_forward_step, reference_product, small_scalar, variables_map,
+    gaussian_rows, random_series, reference_apply, reference_bracket, reference_compose,
+    reference_diff, reference_evaluate, reference_forward_step, reference_product,
+    small_scalar, variables_map,
 )
 
 
@@ -441,6 +443,65 @@ def test_forward_step_matches_reference_forward_step(seed):
     # a flow moves its coordinates by its times with zi_add
     total = zi_add(at[0].zi, at[1].zi)
     assert math.gcd(*total) == 1 and GaussianRational.from_zi(*total) == at[0] + at[1]
+
+
+# -- one-pass derivations against the loop of Series operations --------------
+
+
+def _random_field(rng, space):
+    """A field whose coefficients are zero (often at a low order), constant or
+    multi-term, EXACT or truncated at mixed orders, with parts whose
+    denominators run from 1 to 2**64, so the coefficients' dens differ."""
+    coeffs = []
+    for _ in range(space.dim):
+        order = rng.choice(_ORDERS)
+        shape = rng.randrange(4)
+        if shape == 0:
+            coeffs.append(Series.zero(space, rng.choice((0, 1, order))))
+        else:
+            size = 0 if shape == 1 else rng.randint(1, 4)
+            coeffs.append(_random_series(rng, space, order, size, shape == 1 or rng.random() < 0.5))
+    return TangentVectorField(space, tuple(coeffs), f"X{rng.randrange(10)}")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_derivation_matches_reference_apply_and_bracket(seed):
+    """apply and bracket against the loop of diffs, products and sums they
+    replace (helpers.reference_apply, reference_bracket), compared as whole
+    Series, order included: EXACT and jet f at mixed orders, f = 0 and
+    constant f, and the fields of _random_field."""
+    rng = random.Random(seed)
+    space = simple_space()
+    X, Y = _random_field(rng, space), _random_field(rng, space)
+    size = 0 if rng.random() < 0.2 else rng.randint(1, 5)
+    f = _random_series(rng, space, rng.choice(_ORDERS), size, rng.random() < 0.5)
+    # Series equality compares the order too
+    for field in (X, Y):
+        assert field.apply(f) == reference_apply(field, f)
+    for A, B in ((X, Y), (X, X)):
+        assert bracket(A, B) == reference_bracket(A, B)
+
+
+def test_vector_field_checks_its_coefficients_and_operands():
+    """A field has one coefficient per variable of its space, each over that
+    space, and applies only to Series over it; a short field does not read
+    its missing coefficients as zero."""
+    space = VarSpace([("x", ("x1", "x2"))])
+    other = VarSpace([("u", ("u1", "u2"))])
+    x1, x2 = (Series.variable(space, n) for n in space.names)
+    u1, u2 = (Series.variable(other, n) for n in other.names)
+    for coeffs in ((x1,), (x1, x2, x1)):
+        with pytest.raises(DimensionMismatch):
+            TangentVectorField(space, coeffs)
+    with pytest.raises(VarSpaceMismatch):
+        TangentVectorField(space, (x1, u1))
+    X = TangentVectorField(space, (x2, x1))
+    assert X.apply(x1 * x2) == x2 * x2 + x1 * x1
+    with pytest.raises(VarSpaceMismatch):
+        X.apply(u1 * u2)
+    with pytest.raises(ChartMismatch):
+        bracket(X, TangentVectorField(other, (u2, u1)))
 
 
 def test_seriesmap_evaluate_and_jacobian():

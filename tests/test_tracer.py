@@ -2,8 +2,9 @@
 
 The tracer looks its targets up by module and attribute name; a renamed or
 moved function makes installing it fail.  This test installs it, runs a
-bracket ladder and an orbit oracle under it, and checks that every patched
-binding is put back.
+bracket ladder, a Levi type (whose derivative rows apply fields one by one;
+brackets take their own pass) and an orbit oracle under it, and checks that
+every patched binding is put back.
 """
 
 import importlib.util
@@ -37,6 +38,7 @@ def test_tracer_installs_and_restores(heisenberg):
     apply_before = lie.TangentVectorField.__dict__["apply"]
     with tracer.installed():
         ladder = lie.hormander_numbers(heisenberg)
+        lie.levi_type(heisenberg)
         oracle = orbit.lie_span_dimension(orbit.cr_pair_system(heisenberg))
     assert _bindings() == before
     assert lie.TangentVectorField.__dict__["apply"] is apply_before
