@@ -36,8 +36,8 @@ from .errors import (
 from .exprs import format_series, parse_series
 from .scalars import GaussianRational, I, ZERO
 from .series import (
-    PointTable, Series, SeriesMap, TangentVectorField, VarSpace, forward_step,
-    grlex_key, noncommuting_pair, nonzero_partials, zi_add,
+    EXACT, PointTable, Series, SeriesMap, TangentVectorField, VarSpace, grlex_key,
+    noncommuting_pair, nonzero_partials,
 )
 
 
@@ -321,8 +321,8 @@ class Basepoint:
 class CRFlow:
     """The L or Lbar flow of M: the moved block (w or zeta) gains its times,
     then the recomputed block (z or xi) takes the values of qbar or q on the
-    whole state (qbar never reads z, q never reads xi).  advance steps Z[i]
-    values and gradient rows (see series.forward_step), expand steps Series."""
+    whole state (qbar never reads z, q never reads xi).  advance steps values
+    and gradient rows over a series.Kernel (Z[i] or F_P), expand steps Series."""
 
     __slots__ = ("names", "moved", "target", "fns", "_partials")
 
@@ -330,17 +330,14 @@ class CRFlow:
         self.names, self.moved, self.target, self.fns = space.names, moved, target, fns
         self._partials = None
 
-    def advance(self, values, rows, times, col):
+    def advance(self, values, rows, times, col, kernel=EXACT):
         if self._partials is None:
             self._partials = [nonzero_partials(f) for f in self.fns]
         values, rows = list(values), list(rows)
         for i, a in enumerate(self.moved):
-            values[a] = zi_add(values[a], times[i])
-            den, re, im = rows[a]
-            re = list(re)
-            re[col + i] += den  # the unit time entry, den / den
-            rows[a] = (den, re, im)
-        new = forward_step(self.fns, self._partials, values, rows)
+            values[a] = kernel.add(values[a], times[i])
+            rows[a] = kernel.shift(rows[a], col + i)  # the unit time entry
+        new = kernel.step(self.fns, self._partials, values, rows)
         for t, (value, row) in zip(self.target, new):
             values[t], rows[t] = value, row
         return values, rows

@@ -53,13 +53,13 @@ from .ranks import (
 )
 from .scalars import GaussianRational, ZERO, format_scalar
 from .series import (
+    EXACT,
     FlowWord,
     Series,
     SeriesMap,
     TangentVectorField,
     VarSpace,
     bracket_levels,
-    forward_step,
     noncommuting_pair,
     nonzero_partials,
 )
@@ -134,22 +134,18 @@ class FlowMap:
         self.map, self.exact, self.order = map, exact, order
         self._partials = None
 
-    def advance(self, values, rows, times, col):
-        """exp(times.L) at Z[i] values and gradient rows (see
-        series.forward_step); the times move columns col, col + 1, ..., or
-        no column when col is None (constant times).  The partials in (s, x)
-        are differentiated on first use, then kept."""
+    def advance(self, values, rows, times, col, kernel=EXACT):
+        """exp(times.L) at values and gradient rows over a series.Kernel (Z[i]
+        or F_P); the times move columns col, col + 1, ..., or no column when
+        col is None (constant times).  The partials in (s, x) are
+        differentiated on first use, then kept."""
         if self._partials is None:
             self._partials = [nonzero_partials(c) for c in self.map.components]
-        ncols = len(rows[0][1])
-        zeros = [0] * ncols
-        if col is None:
-            time_rows = [(1, zeros, zeros)] * len(times)
-        else:
-            time_rows = [(1, [int(c == col + j) for c in range(ncols)], zeros)
-                         for j in range(len(times))]
-        new = forward_step(self.map.components, self._partials, list(times) + values,
-                           time_rows + rows)
+        zero = kernel.zero(kernel.width(rows[0]))
+        time_rows = [zero if col is None else kernel.shift(zero, col + j)
+                     for j in range(len(times))]
+        new = kernel.step(self.map.components, self._partials, list(times) + values,
+                          time_rows + rows)
         return [v for v, _ in new], [r for _, r in new]
 
     def expand(self, state, times):

@@ -21,7 +21,14 @@ re + ROOT*im, ROOT^2 = -1 mod P: a ring homomorphism Z[i] -> F_P, which
 maps minors to minors.  So the rank mod P never exceeds the exact rank, and
 one of min(rows, cols) proves it.  Any other matrix is eliminated exactly:
 no probability enters a rank.  pivot_positions, which jet certification
-reads, is always exact.
+reads, is always exact.  A FlowWord sampled by sample_rank or ranked by
+rank_at_point is run over F_P first (series.RESIDUES): its residue rows
+are the image of its integer rows, so a full rank mod P proves the exact
+rank with no exact run.  A word whose residue rank is not full, or that
+has no image in F_P (a point or a Series with a denominator divisible by
+P), is rerun exactly at the same point, and a non-full residue rank goes
+straight to exact Bareiss.  The witness search and witness values stay
+exact.
 
 A SeriesMap (a jet chain, a psi map, a jet orbit flow) is never
 differentiated to be ranked: jacobian_rows takes every partial at a sample
@@ -49,7 +56,7 @@ from typing import List, Optional, Tuple
 
 from .errors import DimensionMismatch, WitnessNotFound
 from .scalars import GaussianRational, ZERO
-from .series import PointTable, Series, SeriesMap
+from .series import P, RESIDUES, ROOT, NoImage, PointTable, Series, SeriesMap
 
 # Sampling box: numerators in [-99, 99], denominators in [1, 9] for both the
 # real and imaginary parts.  Keeps bignum growth bounded while making an
@@ -59,10 +66,6 @@ DEN_BOUND = 9
 DEFAULT_TRIALS = 5
 CERTIFY_MAX_SIZE = 6
 WITNESS_RETRIES = 20
-# The prime of exact_rank's shortcut, below 2**30 so that a residue is one
-# CPython digit, and ROOT, a square root of -1 modulo it.
-P = 1_073_741_789
-ROOT = 933_053_945
 
 
 def _integer_row(values) -> tuple:
@@ -154,10 +157,15 @@ def _full_rank(rows) -> int:
     return min(len(rows), len(rows[0][1])) if rows else 0
 
 
-def _rank_mod_p(rows) -> int:
-    """The rank of the image of integer rows in F_P (see the module docstring)."""
-    m = [[(a + ROOT * b) % P for a, b in zip(re, im)] for _, re, im in rows]
-    rank = 0
+def _residue_rows(rows) -> list:
+    """The image in F_P of integer rows, each up to its den (a row scaling)."""
+    return [[(a + ROOT * b) % P for a, b in zip(re, im)] for _, re, im in rows]
+
+
+def _rank_mod_p(m) -> int:
+    """The rank of a matrix of residues over F_P (see the module docstring),
+    the matrix left as it is."""
+    m, rank = list(m), 0
     while m and m[0]:
         pivot = next((r for r, row in enumerate(m) if row[0]), None)
         if pivot is None:
@@ -232,7 +240,7 @@ def exact_rank(matrix) -> int:
     one rank of the package: the rank modulo P when it is full, which proves
     it (see the module docstring), else the number of exact pivots."""
     rows = _integer_matrix(matrix)
-    rank = _rank_mod_p(rows)
+    rank = _rank_mod_p(_residue_rows(rows))
     return rank if rank == _full_rank(rows) else len(pivot_positions(rows))
 
 
@@ -250,12 +258,36 @@ def random_point(
     return [random_scalar(rng, num_bound) for _ in range(dim)]
 
 
-def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0):
+def _point_rank(matrix_at, residues_at, point):
+    """(rank, full rank, matrix) at one point: the residue rows of
+    residues_at(point) when they exist and their rank mod P is full, which
+    proves the exact rank; else the integer rows of matrix_at(point), by
+    exact Bareiss when the residue rank was not full (the integer rows have
+    that same rank mod P), else by exact_rank.  residues_at None, or a
+    NoImage, means no residue rows."""
+    if residues_at is not None:
+        try:
+            rows = residues_at(point)
+        except NoImage:
+            pass
+        else:
+            rank, full = _rank_mod_p(rows), (min(len(rows), len(rows[0])) if rows else 0)
+            if rank == full:
+                return rank, full, rows
+            matrix = matrix_at(point)
+            return len(pivot_positions(matrix)), full, matrix
+    matrix = matrix_at(point)
+    return exact_rank(matrix), _full_rank(matrix), matrix
+
+
+def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
+                residues_at=None):
     """(rank, point, matrix): the highest exact rank of the integer rows
     matrix_at(point) over up to `trials` seeded points of `dim` coordinates,
-    with the first point reaching it and its matrix.  The loop stops early at
-    full rank, which no later point can exceed, so the answer is the maximum
-    over all trials.
+    with the first point reaching it and its matrix, or the residue rows
+    residues_at(point) (optional) that proved that rank at full rank mod P
+    (_point_rank).  The loop stops early at full rank, which no later point
+    can exceed, so the answer is the maximum over all trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -263,11 +295,10 @@ def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0
     best = (0, None, None)
     for _ in range(trials):
         point = random_point(rng, dim)
-        matrix = matrix_at(point)
-        r = exact_rank(matrix)
+        r, full, matrix = _point_rank(matrix_at, residues_at, point)
         if r > best[0] or best[1] is None:
             best = (r, point, matrix)
-        if best[0] == _full_rank(matrix):
+        if best[0] == full:
             break
     return best
 
@@ -305,12 +336,14 @@ class RankResult:
 
 
 def _jacobian_source(f, wrt):
-    """point -> integer rows of the Jacobian of f in the `wrt` columns: a
-    SeriesMap is walked at each point (jacobian_rows), any other ranked
-    object (a series.FlowWord) computes its Jacobian at each point itself."""
+    """(point -> integer rows, point -> residue rows or None) of the Jacobian
+    of f in the `wrt` columns: a SeriesMap is walked at each point
+    (jacobian_rows) and has no residue rows; any other ranked object (a
+    series.FlowWord) runs at each point itself, over Z[i] or over F_P."""
     if isinstance(f, SeriesMap):
-        return jacobian_rows(f, wrt)
-    return lambda point: f.jacobian_at(point, wrt)
+        return jacobian_rows(f, wrt), None
+    return (lambda point: f.jacobian_at(point, wrt),
+            lambda point: f.jacobian_at(point, wrt, RESIDUES))
 
 
 def generic_rank(
@@ -333,9 +366,9 @@ def generic_rank(
     determinant is expanded symbolically.  No other partial is built: the
     sample points read the Jacobian of a SeriesMap through jacobian_rows.
     """
-    jacobian_at = _jacobian_source(f, wrt)
+    matrix_at, residues_at = _jacobian_source(f, wrt)
     best_rank, best_point, best_matrix = sample_rank(
-        jacobian_at, f.domain.dim, trials, seed
+        matrix_at, f.domain.dim, trials, seed, residues_at
     )
     certified = False
     if certify and 0 < best_rank <= CERTIFY_MAX_SIZE:
@@ -354,10 +387,10 @@ def generic_rank(
 
 
 def rank_at_point(f, wrt, point) -> int:
-    """Exact rank of the Jacobian of f (SeriesMap or FlowWord) at one point;
-    DimensionMismatch for a point of the wrong length."""
-    jacobian_at = _jacobian_source(f, wrt)
-    return exact_rank(jacobian_at(point))
+    """Exact rank of the Jacobian of f (SeriesMap or FlowWord) at one point,
+    from its residue rows when they prove it (_point_rank); DimensionMismatch
+    for a point of the wrong length."""
+    return _point_rank(*_jacobian_source(f, wrt), point)[0]
 
 
 def find_rank_point(f, wrt, m: int, blocks: int, target: int, seed: int):
@@ -366,7 +399,7 @@ def find_rank_point(f, wrt, m: int, blocks: int, target: int, seed: int):
     (b_1, ..., b_blocks, 0): the witness search of chains and orbits.  Tries
     WITNESS_RETRIES points in the sampling box, then as many in a box ten
     times wider; WitnessNotFound if none reaches the target."""
-    jacobian_at = _jacobian_source(f, wrt)
+    jacobian_at = _jacobian_source(f, wrt)[0]
     rng = random.Random(seed)
     for attempt in range(2 * WITNESS_RETRIES):
         bound = NUM_BOUND if attempt < WITNESS_RETRIES else NUM_BOUND * 10

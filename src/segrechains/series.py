@@ -23,10 +23,14 @@ one denominator), exact evaluation at a Gaussian-rational point
 of the point that callers share; Series.evaluate divides it once), the
 forward-mode chain-rule step (forward_step, whose values and gradient rows
 stay over the Gaussian integers, one denominator per value and per row:
-the integer rows that ranks eliminates), the word of flows of Segre chains
-and orbit flows alike (FlowWord: run at a point with that step, its values
-divided out only by evaluate, or expanded, keeping the state after every
-prefix, so words that share one expand it once), the vector field acting as
+the integer rows that ranks eliminates), its image in F_P under
+i -> ROOT (residue_step over Series.residue_over, each coefficient reduced
+once to (re + ROOT*im) / den mod P: rows of residues with no gcd, lcm or
+denominator; NoImage where P divides a denominator), the word of flows of
+Segre chains and orbit flows alike (FlowWord: run at a point over either
+Kernel, EXACT or RESIDUES, its values divided out only by evaluate, or
+expanded, keeping the state after every prefix, so words that share one
+expand it once), the vector field acting as
 a derivation (TangentVectorField.apply) and the bracket of two fields, both
 one pass of _derivation that sums every c_a * df/dx_a straight into one dict
 over one denominator, with no intermediate Series (a bracket component is
@@ -163,6 +167,25 @@ def _merge_order(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
+# The prime of the residue kernel and of ranks.exact_rank's shortcut, below
+# 2**30 so that a residue is one CPython digit, and ROOT, a square root of -1
+# modulo it: re + i*im -> re + ROOT*im is a ring homomorphism Z[i] -> F_P.
+P = 1_073_741_789
+ROOT = 933_053_945
+
+
+class NoImage(ArithmeticError):
+    """A scalar or Series without an image in F_P: P divides its denominator."""
+
+
+def residue(re: int, im: int, den: int) -> int:
+    """The image (re + ROOT*im) / den in F_P of a Z[i] scalar; NoImage when
+    P divides den."""
+    if not den % P:
+        raise NoImage(f"denominator {den} is divisible by P")
+    return (re + ROOT * im) * pow(den, -1, P) % P
+
+
 def zi_add(x, y):
     """The sum of two Z[i] scalars (re, im, den), in lowest terms."""
     a, b, d = x
@@ -274,8 +297,9 @@ class Series:
     stored over Z[i]: the coefficient of x^e is pairs[e] = (re, im) over the
     one positive int denominator den."""
 
-    # _plan: the per-term factors value_over keeps on first use (_factor_plan)
-    __slots__ = ("space", "den", "pairs", "order", "_plan")
+    # _plan and _rplan: the per-term factors value_over and residue_over keep
+    # on first use
+    __slots__ = ("space", "den", "pairs", "order", "_plan", "_rplan")
 
     def __init__(self, space: VarSpace, terms=None, order: Optional[int] = None):
         clean = {}
@@ -561,6 +585,37 @@ class Series:
             _set(self, "_plan", plan)
         return plan
 
+    def residue_over(self, pows) -> int:
+        """The value in F_P at the point whose coordinates' residues x_i are
+        pows[i][1], pows[i][e] being x_i^e mod P (the lists grow here as
+        needed): sum(r_e * x^e) mod P.  On first use each coefficient of
+        _factor_plan's terms is reduced once, r_e = (re + ROOT*im) / den mod
+        P, zero residues dropped, and kept in _rplan.  NoImage when P
+        divides den."""
+        try:
+            plan = self._rplan
+        except AttributeError:
+            plan = None
+            if self.den % P:
+                _, needed, terms = self._factor_plan(keep=False)
+                inv = pow(self.den, -1, P)
+                plan = (needed, tuple((factors, r) for factors, _, a, b in terms
+                                      if (r := (a + ROOT * b) * inv % P)))
+            _set(self, "_rplan", plan)
+        if plan is None:
+            raise NoImage(f"denominator {self.den} is divisible by P")
+        needed, terms = plan
+        for i, e in needed:
+            row = pows[i]
+            while len(row) <= e:
+                row.append(row[-1] * row[1] % P)
+        total = 0
+        for factors, r in terms:
+            for i, e in factors:
+                r = r * pows[i][e] % P
+            total += r
+        return total % P
+
     def conjugate(self) -> "Series":
         """Conjugate every coefficient; the exponents stay."""
         pairs = {e: (a, -b) for e, (a, b) in self.pairs.items()}
@@ -813,21 +868,76 @@ def forward_step(fns, partials, at, rows):
     return out
 
 
+def residue_step(fns, partials, at, rows):
+    """forward_step over F_P: at[a] is the residue of the a-th variable and
+    rows[a] its gradient row, a list of residues.  Returns a (value, row)
+    pair of residues per function, the row sum_a dfns[j]/dx_a(at) * rows[a]
+    mod P: no gcd, no lcm and no denominator.  NoImage for a Series whose
+    denominator P divides."""
+    zeros = [0] * len(rows[0])
+    pows = [[1, x] for x in at]
+    out = []
+    for f, parts in zip(fns, partials):
+        row = zeros
+        for a, p in parts:
+            xs = rows[a]
+            if any(xs):
+                c = p.residue_over(pows)
+                if c:
+                    row = [u + c * x for u, x in zip(row, xs)]
+        out.append((f.residue_over(pows), [u % P for u in row]))
+    return out
+
+
+def _exact_shift(row, col):
+    den, re, im = row
+    re = list(re)
+    re[col] += den  # the unit entry, den / den
+    return den, re, im
+
+
+def _residue_shift(row, col):
+    row = list(row)
+    row[col] = (row[col] + 1) % P
+    return row
+
+
+class Kernel:
+    """The scalars a FlowWord runs over, EXACT (Z[i]) or RESIDUES (F_P, the
+    image under i -> ROOT): scalar(x) of a GaussianRational, add(x, y),
+    zero(ncols) the zero row, width(row), shift(row, col) the row plus the
+    unit vector of column col, and step(fns, partials, values, rows) the
+    forward-mode step (forward_step or residue_step)."""
+
+    __slots__ = ("scalar", "add", "zero", "width", "shift", "step")
+
+    def __init__(self, scalar, add, zero, width, shift, step):
+        self.scalar, self.add, self.zero, self.width = scalar, add, zero, width
+        self.shift, self.step = shift, step
+
+
+EXACT = Kernel(operator.attrgetter("zi"), zi_add, lambda n: (1, [0] * n, [0] * n),
+               lambda row: len(row[1]), _exact_shift, forward_step)
+RESIDUES = Kernel(lambda x: residue(*x.zi), lambda x, y: (x + y) % P, lambda n: [0] * n,
+                  len, _residue_shift, residue_step)
+
+
 class FlowWord:
     """A word of flows from a start state, the one word of Segre chains and
     orbit flows: run at one exact point (at) or expanded to Series (expand).
 
     Flow i (1-based) takes its times from block i - 1 of space_of(i); the
     `domain` space_of(len(flows)) ends with the start's parameters `params`.
-    at carries (value, gradient row in the time blocks) pairs over Z[i] from
-    values(params) and zero rows through flow.advance(values, rows, times,
-    col), the times moving columns col, col + 1, ..., then through the
-    (flow, times) of `returns` at constant times (col None: a witness's
-    return map), and reports the components `out`.  `prefixes`, kept by the
-    caller, holds the state before the last flow per (flow prefix, point
-    prefix with the params), shared by words that differ in their last flow
-    only.  A jet word (order not None) is not run pointwise: truncation does
-    not commute with evaluation.  expand carries start(space_of(0)) through
+    at carries (value, gradient row in the time blocks) pairs over a Kernel
+    (Z[i], or F_P for ranks) from values(params) and zero rows through
+    flow.advance(values, rows, times, col, kernel), the times moving columns
+    col, col + 1, ..., then through the (flow, times) of `returns` at
+    constant times (col None: a witness's return map), and reports the
+    components `out`.  `prefixes`, kept by the caller, holds the state
+    before the last flow per (kernel, flow prefix, point prefix with the
+    params), shared by words that differ in their last flow only.  A jet
+    word (order not None) is not run pointwise: truncation does not commute
+    with evaluation.  expand carries start(space_of(0)) through
     flow i's expand(state lifted into space_of(i), times); `states`, kept by
     the caller, holds the state after each flow prefix, so words sharing one
     expand it once.  ranks reads a word as a SeriesMap (domain, order,
@@ -852,9 +962,11 @@ class FlowWord:
             self._domain = self.space_of(len(self.flows))
         return self._domain
 
-    def at(self, point):
-        """(values, Jacobian rows in the time blocks) at `point`: Z[i] scalars
-        and integer rows, as forward_step gives them."""
+    def at(self, point, kernel: Kernel = EXACT):
+        """(values, Jacobian rows in the time blocks) at `point` over the
+        kernel: Z[i] scalars and integer rows, as forward_step gives them, or
+        residues and residue rows (NoImage when a point coordinate or a
+        flow's Series has no image in F_P)."""
         if self.order is not None:
             raise TruncationUnsound("a truncated word is not evaluated at a point")
         if len(point) != self.domain.dim:
@@ -865,20 +977,20 @@ class FlowWord:
         last = len(self.flows) - 1
         ncols = width * (last + 1)
         params = tuple(point[ncols:])
-        key = (self.flows[:last], tuple(point[: last * width]) + params)
+        key = (kernel, self.flows[:last], tuple(point[: last * width]) + params)
         if self.prefixes is not None and key in self.prefixes:
             first, (values, rows) = last, self.prefixes[key]
         else:
-            first, values = 0, [x.zi for x in self.values(params)]
-            zeros = [0] * ncols
-            rows = [(1, zeros, zeros)] * len(values)  # rows are replaced, never mutated
+            first, values = 0, [kernel.scalar(x) for x in self.values(params)]
+            rows = [kernel.zero(ncols)] * len(values)  # rows are replaced, never mutated
         for i in range(first, last + 1):
             if i == last and self.prefixes is not None:
                 self.prefixes[key] = (values, rows)
-            times = [t.zi for t in point[i * width : (i + 1) * width]]
-            values, rows = self.flows[i].advance(values, rows, times, i * width)
+            times = [kernel.scalar(t) for t in point[i * width : (i + 1) * width]]
+            values, rows = self.flows[i].advance(values, rows, times, i * width, kernel)
         for flow, times in self.returns:
-            values, rows = flow.advance(values, rows, [t.zi for t in times], None)
+            values, rows = flow.advance(values, rows, [kernel.scalar(t) for t in times],
+                                        None, kernel)
         if self.out is not None:
             return [values[a] for a in self.out], [rows[a] for a in self.out]
         return values, rows
@@ -887,10 +999,10 @@ class FlowWord:
         """The values at `point` as GaussianRationals."""
         return [GaussianRational.from_zi(*v) for v in self.at(point)[0]]
 
-    def jacobian_at(self, point, wrt=None):
+    def jacobian_at(self, point, wrt=None, kernel: Kernel = EXACT):
         if wrt is not None and tuple(wrt) != self.domain.block_names()[: len(self.flows)]:
             raise DimensionMismatch("a pointwise word is differentiated in all its time blocks")
-        return self.at(point)[1]
+        return self.at(point, kernel)[1]
 
     def expand(self):
         """The whole state after the word as Series over `domain`."""

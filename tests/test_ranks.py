@@ -11,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 from segrechains import ranks
 from segrechains.chains import sampled_chain, u_blocks
 from segrechains.cli import main
-from segrechains.errors import DimensionMismatch
+from segrechains.errors import DimensionMismatch, TruncationUnsound
 from segrechains.invariants import segre_invariants
 from segrechains.lie import holomorphic_nondegeneracy, hormander_numbers, levi_type
 from segrechains.manifold import Basepoint, ambient_space, new_manifold
-from segrechains.orbit import cr_pair_system, greedy_multitype, lie_span_dimension
+from segrechains.orbit import cr_pair_system, flow_word, greedy_multitype, lie_span_dimension
 from segrechains.ranks import (
     DEN_BOUND,
     NUM_BOUND,
+    RankResult,
     exact_rank,
     find_rank_point,
     generic_rank,
@@ -32,7 +33,7 @@ from segrechains.ranks import (
     symbolic_determinant,
 )
 from segrechains.scalars import GaussianRational as G, ZERO
-from segrechains.series import Series, SeriesMap, VarSpace
+from segrechains.series import RESIDUES, NoImage, Series, SeriesMap, VarSpace
 
 from helpers import (
     ReferenceGaussianRational, codim_family, gaussian_rows, reference_jacobian_rows,
@@ -423,22 +424,97 @@ def _orbits_levi():
     return out
 
 
+def _is_residue_matrix(matrix):
+    """Residue rows are lists, where integer rows are (den, re, im) tuples."""
+    return bool(matrix) and isinstance(matrix[0], list)
+
+
+def _image_mod_p(rows):
+    """The image in F_P of integer rows: entry (re + ROOT*im) / den mod P."""
+    p, root = ranks.P, ranks.ROOT
+    return [[(a + root * b) * pow(den, -1, p) % p for a, b in zip(re, im)]
+            for den, re, im in rows]
+
+
 @pytest.mark.parametrize("run", [_checkall, _family, _orbits_levi],
                          ids=["corpus", "family_d2_8", "orbits_levi"])
 def test_rank_mod_p_answers_like_the_exact_path(run, monkeypatch):
     shipped = _recorded_ranks(monkeypatch, run)
+    source = ranks._jacobian_source
     with monkeypatch.context() as patch:
-        patch.setattr(ranks, "_rank_mod_p", lambda rows: -1)  # never full: always exact
+        # both shortcuts off: no word runs over F_P, and no rank mod P is
+        # full, so every rank is exact Bareiss on the integer rows
+        patch.setattr(ranks, "_jacobian_source", lambda f, wrt: (source(f, wrt)[0], None))
+        patch.setattr(ranks, "_rank_mod_p", lambda rows: -1)
         exact = _recorded_ranks(monkeypatch, run)
     answer, log = shipped
     assert len(log) > 10
     assert answer == exact[0]
-    # field by field: (rank, point, matrix) of sample_rank; rank, witness,
-    # trials, seed and certified of generic_rank
-    assert log == exact[1]
+    assert len(log) == len(exact[1])
+    residue_runs = 0
+    for got, want in zip(log, exact[1]):
+        if isinstance(got, RankResult):
+            assert got == want  # rank, witness, trials, seed and certified
+            continue
+        # (rank, point, matrix) of sample_rank: a matrix of residue rows
+        # proved its rank at full rank mod P, and is the image of the exact
+        # rows at that point
+        (rank, point, matrix), (exact_rank_, exact_point, exact_matrix) = got, want
+        assert (rank, point) == (exact_rank_, exact_point)
+        if _is_residue_matrix(matrix):
+            residue_runs += 1
+            assert rank == min(len(matrix), len(matrix[0]))
+            assert matrix == _image_mod_p(exact_matrix)
+        else:
+            assert matrix == exact_matrix
+    assert residue_runs > 0
 
 
 def test_family_needs_no_exact_fallback(exact_eliminations):
     # every chain Jacobian of the d = 2..8 family is full rank modulo P
     assert all(inv.minimal for inv in _family())
     assert exact_eliminations == []
+
+
+# -- words without a full rank modulo P: the exact rerun ---------------------
+
+
+@pytest.mark.parametrize("scale", [str(ranks.P), f"1/{ranks.P}"],
+                         ids=["rank_drops_mod_p", "no_image_mod_p"])
+def test_words_without_a_full_rank_mod_p_rerun_exactly(scale, monkeypatch, exact_eliminations):
+    # theta_2 times P vanishes in F_P, so from k = 4 the chain ranks drop
+    # there; divided by P it has no image in F_P at all
+    M = new_manifold(1, 2, ["w1*zeta1", f"{scale}*w1^2*zeta1 + {scale}*w1*zeta1^2"])
+    inv, log = _recorded_ranks(monkeypatch, lambda: segre_invariants(M))
+    assert inv.multitype == (1, 1, 1, 1) and inv.minimal
+    assert inv.profile.r == (1, 2, 3, 4, 4)
+    orbit = greedy_multitype(cr_pair_system(M))
+    assert orbit.multitype == (1, 1, 1, 1) and orbit.orbit_dim == 4
+    assert orbit.witness["rank_at_t_star"] == 4
+    matrices = [entry[2] for entry in log if not isinstance(entry, RankResult)]
+    if scale == str(ranks.P):
+        # ranks 1..3 are proven mod P, ranks 4 rerun exactly
+        assert any(map(_is_residue_matrix, matrices))
+        assert exact_eliminations
+    else:
+        assert not any(map(_is_residue_matrix, matrices))
+
+
+def test_the_residue_run_keeps_the_word_checks(heisenberg):
+    system = cr_pair_system(heisenberg)
+    word = flow_word(system, [0, 1, 0], {})
+    assert rank_at_point(word, None, [G(1), G(2), G(3)]) == 3
+    for point in ([G(1), G(2)], [G(1), G(2), G(3), G(4)]):
+        message = f"point dimension {len(point)} != space dim 3"
+        with pytest.raises(DimensionMismatch, match=message):
+            rank_at_point(word, None, point)
+    # a coordinate over P has no image in F_P: the exact run ranks the point
+    far = [G(Fraction(1, ranks.P)), G(2), G(3)]
+    with pytest.raises(NoImage):
+        word.jacobian_at(far, None, RESIDUES)
+    assert rank_at_point(word, None, far) == exact_rank(word.jacobian_at(far)) == 3
+    jet = flow_word(system, [0, 1, 0], {}, order=3)
+    with pytest.raises(TruncationUnsound):
+        rank_at_point(jet, None, [G(1), G(2), G(3)])
+    with pytest.raises(TruncationUnsound):
+        generic_rank(jet)

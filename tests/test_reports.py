@@ -5,8 +5,9 @@ orbit at a low jet order (`orbit` and `multitype --order 3`, where ex8_6
 loses its bracket to truncation and exits 1) and at another seed
 (`minimality --seed 3`), of the derivations at the lowest jet order
 (`hormander`, `levi` and `orbit --order 2`, where truncation merges the
-most orders), and of `checkall`, pinned byte for byte in
-tests/data/reports.json.
+most orders), of certified EXACT ranks (`ranks --certify`) and of a
+single-point sample (`multitype --trials 1 --seed 5`), and of `checkall`,
+pinned byte for byte in tests/data/reports.json.
 
 Corpus paths are written as the entry name, so the file does not depend on
 where the package is installed.  Regenerate it only for an intended report
@@ -48,6 +49,9 @@ def cases():
         out.append(["minimality", name, "--seed", "3"])
     out += [[cmd, name, "--order", "2"]
             for name in NAMES for cmd in ("hormander", "levi", "orbit")]
+    for name in NAMES:
+        out.append(["ranks", name, "--certify"])
+        out.append(["multitype", name, "--trials", "1", "--seed", "5"])
     return out + [["corpus"], ["checkall"]]
 
 

@@ -16,8 +16,8 @@ from segrechains.errors import (
 from segrechains.manifold import ambient_space
 from segrechains.scalars import GaussianRational, ZERO
 from segrechains.series import (
-    PointTable, Series, SeriesMap, TangentVectorField, VarSpace, _merge_order,
-    bracket, forward_step, nonzero_partials, zi_add,
+    P, NoImage, PointTable, Series, SeriesMap, TangentVectorField, VarSpace, _merge_order,
+    bracket, forward_step, nonzero_partials, residue, residue_step, zi_add,
 )
 from segrechains.ranks import integer_rows
 
@@ -443,6 +443,41 @@ def test_forward_step_matches_reference_forward_step(seed):
     # a flow moves its coordinates by its times with zi_add
     total = zi_add(at[0].zi, at[1].zi)
     assert math.gcd(*total) == 1 and GaussianRational.from_zi(*total) == at[0] + at[1]
+
+
+def _residue_row(row):
+    den, re, im = row
+    return [residue(x, y, den) for x, y in zip(re, im)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_residue_step_is_the_image_of_forward_step(seed):
+    """residue_step gives the image in F_P (i -> ROOT) of forward_step's
+    values and rows, on the polynomials, points and rows of the exact step's
+    test; a polynomial whose denominator P divides has no image."""
+    rng = random.Random(seed)
+    space = simple_space()
+    ncols = rng.randint(1, 4)
+    fns = [_random_series(rng, space, None, rng.randint(0, 5), rng.random() < 0.5)
+           for _ in range(rng.randint(1, 3))]
+    partials = [nonzero_partials(f) for f in fns]
+    at = [GaussianRational._coerce(_random_coordinate(rng)) for _ in range(space.dim)]
+    rows = [_random_int_row(rng, ncols) for _ in range(space.dim)]
+    residue_rows = [_residue_row(r) for r in rows]
+    given_rows = [list(r) for r in residue_rows]
+    got = residue_step(fns, partials, [residue(*x.zi) for x in at], residue_rows)
+    assert residue_rows == given_rows  # rows are shared, never mutated
+    want = forward_step(fns, partials, [x.zi for x in at], rows)
+    assert got == [(residue(*value), _residue_row(row)) for value, row in want]
+    for f in fns:
+        scaled = f * GaussianRational(Fraction(rng.randint(1, 5), P))
+        if not scaled.is_zero():
+            with pytest.raises(NoImage):
+                residue_step([scaled], [nonzero_partials(scaled)],
+                             [residue(*x.zi) for x in at], residue_rows)
+    with pytest.raises(NoImage):
+        residue(1, 2, 3 * P)
 
 
 # -- one-pass derivations against the loop of Series operations --------------
