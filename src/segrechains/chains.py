@@ -18,7 +18,9 @@ In EXACT mode the same word also runs on exact values at one point,
 carrying the derivatives in the u-blocks along (forward-mode
 differentiation), so a chain can be ranked without being expanded:
 sampled_chain hands generic_rank that pointwise form in EXACT mode and the
-expanded chart map for truncated jets.
+expanded chart map for truncated jets.  In both the last flow skips the
+block (z or xi) the chart never reads; a partial state is never kept, so
+gamma, psi and check_reparam still build full chains.
 """
 
 from __future__ import annotations
@@ -174,11 +176,14 @@ def sampled_chain(M: CRManifold, k: int, basepoint: Basepoint, parity: str,
 
     EXACT manifolds give the chain_word reporting the chart's components;
     truncated jets give the expanded chart map, because truncation does not
-    commute with pointwise evaluation.
+    commute with pointwise evaluation.  Either way the last flow skips the
+    block (z or xi) the chart does not read, and that partial state is never
+    kept: Gamma_{k+1} expands flow k in full.
     """
+    word = chain_word(M, k, basepoint, parity, chart_indices(M, k, chart))
     if M.order is None:
-        return chain_word(M, k, basepoint, parity, chart_indices(M, k, chart))
-    return gamma(M, k, basepoint, parity, verify=False).in_chart(chart)
+        return word
+    return SeriesMap(word.expand(), M.space.subspace(_CHARTS[chart or _chain_chart(k)]))
 
 
 def verify_in_manifold(chain: ChainMap) -> bool:

@@ -48,7 +48,10 @@ def _tokenize(text: str):
                 raise ParseError(f"unexpected character {text[pos]!r} at column {pos}")
             break
         if m.lastgroup == "int":
-            tokens.append(("int", int(m.group("int"))))
+            try:
+                tokens.append(("int", int(m.group("int"))))
+            except ValueError:  # over the interpreter's str -> int digit limit
+                raise ParseError(f"{len(m.group('int'))}-digit integer is too long") from None
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name")))
         else:

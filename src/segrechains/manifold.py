@@ -322,7 +322,9 @@ class CRFlow:
     """The L or Lbar flow of M: the moved block (w or zeta) gains its times,
     then the recomputed block (z or xi) takes the values of qbar or q on the
     whole state (qbar never reads z, q never reads xi).  advance steps values
-    and gradient rows over a series.Kernel (Z[i] or F_P), expand steps Series."""
+    and gradient rows over a series.Kernel (Z[i] or F_P), expand steps Series.
+    Both skip the target step when `out`, the components the caller reads,
+    holds no target: advance leaves the target stale, expand leaves it None."""
 
     __slots__ = ("names", "moved", "target", "fns", "_partials")
 
@@ -330,27 +332,32 @@ class CRFlow:
         self.names, self.moved, self.target, self.fns = space.names, moved, target, fns
         self._partials = None
 
-    def advance(self, values, rows, times, col, kernel=EXACT):
-        if self._partials is None:
-            self._partials = [nonzero_partials(f) for f in self.fns]
+    def advance(self, values, rows, times, col, kernel=EXACT, out=None):
         values, rows = list(values), list(rows)
         for i, a in enumerate(self.moved):
             values[a] = kernel.add(values[a], times[i])
             rows[a] = kernel.shift(rows[a], col + i)  # the unit time entry
+        if self._skips(out):
+            return values, rows
+        if self._partials is None:
+            self._partials = [nonzero_partials(f) for f in self.fns]
         new = kernel.step(self.fns, self._partials, values, rows)
         for t, (value, row) in zip(self.target, new):
             values[t], rows[t] = value, row
         return values, rows
 
-    def expand(self, state, times):
+    def expand(self, state, times, out=None):
         """The flow at the Series `times` of ambient state components."""
         state = list(state)
         for i, a in enumerate(self.moved):
             state[a] = state[a] + times[i]
-        sub = dict(zip(self.names, state))
+        sub, skip = dict(zip(self.names, state)), self._skips(out)
         for t, f in zip(self.target, self.fns):
-            state[t] = f.compose(sub)
+            state[t] = None if skip else f.compose(sub)
         return state
+
+    def _skips(self, out):
+        return out is not None and not set(self.target).intersection(out)
 
 
 def cr_flows(M: CRManifold) -> dict:

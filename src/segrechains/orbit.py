@@ -134,11 +134,11 @@ class FlowMap:
         self.map, self.exact, self.order = map, exact, order
         self._partials = None
 
-    def advance(self, values, rows, times, col, kernel=EXACT):
+    def advance(self, values, rows, times, col, kernel=EXACT, out=None):
         """exp(times.L) at values and gradient rows over a series.Kernel (Z[i]
         or F_P); the times move columns col, col + 1, ..., or no column when
         col is None (constant times).  The partials in (s, x) are
-        differentiated on first use, then kept."""
+        differentiated on first use, then kept.  An orbit word has no `out`."""
         if self._partials is None:
             self._partials = [nonzero_partials(c) for c in self.map.components]
         zero = kernel.zero(kernel.width(rows[0]))
@@ -148,7 +148,7 @@ class FlowMap:
                           time_rows + rows)
         return [v for v, _ in new], [r for _, r in new]
 
-    def expand(self, state, times):
+    def expand(self, state, times, out=None):
         """exp(times.L) of the Series `state`: the map composed with (times, state)."""
         sub = dict(zip(self.map.domain.names, [*times, *state]))
         return [c.compose(sub) for c in self.map.components]

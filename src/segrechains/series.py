@@ -930,19 +930,22 @@ class FlowWord:
     `domain` space_of(len(flows)) ends with the start's parameters `params`.
     at carries (value, gradient row in the time blocks) pairs over a Kernel
     (Z[i], or F_P for ranks) from values(params) and zero rows through
-    flow.advance(values, rows, times, col, kernel), the times moving columns
-    col, col + 1, ..., then through the (flow, times) of `returns` at
+    flow.advance(values, rows, times, col, kernel, out), the times moving
+    columns col, col + 1, ..., then through the (flow, times) of `returns` at
     constant times (col None: a witness's return map), and reports the
-    components `out`.  `prefixes`, kept by the caller, holds the state
-    before the last flow per (kernel, flow prefix, point prefix with the
-    params), shared by words that differ in their last flow only.  A jet
-    word (order not None) is not run pointwise: truncation does not commute
-    with evaluation.  expand carries start(space_of(0)) through
-    flow i's expand(state lifted into space_of(i), times); `states`, kept by
-    the caller, holds the state after each flow prefix, so words sharing one
-    expand it once.  ranks reads a word as a SeriesMap (domain, order,
-    Jacobian at a point in all time blocks).  A plain class: a dataclass
-    costs milliseconds at every import.
+    components `out`.  Only the last flow gets `out` (in at, only without
+    returns, which read the whole state), and it skips a block `out` does
+    not read; a state so left partial is never kept.  `prefixes`, kept by
+    the caller, holds the state before the last flow per (kernel, flow
+    prefix, point prefix with the params), shared by words that differ in
+    their last flow only.  A jet word (order not None) is not run
+    pointwise: truncation does not commute with evaluation.  expand carries
+    start(space_of(0)) through flow i's expand(state lifted into
+    space_of(i), times, out); `states`, kept by the caller, holds the state
+    after each flow prefix, so words sharing one expand it once.  ranks
+    reads a word as a SeriesMap (domain, order, Jacobian at a point in all
+    time blocks).  A plain class: a dataclass costs milliseconds at every
+    import.
     """
 
     __slots__ = ("flows", "space_of", "start", "values", "order", "out", "returns",
@@ -983,11 +986,12 @@ class FlowWord:
         else:
             first, values = 0, [kernel.scalar(x) for x in self.values(params)]
             rows = [kernel.zero(ncols)] * len(values)  # rows are replaced, never mutated
+        outs = [None] * last + [None if self.returns else self.out]
         for i in range(first, last + 1):
             if i == last and self.prefixes is not None:
                 self.prefixes[key] = (values, rows)
             times = [kernel.scalar(t) for t in point[i * width : (i + 1) * width]]
-            values, rows = self.flows[i].advance(values, rows, times, i * width, kernel)
+            values, rows = self.flows[i].advance(values, rows, times, i * width, kernel, outs[i])
         for flow, times in self.returns:
             values, rows = flow.advance(values, rows, [kernel.scalar(t) for t in times],
                                         None, kernel)
@@ -1005,19 +1009,21 @@ class FlowWord:
         return self.at(point, kernel)[1]
 
     def expand(self):
-        """The whole state after the word as Series over `domain`."""
+        """The state after the word as Series over `domain` (only `out`, if given)."""
         flows, states = self.flows, {} if self.states is None else self.states
         if () not in states:
             states[()] = self.start(self.space_of(0))
         done = next(i for i in range(len(flows), -1, -1) if flows[:i] in states)
-        state = states[flows[:done]]
-        for i in range(done + 1, len(flows) + 1):
+        state, last = states[flows[:done]], len(flows)
+        for i in range(done + 1, last + 1):
             space = self.space_of(i)
             names = space.blocks[i - 1][1]
             times = [Series.variable(space, t, self.order) for t in names]
-            state = flows[i - 1].expand([s.lift(space) for s in state], times)
-            states[flows[:i]] = state
-        return state
+            state = flows[i - 1].expand([s.lift(space) for s in state], times,
+                                        self.out if i == last else None)
+            if None not in state:
+                states[flows[:i]] = state
+        return state if self.out is None else [state[a] for a in self.out]
 
 
 # -- vector fields and brackets ----------------------------------------------

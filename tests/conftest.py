@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,15 @@ def quartic():
 @pytest.fixture(scope="session")
 def c3_tube():
     return new_manifold(1, 2, ["w1*zeta1", "w1^2*zeta1 + w1*zeta1^2"])
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default str -> int digit limit (4,300), set for one
+    test whatever PYTHONINTMAXSTRDIGITS says."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no str -> int digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)

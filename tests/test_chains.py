@@ -5,6 +5,7 @@ import pytest
 from segrechains.chains import (
     chain_space,
     chain_word,
+    chart_indices,
     check_reparam,
     default_kmax,
     flow,
@@ -20,7 +21,7 @@ from segrechains.errors import DimensionMismatch, OffManifold, TruncationUnsound
 from segrechains.exprs import format_series
 from segrechains.manifold import Basepoint, new_manifold
 from segrechains.scalars import GaussianRational as G, ZERO
-from segrechains.series import Series, SeriesMap
+from segrechains.series import EXACT, RESIDUES, Series, SeriesMap
 
 from helpers import (
     exact_manifolds,
@@ -298,6 +299,35 @@ def test_sampled_chain_follows_the_mode(heisenberg):
         chain_word(jet, 2, bp, "L").at(point)
 
 
+@pytest.mark.parametrize("m, d, theta", [
+    (1, 2, ["w1*zeta1", "w1^2*zeta1 + w1*zeta1^2"]),
+    (2, 2, ["w1*zeta1", "w1*zeta2 + w2*zeta1"]),
+], ids=["m1_d2", "m2_d2"])
+def test_chart_only_chain_matches_the_full_chain(m, d, theta):
+    # the last flow skips the block the chain's chart never reads; what the
+    # chart reads is unchanged, and gamma still builds the full chain (a jet
+    # chain has no numeric basepoint: its state would have constant terms)
+    rng = random.Random(19)
+    exact, jet = new_manifold(m, d, theta), new_manifold(m, d, theta, order=4)
+    for bp in (Basepoint.origin(), Basepoint.symbolic(), numeric_basepoint(exact, rng)):
+        for parity in ("L", "Lbar"):
+            for k in range(1, 6):
+                if bp.kind != "numeric":
+                    chart = sampled_chain(jet, k, bp, parity)
+                    assert chart == gamma(jet, k, bp, parity).in_chart(), (bp.kind, parity, k)
+                out = chart_indices(exact, k)
+                word = sampled_chain(exact, k, bp, parity)
+                full = chain_word(exact, k, bp, parity)
+                point = gaussian_integer_point(rng, word.domain.dim)
+                for kernel in (EXACT, RESIDUES):
+                    values, rows = full.at(point, kernel)
+                    assert word.at(point, kernel) == (
+                        [values[a] for a in out], [rows[a] for a in out]), (bp.kind, k)
+    # no partial state was kept: each has a Series in every component
+    states = [state for cache in jet._chain_cache.values() for state in cache.values()]
+    assert len(states) == 2 * 2 * 5 + 2 and all(None not in state for state in states)
+
+
 def test_chain_word_expands_to_gamma():
     # each word is expanded on a fresh manifold, so from the basepoint's state
     # up, and compared with the verified chain
@@ -315,7 +345,11 @@ def test_chain_word_expands_to_gamma():
 
 def test_chain_word_expands_only_the_last_flow(monkeypatch):
     # the expanded states are kept on M: Gamma_{k+1} composes one CRFlow onto
-    # Gamma_k, which composes each of its d functions once
+    # Gamma_k, which composes each of its d functions once.  In its chart an
+    # L-parity chain never reads that flow's target block (z after an L flow,
+    # xi after an Lbar one), so the chart composes nothing, and the partial
+    # state is not kept; an Lbar-parity chart reads it, so its state is full
+    # and kept
     calls = []
     compose = Series.compose
 
@@ -327,8 +361,11 @@ def test_chain_word_expands_only_the_last_flow(monkeypatch):
     for order in (None, 6):
         M = new_manifold(1, 2, ["w1*zeta1", "w1^2*zeta1 + w1*zeta1^2"], order=order)
         bp = Basepoint.origin()
-        for k in range(1, 6):
-            chain_word(M, k, bp, "L").expand()
-            calls.clear()
-            chain_word(M, k + 1, bp, "L").expand()
-            assert len(calls) == M.d, (order, k)
+        for parity in ("L", "Lbar"):
+            for k in range(1, 6):
+                chain_word(M, k, bp, parity).expand()
+                calls.clear()
+                chain_word(M, k + 1, bp, parity, chart_indices(M, k + 1)).expand()
+                assert len(calls) == (0 if parity == "L" else M.d), (order, parity, k)
+                chain_word(M, k + 1, bp, parity).expand()
+                assert len(calls) == M.d, (order, parity, k)

@@ -395,6 +395,16 @@ def test_manifest_expression_errors_name_their_line(tmp_path, capsys):
             assert f"error: {path}{message}" in err, err
 
 
+def test_overlong_integer_literal_is_a_usage_error(tmp_path, capsys, digit_limit):
+    digits = "3" * (digit_limit + 700)
+    for expr in (f"{digits}*w1*zeta1", f"1/{digits}*w1*zeta1"):
+        path = tmp_path / "long.mf"
+        path.write_text(f"m=1\nd=1\ntheta_bar_1 = {expr}\n")
+        code, out, err = run_cli(capsys, "ranks", str(path))
+        assert code == 2 and out == "" and _single_error_line(err), expr
+        assert err == f"error: {path}:3: {len(digits)}-digit integer is too long\n"
+
+
 def test_unreadable_manifests_are_usage_errors(tmp_path, capsys):
     binary = tmp_path / "binary.mf"
     binary.write_bytes(b"m=1\nd=1\ntheta_bar_1 = w1*zeta1 \xff\n")

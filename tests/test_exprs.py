@@ -36,6 +36,15 @@ def test_parse_errors():
             parse_series(bad, space)
 
 
+def test_overlong_integer_literals_are_parse_errors(digit_limit):
+    space = ambient_space(1, 1)
+    long = "7" * (digit_limit + 700)
+    assert parse_series("7" * digit_limit + "*w1", space).constant_term() == 0
+    for text in (f"{long}*w1*zeta1", f"1/{long}*w1", f"w1^{long}"):
+        with pytest.raises(ParseError, match=f"{len(long)}-digit integer is too long"):
+            parse_series(text, space)
+
+
 def test_nesting_is_capped():
     space = ambient_space(1, 1)
     ok = "(" * MAX_NESTING + "w1" + ")" * MAX_NESTING

@@ -479,12 +479,36 @@ def test_family_needs_no_exact_fallback(exact_eliminations):
 # -- words without a full rank modulo P: the exact rerun ---------------------
 
 
+def _residue_runs(monkeypatch):
+    """(ranked word, whether its rows had an image in F_P), one per residue
+    run of a word, in call order."""
+    runs = []
+    source = ranks._jacobian_source
+
+    def recorded(f, wrt):
+        matrix_at, residues_at = source(f, wrt)
+        if residues_at is None:
+            return matrix_at, None
+
+        def residues(point):
+            runs.append((f, False))
+            rows = residues_at(point)
+            runs[-1] = (f, True)
+            return rows
+
+        return matrix_at, residues
+
+    monkeypatch.setattr(ranks, "_jacobian_source", recorded)
+    return runs
+
+
 @pytest.mark.parametrize("scale", [str(ranks.P), f"1/{ranks.P}"],
                          ids=["rank_drops_mod_p", "no_image_mod_p"])
 def test_words_without_a_full_rank_mod_p_rerun_exactly(scale, monkeypatch, exact_eliminations):
     # theta_2 times P vanishes in F_P, so from k = 4 the chain ranks drop
-    # there; divided by P it has no image in F_P at all
+    # there; divided by P it has no image in F_P in any word that reads it
     M = new_manifold(1, 2, ["w1*zeta1", f"{scale}*w1^2*zeta1 + {scale}*w1*zeta1^2"])
+    runs = _residue_runs(monkeypatch)
     inv, log = _recorded_ranks(monkeypatch, lambda: segre_invariants(M))
     assert inv.multitype == (1, 1, 1, 1) and inv.minimal
     assert inv.profile.r == (1, 2, 3, 4, 4)
@@ -497,7 +521,16 @@ def test_words_without_a_full_rank_mod_p_rerun_exactly(scale, monkeypatch, exact
         assert any(map(_is_residue_matrix, matrices))
         assert exact_eliminations
     else:
-        assert not any(map(_is_residue_matrix, matrices))
+        # the k = 1 chain's L flow skips z, which its chart (w, zeta, xi)
+        # never reads, so it alone reads no theta_2: its rank is proven mod
+        # P; every other word (k >= 2 and the orbit words) reruns exactly
+        assert [_is_residue_matrix(m) for m in matrices] == [
+            len(m) == 4 and len(m[0]) == 1 for m in matrices]
+        assert sum(map(_is_residue_matrix, matrices)) == 1 and len(matrices) > 1
+        # chain words report their chart (out), orbit words the whole state
+        seen = {(len(f.flows), f.out is not None, image) for f, image in runs}
+        assert all(image == (k == 1 and chain) for k, chain, image in seen)
+        assert {(1, True, True), (5, True, False), (4, False, False)} <= seen
 
 
 def test_the_residue_run_keeps_the_word_checks(heisenberg):

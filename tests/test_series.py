@@ -16,8 +16,8 @@ from segrechains.errors import (
 from segrechains.manifold import ambient_space
 from segrechains.scalars import GaussianRational, ZERO
 from segrechains.series import (
-    P, NoImage, PointTable, Series, SeriesMap, TangentVectorField, VarSpace, _merge_order,
-    bracket, forward_step, nonzero_partials, residue, residue_step, zi_add,
+    P, FlowWord, NoImage, PointTable, Series, SeriesMap, TangentVectorField, VarSpace,
+    _merge_order, bracket, forward_step, nonzero_partials, residue, residue_step, zi_add,
 )
 from segrechains.ranks import integer_rows
 
@@ -564,3 +564,30 @@ def test_lift_preserves_terms():
     lifted = s.lift(big)
     assert lifted.coefficient({"u1_1": 2}) == GaussianRational(5)
     assert lifted.space == big
+
+
+class _RecordingFlow:
+    """A flow step that moves nothing and records the `out` it was given."""
+
+    def __init__(self):
+        self.outs = []
+
+    def advance(self, values, rows, times, col, kernel=None, out=None):
+        self.outs.append(out)
+        return values, rows
+
+
+def test_flow_word_passes_out_to_its_last_flow_only_without_returns():
+    # the last flow may skip a block `out` does not read, but a return map
+    # reads the whole state, so a word with returns passes no `out`
+    space = VarSpace([("u1", ("u1_1",)), ("u2", ("u2_1",))])
+    point = [GaussianRational(1), GaussianRational(2)]
+    for returns, last_out in (((), [1]), (((_RecordingFlow(), [ZERO]),), None)):
+        first, last = _RecordingFlow(), _RecordingFlow()
+        word = FlowWord([first, last], lambda i: space, None, lambda params: [ZERO] * 3,
+                        None, out=[1], returns=returns)
+        values, rows = word.at(point)
+        assert (first.outs, last.outs) == ([None], [last_out])
+        assert values == [(0, 0, 1)] and len(rows) == 1
+        for back, _ in returns:
+            assert back.outs == [None]
