@@ -17,10 +17,11 @@ reparametrization identities that tie the two constructions together.
 In EXACT mode the same word also runs on exact values at one point,
 carrying the derivatives in the u-blocks along (forward-mode
 differentiation), so a chain can be ranked without being expanded:
-sampled_chain hands generic_rank that pointwise form in EXACT mode and the
-expanded chart map for truncated jets.  In both the last flow skips the
-block (z or xi) the chart never reads; a partial state is never kept, so
-gamma, psi and check_reparam still build full chains.
+sampled_chain hands generic_rank the word's ranked form (FlowWord.ranked):
+that pointwise form in EXACT mode, the expanded chart map for truncated
+jets.  In both the last flow skips the block (z or xi) the chart never
+reads; a partial state is never kept, so gamma, psi and check_reparam still
+build full chains.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ def _chart_names(M: CRManifold, chart: str):
     if chart not in _CHARTS:
         raise UnknownVariable(f"unknown chart {chart!r}")
     return [v for b in _CHARTS[chart] for v in M.space.block_vars(b)]
+
+
+def _chart_space(M: CRManifold, chart: str) -> VarSpace:
+    """The space of a chart's blocks, built once per manifold and chart."""
+    spaces = vars(M).setdefault("_chart_spaces", {})
+    if chart not in spaces:
+        spaces[chart] = M.space.subspace(_CHARTS[chart])
+    return spaces[chart]
 
 
 def _chain_chart(k: int) -> str:
@@ -154,7 +163,7 @@ class ChainMap:
         if chart == "ambient":
             return self.map
         names = _chart_names(self.manifold, chart)
-        return self.map.project(names, self.manifold.space.subspace(_CHARTS[chart]))
+        return self.map.project(names, _chart_space(self.manifold, chart))
 
 
 def gamma(M: CRManifold, k: int, basepoint: Optional[Basepoint] = None,
@@ -172,18 +181,13 @@ def gamma(M: CRManifold, k: int, basepoint: Optional[Basepoint] = None,
 
 def sampled_chain(M: CRManifold, k: int, basepoint: Basepoint, parity: str,
                   chart: Optional[str] = None):
-    """Gamma_k in a chart (by default its own) in the form ranks samples it.
-
-    EXACT manifolds give the chain_word reporting the chart's components;
-    truncated jets give the expanded chart map, because truncation does not
-    commute with pointwise evaluation.  Either way the last flow skips the
-    block (z or xi) the chart does not read, and that partial state is never
-    kept: Gamma_{k+1} expands flow k in full.
+    """Gamma_k in a chart (by default its own) in the form ranks samples it:
+    the ranked chain_word reporting the chart's components (FlowWord.ranked).
+    Its last flow skips the block (z or xi) the chart does not read, and
+    that partial state is never kept: Gamma_{k+1} expands flow k in full.
     """
     word = chain_word(M, k, basepoint, parity, chart_indices(M, k, chart))
-    if M.order is None:
-        return word
-    return SeriesMap(word.expand(), M.space.subspace(_CHARTS[chart or _chain_chart(k)]))
+    return word.ranked(_chart_space(M, chart or _chain_chart(k)))
 
 
 def verify_in_manifold(chain: ChainMap) -> bool:

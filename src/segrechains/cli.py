@@ -504,7 +504,8 @@ _FLAGS = {
     "trials": ("--trials", {"type": int, "default": DEFAULT_TRIALS}),
     "kmax": ("--kmax", {"type": int, "default": None}),
     "base": ("--base", {"default": "origin",
-                        "help": "origin | generic | comma-separated w,z,zeta,xi scalars"}),
+                        "help": "origin | generic | comma-separated w,z,zeta,xi scalars "
+                                "(a point other than the origin needs EXACT)"}),
     "parity": ("--parity", {"choices": ("L", "Lbar"), "default": "L"}),
     "certify": ("--certify", {
         "action": "store_true",

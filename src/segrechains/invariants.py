@@ -8,13 +8,16 @@ mu = 2 + kappa, the multitype is (m, m, e_1, ..., e_kappa), and the manifold
 is minimal at the basepoint exactly when the increments sum to d.
 
 Every rank here is sampled through ranks.generic_rank / rank_at_point on
-chains.sampled_chain: in EXACT mode the chains are never expanded (each is
-a chains.chain_word run pointwise), their Jacobians at the sample points
-come from forward-mode differentiation, and a certified rank rests on
-evaluation being a ring homomorphism; truncated jets are expanded and their
-witnessed minors certified symbolically.  The witness point comes from
-ranks.find_rank_point, the search the orbit witness uses too; a witness
-needs an EXACT manifold, since its chains run at nonzero times.
+chains.sampled_chain, a chain word in its ranked form (FlowWord.ranked): in
+EXACT mode the chains are never expanded (each is a chains.chain_word run
+pointwise), their Jacobians at the sample points come from forward-mode
+differentiation, and a certified rank rests on evaluation being a ring
+homomorphism; truncated jets are expanded and their witnessed minors
+certified symbolically.  The witness point comes from ranks.find_rank_point,
+the search the orbit witness uses too, which ranks each try as
+rank_at_point does; a witness needs an EXACT manifold, since its chains run
+at nonzero times.  For the same reason a truncated manifold takes no
+numeric basepoint but the origin (Basepoint.numeric).
 """
 
 from __future__ import annotations

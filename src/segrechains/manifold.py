@@ -249,7 +249,9 @@ def graph_from_real(m: int, d: int, h, order=None) -> CRManifold:
 class Basepoint:
     """A point of the complexified manifold: the origin, numeric, or symbolic.
 
-    Numeric basepoints must satisfy z = qbar(w, zeta, xi) exactly.  A symbolic
+    Numeric basepoints must satisfy z = qbar(w, zeta, xi) exactly, and on a
+    truncated manifold only the origin is one (TruncationUnsound otherwise):
+    a jet does not know its values away from 0.  A symbolic
     basepoint stands for a Zariski-generic point: fresh parameter blocks
     pw, pzeta, pxi are appended to chain domains and z is the derived series
     qbar(pw, pzeta, pxi).
@@ -270,6 +272,11 @@ class Basepoint:
         w, z, zeta, xi = (tuple(v) for v in (w, z, zeta, xi))
         if (len(w), len(z), len(zeta), len(xi)) != (M.m, M.d, M.m, M.d):
             raise DimensionMismatch("basepoint coordinate sizes do not match (m, d)")
+        if M.order is not None and not all(c.is_zero() for c in (*w, *z, *zeta, *xi)):
+            raise TruncationUnsound(
+                "a truncated manifold is not evaluated away from the origin: "
+                "a nonzero basepoint needs EXACT"
+            )
         point = list(w) + [ZERO] * M.d + list(zeta) + list(xi)
         for j in range(M.d):
             if M.qbar[j].evaluate(point) != z[j]:

@@ -15,12 +15,13 @@ resulting orbit dimension am + sum(e) can be cross-checked against the
 independent left-normed bracket span oracle lie_span_dimension.
 
 flow_word gives a concatenated flow as a series.FlowWord, the word of the
-Segre chains too.  With EXACT flows (order=None) it is never expanded: it
-carries exact (value, d/dt) pairs from the origin through the word's flows at
-each sample point (forward-mode differentiation), with each flow's partials
-differentiated once.  The witness's return map adds the reversed flows at the
-constant times -t_i* as further chain-rule steps in x, and its point comes
-from ranks.find_rank_point, the witness search the chains use too.
+Segre chains too, and FlowWord.ranked the form its rank is sampled in.  With
+EXACT flows (order=None) it is never expanded: it carries exact (value, d/dt)
+pairs from the origin through the word's flows at each sample point
+(forward-mode differentiation), with each flow's partials differentiated
+once.  The witness's return map is the same kind of word: the forward word
+followed by its reversed flows, run at the negated times -t_i*; its point
+comes from ranks.find_rank_point, the witness search the chains use too.
 Truncated jets rank the expanded concatenated_flow, which is also the test
 oracle for the pointwise form: the candidates of one greedy step differ only
 in their last flow, so the expanded state of their common prefix is kept and
@@ -136,14 +137,13 @@ class FlowMap:
 
     def advance(self, values, rows, times, col, kernel=EXACT, out=None):
         """exp(times.L) at values and gradient rows over a series.Kernel (Z[i]
-        or F_P); the times move columns col, col + 1, ..., or no column when
-        col is None (constant times).  The partials in (s, x) are
-        differentiated on first use, then kept.  An orbit word has no `out`."""
+        or F_P); the times move columns col, col + 1, ....  The partials in
+        (s, x) are differentiated on first use, then kept.  An orbit word has
+        no `out`."""
         if self._partials is None:
             self._partials = [nonzero_partials(c) for c in self.map.components]
         zero = kernel.zero(kernel.width(rows[0]))
-        time_rows = [zero if col is None else kernel.shift(zero, col + j)
-                     for j in range(len(times))]
+        time_rows = [kernel.shift(zero, col + j) for j in range(len(times))]
         new = kernel.step(self.map.components, self._partials, list(times) + values,
                           time_rows + rows)
         return [v for v, _ in new], [r for _, r in new]
@@ -227,21 +227,16 @@ def _flow(system: VFSystem, flows: dict, alpha: int, order: Optional[int]) -> Fl
 
 
 def flow_word(system: VFSystem, word: Sequence[int], flows: dict,
-              order: Optional[int] = None, returns=(), prefixes: Optional[dict] = None,
-              states: Optional[dict] = None) -> FlowWord:
+              order: Optional[int] = None, states: Optional[dict] = None) -> FlowWord:
     """The concatenated flow of `word` as a series.FlowWord over the t-blocks:
-    the origin carried through the flows exp(t_i.L_word[i-1]).  `returns`
-    lists further (alpha, times) flows at constant times, applied after (the
-    witness's return map); `prefixes` and `states` are shared by greedy
-    candidates (see FlowWord).  `flows` is the dict of FlowMaps by field
-    index, filled on first use."""
+    the origin carried through the flows exp(t_i.L_word[i-1]).  `states` is
+    shared by greedy candidates (see FlowWord).  `flows` is the dict of
+    FlowMaps by field index, filled on first use."""
     n = system.n
-    returns = [(_flow(system, flows, a, order), times) for a, times in returns]
     return FlowWord([_flow(system, flows, alpha, order) for alpha in word],
                     lambda k: _time_space(system, k),
                     lambda space: [Series.zero(space, order)] * n,
-                    lambda params: [ZERO] * n, order,
-                    returns=returns, prefixes=prefixes, states=states)
+                    lambda params: [ZERO] * n, order, states=states)
 
 
 def concatenated_flow(system: VFSystem, word: Sequence[int],
@@ -256,20 +251,6 @@ def concatenated_flow(system: VFSystem, word: Sequence[int],
     """
     fw = flow_word(system, word, {} if flows is None else flows, order, states=prefixes)
     return SeriesMap(fw.expand(), system.space), all(f.exact for f in fw.flows)
-
-
-def _ranked_flow(system: VFSystem, word, flows: dict, order: Optional[int],
-                 prefixes: Optional[dict] = None):
-    """(concatenated flow of `word` in the form ranks samples, all flows exact).
-
-    EXACT flows (order None) give the flow_word; truncated jets give the
-    expanded map, because truncation does not commute with evaluation.  In
-    both forms `prefixes` lets words that share a prefix share its work.
-    """
-    if order is not None:
-        return concatenated_flow(system, word, flows, order, prefixes)
-    fw = flow_word(system, word, flows, prefixes=prefixes)
-    return fw, all(f.exact for f in fw.flows)
 
 
 @dataclass(frozen=True)
@@ -315,8 +296,9 @@ def greedy_multitype(
     if kmax < a:
         raise DimensionMismatch(f"kmax must be >= a = {a}, the starting word's length")
     flows: dict = {}
-    prefixes: dict = {}  # states shared by the candidates of one step
-    base_map, exact = _ranked_flow(system, word, flows, order, prefixes)
+    states: dict = {}  # jet states shared by the candidates of one step
+    base = flow_word(system, word, flows, order, states)
+    base_map, exact = base.ranked(system.space), all(f.exact for f in base.flows)
     blocks = [f"t{i}" for i in range(1, a + 1)]
     zero_pt = [ZERO] * (a * m)
     if rank_at_point(base_map, blocks, zero_pt) != a * m:
@@ -331,7 +313,7 @@ def greedy_multitype(
         for alpha in range(a):
             if alpha == word[-1]:  # the flow group law: it adds no rank
                 continue
-            cand, _ = _ranked_flow(system, word + [alpha], flows, order, prefixes)
+            cand = flow_word(system, word + [alpha], flows, order, states).ranked(system.space)
             cblocks = [f"t{i}" for i in range(1, len(word) + 2)]
             r = generic_rank(
                 cand, wrt=cblocks, trials=trials, seed=seed + len(word)
@@ -369,22 +351,22 @@ def greedy_multitype(
 def _orbit_witness(system, result, flows, seed):
     """Witness per the greedy construction: a point t* = (t_1*, .., t_{mu0-1}*, 0)
     of maximal rank whose reversed, negated flows return the endpoint to 0.
-    EXACT flows only: both maps are ranked pointwise."""
-    mu0 = result.mu0
-    m = system.m
+    EXACT flows only: the return map is the longer word, the forward word
+    then word[-2::-1] at -t*_{mu0-1}, ..., -t*_1, and its first mu0*m
+    columns are its Jacobian at those constant return times."""
+    mu0, m, word = result.mu0, system.m, list(result.word)
     blocks = [f"t{i}" for i in range(1, mu0 + 1)]
-    fwd = flow_word(system, result.word, flows)
+    fwd = flow_word(system, word, flows)
     found = find_rank_point(fwd, blocks, m, mu0 - 1, result.orbit_dim, seed)
-    # the reversed flows at the negated times, after the forward word
-    back = [(result.word[i - 1], [-c for c in found[i - 1]]) for i in range(mu0 - 1, 0, -1)]
-    ret = flow_word(system, result.word, flows, returns=back)
-    point = [c for blk in found for c in blk] + [ZERO] * m
-    value, rows = ret.at(point)
+    back = [-c for blk in reversed(found) for c in blk]
+    point = [c for blk in found for c in blk] + [ZERO] * m + back
+    value, rows = flow_word(system, word + word[-2::-1], flows).at(point)
+    cols = mu0 * m
     return {
         "t_star": tuple(tuple(blk) for blk in found) + ((ZERO,) * m,),
-        "rank_at_t_star": exact_rank(rows),
+        "rank_at_t_star": exact_rank([(den, re[:cols], im[:cols]) for den, re, im in rows]),
         "returns_to_origin": not any(re or im for re, im, _ in value),
-        "exact_flows": all(flows[alpha].exact for alpha in result.word),
+        "exact_flows": all(flows[alpha].exact for alpha in word),
     }
 
 

@@ -27,8 +27,8 @@ are the image of its integer rows, so a full rank mod P proves the exact
 rank with no exact run.  A word whose residue rank is not full, or that
 has no image in F_P (a point or a Series with a denominator divisible by
 P), is rerun exactly at the same point, and a non-full residue rank goes
-straight to exact Bareiss.  The witness search and witness values stay
-exact.
+straight to exact Bareiss.  The witness search ranks its tries the same
+way (rank_at_point); only the witness values stay exact.
 
 A SeriesMap (a jet chain, a psi map, a jet orbit flow) is never
 differentiated to be ranked: jacobian_rows takes every partial at a sample
@@ -396,16 +396,16 @@ def rank_at_point(f, wrt, point) -> int:
 def find_rank_point(f, wrt, m: int, blocks: int, target: int, seed: int):
     """Seeded blocks b_1..b_blocks of m scalars each at which the Jacobian of f
     (SeriesMap or series.FlowWord) in the `wrt` columns has rank `target` at
-    (b_1, ..., b_blocks, 0): the witness search of chains and orbits.  Tries
-    WITNESS_RETRIES points in the sampling box, then as many in a box ten
-    times wider; WitnessNotFound if none reaches the target."""
-    jacobian_at = _jacobian_source(f, wrt)[0]
+    (b_1, ..., b_blocks, 0), each try ranked by rank_at_point: the witness
+    search of chains and orbits.  Tries WITNESS_RETRIES points in the
+    sampling box, then as many in a box ten times wider; WitnessNotFound if
+    none reaches the target."""
     rng = random.Random(seed)
     for attempt in range(2 * WITNESS_RETRIES):
         bound = NUM_BOUND if attempt < WITNESS_RETRIES else NUM_BOUND * 10
         found = [random_point(rng, m, bound) for _ in range(blocks)]
         point = [c for blk in found for c in blk] + [ZERO] * m
-        if exact_rank(jacobian_at(point)) == target:
+        if rank_at_point(f, wrt, point) == target:
             return found
     raise WitnessNotFound(
         f"no rank-{target} point of the required shape after {2 * WITNESS_RETRIES} tries"

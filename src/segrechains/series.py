@@ -30,7 +30,8 @@ denominator; NoImage where P divides a denominator), the word of flows of
 Segre chains and orbit flows alike (FlowWord: run at a point over either
 Kernel, EXACT or RESIDUES, its values divided out only by evaluate, or
 expanded, keeping the state after every prefix, so words that share one
-expand it once), the vector field acting as
+expand it once; FlowWord.ranked picks the form a rank samples, the word
+itself when EXACT and its expansion for a jet), the vector field acting as
 a derivation (TangentVectorField.apply) and the bracket of two fields, both
 one pass of _derivation that sums every c_a * df/dx_a straight into one dict
 over one denominator, with no intermediate Series (a bracket component is
@@ -924,21 +925,17 @@ RESIDUES = Kernel(lambda x: residue(*x.zi), lambda x, y: (x + y) % P, lambda n: 
 
 class FlowWord:
     """A word of flows from a start state, the one word of Segre chains and
-    orbit flows: run at one exact point (at) or expanded to Series (expand).
+    orbit flows: run at one exact point (at), expanded to Series (expand),
+    or ranked (ranked).
 
     Flow i (1-based) takes its times from block i - 1 of space_of(i); the
     `domain` space_of(len(flows)) ends with the start's parameters `params`.
     at carries (value, gradient row in the time blocks) pairs over a Kernel
     (Z[i], or F_P for ranks) from values(params) and zero rows through
     flow.advance(values, rows, times, col, kernel, out), the times moving
-    columns col, col + 1, ..., then through the (flow, times) of `returns` at
-    constant times (col None: a witness's return map), and reports the
-    components `out`.  Only the last flow gets `out` (in at, only without
-    returns, which read the whole state), and it skips a block `out` does
-    not read; a state so left partial is never kept.  `prefixes`, kept by
-    the caller, holds the state before the last flow per (kernel, flow
-    prefix, point prefix with the params), shared by words that differ in
-    their last flow only.  A jet word (order not None) is not run
+    columns col, col + 1, ..., and reports the components `out`.  Only the
+    last flow gets `out`, and it skips a block `out` does not read; a state
+    so left partial is never kept.  A jet word (order not None) is not run
     pointwise: truncation does not commute with evaluation.  expand carries
     start(space_of(0)) through flow i's expand(state lifted into
     space_of(i), times, out); `states`, kept by the caller, holds the state
@@ -948,14 +945,12 @@ class FlowWord:
     import.
     """
 
-    __slots__ = ("flows", "space_of", "start", "values", "order", "out", "returns",
-                 "prefixes", "states", "_domain")
+    __slots__ = ("flows", "space_of", "start", "values", "order", "out", "states", "_domain")
 
-    def __init__(self, flows, space_of, start, values, order, out=None, returns=(),
-                 prefixes: Optional[dict] = None, states: Optional[dict] = None):
+    def __init__(self, flows, space_of, start, values, order, out=None,
+                 states: Optional[dict] = None):
         self.flows, self.space_of, self.start = tuple(flows), space_of, start
-        self.values, self.order, self.out = values, order, out
-        self.returns, self.prefixes, self.states = tuple(returns), prefixes, states
+        self.values, self.order, self.out, self.states = values, order, out, states
         self._domain = None
 
     @property
@@ -979,22 +974,12 @@ class FlowWord:
         width = len(self.domain.blocks[0][1])
         last = len(self.flows) - 1
         ncols = width * (last + 1)
-        params = tuple(point[ncols:])
-        key = (kernel, self.flows[:last], tuple(point[: last * width]) + params)
-        if self.prefixes is not None and key in self.prefixes:
-            first, (values, rows) = last, self.prefixes[key]
-        else:
-            first, values = 0, [kernel.scalar(x) for x in self.values(params)]
-            rows = [kernel.zero(ncols)] * len(values)  # rows are replaced, never mutated
-        outs = [None] * last + [None if self.returns else self.out]
-        for i in range(first, last + 1):
-            if i == last and self.prefixes is not None:
-                self.prefixes[key] = (values, rows)
+        values = [kernel.scalar(x) for x in self.values(tuple(point[ncols:]))]
+        rows = [kernel.zero(ncols)] * len(values)  # rows are replaced, never mutated
+        for i, flow in enumerate(self.flows):
             times = [kernel.scalar(t) for t in point[i * width : (i + 1) * width]]
-            values, rows = self.flows[i].advance(values, rows, times, i * width, kernel, outs[i])
-        for flow, times in self.returns:
-            values, rows = flow.advance(values, rows, [kernel.scalar(t) for t in times],
-                                        None, kernel)
+            values, rows = flow.advance(values, rows, times, i * width, kernel,
+                                        self.out if i == last else None)
         if self.out is not None:
             return [values[a] for a in self.out], [rows[a] for a in self.out]
         return values, rows
@@ -1007,6 +992,14 @@ class FlowWord:
         if wrt is not None and tuple(wrt) != self.domain.block_names()[: len(self.flows)]:
             raise DimensionMismatch("a pointwise word is differentiated in all its time blocks")
         return self.at(point, kernel)[1]
+
+    def ranked(self, codomain: VarSpace):
+        """The word in the form ranks samples: the word itself when EXACT, run
+        at each sample point; for a jet, which truncation keeps from running
+        pointwise, the expanded SeriesMap into `codomain`."""
+        if self.order is None:
+            return self
+        return SeriesMap(self.expand(), codomain)
 
     def expand(self):
         """The state after the word as Series over `domain` (only `out`, if given)."""

@@ -14,7 +14,7 @@ from segrechains.lie import (
 )
 from segrechains.manifests import load_manifest
 from segrechains.manifold import Basepoint, graph_from_real, new_manifold, real_graph_space
-from segrechains.orbit import OrbitResult, _orbit_witness, _ranked_flow
+from segrechains.orbit import OrbitResult, _orbit_witness, flow_word
 from segrechains.ranks import exact_rank, generic_rank, integer_rows, rank_at_point
 from segrechains.scalars import GaussianRational, I, ONE, ZERO
 from segrechains.series import (
@@ -638,8 +638,9 @@ def reference_greedy_multitype(system, kmax=None, order=None, trials=5, seed=0,
     if kmax < a:
         raise DimensionMismatch(f"kmax must be >= a = {a}, the starting word's length")
     flows: dict = {}
-    prefixes: dict = {}  # states shared by the candidates of one step
-    base_map, exact = _ranked_flow(system, word, flows, order, prefixes)
+    states: dict = {}  # jet states shared by the candidates of one step
+    base = flow_word(system, word, flows, order, states)
+    base_map, exact = base.ranked(system.space), all(f.exact for f in base.flows)
     blocks = [f"t{i}" for i in range(1, a + 1)]
     zero_pt = [ZERO] * (a * m)
     if rank_at_point(base_map, blocks, zero_pt) != a * m:
@@ -652,7 +653,8 @@ def reference_greedy_multitype(system, kmax=None, order=None, trials=5, seed=0,
     while len(word) < kmax:
         best_alpha, best_rank = None, rank
         for alpha in range(a):
-            cand, cexact = _ranked_flow(system, word + [alpha], flows, order, prefixes)
+            fw = flow_word(system, word + [alpha], flows, order, states)
+            cand, cexact = fw.ranked(system.space), all(f.exact for f in fw.flows)
             cblocks = [f"t{i}" for i in range(1, len(word) + 2)]
             r = generic_rank(
                 cand, wrt=cblocks, trials=trials, seed=seed + len(word)

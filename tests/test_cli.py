@@ -157,6 +157,18 @@ def test_base_generic_and_numeric(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["levi", "hormander", "ranks", "chains",
+                                     "minimality", "multitype", "witness"])
+def test_truncated_manifold_refuses_a_nonzero_base(command, capsys):
+    # jets evaluated at a nonzero point would answer for the wrong manifold:
+    # one error: line and exit 1 (main raises nothing), as off the manifold
+    code, out, err = run_cli(capsys, command, data_path("heisenberg"),
+                             "--order", "5", "--base", "1,i,1,0")
+    assert (code, out) == (1, "")
+    assert err == ("error: a truncated manifold is not evaluated away from the "
+                   "origin: a nonzero basepoint needs EXACT\n")
+
+
 def test_corpus_command(capsys):
     code, out, _ = run_cli(capsys, "corpus", "--format", "machine")
     names = [e["name"] for e in json.loads(out)["results"]["manifests"]]

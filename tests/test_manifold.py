@@ -184,6 +184,19 @@ def test_basepoint_numeric_validation(heisenberg):
         Basepoint.numeric(heisenberg, w, [G(5)], zeta, xi)
 
 
+def test_truncated_manifold_takes_only_the_origin_as_numeric_basepoint():
+    # a jet does not know its values away from 0: a nonzero basepoint of a
+    # truncated manifold is refused, the zero one is the origin's state
+    jet = new_manifold(1, 1, ["w1*zeta1"], order=5)
+    i = G(0, 1)
+    for coords in (([G(1)], [i], [G(1)], [ZERO]), ([ZERO], [ZERO], [ZERO], [G(2)]),
+                   ([G(1)], [G(5)], [G(1)], [ZERO])):
+        with pytest.raises(TruncationUnsound, match="nonzero basepoint needs EXACT"):
+            Basepoint.numeric(jet, *coords)
+    zero = Basepoint.numeric(jet, [ZERO], [ZERO], [ZERO], [ZERO])
+    assert zero.state_values(jet) == Basepoint.origin().state_values(jet)
+
+
 def test_segre_leaf_origin_and_general(heisenberg):
     leaf = segre_leaf(heisenberg, tau_p=([ZERO], [ZERO]))
     vals = [format_series(c) for c in leaf.components]

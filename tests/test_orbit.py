@@ -298,20 +298,15 @@ def test_pointwise_flow_matches_concatenated_flow(name, system):
     pw = flow_word(system, word, flows)
     assert pw.domain == fwd.domain
     assert gaussian_at(pw, point) == _expanded_at(fwd, point)
-    # the witness's return map: reversed flows at negated constant times
+    # the witness's return map: the longer word, reversed flows at negated
+    # times; its values and the rows of the forward columns are those of the
+    # forward map followed by the reversed flows at constant times
     back = [(word[i - 1], [-c for c in point[(i - 1) * m : i * m]])
             for i in range(k - 1, 0, -1)]
-    ret = flow_word(system, word, flows, returns=back)
-    assert gaussian_at(ret, point) == _expanded_at(_return_map(system, fwd, flows, back), point)
-    # greedy candidates sharing prefix states give the same values
-    prefixes = {}
-    other = gaussian_integer_point(rng, m * k)
-    for pt in (point, other):
-        for alpha in range(system.a):
-            cand = word[:-1] + [alpha]
-            shared = flow_word(system, cand, flows, prefixes=prefixes).at(pt)
-            assert shared == flow_word(system, cand, flows).at(pt)
-    assert len(prefixes) == (1 if point[: m * (k - 1)] == other[: m * (k - 1)] else 2)
+    ret = flow_word(system, word + word[-2::-1], flows)
+    values, rows = gaussian_at(ret, point + [c for _, times in back for c in times])
+    want = _expanded_at(_return_map(system, fwd, flows, back), point)
+    assert (values, [row[: m * k] for row in rows]) == want
 
 
 CORPUS_SYSTEMS = [(n, s) for n, s in ORACLE_SYSTEMS if n in dict(corpus())]
@@ -361,6 +356,10 @@ def test_jet_flow_word_expands_but_is_not_run_pointwise(heisenberg):
     jet = flow_word(system, [0, 1, 0], flows, order=3)
     fwd, _ = concatenated_flow(system, [0, 1, 0], flows, 3)
     assert SeriesMap(jet.expand(), system.space) == fwd
+    # a jet is ranked expanded, an EXACT word pointwise, as itself
+    assert jet.ranked(system.space) == fwd
+    exact = flow_word(system, [0, 1, 0], flows)
+    assert exact.ranked(system.space) is exact
     with pytest.raises(TruncationUnsound):
         jet.at([G(1), G(2), G(3)])
 
@@ -436,13 +435,11 @@ def test_repeating_the_last_field_adds_no_rank(name, system, order):
     """The flow group law exp(s.X) exp(t.X) = exp((s + t).X), exact and
     truncated: at every greedy step, word + [word[-1]] has the rank of word,
     sampled as greedy_multitype samples its candidates."""
-    from segrechains.orbit import _ranked_flow
-
     res = greedy_multitype(system, order=order, witness=False)
     flows = {}
     for length in range(system.a, len(res.word) + 1):
         word = list(res.word[:length])
-        cand, _ = _ranked_flow(system, word + [word[-1]], flows, order)
+        cand = flow_word(system, word + [word[-1]], flows, order).ranked(system.space)
         blocks = [f"t{i}" for i in range(1, length + 2)]
         rank = generic_rank(cand, wrt=blocks, seed=length).rank
         assert rank == res.ranks[length - system.a], word

@@ -12,7 +12,7 @@ from segrechains import ranks
 from segrechains.chains import sampled_chain, u_blocks
 from segrechains.cli import main
 from segrechains.errors import DimensionMismatch, TruncationUnsound
-from segrechains.invariants import segre_invariants
+from segrechains.invariants import segre_invariants, witness_point
 from segrechains.lie import holomorphic_nondegeneracy, hormander_numbers, levi_type
 from segrechains.manifold import Basepoint, ambient_space, new_manifold
 from segrechains.orbit import cr_pair_system, flow_word, greedy_multitype, lie_span_dimension
@@ -36,8 +36,8 @@ from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import RESIDUES, NoImage, Series, SeriesMap, VarSpace
 
 from helpers import (
-    ReferenceGaussianRational, codim_family, gaussian_rows, reference_jacobian_rows,
-    reference_pivot_positions, variables_map,
+    ReferenceGaussianRational, codim_family, exact_manifolds, gaussian_rows,
+    numeric_basepoint, reference_jacobian_rows, reference_pivot_positions, variables_map,
 )
 
 
@@ -424,6 +424,18 @@ def _orbits_levi():
     return out
 
 
+def _chain_witnesses():
+    """Chain witnesses of the EXACT corpus, at the origin and at a numeric
+    basepoint: the witness search ranks its tries residue-first."""
+    rng = random.Random(5)
+    out = []
+    for name, M in exact_manifolds():
+        if not name.startswith("codim_"):
+            for bp in (Basepoint.origin(), numeric_basepoint(M, rng)):
+                out.append(witness_point(M, segre_invariants(M, bp), bp))
+    return out
+
+
 def _is_residue_matrix(matrix):
     """Residue rows are lists, where integer rows are (den, re, im) tuples."""
     return bool(matrix) and isinstance(matrix[0], list)
@@ -436,8 +448,8 @@ def _image_mod_p(rows):
             for den, re, im in rows]
 
 
-@pytest.mark.parametrize("run", [_checkall, _family, _orbits_levi],
-                         ids=["corpus", "family_d2_8", "orbits_levi"])
+@pytest.mark.parametrize("run", [_checkall, _family, _orbits_levi, _chain_witnesses],
+                         ids=["corpus", "family_d2_8", "orbits_levi", "chain_witnesses"])
 def test_rank_mod_p_answers_like_the_exact_path(run, monkeypatch):
     shipped = _recorded_ranks(monkeypatch, run)
     source = ranks._jacobian_source

@@ -577,17 +577,14 @@ class _RecordingFlow:
         return values, rows
 
 
-def test_flow_word_passes_out_to_its_last_flow_only_without_returns():
-    # the last flow may skip a block `out` does not read, but a return map
-    # reads the whole state, so a word with returns passes no `out`
+def test_flow_word_passes_out_to_its_last_flow_only():
+    # the last flow may skip a block `out` does not read; earlier flows
+    # build the whole state, which later flows read
     space = VarSpace([("u1", ("u1_1",)), ("u2", ("u2_1",))])
     point = [GaussianRational(1), GaussianRational(2)]
-    for returns, last_out in (((), [1]), (((_RecordingFlow(), [ZERO]),), None)):
-        first, last = _RecordingFlow(), _RecordingFlow()
-        word = FlowWord([first, last], lambda i: space, None, lambda params: [ZERO] * 3,
-                        None, out=[1], returns=returns)
-        values, rows = word.at(point)
-        assert (first.outs, last.outs) == ([None], [last_out])
-        assert values == [(0, 0, 1)] and len(rows) == 1
-        for back, _ in returns:
-            assert back.outs == [None]
+    first, last = _RecordingFlow(), _RecordingFlow()
+    word = FlowWord([first, last], lambda i: space, None, lambda params: [ZERO] * 3,
+                    None, out=[1])
+    values, rows = word.at(point)
+    assert (first.outs, last.outs) == ([None], [[1]])
+    assert values == [(0, 0, 1)] and len(rows) == 1
