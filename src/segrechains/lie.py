@@ -9,10 +9,10 @@ complexified manifold, where the pair of m-vector fields takes the form
 The chart fields come from the ambient rows of manifold.cr_pair_rows.  The
 field type, the bracket and the deduplicated bracket ladder are
 series.TangentVectorField, series.bracket and series.bracket_levels
-(re-exported here).  Span dimensions are exact row reductions over Q(i) at
-numeric basepoints; a symbolic basepoint leaves the chart variables in the
-matrix, and its generic rank comes from ranks.sample_rank, the sampler that
-generic_rank uses too.
+(re-exported here).  The bracket ladder and the Levi-type flag rank their
+growing rows through ranks.span_dims: exactly at a numeric basepoint, sampled
+by ranks.sample_rank, generic_rank's sampler, at a symbolic one; each row is
+evaluated once per point, and no level past a full span is built.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 from .errors import SegreError, WrongDimensions
 from .invariants import segre_invariants
 from .manifold import Basepoint, CRManifold, cr_pair_rows
-from .ranks import DEFAULT_TRIALS, exact_rank, integer_rows, sample_rank
+from .ranks import DEFAULT_TRIALS, span_dims
 from .scalars import I, ZERO
 from .series import (
     Series, TangentVectorField, VarSpace, bracket, bracket_levels, noncommuting_pair,
@@ -63,13 +63,6 @@ def chart_point(M: CRManifold, basepoint: Basepoint):
     return None
 
 
-def _span_dim(rows, point, dim, trials, seed) -> int:
-    """Span dimension of symbolic row vectors at a point (or generic, sampled)."""
-    if point is not None:
-        return exact_rank(integer_rows(rows, point))
-    return sample_rank(lambda p: integer_rows(rows, p), dim, trials, seed)[0]
-
-
 @dataclass(frozen=True)
 class HormanderData:
     """Bracket-generation ladder: jumps (mu_k, l_k, dim_k) above dim 2m at level 1."""
@@ -97,33 +90,25 @@ def hormander_numbers(
     Brackets are enumerated as left-normed words [X, [..., Y]] with X among
     the 2m generators, which span every bracket level of the generated Lie
     algebra (series.bracket_levels: identically zero and duplicate fields
-    are dropped).  The ladder stops at the full dimension 2m + d, after an
-    empty level, or at max_length (default 2d + 2, at least 2).
+    are dropped), ranked by ranks.span_dims.  The ladder stops at the full
+    dimension 2m + d, after an empty level, or at max_length (default
+    2d + 2, at least 2).
     """
     basepoint = basepoint or Basepoint.origin()
     max_length = 2 * M.d + 2 if max_length is None else max_length
     if max_length < 2:
         raise SegreError("max_length must be >= 2")
     L, Lbar = tangent_fields(M)
-    generators = L + Lbar
-    cs = generators[0].space
-    point = chart_point(M, basepoint)
     full = 2 * M.m + M.d
-    rows = [f.coefficients for f in generators]
-    dims = [_span_dim(rows, point, cs.dim, trials, seed)]
-    if dims[0] != 2 * M.m:
-        raise SegreError("internal: the 2m chart fields must be independent")
-    ladder = []
-    for mu, level in bracket_levels(generators, max_length):
-        rows.extend(f.coefficients for f in level)
-        dim = _span_dim(rows, point, cs.dim, trials, seed)
+    levels = ([f.coefficients for f in level] for level in bracket_levels(L + Lbar, max_length))
+    dims = []
+    for dim in span_dims(levels, chart_point(M, basepoint), L[0].space.dim, full, trials, seed):
+        if not dims and dim != 2 * M.m:  # before any bracket is built
+            raise SegreError("internal: the 2m chart fields must be independent")
         dims.append(dim)
-        if dim > dims[-2]:
-            ladder.append((mu, dim - dims[-2], dim))
-        if dim == full or not level:
-            break
+    ladder = tuple((mu, b - a, b) for mu, (a, b) in enumerate(zip(dims, dims[1:]), 2) if b > a)
     return HormanderData(
-        ladder=tuple(ladder),
+        ladder=ladder,
         h=len(ladder),
         minimal=(dims[-1] == full),
         base_dim=2 * M.m,
@@ -159,7 +144,8 @@ def levi_type(
     not), so Lbar_{i_k}...Lbar_{i_1} grad rho_j is the same row for every
     order of i_1..i_k.  Each level therefore extends a row only by the
     fields whose index is at least the last one applied, and builds every
-    beta once: d*C(m+k-1, k) rows at level k instead of d*m^k.
+    beta once: d*C(m+k-1, k) rows at level k instead of d*m^k, each level
+    built only while ranks.span_dims finds the span short of C^n.
     """
     basepoint = basepoint or Basepoint.origin()
     kmax = M.m + M.d if kmax is None else kmax
@@ -170,23 +156,17 @@ def levi_type(
     if pair is not None:
         X, Y = (Lbar[i] for i in pair)
         raise SegreError(f"internal: chart fields {X.label}, {Y.label} do not commute")
-    cs = Lbar[0].space
-    point = chart_point(M, basepoint)
-    rows = gradient_rows(M)
-    all_rows = list(rows)
-    if _span_dim(all_rows, point, cs.dim, trials, seed) == M.n:
-        return 0
-    level = [(0, row) for row in rows]  # (index of the last field applied, row)
-    for k in range(1, kmax + 1):
-        level = [
-            (i, [Lbar[i].apply(c) for c in row])
-            for last, row in level
-            for i in range(last, M.m)
-        ]
-        all_rows.extend(row for _, row in level)
-        if _span_dim(all_rows, point, cs.dim, trials, seed) == M.n:
-            return k
-    return None
+
+    def levels():
+        level = [(0, row) for row in gradient_rows(M)]  # (last field applied, row)
+        yield [row for _, row in level]
+        for _ in range(kmax):
+            level = [(i, [Lbar[i].apply(c) for c in row])
+                     for last, row in level for i in range(last, M.m)]
+            yield [row for _, row in level]
+
+    dims = span_dims(levels(), chart_point(M, basepoint), Lbar[0].space.dim, M.n, trials, seed)
+    return next((k for k, dim in enumerate(dims) if dim == M.n), None)
 
 
 def holomorphic_nondegeneracy(

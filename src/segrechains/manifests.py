@@ -18,7 +18,8 @@ System manifests:
     field_2_1_x2 = 1
     field_2_1_x3 = x1
 
-Blank lines and `#` comments are ignored.  Parsing collects diagnostics with
+Blank lines and `#` comments are ignored.  A key given twice (theta_bar_01
+and theta_bar_1 are one key) is refused.  Parsing collects diagnostics with
 line numbers, and an error in an entry's expression names the entry's line;
 serialization is canonical, so parse -> serialize -> parse is the identity.
 """
@@ -59,7 +60,7 @@ class Manifest:
     entries: dict  # theta_bar index -> text, or (alpha, i, var) -> text
     source: Optional[str] = None
     diagnostics: list = field(default_factory=list)
-    lines: dict = field(default_factory=dict, compare=False)  # entry key -> line
+    lines: dict = field(default_factory=dict, compare=False)  # key -> line (entries by entry key)
 
     def location(self, key) -> str:
         """`<source>:<line>` of entry `key` (`<source>` when the line is unknown)."""
@@ -150,7 +151,7 @@ def parse_manifest(text: str, source: Optional[str] = None) -> Manifest:
     params = {}
     theta_entries = {}
     field_entries = {}
-    lines = {}
+    lines = {}  # each key given, theta and field indices read as ints -> its line
     diagnostics = []
     kind = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -162,13 +163,16 @@ def parse_manifest(text: str, source: Optional[str] = None) -> Manifest:
         key, value = (part.strip() for part in line.split("=", 1))
         tm = _THETA_KEY.match(key)
         fm = _FIELD_KEY.match(key)
+        ident = (int(tm.group(1)) if tm else
+                (int(fm.group(1)), int(fm.group(2)), fm.group(3)) if fm else key)
+        if ident in lines:
+            raise ParseError(f"{source or '<manifest>'}:{lineno}: duplicate key {key!r} "
+                             f"(first given at line {lines[ident]})")
+        lines[ident] = lineno
         if tm:
-            theta_entries[int(tm.group(1))] = value
-            lines[int(tm.group(1))] = lineno
+            theta_entries[ident] = value
         elif fm:
-            entry = (int(fm.group(1)), int(fm.group(2)), fm.group(3))
-            field_entries[entry] = value
-            lines[entry] = lineno
+            field_entries[ident] = value
         elif key == "kind":
             kind = value
         elif key in ("m", "d", "n", "a"):

@@ -51,6 +51,7 @@ from .ranks import (
     integer_rows,
     random_point,
     rank_at_point,
+    span_dims,
 )
 from .scalars import GaussianRational, ZERO, format_scalar
 from .series import (
@@ -380,7 +381,8 @@ def orbit_dimension(system: VFSystem, kmax: Optional[int] = None,
 
 def lie_span_dimension(system: VFSystem, max_length: Optional[int] = None) -> int:
     """Independent oracle: dimension at 0 of the Lie algebra generated by the
-    a*m component fields, via left-normed brackets up to max_length.
+    a*m component fields, via left-normed brackets up to max_length: the
+    last dimension of ranks.span_dims at the origin.
 
     The default bound n + 2 is raised to (max coefficient degree + 1) when the
     coefficients have higher degree, which covers bracket jumps that appear
@@ -394,18 +396,9 @@ def lie_span_dimension(system: VFSystem, max_length: Optional[int] = None) -> in
             default=0,
         )
         max_length = max(system.n + 2, degmax + 1)
-    singles = [TangentVectorField(system.space, comp)
-               for fld in system.fields for comp in fld]
-    origin = [ZERO] * system.n
-    rows = integer_rows([f.coefficients for f in singles], origin)
-    dim = exact_rank(rows)
-    for _, level in bracket_levels(singles, max_length):
-        if not level:
-            break
-        rows.extend(integer_rows([f.coefficients for f in level], origin))
-        dim = exact_rank(rows)
-        if dim == system.n:
-            break
+    singles = [TangentVectorField(system.space, comp) for fld in system.fields for comp in fld]
+    levels = ([f.coefficients for f in level] for level in bracket_levels(singles, max_length))
+    *_, dim = span_dims(levels, [ZERO] * system.n, system.n, system.n)
     return dim
 
 

@@ -12,9 +12,10 @@ The generic rank of a holomorphic map is realized by sampling: evaluate the
 Jacobian at pseudo-random Gaussian-rational points and take the maximum of
 the exact numeric ranks.  The result is a certified lower bound for the
 generic rank and equals it outside a measure-zero set of sample failures.
-There is one sampler (sample_rank, used by generic_rank and by lie's
-symbolic span dimensions), one rank (exact_rank) and one exact eliminator
-(pivot_positions, Bareiss's fraction-free elimination over Z[i]).
+There is one sampler (sample_rank, used by generic_rank and by span_dims,
+the span ladder of lie's brackets and Levi type and of the orbit oracle),
+one rank (exact_rank) and one exact eliminator (pivot_positions, Bareiss's
+fraction-free elimination over Z[i]).
 
 exact_rank first eliminates modulo the prime P under re + i*im ->
 re + ROOT*im, ROOT^2 = -1 mod P: a ring homomorphism Z[i] -> F_P, which
@@ -301,6 +302,29 @@ def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0
         if best[0] == full:
             break
     return best
+
+
+def span_dims(levels, point, dim: int, full: int, trials: int = DEFAULT_TRIALS, seed: int = 0):
+    """Yield the span dimension of the rows of Series read so far after each
+    of `levels`, exact at a numeric point, sampled (sample_rank) when point is
+    None; stop after reaching `full` or after an empty level.  The integer
+    rows at each point are kept by its coordinates and extended by the rows
+    new there, each row evaluated once per point: sample_rank draws the same
+    points at every level."""
+    rows, done = [], {}
+
+    def matrix_at(p):
+        have = done.setdefault(tuple(x.zi for x in p), [])
+        have.extend(integer_rows(rows[len(have):], p))
+        return have
+
+    for level in levels:
+        rows.extend(level)
+        span = (exact_rank(matrix_at(point)) if point is not None
+                else sample_rank(matrix_at, dim, trials, seed)[0])
+        yield span
+        if span == full or not level:
+            return
 
 
 def symbolic_determinant(matrix: List[List[Series]]) -> Series:

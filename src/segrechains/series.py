@@ -37,7 +37,8 @@ one pass of _derivation that sums every c_a * df/dx_a straight into one dict
 over one denominator, with no intermediate Series (a bracket component is
 X(Y_a) - Y(X_a) in a single such sum), the commutation check
 (noncommuting_pair), and the deduplicated left-normed bracket ladder
-(bracket_levels) that both the Hormander ladder and the orbit oracle walk.
+(bracket_levels, level 1 first) that the Hormander ladder and the orbit
+oracle both rank.
 
 All values are immutable after construction; results are kept canonical
 (no (0, 0) pair, no term beyond the truncation order, and no factor of den
@@ -1123,13 +1124,14 @@ def noncommuting_pair(fields):
 
 
 def bracket_levels(generators, max_length: int):
-    """Yield (mu, level) for mu = 2..max_length: level mu holds the left-normed
-    brackets [g, h] of a generator g with a field h of level mu - 1 (level 1
-    is the generators), without zero fields and without fields equal up to
-    sign to an earlier one of any level.  An empty level stays empty."""
+    """Yield levels mu = 1..max_length, lazily: level 1 is the generators,
+    level mu the left-normed brackets [g, h] of a generator g with a field h
+    of level mu - 1, without zero fields and without fields equal up to sign
+    to an earlier one of any level.  An empty level stays empty."""
     level = list(generators)
     seen = {f.key() for f in level}
-    for mu in range(2, max_length + 1):
+    yield level
+    for _ in range(2, max_length + 1):
         new_level = []
         for g in generators:
             for h in level:
@@ -1142,5 +1144,5 @@ def bracket_levels(generators, max_length: int):
                 seen.add(k)
                 new_level.append(b)
         level = new_level
-        yield mu, level
+        yield level
 

@@ -10,12 +10,14 @@ from segrechains.errors import (
     UnknownVariable, VarSpaceMismatch, WitnessNotFound,
 )
 from segrechains.lie import (
-    _span_dim, bracket, chart_point, chart_space, gradient_rows, tangent_fields,
+    bracket, chart_point, chart_space, gradient_rows, tangent_fields,
 )
 from segrechains.manifests import load_manifest
 from segrechains.manifold import Basepoint, graph_from_real, new_manifold, real_graph_space
 from segrechains.orbit import OrbitResult, _orbit_witness, flow_word
-from segrechains.ranks import exact_rank, generic_rank, integer_rows, rank_at_point
+from segrechains.ranks import (
+    exact_rank, generic_rank, integer_rows, rank_at_point, sample_rank,
+)
 from segrechains.scalars import GaussianRational, I, ONE, ZERO
 from segrechains.series import (
     PointTable, Series, SeriesMap, TangentVectorField, VarSpace, _merge_order,
@@ -431,30 +433,37 @@ def random_hypersurface(rng, index):
     return graph_from_real(m, 1, ["0"])
 
 
-def brute_bracket_span_dims(M, basepoint, max_length):
+def reference_span_dim(rows, point, dim, trials, seed) -> int:
+    """Span dimension of rows of Series at a point, or sampled (point None),
+    every row evaluated afresh at every point: the reference for
+    ranks.span_dims, which evaluates each row once per point."""
+    if point is not None:
+        return exact_rank(integer_rows(rows, point))
+    return sample_rank(lambda p: integer_rows(rows, p), dim, trials, seed)[0]
+
+
+def brute_bracket_span_dims(M, basepoint, max_length, trials=5, seed=0):
     """Independent ladder oracle: enumerate EVERY left-normed bracket word
-    of each length (no sharing, no dedup) and row-reduce the values."""
+    of each length (no sharing, no dedup) and rank all the words' rows so far
+    at each length with reference_span_dim, exactly at a numeric basepoint
+    and sampled at a symbolic one."""
     L, Lbar = tangent_fields(M)
     generators = L + Lbar
     point = chart_point(M, basepoint)
-
-    def value_rows(fields):
-        return [[c.evaluate(point) for c in f.coefficients] for f in fields]
-
-    words = {1: list(generators)}
-    dims = []
-    rows = value_rows(generators)
-    dims.append(exact_rank(rows))
-    for mu in range(2, max_length + 1):
-        words[mu] = [bracket(g, h) for g in generators for h in words[mu - 1]]
-        rows = rows + value_rows(words[mu])
-        dims.append(exact_rank(rows))
+    dim = generators[0].space.dim
+    words = list(generators)
+    rows = [f.coefficients for f in words]
+    dims = [reference_span_dim(rows, point, dim, trials, seed)]
+    for _ in range(2, max_length + 1):
+        words = [bracket(g, h) for g in generators for h in words]
+        rows = rows + [f.coefficients for f in words]
+        dims.append(reference_span_dim(rows, point, dim, trials, seed))
     return dims
 
 
-def brute_ladder(M, basepoint, max_length):
+def brute_ladder(M, basepoint, max_length, trials=5, seed=0):
     """(mu, l) jumps extracted from the brute-force span dimensions."""
-    dims = brute_bracket_span_dims(M, basepoint, max_length)
+    dims = brute_bracket_span_dims(M, basepoint, max_length, trials, seed)
     ladder = []
     for i in range(1, len(dims)):
         if dims[i] > dims[i - 1]:
@@ -471,12 +480,12 @@ def ordered_word_levi_type(M, basepoint, kmax, trials=5, seed=0):
     point = chart_point(M, basepoint)
     level = gradient_rows(M)
     all_rows = list(level)
-    if _span_dim(all_rows, point, dim, trials, seed) == M.n:
+    if reference_span_dim(all_rows, point, dim, trials, seed) == M.n:
         return 0
     for k in range(1, kmax + 1):
         level = [[f.apply(c) for c in row] for f in Lbar for row in level]
         all_rows.extend(level)
-        if _span_dim(all_rows, point, dim, trials, seed) == M.n:
+        if reference_span_dim(all_rows, point, dim, trials, seed) == M.n:
             return k
     return None
 

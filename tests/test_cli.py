@@ -417,6 +417,17 @@ def test_overlong_integer_literal_is_a_usage_error(tmp_path, capsys, digit_limit
         assert err == f"error: {path}:3: {len(digits)}-digit integer is too long\n"
 
 
+def test_duplicate_manifest_key_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "twice.mf"
+    path.write_text("m=1\nd=1\ntheta_bar_1 = w1*zeta1\ntheta_bar_1 = w1^2*zeta1^2\n")
+    for command in ("validate", "ranks", "levi", "orbit"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2 and out == "" and _single_error_line(err), command
+        assert err == f"error: {path}:4: duplicate key 'theta_bar_1' (first given at line 3)\n"
+    code, out, err = run_cli(capsys, "checkall", str(tmp_path))
+    assert code == 2 and _single_error_line(err) and "duplicate key" in err
+
+
 def test_unreadable_manifests_are_usage_errors(tmp_path, capsys):
     binary = tmp_path / "binary.mf"
     binary.write_bytes(b"m=1\nd=1\ntheta_bar_1 = w1*zeta1 \xff\n")

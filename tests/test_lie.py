@@ -24,6 +24,7 @@ from helpers import (
     brute_ladder,
     cr_oracle_manifolds,
     random_series,
+    reference_span_dim,
     reference_tangent_fields,
 )
 
@@ -170,8 +171,6 @@ def test_levi_bound_generic(heisenberg, quartic, c3_tube):
 
 def test_levi_span_semicontinuity(quartic):
     # generic span dimension at each level >= origin span dimension
-    from segrechains.lie import _span_dim
-
     M = quartic
     _, Lbar = tangent_fields(M)
     cs = Lbar[0].space
@@ -181,8 +180,8 @@ def test_levi_span_semicontinuity(quartic):
     for k in range(1, 3):
         level = [[f.apply(c) for c in row] for f in Lbar for row in level]
         all_rows.extend(level)
-        origin_dim = _span_dim(all_rows, [ZERO] * cs.dim, cs.dim, 4, 0)
-        generic_dim = _span_dim(all_rows, None, cs.dim, 4, 0)
+        origin_dim = reference_span_dim(all_rows, [ZERO] * cs.dim, cs.dim, 4, 0)
+        generic_dim = reference_span_dim(all_rows, None, cs.dim, 4, 0)
         assert generic_dim >= origin_dim
 
 
@@ -308,6 +307,33 @@ def test_levi_type_matches_ordered_words(name, M, kmax):
         assert levi_type(M, bp, kmax) == ordered_word_levi_type(M, bp, kmax), bp.kind
 
 
+def _generic_ladder_inputs():
+    from segrechains.corpus import corpus_manifolds
+
+    exact = [(name, M) for name, M in corpus_manifolds() if M.order is None]
+    return exact + [(name, M) for name, M, _ in LEVI_INPUTS if name.startswith("jet")]
+
+
+GENERIC_LADDER_INPUTS = _generic_ladder_inputs()
+
+
+@pytest.mark.parametrize("name,M", GENERIC_LADDER_INPUTS,
+                         ids=[n for n, _ in GENERIC_LADDER_INPUTS])
+def test_hormander_ladder_matches_brute_words_at_both_basepoints(name, M):
+    """The shared, deduplicated ladder ranked by ranks.span_dims against every
+    left-normed word ranked afresh at every length, at the origin and at a
+    symbolic basepoint (the same seeded sample points); the brute dims keep
+    the last ladder dim past a full span or an empty level.  max_length keeps
+    the (2m)^mu words few."""
+    max_length = 6 if M.m == 1 else 4
+    for basepoint in (Basepoint.origin(), Basepoint.symbolic()):
+        hd = hormander_numbers(M, basepoint, max_length, trials=4, seed=3)
+        ladder, dims = brute_ladder(M, basepoint, max_length, trials=4, seed=3)
+        assert [(mu, l) for mu, l, _ in hd.ladder] == ladder, basepoint.kind
+        tail = [hd.level_dims[-1]] * (max_length - len(hd.level_dims))
+        assert list(hd.level_dims) + tail == dims, basepoint.kind
+
+
 def test_levi_type_rejects_noncommuting_fields(monkeypatch):
     import segrechains.lie as lie
 
@@ -322,6 +348,20 @@ def test_levi_type_rejects_noncommuting_fields(monkeypatch):
     monkeypatch.setattr(lie, "tangent_fields", lambda _: (L, [Lbar[0], bent]))
     with pytest.raises(SegreError, match="commute"):
         levi_type(M)
+
+
+def test_dependent_chart_fields_are_refused_before_any_bracket(monkeypatch, heisenberg):
+    import segrechains.lie as lie
+    import segrechains.series as series
+
+    L, _ = tangent_fields(heisenberg)
+    monkeypatch.setattr(lie, "tangent_fields", lambda _: (L, L))  # Lbar_1 := L_1
+    built = []
+    monkeypatch.setattr(series, "bracket", lambda X, Y: built.append((X, Y)))
+    for basepoint in (Basepoint.origin(), Basepoint.symbolic()):
+        with pytest.raises(SegreError, match="2m chart fields must be independent"):
+            hormander_numbers(heisenberg, basepoint)
+    assert built == []
 
 
 def test_kmax_and_max_length_are_taken_literally(heisenberg):

@@ -125,3 +125,32 @@ def test_theta_bar_index_out_of_range(j):
     with pytest.raises(ParseError) as err:
         parse_manifest(text, source="range.mf").build_manifold()
     assert str(err.value) == f"range.mf:4: theta_bar_{j} out of range"
+
+
+@pytest.mark.parametrize("text,line,key,first", [
+    ("m=1\nd=1\ntheta_bar_1 = w1*zeta1\ntheta_bar_1 = w1^2*zeta1^2\n", 4, "theta_bar_1", 3),
+    ("m=1\nd=1\ntheta_bar_1 = w1*zeta1\ntheta_bar_01 = w1^2*zeta1^2\n", 4, "theta_bar_01", 3),
+    ("m=1\nd=1\ntheta_bar_01 = w1*zeta1\n\ntheta_bar_1 = 0\n", 5, "theta_bar_1", 3),
+    ("m=1\nm=2\nd=1\ntheta_bar_1 = w1*zeta1\n", 2, "m", 1),
+    ("m=1\nd=1\ntheta_bar_1 = w1*zeta1\nd = 1  # again\n", 4, "d", 2),
+    ("m=1\nd=1\norder=5\norder=EXACT\ntheta_bar_1 = w1*zeta1\n", 4, "order", 3),
+    ("kind=manifold\nkind=system\nm=1\nd=1\ntheta_bar_1 = 0\n", 2, "kind", 1),
+    ("m=1\nd=1\nflavor=blue\nflavor=blue\ntheta_bar_1 = 0\n", 4, "flavor", 3),
+    (SYSTEM + "field_2_1_x3 = x2\n", 10, "field_2_1_x3", 9),
+    (SYSTEM + "field_02_01_x3 = x2\n", 10, "field_02_01_x3", 9),
+    (SYSTEM.replace("a=2", "a=2\nn=4"), 6, "n", 3),
+], ids=["theta", "theta-padded", "theta-padded-first", "m", "d", "order", "kind",
+        "ignored", "field", "field-padded", "n"])
+def test_duplicate_keys_are_refused(text, line, key, first):
+    """A repeated key is an error at its second line, whatever the first value
+    was: the parser used to keep the last one silently."""
+    with pytest.raises(ParseError) as err:
+        parse_manifest(text, source="dup.mf")
+    assert str(err.value) == f"dup.mf:{line}: duplicate key {key!r} (first given at line {first})"
+
+
+def test_distinct_keys_with_a_shared_prefix_are_kept():
+    mf = parse_manifest("m=1\nd=2\ntheta_bar_1 = w1*zeta1\ntheta_bar_2 = w1^2*zeta1\n")
+    assert sorted(mf.entries) == [1, 2]
+    mf = parse_manifest(SYSTEM + "field_2_1_x1 = x3\n")
+    assert (2, 1, "x1") in mf.entries and (2, 1, "x3") in mf.entries

@@ -13,6 +13,7 @@ from segrechains.chains import sampled_chain, u_blocks
 from segrechains.cli import main
 from segrechains.errors import DimensionMismatch, TruncationUnsound
 from segrechains.invariants import segre_invariants, witness_point
+from segrechains import lie, orbit
 from segrechains.lie import holomorphic_nondegeneracy, hormander_numbers, levi_type
 from segrechains.manifold import Basepoint, ambient_space, new_manifold
 from segrechains.orbit import cr_pair_system, flow_word, greedy_multitype, lie_span_dimension
@@ -30,6 +31,7 @@ from segrechains.ranks import (
     random_scalar,
     rank_at_point,
     sample_rank,
+    span_dims,
     symbolic_determinant,
 )
 from segrechains.scalars import GaussianRational as G, ZERO
@@ -141,7 +143,8 @@ def test_jacobian_at_a_point_checks_the_point_dimension(order):
 
 @pytest.mark.parametrize("order", [None, 3])
 def test_integer_rows_checks_the_point_dimension(order):
-    # the rows of lie._span_dim, VFSystem's rank check and lie_span_dimension
+    # the rows of ranks.span_dims (the bracket ladder, Levi type and
+    # lie_span_dimension) and of VFSystem's rank check
     space = VarSpace([("x", ("x1", "x2"))])
     x1, x2 = (Series.variable(space, n, order) for n in space.names)
     for point in ([G(1)], [G(1), G(2), G(3)]):
@@ -211,6 +214,101 @@ def test_certification_differentiates_only_the_witnessed_minor(monkeypatch):
 def test_span_dimension():
     assert exact_rank([]) == 0
     assert exact_rank([[G(1), G(2)], [G(2), G(4)], [G(0), G(1)]]) == 2
+
+
+def test_span_dims_stops_at_full_and_after_an_empty_level():
+    space = VarSpace([("x", ("x1", "x2"))])
+    x1, x2 = (Series.variable(space, n) for n in space.names)
+    one = Series.constant(space, 1)
+    pulled = []
+
+    def levels(*rows_by_level):
+        for level in rows_by_level:
+            pulled.append(len(level))
+            yield level
+
+    origin = [ZERO, ZERO]
+    # x2 vanishes at the origin but not at a sample point
+    assert list(span_dims(levels([[one, x1]], [[x2, x1]], [[x1, one]]), origin, 2, 2)) == [1, 1, 2]
+    assert list(span_dims(levels([[one, x1]], [[x2, x1]], [[x1, one]]), None, 2, 2)) == [1, 2]
+    assert pulled == [1, 1, 1, 1, 1]  # no level past a full span is read
+    assert list(span_dims(levels([[one, x1]], [], [[x1, one]]), origin, 2, 2)) == [1, 1]
+    assert list(span_dims(levels(), origin, 2, 2)) == []
+
+
+class _LadderCount:
+    """What a span ladder run through `module`'s span_dims builds and
+    evaluates: the rows of every level it reads (kept, so that no row's id is
+    reused) and each (row, point) pair handed to ranks.integer_rows."""
+
+    def __init__(self, monkeypatch, module):
+        self.levels, self.dims, self.pairs = [], [], []
+        integer_rows_, span_dims_ = ranks.integer_rows, ranks.span_dims
+
+        def counted_rows(matrix, point):
+            key = tuple(x.zi for x in point)
+            self.pairs.extend((id(row), key) for row in matrix)
+            return integer_rows_(matrix, point)
+
+        def counted_levels(levels):
+            for level in levels:
+                self.levels.append(list(level))
+                yield level
+
+        def counted_dims(levels, *args):
+            for dim in span_dims_(counted_levels(levels), *args):
+                self.dims.append(dim)
+                yield dim
+
+        monkeypatch.setattr(ranks, "integer_rows", counted_rows)
+        monkeypatch.setattr(module, "span_dims", counted_dims)
+
+    def check(self, points):
+        """Each built row evaluated exactly once at each of `points` distinct
+        points, and no level built past the last one ranked."""
+        rows = sum(map(len, self.levels))
+        assert len({key for _, key in self.pairs}) == points
+        assert len(set(self.pairs)) == len(self.pairs) == rows * points
+        assert len(self.levels) == len(self.dims)
+
+
+# Inputs on which no span ever fills, so that every level is ranked and, at
+# a symbolic basepoint, every trial point is drawn: a nonminimal manifold
+# (theta_2 = 0) for the bracket ladder and a product by a disc (no w2) for
+# Levi type
+NONMINIMAL = ["w1*zeta1 + w2^2*zeta2^2", "0"]
+HOLOMORPHICALLY_DEGENERATE = ["w1*zeta1"]
+
+
+@pytest.mark.parametrize("kind", ["origin", "symbolic"])
+def test_span_ladders_evaluate_each_row_once_per_point(monkeypatch, kind):
+    basepoint = getattr(Basepoint, kind)()
+    points = 1 if kind == "origin" else ranks.DEFAULT_TRIALS
+    count = _LadderCount(monkeypatch, lie)
+    ladder = hormander_numbers(new_manifold(2, 2, NONMINIMAL), basepoint)
+    assert ladder.level_dims == (4, 5, 5, 5, 5)
+    count.check(points)
+    assert [len(level) for level in count.levels] == [4, 2, 2, 1, 0]
+    count = _LadderCount(monkeypatch, lie)
+    assert levi_type(new_manifold(2, 1, HOLOMORPHICALLY_DEGENERATE), basepoint) is None
+    count.check(points)
+    assert [len(level) for level in count.levels] == [1, 2, 3, 4]  # d*C(m+k-1, k), k <= m + d
+    # a span that fills stops the ladder: heisenberg's Levi type is 1
+    heisenberg = new_manifold(1, 1, ["w1*zeta1"])
+    count = _LadderCount(monkeypatch, lie)
+    assert levi_type(heisenberg, basepoint) == 1
+    count.check(1)
+    assert len(count.levels) == 2
+
+
+def test_lie_span_dimension_evaluates_each_row_once(monkeypatch):
+    count = _LadderCount(monkeypatch, orbit)
+    assert lie_span_dimension(cr_pair_system(new_manifold(2, 2, NONMINIMAL))) == 5
+    count.check(1)
+    count = _LadderCount(monkeypatch, orbit)
+    assert lie_span_dimension(cr_pair_system(new_manifold(1, 1, ["w1*zeta1"]))) == 3
+    count.check(1)
+    assert len(count.levels) == 2  # level 3 is never built
 
 
 def test_sampler_early_exit_matches_max_over_all_trials():
