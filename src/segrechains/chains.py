@@ -219,7 +219,7 @@ def v_map(M: CRManifold, k: int) -> SeriesMap:
     of the flow machinery (cross-check oracle for the chains)."""
     if k < 0:
         raise DimensionMismatch("k must be >= 0")
-    t_space = M.space.subspace(("w", "z"))
+    t_space = _chart_space(M, "t")
     if k == 0:
         space = VarSpace([])
         comps = [Series.zero(space, M.order) for _ in range(M.n)]

@@ -13,11 +13,12 @@ EXACT mode the chains are never expanded (each is a chains.chain_word run
 pointwise), their Jacobians at the sample points come from forward-mode
 differentiation, and a certified rank rests on evaluation being a ring
 homomorphism; truncated jets are expanded and their witnessed minors
-certified symbolically.  The witness point comes from ranks.find_rank_point,
-the search the orbit witness uses too, which ranks each try as
-rank_at_point does; a witness needs an EXACT manifold, since its chains run
-at nonzero times.  For the same reason a truncated manifold takes no
-numeric basepoint but the origin (Basepoint.numeric).
+certified symbolically.  The witness comes from ranks.return_witness, the
+one the orbit witness uses too: its search ranks each try as rank_at_point
+does, then it runs the return chain once exactly.  A witness needs a numeric
+basepoint and an EXACT manifold, since its chains run at nonzero times.  For
+the same reason a truncated manifold takes no numeric basepoint but the
+origin (Basepoint.numeric).
 """
 
 from __future__ import annotations
@@ -25,15 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .chains import (
-    chain_word, chart_indices, default_kmax, psi_chart, sampled_chain, u_blocks,
-)
+from .chains import default_kmax, psi_chart, sampled_chain, u_blocks
 from .errors import NotAHypersurface, SegreError, TruncationUnsound
 from .manifold import Basepoint, CRManifold
-from .ranks import (
-    DEFAULT_TRIALS, exact_rank, find_rank_point, generic_rank, rank_at_point,
-)
-from .scalars import GaussianRational, ZERO
+from .ranks import DEFAULT_TRIALS, generic_rank, rank_at_point, return_witness
 from .series import Series
 
 
@@ -180,12 +176,6 @@ class WitnessRecord:
     parity: str
 
 
-def _basepoint_values(M: CRManifold, basepoint: Basepoint):
-    if basepoint.kind == "symbolic":
-        raise SegreError("witness search needs a numeric basepoint")
-    return basepoint.state_values(M)
-
-
 def witness_point(
     M: CRManifold,
     invariants: SegreInvariants,
@@ -195,29 +185,24 @@ def witness_point(
 ) -> WitnessRecord:
     """Find w* = (w_1*, ..., w_{mu-1}*, 0) where the length-mu chain attains
     rank 2m + sum(e), set omega* = (-w_{mu-1}*, ..., -w_1*), and verify that
-    the length-(2mu-1) chain returns to the basepoint with the same rank.
+    the length-(2mu-1) chain returns to the basepoint with the same rank
+    (ranks.return_witness, searched in the chart of the length-mu chain).
     EXACT manifolds only (TruncationUnsound otherwise): a truncated chain
-    cannot be evaluated at nonzero times."""
+    cannot be evaluated at nonzero times; a symbolic basepoint is refused."""
     if M.order is not None:
         raise TruncationUnsound("a witness chain needs an EXACT manifold")
     basepoint = basepoint or Basepoint.origin()
-    mu = invariants.mu
-    target = invariants.orbit_dim_complexified
-    m = M.m
-    chain_mu = sampled_chain(M, mu, basepoint, parity)
-    found = find_rank_point(chain_mu, u_blocks(mu), m, mu - 1, target, seed)
-    w_star = tuple(tuple(blk) for blk in found) + ((ZERO,) * m,)
-    omega_star = tuple(tuple(-c for c in blk) for blk in reversed(found))
-    length = 2 * mu - 1
-    point = [c for blk in (w_star + omega_star) for c in blk]
-    values, rows = chain_word(M, length, basepoint, parity).at(point)
-    rank = exact_rank([rows[a] for a in chart_indices(M, length)])
+    if basepoint.kind == "symbolic":
+        raise SegreError("witness search needs a numeric basepoint")
+    mu, target = invariants.mu, invariants.orbit_dim_complexified
+    w_star, rank, returns = return_witness(sampled_chain(M, mu, basepoint, parity), target, seed)
     # the return identity and the attained rank are theorems in exact mode
-    if [GaussianRational.from_zi(*v) for v in values] != _basepoint_values(M, basepoint):
+    if not returns:
         raise SegreError("internal: witness chain failed to return to the basepoint")
     if rank != target:
         raise SegreError(f"internal: witness rank {rank} != expected {target}")
-    return WitnessRecord(w_star, omega_star, length, rank, True, parity)
+    omega_star = tuple(tuple(-c for c in blk) for blk in reversed(w_star[:-1]))
+    return WitnessRecord(w_star, omega_star, 2 * mu - 1, rank, True, parity)
 
 
 def psi_rank_checks(
@@ -248,7 +233,7 @@ def psi_rank_checks(
         blocks_flat = witness.w_star + witness.omega_star
         point = [c for blk in blocks_flat[:two_nu] for c in blk]
         value = pm.evaluate(point)
-        expected_t = _basepoint_values(M, basepoint)[: M.n]
+        expected_t = basepoint.state_values(M)[: M.n]
         rank = rank_at_point(pm, u_blocks(two_nu), point)
         witness_ok = (value == expected_t) and rank == inv.orbit_dim_intrinsic
     return {

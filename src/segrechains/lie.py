@@ -20,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .chains import _chart_space, chart_indices
 from .errors import SegreError, WrongDimensions
 from .invariants import segre_invariants
 from .manifold import Basepoint, CRManifold, cr_pair_rows
 from .ranks import DEFAULT_TRIALS, span_dims
-from .scalars import I, ZERO
+from .scalars import I
 from .series import (
     Series, TangentVectorField, VarSpace, bracket, bracket_levels, noncommuting_pair,
 )
@@ -32,7 +33,7 @@ from .series import (
 
 def chart_space(M: CRManifold) -> VarSpace:
     """The intrinsic (w, zeta, xi) chart of the complexified manifold."""
-    return M.space.subspace(("w", "zeta", "xi"))
+    return _chart_space(M, "wzetaxi")
 
 
 def tangent_fields(M: CRManifold) -> Tuple[List[TangentVectorField], List[TangentVectorField]]:
@@ -56,11 +57,10 @@ def tangent_fields(M: CRManifold) -> Tuple[List[TangentVectorField], List[Tangen
 
 def chart_point(M: CRManifold, basepoint: Basepoint):
     """Chart coordinates (w, zeta, xi) of a numeric basepoint, or None (symbolic)."""
-    if basepoint.kind == "origin":
-        return [ZERO] * (2 * M.m + M.d)
-    if basepoint.kind == "numeric":
-        return list(basepoint.w) + list(basepoint.zeta) + list(basepoint.xi)
-    return None
+    if basepoint.kind == "symbolic":
+        return None
+    values = basepoint.state_values(M)
+    return [values[a] for a in chart_indices(M, 1)]
 
 
 @dataclass(frozen=True)

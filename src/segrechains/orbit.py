@@ -19,9 +19,9 @@ Segre chains too, and FlowWord.ranked the form its rank is sampled in.  With
 EXACT flows (order=None) it is never expanded: it carries exact (value, d/dt)
 pairs from the origin through the word's flows at each sample point
 (forward-mode differentiation), with each flow's partials differentiated
-once.  The witness's return map is the same kind of word: the forward word
-followed by its reversed flows, run at the negated times -t_i*; its point
-comes from ranks.find_rank_point, the witness search the chains use too.
+once.  The witness is ranks.return_witness, the one the chains use too: a
+seeded point t* of the word's rank, then the return word (the forward word
+followed by its reversed flows, run at the negated times -t_i*) run once.
 Truncated jets rank the expanded concatenated_flow, which is also the test
 oracle for the pointwise form: the candidates of one greedy step differ only
 in their last flow, so the expanded state of their common prefix is kept and
@@ -46,11 +46,11 @@ from .manifold import CRManifold
 from .ranks import (
     DEFAULT_TRIALS,
     exact_rank,
-    find_rank_point,
     generic_rank,
     integer_rows,
     random_point,
     rank_at_point,
+    return_witness,
     span_dims,
 )
 from .scalars import GaussianRational, ZERO, format_scalar
@@ -350,24 +350,16 @@ def greedy_multitype(
 
 
 def _orbit_witness(system, result, flows, seed):
-    """Witness per the greedy construction: a point t* = (t_1*, .., t_{mu0-1}*, 0)
-    of maximal rank whose reversed, negated flows return the endpoint to 0.
-    EXACT flows only: the return map is the longer word, the forward word
-    then word[-2::-1] at -t*_{mu0-1}, ..., -t*_1, and its first mu0*m
-    columns are its Jacobian at those constant return times."""
-    mu0, m, word = result.mu0, system.m, list(result.word)
-    blocks = [f"t{i}" for i in range(1, mu0 + 1)]
-    fwd = flow_word(system, word, flows)
-    found = find_rank_point(fwd, blocks, m, mu0 - 1, result.orbit_dim, seed)
-    back = [-c for blk in reversed(found) for c in blk]
-    point = [c for blk in found for c in blk] + [ZERO] * m + back
-    value, rows = flow_word(system, word + word[-2::-1], flows).at(point)
-    cols = mu0 * m
+    """Witness per the greedy construction (ranks.return_witness): a point
+    t* = (t_1*, .., t_{mu0-1}*, 0) of maximal rank whose reversed, negated
+    flows return the endpoint to 0.  EXACT flows only."""
+    t_star, rank, returns = return_witness(flow_word(system, result.word, flows),
+                                           result.orbit_dim, seed)
     return {
-        "t_star": tuple(tuple(blk) for blk in found) + ((ZERO,) * m,),
-        "rank_at_t_star": exact_rank([(den, re[:cols], im[:cols]) for den, re, im in rows]),
-        "returns_to_origin": not any(re or im for re, im, _ in value),
-        "exact_flows": all(flows[alpha].exact for alpha in word),
+        "t_star": t_star,
+        "rank_at_t_star": rank,
+        "returns_to_origin": returns,
+        "exact_flows": all(flows[alpha].exact for alpha in result.word),
     }
 
 

@@ -28,8 +28,8 @@ are the image of its integer rows, so a full rank mod P proves the exact
 rank with no exact run.  A word whose residue rank is not full, or that
 has no image in F_P (a point or a Series with a denominator divisible by
 P), is rerun exactly at the same point, and a non-full residue rank goes
-straight to exact Bareiss.  The witness search ranks its tries the same
-way (rank_at_point); only the witness values stay exact.
+straight to exact Bareiss.  return_witness ranks its search's tries the
+same way (rank_at_point); only its return run stays exact.
 
 A SeriesMap (a jet chain, a psi map, a jet orbit flow) is never
 differentiated to be ranked: jacobian_rows takes every partial at a sample
@@ -38,8 +38,8 @@ Griewank and Walther, Evaluating Derivatives, 2008), and only the witnessed
 minor's entries are differentiated, to certify a jet rank.  An EXACT chain
 or concatenated orbit flow is never expanded: it is a series.FlowWord,
 whose Jacobian at each point comes from forward-mode differentiation
-through the word's flows.  find_rank_point is the witness search of both: a
-seeded point of a given shape and rank.
+through the word's flows.  return_witness is the witness of both: a seeded
+point of a given shape and rank, then one exact run of the return word.
 
 Certification: in EXACT mode evaluation is a ring homomorphism, so the
 nonzero pivot minor of the exact matrix at the witness point proves that the
@@ -417,20 +417,31 @@ def rank_at_point(f, wrt, point) -> int:
     return _point_rank(*_jacobian_source(f, wrt), point)[0]
 
 
-def find_rank_point(f, wrt, m: int, blocks: int, target: int, seed: int):
-    """Seeded blocks b_1..b_blocks of m scalars each at which the Jacobian of f
-    (SeriesMap or series.FlowWord) in the `wrt` columns has rank `target` at
-    (b_1, ..., b_blocks, 0), each try ranked by rank_at_point: the witness
-    search of chains and orbits.  Tries WITNESS_RETRIES points in the
-    sampling box, then as many in a box ten times wider; WitnessNotFound if
-    none reaches the target."""
+def return_witness(word, target: int, seed: int):
+    """(t*, rank, returns): the return witness of an EXACT series.FlowWord of
+    mu flows, the one witness of chains and orbits.  t* = (t_1*, ...,
+    t_{mu-1}*, 0), mu blocks of scalars, is a seeded point at which the
+    word's Jacobian has rank `target`, each try ranked by rank_at_point:
+    WITNESS_RETRIES tries in the sampling box, then as many in a box ten
+    times wider; WitnessNotFound if none reaches the target.  The return word
+    (FlowWord.return_word) then runs exactly at t* followed by -t*_{mu-1},
+    ..., -t*_1.  rank is the exact rank of its Jacobian in the first mu
+    blocks, which equals the word's rank at t* (the return flows at fixed
+    times are a biholomorphism), and returns says whether its values are the
+    word's start values."""
+    mu, m = len(word.flows), len(word.domain.blocks[0][1])
     rng = random.Random(seed)
     for attempt in range(2 * WITNESS_RETRIES):
         bound = NUM_BOUND if attempt < WITNESS_RETRIES else NUM_BOUND * 10
-        found = [random_point(rng, m, bound) for _ in range(blocks)]
+        found = [random_point(rng, m, bound) for _ in range(mu - 1)]
         point = [c for blk in found for c in blk] + [ZERO] * m
-        if rank_at_point(f, wrt, point) == target:
-            return found
-    raise WitnessNotFound(
-        f"no rank-{target} point of the required shape after {2 * WITNESS_RETRIES} tries"
-    )
+        if rank_at_point(word, None, point) == target:
+            break
+    else:
+        raise WitnessNotFound(
+            f"no rank-{target} point of the required shape after {2 * WITNESS_RETRIES} tries"
+        )
+    values, rows = word.return_word().at(point + [-c for blk in reversed(found) for c in blk])
+    rank = exact_rank([(den, re[: mu * m], im[: mu * m]) for den, re, im in rows])
+    returns = [GaussianRational.from_zi(*v) for v in values] == list(word.values(()))
+    return tuple(map(tuple, found)) + ((ZERO,) * m,), rank, returns

@@ -994,6 +994,13 @@ class FlowWord:
             raise DimensionMismatch("a pointwise word is differentiated in all its time blocks")
         return self.at(point, kernel)[1]
 
+    def return_word(self):
+        """The word followed by its flows mu - 1, ..., 1, with no `out`: run
+        at (t_1, ..., t_{mu-1}, 0, -t_{mu-1}, ..., -t_1) it comes back to the
+        start, each flow being a one-parameter group."""
+        return FlowWord(self.flows + self.flows[-2::-1], self.space_of, self.start,
+                        self.values, self.order)
+
     def ranked(self, codomain: VarSpace):
         """The word in the form ranks samples: the word itself when EXACT, run
         at each sample point; for a jet, which truncation keeps from running

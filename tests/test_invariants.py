@@ -137,6 +137,15 @@ def test_witness_refuses_a_truncated_manifold():
         witness_point(jet, inv)
 
 
+def test_witness_refuses_a_symbolic_basepoint(heisenberg, monkeypatch):
+    # a symbolic basepoint's chains carry its parameters: refused before any search
+    bp = Basepoint.symbolic()
+    inv = segre_invariants(heisenberg, bp)
+    monkeypatch.setattr(invariants, "return_witness", lambda *args: pytest.fail("searched"))
+    with pytest.raises(SegreError, match="^witness search needs a numeric basepoint$"):
+        witness_point(heisenberg, inv, bp)
+
+
 def test_no_submersive_length4_return_chain(quartic):
     # returned-to-origin points of the length-4 chain have rank 2 only
     g4 = gamma(quartic, 4)

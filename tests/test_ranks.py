@@ -9,20 +9,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segrechains import ranks
-from segrechains.chains import sampled_chain, u_blocks
+from segrechains.chains import gamma, sampled_chain, u_blocks
 from segrechains.cli import main
 from segrechains.errors import DimensionMismatch, TruncationUnsound
 from segrechains.invariants import segre_invariants, witness_point
 from segrechains import lie, orbit
 from segrechains.lie import holomorphic_nondegeneracy, hormander_numbers, levi_type
 from segrechains.manifold import Basepoint, ambient_space, new_manifold
-from segrechains.orbit import cr_pair_system, flow_word, greedy_multitype, lie_span_dimension
+from segrechains.orbit import (
+    concatenated_flow, cr_pair_system, flow_word, greedy_multitype, lie_span_dimension,
+)
 from segrechains.ranks import (
     DEN_BOUND,
     NUM_BOUND,
     RankResult,
     exact_rank,
-    find_rank_point,
     generic_rank,
     integer_rows,
     jacobian_rows,
@@ -30,6 +31,7 @@ from segrechains.ranks import (
     random_point,
     random_scalar,
     rank_at_point,
+    return_witness,
     sample_rank,
     span_dims,
     symbolic_determinant,
@@ -39,7 +41,8 @@ from segrechains.series import RESIDUES, NoImage, Series, SeriesMap, VarSpace
 
 from helpers import (
     ReferenceGaussianRational, codim_family, exact_manifolds, gaussian_rows,
-    numeric_basepoint, reference_jacobian_rows, reference_pivot_positions, variables_map,
+    numeric_basepoint, reference_evaluate, reference_jacobian_rows, reference_pivot_positions,
+    variables_map,
 )
 
 
@@ -135,10 +138,42 @@ def test_jacobian_at_a_point_checks_the_point_dimension(order):
             rank_at_point(f, None, point)
         with pytest.raises(DimensionMismatch, match=message):
             jacobian_rows(f, ["x"])(point)
-    # the witness search draws points of its own shape: 2 blocks of 1, and 1 zero
+    # the witness search (return_witness) ranks its tries by rank_at_point
+    # at points of its own shape: here 2 blocks of 1, and 1 zero
     with pytest.raises(DimensionMismatch, match="point dimension 3 != space dim 2"):
-        find_rank_point(f, None, 1, 2, 1, seed=0)
+        rank_at_point(f, None, [G(1), G(2), ZERO])
     assert rank_at_point(f, None, [G(1), G(2)]) == 1
+
+
+EXACT_MANIFOLDS = exact_manifolds()
+
+
+@pytest.mark.parametrize("path", ["chain", "orbit"])
+@pytest.mark.parametrize("name,M", EXACT_MANIFOLDS, ids=[n for n, _ in EXACT_MANIFOLDS])
+def test_return_witness_matches_the_expanded_return_map(name, M, path):
+    """return_witness's returns and rank are those of the expanded return map
+    at t* followed by -t*_{mu-1}, ..., -t*_1: Gamma_{2mu-1} for a chain, the
+    concatenated flow of word + word[-2::-1] for an orbit, each evaluated
+    there and its symbolic Jacobian ranked in the first mu blocks."""
+    if path == "chain":
+        inv = segre_invariants(M)
+        mu, target = inv.mu, inv.orbit_dim_complexified
+        word = sampled_chain(M, mu, Basepoint.origin(), "L")
+        expanded, blocks = gamma(M, 2 * mu - 1).map, u_blocks(mu)
+    else:
+        system = cr_pair_system(M)
+        res = greedy_multitype(system, witness=False)
+        mu, target, flows = res.mu0, res.orbit_dim, list(res.word)
+        word = flow_word(system, flows, {})
+        expanded, _ = concatenated_flow(system, flows + flows[-2::-1])
+        blocks = [f"t{i}" for i in range(1, mu + 1)]
+    t_star, rank, returns = return_witness(word, target, seed=0)
+    assert len(t_star) == mu and t_star[-1] == (ZERO,) * M.m
+    point = [c for blk in t_star for c in blk] + [-c for blk in reversed(t_star[:-1]) for c in blk]
+    values = [reference_evaluate(c, point) for c in expanded.components]
+    assert values == [ZERO] * len(values)  # back at the origin
+    assert returns
+    assert rank == exact_rank(reference_jacobian_rows(expanded, blocks, point)) == target
 
 
 @pytest.mark.parametrize("order", [None, 3])
