@@ -49,7 +49,10 @@ def _basepoint(M, spec_text: str) -> Basepoint:
         return Basepoint.origin()
     if spec_text == "generic":
         return Basepoint.symbolic()
-    values = [_parse_scalar(part) for part in spec_text.split(",")]
+    try:
+        values = [_parse_scalar(part) for part in spec_text.split(",")]
+    except ParseError as exc:
+        raise ParseError(f"--base: {exc}") from None
     need = 2 * M.n
     if len(values) != need:
         raise ParseError(
@@ -319,7 +322,8 @@ def cmd_orbit(args):
         system = manifest.build_system()
     if args.kmax is not None and args.kmax < system.a:
         raise ParseError(f"--kmax must be >= {system.a}, the number of fields")
-    order = None if args.order == "EXACT" else args.order
+    # with no --order the flows keep the manifest's own truncation
+    order = {None: system.order, "EXACT": None}.get(args.order, args.order)
     result = greedy_multitype(
         system, kmax=args.kmax, order=order, trials=args.trials, seed=args.seed,
         witness=False,
@@ -419,7 +423,8 @@ def _check_manifold_expectations(name, manifest, expected, args, emit):
         check("e1_det_nonzero", e1_determinant(M)[1])
     if "orbit_dim" in expected:
         system = cr_pair_system(M, check=False)
-        result = greedy_multitype(system, trials=trials, seed=seed, witness=False)
+        result = greedy_multitype(system, order=system.order, trials=trials, seed=seed,
+                                  witness=False)
         check("orbit_dim", result.orbit_dim)
     if "gamma_components" in expected:
         for k_text, comps in expected["gamma_components"].items():
@@ -463,7 +468,7 @@ def cmd_checkall(args):
         else:
             system = manifest.build_system()
             dim = greedy_multitype(
-                system, trials=args.trials, seed=args.seed, witness=False
+                system, order=system.order, trials=args.trials, seed=args.seed, witness=False
             ).orbit_dim
             if "orbit_dim" in expected:
                 emit(name, "orbit_dim", expected["orbit_dim"] == dim, f"got {dim}")

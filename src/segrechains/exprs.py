@@ -80,7 +80,7 @@ class _Parser:
     def expect_op(self, op):
         kind, val = self.take()
         if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val!r}")
+            raise ParseError(f"expected {op!r}, found {_describe(kind, val)}")
 
     def parse_expr(self) -> Series:
         sign = 1
@@ -165,7 +165,12 @@ class _Parser:
             return -self.nested(self.parse_atom)
         if kind == "op" and val == "+":
             return self.nested(self.parse_atom)
-        raise ParseError(f"unexpected token {val!r}")
+        raise ParseError(f"unexpected {_describe(kind, val)}")
+
+
+def _describe(kind, val) -> str:
+    """A token as error messages name it."""
+    return "end of input" if kind == "end" else f"token {val!r}"
 
 
 def _check_terms(bound: int, what: str):

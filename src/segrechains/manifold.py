@@ -14,10 +14,10 @@ otherwise); failure raises RealityViolation with the first bad monomial.
 The complexified CR pair (L, Lbar) is built here once: cr_pair_rows gives
 its ambient coefficient rows, which vector_fields certifies and
 lie.tangent_fields takes to the intrinsic chart, and cr_flows its closed-form
-flows (CRFlow), stepping exact values at a point (advance) or Series
-(expand).  A Segre variety (segre_leaf) and a symbolic basepoint are one
-flow of a fixed point; the Segre chains of the chains module are words of
-flows.
+flows (CRFlow), stepping values and gradient rows at a point (advance, one
+gradient walk of qbar or q per recomputed component) or Series (expand).
+A Segre variety (segre_leaf) and a symbolic basepoint are one flow of a
+fixed point; the Segre chains of the chains module are words of flows.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .exprs import format_series, parse_series
 from .scalars import GaussianRational, I, ZERO
 from .series import (
     EXACT, PointTable, Series, SeriesMap, TangentVectorField, VarSpace, grlex_key,
-    noncommuting_pair, nonzero_partials,
+    noncommuting_pair,
 )
 
 
@@ -333,11 +333,10 @@ class CRFlow:
     Both skip the target step when `out`, the components the caller reads,
     holds no target: advance leaves the target stale, expand leaves it None."""
 
-    __slots__ = ("names", "moved", "target", "fns", "_partials")
+    __slots__ = ("names", "moved", "target", "fns")
 
     def __init__(self, space: VarSpace, moved, target, fns):
         self.names, self.moved, self.target, self.fns = space.names, moved, target, fns
-        self._partials = None
 
     def advance(self, values, rows, times, col, kernel=EXACT, out=None):
         values, rows = list(values), list(rows)
@@ -346,9 +345,7 @@ class CRFlow:
             rows[a] = kernel.shift(rows[a], col + i)  # the unit time entry
         if self._skips(out):
             return values, rows
-        if self._partials is None:
-            self._partials = [nonzero_partials(f) for f in self.fns]
-        new = kernel.step(self.fns, self._partials, values, rows)
+        new = kernel.step(self.fns, values, rows)
         for t, (value, row) in zip(self.target, new):
             values[t], rows[t] = value, row
         return values, rows

@@ -18,8 +18,9 @@ flow_word gives a concatenated flow as a series.FlowWord, the word of the
 Segre chains too, and FlowWord.ranked the form its rank is sampled in.  With
 EXACT flows (order=None) it is never expanded: it carries exact (value, d/dt)
 pairs from the origin through the word's flows at each sample point
-(forward-mode differentiation), with each flow's partials differentiated
-once.  The witness is ranks.return_witness, the one the chains use too: a
+(forward-mode differentiation), each flow component's value and partials
+read from one gradient walk (Series.gradient_over), none differentiated.
+The witness is ranks.return_witness, the one the chains use too: a
 seeded point t* of the word's rank, then the return word (the forward word
 followed by its reversed flows, run at the negated times -t_i*) run once.
 Truncated jets rank the expanded concatenated_flow, which is also the test
@@ -40,6 +41,7 @@ from .errors import (
     DimensionMismatch,
     RankAssumptionViolated,
     SegreError,
+    TruncationUnsound,
     WitnessNotFound,
 )
 from .manifold import CRManifold
@@ -63,7 +65,6 @@ from .series import (
     VarSpace,
     bracket_levels,
     noncommuting_pair,
-    nonzero_partials,
 )
 
 
@@ -130,23 +131,19 @@ class FlowMap:
     of a series.FlowWord, run at a point or expanded.  (A plain class:
     building a dataclass costs milliseconds at every import.)"""
 
-    __slots__ = ("map", "exact", "order", "_partials")
+    __slots__ = ("map", "exact", "order")
 
     def __init__(self, map: SeriesMap, exact: bool, order: Optional[int]):
         self.map, self.exact, self.order = map, exact, order
-        self._partials = None
 
     def advance(self, values, rows, times, col, kernel=EXACT, out=None):
         """exp(times.L) at values and gradient rows over a series.Kernel (Z[i]
-        or F_P); the times move columns col, col + 1, ....  The partials in
-        (s, x) are differentiated on first use, then kept.  An orbit word has
-        no `out`."""
-        if self._partials is None:
-            self._partials = [nonzero_partials(c) for c in self.map.components]
+        or F_P); the times move columns col, col + 1, ....  Each component's
+        value and partials in (s, x) come from one gradient walk.  An orbit
+        word has no `out`."""
         zero = kernel.zero(kernel.width(rows[0]))
         time_rows = [kernel.shift(zero, col + j) for j in range(len(times))]
-        new = kernel.step(self.map.components, self._partials, list(times) + values,
-                          time_rows + rows)
+        new = kernel.step(self.map.components, list(times) + values, time_rows + rows)
         return [v for v, _ in new], [r for _, r in new]
 
     def expand(self, state, times, out=None):
@@ -280,7 +277,8 @@ def greedy_multitype(
 
     Ties among rank-maximizing candidate fields break to the lowest index;
     kmax bounds the word length (default a + n - a*m + 1); `order` is the
-    flow jet order (None = require terminating Lie series).  EXACT flows are
+    flow jet order (None = require terminating Lie series: TruncationUnsound
+    on a truncated system, pass its system.order).  EXACT flows are
     ranked pointwise (flow_word), jets from their expanded maps.  The
     witness needs flows at nonzero constant times, which truncated flows
     cannot give soundly, so with a finite order it is None.  The last field
@@ -289,6 +287,9 @@ def greedy_multitype(
     equal rank; jets too, as no flow from 0 has a constant term and a linear
     substitution commutes with truncation.  The loop ends at rank n, the most in C^n.
     """
+    if order is None and system.order is not None:
+        raise TruncationUnsound(f"a system truncated at order {system.order} has no "
+                                f"EXACT flows; give a flow order such as {system.order}")
     a, m, n = system.a, system.m, system.n
     kmax = a + (n - a * m) + 1 if kmax is None else kmax
     word = list(start_order) if start_order is not None else list(range(a))

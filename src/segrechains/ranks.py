@@ -1,12 +1,12 @@
 """Exact rank of matrices over Q(i) and generic rank of series maps.
 
-The matrix type here is the integer row (den, re, im): den > 0 an int, re
-and im lists of ints, entry k being (re[k] + i*im[k]) / den.  integer_rows
-builds it from a matrix of Series at a point (Series.value_over against one
-PointTable), jacobian_rows from a SeriesMap's Jacobian at a point, and
-series.forward_step from a word of flows.  Ranks and pivots ignore den, a
-row scaling.  The public exact_rank and pivot_positions also take
-GaussianRational matrices, converted once at entry.
+The matrix type here is the integer row (den, re, im) of series.reduced_row.
+integer_rows builds it from a matrix of Series at a point (Series.value_over
+against one PointTable); jacobian_rows from a SeriesMap's Jacobian and
+series.forward_step from a word of flows both read the pointwise gradient
+(Series.gradient_over).  Ranks and pivots ignore den, a row scaling.  The
+public exact_rank and pivot_positions also take GaussianRational matrices,
+converted once at entry.
 
 The generic rank of a holomorphic map is realized by sampling: evaluate the
 Jacobian at pseudo-random Gaussian-rational points and take the maximum of
@@ -33,12 +33,13 @@ same way (rank_at_point); only its return run stays exact.
 
 A SeriesMap (a jet chain, a psi map, a jet orbit flow) is never
 differentiated to be ranked: jacobian_rows takes every partial at a sample
-point from one walk over each component's terms (forward evaluation, as in
-Griewank and Walther, Evaluating Derivatives, 2008), and only the witnessed
-minor's entries are differentiated, to certify a jet rank.  An EXACT chain
-or concatenated orbit flow is never expanded: it is a series.FlowWord,
-whose Jacobian at each point comes from forward-mode differentiation
-through the word's flows.  return_witness is the witness of both: a seeded
+point from one gradient walk over each component's terms (forward
+evaluation, as in Griewank and Walther, Evaluating Derivatives, 2008), and
+only the witnessed minor's entries are differentiated, to certify a jet
+rank.  An EXACT chain or concatenated orbit flow is never expanded: it is a
+series.FlowWord, whose Jacobian at each point comes from forward-mode
+differentiation through the word's flows, one gradient walk per flow
+function.  return_witness is the witness of both: a seeded
 point of a given shape and rank, then one exact run of the return word.
 
 Certification: in EXACT mode evaluation is a ring homomorphism, so the
@@ -55,9 +56,11 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import DimensionMismatch, WitnessNotFound
+from .errors import WitnessNotFound
 from .scalars import GaussianRational, ZERO
-from .series import P, RESIDUES, ROOT, NoImage, PointTable, Series, SeriesMap
+from .series import (
+    P, RESIDUES, ROOT, NoImage, PointTable, Series, SeriesMap, check_point, reduced_row,
+)
 
 # Sampling box: numerators in [-99, 99], denominators in [1, 9] for both the
 # real and imaginary parts.  Keeps bignum growth bounded while making an
@@ -71,26 +74,17 @@ WITNESS_RETRIES = 20
 
 def _integer_row(values) -> tuple:
     """The integer row of Z[i] scalars (re, im, den): over the lcm of their
-    denominators, reduced by one gcd."""
+    denominators, reduced by one gcd (reduced_row)."""
     den = math.lcm(*(d for _, _, d in values))
-    re = [a * (den // d) for a, _, d in values]
-    im = [b * (den // d) for _, b, d in values]
-    g = math.gcd(den, *re, *im)
-    if g > 1:
-        return den // g, [x // g for x in re], [y // g for y in im]
-    return den, re, im
-
-
-def _check_point(dim: int, point) -> None:
-    if len(point) != dim:
-        raise DimensionMismatch(f"point dimension {len(point)} != space dim {dim}")
+    return reduced_row(den, [a * (den // d) for a, _, d in values],
+                       [b * (den // d) for _, b, d in values])
 
 
 def integer_rows(matrix, point) -> list:
     """The integer rows of a matrix of Series at a point of their space's
     dimension, every entry through Series.value_over with one PointTable."""
     for dim in {s.space.dim for row in matrix for s in row}:
-        _check_point(dim, point)
+        check_point(dim, point)
     table = PointTable([x.zi for x in point])
     return [_integer_row([s.value_over(table) for s in row]) for row in matrix]
 
@@ -98,48 +92,21 @@ def integer_rows(matrix, point) -> list:
 def jacobian_rows(f: SeriesMap, wrt=None):
     """point -> the integer rows of the Jacobian of the SeriesMap f in the
     `wrt` columns (blocks or names, all domain variables by default) at the
-    point, no partial derivative built: one walk over each component's
-    stored pairs, against one PointTable of the point.  With N/q the point
-    over its common denominator q and D the component's total degree, a term
-    (re + i*im) x^e adds e_j * (re + i*im) * N^(e - delta_j) * q^(D - |e|)
-    into each column of a variable j with e_j > 0, every column over
-    den * q^(D - 1); _integer_row reduces the row.  DimensionMismatch for a
-    point of the wrong length."""
+    point, no partial derivative built: one Series.gradient_over walk over
+    each component's terms against one PointTable of the point, its plan not
+    kept (a jet's components are ranked at a few points, then dropped), and
+    reduced_row reduces the row.  DimensionMismatch for a point of the
+    wrong length."""
     domain = f.domain
     cols = [domain.index_of(name) for name in f._resolve_names(wrt)]
 
     def rows_at(point):
-        _check_point(domain.dim, point)
+        check_point(domain.dim, point)
         table = PointTable([x.zi for x in point])
-        pows, qpow = table.pows, table.qpow
         rows = []
         for s in f.components:
-            degree = max(map(sum, s.pairs), default=0) or 1
-            while len(qpow) < degree:
-                qpow.append(qpow[-1] * table.q)
-            re, im = [0] * len(cols), [0] * len(cols)
-            for exp, (a, b) in s.pairs.items():
-                factors = [(i, e) for i, e in enumerate(exp) if e]
-                if not factors:  # the constant term
-                    continue
-                for i, e in factors:
-                    if len(pows[i]) <= e:
-                        table.extend(i, e)
-                k = qpow[degree - sum(exp)]
-                for col, j in enumerate(cols):
-                    ej = exp[j]
-                    if ej:
-                        x, y = a * ej * k, b * ej * k
-                        for i, e in factors:
-                            if i == j:
-                                e -= 1
-                            if e:
-                                u, v = pows[i][e]
-                                x, y = x * u - y * v, x * v + y * u
-                        re[col] += x
-                        im[col] += y
-            d = s.den * qpow[degree - 1]
-            rows.append(_integer_row([(x, y, d) for x, y in zip(re, im)]))
+            _, (den, re, im) = s.gradient_over(table, keep=False)
+            rows.append(reduced_row(den, [re[j] for j in cols], [im[j] for j in cols]))
         return rows
 
     return rows_at

@@ -18,27 +18,26 @@ The calculus on Series lives here too, once for every caller: sums,
 derivatives and products by one term or a scalar on the stored ints, one
 polynomial product (_zi_product over packed exponents, cut off by degree)
 behind other Series products and substitution (Series.compose, summed over
-one denominator), exact evaluation at a Gaussian-rational point
-(Series.value_over, summed over the Gaussian integers against a PointTable
-of the point that callers share; Series.evaluate divides it once), the
-forward-mode chain-rule step (forward_step, whose values and gradient rows
-stay over the Gaussian integers, one denominator per value and per row:
-the integer rows that ranks eliminates), its image in F_P under
-i -> ROOT (residue_step over Series.residue_over, each coefficient reduced
-once to (re + ROOT*im) / den mod P: rows of residues with no gcd, lcm or
-denominator; NoImage where P divides a denominator), the word of flows of
-Segre chains and orbit flows alike (FlowWord: run at a point over either
-Kernel, EXACT or RESIDUES, its values divided out only by evaluate, or
-expanded, keeping the state after every prefix, so words that share one
-expand it once; FlowWord.ranked picks the form a rank samples, the word
-itself when EXACT and its expansion for a jet), the vector field acting as
-a derivation (TangentVectorField.apply) and the bracket of two fields, both
-one pass of _derivation that sums every c_a * df/dx_a straight into one dict
-over one denominator, with no intermediate Series (a bracket component is
-X(Y_a) - Y(X_a) in a single such sum), the commutation check
-(noncommuting_pair), and the deduplicated left-normed bracket ladder
-(bracket_levels, level 1 first) that the Hormander ladder and the orbit
-oracle both rank.
+one denominator), and the pointwise walks over a Series' terms against a
+PointTable of an exact point that callers share: its value
+(Series.value_over, over the Gaussian integers; Series.evaluate divides it
+once) and the pointwise gradient, its value and every first partial in one
+walk (Series.gradient_over, and Series.residue_gradient, its image in F_P
+under i -> ROOT; NoImage where P divides a denominator).  On the gradient
+walk stands the forward-mode chain-rule step (forward_step: values and
+gradient rows over Z[i], one denominator each, the integer rows that ranks
+eliminates; residue_step: residues, no gcd, lcm or denominator), and on it
+the word of flows of Segre chains and orbit flows alike (FlowWord: run at a
+point over either Kernel, EXACT or RESIDUES, or expanded, keeping the state
+after every prefix, so words that share one expand it once; FlowWord.ranked
+picks the form a rank samples, the word itself when EXACT and its expansion
+for a jet).  The vector field acts as a derivation
+(TangentVectorField.apply), and the bracket of two fields is one pass of
+_derivation too, every c_a * df/dx_a summed straight into one dict over one
+denominator (a bracket component is X(Y_a) - Y(X_a) in a single such sum);
+then the commutation check (noncommuting_pair) and the deduplicated
+left-normed bracket ladder (bracket_levels, level 1 first) that the
+Hormander ladder and the orbit oracle both rank.
 
 All values are immutable after construction; results are kept canonical
 (no (0, 0) pair, no term beyond the truncation order, and no factor of den
@@ -197,6 +196,21 @@ def zi_add(x, y):
     return re // g, im // g, den // g
 
 
+def check_point(dim: int, point) -> None:
+    """DimensionMismatch unless `point` has `dim` coordinates."""
+    if len(point) != dim:
+        raise DimensionMismatch(f"point dimension {len(point)} != space dim {dim}")
+
+
+def reduced_row(den: int, re, im):
+    """The integer row (den, re, im) (entry k (re[k] + i*im[k]) / den) over
+    the least denominator: one gcd over den and every entry."""
+    g = math.gcd(den, *re, *im)
+    if g > 1:
+        return den // g, [x // g for x in re], [y // g for y in im]
+    return den, re, im
+
+
 class PointTable:
     """An exact point over Z[i], shared by the Series evaluated at it.
 
@@ -204,7 +218,7 @@ class PointTable:
     GaussianRational's zi), every coordinate put over one common
     denominator q, the lcm of theirs: pows[i][e] is N_i^e as an (re, im) int
     pair for the numerator N_i of coordinate i, and qpow[k] is q^k.  Both
-    lists grow as Series.value_over needs higher powers.
+    lists grow (grow) as the Z[i] walks of Series need higher powers.
     """
 
     __slots__ = ("q", "qpow", "pows")
@@ -214,13 +228,17 @@ class PointTable:
         self.qpow = [1]
         self.pows = [[(1, 0), (re * (q // den), im * (q // den))] for re, im, den in coords]
 
-    def extend(self, i: int, e: int):
-        """Fill pows[i] up to N_i^e."""
-        row = self.pows[i]
-        nr, ni = row[1]
-        while len(row) <= e:
-            a, b = row[-1]
-            row.append((a * nr - b * ni, a * ni + b * nr))
+    def grow(self, needed, degree: int):
+        """(pows, qpow) filled up to N_i^e for each (i, e) in `needed` and to q^degree."""
+        for i, e in needed:
+            row = self.pows[i]
+            nr, ni = row[1]
+            while len(row) <= e:
+                a, b = row[-1]
+                row.append((a * nr - b * ni, a * ni + b * nr))
+        while len(self.qpow) <= degree:
+            self.qpow.append(self.qpow[-1] * self.q)
+        return self.pows, self.qpow
 
 
 _UNIT = ((0, 1, 0),)  # the term list of the constant 1
@@ -299,8 +317,8 @@ class Series:
     stored over Z[i]: the coefficient of x^e is pairs[e] = (re, im) over the
     one positive int denominator den."""
 
-    # _plan and _rplan: the per-term factors value_over and residue_over keep
-    # on first use
+    # _plan and _rplan: the per-term factors the Z[i] walks (value_over,
+    # gradient_over) and the F_P walk (residue_gradient) keep on first use
     __slots__ = ("space", "den", "pairs", "order", "_plan", "_rplan")
 
     def __init__(self, space: VarSpace, terms=None, order: Optional[int] = None):
@@ -532,10 +550,7 @@ class Series:
         PointTable of `point` that the caller may share between calls),
         divided once.
         """
-        if len(point) != self.space.dim:
-            raise DimensionMismatch(
-                f"point dimension {len(point)} != space dim {self.space.dim}"
-            )
+        check_point(self.space.dim, point)
         if table is None:
             table = PointTable([x.zi for x in point])
         return GaussianRational.from_zi(*self.value_over(table))
@@ -544,20 +559,11 @@ class Series:
         """The value at the table's point as ints (re, im, den), not reduced:
         sum((re + i*im)_e * N^e * q^(D - |e|)) over den * q^D, with N/q the
         point over its common denominator q and D the total degree (the
-        per-term factors are kept on first use).  forward_step takes its
-        partials' values in this form."""
-        try:
-            degree, needed, terms = self._plan
-        except AttributeError:
-            degree, needed, terms = self._factor_plan()
+        per-term factors are kept on first use)."""
+        degree, needed, terms = self._factor_plan()
         if not terms:
             return 0, 0, 1
-        pows, qpow = table.pows, table.qpow
-        for i, e in needed:
-            if len(pows[i]) <= e:
-                table.extend(i, e)
-        while len(qpow) <= degree:
-            qpow.append(qpow[-1] * table.q)
+        pows, qpow = table.grow(needed, degree)
         re = im = 0
         for factors, deg, a, b in terms:
             for i, e in factors:
@@ -576,24 +582,59 @@ class Series:
         needed = {}
         terms = []
         for exp, (a, b) in self.pairs.items():
-            factors = tuple((i, e) for i, e in enumerate(exp) if e)
+            factors = tuple([(i, e) for i, e in enumerate(exp) if e])
             for i, e in factors:
                 if e > needed.get(i, 0):
                     needed[i] = e
             terms.append((factors, sum(exp), a, b))
-        degree = max((t[1] for t in terms), default=0)
+        degree = max([t[1] for t in terms], default=0)
         plan = (degree, tuple(needed.items()), tuple(terms))
         if keep:
             _set(self, "_plan", plan)
         return plan
 
-    def residue_over(self, pows) -> int:
-        """The value in F_P at the point whose coordinates' residues x_i are
-        pows[i][1], pows[i][e] being x_i^e mod P (the lists grow here as
-        needed): sum(r_e * x^e) mod P.  On first use each coefficient of
-        _factor_plan's terms is reduced once, r_e = (re + ROOT*im) / den mod
-        P, zero residues dropped, and kept in _rplan.  NoImage when P
-        divides den."""
+    def gradient_over(self, table: PointTable, keep: bool = True):
+        """(value, gradient) at the table's point in one walk over
+        _factor_plan's terms (kept on self if `keep`): the value as value_over
+        gives it and the unreduced integer row of every partial df/dx_j, over
+        den * q^(D - 1) (den when D = 0).  A term c x^e adds
+        e_j * c * N^(e - 1_j) * q^(D - |e|) to entry j, and that product of its
+        first factor j times N_j to the value: one multiply more per term."""
+        degree, needed, terms = self._factor_plan(keep)
+        pows, qpow = table.grow(needed, degree)
+        re = im = 0
+        gre, gim = [0] * len(pows), [0] * len(pows)
+        for factors, deg, a, b in terms:
+            k = qpow[degree - deg]
+            a, b = a * k, b * k
+            if not factors:  # the constant term
+                re, im = re + a, im + b
+                continue
+            first = factors[0][0]
+            for j, ej in factors:
+                x, y = a, b
+                for i, e in factors:
+                    e -= i == j
+                    if e:
+                        c, d = pows[i][e]
+                        x, y = x * c - y * d, x * d + y * c
+                if j == first:  # the value's term: this product times N_j
+                    c, d = pows[j][1]
+                    re += x * c - y * d
+                    im += x * d + y * c
+                if ej > 1:
+                    x, y = ej * x, ej * y
+                gre[j] += x
+                gim[j] += y
+        pden = self.den * qpow[degree - 1] if degree else self.den
+        return (re, im, self.den * qpow[degree]), (pden, gre, gim)
+
+    def residue_gradient(self, pows):
+        """gradient_over's image in F_P, value and row of residues, at the
+        point whose coordinates' residues x_i are pows[i][1], pows[i][e]
+        being x_i^e mod P (the lists grow here).  On first use each term's
+        coefficient is reduced once, r_e = (re + ROOT*im) / den mod P, zero
+        residues dropped, and kept in _rplan.  NoImage when P divides den."""
         try:
             plan = self._rplan
         except AttributeError:
@@ -611,12 +652,22 @@ class Series:
             row = pows[i]
             while len(row) <= e:
                 row.append(row[-1] * row[1] % P)
-        total = 0
+        total, grad = 0, [0] * len(pows)
         for factors, r in terms:
-            for i, e in factors:
-                r = r * pows[i][e] % P
-            total += r
-        return total % P
+            if not factors:
+                total += r
+                continue
+            first = factors[0][0]
+            for j, ej in factors:
+                x = r
+                for i, e in factors:
+                    e -= i == j
+                    if e:
+                        x = x * pows[i][e] % P
+                if j == first:
+                    total += x * pows[j][1]
+                grad[j] += ej * x
+        return total % P, [g % P for g in grad]
 
     def conjugate(self) -> "Series":
         """Conjugate every coefficient; the exponents stay."""
@@ -818,76 +869,52 @@ class SeriesMap:
         return f"SeriesMap({self.domain!r} -> {self.codomain!r})"
 
 
-def nonzero_partials(f: Series):
-    """(index, partial derivative) for every variable that occurs in f."""
-    return [(a, f.diff(f.space.names[a])) for a in sorted(f.used_indices())]
-
-
-def forward_step(fns, partials, at, rows):
+def forward_step(fns, at, rows):
     """One forward-mode chain-rule step through polynomials at an exact point,
     over the Gaussian integers.
 
     at[a] is the value of the a-th variable of the fns' space, a Z[i] scalar
-    (re, im, den), and rows[a] its gradient row, an integer row (den, re, im):
-    den > 0 an int, re and im lists of ints (all of one length), entry k
-    being (re[k] + i*im[k]) / den.  partials[j] is nonzero_partials(fns[j]).
-    Returns a (value, row) pair per function: fns[j](at) as a Z[i] scalar in
-    lowest terms and the row sum_a dfns[j]/dx_a(at) * rows[a].  One PointTable
-    serves the whole step; each partial's value comes from
-    Series.value_over, reduced by one gcd, and the row is one integer linear
-    combination over the lcm of the partial-times-row denominators, reduced
-    by one gcd over the whole row, so no factor of den divides every entry.
-    Rows are built new, never mutated: callers share them.
+    (re, im, den), and rows[a] its gradient row, an integer row (den, re, im)
+    (see reduced_row).  Returns a (value, row) pair per function: fns[j](at)
+    as a Z[i] scalar in lowest terms and the row sum_a dfns[j]/dx_a(at) *
+    rows[a], from one Series.gradient_over walk against the step's one
+    PointTable: one integer linear combination over the gradient's
+    denominator times the lcm of the rows' dens, reduced by one gcd.  Rows
+    are built new, never mutated: callers share them.
     """
     zeros = [0] * len(rows[0][1])
     table = PointTable(at)
     out = []
-    for f, parts in zip(fns, partials):
-        products = []
-        lcd = 1
-        for a, p in parts:
-            cr, ci, den = p.value_over(table)
-            d, xs, ys = rows[a]
-            if (cr or ci) and (any(xs) or any(ys)):
-                g = math.gcd(cr, ci, den)
-                den = den // g * d
-                lcd = math.lcm(lcd, den)
-                products.append((cr // g, ci // g, den, xs, ys))
-        re = im = zeros
-        for cr, ci, den, xs, ys in products:
-            scale = lcd // den
-            cr, ci = cr * scale, ci * scale
-            re = [u + cr * x - ci * y for u, x, y in zip(re, xs, ys)]
-            im = [v + cr * y + ci * x for v, x, y in zip(im, xs, ys)]
-        g = math.gcd(lcd, *re, *im)
-        if g > 1:
-            row = (lcd // g, [x // g for x in re], [y // g for y in im])
-        else:
-            row = (lcd, re, im)  # (1, zeros, zeros) when no product is nonzero
-        re, im, den = f.value_over(table)
+    for f in fns:
+        (re, im, den), (pden, gre, gim) = f.gradient_over(table)
+        used = [(cr, ci, row) for cr, ci, row in zip(gre, gim, rows)
+                if (cr or ci) and (any(row[1]) or any(row[2]))]
+        lcd = math.lcm(*(row[0] for _, _, row in used))
+        rre = rim = zeros
+        for cr, ci, (d, xs, ys) in used:
+            cr, ci = cr * (lcd // d), ci * (lcd // d)
+            rre = [u + cr * x - ci * y for u, x, y in zip(rre, xs, ys)]
+            rim = [v + cr * y + ci * x for v, x, y in zip(rim, xs, ys)]
         g = math.gcd(re, im, den)
-        out.append(((re // g, im // g, den // g), row))
+        out.append(((re // g, im // g, den // g), reduced_row(lcd * pden, rre, rim)))
     return out
 
 
-def residue_step(fns, partials, at, rows):
+def residue_step(fns, at, rows):
     """forward_step over F_P: at[a] is the residue of the a-th variable and
-    rows[a] its gradient row, a list of residues.  Returns a (value, row)
-    pair of residues per function, the row sum_a dfns[j]/dx_a(at) * rows[a]
-    mod P: no gcd, no lcm and no denominator.  NoImage for a Series whose
-    denominator P divides."""
+    rows[a] its gradient row, a list of residues; a (value, row) pair of
+    residues per function, from one Series.residue_gradient walk each.
+    NoImage for a Series whose denominator P divides."""
     zeros = [0] * len(rows[0])
     pows = [[1, x] for x in at]
     out = []
-    for f, parts in zip(fns, partials):
+    for f in fns:
+        value, grad = f.residue_gradient(pows)
         row = zeros
-        for a, p in parts:
-            xs = rows[a]
-            if any(xs):
-                c = p.residue_over(pows)
-                if c:
-                    row = [u + c * x for u, x in zip(row, xs)]
-        out.append((f.residue_over(pows), [u % P for u in row]))
+        for c, xs in zip(grad, rows):
+            if c and any(xs):
+                row = [u + c * x for u, x in zip(row, xs)]
+        out.append((value, [u % P for u in row]))
     return out
 
 
@@ -908,8 +935,8 @@ class Kernel:
     """The scalars a FlowWord runs over, EXACT (Z[i]) or RESIDUES (F_P, the
     image under i -> ROOT): scalar(x) of a GaussianRational, add(x, y),
     zero(ncols) the zero row, width(row), shift(row, col) the row plus the
-    unit vector of column col, and step(fns, partials, values, rows) the
-    forward-mode step (forward_step or residue_step)."""
+    unit vector of column col, and step(fns, values, rows) the forward-mode
+    step (forward_step or residue_step), one gradient walk per Series."""
 
     __slots__ = ("scalar", "add", "zero", "width", "shift", "step")
 
@@ -968,10 +995,7 @@ class FlowWord:
         flow's Series has no image in F_P)."""
         if self.order is not None:
             raise TruncationUnsound("a truncated word is not evaluated at a point")
-        if len(point) != self.domain.dim:
-            raise DimensionMismatch(
-                f"point dimension {len(point)} != space dim {self.domain.dim}"
-            )
+        check_point(self.domain.dim, point)
         width = len(self.domain.blocks[0][1])
         last = len(self.flows) - 1
         ncols = width * (last + 1)

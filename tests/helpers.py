@@ -347,15 +347,22 @@ def variables_map(space, order=None):
     return SeriesMap([Series.variable(space, n, order) for n in space.names], space)
 
 
-def reference_forward_step(fns, partials, at, rows):
-    """Reference forward-mode step: the chain rule on rows of
-    GaussianRationals, every product and sum in GaussianRational arithmetic."""
+def nonzero_partials(f):
+    """(index, partial derivative) for every variable that occurs in f."""
+    return [(a, f.diff(f.space.names[a])) for a in sorted(f.used_indices())]
+
+
+def reference_forward_step(fns, at, rows):
+    """Reference forward-mode step: every partial differentiated
+    (nonzero_partials) and evaluated on its own, then the chain rule on rows
+    of GaussianRationals, every product and sum in GaussianRational
+    arithmetic."""
     zero_row = [ZERO] * len(rows[0])
     table = PointTable([x.zi for x in at])
     out = []
-    for f, parts in zip(fns, partials):
+    for f in fns:
         row = zero_row
-        for a, p in parts:
+        for a, p in nonzero_partials(f):
             c = p.evaluate(at, table)
             if not c.is_zero():
                 row = [x + c * y if y else x for x, y in zip(row, rows[a])]

@@ -193,6 +193,42 @@ def test_checkall_bundled(capsys):
     assert len(report["results"]["items"]) > 40
 
 
+TRUNCATED_ORBIT = "m=1\nd=1\norder=3\ntheta_bar_1 = w1*zeta1 + w1^2*zeta1^2\n"
+
+
+def test_orbit_of_a_truncated_manifest_uses_its_order(tmp_path, capsys):
+    path = tmp_path / "jet.mf"
+    path.write_text(TRUNCATED_ORBIT)
+    reports = []
+    for extra in ((), ("--order", "3")):
+        code, out, err = run_cli(capsys, "orbit", str(path), *extra, "--format", "machine")
+        assert code == 0 and err == "", extra
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    assert reports[0]["provenance"]["order"] == 3
+    assert reports[0]["results"]["certified"] is True
+    assert reports[0]["results"]["orbit_dim"] == 3
+    # EXACT flows of a jet are refused, with one error line
+    code, out, err = run_cli(capsys, "orbit", str(path), "--order", "EXACT")
+    assert code == 1 and out == "" and _single_error_line(err)
+    assert "truncated at order 3" in err
+
+
+def test_checkall_orbits_of_truncated_manifests(tmp_path, capsys):
+    (tmp_path / "jet.mf").write_text(TRUNCATED_ORBIT)
+    (tmp_path / "jet.expected.json").write_text(json.dumps({"orbit_dim": 3}))
+    (tmp_path / "jet_system.mf").write_text(
+        "kind=system\nn=3\nm=1\na=2\norder=3\n"
+        "field_1_1_x1 = 1\nfield_2_1_x2 = 1\nfield_2_1_x3 = x1\n")
+    (tmp_path / "jet_system.expected.json").write_text(json.dumps({"orbit_dim": 3}))
+    code, out, err = run_cli(capsys, "checkall", str(tmp_path), "--format", "machine")
+    assert code == 0 and err == ""
+    items = {(i["name"], i["check"]): i["ok"] for i in json.loads(out)["results"]["items"]}
+    assert items == {("jet", "validate"): True, ("jet", "orbit_dim"): True,
+                     ("jet_system", "orbit_dim"): True,
+                     ("jet_system", "orbit_oracle_agreement"): True}
+
+
 def test_checkall_detects_failure(tmp_path, capsys):
     (tmp_path / "wrong.mf").write_text("m=1\nd=1\ntheta_bar_1 = w1*zeta1\n")
     (tmp_path / "wrong.expected.json").write_text(json.dumps({"minimal": False}))
@@ -395,7 +431,9 @@ def test_manifest_expression_errors_name_their_line(tmp_path, capsys):
         ("m=1\nd=1\n\ntheta_bar_1 = w1*zeta1 + q7\n", ":4: unknown variable 'q7'"),
         ("m=1\nd=1\ntheta_bar_1 = w1^100000*zeta1\n", ":3: exponent 100000 exceeds"),
         ("m=1\nd=1\ntheta_bar_1 = (1+w1+zeta1+xi1)^30\n", ":3: power could have"),
-        ("kind=system\nn=2\nm=1\na=1\nfield_1_1_x1 = x1 +\n", ":5: unexpected token"),
+        ("kind=system\nn=2\nm=1\na=1\nfield_1_1_x1 = x1 +\n", ":5: unexpected end of input"),
+        ("m=1\nd=1\ntheta_bar_1 =\n", ":3: unexpected end of input"),
+        ("m=1\nd=1\ntheta_bar_1 = (w1*zeta1\n", ":3: expected ')', found end of input"),
         ("kind=system\nn=2\nm=1\na=1\nfield_1_1_y9 = 1\n", ":5: unknown variable 'y9'"),
         ("kind=system\nn=2\nm=1\na=1\n\nfield_2_1_x1 = 1\n", ":6: field_2_1_x1 out of range"),
     ):
@@ -405,6 +443,14 @@ def test_manifest_expression_errors_name_their_line(tmp_path, capsys):
             code, out, err = run_cli(capsys, command, str(path))
             assert code == 2 and out == "" and _single_error_line(err), text
             assert f"error: {path}{message}" in err, err
+
+
+def test_base_at_the_end_of_input_is_a_usage_error(capsys):
+    for base in (",,,", "1,i,1,", "1,(i,1,0"):
+        code, out, err = run_cli(capsys, "ranks", data_path("heisenberg"), "--base", base)
+        assert code == 2 and out == "" and _single_error_line(err), base
+        assert err.startswith("error: --base: ") and "end of input" in err, err
+        assert "None" not in err
 
 
 def test_overlong_integer_literal_is_a_usage_error(tmp_path, capsys, digit_limit):

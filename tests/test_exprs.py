@@ -36,6 +36,23 @@ def test_parse_errors():
             parse_series(bad, space)
 
 
+def test_parse_errors_name_the_end_of_input():
+    space = ambient_space(1, 1)
+    for text, message in (
+        ("", "unexpected end of input"),
+        ("w1 +", "unexpected end of input"),
+        ("-", "unexpected end of input"),
+        ("w1*", "unexpected end of input"),
+        ("(w1*zeta1", "expected ')', found end of input"),
+        ("(w1 w1)", "expected ')', found token 'w1'"),
+        ("w1 + )", "unexpected token ')'"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_series(text, space)
+        assert str(info.value) == message, text
+        assert "None" not in str(info.value)
+
+
 def test_overlong_integer_literals_are_parse_errors(digit_limit):
     space = ambient_space(1, 1)
     long = "7" * (digit_limit + 700)

@@ -371,6 +371,21 @@ def test_truncated_flows_record_no_witness(heisenberg):
     assert res.orbit_dim == 3
 
 
+def test_truncated_system_needs_a_flow_order():
+    # a jet manifold's CR pair is truncated: its flows are jets too, never EXACT
+    from segrechains import new_manifold
+
+    system = cr_pair_system(new_manifold(1, 1, ["w1*zeta1 + w1^2*zeta1^2"], 3))
+    assert system.order == 3
+    for run in (greedy_multitype, orbit_dimension):
+        with pytest.raises(TruncationUnsound, match="truncated at order 3"):
+            run(system)
+    res = greedy_multitype(system, order=system.order)
+    assert res.orbit_dim == 3 == lie_span_dimension(system)
+    assert res.witness is None
+    assert res == reference_greedy_multitype(system, order=system.order)
+
+
 def test_kmax_below_starting_word_rejected(heisenberg):
     with pytest.raises(DimensionMismatch):
         greedy_multitype(cr_pair_system(heisenberg), kmax=1)

@@ -223,6 +223,8 @@ def test_jacobian_walk_matches_the_symbolic_jacobian(data, order, wrt):
     for _ in range(2):
         point = data.draw(st.lists(_walk_coordinates, min_size=3, max_size=3))
         assert rows_at(point) == reference_jacobian_rows(f, wrt, point)
+    # the walk keeps no plan: a jet's components are ranked at a few points
+    assert not any(hasattr(s, "_plan") for s in components)
 
 
 def test_certification_differentiates_only_the_witnessed_minor(monkeypatch):

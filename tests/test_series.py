@@ -17,7 +17,7 @@ from segrechains.manifold import ambient_space
 from segrechains.scalars import GaussianRational, ZERO
 from segrechains.series import (
     P, FlowWord, NoImage, PointTable, Series, SeriesMap, TangentVectorField, VarSpace,
-    _merge_order, bracket, forward_step, nonzero_partials, residue, residue_step, zi_add,
+    _merge_order, bracket, forward_step, residue, residue_step, zi_add,
 )
 from segrechains.ranks import integer_rows
 
@@ -217,6 +217,43 @@ def _evaluated_series(order):
     exponents = st.tuples(*[st.integers(0, 3)] * space.dim)
     terms = st.dictionaries(exponents, _coefficients, max_size=6)
     return terms.map(lambda t: Series(space, t, order))
+
+
+def _image(value):
+    """The residue of a GaussianRational (i -> ROOT)."""
+    return residue(*value.zi)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data(), st.one_of(st.none(), st.integers(0, 5)))
+def test_gradient_walks_match_reference_partials(data, order):
+    """One walk gives the value and every partial: gradient_over's value is
+    reference_evaluate of f and its entry j that of reference_diff(f, x_j),
+    zero for a variable that does not occur, and residue_gradient gives
+    their image in F_P (i -> ROOT); on random, zero and constant series,
+    EXACT and jets, whose terms repeat variables (exponents up to 3)."""
+    drawn = data.draw(_evaluated_series(order))
+    space = drawn.space
+    constant = Series.constant(space, data.draw(_coefficients), order)
+    point = data.draw(st.lists(_coordinates, min_size=4, max_size=4))
+    table = PointTable([x.zi for x in point])  # shared, as forward_step shares it
+    for f in (drawn, Series.zero(space, order), constant):
+        want_value = reference_evaluate(f, point)
+        want = [reference_evaluate(reference_diff(f, name), point) for name in space.names]
+        for keep in (False, True):
+            (re, im, den), (pden, gre, gim) = f.gradient_over(table, keep)
+            assert len(gre) == len(gim) == space.dim and pden > 0
+            assert GaussianRational.from_zi(re, im, den) == want_value
+            assert [GaussianRational.from_zi(x, y, pden) for x, y in zip(gre, gim)] == want
+            assert hasattr(f, "_plan") == keep
+        if any(x.zi[2] % P == 0 for x in point):
+            continue  # no image of the point in F_P
+        value, grad = f.residue_gradient([[1, _image(x)] for x in point])
+        assert value == _image(want_value) and grad == [_image(w) for w in want]
+        scaled = f * GaussianRational(Fraction(data.draw(st.integers(1, 5)), P))
+        if not scaled.is_zero():
+            with pytest.raises(NoImage):
+                scaled.residue_gradient([[1, _image(x)] for x in point])
 
 
 def _canonical_parts(value):
@@ -423,12 +460,11 @@ def test_forward_step_matches_reference_forward_step(seed):
     ncols = rng.randint(1, 4)
     fns = [_random_series(rng, space, None, rng.randint(0, 5), rng.random() < 0.5)
            for _ in range(rng.randint(1, 3))]
-    partials = [nonzero_partials(f) for f in fns]
     at = [GaussianRational._coerce(_random_coordinate(rng)) for _ in range(space.dim)]
     rows = [_random_int_row(rng, ncols) for _ in range(space.dim)]
     given_rows = [(den, list(re), list(im)) for den, re, im in rows]
-    want = reference_forward_step(fns, partials, at, [_exact_row(r) for r in rows])
-    got = forward_step(fns, partials, [x.zi for x in at], rows)
+    want = reference_forward_step(fns, at, [_exact_row(r) for r in rows])
+    got = forward_step(fns, [x.zi for x in at], rows)
     assert rows == given_rows  # rows are shared, never mutated
     for (value, row), (want_value, want_row) in zip(got, want):
         re, im, den = value
@@ -461,21 +497,19 @@ def test_residue_step_is_the_image_of_forward_step(seed):
     ncols = rng.randint(1, 4)
     fns = [_random_series(rng, space, None, rng.randint(0, 5), rng.random() < 0.5)
            for _ in range(rng.randint(1, 3))]
-    partials = [nonzero_partials(f) for f in fns]
     at = [GaussianRational._coerce(_random_coordinate(rng)) for _ in range(space.dim)]
     rows = [_random_int_row(rng, ncols) for _ in range(space.dim)]
     residue_rows = [_residue_row(r) for r in rows]
     given_rows = [list(r) for r in residue_rows]
-    got = residue_step(fns, partials, [residue(*x.zi) for x in at], residue_rows)
+    got = residue_step(fns, [residue(*x.zi) for x in at], residue_rows)
     assert residue_rows == given_rows  # rows are shared, never mutated
-    want = forward_step(fns, partials, [x.zi for x in at], rows)
+    want = forward_step(fns, [x.zi for x in at], rows)
     assert got == [(residue(*value), _residue_row(row)) for value, row in want]
     for f in fns:
         scaled = f * GaussianRational(Fraction(rng.randint(1, 5), P))
         if not scaled.is_zero():
             with pytest.raises(NoImage):
-                residue_step([scaled], [nonzero_partials(scaled)],
-                             [residue(*x.zi) for x in at], residue_rows)
+                residue_step([scaled], [residue(*x.zi) for x in at], residue_rows)
     with pytest.raises(NoImage):
         residue(1, 2, 3 * P)
 
