@@ -16,12 +16,13 @@ reparametrization identities that tie the two constructions together.
 
 In EXACT mode the same word also runs on exact values at one point,
 carrying the derivatives in the u-blocks along (forward-mode
-differentiation), so a chain can be ranked without being expanded:
-sampled_chain hands generic_rank the word's ranked form (FlowWord.ranked):
-that pointwise form in EXACT mode, the expanded chart map for truncated
-jets.  In both the last flow skips the block (z or xi) the chart never
-reads; a partial state is never kept, so gamma, psi and check_reparam still
-build full chains.
+differentiation), so a chain is ranked without being expanded: a rank
+profile extends one run a flow at a time (ranks.GrowingRun over
+chain_flows), and sampled_chain hands a single chain (a witness search, a
+psi rank) to generic_rank in its ranked form (FlowWord.ranked), the
+expanded chart map for truncated jets.  A single chain's last flow skips
+the block (z or xi) its chart never reads; a partial state is never kept,
+so gamma, psi and check_reparam still build full chains.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def chain_word(M: CRManifold, k: int, basepoint: Basepoint, parity: str, out=Non
     CRFlows of the parity from the basepoint's state.  Its expanded states
     are kept on M per basepoint, so a chain extends the shorter one."""
     states = vars(M).setdefault("_chain_cache", {}).setdefault(basepoint, {})
-    return FlowWord(_flow_word(M, k, parity), lambda i: chain_space(M, i, basepoint),
+    return FlowWord(chain_flows(M, k, parity), lambda i: chain_space(M, i, basepoint),
                     lambda space: basepoint.state_components(M, space, M.order),
                     lambda params: basepoint.state_values(M, params), M.order, out,
                     states=states)
@@ -132,7 +133,7 @@ def flow(M: CRManifold, which: str, state: SeriesMap, param_block: str) -> Serie
     return SeriesMap(cr_flows(M)[which].expand(state.components, params), M.space)
 
 
-def _flow_word(M: CRManifold, k: int, parity: str):
+def chain_flows(M: CRManifold, k: int, parity: str):
     """The k CRFlows of a chain of the given parity."""
     return [cr_flows(M)[_flow_kind(parity, s)] for s in range(1, k + 1)]
 
@@ -182,10 +183,8 @@ def gamma(M: CRManifold, k: int, basepoint: Optional[Basepoint] = None,
 def sampled_chain(M: CRManifold, k: int, basepoint: Basepoint, parity: str,
                   chart: Optional[str] = None):
     """Gamma_k in a chart (by default its own) in the form ranks samples it:
-    the ranked chain_word reporting the chart's components (FlowWord.ranked).
-    Its last flow skips the block (z or xi) the chart does not read, and
-    that partial state is never kept: Gamma_{k+1} expands flow k in full.
-    """
+    the ranked chain_word reporting the chart's components (FlowWord.ranked),
+    whose last flow skips the block (z or xi) the chart does not read."""
     word = chain_word(M, k, basepoint, parity, chart_indices(M, k, chart))
     return word.ranked(_chart_space(M, chart or _chain_chart(k)))
 

@@ -53,19 +53,11 @@ def _basepoint(M, spec_text: str) -> Basepoint:
         values = [_parse_scalar(part) for part in spec_text.split(",")]
     except ParseError as exc:
         raise ParseError(f"--base: {exc}") from None
-    need = 2 * M.n
-    if len(values) != need:
-        raise ParseError(
-            f"--base needs {need} comma-separated scalars (w, z, zeta, xi)"
-        )
+    if len(values) != 2 * M.n:
+        raise ParseError(f"--base needs {2 * M.n} comma-separated scalars (w, z, zeta, xi)")
     m, d = M.m, M.d
-    return Basepoint.numeric(
-        M,
-        values[:m],
-        values[m : m + d],
-        values[m + d : 2 * m + d],
-        values[2 * m + d :],
-    )
+    return Basepoint.numeric(M, values[:m], values[m : m + d], values[m + d : 2 * m + d],
+                             values[2 * m + d :])
 
 
 def _fmt_scalars(values):
@@ -73,38 +65,21 @@ def _fmt_scalars(values):
 
 
 def _profile_payload(profile):
-    return {
-        "r": list(profile.r),
-        "e": list(profile.e),
-        "certified": profile.certified,
-        "stopped_at": profile.stopped_at,
-        "kmax": profile.kmax,
-    }
+    return {"r": list(profile.r), "e": list(profile.e), "certified": profile.certified,
+            "stopped_at": profile.stopped_at, "kmax": profile.kmax}
 
 
 def _invariants_payload(inv):
-    return {
-        "kappa": inv.kappa,
-        "mu": inv.mu,
-        "nu": inv.nu,
-        "multitype": list(inv.multitype),
-        "minimal": inv.minimal,
-        "orbit_dims": {
-            "complexified": inv.orbit_dim_complexified,
-            "intrinsic": inv.orbit_dim_intrinsic,
-            "real": inv.orbit_dim_real,
-        },
-        "profile": _profile_payload(inv.profile),
-    }
+    orbit_dims = {"complexified": inv.orbit_dim_complexified,
+                  "intrinsic": inv.orbit_dim_intrinsic, "real": inv.orbit_dim_real}
+    return {"kappa": inv.kappa, "mu": inv.mu, "nu": inv.nu, "multitype": list(inv.multitype),
+            "minimal": inv.minimal, "orbit_dims": orbit_dims,
+            "profile": _profile_payload(inv.profile)}
 
 
 def _hormander_payload(hd):
-    return {
-        "ladder": [[mu, l, dim] for mu, l, dim in hd.ladder],
-        "h": hd.h,
-        "minimal": hd.minimal,
-        "level_dims": list(hd.level_dims),
-    }
+    return {"ladder": [[mu, l, dim] for mu, l, dim in hd.ladder], "h": hd.h,
+            "minimal": hd.minimal, "level_dims": list(hd.level_dims)}
 
 
 def _emit(report, args, human_lines):
@@ -211,9 +186,7 @@ def cmd_chains(args, M, bp):
 
 @_manifold_command
 def cmd_ranks(args, M, bp):
-    profile = rank_profile(
-        M, bp, args.kmax, args.trials, args.seed, certify=args.certify
-    )
+    profile = rank_profile(M, bp, args.kmax, args.trials, args.seed, certify=args.certify)
     lines = [
         "k    : " + "  ".join(f"{k + 1:3d}" for k in range(len(profile.r))),
         "rank : " + "  ".join(f"{r:3d}" for r in profile.r),
@@ -324,25 +297,16 @@ def cmd_orbit(args):
         raise ParseError(f"--kmax must be >= {system.a}, the number of fields")
     # with no --order the flows keep the manifest's own truncation
     order = {None: system.order, "EXACT": None}.get(args.order, args.order)
-    result = greedy_multitype(
-        system, kmax=args.kmax, order=order, trials=args.trials, seed=args.seed,
-        witness=False,
-    )
+    result = greedy_multitype(system, kmax=args.kmax, order=order, trials=args.trials,
+                              seed=args.seed, witness=False)
     oracle = lie_span_dimension(system)
-    payload = {
-        "multitype": list(result.multitype),
-        "orbit_dim": result.orbit_dim,
-        "word": [w + 1 for w in result.word],
-        "ranks": list(result.ranks),
-        "lie_span_dim": oracle,
-        "certified": result.orbit_dim == oracle,
-        "flows_exact": result.flows_exact,
-    }
+    payload = {"multitype": list(result.multitype), "orbit_dim": result.orbit_dim,
+               "word": [w + 1 for w in result.word], "ranks": list(result.ranks),
+               "lie_span_dim": oracle, "certified": result.orbit_dim == oracle,
+               "flows_exact": result.flows_exact}
     if system.a == 2:
-        other = greedy_multitype(
-            system, kmax=args.kmax, order=order, trials=args.trials,
-            seed=args.seed, start_order=[1, 0], witness=False,
-        )
+        other = greedy_multitype(system, kmax=args.kmax, order=order, trials=args.trials,
+                                 seed=args.seed, start_order=[1, 0], witness=False)
         payload["multitype_conjugate_start"] = list(other.multitype)
     report = _report(args, {"n": system.n, "m": system.m, "a": system.a}, payload, order)
     lines = [
@@ -385,12 +349,8 @@ def _check_manifold_expectations(name, manifest, expected, args, emit):
     if any(k in expected for k in ("minimal", "kappa", "mu", "nu", "multitype", "e", "r")):
         inv = segre_invariants(M, Basepoint.origin(), None, trials, seed)
         for key, actual in (
-            ("minimal", inv.minimal),
-            ("kappa", inv.kappa),
-            ("mu", inv.mu),
-            ("nu", inv.nu),
-            ("multitype", list(inv.multitype)),
-            ("e", list(inv.profile.e[: inv.kappa])),
+            ("minimal", inv.minimal), ("kappa", inv.kappa), ("mu", inv.mu), ("nu", inv.nu),
+            ("multitype", list(inv.multitype)), ("e", list(inv.profile.e[: inv.kappa])),
             ("r", list(inv.profile.r)),
         ):
             if key in expected:

@@ -7,29 +7,32 @@ at the first plateau.  kappa counts the positive increments, the type is
 mu = 2 + kappa, the multitype is (m, m, e_1, ..., e_kappa), and the manifold
 is minimal at the basepoint exactly when the increments sum to d.
 
-Every rank here is sampled through ranks.generic_rank / rank_at_point on
-chains.sampled_chain, a chain word in its ranked form (FlowWord.ranked): in
-EXACT mode the chains are never expanded (each is a chains.chain_word run
-pointwise), their Jacobians at the sample points come from forward-mode
-differentiation, and a certified rank rests on evaluation being a ring
-homomorphism; truncated jets are expanded and their witnessed minors
-certified symbolically.  The witness comes from ranks.return_witness, the
-one the orbit witness uses too: its search ranks each try as rank_at_point
-does, then it runs the return chain once exactly.  A witness needs a numeric
-basepoint and an EXACT manifold, since its chains run at nonzero times.  For
-the same reason a truncated manifold takes no numeric basepoint but the
-origin (Basepoint.numeric).
+The ranks of an EXACT profile are read from one ranks.GrowingRun: each
+trial draws one point sequence and extends one chain state a flow at a
+time, Gamma_{k+1} being Gamma_k followed by one more flow, so r_k is read
+after k flows, in the chart of Gamma_k, with no restart; its Jacobian comes
+from forward-mode differentiation and a certified rank rests on evaluation
+being a ring homomorphism.  Truncated jets are ranked chain by chain
+(chains.sampled_chain, expanded) and their witnessed minors certified
+symbolically.  The witness comes from ranks.return_witness, the one of the
+orbit witness too: it searches the chain word of length mu, then runs the
+return chain once exactly, so it needs a numeric basepoint and an EXACT
+manifold; for the same reason a truncated manifold takes no numeric
+basepoint but the origin (Basepoint.numeric).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import List, Optional
 
-from .chains import default_kmax, psi_chart, sampled_chain, u_blocks
+from .chains import (
+    chain_flows, chain_word, chart_indices, default_kmax, psi_chart, sampled_chain, u_blocks,
+)
 from .errors import NotAHypersurface, SegreError, TruncationUnsound
 from .manifold import Basepoint, CRManifold
-from .ranks import DEFAULT_TRIALS, generic_rank, rank_at_point, return_witness
+from .ranks import DEFAULT_TRIALS, GrowingRun, generic_rank, rank_at_point, return_witness
 from .series import Series
 
 
@@ -64,14 +67,17 @@ class SegreInvariants:
     profile: RankProfile
 
 
-def _chain_rank(M, k, basepoint, parity, trials, seed, certify):
-    # ranks are taken in the intrinsic (2m+d)-coordinate chart of the chain:
-    # equivalent to the ambient rank for exact manifolds, and structurally
-    # bounded by dim M for truncated jets
-    return generic_rank(
-        sampled_chain(M, k, basepoint, parity), wrt=u_blocks(k), trials=trials,
-        seed=seed + k, certify=certify,
-    )
+def _chain_ranks(M, basepoint, parity, trials, seed, certify):
+    """k -> the rank (a ranks.RankResult) of Gamma_k in its intrinsic
+    (2m+d)-coordinate chart: equivalent to the ambient rank for exact
+    manifolds, and structurally bounded by dim M for truncated jets.  EXACT
+    chains are read from one ranks.GrowingRun after k flows; a jet chain is
+    expanded and ranked on its own, at seed + k."""
+    if M.order is not None:
+        return lambda k: generic_rank(sampled_chain(M, k, basepoint, parity), wrt=u_blocks(k),
+                                      trials=trials, seed=seed + k, certify=certify)
+    run = GrowingRun(chain_word(M, 1, basepoint, parity), trials, seed)
+    return lambda k: run.rank(chain_flows(M, k, parity), chart_indices(M, k), certify)
 
 
 def rank_profile(
@@ -89,27 +95,24 @@ def rank_profile(
     if kmax < 3:
         raise SegreError("kmax must be >= 3")
     rs: List[int] = []
-    witnesses = []
-    certified = True
-    stopped_at = kmax
+    witnesses, certified, stopped_at = [], True, kmax
+    rank_of = _chain_ranks(M, basepoint, "L", trials, seed, certify)
     for k in range(1, kmax + 1):
-        res = _chain_rank(M, k, basepoint, "L", trials, seed, certify)
+        res = rank_of(k)
         rs.append(res.rank)
         witnesses.append(tuple(res.witness) if res.witness else None)
         certified = certified and res.certified
         if k >= 3 and rs[-1] == rs[-2]:
             stopped_at = k
             break
-        if k >= 3 and rs[-1] < rs[-2]:
+        if k >= 3 and rs[-1] < rs[-2]:  # a theorem along one trial's run
             raise SegreError("internal: sampled ranks decreased; raise trials")
     if rs[0] != M.m or (len(rs) > 1 and rs[1] != 2 * M.m):
-        raise SegreError(
-            "internal: r_1, r_2 must equal m, 2m; sampling failed or input invalid"
-        )
+        raise SegreError("internal: r_1, r_2 must equal m, 2m; sampling failed or input invalid")
     e = tuple(rs[k + 1] - rs[k] for k in range(1, len(rs) - 1))
     # sigma-consistency: one conjugate-parity rank must agree
     k_check = min(3, len(rs))
-    res_bar = _chain_rank(M, k_check, basepoint, "Lbar", trials, seed, certify=False)
+    res_bar = _chain_ranks(M, basepoint, "Lbar", trials, seed, False)(k_check)
     if res_bar.rank != rs[k_check - 1]:
         raise SegreError("internal: conjugate chain rank disagrees; raise trials")
     return RankProfile(tuple(rs), e, tuple(witnesses), certified, stopped_at, kmax)
@@ -124,34 +127,18 @@ def segre_invariants(
     certify: bool = False,
 ) -> SegreInvariants:
     profile = rank_profile(M, basepoint, kmax, trials, seed, certify)
-    conclusive = (
-        len(profile.r) >= 2 and profile.r[-1] == profile.r[-2]
-    ) or profile.r[-1] == 2 * M.m + M.d
-    if not conclusive:
-        raise SegreError(
-            f"ranks still increasing at kmax={profile.kmax}; raise kmax"
-        )
-    e_pos = []
-    for inc in profile.e:
-        if inc <= 0:
-            break
-        e_pos.append(inc)
-    kappa = len(e_pos)
+    r = profile.r
+    if not ((len(r) >= 2 and r[-1] == r[-2]) or r[-1] == 2 * M.m + M.d):
+        raise SegreError(f"ranks still increasing at kmax={profile.kmax}; raise kmax")
+    e_pos = list(takewhile(lambda inc: inc > 0, profile.e))
+    kappa, total = len(e_pos), sum(e_pos)
     mu = 2 + kappa
-    nu = mu - 1
-    total = sum(e_pos)
     if not (kappa <= M.d and mu <= M.d + 2):
         raise SegreError("internal: type bounds kappa <= d, mu <= d + 2 violated")
     return SegreInvariants(
-        kappa=kappa,
-        mu=mu,
-        nu=nu,
-        multitype=(M.m, M.m) + tuple(e_pos),
-        minimal=(total == M.d),
-        orbit_dim_complexified=2 * M.m + total,
-        orbit_dim_intrinsic=M.m + total,
-        orbit_dim_real=2 * M.m + total,
-        profile=profile,
+        kappa=kappa, mu=mu, nu=mu - 1, multitype=(M.m, M.m) + tuple(e_pos),
+        minimal=(total == M.d), orbit_dim_complexified=2 * M.m + total,
+        orbit_dim_intrinsic=M.m + total, orbit_dim_real=2 * M.m + total, profile=profile,
     )
 
 

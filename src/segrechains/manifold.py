@@ -329,9 +329,11 @@ class CRFlow:
     """The L or Lbar flow of M: the moved block (w or zeta) gains its times,
     then the recomputed block (z or xi) takes the values of qbar or q on the
     whole state (qbar never reads z, q never reads xi).  advance steps values
-    and gradient rows over a series.Kernel (Z[i] or F_P), expand steps Series.
-    Both skip the target step when `out`, the components the caller reads,
-    holds no target: advance leaves the target stale, expand leaves it None."""
+    and gradient rows over a series.Kernel (Z[i] or F_P), the times' unit
+    entries in columns col, col + 1, ... (none at constant times, col None);
+    expand steps Series.  Both skip the target step when `out`, the
+    components the caller reads, holds no target: advance leaves the target
+    stale, expand leaves it None."""
 
     __slots__ = ("names", "moved", "target", "fns")
 
@@ -342,7 +344,8 @@ class CRFlow:
         values, rows = list(values), list(rows)
         for i, a in enumerate(self.moved):
             values[a] = kernel.add(values[a], times[i])
-            rows[a] = kernel.shift(rows[a], col + i)  # the unit time entry
+            if col is not None:
+                rows[a] = kernel.shift(rows[a], col + i)  # the unit time entry
         if self._skips(out):
             return values, rows
         new = kernel.step(self.fns, values, rows)

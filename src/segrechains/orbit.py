@@ -15,19 +15,18 @@ resulting orbit dimension am + sum(e) can be cross-checked against the
 independent left-normed bracket span oracle lie_span_dimension.
 
 flow_word gives a concatenated flow as a series.FlowWord, the word of the
-Segre chains too, and FlowWord.ranked the form its rank is sampled in.  With
-EXACT flows (order=None) it is never expanded: it carries exact (value, d/dt)
-pairs from the origin through the word's flows at each sample point
-(forward-mode differentiation), each flow component's value and partials
-read from one gradient walk (Series.gradient_over), none differentiated.
-The witness is ranks.return_witness, the one the chains use too: a
-seeded point t* of the word's rank, then the return word (the forward word
-followed by its reversed flows, run at the negated times -t_i*) run once.
-Truncated jets rank the expanded concatenated_flow, which is also the test
-oracle for the pointwise form: the candidates of one greedy step differ only
-in their last flow, so the expanded state of their common prefix is kept and
-each candidate composes one flow more.  A jet's witness is None, because a
-truncated flow cannot be evaluated at a nonzero time.
+Segre chains too.  EXACT flows (order=None) are never expanded: one
+ranks.GrowingRun carries exact (value, d/dt) pairs, over F_P first, from
+the origin through the word's flows at each trial's points (forward-mode
+differentiation, one gradient walk per flow component), and the
+candidates of a greedy step extend the state of their common prefix by
+one flow each, the winner's kept.  The witness is ranks.return_witness,
+the one the chains use too: a seeded point t* of the word's rank, then the
+word run at t* and on through its reversed flows at the negated times.
+Truncated jets rank the expanded word (FlowWord.ranked; concatenated_flow
+is the test oracle for both forms), whose candidates likewise expand their
+common prefix once.  A jet's witness is None, because a truncated flow
+cannot be evaluated at a nonzero time.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .errors import (
 from .manifold import CRManifold
 from .ranks import (
     DEFAULT_TRIALS,
+    GrowingRun,
     exact_rank,
     generic_rank,
     integer_rows,
@@ -138,11 +138,12 @@ class FlowMap:
 
     def advance(self, values, rows, times, col, kernel=EXACT, out=None):
         """exp(times.L) at values and gradient rows over a series.Kernel (Z[i]
-        or F_P); the times move columns col, col + 1, ....  Each component's
-        value and partials in (s, x) come from one gradient walk.  An orbit
-        word has no `out`."""
+        or F_P); the times move columns col, col + 1, ..., or none at
+        constant times (col None).  Each component's value and partials in
+        (s, x) come from one gradient walk.  An orbit word has no `out`."""
         zero = kernel.zero(kernel.width(rows[0]))
-        time_rows = [kernel.shift(zero, col + j) for j in range(len(times))]
+        time_rows = [zero if col is None else kernel.shift(zero, col + j)
+                     for j in range(len(times))]
         new = kernel.step(self.map.components, list(times) + values, time_rows + rows)
         return [v for v, _ in new], [r for _, r in new]
 
@@ -278,8 +279,8 @@ def greedy_multitype(
     Ties among rank-maximizing candidate fields break to the lowest index;
     kmax bounds the word length (default a + n - a*m + 1); `order` is the
     flow jet order (None = require terminating Lie series: TruncationUnsound
-    on a truncated system, pass its system.order).  EXACT flows are
-    ranked pointwise (flow_word), jets from their expanded maps.  The
+    on a truncated system, pass its system.order).  EXACT words are read
+    from one ranks.GrowingRun, jets from their expanded maps.  The
     witness needs flows at nonzero constant times, which truncated flows
     cannot give soundly, so with a finite order it is None.  The last field
     is never a candidate: its flows form a group (Sussmann 1973), so word +
@@ -301,13 +302,18 @@ def greedy_multitype(
     states: dict = {}  # jet states shared by the candidates of one step
     base = flow_word(system, word, flows, order, states)
     base_map, exact = base.ranked(system.space), all(f.exact for f in base.flows)
-    blocks = [f"t{i}" for i in range(1, a + 1)]
-    zero_pt = [ZERO] * (a * m)
-    if rank_at_point(base_map, blocks, zero_pt) != a * m:
-        raise RankAssumptionViolated(
-            "concatenated initial flows are rank-deficient at 0"
-        )
-    rank = generic_rank(base_map, wrt=blocks, trials=trials, seed=seed).rank
+    if rank_at_point(base_map, [f"t{i}" for i in range(1, a + 1)], [ZERO] * (a * m)) != a * m:
+        raise RankAssumptionViolated("concatenated initial flows are rank-deficient at 0")
+    run = GrowingRun(base, trials, seed) if order is None else None
+
+    def rank_of(w, seed):
+        if run is not None:  # EXACT: every word is read from the one run
+            return run.rank([_flow(system, flows, alpha, None) for alpha in w]).rank
+        cand = flow_word(system, w, flows, order, states).ranked(system.space)
+        return generic_rank(cand, wrt=[f"t{i}" for i in range(1, len(w) + 1)],
+                            trials=trials, seed=seed).rank
+
+    rank = rank_of(word, seed)
     ranks = [rank]
     e: List[int] = []
     while len(word) < kmax and rank < n:
@@ -315,11 +321,7 @@ def greedy_multitype(
         for alpha in range(a):
             if alpha == word[-1]:  # the flow group law: it adds no rank
                 continue
-            cand = flow_word(system, word + [alpha], flows, order, states).ranked(system.space)
-            cblocks = [f"t{i}" for i in range(1, len(word) + 2)]
-            r = generic_rank(
-                cand, wrt=cblocks, trials=trials, seed=seed + len(word)
-            ).rank
+            r = rank_of(word + [alpha], seed + len(word))
             if r > best_rank:
                 best_alpha, best_rank = alpha, r
         if best_alpha is None:
@@ -328,18 +330,10 @@ def greedy_multitype(
         rank = best_rank
         ranks.append(rank)
         word.append(best_alpha)
-    kappa0 = len(e)
-    mu0 = a + kappa0
     result = OrbitResult(
-        word=tuple(word),
-        e=tuple(e),
-        kappa0=kappa0,
-        mu0=mu0,
-        multitype=(m,) * a + tuple(e),
-        orbit_dim=a * m + sum(e),
-        ranks=tuple(ranks),
-        flows_exact=exact,
-        witness=None,
+        word=tuple(word), e=tuple(e), kappa0=len(e), mu0=a + len(e),
+        multitype=(m,) * a + tuple(e), orbit_dim=a * m + sum(e), ranks=tuple(ranks),
+        flows_exact=exact, witness=None,
     )
     if witness and order is None:
         try:

@@ -1,52 +1,40 @@
 """Exact rank of matrices over Q(i) and generic rank of series maps.
 
-The matrix type here is the integer row (den, re, im) of series.reduced_row.
-integer_rows builds it from a matrix of Series at a point (Series.value_over
-against one PointTable); jacobian_rows from a SeriesMap's Jacobian and
-series.forward_step from a word of flows both read the pointwise gradient
-(Series.gradient_over).  Ranks and pivots ignore den, a row scaling.  The
-public exact_rank and pivot_positions also take GaussianRational matrices,
-converted once at entry.
+The matrix type here is the integer row (den, re, im) of series.reduced_row:
+integer_rows builds it from a matrix of Series at a point, jacobian_rows
+from a SeriesMap's Jacobian and a FlowWord's forward-mode run from a word of
+flows, both through the pointwise gradient (Series.gradient_over).  Ranks
+and pivots ignore den, a row scaling; the public exact_rank and
+pivot_positions also take GaussianRational matrices.
 
-The generic rank of a holomorphic map is realized by sampling: evaluate the
-Jacobian at pseudo-random Gaussian-rational points and take the maximum of
-the exact numeric ranks.  The result is a certified lower bound for the
-generic rank and equals it outside a measure-zero set of sample failures.
-There is one sampler (sample_rank, used by generic_rank and by span_dims,
-the span ladder of lie's brackets and Levi type and of the orbit oracle),
-one rank (exact_rank) and one exact eliminator (pivot_positions, Bareiss's
-fraction-free elimination over Z[i]).
+A generic rank is sampled: the highest exact rank of the Jacobian over
+pseudo-random Gaussian-rational points, a certified lower bound that equals
+the generic rank outside a measure-zero set of sample failures.  There is
+one trials loop (sample_rank, which stops at full rank), one rank
+(exact_rank) and one exact eliminator (pivot_positions, Bareiss over Z[i]).
+sample_rank draws seeded points for generic_rank and for span_dims (lie's
+bracket ladder and Levi type, the orbit oracle); a GrowingRun, the sampler
+of rank profiles and EXACT greedy orbits, feeds it the points of its
+trials, each extending one state a flow at a time.
 
 exact_rank first eliminates modulo the prime P under re + i*im ->
-re + ROOT*im, ROOT^2 = -1 mod P: a ring homomorphism Z[i] -> F_P, which
-maps minors to minors.  So the rank mod P never exceeds the exact rank, and
-one of min(rows, cols) proves it.  Any other matrix is eliminated exactly:
-no probability enters a rank.  pivot_positions, which jet certification
-reads, is always exact.  A FlowWord sampled by sample_rank or ranked by
-rank_at_point is run over F_P first (series.RESIDUES): its residue rows
-are the image of its integer rows, so a full rank mod P proves the exact
-rank with no exact run.  A word whose residue rank is not full, or that
-has no image in F_P (a point or a Series with a denominator divisible by
-P), is rerun exactly at the same point, and a non-full residue rank goes
-straight to exact Bareiss.  return_witness ranks its search's tries the
-same way (rank_at_point); only its return run stays exact.
+re + ROOT*im, a ring homomorphism Z[i] -> F_P that maps minors to minors,
+so a full rank mod P proves the exact rank; any other matrix is eliminated
+exactly, and no probability enters a rank.  Words and runs go over F_P
+first (series.RESIDUES), their residue rows the image of their integer
+rows: a word whose residue rank is not full, or that has no image in F_P
+(a denominator divisible by P), is rerun exactly at the same point, and a
+non-full residue rank goes straight to Bareiss (_point_rank).
+return_witness, the witness of chains and orbits, ranks its search's tries
+the same way, then runs the return map once exactly.
 
 A SeriesMap (a jet chain, a psi map, a jet orbit flow) is never
-differentiated to be ranked: jacobian_rows takes every partial at a sample
-point from one gradient walk over each component's terms (forward
-evaluation, as in Griewank and Walther, Evaluating Derivatives, 2008), and
-only the witnessed minor's entries are differentiated, to certify a jet
-rank.  An EXACT chain or concatenated orbit flow is never expanded: it is a
-series.FlowWord, whose Jacobian at each point comes from forward-mode
-differentiation through the word's flows, one gradient walk per flow
-function.  return_witness is the witness of both: a seeded
-point of a given shape and rank, then one exact run of the return word.
-
-Certification: in EXACT mode evaluation is a ring homomorphism, so the
-nonzero pivot minor of the exact matrix at the witness point proves that the
-symbolic minor is a nonzero polynomial.  Only in truncated (jet) mode, where
-that argument fails, are the witnessed minor's r x r entries differentiated
-and its determinant expanded symbolically.
+differentiated to be ranked: jacobian_rows reads every partial at a point
+from one gradient walk per component (forward evaluation, as in Griewank
+and Walther, Evaluating Derivatives, 2008).  Certification: in EXACT mode
+evaluation is a ring homomorphism, so a minor that is nonzero at the sample
+point is a nonzero polynomial; only a jet's witnessed r x r minor is
+differentiated and its determinant expanded symbolically.
 """
 
 from __future__ import annotations
@@ -59,7 +47,8 @@ from typing import List, Optional, Tuple
 from .errors import WitnessNotFound
 from .scalars import GaussianRational, ZERO
 from .series import (
-    P, RESIDUES, ROOT, NoImage, PointTable, Series, SeriesMap, check_point, reduced_row,
+    EXACT, P, RESIDUES, ROOT, NoImage, PointTable, Series, SeriesMap, advance, check_point,
+    reduced_row,
 )
 
 # Sampling box: numerators in [-99, 99], denominators in [1, 9] for both the
@@ -249,9 +238,10 @@ def _point_rank(matrix_at, residues_at, point):
 
 
 def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
-                residues_at=None):
+                residues_at=None, points=None):
     """(rank, point, matrix): the highest exact rank of the integer rows
-    matrix_at(point) over up to `trials` seeded points of `dim` coordinates,
+    matrix_at(point) over up to `trials` points, by default seeded points of
+    `dim` coordinates, else those `points` gives (drawn as they are needed),
     with the first point reaching it and its matrix, or the residue rows
     residues_at(point) (optional) that proved that rank at full rank mod P
     (_point_rank).  The loop stops early at full rank, which no later point
@@ -259,10 +249,11 @@ def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
+    if points is None:
+        rng = random.Random(seed)
+        points = (random_point(rng, dim) for _ in range(trials))
     best = (0, None, None)
-    for _ in range(trials):
-        point = random_point(rng, dim)
+    for point in points:
         r, full, matrix = _point_rank(matrix_at, residues_at, point)
         if r > best[0] or best[1] is None:
             best = (r, point, matrix)
@@ -301,18 +292,13 @@ def symbolic_determinant(matrix: List[List[Series]]) -> Series:
         raise ValueError("empty matrix")
     if n == 1:
         return matrix[0][0]
-    space = matrix[0][0].space
-    order = matrix[0][0].order
-    total = Series.zero(space, order)
+    total = Series.zero(matrix[0][0].space, matrix[0][0].order)
     for j in range(n):
         entry = matrix[0][j]
         if entry.is_zero():
             continue
-        minor = [
-            [matrix[r][c] for c in range(n) if c != j] for r in range(1, n)
-        ]
-        sub = symbolic_determinant(minor)
-        term = entry * sub
+        term = entry * symbolic_determinant(
+            [[matrix[r][c] for c in range(n) if c != j] for r in range(1, n)])
         total = total + term if j % 2 == 0 else total - term
     return total
 
@@ -384,18 +370,85 @@ def rank_at_point(f, wrt, point) -> int:
     return _point_rank(*_jacobian_source(f, wrt), point)[0]
 
 
+class GrowingRun:
+    """Up to `trials` lazy runs of flows from the start of an EXACT
+    series.FlowWord `word`: the sampler of rank profiles and greedy orbits.
+    Trial t draws from Random(seed + t) the start's parameters once, then a
+    time block per flow as it grows, so its point after k flows (k blocks,
+    then the parameters) extends to its point after k + 1.  Its state grows
+    a flow at a time (series.advance) from the longest prefix of the asked
+    flows that it keeps, over F_P, and exactly, built lazily at the same
+    point, only where _point_rank reads exact rows.  A flow at fixed times
+    is a biholomorphism, so no rank drops along one trial."""
+
+    def __init__(self, word, trials: int = DEFAULT_TRIALS, seed: int = 0):
+        space = word.space_of(1)
+        self.word, self.trials, self.seed = word, trials, seed
+        self.m = len(space.blocks[0][1])
+        self.nparams = space.dim - self.m
+        # per trial: [its Random, params, time blocks drawn, {kernel: {flows:
+        # (values, rows)}, or None once it had no image in F_P}, its point]
+        self.runs, self.flows, self.out = [], (), None
+
+    def rank(self, flows, out=None, certify: bool = False) -> RankResult:
+        """The rank of the rows `out` (all by default) after `flows` in all
+        their time columns, sampled over the trials' points by sample_rank,
+        which reads them through _jacobian_source as it reads a FlowWord;
+        certified as generic_rank certifies an EXACT rank."""
+        self.flows, self.out = tuple(flows), out
+        matrix_at, residues_at = _jacobian_source(self, None)
+        rank, point, _ = sample_rank(matrix_at, None, self.trials, self.seed, residues_at,
+                                     map(self._point, range(self.trials)))
+        return RankResult(rank, point, self.trials, self.seed,
+                          certify and 0 < rank <= CERTIFY_MAX_SIZE)
+
+    def _point(self, t):
+        """Trial t's point after the current flows, the trial made on first use."""
+        if t == len(self.runs):
+            rng = random.Random(self.seed + t)
+            self.runs.append([rng, random_point(rng, self.nparams), [], {}, None])
+        run = self.runs[t]
+        rng, params, blocks = run[:3]
+        while len(blocks) < len(self.flows):
+            blocks.append(random_point(rng, self.m))
+        run[4] = [c for blk in blocks[: len(self.flows)] for c in blk] + params
+        return run[4]
+
+    def jacobian_at(self, point, wrt=None, kernel=EXACT):
+        """The rows `out` after the current flows at a trial's point over the
+        kernel; NoImage when the trial's run has none in F_P."""
+        _, params, blocks, states, _ = next(run for run in self.runs if run[4] is point)
+        flows, kept = self.flows, states.get(kernel, {})
+        if kept is None:
+            raise NoImage("this trial's run has no image in F_P")
+        try:
+            done = max((f for f in kept if flows[: len(f)] == f), key=len, default=None)
+            if done is None:
+                done, kept[()] = (), self.word.start_state(params, kernel)
+            values, rows = kept[done]
+            for i in range(len(done), len(flows)):
+                times = [kernel.scalar(t) for t in blocks[i]]
+                values, rows = kept[flows[: i + 1]] = advance(flows[i], values, rows, times, kernel)
+        except NoImage:
+            states[kernel] = None
+            raise
+        # the states a later candidate or flow can extend
+        states[kernel] = {f: state for f, state in kept.items() if len(f) >= len(flows) - 1}
+        return rows if self.out is None else [rows[a] for a in self.out]
+
+
 def return_witness(word, target: int, seed: int):
     """(t*, rank, returns): the return witness of an EXACT series.FlowWord of
     mu flows, the one witness of chains and orbits.  t* = (t_1*, ...,
     t_{mu-1}*, 0), mu blocks of scalars, is a seeded point at which the
     word's Jacobian has rank `target`, each try ranked by rank_at_point:
     WITNESS_RETRIES tries in the sampling box, then as many in a box ten
-    times wider; WitnessNotFound if none reaches the target.  The return word
-    (FlowWord.return_word) then runs exactly at t* followed by -t*_{mu-1},
-    ..., -t*_1.  rank is the exact rank of its Jacobian in the first mu
-    blocks, which equals the word's rank at t* (the return flows at fixed
-    times are a biholomorphism), and returns says whether its values are the
-    word's start values."""
+    times wider; WitnessNotFound if none reaches the target.  The word then
+    runs exactly and in full at t*, one series.advance step per flow, and on
+    through flows mu - 1, ..., 1 at the constant times -t*_{mu-1}, ...,
+    -t*_1, which add no column.  rank is the exact rank of the rows reached,
+    the word's rank at t* (fixed-time flows are biholomorphisms), and
+    returns says whether the values are the word's start values."""
     mu, m = len(word.flows), len(word.domain.blocks[0][1])
     rng = random.Random(seed)
     for attempt in range(2 * WITNESS_RETRIES):
@@ -408,7 +461,10 @@ def return_witness(word, target: int, seed: int):
         raise WitnessNotFound(
             f"no rank-{target} point of the required shape after {2 * WITNESS_RETRIES} tries"
         )
-    values, rows = word.return_word().at(point + [-c for blk in reversed(found) for c in blk])
-    rank = exact_rank([(den, re[: mu * m], im[: mu * m]) for den, re, im in rows])
+    values, rows = word.start_state(())
+    for flow, blk in zip(word.flows, found + [[ZERO] * m]):
+        values, rows = advance(flow, values, rows, [c.zi for c in blk])
+    for flow, blk in zip(word.flows[-2::-1], reversed(found)):
+        values, rows = flow.advance(values, rows, [(-c).zi for c in blk], None)
     returns = [GaussianRational.from_zi(*v) for v in values] == list(word.values(()))
-    return tuple(map(tuple, found)) + ((ZERO,) * m,), rank, returns
+    return tuple(map(tuple, found)) + ((ZERO,) * m,), exact_rank(rows), returns

@@ -7,37 +7,29 @@ Q(i) coefficients, EXACT (a polynomial, order=None) or a jet truncated at a
 total degree, stored over the Gaussian integers: one positive int `den` and a
 dict `pairs` from exponent tuple to an (re, im) int pair, the coefficient
 being (re + i*im) / den.  A GaussianRational is stored over Z[i] as well
-(its canonical zi, (re, im, den)), so the boundary is an attribute read on
-the way in (the constructor, scalar factors, points) and one
-GaussianRational.from_zi on the way out (coefficient, constant_term,
-formatting, the read-only `terms` view); the re and im views are never read
-here.  A SeriesMap is a tuple of Series sharing one domain, its components
-assigned to the variables of a codomain.
+(its zi, (re, im, den)), so the boundary is an attribute read on the way in
+and one GaussianRational.from_zi on the way out.  A SeriesMap is a tuple of
+Series sharing one domain, its components assigned to a codomain's variables.
 
-The calculus on Series lives here too, once for every caller: sums,
-derivatives and products by one term or a scalar on the stored ints, one
-polynomial product (_zi_product over packed exponents, cut off by degree)
-behind other Series products and substitution (Series.compose, summed over
-one denominator), and the pointwise walks over a Series' terms against a
-PointTable of an exact point that callers share: its value
-(Series.value_over, over the Gaussian integers; Series.evaluate divides it
-once) and the pointwise gradient, its value and every first partial in one
-walk (Series.gradient_over, and Series.residue_gradient, its image in F_P
-under i -> ROOT; NoImage where P divides a denominator).  On the gradient
-walk stands the forward-mode chain-rule step (forward_step: values and
-gradient rows over Z[i], one denominator each, the integer rows that ranks
-eliminates; residue_step: residues, no gcd, lcm or denominator), and on it
-the word of flows of Segre chains and orbit flows alike (FlowWord: run at a
-point over either Kernel, EXACT or RESIDUES, or expanded, keeping the state
-after every prefix, so words that share one expand it once; FlowWord.ranked
-picks the form a rank samples, the word itself when EXACT and its expansion
-for a jet).  The vector field acts as a derivation
-(TangentVectorField.apply), and the bracket of two fields is one pass of
-_derivation too, every c_a * df/dx_a summed straight into one dict over one
-denominator (a bracket component is X(Y_a) - Y(X_a) in a single such sum);
-then the commutation check (noncommuting_pair) and the deduplicated
-left-normed bracket ladder (bracket_levels, level 1 first) that the
-Hormander ladder and the orbit oracle both rank.
+The calculus on Series lives here, once for every caller: sums, derivatives
+and products by one term on the stored ints, one polynomial product
+(_zi_product over packed exponents, cut off by degree) behind every other
+product and substitution (Series.compose), and the pointwise walks over a
+Series' terms against a PointTable of an exact point: its value
+(Series.value_over) and its pointwise gradient, the value and every first
+partial in one walk (Series.gradient_over; Series.residue_gradient, its
+image in F_P under i -> ROOT, NoImage where P divides a denominator).  On
+the gradient stands the forward-mode chain-rule step (forward_step over
+Z[i], the integer rows ranks eliminates; residue_step over F_P), and on it
+the one-flow step of a pointwise run (advance: the rows widen by the flow's
+block of time columns) and the word of flows of Segre chains and orbit
+flows alike (FlowWord: run at a point over a Kernel, EXACT or RESIDUES, one
+advance per flow, or expanded, keeping the state after every prefix;
+FlowWord.ranked picks the form a rank samples).  A vector field acts as a
+derivation (TangentVectorField.apply), and a bracket of two fields is one
+pass of _derivation, every c_a * df/dx_a summed into one dict over one
+denominator; on it stand the commutation check (noncommuting_pair) and the
+deduplicated left-normed bracket ladder (bracket_levels, level 1 first).
 
 All values are immutable after construction; results are kept canonical
 (no (0, 0) pair, no term beyond the truncation order, and no factor of den
@@ -934,21 +926,32 @@ def _residue_shift(row, col):
 class Kernel:
     """The scalars a FlowWord runs over, EXACT (Z[i]) or RESIDUES (F_P, the
     image under i -> ROOT): scalar(x) of a GaussianRational, add(x, y),
-    zero(ncols) the zero row, width(row), shift(row, col) the row plus the
-    unit vector of column col, and step(fns, values, rows) the forward-mode
-    step (forward_step or residue_step), one gradient walk per Series."""
+    zero(ncols) the zero row, width(row), widen(row, n) the row with n zero
+    columns more, shift(row, col) the row plus the unit vector of column
+    col, and step(fns, values, rows) the forward-mode step (forward_step or
+    residue_step), one gradient walk per Series."""
 
-    __slots__ = ("scalar", "add", "zero", "width", "shift", "step")
+    __slots__ = ("scalar", "add", "zero", "width", "widen", "shift", "step")
 
-    def __init__(self, scalar, add, zero, width, shift, step):
+    def __init__(self, scalar, add, zero, width, widen, shift, step):
         self.scalar, self.add, self.zero, self.width = scalar, add, zero, width
-        self.shift, self.step = shift, step
+        self.widen, self.shift, self.step = widen, shift, step
 
 
 EXACT = Kernel(operator.attrgetter("zi"), zi_add, lambda n: (1, [0] * n, [0] * n),
-               lambda row: len(row[1]), _exact_shift, forward_step)
+               lambda row: len(row[1]), lambda row, n: (row[0], row[1] + [0] * n, row[2] + [0] * n),
+               _exact_shift, forward_step)
 RESIDUES = Kernel(lambda x: residue(*x.zi), lambda x, y: (x + y) % P, lambda n: [0] * n,
-                  len, _residue_shift, residue_step)
+                  len, lambda row, n: row + [0] * n, _residue_shift, residue_step)
+
+
+def advance(flow, values, rows, times, kernel: Kernel = EXACT, out=None):
+    """The one-flow step of a pointwise run, over the kernel: the rows widen
+    by one block of columns for `times`, and flow.advance steps the state,
+    the times' unit entries in that block (only `out` read, if given)."""
+    col = kernel.width(rows[0])
+    rows = [kernel.widen(row, len(times)) for row in rows]
+    return flow.advance(values, rows, times, col, kernel, out)
 
 
 class FlowWord:
@@ -959,18 +962,17 @@ class FlowWord:
     Flow i (1-based) takes its times from block i - 1 of space_of(i); the
     `domain` space_of(len(flows)) ends with the start's parameters `params`.
     at carries (value, gradient row in the time blocks) pairs over a Kernel
-    (Z[i], or F_P for ranks) from values(params) and zero rows through
-    flow.advance(values, rows, times, col, kernel, out), the times moving
-    columns col, col + 1, ..., and reports the components `out`.  Only the
-    last flow gets `out`, and it skips a block `out` does not read; a state
-    so left partial is never kept.  A jet word (order not None) is not run
-    pointwise: truncation does not commute with evaluation.  expand carries
-    start(space_of(0)) through flow i's expand(state lifted into
-    space_of(i), times, out); `states`, kept by the caller, holds the state
-    after each flow prefix, so words sharing one expand it once.  ranks
-    reads a word as a SeriesMap (domain, order, Jacobian at a point in all
-    time blocks).  A plain class: a dataclass costs milliseconds at every
-    import.
+    (Z[i], or F_P for ranks) from start_state(params), the values and rows
+    of no column, through one advance step per flow, each widening the rows
+    by its block, and reports the components `out`.  Only the last flow gets
+    `out`, and it skips a block `out` does not read.  A jet word (order not
+    None) is not run pointwise: truncation does not commute with
+    evaluation.  expand carries start(space_of(0)) through flow i's
+    expand(state lifted into space_of(i), times, out); `states`, kept by the
+    caller, holds the state after each flow prefix, so words sharing one
+    expand it once; a partial state is never kept.  ranks reads a word as a
+    SeriesMap (domain, order, Jacobian at a point in all time blocks).  A
+    plain class: a dataclass costs milliseconds at every import.
     """
 
     __slots__ = ("flows", "space_of", "start", "values", "order", "out", "states", "_domain")
@@ -988,6 +990,11 @@ class FlowWord:
             self._domain = self.space_of(len(self.flows))
         return self._domain
 
+    def start_state(self, params, kernel: Kernel = EXACT):
+        """The start's values at `params` over the kernel, with rows of no column."""
+        values = [kernel.scalar(x) for x in self.values(tuple(params))]
+        return values, [kernel.zero(0)] * len(values)  # rows are replaced, never mutated
+
     def at(self, point, kernel: Kernel = EXACT):
         """(values, Jacobian rows in the time blocks) at `point` over the
         kernel: Z[i] scalars and integer rows, as forward_step gives them, or
@@ -996,15 +1003,12 @@ class FlowWord:
         if self.order is not None:
             raise TruncationUnsound("a truncated word is not evaluated at a point")
         check_point(self.domain.dim, point)
-        width = len(self.domain.blocks[0][1])
-        last = len(self.flows) - 1
-        ncols = width * (last + 1)
-        values = [kernel.scalar(x) for x in self.values(tuple(point[ncols:]))]
-        rows = [kernel.zero(ncols)] * len(values)  # rows are replaced, never mutated
+        width, last = len(self.domain.blocks[0][1]), len(self.flows) - 1
+        values, rows = self.start_state(point[width * (last + 1):], kernel)
         for i, flow in enumerate(self.flows):
             times = [kernel.scalar(t) for t in point[i * width : (i + 1) * width]]
-            values, rows = flow.advance(values, rows, times, i * width, kernel,
-                                        self.out if i == last else None)
+            values, rows = advance(flow, values, rows, times, kernel,
+                                   self.out if i == last else None)
         if self.out is not None:
             return [values[a] for a in self.out], [rows[a] for a in self.out]
         return values, rows
@@ -1017,13 +1021,6 @@ class FlowWord:
         if wrt is not None and tuple(wrt) != self.domain.block_names()[: len(self.flows)]:
             raise DimensionMismatch("a pointwise word is differentiated in all its time blocks")
         return self.at(point, kernel)[1]
-
-    def return_word(self):
-        """The word followed by its flows mu - 1, ..., 1, with no `out`: run
-        at (t_1, ..., t_{mu-1}, 0, -t_{mu-1}, ..., -t_1) it comes back to the
-        start, each flow being a one-parameter group."""
-        return FlowWord(self.flows + self.flows[-2::-1], self.space_of, self.start,
-                        self.values, self.order)
 
     def ranked(self, codomain: VarSpace):
         """The word in the form ranks samples: the word itself when EXACT, run

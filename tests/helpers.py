@@ -4,23 +4,27 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+from segrechains.chains import default_kmax, sampled_chain, u_blocks
 from segrechains.corpus import corpus
 from segrechains.errors import (
-    ChartMismatch, DimensionMismatch, RankAssumptionViolated, TruncationUnsound,
+    ChartMismatch, DimensionMismatch, RankAssumptionViolated, SegreError, TruncationUnsound,
     UnknownVariable, VarSpaceMismatch, WitnessNotFound,
 )
+from segrechains.invariants import RankProfile
 from segrechains.lie import (
     bracket, chart_point, chart_space, gradient_rows, tangent_fields,
 )
 from segrechains.manifests import load_manifest
-from segrechains.manifold import Basepoint, graph_from_real, new_manifold, real_graph_space
-from segrechains.orbit import OrbitResult, _orbit_witness, flow_word
+from segrechains.manifold import (
+    Basepoint, CRFlow, graph_from_real, new_manifold, real_graph_space,
+)
+from segrechains.orbit import FlowMap, OrbitResult, _orbit_witness, flow_word
 from segrechains.ranks import (
     exact_rank, generic_rank, integer_rows, rank_at_point, sample_rank,
 )
 from segrechains.scalars import GaussianRational, I, ONE, ZERO
 from segrechains.series import (
-    PointTable, Series, SeriesMap, TangentVectorField, VarSpace, _merge_order,
+    EXACT, PointTable, Series, SeriesMap, TangentVectorField, VarSpace, _merge_order,
 )
 
 
@@ -495,6 +499,56 @@ def ordered_word_levi_type(M, basepoint, kmax, trials=5, seed=0):
         if reference_span_dim(all_rows, point, dim, trials, seed) == M.n:
             return k
     return None
+
+
+def reference_rank_profile(M, basepoint=None, kmax=None, trials=5, seed=0, certify=False,
+                           chain=sampled_chain, rank=generic_rank):
+    """invariants.rank_profile as it was before one growing run per trial:
+    each r_k is rank(chain(M, k, basepoint, parity), wrt=u_blocks(k),
+    trials=trials, seed=seed + k, certify=certify), a fresh word of length k
+    sampled at its own points, and so is the conjugate-parity k = 3 check."""
+    basepoint = basepoint or Basepoint.origin()
+    kmax = default_kmax(M) if kmax is None else kmax
+
+    def chain_rank(k, parity, certify):
+        return rank(chain(M, k, basepoint, parity), wrt=u_blocks(k), trials=trials,
+                    seed=seed + k, certify=certify)
+
+    rs, witnesses, certified, stopped_at = [], [], True, kmax
+    for k in range(1, kmax + 1):
+        res = chain_rank(k, "L", certify)
+        rs.append(res.rank)
+        witnesses.append(tuple(res.witness) if res.witness else None)
+        certified = certified and res.certified
+        if k >= 3 and rs[-1] == rs[-2]:
+            stopped_at = k
+            break
+        if k >= 3 and rs[-1] < rs[-2]:
+            raise SegreError("internal: sampled ranks decreased; raise trials")
+    e = tuple(rs[k + 1] - rs[k] for k in range(1, len(rs) - 1))
+    k_check = min(3, len(rs))
+    if chain_rank(k_check, "Lbar", False).rank != rs[k_check - 1]:
+        raise SegreError("internal: conjugate chain rank disagrees; raise trials")
+    return RankProfile(tuple(rs), e, tuple(witnesses), certified, stopped_at, kmax)
+
+
+def same_profile(got, want):
+    """Whether two RankProfiles agree in every field but the sample points."""
+    return (got.r, got.e, got.certified, got.stopped_at, got.kmax) == (
+        want.r, want.e, want.certified, want.stopped_at, want.kmax)
+
+
+def flow_steps(monkeypatch):
+    """The kernel of every CRFlow.advance and FlowMap.advance call from now
+    on, in call order: one per flow step of a pointwise run."""
+    steps = []
+    for cls in (CRFlow, FlowMap):
+        def counted(self, values, rows, times, col, kernel=EXACT, out=None, _advance=cls.advance):
+            steps.append(kernel)
+            return _advance(self, values, rows, times, col, kernel, out)
+
+        monkeypatch.setattr(cls, "advance", counted)
+    return steps
 
 
 def codim_family(d):

@@ -17,6 +17,7 @@ from segrechains.manifests import load_manifest
 from segrechains.manifold import Basepoint, new_manifold
 from segrechains.ranks import (
     CERTIFY_MAX_SIZE,
+    DEFAULT_TRIALS,
     generic_rank,
     pivot_positions,
     rank_at_point,
@@ -24,8 +25,12 @@ from segrechains.ranks import (
 )
 from segrechains.chains import gamma, sampled_chain, u_blocks
 from segrechains.scalars import GaussianRational as G, ZERO
+from segrechains.series import EXACT, RESIDUES
 
-from helpers import exact_manifolds, random_hypersurface
+from helpers import (
+    codim_family, exact_manifolds, flow_steps, numeric_basepoint, random_hypersurface,
+    reference_rank_profile, same_profile,
+)
 
 
 def test_rank_profile_quartic(quartic):
@@ -259,17 +264,15 @@ PROFILE_CASES = [
 
 
 @pytest.mark.parametrize("name, M", PROFILE_CASES, ids=[n for n, _ in PROFILE_CASES])
-def test_certified_profile_matches_expanded_chains(name, M, monkeypatch):
-    # the forward-mode profile equals the one ranked on expanded chains with
-    # symbolically expanded certificates, field by field
+def test_certified_profile_matches_expanded_chains(name, M):
+    # the growing-run profile equals the one ranked chain by chain on
+    # expanded chains with symbolically expanded certificates, field by
+    # field but the sample points
     for bp in (Basepoint.origin(), Basepoint.symbolic()):
         forward = rank_profile(M, bp, certify=True)
-        with monkeypatch.context() as patch:
-            patch.setattr(invariants, "sampled_chain", _expanded_chain)
-            patch.setattr(invariants, "generic_rank", _laplace_certified_rank)
-            expanded = rank_profile(M, bp, certify=True)
-        for field in dataclasses.fields(forward):
-            assert getattr(forward, field.name) == getattr(expanded, field.name), field.name
+        expanded = reference_rank_profile(M, bp, certify=True, chain=_expanded_chain,
+                                          rank=_laplace_certified_rank)
+        assert same_profile(forward, expanded)
 
 
 def _corpus_jets(order):
@@ -303,3 +306,45 @@ def test_rank_profile_kmax_zero_is_not_the_default(heisenberg):
         with pytest.raises(SegreError, match="kmax"):
             rank_profile(heisenberg, kmax=kmax)
     assert rank_profile(heisenberg, kmax=3).kmax == 3
+
+
+PROFILE_SWEEP = exact_manifolds() + [(f"codim_d{d}", codim_family(d)) for d in (7, 8)]
+
+
+@pytest.mark.parametrize("name, M", PROFILE_SWEEP, ids=[n for n, _ in PROFILE_SWEEP])
+def test_growing_run_profile_matches_the_chain_by_chain_profile(name, M):
+    # one growing run per trial reads the ranks the fresh chain words of
+    # every length read, at the origin, a numeric and a symbolic basepoint
+    rng = random.Random(len(name))
+    for bp in (Basepoint.origin(), numeric_basepoint(M, rng), Basepoint.symbolic()):
+        for seed in (0, 3):
+            for trials in (1, 5):
+                got = rank_profile(M, bp, trials=trials, seed=seed, certify=True)
+                want = reference_rank_profile(M, bp, trials=trials, seed=seed, certify=True)
+                assert same_profile(got, want), (bp.kind, seed, trials)
+                assert got.certified == all(0 < r <= CERTIFY_MAX_SIZE for r in got.r)
+                # a witness is its trial's point after k flows: k blocks and
+                # the basepoint's parameters
+                extra = 2 * M.m + M.d if bp.kind == "symbolic" else 0
+                assert [len(w) for w in got.witnesses] == [
+                    k * M.m + extra for k in range(1, len(got.r) + 1)]
+
+
+@pytest.mark.parametrize("bp", [Basepoint.origin(), Basepoint.symbolic()],
+                         ids=["origin", "generic"])
+def test_a_profile_steps_each_trial_one_flow_at_a_time(bp, monkeypatch):
+    # each trial's run, and its exact rerun if any, extends by one flow per
+    # chain length: at most trials x stopped_at steps over each kernel, plus
+    # the conjugate-parity k = 3 check; none restarts from the basepoint
+    cases = [codim_family(d) for d in range(2, 9)] + [
+        new_manifold(1, 1, ["0"]), new_manifold(1, 1, ["w1^2*zeta1^2"]),
+        new_manifold(2, 1, ["w1*zeta1"]), new_manifold(1, 2, ["w1*zeta1", "0"])]
+    for i, M in enumerate(cases):
+        steps = flow_steps(monkeypatch)
+        p = rank_profile(M, bp)
+        for kernel in (RESIDUES, EXACT):
+            assert steps.count(kernel) <= DEFAULT_TRIALS * (p.stopped_at + 3), (M, kernel)
+        if i < 7:
+            # the minimal family: every rank is full mod P at the first trial
+            assert steps == [RESIDUES] * (p.stopped_at + 3)
+        monkeypatch.undo()

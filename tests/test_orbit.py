@@ -21,11 +21,11 @@ from segrechains.orbit import (
     lie_span_dimension,
     orbit_dimension,
 )
-from segrechains.ranks import generic_rank
+from segrechains.ranks import DEFAULT_TRIALS, generic_rank
 from segrechains.scalars import GaussianRational as G
-from segrechains.series import Series, SeriesMap, VarSpace
+from segrechains.series import EXACT, RESIDUES, Series, SeriesMap, VarSpace
 
-from helpers import gaussian_at, reference_greedy_multitype
+from helpers import codim_family, flow_steps, gaussian_at, reference_greedy_multitype
 
 
 
@@ -458,3 +458,25 @@ def test_repeating_the_last_field_adds_no_rank(name, system, order):
         blocks = [f"t{i}" for i in range(1, length + 2)]
         rank = generic_rank(cand, wrt=blocks, seed=length).rank
         assert rank == res.ranks[length - system.a], word
+
+
+def test_a_greedy_orbit_steps_each_trial_one_flow_at_a_time(monkeypatch):
+    # a candidate extends its step's shared prefix state by one flow, and the
+    # winner's state is kept: over each kernel at most trials x (word length
+    # + candidates tried) steps, plus the starting word's check at 0
+    first_trial = [cr_pair_system(codim_family(d)) for d in range(2, 9)] + [
+        simple_system(6, [[{0: "1"}], [{1: "1", 2: "x1"}], [{3: "1", 4: "x2", 5: "x1*x2"}]])]
+    more_trials = [simple_system(5, [[{0: "1"}], [{1: "1", 2: "x1"}], [{3: "1", 4: "x2"}]])]
+    for system in first_trial + more_trials:
+        steps = flow_steps(monkeypatch)
+        res = greedy_multitype(system, witness=False)
+        a, length = system.a, len(res.word)
+        tried = (a - 1) * (length - a + 1)
+        for kernel in (RESIDUES, EXACT):
+            assert steps.count(kernel) <= DEFAULT_TRIALS * (length + tried) + a, kernel
+        if system in first_trial:
+            # every rank is full mod P at the first trial, and the word ends
+            # at rank n: a steps at 0, a for the starting word, then one per
+            # candidate, a - 1 at each of the length - a steps
+            assert steps == [RESIDUES] * (2 * a + (a - 1) * (length - a))
+        monkeypatch.undo()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segrechains import ranks
-from segrechains.chains import gamma, sampled_chain, u_blocks
+from segrechains.chains import chain_word, chart_indices, gamma, sampled_chain, u_blocks
 from segrechains.cli import main
 from segrechains.errors import DimensionMismatch, TruncationUnsound
 from segrechains.invariants import segre_invariants, witness_point
@@ -662,22 +662,23 @@ def test_words_without_a_full_rank_mod_p_rerun_exactly(scale, monkeypatch, exact
     orbit = greedy_multitype(cr_pair_system(M))
     assert orbit.multitype == (1, 1, 1, 1) and orbit.orbit_dim == 4
     assert orbit.witness["rank_at_t_star"] == 4
-    matrices = [entry[2] for entry in log if not isinstance(entry, RankResult)]
+    samples = [entry for entry in log if not isinstance(entry, RankResult)]
+    matrices = [entry[2] for entry in samples]
     if scale == str(ranks.P):
         # ranks 1..3 are proven mod P, ranks 4 rerun exactly
         assert any(map(_is_residue_matrix, matrices))
         assert exact_eliminations
     else:
-        # the k = 1 chain's L flow skips z, which its chart (w, zeta, xi)
-        # never reads, so it alone reads no theta_2: its rank is proven mod
-        # P; every other word (k >= 2 and the orbit words) reruns exactly
-        assert [_is_residue_matrix(m) for m in matrices] == [
-            len(m) == 4 and len(m[0]) == 1 for m in matrices]
-        assert sum(map(_is_residue_matrix, matrices)) == 1 and len(matrices) > 1
-        # chain words report their chart (out), orbit words the whole state
-        seen = {(len(f.flows), f.out is not None, image) for f, image in runs}
-        assert all(image == (k == 1 and chain) for k, chain, image in seen)
-        assert {(1, True, True), (5, True, False), (4, False, False)} <= seen
+        # every run reads theta_2 (each chain's first L flow recomputes z
+        # through it), so every residue run ends in NoImage and its trial, or
+        # its one-off word, runs exactly at the same point: each chain rank
+        # is that of the chain's exact Jacobian at its sample point
+        assert runs and not any(image for _, image in runs)
+        assert not any(map(_is_residue_matrix, matrices)) and len(matrices) > 1
+        for k, (rank, point, matrix) in enumerate(samples[:5], 1):
+            word = chain_word(M, k, Basepoint.origin(), "L", chart_indices(M, k))
+            assert len(point) == k and rank == inv.profile.r[k - 1]
+            assert matrix == word.jacobian_at(point)
 
 
 def test_the_residue_run_keeps_the_word_checks(heisenberg):
