@@ -16,13 +16,13 @@ reparametrization identities that tie the two constructions together.
 
 In EXACT mode the same word also runs on exact values at one point,
 carrying the derivatives in the u-blocks along (forward-mode
-differentiation), so a chain is ranked without being expanded: a rank
-profile extends one run a flow at a time (ranks.GrowingRun over
-chain_flows), and sampled_chain hands a single chain (a witness search, a
-psi rank) to generic_rank in its ranked form (FlowWord.ranked), the
-expanded chart map for truncated jets.  A single chain's last flow skips
-the block (z or xi) its chart never reads; a partial state is never kept,
-so gamma, psi and check_reparam still build full chains.
+differentiation), so a chain is ranked without being expanded: rank
+profiles and psi ranks extend one FlowWord.run a flow at a time
+(ranks.GrowingRun over chain_flows), and sampled_chain gives one chain (a
+witness search, a jet rank) its ranked form (FlowWord.ranked), the
+expanded chart map for jets, whose last flow skips the block (z or xi)
+the chart never reads; a partial state is never kept, so gamma, psi and
+check_reparam still build full chains.
 """
 
 from __future__ import annotations
@@ -183,8 +183,8 @@ def gamma(M: CRManifold, k: int, basepoint: Optional[Basepoint] = None,
 def sampled_chain(M: CRManifold, k: int, basepoint: Basepoint, parity: str,
                   chart: Optional[str] = None):
     """Gamma_k in a chart (by default its own) in the form ranks samples it:
-    the ranked chain_word reporting the chart's components (FlowWord.ranked),
-    whose last flow skips the block (z or xi) the chart does not read."""
+    the ranked chain_word reporting the chart's components (FlowWord.ranked);
+    expanded, its last flow skips the block (z or xi) the chart never reads."""
     word = chain_word(M, k, basepoint, parity, chart_indices(M, k, chart))
     return word.ranked(_chart_space(M, chart or _chain_chart(k)))
 

@@ -12,7 +12,9 @@ trial draws one point sequence and extends one chain state a flow at a
 time, Gamma_{k+1} being Gamma_k followed by one more flow, so r_k is read
 after k flows, in the chart of Gamma_k, with no restart; its Jacobian comes
 from forward-mode differentiation and a certified rank rests on evaluation
-being a ring homomorphism.  Truncated jets are ranked chain by chain
+being a ring homomorphism.  psi_rank_checks reads the psi ranks, the
+chains in a half-space chart, from a run of its own the same way
+(_chain_ranks).  Truncated jets are ranked chain by chain
 (chains.sampled_chain, expanded) and their witnessed minors certified
 symbolically.  The witness comes from ranks.return_witness, the one of the
 orbit witness too: it searches the chain word of length mu, then runs the
@@ -68,16 +70,18 @@ class SegreInvariants:
 
 
 def _chain_ranks(M, basepoint, parity, trials, seed, certify):
-    """k -> the rank (a ranks.RankResult) of Gamma_k in its intrinsic
-    (2m+d)-coordinate chart: equivalent to the ambient rank for exact
-    manifolds, and structurally bounded by dim M for truncated jets.  EXACT
-    chains are read from one ranks.GrowingRun after k flows; a jet chain is
-    expanded and ranked on its own, at seed + k."""
+    """(k, chart) -> the rank (a ranks.RankResult) of Gamma_k in a chart, by
+    default its intrinsic (2m+d)-coordinate one: equivalent to the ambient
+    rank for exact manifolds, and structurally bounded by dim M for
+    truncated jets.  EXACT chains are read from one ranks.GrowingRun after k
+    flows; a jet chain is expanded and ranked on its own, at seed + k."""
     if M.order is not None:
-        return lambda k: generic_rank(sampled_chain(M, k, basepoint, parity), wrt=u_blocks(k),
-                                      trials=trials, seed=seed + k, certify=certify)
+        return lambda k, chart=None: generic_rank(
+            sampled_chain(M, k, basepoint, parity, chart), wrt=u_blocks(k), trials=trials,
+            seed=seed + k, certify=certify)
     run = GrowingRun(chain_word(M, 1, basepoint, parity), trials, seed)
-    return lambda k: run.rank(chain_flows(M, k, parity), chart_indices(M, k), certify)
+    return lambda k, chart=None: run.rank(chain_flows(M, k, parity),
+                                          chart_indices(M, k, chart), certify)
 
 
 def rank_profile(
@@ -205,10 +209,9 @@ def psi_rank_checks(
     inv = segre_invariants(M, basepoint, kmax, trials, seed, certify=False)
     profile = inv.profile
     results = []
-    upto = len(profile.r) - 2
-    for k in range(0, upto + 1):
-        pm = sampled_chain(M, k + 1, basepoint, "L", psi_chart(k + 1, "L"))
-        lhs = M.m + generic_rank(pm, wrt=u_blocks(k + 1), trials=trials, seed=seed + k).rank
+    psi_rank = _chain_ranks(M, basepoint, "L", trials, seed, False)
+    for k in range(0, len(profile.r) - 1):
+        lhs = M.m + psi_rank(k + 1, psi_chart(k + 1, "L")).rank
         rhs = profile.rank(k + 2)
         results.append({"k": k, "lhs": lhs, "rhs": rhs, "ok": lhs == rhs})
     witness_ok = None

@@ -331,23 +331,20 @@ class CRFlow:
     whole state (qbar never reads z, q never reads xi).  advance steps values
     and gradient rows over a series.Kernel (Z[i] or F_P), the times' unit
     entries in columns col, col + 1, ... (none at constant times, col None);
-    expand steps Series.  Both skip the target step when `out`, the
-    components the caller reads, holds no target: advance leaves the target
-    stale, expand leaves it None."""
+    expand steps Series, and leaves the recomputed block None when `out`,
+    the components the caller reads, holds none of it."""
 
     __slots__ = ("names", "moved", "target", "fns")
 
     def __init__(self, space: VarSpace, moved, target, fns):
         self.names, self.moved, self.target, self.fns = space.names, moved, target, fns
 
-    def advance(self, values, rows, times, col, kernel=EXACT, out=None):
+    def advance(self, values, rows, times, col, kernel=EXACT):
         values, rows = list(values), list(rows)
         for i, a in enumerate(self.moved):
             values[a] = kernel.add(values[a], times[i])
             if col is not None:
                 rows[a] = kernel.shift(rows[a], col + i)  # the unit time entry
-        if self._skips(out):
-            return values, rows
         new = kernel.step(self.fns, values, rows)
         for t, (value, row) in zip(self.target, new):
             values[t], rows[t] = value, row
@@ -358,13 +355,11 @@ class CRFlow:
         state = list(state)
         for i, a in enumerate(self.moved):
             state[a] = state[a] + times[i]
-        sub, skip = dict(zip(self.names, state)), self._skips(out)
+        sub = dict(zip(self.names, state))
+        skip = out is not None and not set(self.target).intersection(out)
         for t, f in zip(self.target, self.fns):
             state[t] = None if skip else f.compose(sub)
         return state
-
-    def _skips(self, out):
-        return out is not None and not set(self.target).intersection(out)
 
 
 def cr_flows(M: CRManifold) -> dict:

@@ -136,11 +136,11 @@ class FlowMap:
     def __init__(self, map: SeriesMap, exact: bool, order: Optional[int]):
         self.map, self.exact, self.order = map, exact, order
 
-    def advance(self, values, rows, times, col, kernel=EXACT, out=None):
+    def advance(self, values, rows, times, col, kernel=EXACT):
         """exp(times.L) at values and gradient rows over a series.Kernel (Z[i]
         or F_P); the times move columns col, col + 1, ..., or none at
         constant times (col None).  Each component's value and partials in
-        (s, x) come from one gradient walk.  An orbit word has no `out`."""
+        (s, x) come from one gradient walk."""
         zero = kernel.zero(kernel.width(rows[0]))
         time_rows = [zero if col is None else kernel.shift(zero, col + j)
                      for j in range(len(times))]

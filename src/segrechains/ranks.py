@@ -14,8 +14,8 @@ one trials loop (sample_rank, which stops at full rank), one rank
 (exact_rank) and one exact eliminator (pivot_positions, Bareiss over Z[i]).
 sample_rank draws seeded points for generic_rank and for span_dims (lie's
 bracket ladder and Levi type, the orbit oracle); a GrowingRun, the sampler
-of rank profiles and EXACT greedy orbits, feeds it the points of its
-trials, each extending one state a flow at a time.
+of rank profiles, psi ranks and EXACT greedy orbits, feeds it the indices
+of its trials, each extending one series.FlowWord.run a flow at a time.
 
 exact_rank first eliminates modulo the prime P under re + i*im ->
 re + ROOT*im, a ring homomorphism Z[i] -> F_P that maps minors to minors,
@@ -47,7 +47,7 @@ from typing import List, Optional, Tuple
 from .errors import WitnessNotFound
 from .scalars import GaussianRational, ZERO
 from .series import (
-    EXACT, P, RESIDUES, ROOT, NoImage, PointTable, Series, SeriesMap, advance, check_point,
+    EXACT, P, RESIDUES, ROOT, FlowWord, NoImage, PointTable, Series, SeriesMap, check_point,
     reduced_row,
 )
 
@@ -315,8 +315,8 @@ class RankResult:
 def _jacobian_source(f, wrt):
     """(point -> integer rows, point -> residue rows or None) of the Jacobian
     of f in the `wrt` columns: a SeriesMap is walked at each point
-    (jacobian_rows) and has no residue rows; any other ranked object (a
-    series.FlowWord) runs at each point itself, over Z[i] or over F_P."""
+    (jacobian_rows) and has no residue rows; a series.FlowWord runs at each
+    point (FlowWord.at), over Z[i] or over F_P."""
     if isinstance(f, SeriesMap):
         return jacobian_rows(f, wrt), None
     return (lambda point: f.jacobian_at(point, wrt),
@@ -372,99 +372,80 @@ def rank_at_point(f, wrt, point) -> int:
 
 class GrowingRun:
     """Up to `trials` lazy runs of flows from the start of an EXACT
-    series.FlowWord `word`: the sampler of rank profiles and greedy orbits.
-    Trial t draws from Random(seed + t) the start's parameters once, then a
-    time block per flow as it grows, so its point after k flows (k blocks,
-    then the parameters) extends to its point after k + 1.  Its state grows
-    a flow at a time (series.advance) from the longest prefix of the asked
-    flows that it keeps, over F_P, and exactly, built lazily at the same
-    point, only where _point_rank reads exact rows.  A flow at fixed times
-    is a biholomorphism, so no rank drops along one trial."""
+    series.FlowWord `word`: the sampler of chain ranks (profiles, psi) and
+    greedy orbits.  Trial t draws from Random(seed + t) the start's
+    parameters once, then a time block per flow as it grows, so its point
+    after k flows (k blocks, then the parameters) extends to its point after
+    k + 1.  Each trial keeps one FlowWord.run state per kernel, over F_P,
+    and exactly, built lazily at the same point, only where _point_rank
+    reads exact rows; a word of k flows extends the longest prefix kept, and
+    only prefixes of at least k - 1 flows stay.  A flow at fixed times is a
+    biholomorphism, so no rank drops along one trial."""
 
     def __init__(self, word, trials: int = DEFAULT_TRIALS, seed: int = 0):
         space = word.space_of(1)
         self.word, self.trials, self.seed = word, trials, seed
         self.m = len(space.blocks[0][1])
         self.nparams = space.dim - self.m
-        # per trial: [its Random, params, time blocks drawn, {kernel: {flows:
-        # (values, rows)}, or None once it had no image in F_P}, its point]
-        self.runs, self.flows, self.out = [], (), None
+        self.runs = []  # per trial: [its Random, params, time blocks drawn, {kernel: states}]
 
     def rank(self, flows, out=None, certify: bool = False) -> RankResult:
         """The rank of the rows `out` (all by default) after `flows` in all
-        their time columns, sampled over the trials' points by sample_rank,
-        which reads them through _jacobian_source as it reads a FlowWord;
-        certified as generic_rank certifies an EXACT rank."""
-        self.flows, self.out = tuple(flows), out
-        matrix_at, residues_at = _jacobian_source(self, None)
-        rank, point, _ = sample_rank(matrix_at, None, self.trials, self.seed, residues_at,
-                                     map(self._point, range(self.trials)))
+        their time columns, sampled by sample_rank over the trials (their
+        indices its points); certified as generic_rank certifies an EXACT
+        rank."""
+        word = FlowWord(flows, self.word.space_of, self.word.start, self.word.values, None, out)
+
+        def rows_at(kernel):
+            def at(t):
+                if t == len(self.runs):
+                    rng = random.Random(self.seed + t)
+                    self.runs.append([rng, random_point(rng, self.nparams), [], {}])
+                rng, params, blocks, kept = self.runs[t]
+                while len(blocks) < len(word.flows):
+                    blocks.append(random_point(rng, self.m))
+                states = kept.setdefault(kernel, {})
+                rows = word.run(params, blocks, kernel, states)[1]
+                kept[kernel] = {f: s for f, s in states.items() if len(f) >= len(word.flows) - 1}
+                return rows
+            return at
+
+        rank, t, _ = sample_rank(rows_at(EXACT), None, self.trials, self.seed, rows_at(RESIDUES),
+                                 range(self.trials))
+        _, params, blocks, _ = self.runs[t]
+        point = [c for blk in blocks[: len(word.flows)] for c in blk] + params
         return RankResult(rank, point, self.trials, self.seed,
                           certify and 0 < rank <= CERTIFY_MAX_SIZE)
-
-    def _point(self, t):
-        """Trial t's point after the current flows, the trial made on first use."""
-        if t == len(self.runs):
-            rng = random.Random(self.seed + t)
-            self.runs.append([rng, random_point(rng, self.nparams), [], {}, None])
-        run = self.runs[t]
-        rng, params, blocks = run[:3]
-        while len(blocks) < len(self.flows):
-            blocks.append(random_point(rng, self.m))
-        run[4] = [c for blk in blocks[: len(self.flows)] for c in blk] + params
-        return run[4]
-
-    def jacobian_at(self, point, wrt=None, kernel=EXACT):
-        """The rows `out` after the current flows at a trial's point over the
-        kernel; NoImage when the trial's run has none in F_P."""
-        _, params, blocks, states, _ = next(run for run in self.runs if run[4] is point)
-        flows, kept = self.flows, states.get(kernel, {})
-        if kept is None:
-            raise NoImage("this trial's run has no image in F_P")
-        try:
-            done = max((f for f in kept if flows[: len(f)] == f), key=len, default=None)
-            if done is None:
-                done, kept[()] = (), self.word.start_state(params, kernel)
-            values, rows = kept[done]
-            for i in range(len(done), len(flows)):
-                times = [kernel.scalar(t) for t in blocks[i]]
-                values, rows = kept[flows[: i + 1]] = advance(flows[i], values, rows, times, kernel)
-        except NoImage:
-            states[kernel] = None
-            raise
-        # the states a later candidate or flow can extend
-        states[kernel] = {f: state for f, state in kept.items() if len(f) >= len(flows) - 1}
-        return rows if self.out is None else [rows[a] for a in self.out]
 
 
 def return_witness(word, target: int, seed: int):
     """(t*, rank, returns): the return witness of an EXACT series.FlowWord of
     mu flows, the one witness of chains and orbits.  t* = (t_1*, ...,
     t_{mu-1}*, 0), mu blocks of scalars, is a seeded point at which the
-    word's Jacobian has rank `target`, each try ranked by rank_at_point:
-    WITNESS_RETRIES tries in the sampling box, then as many in a box ten
-    times wider; WitnessNotFound if none reaches the target.  The word then
-    runs exactly and in full at t*, one series.advance step per flow, and on
-    through flows mu - 1, ..., 1 at the constant times -t*_{mu-1}, ...,
-    -t*_1, which add no column.  rank is the exact rank of the rows reached,
-    the word's rank at t* (fixed-time flows are biholomorphisms), and
-    returns says whether the values are the word's start values."""
+    Jacobian of the word's `out` (a chain's chart) has rank `target`, each
+    try ranked by rank_at_point: WITNESS_RETRIES tries in the sampling box,
+    then as many in a box ten times wider; WitnessNotFound if none reaches
+    the target.  The word then runs exactly at t* (FlowWord.run), and its
+    whole state on through flows mu - 1, ..., 1 at the constant times
+    -t*_{mu-1}, ..., -t*_1, which add no column: 2 mu - 1 exact flow steps.
+    rank is the exact rank of the rows reached, the word's rank at t*
+    (fixed-time flows are biholomorphisms), and returns says whether the
+    values are the word's start values."""
     mu, m = len(word.flows), len(word.domain.blocks[0][1])
     rng = random.Random(seed)
     for attempt in range(2 * WITNESS_RETRIES):
         bound = NUM_BOUND if attempt < WITNESS_RETRIES else NUM_BOUND * 10
-        found = [random_point(rng, m, bound) for _ in range(mu - 1)]
-        point = [c for blk in found for c in blk] + [ZERO] * m
-        if rank_at_point(word, None, point) == target:
+        found = [random_point(rng, m, bound) for _ in range(mu - 1)] + [[ZERO] * m]
+        if rank_at_point(word, None, [c for blk in found for c in blk]) == target:
             break
     else:
         raise WitnessNotFound(
             f"no rank-{target} point of the required shape after {2 * WITNESS_RETRIES} tries"
         )
-    values, rows = word.start_state(())
-    for flow, blk in zip(word.flows, found + [[ZERO] * m]):
-        values, rows = advance(flow, values, rows, [c.zi for c in blk])
-    for flow, blk in zip(word.flows[-2::-1], reversed(found)):
+    states = {}
+    word.run((), found, EXACT, states)
+    values, rows = states[word.flows]
+    for flow, blk in zip(word.flows[-2::-1], reversed(found[:-1])):
         values, rows = flow.advance(values, rows, [(-c).zi for c in blk], None)
     returns = [GaussianRational.from_zi(*v) for v in values] == list(word.values(()))
-    return tuple(map(tuple, found)) + ((ZERO,) * m,), exact_rank(rows), returns
+    return tuple(map(tuple, found)), exact_rank(rows), returns

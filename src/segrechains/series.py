@@ -24,7 +24,7 @@ Z[i], the integer rows ranks eliminates; residue_step over F_P), and on it
 the one-flow step of a pointwise run (advance: the rows widen by the flow's
 block of time columns) and the word of flows of Segre chains and orbit
 flows alike (FlowWord: run at a point over a Kernel, EXACT or RESIDUES, one
-advance per flow, or expanded, keeping the state after every prefix;
+advance per flow, or expanded, each keeping the state after every prefix;
 FlowWord.ranked picks the form a rank samples).  A vector field acts as a
 derivation (TangentVectorField.apply), and a bracket of two fields is one
 pass of _derivation, every c_a * df/dx_a summed into one dict over one
@@ -945,32 +945,32 @@ RESIDUES = Kernel(lambda x: residue(*x.zi), lambda x, y: (x + y) % P, lambda n: 
                   len, lambda row, n: row + [0] * n, _residue_shift, residue_step)
 
 
-def advance(flow, values, rows, times, kernel: Kernel = EXACT, out=None):
+def advance(flow, values, rows, times, kernel: Kernel = EXACT):
     """The one-flow step of a pointwise run, over the kernel: the rows widen
     by one block of columns for `times`, and flow.advance steps the state,
-    the times' unit entries in that block (only `out` read, if given)."""
+    the times' unit entries in that block."""
     col = kernel.width(rows[0])
     rows = [kernel.widen(row, len(times)) for row in rows]
-    return flow.advance(values, rows, times, col, kernel, out)
+    return flow.advance(values, rows, times, col, kernel)
 
 
 class FlowWord:
     """A word of flows from a start state, the one word of Segre chains and
-    orbit flows: run at one exact point (at), expanded to Series (expand),
-    or ranked (ranked).
+    orbit flows: run pointwise (run, at), expanded to Series (expand), or
+    ranked (ranked).
 
     Flow i (1-based) takes its times from block i - 1 of space_of(i); the
     `domain` space_of(len(flows)) ends with the start's parameters `params`.
-    at carries (value, gradient row in the time blocks) pairs over a Kernel
-    (Z[i], or F_P for ranks) from start_state(params), the values and rows
-    of no column, through one advance step per flow, each widening the rows
-    by its block, and reports the components `out`.  Only the last flow gets
-    `out`, and it skips a block `out` does not read.  A jet word (order not
-    None) is not run pointwise: truncation does not commute with
-    evaluation.  expand carries start(space_of(0)) through flow i's
-    expand(state lifted into space_of(i), times, out); `states`, kept by the
-    caller, holds the state after each flow prefix, so words sharing one
-    expand it once; a partial state is never kept.  ranks reads a word as a
+    run, the one pointwise loop, carries (value, gradient row in the time
+    blocks) pairs over a Kernel (Z[i], or F_P for ranks) from
+    start_state(params) through one advance step per flow, each widening the
+    rows by its block; a jet word (order not None) is not run at a point, as
+    truncation does not commute with evaluation.  expand carries
+    start(space_of(0)) through flow i's expand(state lifted into
+    space_of(i), times, out), whose last flow skips a block `out` does not
+    read; the word's `states`, kept by the caller, holds the state after each
+    flow prefix, so words sharing one expand it once (never a partial
+    state).  Both report the components `out`.  ranks reads a word as a
     SeriesMap (domain, order, Jacobian at a point in all time blocks).  A
     plain class: a dataclass costs milliseconds at every import.
     """
@@ -995,23 +995,34 @@ class FlowWord:
         values = [kernel.scalar(x) for x in self.values(tuple(params))]
         return values, [kernel.zero(0)] * len(values)  # rows are replaced, never mutated
 
-    def at(self, point, kernel: Kernel = EXACT):
-        """(values, Jacobian rows in the time blocks) at `point` over the
-        kernel: Z[i] scalars and integer rows, as forward_step gives them, or
-        residues and residue rows (NoImage when a point coordinate or a
-        flow's Series has no image in F_P)."""
-        if self.order is not None:
-            raise TruncationUnsound("a truncated word is not evaluated at a point")
-        check_point(self.domain.dim, point)
-        width, last = len(self.domain.blocks[0][1]), len(self.flows) - 1
-        values, rows = self.start_state(point[width * (last + 1):], kernel)
-        for i, flow in enumerate(self.flows):
-            times = [kernel.scalar(t) for t in point[i * width : (i + 1) * width]]
-            values, rows = advance(flow, values, rows, times, kernel,
-                                   self.out if i == last else None)
+    def run(self, params, blocks, kernel: Kernel = EXACT, states: Optional[dict] = None):
+        """(values, Jacobian rows in the time blocks) of the components `out`
+        after the word at the start's `params` and one block of times per
+        flow, over the kernel: Z[i] scalars and integer rows, as forward_step
+        gives them, or residues and residue rows (NoImage when a scalar or a
+        flow's Series has no image in F_P).  It resumes from the longest flow
+        prefix whose state `states` (one kernel's, at one point) keeps, and
+        keeps the state after each flow there."""
+        flows, states = self.flows, {} if states is None else states
+        done = next((i for i in range(len(flows), -1, -1) if flows[:i] in states), None)
+        if done is None:
+            done, states[()] = 0, self.start_state(params, kernel)
+        values, rows = states[flows[:done]]
+        for i in range(done, len(flows)):
+            times = [kernel.scalar(t) for t in blocks[i]]
+            values, rows = states[flows[: i + 1]] = advance(flows[i], values, rows, times, kernel)
         if self.out is not None:
             return [values[a] for a in self.out], [rows[a] for a in self.out]
         return values, rows
+
+    def at(self, point, kernel: Kernel = EXACT):
+        """run at `point` of the domain: its time blocks, then the params."""
+        if self.order is not None:
+            raise TruncationUnsound("a truncated word is not evaluated at a point")
+        check_point(self.domain.dim, point)
+        width, k = len(self.domain.blocks[0][1]), len(self.flows)
+        return self.run(point[width * k:], [point[i * width : (i + 1) * width] for i in range(k)],
+                        kernel)
 
     def evaluate(self, point):
         """The values at `point` as GaussianRationals."""

@@ -543,9 +543,9 @@ def flow_steps(monkeypatch):
     on, in call order: one per flow step of a pointwise run."""
     steps = []
     for cls in (CRFlow, FlowMap):
-        def counted(self, values, rows, times, col, kernel=EXACT, out=None, _advance=cls.advance):
+        def counted(self, values, rows, times, col, kernel=EXACT, _advance=cls.advance):
             steps.append(kernel)
-            return _advance(self, values, rows, times, col, kernel, out)
+            return _advance(self, values, rows, times, col, kernel)
 
         monkeypatch.setattr(cls, "advance", counted)
     return steps

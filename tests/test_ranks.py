@@ -37,10 +37,10 @@ from segrechains.ranks import (
     symbolic_determinant,
 )
 from segrechains.scalars import GaussianRational as G, ZERO
-from segrechains.series import RESIDUES, NoImage, Series, SeriesMap, VarSpace
+from segrechains.series import EXACT, RESIDUES, NoImage, Series, SeriesMap, VarSpace
 
 from helpers import (
-    ReferenceGaussianRational, codim_family, exact_manifolds, gaussian_rows,
+    ReferenceGaussianRational, codim_family, exact_manifolds, flow_steps, gaussian_rows,
     numeric_basepoint, reference_evaluate, reference_jacobian_rows, reference_pivot_positions,
     variables_map,
 )
@@ -174,6 +174,27 @@ def test_return_witness_matches_the_expanded_return_map(name, M, path):
     assert values == [ZERO] * len(values)  # back at the origin
     assert returns
     assert rank == exact_rank(reference_jacobian_rows(expanded, blocks, point)) == target
+
+
+@pytest.mark.parametrize("path", ["chain", "orbit"])
+@pytest.mark.parametrize("name,M", EXACT_MANIFOLDS, ids=[n for n, _ in EXACT_MANIFOLDS])
+def test_return_witness_makes_2mu_minus_1_exact_flow_steps(name, M, path, monkeypatch):
+    """The search ranks a chain in its chart, where the found try is full
+    rank mod P, so the only exact steps are the one return run: mu flows
+    forward from the start, then mu - 1 back at constant times."""
+    if path == "chain":
+        inv = segre_invariants(M)
+        word = sampled_chain(M, inv.mu, Basepoint.origin(), "L")
+        target = inv.orbit_dim_complexified
+    else:
+        system = cr_pair_system(M)
+        res = greedy_multitype(system, witness=False)
+        word, target = flow_word(system, list(res.word), {}), res.orbit_dim
+    steps = flow_steps(monkeypatch)
+    return_witness(word, target, seed=0)
+    mu = len(word.flows)
+    assert RESIDUES in steps and steps.count(EXACT) == 2 * mu - 1
+    assert steps[1 - 2 * mu:] == [EXACT] * (2 * mu - 1)
 
 
 @pytest.mark.parametrize("order", [None, 3])
@@ -587,13 +608,16 @@ def _image_mod_p(rows):
                          ids=["corpus", "family_d2_8", "orbits_levi", "chain_witnesses"])
 def test_rank_mod_p_answers_like_the_exact_path(run, monkeypatch):
     shipped = _recorded_ranks(monkeypatch, run)
-    source = ranks._jacobian_source
+    point_rank = ranks._point_rank
     with monkeypatch.context() as patch:
         # both shortcuts off: no word runs over F_P, and no rank mod P is
         # full, so every rank is exact Bareiss on the integer rows
-        patch.setattr(ranks, "_jacobian_source", lambda f, wrt: (source(f, wrt)[0], None))
+        patch.setattr(ranks, "_point_rank",
+                      lambda matrix_at, residues_at, point: point_rank(matrix_at, None, point))
         patch.setattr(ranks, "_rank_mod_p", lambda rows: -1)
+        steps = flow_steps(patch)
         exact = _recorded_ranks(monkeypatch, run)
+        assert RESIDUES not in steps
     answer, log = shipped
     assert len(log) > 10
     assert answer == exact[0]
@@ -627,25 +651,24 @@ def test_family_needs_no_exact_fallback(exact_eliminations):
 
 
 def _residue_runs(monkeypatch):
-    """(ranked word, whether its rows had an image in F_P), one per residue
-    run of a word, in call order."""
+    """Whether the residue rows of a word or a trial had an image in F_P,
+    one per residue run, in call order: every run is read by _point_rank."""
     runs = []
-    source = ranks._jacobian_source
+    point_rank = ranks._point_rank
 
-    def recorded(f, wrt):
-        matrix_at, residues_at = source(f, wrt)
+    def recorded(matrix_at, residues_at, point):
         if residues_at is None:
-            return matrix_at, None
+            return point_rank(matrix_at, None, point)
 
         def residues(point):
-            runs.append((f, False))
+            runs.append(False)
             rows = residues_at(point)
-            runs[-1] = (f, True)
+            runs[-1] = True
             return rows
 
-        return matrix_at, residues
+        return point_rank(matrix_at, residues, point)
 
-    monkeypatch.setattr(ranks, "_jacobian_source", recorded)
+    monkeypatch.setattr(ranks, "_point_rank", recorded)
     return runs
 
 
@@ -672,10 +695,12 @@ def test_words_without_a_full_rank_mod_p_rerun_exactly(scale, monkeypatch, exact
         # every run reads theta_2 (each chain's first L flow recomputes z
         # through it), so every residue run ends in NoImage and its trial, or
         # its one-off word, runs exactly at the same point: each chain rank
-        # is that of the chain's exact Jacobian at its sample point
-        assert runs and not any(image for _, image in runs)
+        # is that of the chain's exact Jacobian at its sample point, the
+        # profile's witness (sample_rank reads a growing run's trials by index)
+        assert runs and not any(runs)
         assert not any(map(_is_residue_matrix, matrices)) and len(matrices) > 1
-        for k, (rank, point, matrix) in enumerate(samples[:5], 1):
+        for k, (rank, _, matrix) in enumerate(samples[:5], 1):
+            point = list(inv.profile.witnesses[k - 1])
             word = chain_word(M, k, Basepoint.origin(), "L", chart_indices(M, k))
             assert len(point) == k and rank == inv.profile.r[k - 1]
             assert matrix == word.jacobian_at(point)

@@ -16,8 +16,8 @@ from segrechains.errors import (
 from segrechains.manifold import ambient_space
 from segrechains.scalars import GaussianRational, ZERO
 from segrechains.series import (
-    P, FlowWord, NoImage, PointTable, Series, SeriesMap, TangentVectorField, VarSpace,
-    _merge_order, bracket, forward_step, residue, residue_step, zi_add,
+    EXACT, P, RESIDUES, FlowWord, NoImage, PointTable, Series, SeriesMap, TangentVectorField,
+    VarSpace, _merge_order, bracket, forward_step, residue, residue_step, zi_add,
 )
 from segrechains.ranks import integer_rows
 
@@ -600,25 +600,37 @@ def test_lift_preserves_terms():
     assert lifted.space == big
 
 
-class _RecordingFlow:
-    """A flow step that moves nothing and records the `out` it was given."""
+class _CountingFlow:
+    """A flow step that adds its one time to the first value and counts its steps."""
 
     def __init__(self):
-        self.outs = []
+        self.steps = 0
 
-    def advance(self, values, rows, times, col, kernel=None, out=None):
-        self.outs.append(out)
-        return values, rows
+    def advance(self, values, rows, times, col, kernel):
+        self.steps += 1
+        return [kernel.add(values[0], times[0])] + values[1:], rows
 
 
-def test_flow_word_passes_out_to_its_last_flow_only():
-    # the last flow may skip a block `out` does not read; earlier flows
-    # build the whole state, which later flows read
-    space = VarSpace([("u1", ("u1_1",)), ("u2", ("u2_1",))])
-    point = [GaussianRational(1), GaussianRational(2)]
-    first, last = _RecordingFlow(), _RecordingFlow()
-    word = FlowWord([first, last], lambda i: space, None, lambda params: [ZERO] * 3,
-                    None, out=[1])
-    values, rows = word.at(point)
-    assert (first.outs, last.outs) == ([None], [[1]])
-    assert values == [(0, 0, 1)] and len(rows) == 1
+def test_flow_word_run_extends_the_longest_kept_prefix():
+    # a fresh k-flow run takes k steps; a word one flow longer, run with the
+    # same states, takes one step and reports what a fresh run reports
+    flows = [_CountingFlow() for _ in range(4)]
+
+    def space_of(i):
+        return VarSpace([(f"u{j}", (f"u{j}_1",)) for j in range(1, i + 1)])
+
+    def word(k, out=None):
+        return FlowWord(flows[:k], space_of, None, lambda params: [ZERO] * 2, None, out)
+
+    blocks = [[GaussianRational(j)] for j in range(1, 5)]
+    for kernel in (EXACT, RESIDUES):
+        states = {}
+        word(3).run((), blocks, kernel, states)
+        assert [f.steps for f in flows] == [1, 1, 1, 0]
+        values, rows = word(4, out=[0]).run((), blocks, kernel, states)
+        assert [f.steps for f in flows] == [1, 1, 1, 1]
+        assert sorted(map(len, states)) == [0, 1, 2, 3, 4]
+        assert (values, rows) == word(4, out=[0]).at([c for blk in blocks for c in blk], kernel)
+        assert values == [kernel.scalar(GaussianRational(10))] and len(rows) == 1
+        for f in flows:
+            f.steps = 0
