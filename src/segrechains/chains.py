@@ -18,10 +18,11 @@ In EXACT mode the same word also runs on exact values at one point,
 carrying the derivatives in the u-blocks along (forward-mode
 differentiation), so a chain is ranked without being expanded: rank
 profiles and psi ranks extend one FlowWord.run a flow at a time
-(ranks.GrowingRun over chain_flows), and sampled_chain gives one chain (a
-witness search, a jet rank) its ranked form (FlowWord.ranked), the
-expanded chart map for jets, whose last flow skips the block (z or xi)
-the chart never reads; a partial state is never kept, so gamma, psi and
+(ranks.GrowingRun over chain_flows), and one chain (a witness search, the
+projected witness) is the chain_word of its chart's components, ranked at
+a point by ranks.word_rank.  A jet chain is ranked expanded
+(sampled_chain), its last flow skipping the block (z or xi) the chart
+never reads; a partial state is never kept, so gamma, psi and
 check_reparam still build full chains.
 """
 
@@ -181,12 +182,12 @@ def gamma(M: CRManifold, k: int, basepoint: Optional[Basepoint] = None,
 
 
 def sampled_chain(M: CRManifold, k: int, basepoint: Basepoint, parity: str,
-                  chart: Optional[str] = None):
-    """Gamma_k in a chart (by default its own) in the form ranks samples it:
-    the ranked chain_word reporting the chart's components (FlowWord.ranked);
-    expanded, its last flow skips the block (z or xi) the chart never reads."""
+                  chart: Optional[str] = None) -> SeriesMap:
+    """Gamma_k in a chart (by default its own) as the SeriesMap a jet rank
+    samples: the chain_word of the chart's components, expanded, its last
+    flow skipping the block (z or xi) the chart never reads."""
     word = chain_word(M, k, basepoint, parity, chart_indices(M, k, chart))
-    return word.ranked(_chart_space(M, chart or _chain_chart(k)))
+    return SeriesMap(word.expand(), _chart_space(M, chart or _chain_chart(k)))
 
 
 def verify_in_manifold(chain: ChainMap) -> bool:

@@ -17,10 +17,12 @@ chains in a half-space chart, from a run of its own the same way
 (_chain_ranks).  Truncated jets are ranked chain by chain
 (chains.sampled_chain, expanded) and their witnessed minors certified
 symbolically.  The witness comes from ranks.return_witness, the one of the
-orbit witness too: it searches the chain word of length mu, then runs the
-return chain once exactly, so it needs a numeric basepoint and an EXACT
-manifold; for the same reason a truncated manifold takes no numeric
-basepoint but the origin (Basepoint.numeric).
+orbit witness too: it searches the chain word of length mu in its chart,
+then runs the return chain once exactly, so it needs a numeric basepoint
+and an EXACT manifold; for the same reason a truncated manifold takes no
+numeric basepoint but the origin (Basepoint.numeric).  The projected
+witness of psi_rank_checks is one EXACT run of the conjugate chain word
+at the witness times, ranked there by ranks.word_rank.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .chains import (
 )
 from .errors import NotAHypersurface, SegreError, TruncationUnsound
 from .manifold import Basepoint, CRManifold
-from .ranks import DEFAULT_TRIALS, GrowingRun, generic_rank, rank_at_point, return_witness
+from .ranks import DEFAULT_TRIALS, GrowingRun, generic_rank, return_witness, word_rank
+from .scalars import GaussianRational
 from .series import Series
 
 
@@ -186,7 +189,8 @@ def witness_point(
     if basepoint.kind == "symbolic":
         raise SegreError("witness search needs a numeric basepoint")
     mu, target = invariants.mu, invariants.orbit_dim_complexified
-    w_star, rank, returns = return_witness(sampled_chain(M, mu, basepoint, parity), target, seed)
+    word = chain_word(M, mu, basepoint, parity, chart_indices(M, mu))
+    w_star, rank, returns = return_witness(word, target, seed)
     # the return identity and the attained rank are theorems in exact mode
     if not returns:
         raise SegreError("internal: witness chain failed to return to the basepoint")
@@ -219,13 +223,12 @@ def psi_rank_checks(
         witness = witness_point(M, inv, basepoint, parity="Lbar", seed=seed)
         two_nu = 2 * inv.nu
         # psi of the conjugate parity at even length projects to the (w, z) space
-        pm = sampled_chain(M, two_nu, basepoint, "Lbar", psi_chart(two_nu, "Lbar"))
-        blocks_flat = witness.w_star + witness.omega_star
-        point = [c for blk in blocks_flat[:two_nu] for c in blk]
-        value = pm.evaluate(point)
-        expected_t = basepoint.state_values(M)[: M.n]
-        rank = rank_at_point(pm, u_blocks(two_nu), point)
-        witness_ok = (value == expected_t) and rank == inv.orbit_dim_intrinsic
+        pm = chain_word(M, two_nu, basepoint, "Lbar",
+                        chart_indices(M, two_nu, psi_chart(two_nu, "Lbar")))
+        blocks = (witness.w_star + witness.omega_star)[:two_nu]
+        values = [GaussianRational.from_zi(*v) for v in pm.run((), blocks)[0]]
+        witness_ok = (values == basepoint.state_values(M)[: M.n]
+                      and word_rank(pm, (), blocks) == inv.orbit_dim_intrinsic)
     return {
         "identities": results,
         "all_ok": all(r["ok"] for r in results) and witness_ok in (None, True),

@@ -20,13 +20,13 @@ ranks.GrowingRun carries exact (value, d/dt) pairs, over F_P first, from
 the origin through the word's flows at each trial's points (forward-mode
 differentiation, one gradient walk per flow component), and the
 candidates of a greedy step extend the state of their common prefix by
-one flow each, the winner's kept.  The witness is ranks.return_witness,
-the one the chains use too: a seeded point t* of the word's rank, then the
-word run at t* and on through its reversed flows at the negated times.
-Truncated jets rank the expanded word (FlowWord.ranked; concatenated_flow
-is the test oracle for both forms), whose candidates likewise expand their
-common prefix once.  A jet's witness is None, because a truncated flow
-cannot be evaluated at a nonzero time.
+one flow each, the winner's kept; ranks.word_rank checks the starting
+word at zero times.  The witness is ranks.return_witness, the one the
+chains use too: a seeded point t* of the word's rank, then the word run at
+t* and on through its reversed flows at the negated times.  Truncated jets
+rank the expanded word (concatenated_flow), whose candidates likewise
+expand their common prefix once.  A jet's witness is None, because a
+truncated flow cannot be evaluated at a nonzero time.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .ranks import (
     rank_at_point,
     return_witness,
     span_dims,
+    word_rank,
 )
 from .scalars import GaussianRational, ZERO, format_scalar
 from .series import (
@@ -280,13 +281,14 @@ def greedy_multitype(
     kmax bounds the word length (default a + n - a*m + 1); `order` is the
     flow jet order (None = require terminating Lie series: TruncationUnsound
     on a truncated system, pass its system.order).  EXACT words are read
-    from one ranks.GrowingRun, jets from their expanded maps.  The
-    witness needs flows at nonzero constant times, which truncated flows
-    cannot give soundly, so with a finite order it is None.  The last field
-    is never a candidate: its flows form a group (Sussmann 1973), so word +
-    [word[-1]] is word after the linear surjection t_k -> t_k + t_{k+1}, of
-    equal rank; jets too, as no flow from 0 has a constant term and a linear
-    substitution commutes with truncation.  The loop ends at rank n, the most in C^n.
+    from one ranks.GrowingRun, jets from their expanded maps
+    (concatenated_flow).  The witness needs flows at nonzero constant
+    times, which truncated flows cannot give soundly, so with a finite
+    order it is None.  The last field is never a candidate: its flows form
+    a group (Sussmann 1973), so word + [word[-1]] is word after the linear
+    surjection t_k -> t_k + t_{k+1}, of equal rank; jets too, as no flow
+    from 0 has a constant term and a linear substitution commutes with
+    truncation.  The loop ends at rank n, the most in C^n.
     """
     if order is None and system.order is not None:
         raise TruncationUnsound(f"a system truncated at order {system.order} has no "
@@ -301,16 +303,19 @@ def greedy_multitype(
     flows: dict = {}
     states: dict = {}  # jet states shared by the candidates of one step
     base = flow_word(system, word, flows, order, states)
-    base_map, exact = base.ranked(system.space), all(f.exact for f in base.flows)
-    if rank_at_point(base_map, [f"t{i}" for i in range(1, a + 1)], [ZERO] * (a * m)) != a * m:
+    if order is None:  # EXACT: every word is read from one run
+        run, start_rank = GrowingRun(base, trials, seed), word_rank(base, (), [[ZERO] * m] * a)
+    else:
+        start_rank = rank_at_point(concatenated_flow(system, word, flows, order, states)[0],
+                                   [f"t{i}" for i in range(1, a + 1)], [ZERO] * (a * m))
+    if start_rank != a * m:
         raise RankAssumptionViolated("concatenated initial flows are rank-deficient at 0")
-    run = GrowingRun(base, trials, seed) if order is None else None
 
     def rank_of(w, seed):
-        if run is not None:  # EXACT: every word is read from the one run
+        if order is None:
             return run.rank([_flow(system, flows, alpha, None) for alpha in w]).rank
-        cand = flow_word(system, w, flows, order, states).ranked(system.space)
-        return generic_rank(cand, wrt=[f"t{i}" for i in range(1, len(w) + 1)],
+        return generic_rank(concatenated_flow(system, w, flows, order, states)[0],
+                            wrt=[f"t{i}" for i in range(1, len(w) + 1)],
                             trials=trials, seed=seed).rank
 
     rank = rank_of(word, seed)
@@ -333,7 +338,7 @@ def greedy_multitype(
     result = OrbitResult(
         word=tuple(word), e=tuple(e), kappa0=len(e), mu0=a + len(e),
         multitype=(m,) * a + tuple(e), orbit_dim=a * m + sum(e), ranks=tuple(ranks),
-        flows_exact=exact, witness=None,
+        flows_exact=all(f.exact for f in base.flows), witness=None,
     )
     if witness and order is None:
         try:

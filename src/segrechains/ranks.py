@@ -2,8 +2,8 @@
 
 The matrix type here is the integer row (den, re, im) of series.reduced_row:
 integer_rows builds it from a matrix of Series at a point, jacobian_rows
-from a SeriesMap's Jacobian and a FlowWord's forward-mode run from a word of
-flows, both through the pointwise gradient (Series.gradient_over).  Ranks
+from a SeriesMap's Jacobian and series.FlowWord.run from a word of flows,
+both through the pointwise gradient (Series.gradient_over).  Ranks
 and pivots ignore den, a row scaling; the public exact_rank and
 pivot_positions also take GaussianRational matrices.
 
@@ -16,17 +16,19 @@ sample_rank draws seeded points for generic_rank and for span_dims (lie's
 bracket ladder and Levi type, the orbit oracle); a GrowingRun, the sampler
 of rank profiles, psi ranks and EXACT greedy orbits, feeds it the indices
 of its trials, each extending one series.FlowWord.run a flow at a time.
+An EXACT word is ranked only by runs: sampled by a GrowingRun, at one
+point by word_rank.
 
 exact_rank first eliminates modulo the prime P under re + i*im ->
 re + ROOT*im, a ring homomorphism Z[i] -> F_P that maps minors to minors,
 so a full rank mod P proves the exact rank; any other matrix is eliminated
-exactly, and no probability enters a rank.  Words and runs go over F_P
-first (series.RESIDUES), their residue rows the image of their integer
-rows: a word whose residue rank is not full, or that has no image in F_P
-(a denominator divisible by P), is rerun exactly at the same point, and a
+exactly, and no probability enters a rank.  Word runs go over F_P first
+(series.RESIDUES), their residue rows the image of their integer rows: a
+run whose residue rank is not full, or that has no image in F_P (a
+denominator divisible by P), is rerun exactly at the same point, and a
 non-full residue rank goes straight to Bareiss (_point_rank).
 return_witness, the witness of chains and orbits, ranks its search's tries
-the same way, then runs the return map once exactly.
+by word_rank, then runs the return map once exactly.
 
 A SeriesMap (a jet chain, a psi map, a jet orbit flow) is never
 differentiated to be ranked: jacobian_rows reads every partial at a point
@@ -44,7 +46,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import WitnessNotFound
+from .errors import DimensionMismatch, WitnessNotFound
 from .scalars import GaussianRational, ZERO
 from .series import (
     EXACT, P, RESIDUES, ROOT, FlowWord, NoImage, PointTable, Series, SeriesMap, check_point,
@@ -312,28 +314,16 @@ class RankResult:
     certified: bool
 
 
-def _jacobian_source(f, wrt):
-    """(point -> integer rows, point -> residue rows or None) of the Jacobian
-    of f in the `wrt` columns: a SeriesMap is walked at each point
-    (jacobian_rows) and has no residue rows; a series.FlowWord runs at each
-    point (FlowWord.at), over Z[i] or over F_P."""
-    if isinstance(f, SeriesMap):
-        return jacobian_rows(f, wrt), None
-    return (lambda point: f.jacobian_at(point, wrt),
-            lambda point: f.jacobian_at(point, wrt, RESIDUES))
-
-
 def generic_rank(
-    f,
+    f: SeriesMap,
     wrt=None,
     trials: int = DEFAULT_TRIALS,
     seed: int = 0,
     certify: bool = False,
 ) -> RankResult:
-    """Generic rank of f with respect to the given variables (blocks or names).
+    """Generic rank of the SeriesMap f with respect to the given variables (blocks or names).
 
-    f is a SeriesMap or a series.FlowWord (an EXACT chain or orbit
-    flow).  Deterministic in (seed, trials); monotone nondecreasing in
+    Deterministic in (seed, trials); monotone nondecreasing in
     trials; the evaluation points range over all domain variables, while only
     the `wrt` columns are differentiated.  With certify=True and an attained
     rank of at most CERTIFY_MAX_SIZE the result is flagged certified when the
@@ -343,10 +333,8 @@ def generic_rank(
     determinant is expanded symbolically.  No other partial is built: the
     sample points read the Jacobian of a SeriesMap through jacobian_rows.
     """
-    matrix_at, residues_at = _jacobian_source(f, wrt)
-    best_rank, best_point, best_matrix = sample_rank(
-        matrix_at, f.domain.dim, trials, seed, residues_at
-    )
+    best_rank, best_point, best_matrix = sample_rank(jacobian_rows(f, wrt), f.domain.dim,
+                                                     trials, seed)
     certified = False
     if certify and 0 < best_rank <= CERTIFY_MAX_SIZE:
         if f.order is None:
@@ -363,11 +351,22 @@ def generic_rank(
     return RankResult(best_rank, best_point, trials, seed, certified)
 
 
-def rank_at_point(f, wrt, point) -> int:
-    """Exact rank of the Jacobian of f (SeriesMap or FlowWord) at one point,
-    from its residue rows when they prove it (_point_rank); DimensionMismatch
-    for a point of the wrong length."""
-    return _point_rank(*_jacobian_source(f, wrt), point)[0]
+def rank_at_point(f: SeriesMap, wrt, point) -> int:
+    """Exact rank of the Jacobian of the SeriesMap f at one point (_point_rank);
+    DimensionMismatch for a point of the wrong length."""
+    return _point_rank(jacobian_rows(f, wrt), None, point)[0]
+
+
+def word_rank(word, params, blocks) -> int:
+    """Exact rank of the Jacobian in all time blocks of the rows `out` of an
+    EXACT series.FlowWord, run at the start's `params` and `blocks`, one
+    block of m times per flow (DimensionMismatch otherwise): over F_P first,
+    rerun exactly where that proves no rank (_point_rank)."""
+    k, m = len(word.flows), len(word.space_of(1).blocks[0][1])
+    if len(blocks) != k or any(len(blk) != m for blk in blocks):
+        raise DimensionMismatch(f"a word of {k} flows runs at {k} blocks of {m} times")
+    return _point_rank(lambda _: word.run(params, blocks)[1],
+                       lambda _: word.run(params, blocks, RESIDUES)[1], None)[0]
 
 
 class GrowingRun:
@@ -379,15 +378,16 @@ class GrowingRun:
     k + 1.  Each trial keeps one FlowWord.run state per kernel, over F_P,
     and exactly, built lazily at the same point, only where _point_rank
     reads exact rows; a word of k flows extends the longest prefix kept, and
-    only prefixes of at least k - 1 flows stay.  A flow at fixed times is a
-    biholomorphism, so no rank drops along one trial."""
+    only prefixes of at least k - 1 flows stay.  A trial whose run over F_P
+    had no image there is not run over F_P again.  A flow at fixed times is
+    a biholomorphism, so no rank drops along one trial."""
 
     def __init__(self, word, trials: int = DEFAULT_TRIALS, seed: int = 0):
         space = word.space_of(1)
         self.word, self.trials, self.seed = word, trials, seed
         self.m = len(space.blocks[0][1])
         self.nparams = space.dim - self.m
-        self.runs = []  # per trial: [its Random, params, time blocks drawn, {kernel: states}]
+        self.runs = []  # per trial: [its Random, params, time blocks, {kernel: states or None}]
 
     def rank(self, flows, out=None, certify: bool = False) -> RankResult:
         """The rank of the rows `out` (all by default) after `flows` in all
@@ -404,7 +404,10 @@ class GrowingRun:
                 rng, params, blocks, kept = self.runs[t]
                 while len(blocks) < len(word.flows):
                     blocks.append(random_point(rng, self.m))
-                states = kept.setdefault(kernel, {})
+                states = kept.get(kernel, {})
+                if states is None:
+                    raise NoImage("this trial's run had no image in F_P")
+                kept[kernel] = None  # kept only if the run ends
                 rows = word.run(params, blocks, kernel, states)[1]
                 kept[kernel] = {f: s for f, s in states.items() if len(f) >= len(word.flows) - 1}
                 return rows
@@ -423,7 +426,7 @@ def return_witness(word, target: int, seed: int):
     mu flows, the one witness of chains and orbits.  t* = (t_1*, ...,
     t_{mu-1}*, 0), mu blocks of scalars, is a seeded point at which the
     Jacobian of the word's `out` (a chain's chart) has rank `target`, each
-    try ranked by rank_at_point: WITNESS_RETRIES tries in the sampling box,
+    try ranked by word_rank: WITNESS_RETRIES tries in the sampling box,
     then as many in a box ten times wider; WitnessNotFound if none reaches
     the target.  The word then runs exactly at t* (FlowWord.run), and its
     whole state on through flows mu - 1, ..., 1 at the constant times
@@ -431,12 +434,12 @@ def return_witness(word, target: int, seed: int):
     rank is the exact rank of the rows reached, the word's rank at t*
     (fixed-time flows are biholomorphisms), and returns says whether the
     values are the word's start values."""
-    mu, m = len(word.flows), len(word.domain.blocks[0][1])
+    mu, m = len(word.flows), len(word.space_of(1).blocks[0][1])
     rng = random.Random(seed)
     for attempt in range(2 * WITNESS_RETRIES):
         bound = NUM_BOUND if attempt < WITNESS_RETRIES else NUM_BOUND * 10
         found = [random_point(rng, m, bound) for _ in range(mu - 1)] + [[ZERO] * m]
-        if rank_at_point(word, None, [c for blk in found for c in blk]) == target:
+        if word_rank(word, (), found) == target:
             break
     else:
         raise WitnessNotFound(

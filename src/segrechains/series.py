@@ -24,12 +24,12 @@ Z[i], the integer rows ranks eliminates; residue_step over F_P), and on it
 the one-flow step of a pointwise run (advance: the rows widen by the flow's
 block of time columns) and the word of flows of Segre chains and orbit
 flows alike (FlowWord: run at a point over a Kernel, EXACT or RESIDUES, one
-advance per flow, or expanded, each keeping the state after every prefix;
-FlowWord.ranked picks the form a rank samples).  A vector field acts as a
-derivation (TangentVectorField.apply), and a bracket of two fields is one
-pass of _derivation, every c_a * df/dx_a summed into one dict over one
-denominator; on it stand the commutation check (noncommuting_pair) and the
-deduplicated left-normed bracket ladder (bracket_levels, level 1 first).
+advance per flow, or expanded, each keeping the state after every prefix).
+A vector field acts as a derivation (TangentVectorField.apply), and a
+bracket of two fields is one pass of _derivation, every c_a * df/dx_a
+summed into one dict over one denominator; on it stand the commutation
+check (noncommuting_pair) and the deduplicated left-normed bracket ladder
+(bracket_levels, level 1 first).
 
 All values are immutable after construction; results are kept canonical
 (no (0, 0) pair, no term beyond the truncation order, and no factor of den
@@ -956,57 +956,45 @@ def advance(flow, values, rows, times, kernel: Kernel = EXACT):
 
 class FlowWord:
     """A word of flows from a start state, the one word of Segre chains and
-    orbit flows: run pointwise (run, at), expanded to Series (expand), or
-    ranked (ranked).
+    orbit flows: run pointwise (run) or expanded to Series (expand).
 
-    Flow i (1-based) takes its times from block i - 1 of space_of(i); the
-    `domain` space_of(len(flows)) ends with the start's parameters `params`.
-    run, the one pointwise loop, carries (value, gradient row in the time
-    blocks) pairs over a Kernel (Z[i], or F_P for ranks) from
-    start_state(params) through one advance step per flow, each widening the
-    rows by its block; a jet word (order not None) is not run at a point, as
-    truncation does not commute with evaluation.  expand carries
-    start(space_of(0)) through flow i's expand(state lifted into
-    space_of(i), times, out), whose last flow skips a block `out` does not
-    read; the word's `states`, kept by the caller, holds the state after each
-    flow prefix, so words sharing one expand it once (never a partial
-    state).  Both report the components `out`.  ranks reads a word as a
-    SeriesMap (domain, order, Jacobian at a point in all time blocks).  A
+    Flow i (1-based) takes its times from block i - 1 of space_of(i), whose
+    blocks end with the start's parameters.  run, the one pointwise loop,
+    carries (value, gradient row in the time blocks) pairs over a Kernel
+    (Z[i], or F_P for ranks) from values(params) through one advance step
+    per flow, each widening the rows by its block; a jet word (order not
+    None) is not run at a point, as truncation does not commute with
+    evaluation.  expand carries start(space_of(0)) through flow i's
+    expand(state lifted into space_of(i), times, out), whose last flow skips
+    a block `out` does not read; the word's `states`, kept by the caller,
+    holds the state after each flow prefix, so words sharing one expand it
+    once (never a partial state).  Both report the components `out`.  A
     plain class: a dataclass costs milliseconds at every import.
     """
 
-    __slots__ = ("flows", "space_of", "start", "values", "order", "out", "states", "_domain")
+    __slots__ = ("flows", "space_of", "start", "values", "order", "out", "states")
 
     def __init__(self, flows, space_of, start, values, order, out=None,
                  states: Optional[dict] = None):
         self.flows, self.space_of, self.start = tuple(flows), space_of, start
         self.values, self.order, self.out, self.states = values, order, out, states
-        self._domain = None
-
-    @property
-    def domain(self) -> VarSpace:
-        """space_of(len(flows)), built on first use (expand never needs it)."""
-        if self._domain is None:
-            self._domain = self.space_of(len(self.flows))
-        return self._domain
-
-    def start_state(self, params, kernel: Kernel = EXACT):
-        """The start's values at `params` over the kernel, with rows of no column."""
-        values = [kernel.scalar(x) for x in self.values(tuple(params))]
-        return values, [kernel.zero(0)] * len(values)  # rows are replaced, never mutated
 
     def run(self, params, blocks, kernel: Kernel = EXACT, states: Optional[dict] = None):
         """(values, Jacobian rows in the time blocks) of the components `out`
         after the word at the start's `params` and one block of times per
         flow, over the kernel: Z[i] scalars and integer rows, as forward_step
         gives them, or residues and residue rows (NoImage when a scalar or a
-        flow's Series has no image in F_P).  It resumes from the longest flow
-        prefix whose state `states` (one kernel's, at one point) keeps, and
-        keeps the state after each flow there."""
+        flow's Series has no image in F_P); TruncationUnsound for a jet.  It
+        resumes from the longest flow prefix whose state `states` (one
+        kernel's, at one point) keeps, and keeps the state after each flow
+        there."""
+        if self.order is not None:
+            raise TruncationUnsound("a truncated word is not evaluated at a point")
         flows, states = self.flows, {} if states is None else states
         done = next((i for i in range(len(flows), -1, -1) if flows[:i] in states), None)
-        if done is None:
-            done, states[()] = 0, self.start_state(params, kernel)
+        if done is None:  # the start's values, rows of no column (replaced, never mutated)
+            values = [kernel.scalar(x) for x in self.values(tuple(params))]
+            done, states[()] = 0, (values, [kernel.zero(0)] * len(values))
         values, rows = states[flows[:done]]
         for i in range(done, len(flows)):
             times = [kernel.scalar(t) for t in blocks[i]]
@@ -1015,34 +1003,9 @@ class FlowWord:
             return [values[a] for a in self.out], [rows[a] for a in self.out]
         return values, rows
 
-    def at(self, point, kernel: Kernel = EXACT):
-        """run at `point` of the domain: its time blocks, then the params."""
-        if self.order is not None:
-            raise TruncationUnsound("a truncated word is not evaluated at a point")
-        check_point(self.domain.dim, point)
-        width, k = len(self.domain.blocks[0][1]), len(self.flows)
-        return self.run(point[width * k:], [point[i * width : (i + 1) * width] for i in range(k)],
-                        kernel)
-
-    def evaluate(self, point):
-        """The values at `point` as GaussianRationals."""
-        return [GaussianRational.from_zi(*v) for v in self.at(point)[0]]
-
-    def jacobian_at(self, point, wrt=None, kernel: Kernel = EXACT):
-        if wrt is not None and tuple(wrt) != self.domain.block_names()[: len(self.flows)]:
-            raise DimensionMismatch("a pointwise word is differentiated in all its time blocks")
-        return self.at(point, kernel)[1]
-
-    def ranked(self, codomain: VarSpace):
-        """The word in the form ranks samples: the word itself when EXACT, run
-        at each sample point; for a jet, which truncation keeps from running
-        pointwise, the expanded SeriesMap into `codomain`."""
-        if self.order is None:
-            return self
-        return SeriesMap(self.expand(), codomain)
-
     def expand(self):
-        """The state after the word as Series over `domain` (only `out`, if given)."""
+        """The state after the word as Series over space_of(len(flows)) (only
+        `out`, if given)."""
         flows, states = self.flows, {} if self.states is None else self.states
         if () not in states:
             states[()] = self.start(self.space_of(0))

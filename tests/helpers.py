@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from segrechains.chains import default_kmax, sampled_chain, u_blocks
+from segrechains.chains import chain_word, chart_indices, default_kmax, sampled_chain, u_blocks
 from segrechains.corpus import corpus
 from segrechains.errors import (
     ChartMismatch, DimensionMismatch, RankAssumptionViolated, SegreError, TruncationUnsound,
@@ -18,13 +18,14 @@ from segrechains.manifests import load_manifest
 from segrechains.manifold import (
     Basepoint, CRFlow, graph_from_real, new_manifold, real_graph_space,
 )
-from segrechains.orbit import FlowMap, OrbitResult, _orbit_witness, flow_word
+from segrechains.orbit import FlowMap, OrbitResult, _orbit_witness, concatenated_flow, flow_word
 from segrechains.ranks import (
-    exact_rank, generic_rank, integer_rows, rank_at_point, sample_rank,
+    CERTIFY_MAX_SIZE, RankResult, exact_rank, generic_rank, integer_rows, rank_at_point,
+    sample_rank,
 )
 from segrechains.scalars import GaussianRational, I, ONE, ZERO
 from segrechains.series import (
-    EXACT, PointTable, Series, SeriesMap, TangentVectorField, VarSpace, _merge_order,
+    EXACT, RESIDUES, PointTable, Series, SeriesMap, TangentVectorField, VarSpace, _merge_order,
 )
 
 
@@ -216,9 +217,16 @@ def reference_jacobian_rows(f, wrt, point):
     return integer_rows(f.jacobian(wrt), point)
 
 
+def run_at(word, point, kernel=EXACT):
+    """FlowWord.run at a flat point of the word's space: one block of m
+    times per flow, then the start's parameters."""
+    k, m = len(word.flows), len(word.space_of(1).blocks[0][1])
+    return word.run(point[m * k:], [point[i * m : (i + 1) * m] for i in range(k)], kernel)
+
+
 def gaussian_at(word, point):
     """A FlowWord's Z[i] values and integer rows at `point` as GaussianRationals."""
-    values, rows = word.at(point)
+    values, rows = run_at(word, point)
     return [GaussianRational(Fraction(re, den), Fraction(im, den))
             for re, im, den in values], gaussian_rows(rows)
 
@@ -501,8 +509,51 @@ def ordered_word_levi_type(M, basepoint, kmax, trials=5, seed=0):
     return None
 
 
+def sampled_word_rank(word, wrt=None, trials=5, seed=0, certify=False):
+    """generic_rank of an EXACT FlowWord in all its time blocks (`wrt`),
+    sampled pointwise: ranks.sample_rank over seeded points of the word's
+    space, each run over F_P first, exactly where that proves no rank
+    (run_at), certified as generic_rank certifies an EXACT rank."""
+    rank, point, _ = sample_rank(lambda p: run_at(word, p)[1],
+                                 word.space_of(len(word.flows)).dim, trials, seed,
+                                 lambda p: run_at(word, p, RESIDUES)[1])
+    return RankResult(rank, point, trials, seed, certify and 0 < rank <= CERTIFY_MAX_SIZE)
+
+
+def reference_rank(f, wrt=None, trials=5, seed=0, certify=False):
+    """generic_rank of a SeriesMap, sampled_word_rank of an EXACT FlowWord."""
+    rank = generic_rank if isinstance(f, SeriesMap) else sampled_word_rank
+    return rank(f, wrt=wrt, trials=trials, seed=seed, certify=certify)
+
+
+def reference_rank_at(f, wrt, point):
+    """rank_at_point of a SeriesMap; the exact rank of an EXACT FlowWord's
+    rows at a flat point (run_at)."""
+    if isinstance(f, SeriesMap):
+        return rank_at_point(f, wrt, point)
+    return exact_rank(run_at(f, point)[1])
+
+
+def reference_chain(M, k, basepoint, parity, chart=None):
+    """Gamma_k in a chart (by default its own) as the chain-by-chain oracles
+    sample it: EXACT, the chain_word of the chart's components, run
+    pointwise; a jet expanded (chains.sampled_chain)."""
+    if M.order is None:
+        return chain_word(M, k, basepoint, parity, chart_indices(M, k, chart))
+    return sampled_chain(M, k, basepoint, parity, chart)
+
+
+def reference_flow(system, word, flows, order=None, states=None):
+    """The concatenated flow of `word` as the greedy oracle samples it:
+    EXACT, the flow_word, run pointwise; a jet expanded
+    (orbit.concatenated_flow, sharing `states`)."""
+    if order is None:
+        return flow_word(system, word, flows)
+    return concatenated_flow(system, word, flows, order, states)[0]
+
+
 def reference_rank_profile(M, basepoint=None, kmax=None, trials=5, seed=0, certify=False,
-                           chain=sampled_chain, rank=generic_rank):
+                           chain=reference_chain, rank=reference_rank):
     """invariants.rank_profile as it was before one growing run per trial:
     each r_k is rank(chain(M, k, basepoint, parity), wrt=u_blocks(k),
     trials=trials, seed=seed + k, certify=certify), a fresh word of length k
@@ -709,27 +760,26 @@ def reference_greedy_multitype(system, kmax=None, order=None, trials=5, seed=0,
         raise DimensionMismatch(f"kmax must be >= a = {a}, the starting word's length")
     flows: dict = {}
     states: dict = {}  # jet states shared by the candidates of one step
-    base = flow_word(system, word, flows, order, states)
-    base_map, exact = base.ranked(system.space), all(f.exact for f in base.flows)
+    base = reference_flow(system, word, flows, order, states)
+    exact = all(flows[alpha].exact for alpha in word)
     blocks = [f"t{i}" for i in range(1, a + 1)]
     zero_pt = [ZERO] * (a * m)
-    if rank_at_point(base_map, blocks, zero_pt) != a * m:
+    if reference_rank_at(base, blocks, zero_pt) != a * m:
         raise RankAssumptionViolated(
             "concatenated initial flows are rank-deficient at 0"
         )
-    rank = generic_rank(base_map, wrt=blocks, trials=trials, seed=seed).rank
+    rank = reference_rank(base, wrt=blocks, trials=trials, seed=seed).rank
     ranks = [rank]
     e = []
     while len(word) < kmax:
         best_alpha, best_rank = None, rank
         for alpha in range(a):
-            fw = flow_word(system, word + [alpha], flows, order, states)
-            cand, cexact = fw.ranked(system.space), all(f.exact for f in fw.flows)
+            cand = reference_flow(system, word + [alpha], flows, order, states)
             cblocks = [f"t{i}" for i in range(1, len(word) + 2)]
-            r = generic_rank(
+            r = reference_rank(
                 cand, wrt=cblocks, trials=trials, seed=seed + len(word)
             ).rank
-            exact = exact and cexact
+            exact = exact and flows[alpha].exact
             if r > best_rank:
                 best_alpha, best_rank = alpha, r
         if best_alpha is None:

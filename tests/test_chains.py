@@ -20,6 +20,7 @@ from segrechains.chains import (
 from segrechains.errors import DimensionMismatch, OffManifold, TruncationUnsound
 from segrechains.exprs import format_series
 from segrechains.manifold import Basepoint, new_manifold
+from segrechains.ranks import word_rank
 from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import EXACT, RESIDUES, Series, SeriesMap
 
@@ -30,6 +31,7 @@ from helpers import (
     gaussian_integer_point,
     numeric_basepoint,
     random_real_graph,
+    run_at,
 )
 
 EXACT_MANIFOLDS = exact_manifolds()
@@ -285,18 +287,23 @@ def test_forward_chain_matches_expanded_chain(name, M):
                     bp.kind, parity, k)
 
 
-def test_sampled_chain_follows_the_mode(heisenberg):
+def test_sampled_chain_is_the_expanded_chart_chain(heisenberg):
+    # sampled_chain expands the chart word in either mode; an EXACT chart
+    # word runs pointwise to the same values, at one block per flow, and a
+    # jet word not at all
     jet = new_manifold(1, 1, ["w1*zeta1"], order=6)
     bp = Basepoint.origin()
     assert sampled_chain(jet, 3, bp, "L") == gamma(jet, 3, verify=False).in_chart()
     assert sampled_chain(jet, 2, bp, "L", psi_chart(2, "L")) == psi(jet, 2)
-    pointwise = sampled_chain(heisenberg, 2, bp, "L", psi_chart(2, "L"))
+    assert sampled_chain(heisenberg, 2, bp, "L", psi_chart(2, "L")) == psi(heisenberg, 2)
+    pointwise = chain_word(heisenberg, 2, bp, "L", chart_indices(heisenberg, 2, psi_chart(2, "L")))
     point = [G(2, 1), G(-1, 3)]
-    assert pointwise.evaluate(point) == psi(heisenberg, 2).evaluate(point)
+    values = [G.from_zi(*v) for v in run_at(pointwise, point)[0]]
+    assert values == psi(heisenberg, 2).evaluate(point)
     with pytest.raises(DimensionMismatch):
-        pointwise.evaluate(point[:1])
+        word_rank(pointwise, (), [point[:1]])
     with pytest.raises(TruncationUnsound):
-        chain_word(jet, 2, bp, "L").at(point)
+        run_at(chain_word(jet, 2, bp, "L"), point)
 
 
 @pytest.mark.parametrize("m, d, theta", [
@@ -304,9 +311,11 @@ def test_sampled_chain_follows_the_mode(heisenberg):
     (2, 2, ["w1*zeta1", "w1*zeta2 + w2*zeta1"]),
 ], ids=["m1_d2", "m2_d2"])
 def test_chart_only_chain_matches_the_full_chain(m, d, theta):
-    # the last flow skips the block the chain's chart never reads; what the
-    # chart reads is unchanged, and gamma still builds the full chain (a jet
-    # chain has no numeric basepoint: its state would have constant terms)
+    # expanded (jet), the last flow skips the block the chain's chart never
+    # reads, and what the chart reads is unchanged; gamma still builds the
+    # full chain (a jet chain has no numeric basepoint: its state would have
+    # constant terms).  The EXACT chart word steps every flow in full and
+    # reports the chart's components of the full word's run.
     rng = random.Random(19)
     exact, jet = new_manifold(m, d, theta), new_manifold(m, d, theta, order=4)
     for bp in (Basepoint.origin(), Basepoint.symbolic(), numeric_basepoint(exact, rng)):
@@ -316,12 +325,12 @@ def test_chart_only_chain_matches_the_full_chain(m, d, theta):
                     chart = sampled_chain(jet, k, bp, parity)
                     assert chart == gamma(jet, k, bp, parity).in_chart(), (bp.kind, parity, k)
                 out = chart_indices(exact, k)
-                word = sampled_chain(exact, k, bp, parity)
+                word = chain_word(exact, k, bp, parity, out)
                 full = chain_word(exact, k, bp, parity)
-                point = gaussian_integer_point(rng, word.domain.dim)
+                point = gaussian_integer_point(rng, chain_space(exact, k, bp).dim)
                 for kernel in (EXACT, RESIDUES):
-                    values, rows = full.at(point, kernel)
-                    assert word.at(point, kernel) == (
+                    values, rows = run_at(full, point, kernel)
+                    assert run_at(word, point, kernel) == (
                         [values[a] for a in out], [rows[a] for a in out]), (bp.kind, k)
     # no partial state was kept: each has a Series in every component
     states = [state for cache in jet._chain_cache.values() for state in cache.values()]

@@ -23,13 +23,13 @@ from segrechains.ranks import (
     rank_at_point,
     symbolic_determinant,
 )
-from segrechains.chains import gamma, sampled_chain, u_blocks
+from segrechains.chains import gamma, u_blocks
 from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import EXACT, RESIDUES
 
 from helpers import (
     codim_family, exact_manifolds, flow_steps, numeric_basepoint, random_hypersurface,
-    reference_rank_profile, same_profile,
+    reference_chain, reference_rank, reference_rank_profile, same_profile,
 )
 
 
@@ -56,8 +56,8 @@ def test_rank_profile_c3(c3_tube):
 def test_rank_profile_nondecreasing_and_stable(heisenberg, quartic, c3_tube):
     # the chains past the profile's early stop, up to 2d + 3, gain no rank
     for M in (heisenberg, quartic, c3_tube):
-        r = [generic_rank(sampled_chain(M, k, Basepoint.origin(), "L"),
-                          wrt=u_blocks(k), seed=k).rank for k in range(1, 2 * M.d + 4)]
+        r = [reference_rank(reference_chain(M, k, Basepoint.origin(), "L"),
+                            wrt=u_blocks(k), seed=k).rank for k in range(1, 2 * M.d + 4)]
         for a, b in zip(r, r[1:]):
             assert b >= a
         top = max(r)

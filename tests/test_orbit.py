@@ -21,11 +21,14 @@ from segrechains.orbit import (
     lie_span_dimension,
     orbit_dimension,
 )
-from segrechains.ranks import DEFAULT_TRIALS, generic_rank
+from segrechains.ranks import DEFAULT_TRIALS, generic_rank, word_rank
 from segrechains.scalars import GaussianRational as G
 from segrechains.series import EXACT, RESIDUES, Series, SeriesMap, VarSpace
 
-from helpers import codim_family, flow_steps, gaussian_at, reference_greedy_multitype
+from helpers import (
+    codim_family, flow_steps, gaussian_at, reference_flow, reference_greedy_multitype,
+    reference_rank, run_at, sampled_word_rank,
+)
 
 
 
@@ -296,7 +299,7 @@ def test_pointwise_flow_matches_concatenated_flow(name, system):
     fwd, exact = concatenated_flow(system, word, flows)
     assert exact
     pw = flow_word(system, word, flows)
-    assert pw.domain == fwd.domain
+    assert pw.space_of(k) == fwd.domain
     assert gaussian_at(pw, point) == _expanded_at(fwd, point)
     # the witness's return map: the longer word, reversed flows at negated
     # times; its values and the rows of the forward columns are those of the
@@ -344,10 +347,10 @@ def test_pointwise_flow_rank_matches_expanded(heisenberg, quartic, c3_tube):
             flows = {}
             fwd, _ = concatenated_flow(system, word, flows)
             a = generic_rank(fwd, wrt=blocks, seed=3)
-            b = generic_rank(flow_word(system, word, flows), wrt=blocks, seed=3)
+            b = sampled_word_rank(flow_word(system, word, flows), wrt=blocks, seed=3)
             assert (a.rank, a.witness) == (b.rank, b.witness)
             with pytest.raises(DimensionMismatch):
-                flow_word(system, word, flows).jacobian_at(a.witness, blocks[:1])
+                word_rank(flow_word(system, word, flows), (), [a.witness])
 
 
 def test_jet_flow_word_expands_but_is_not_run_pointwise(heisenberg):
@@ -356,12 +359,8 @@ def test_jet_flow_word_expands_but_is_not_run_pointwise(heisenberg):
     jet = flow_word(system, [0, 1, 0], flows, order=3)
     fwd, _ = concatenated_flow(system, [0, 1, 0], flows, 3)
     assert SeriesMap(jet.expand(), system.space) == fwd
-    # a jet is ranked expanded, an EXACT word pointwise, as itself
-    assert jet.ranked(system.space) == fwd
-    exact = flow_word(system, [0, 1, 0], flows)
-    assert exact.ranked(system.space) is exact
     with pytest.raises(TruncationUnsound):
-        jet.at([G(1), G(2), G(3)])
+        run_at(jet, [G(1), G(2), G(3)])
 
 
 def test_truncated_flows_record_no_witness(heisenberg):
@@ -449,14 +448,14 @@ def test_greedy_matches_reference_greedy(name, system, order):
 def test_repeating_the_last_field_adds_no_rank(name, system, order):
     """The flow group law exp(s.X) exp(t.X) = exp((s + t).X), exact and
     truncated: at every greedy step, word + [word[-1]] has the rank of word,
-    sampled as greedy_multitype samples its candidates."""
+    sampled on its own as the reference greedy loop samples a candidate."""
     res = greedy_multitype(system, order=order, witness=False)
     flows = {}
     for length in range(system.a, len(res.word) + 1):
         word = list(res.word[:length])
-        cand = flow_word(system, word + [word[-1]], flows, order).ranked(system.space)
+        cand = reference_flow(system, word + [word[-1]], flows, order)
         blocks = [f"t{i}" for i in range(1, length + 2)]
-        rank = generic_rank(cand, wrt=blocks, seed=length).rank
+        rank = reference_rank(cand, wrt=blocks, seed=length).rank
         assert rank == res.ranks[length - system.a], word
 
 

@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segrechains import ranks
+from segrechains import ranks, series
 from segrechains.chains import chain_word, chart_indices, gamma, sampled_chain, u_blocks
 from segrechains.cli import main
 from segrechains.errors import DimensionMismatch, TruncationUnsound
-from segrechains.invariants import segre_invariants, witness_point
+from segrechains.invariants import rank_profile, segre_invariants, witness_point
 from segrechains import lie, orbit
 from segrechains.lie import holomorphic_nondegeneracy, hormander_numbers, levi_type
 from segrechains.manifold import Basepoint, ambient_space, new_manifold
@@ -35,6 +35,7 @@ from segrechains.ranks import (
     sample_rank,
     span_dims,
     symbolic_determinant,
+    word_rank,
 )
 from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import EXACT, RESIDUES, NoImage, Series, SeriesMap, VarSpace
@@ -42,7 +43,7 @@ from segrechains.series import EXACT, RESIDUES, NoImage, Series, SeriesMap, VarS
 from helpers import (
     ReferenceGaussianRational, codim_family, exact_manifolds, flow_steps, gaussian_rows,
     numeric_basepoint, reference_evaluate, reference_jacobian_rows, reference_pivot_positions,
-    variables_map,
+    run_at, variables_map,
 )
 
 
@@ -138,8 +139,7 @@ def test_jacobian_at_a_point_checks_the_point_dimension(order):
             rank_at_point(f, None, point)
         with pytest.raises(DimensionMismatch, match=message):
             jacobian_rows(f, ["x"])(point)
-    # the witness search (return_witness) ranks its tries by rank_at_point
-    # at points of its own shape: here 2 blocks of 1, and 1 zero
+    # a point one zero coordinate too long is refused as well
     with pytest.raises(DimensionMismatch, match="point dimension 3 != space dim 2"):
         rank_at_point(f, None, [G(1), G(2), ZERO])
     assert rank_at_point(f, None, [G(1), G(2)]) == 1
@@ -158,7 +158,7 @@ def test_return_witness_matches_the_expanded_return_map(name, M, path):
     if path == "chain":
         inv = segre_invariants(M)
         mu, target = inv.mu, inv.orbit_dim_complexified
-        word = sampled_chain(M, mu, Basepoint.origin(), "L")
+        word = chain_word(M, mu, Basepoint.origin(), "L", chart_indices(M, mu))
         expanded, blocks = gamma(M, 2 * mu - 1).map, u_blocks(mu)
     else:
         system = cr_pair_system(M)
@@ -184,7 +184,7 @@ def test_return_witness_makes_2mu_minus_1_exact_flow_steps(name, M, path, monkey
     forward from the start, then mu - 1 back at constant times."""
     if path == "chain":
         inv = segre_invariants(M)
-        word = sampled_chain(M, inv.mu, Basepoint.origin(), "L")
+        word = chain_word(M, inv.mu, Basepoint.origin(), "L", chart_indices(M, inv.mu))
         target = inv.orbit_dim_complexified
     else:
         system = cr_pair_system(M)
@@ -703,24 +703,66 @@ def test_words_without_a_full_rank_mod_p_rerun_exactly(scale, monkeypatch, exact
             point = list(inv.profile.witnesses[k - 1])
             word = chain_word(M, k, Basepoint.origin(), "L", chart_indices(M, k))
             assert len(point) == k and rank == inv.profile.r[k - 1]
-            assert matrix == word.jacobian_at(point)
+            assert matrix == run_at(word, point)[1]
+
+
+def test_word_rank_is_the_rank_of_the_expanded_jacobian(heisenberg, quartic):
+    # a chain word in its chart and an orbit word, ranked at the same blocks
+    # by word_rank and by the symbolic Jacobian of their expanded maps
+    blocks = [[G(1, 2)], [G(-3)], [G(2, -1)]]
+    point = [c for blk in blocks for c in blk]
+    for M in (heisenberg, quartic):
+        chain = chain_word(M, 3, Basepoint.origin(), "L", chart_indices(M, 3))
+        expanded = gamma(M, 3, verify=False).in_chart()
+        system = cr_pair_system(M)
+        orbit_word = flow_word(system, [0, 1, 0], {})
+        flow_map, _ = concatenated_flow(system, [0, 1, 0])
+        for word, smap in ((chain, expanded), (orbit_word, flow_map)):
+            want = exact_rank(reference_jacobian_rows(smap, smap.domain.block_names(), point))
+            assert word_rank(word, (), blocks) == want == 3
 
 
 def test_the_residue_run_keeps_the_word_checks(heisenberg):
     system = cr_pair_system(heisenberg)
     word = flow_word(system, [0, 1, 0], {})
-    assert rank_at_point(word, None, [G(1), G(2), G(3)]) == 3
-    for point in ([G(1), G(2)], [G(1), G(2), G(3), G(4)]):
-        message = f"point dimension {len(point)} != space dim 3"
-        with pytest.raises(DimensionMismatch, match=message):
-            rank_at_point(word, None, point)
+    assert word_rank(word, (), [[G(1)], [G(2)], [G(3)]]) == 3
+    # too few blocks, too many, and a block of the wrong width
+    for blocks in ([[G(1)], [G(2)]], [[G(1)], [G(2)], [G(3)], [G(4)]],
+                   [[G(1)], [G(2), G(5)], [G(3)]]):
+        with pytest.raises(DimensionMismatch, match="3 flows runs at 3 blocks of 1 times"):
+            word_rank(word, (), blocks)
     # a coordinate over P has no image in F_P: the exact run ranks the point
-    far = [G(Fraction(1, ranks.P)), G(2), G(3)]
+    far = [[G(Fraction(1, ranks.P))], [G(2)], [G(3)]]
     with pytest.raises(NoImage):
-        word.jacobian_at(far, None, RESIDUES)
-    assert rank_at_point(word, None, far) == exact_rank(word.jacobian_at(far)) == 3
+        word.run((), far, RESIDUES)
+    assert word_rank(word, (), far) == exact_rank(word.run((), far)[1]) == 3
     jet = flow_word(system, [0, 1, 0], {}, order=3)
     with pytest.raises(TruncationUnsound):
-        rank_at_point(jet, None, [G(1), G(2), G(3)])
+        jet.run((), [[G(1)], [G(2)], [G(3)]])
     with pytest.raises(TruncationUnsound):
-        generic_rank(jet)
+        word_rank(jet, (), [[G(1)], [G(2)], [G(3)]])
+
+
+def test_a_trial_without_an_image_mod_p_fails_over_f_p_once(monkeypatch):
+    # every residue run of this manifold fails at its first flow (see
+    # test_words_without_a_full_rank_mod_p_rerun_exactly); a growing run's
+    # trial then runs exactly only, so each trial, and each one-off word,
+    # makes one failing F_P step
+    M = new_manifold(1, 2, ["w1*zeta1", f"1/{ranks.P}*w1^2*zeta1 + 1/{ranks.P}*w1*zeta1^2"])
+    steps, failed, advance = flow_steps(monkeypatch), [], series.advance
+
+    def counted(flow, values, rows, times, kernel=EXACT):
+        try:
+            return advance(flow, values, rows, times, kernel)
+        except NoImage:
+            failed.append(kernel)
+            raise
+
+    monkeypatch.setattr(series, "advance", counted)
+    assert rank_profile(M).r == (1, 2, 3, 4, 4)
+    # one trial of the L profile, one of the conjugate k = 3 check
+    assert steps.count(RESIDUES) == len(failed) == 2
+    steps.clear(), failed.clear()
+    assert greedy_multitype(cr_pair_system(M), witness=False).orbit_dim == 4
+    # the starting word's check at zero times and the one trial
+    assert failed == [RESIDUES] * 2

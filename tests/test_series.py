@@ -630,7 +630,7 @@ def test_flow_word_run_extends_the_longest_kept_prefix():
         values, rows = word(4, out=[0]).run((), blocks, kernel, states)
         assert [f.steps for f in flows] == [1, 1, 1, 1]
         assert sorted(map(len, states)) == [0, 1, 2, 3, 4]
-        assert (values, rows) == word(4, out=[0]).at([c for blk in blocks for c in blk], kernel)
+        assert (values, rows) == word(4, out=[0]).run((), blocks, kernel)
         assert values == [kernel.scalar(GaussianRational(10))] and len(rows) == 1
         for f in flows:
             f.steps = 0
