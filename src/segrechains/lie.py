@@ -144,8 +144,10 @@ def levi_type(
     not), so Lbar_{i_k}...Lbar_{i_1} grad rho_j is the same row for every
     order of i_1..i_k.  Each level therefore extends a row only by the
     fields whose index is at least the last one applied, and builds every
-    beta once: d*C(m+k-1, k) rows at level k instead of d*m^k, each level
-    built only while ranks.span_dims finds the span short of C^n.
+    beta once: at most d*C(m+k-1, k) rows at level k instead of d*m^k, each
+    level built only while ranks.span_dims finds the span short of C^n.  A
+    row whose entries are all zero Series is dropped: it and every extension
+    of it add no rank, and an empty level ends the ladder.
     """
     basepoint = basepoint or Basepoint.origin()
     kmax = M.m + M.d if kmax is None else kmax
@@ -161,8 +163,9 @@ def levi_type(
         level = [(0, row) for row in gradient_rows(M)]  # (last field applied, row)
         yield [row for _, row in level]
         for _ in range(kmax):
-            level = [(i, [Lbar[i].apply(c) for c in row])
-                     for last, row in level for i in range(last, M.m)]
+            grown = ((i, [Lbar[i].apply(c) for c in row])
+                     for last, row in level for i in range(last, M.m))
+            level = [(i, row) for i, row in grown if not all(c.is_zero() for c in row)]
             yield [row for _, row in level]
 
     dims = span_dims(levels(), chart_point(M, basepoint), Lbar[0].space.dim, M.n, trials, seed)

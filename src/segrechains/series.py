@@ -27,7 +27,9 @@ flows alike (FlowWord: run at a point over a Kernel, EXACT or RESIDUES, one
 advance per flow, or expanded, each keeping the state after every prefix).
 A vector field acts as a derivation (TangentVectorField.apply), and a
 bracket of two fields is one pass of _derivation, every c_a * df/dx_a
-summed into one dict over one denominator; on it stand the commutation
+summed into one dict over one denominator; the pass walks only the field's
+support (its nonzero c_a, kept once when the field is built) and forms
+products only for the x_a that occur in f.  On it stand the commutation
 check (noncommuting_pair) and the deduplicated left-normed bracket ladder
 (bracket_levels, level 1 first).
 
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from types import MappingProxyType
@@ -1029,11 +1031,14 @@ class FlowWord:
 class TangentVectorField:
     """A vector field sum_a coefficients[a] * d/d(space.names[a]) on Series:
     one coefficient per variable of `space`, each a Series over it (checked
-    when the field is built, so apply and bracket need not check them)."""
+    when the field is built, so apply and bracket need not check them).
+    support holds the (a, c_a) of the nonzero coefficients, kept once when
+    the field is built: apply and bracket walk only it."""
 
     space: VarSpace
     coefficients: tuple
     label: str = ""
+    support: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coefficients) != self.space.dim:
@@ -1041,21 +1046,25 @@ class TangentVectorField:
                 f"{len(self.coefficients)} coefficients for space dim {self.space.dim}")
         if any(c.space != self.space for c in self.coefficients):
             raise VarSpaceMismatch("a coefficient lives over another variable space")
+        _set(self, "support", tuple((a, c) for a, c in enumerate(self.coefficients) if c.pairs))
 
     def apply(self, f: Series) -> Series:
-        """The field as a derivation: sum_a c_a * df/dx_a in one pass
-        (_derivation), cut at f.order merged with c_a.order and
+        """The field as a derivation: sum_a c_a * df/dx_a in one pass over
+        the support (_derivation), cut at f.order merged with c_a.order and
         max(f.order - 1, 0) for every nonzero c_a."""
         if f.space != self.space:
             raise VarSpaceMismatch("series live over different variable spaces")
-        return _derivation(self.space, ((1, self.coefficients, f),))
+        return _derivation(self.space, ((1, self.support, f),))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coefficients)
+        return not self.support
 
-    def key(self):
-        """The coefficients' values, whatever their truncation orders."""
-        return tuple((c.den, tuple(sorted(c.pairs.items()))) for c in self.coefficients)
+    def key(self, sign: int = 1):
+        """The coefficients' values, whatever their truncation orders;
+        key(-1) is the key of the negated field, which it does not build."""
+        return tuple((c.den, tuple(sorted((e, (sign * a, sign * b))
+                                          for e, (a, b) in c.pairs.items())))
+                     for c in self.coefficients)
 
     def __neg__(self):
         return TangentVectorField(
@@ -1064,22 +1073,27 @@ class TangentVectorField:
 
 
 def _derivation(space: VarSpace, halves) -> Series:
-    """The sum over (sign, coefficients, f) in `halves` of
-    sign * sum_a c_a * df/dx_a: the one derivation code, of apply and bracket.
+    """The sum over (sign, support, f) in `halves` of
+    sign * sum_a c_a * df/dx_a over a field's support (its (a, c_a) with
+    c_a nonzero): the one derivation code, of apply and bracket.
 
-    One pass: each nonzero c_a walks f's pairs once, a term x^e with e_a > 0
-    giving e_a * x^(e - 1_a) times every term of c_a.  All products go into
-    one dict over one denominator, the lcm of the c_a.den * f.den, reduced by
+    One pass: each c_a whose x_a occurs in f walks f's pairs once, a term
+    x^e with e_a > 0 giving e_a * x^(e - 1_a) times every term of c_a; a c_a
+    whose x_a does not occur in f forms no product.  All products go into one
+    dict over one denominator, the lcm of their c_a.den * f.den, reduced by
     one gcd.  The order is f.order merged with c_a.order and
-    max(f.order - 1, 0) for every nonzero c_a of every half; a zero c_a
-    lowers nothing."""
+    max(f.order - 1, 0) for every c_a of every support, skipped or not; a
+    zero c_a, outside the support, lowers nothing."""
     order, den, work = None, 1, []
-    for sign, coefficients, f in halves:
+    for sign, support, f in halves:
         order = _merge_order(order, f.order)
+        if not support:
+            continue
         lowered = None if f.order is None else max(f.order - 1, 0)
-        for a, c in enumerate(coefficients):
-            if c.pairs:
-                order = _merge_order(order, _merge_order(c.order, lowered))
+        used = f.used_indices()
+        for a, c in support:
+            order = _merge_order(order, _merge_order(c.order, lowered))
+            if a in used:
                 den = math.lcm(den, c.den * f.den)
                 work.append((sign, a, c, f))
     top = math.inf if order is None else order
@@ -1105,12 +1119,13 @@ def _derivation(space: VarSpace, halves) -> Series:
 
 def bracket(X: TangentVectorField, Y: TangentVectorField) -> TangentVectorField:
     """[X, Y]_a = X(Y_a) - Y(X_a), exact: each component one _derivation of
-    both halves, cut at the merge of both halves' orders (see apply)."""
+    both halves over the two supports, cut at the merge of both halves'
+    orders (see apply)."""
     if X.space != Y.space:
         raise ChartMismatch("bracket of fields over different charts")
     coeffs = tuple(
-        _derivation(X.space, ((1, X.coefficients, Y.coefficients[a]),
-                              (-1, Y.coefficients, X.coefficients[a])))
+        _derivation(X.space, ((1, X.support, Y.coefficients[a]),
+                              (-1, Y.support, X.coefficients[a])))
         for a in range(X.space.dim)
     )
     return TangentVectorField(X.space, coeffs, f"[{X.label},{Y.label}]")
@@ -1129,7 +1144,8 @@ def bracket_levels(generators, max_length: int):
     """Yield levels mu = 1..max_length, lazily: level 1 is the generators,
     level mu the left-normed brackets [g, h] of a generator g with a field h
     of level mu - 1, without zero fields and without fields equal up to sign
-    to an earlier one of any level.  An empty level stays empty."""
+    to an earlier one of any level (key and key(-1)).  An empty level stays
+    empty."""
     level = list(generators)
     seen = {f.key() for f in level}
     yield level
@@ -1141,7 +1157,7 @@ def bracket_levels(generators, max_length: int):
                 if b.is_zero():
                     continue
                 k = b.key()
-                if k in seen or (-b).key() in seen:
+                if k in seen or b.key(-1) in seen:
                     continue
                 seen.add(k)
                 new_level.append(b)

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segrechains.errors import ChartMismatch, SegreError, WrongDimensions
 from segrechains.exprs import format_series
@@ -16,7 +18,8 @@ from segrechains.lie import (
     levi_type,
     tangent_fields,
 )
-from segrechains.manifold import Basepoint, new_manifold
+from segrechains.manifold import Basepoint, ambient_space, new_manifold
+from segrechains.orbit import cr_pair_system, greedy_multitype, lie_span_dimension
 from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import Series
 
@@ -261,6 +264,47 @@ def test_crosscheck_on_random_hypersurfaces():
         assert out["ok"]
 
 
+def _random_rigid_manifold(rng):
+    """m <= 2, d <= 3: each theta_bar_j a Hermitian-symmetric sum of up to
+    three terms c*w^alpha*zeta^beta + conj(c)*w^beta*zeta^alpha, |alpha|,
+    |beta| >= 1 and degree <= 3, c a nonzero Gaussian integer with parts in
+    [-3, 3]; no xi, so the manifold is rigid."""
+    m, d = rng.randint(1, 2), rng.randint(1, 3)
+    space = ambient_space(m, d)
+    w, zeta = space.block_vars("w"), space.block_vars("zeta")
+
+    def term(left, right, c):  # c * w^left * zeta^right, each a list of indices
+        return Series.monomial(space, Counter([w[i] for i in left] + [zeta[i] for i in right]), c)
+
+    thetas = []
+    for _ in range(d):
+        theta = Series.zero(space)
+        for _ in range(rng.randint(1, 3)):
+            degrees = (1, 1) if rng.random() < 0.5 else rng.choice(((1, 2), (2, 1)))
+            alpha, beta = ([rng.randrange(m) for _ in range(k)] for k in degrees)
+            c = G(0, 0)
+            while c.is_zero():
+                c = G(rng.randint(-3, 3), rng.randint(-3, 3))
+            theta = theta + term(alpha, beta, c) + term(beta, alpha, c.conjugate())
+        thetas.append(theta)
+    return new_manifold(m, d, thetas)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_routes_agree_on_random_rigid_manifolds(seed):
+    """Three routes to one geometry on random rigid manifolds: the greedy
+    orbit of the CR pair has the dimension of the Lie algebra its fields
+    generate (lie_span_dimension), and the chain increments and the bracket
+    multiplicities have equal totals and minimality verdicts
+    (crosscheck_totals)."""
+    M = _random_rigid_manifold(random.Random(seed))
+    system = cr_pair_system(M)
+    assert greedy_multitype(system, witness=False).orbit_dim == lie_span_dimension(system)
+    out = crosscheck_totals(M)
+    assert out["ok"], out
+
+
 def test_hormander_generic_basepoint():
     # generic-point ladders: leaving the basepoint symbolic and sampling
     M = new_manifold(2, 2, ["w1*zeta1", "xi1^2*w2*zeta2 + i*xi1*w1*zeta1*w2*zeta2"])
@@ -292,6 +336,16 @@ def _levi_inputs():
     for i in range(4):
         M = random_real_graph(2, rng, with_x=True, transversal=i % 2 == 1, order=8)
         out.append((f"jet8_m2_{i}", M, 6))
+    # kmax well past the level from which every row is identically zero
+    # (level max(a, b) + 1 of w1^a zeta1^a + w2^b zeta2^b, 3 of w1^2 zeta1^2,
+    # 2 of the product w1 zeta1 by a disc, the order of a jet)
+    for a, b, kmax in ((1, 1, 6), (2, 3, 8), (3, 1, 8)):
+        M = new_manifold(2, 1, [f"w1^{a}*zeta1^{a} + w2^{b}*zeta2^{b}"])
+        out.append((f"w1^{a}zeta1^{a}+w2^{b}zeta2^{b}_kmax{kmax}", M, kmax))
+    out.append(("w1^2zeta1^2_kmax8", new_manifold(1, 1, ["w1^2*zeta1^2"]), 8))
+    out.append(("w1zeta1_m2_kmax6", new_manifold(2, 1, ["w1*zeta1"]), 6))
+    M = random_real_graph(2, rng, with_x=True, transversal=False, order=4)
+    out.append(("jet4_m2_kmax7", M, 7))
     return out
 
 
@@ -304,7 +358,10 @@ def test_levi_type_matches_ordered_words(name, M, kmax):
 
     kmax = kmax or M.m + M.d
     for bp in (Basepoint.origin(), Basepoint.symbolic()):
-        assert levi_type(M, bp, kmax) == ordered_word_levi_type(M, bp, kmax), bp.kind
+        want = ordered_word_levi_type(M, bp, kmax)
+        assert levi_type(M, bp, kmax) == want, bp.kind
+    assert holomorphic_nondegeneracy(M, kmax) == {
+        "nondegenerate": want is not None, "levi_type_generic": want, "kmax": kmax}
 
 
 def _generic_ladder_inputs():

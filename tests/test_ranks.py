@@ -297,15 +297,17 @@ def test_span_dims_stops_at_full_and_after_an_empty_level():
 class _LadderCount:
     """What a span ladder run through `module`'s span_dims builds and
     evaluates: the rows of every level it reads (kept, so that no row's id is
-    reused) and each (row, point) pair handed to ranks.integer_rows."""
+    reused), each (row, point) pair handed to ranks.integer_rows and the
+    rows handed to it whose entries are all zero Series."""
 
     def __init__(self, monkeypatch, module):
-        self.levels, self.dims, self.pairs = [], [], []
+        self.levels, self.dims, self.pairs, self.zero_rows = [], [], [], []
         integer_rows_, span_dims_ = ranks.integer_rows, ranks.span_dims
 
         def counted_rows(matrix, point):
             key = tuple(x.zi for x in point)
             self.pairs.extend((id(row), key) for row in matrix)
+            self.zero_rows.extend(row for row in matrix if all(s.is_zero() for s in row))
             return integer_rows_(matrix, point)
 
         def counted_levels(levels):
@@ -323,19 +325,21 @@ class _LadderCount:
 
     def check(self, points):
         """Each built row evaluated exactly once at each of `points` distinct
-        points, and no level built past the last one ranked."""
+        points, no identically zero row evaluated, and no level built past
+        the last one ranked."""
         rows = sum(map(len, self.levels))
         assert len({key for _, key in self.pairs}) == points
         assert len(set(self.pairs)) == len(self.pairs) == rows * points
+        assert not self.zero_rows
         assert len(self.levels) == len(self.dims)
 
 
 # Inputs on which no span ever fills, so that every level is ranked and, at
 # a symbolic basepoint, every trial point is drawn: a nonminimal manifold
 # (theta_2 = 0) for the bracket ladder and a product by a disc (no w2) for
-# Levi type
+# Levi type, whose nonzero rows outnumber their rank
 NONMINIMAL = ["w1*zeta1 + w2^2*zeta2^2", "0"]
-HOLOMORPHICALLY_DEGENERATE = ["w1*zeta1"]
+HOLOMORPHICALLY_DEGENERATE = ["w1*zeta1 + w1^2*zeta1^2"]
 
 
 @pytest.mark.parametrize("kind", ["origin", "symbolic"])
@@ -350,7 +354,16 @@ def test_span_ladders_evaluate_each_row_once_per_point(monkeypatch, kind):
     count = _LadderCount(monkeypatch, lie)
     assert levi_type(new_manifold(2, 1, HOLOMORPHICALLY_DEGENERATE), basepoint) is None
     count.check(points)
-    assert [len(level) for level in count.levels] == [1, 2, 3, 4]  # d*C(m+k-1, k), k <= m + d
+    # of d*C(m+k-1, k) = 1, 2, 3, 4 rows for k <= m + d, only the Lbar_1^k
+    # grad rho with k <= 2 are not identically zero; the empty level ends
+    # the ladder
+    assert [len(level) for level in count.levels] == [1, 1, 1, 0]
+    # w1*zeta1's rows vanish from k = 2 on, and its span (rank 2 of 2
+    # nonzero rows) is full at the first sample point
+    count = _LadderCount(monkeypatch, lie)
+    assert levi_type(new_manifold(2, 1, ["w1*zeta1"]), basepoint) is None
+    count.check(1)
+    assert [len(level) for level in count.levels] == [1, 1, 0]
     # a span that fills stops the ladder: heisenberg's Levi type is 1
     heisenberg = new_manifold(1, 1, ["w1*zeta1"])
     count = _LadderCount(monkeypatch, lie)

@@ -539,17 +539,30 @@ def test_derivation_matches_reference_apply_and_bracket(seed):
     """apply and bracket against the loop of diffs, products and sums they
     replace (helpers.reference_apply, reference_bracket), compared as whole
     Series, order included: EXACT and jet f at mixed orders, f = 0 and
-    constant f, and the fields of _random_field."""
+    constant f, the fields of _random_field and a field of zero coefficients
+    (an empty support).  A jet g in none of X's supported variables forms no
+    product, yet each nonzero c_a still cuts the order; key(-1) is the key
+    of the negated field."""
     rng = random.Random(seed)
     space = simple_space()
     X, Y = _random_field(rng, space), _random_field(rng, space)
+    Z = TangentVectorField(space, tuple(Series.zero(space, rng.choice(_ORDERS))
+                                        for _ in range(space.dim)))
     size = 0 if rng.random() < 0.2 else rng.randint(1, 5)
     f = _random_series(rng, space, rng.choice(_ORDERS), size, rng.random() < 0.5)
+    unused = [a for a, c in enumerate(X.coefficients) if c.is_zero()]
+    g = _random_series(rng, space, rng.choice(_ORDERS[1:]), rng.randint(1, 5),
+                       rng.random() < 0.5, unused)
+    assert X.support == tuple((a, c) for a, c in enumerate(X.coefficients) if not c.is_zero())
+    assert Z.support == () and Z.is_zero()
     # Series equality compares the order too
-    for field in (X, Y):
-        assert field.apply(f) == reference_apply(field, f)
-    for A, B in ((X, Y), (X, X)):
+    for field, h in ((X, f), (Y, f), (Z, f), (X, g)):
+        assert field.apply(h) == reference_apply(field, h)
+    assert X.apply(g).is_zero()
+    for A, B in ((X, Y), (X, X), (X, Z), (Z, Y)):
         assert bracket(A, B) == reference_bracket(A, B)
+    for field in (X, Z, bracket(X, Y)):
+        assert field.key(-1) == (-field).key()
 
 
 def test_vector_field_checks_its_coefficients_and_operands():
