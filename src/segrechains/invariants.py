@@ -18,9 +18,10 @@ chains in a half-space chart, from a run of its own the same way
 (chains.sampled_chain, expanded) and their witnessed minors certified
 symbolically.  The witness comes from ranks.return_witness, the one of the
 orbit witness too: it searches the chain word of length mu in its chart,
-then runs the return chain once exactly, so it needs a numeric basepoint
-and an EXACT manifold; for the same reason a truncated manifold takes no
-numeric basepoint but the origin (Basepoint.numeric).  The projected
+then continues the accepted try through the return chain in the kernel
+that proved its rank (F_P, or Z[i] where F_P proves none), so it needs a
+numeric basepoint and an EXACT manifold; for the same reason a truncated
+manifold takes no numeric basepoint but the origin (Basepoint.numeric).  The projected
 witness of psi_rank_checks is one EXACT run of the conjugate chain word
 at the witness times, ranked there by ranks.word_rank.
 """
@@ -191,7 +192,9 @@ def witness_point(
     mu, target = invariants.mu, invariants.orbit_dim_complexified
     word = chain_word(M, mu, basepoint, parity, chart_indices(M, mu))
     w_star, rank, returns = return_witness(word, target, seed)
-    # the return identity and the attained rank are theorems in exact mode
+    # the return identity and the attained rank are theorems in exact mode;
+    # a return run over F_P reads both modulo P (ranks.return_witness), a
+    # congruence that the same theorem makes true
     if not returns:
         raise SegreError("internal: witness chain failed to return to the basepoint")
     if rank != target:

@@ -217,28 +217,27 @@ def graph_from_real(m: int, d: int, h, order=None) -> CRManifold:
         {f"wb{i + 1}": Series.variable(space, zeta_vars[i], order) for i in range(m)}
     )
     half_i = GaussianRational(0, "1/2")
-    x = [Series.variable(space, xi_vars[j], order) for j in range(d)]
-    limit = GRAPH_MAX_ITER if order is None else max(order, 1)
-    converged = False
-    for _ in range(limit):
+    xi = [Series.variable(space, v, order) for v in xi_vars]
+    x = xi
+
+    def composed(x):  # h(w, zeta, x), each component composed once
         sub = dict(base)
         sub.update({f"x{j + 1}": x[j] for j in range(d)})
-        new_x = [
-            Series.variable(space, xi_vars[j], order) + half_i * hs[j].compose(sub)
-            for j in range(d)
-        ]
-        if new_x == x:
-            converged = True
+        return [h.compose(sub) for h in hs]
+
+    for _ in range(GRAPH_MAX_ITER if order is None else max(order, 1)):
+        theta_bar = composed(x)
+        new_x = [v + half_i * t for v, t in zip(xi, theta_bar)]
+        if new_x == x:  # converged: theta_bar is h at this x
             break
         x = new_x
-    if order is None and not converged:
-        raise SegreError(
-            "transversal elimination does not terminate for this polynomial "
-            "input; rebuild with a finite truncation order"
-        )
-    sub = dict(base)
-    sub.update({f"x{j + 1}": x[j] for j in range(d)})
-    theta_bar = [hs[j].compose(sub) for j in range(d)]
+    else:
+        if order is None:
+            raise SegreError(
+                "transversal elimination does not terminate for this polynomial "
+                "input; rebuild with a finite truncation order"
+            )
+        theta_bar = composed(x)  # a jet at its iteration cap
     return CRManifold(m, d, theta_bar, order, space)
 
 

@@ -22,11 +22,12 @@ differentiation, one gradient walk per flow component), and the
 candidates of a greedy step extend the state of their common prefix by
 one flow each, the winner's kept; ranks.word_rank checks the starting
 word at zero times.  The witness is ranks.return_witness, the one the
-chains use too: a seeded point t* of the word's rank, then the word run at
-t* and on through its reversed flows at the negated times.  Truncated jets
-rank the expanded word (concatenated_flow), whose candidates likewise
-expand their common prefix once.  A jet's witness is None, because a
-truncated flow cannot be evaluated at a nonzero time.
+chains use too: a seeded point t* of the word's rank, then the accepted
+try's run continued through its reversed flows at the negated times, in
+the kernel that proved its rank.  Truncated jets rank the expanded word
+(concatenated_flow), whose candidates likewise expand their common prefix
+once.  A jet's witness is None, because a truncated flow cannot be
+evaluated at a nonzero time.
 """
 
 from __future__ import annotations

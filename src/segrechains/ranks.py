@@ -28,7 +28,10 @@ run whose residue rank is not full, or that has no image in F_P (a
 denominator divisible by P), is rerun exactly at the same point, and a
 non-full residue rank goes straight to Bareiss (_point_rank).
 return_witness, the witness of chains and orbits, ranks its search's tries
-by word_rank, then runs the return map once exactly.
+by word_rank and keeps their runs; the return flows then continue the
+accepted try in the kernel that proved its rank, and _point_rank ranks the
+rows reached.  Over F_P that rank and the return to the start values are
+read modulo P; the return reruns exactly only where F_P proves no rank.
 
 A SeriesMap (a jet chain, a psi map, a jet orbit flow) is never
 differentiated to be ranked: jacobian_rows reads every partial at a point
@@ -49,8 +52,8 @@ from typing import List, Optional, Tuple
 from .errors import DimensionMismatch, WitnessNotFound
 from .scalars import GaussianRational, ZERO
 from .series import (
-    EXACT, P, RESIDUES, ROOT, FlowWord, NoImage, PointTable, Series, SeriesMap, check_point,
-    reduced_row,
+    EXACT, P, RESIDUES, ROOT, FlowWord, Kernel, NoImage, PointTable, Series, SeriesMap,
+    check_point, reduced_row,
 )
 
 # Sampling box: numerators in [-99, 99], denominators in [1, 9] for both the
@@ -357,16 +360,19 @@ def rank_at_point(f: SeriesMap, wrt, point) -> int:
     return _point_rank(jacobian_rows(f, wrt), None, point)[0]
 
 
-def word_rank(word, params, blocks) -> int:
+def word_rank(word, params, blocks, states=None) -> int:
     """Exact rank of the Jacobian in all time blocks of the rows `out` of an
     EXACT series.FlowWord, run at the start's `params` and `blocks`, one
     block of m times per flow (DimensionMismatch otherwise): over F_P first,
-    rerun exactly where that proves no rank (_point_rank)."""
+    rerun exactly where that proves no rank (_point_rank).  `states`, if
+    given ({EXACT: {}, RESIDUES: {}}), keeps each kernel's run there
+    (FlowWord.run); an EXACT run was made only if its dict is filled."""
     k, m = len(word.flows), len(word.space_of(1).blocks[0][1])
     if len(blocks) != k or any(len(blk) != m for blk in blocks):
         raise DimensionMismatch(f"a word of {k} flows runs at {k} blocks of {m} times")
-    return _point_rank(lambda _: word.run(params, blocks)[1],
-                       lambda _: word.run(params, blocks, RESIDUES)[1], None)[0]
+    states = {EXACT: {}, RESIDUES: {}} if states is None else states
+    return _point_rank(lambda _: word.run(params, blocks, EXACT, states[EXACT])[1],
+                       lambda _: word.run(params, blocks, RESIDUES, states[RESIDUES])[1], None)[0]
 
 
 class GrowingRun:
@@ -421,34 +427,56 @@ class GrowingRun:
                           certify and 0 < rank <= CERTIFY_MAX_SIZE)
 
 
+def _returned(word, blocks, kernel: Kernel, states: dict):
+    """(values, rows) of the whole state after the word at `blocks` over the
+    kernel, resumed from the longest prefix `states` keeps (FlowWord.run),
+    then on through flows mu - 1, ..., 1 at the constant times -blocks[mu-2],
+    ..., -blocks[0], which add no column."""
+    word.run((), blocks, kernel, states)
+    values, rows = states[word.flows]
+    for flow, blk in zip(word.flows[-2::-1], reversed(blocks[:-1])):
+        values, rows = flow.advance(values, rows, [kernel.scalar(-c) for c in blk], None, kernel)
+    return values, rows
+
+
 def return_witness(word, target: int, seed: int):
     """(t*, rank, returns): the return witness of an EXACT series.FlowWord of
     mu flows, the one witness of chains and orbits.  t* = (t_1*, ...,
     t_{mu-1}*, 0), mu blocks of scalars, is a seeded point at which the
     Jacobian of the word's `out` (a chain's chart) has rank `target`, each
-    try ranked by word_rank: WITNESS_RETRIES tries in the sampling box,
-    then as many in a box ten times wider; WitnessNotFound if none reaches
-    the target.  The word then runs exactly at t* (FlowWord.run), and its
-    whole state on through flows mu - 1, ..., 1 at the constant times
-    -t*_{mu-1}, ..., -t*_1, which add no column: 2 mu - 1 exact flow steps.
-    rank is the exact rank of the rows reached, the word's rank at t*
-    (fixed-time flows are biholomorphisms), and returns says whether the
-    values are the word's start values."""
+    try ranked by word_rank with its runs kept: WITNESS_RETRIES tries in the
+    sampling box, then as many in a box ten times wider; WitnessNotFound if
+    none reaches the target.  The accepted try's whole state then goes on
+    through flows mu - 1, ..., 1 at the negated times in the kernel that
+    proved its rank (_returned): mu - 1 F_P steps, or mu - 1 exact ones
+    where the try was run exactly.  _point_rank ranks the rows reached and
+    reruns exactly from the start (2 mu - 1 steps) an F_P return run with
+    no image in F_P or below full rank mod P.  rank is the exact rank of
+    the rows reached, the word's rank at t* (fixed-time flows are
+    biholomorphisms); returns says whether the values are the word's start
+    values in the kernel that ranked them, over F_P a congruence mod P that
+    the return identity of EXACT flows makes true as well."""
     mu, m = len(word.flows), len(word.space_of(1).blocks[0][1])
     rng = random.Random(seed)
     for attempt in range(2 * WITNESS_RETRIES):
         bound = NUM_BOUND if attempt < WITNESS_RETRIES else NUM_BOUND * 10
         found = [random_point(rng, m, bound) for _ in range(mu - 1)] + [[ZERO] * m]
-        if word_rank(word, (), found) == target:
+        states = {EXACT: {}, RESIDUES: {}}
+        if word_rank(word, (), found, states) == target:
             break
     else:
         raise WitnessNotFound(
             f"no rank-{target} point of the required shape after {2 * WITNESS_RETRIES} tries"
         )
-    states = {}
-    word.run((), found, EXACT, states)
-    values, rows = states[word.flows]
-    for flow, blk in zip(word.flows[-2::-1], reversed(found[:-1])):
-        values, rows = flow.advance(values, rows, [(-c).zi for c in blk], None)
-    returns = [GaussianRational.from_zi(*v) for v in values] == list(word.values(()))
-    return tuple(map(tuple, found)), exact_rank(rows), returns
+    returns = {}
+
+    def rows_at(kernel):
+        def at(_):
+            values, rows = _returned(word, found, kernel, states[kernel])
+            returns[kernel] = values == [kernel.scalar(x) for x in word.values(())]
+            return rows
+        return at
+
+    rank = _point_rank(rows_at(EXACT), None if states[EXACT] else rows_at(RESIDUES), None)[0]
+    # exact rows, where they were built, are the ones _point_rank ranked
+    return tuple(map(tuple, found)), rank, returns.get(EXACT, returns.get(RESIDUES))

@@ -88,6 +88,35 @@ def test_graph_from_real_transversal_elimination_matches_graph_form():
     assert G2.theta_bar == M.theta_bar
 
 
+@pytest.mark.parametrize("m,h,order,passes", [
+    (1, ["w1*wb1"], None, 2),
+    (2, ["w1*wb1", "x1^2*w2*wb2 + 1/4*w1^2*wb1^2*w2*wb2"], None, 3),
+    (1, ["x1*w1 + x1*wb1 + w1*wb1"], 4, 4),
+])
+def test_graph_from_real_composes_h_once_per_pass(m, h, order, passes, monkeypatch):
+    """Each pass of the fixed-point iteration composes every h_j once, and
+    the converged pass's compositions are theta_bar: none is made after it.
+    theta_bar is h at x = xi + (i/2) theta_bar."""
+    d = len(h)
+    hs = [parse_series(s, real_graph_space(m, d), order) for s in h]
+    calls = []
+    compose = Series.compose
+
+    def counted(self, sub):
+        calls.extend(j for j, hj in enumerate(hs) if self == hj)
+        return compose(self, sub)
+
+    monkeypatch.setattr(Series, "compose", counted)
+    M = graph_from_real(m, d, h, order)
+    assert calls == list(range(d)) * passes
+    monkeypatch.undo()
+    sub = {f"w{i + 1}": Series.variable(M.space, f"w{i + 1}", order) for i in range(m)}
+    sub.update({f"wb{i + 1}": Series.variable(M.space, f"zeta{i + 1}", order) for i in range(m)})
+    sub.update({f"x{j + 1}": Series.variable(M.space, f"xi{j + 1}", order)
+                + G(0, "1/2") * M.theta_bar[j] for j in range(d)})
+    assert tuple(hj.compose(sub) for hj in hs) == M.theta_bar
+
+
 def test_graph_from_real_rejects_bad_input():
     with pytest.raises(RealityViolation):
         graph_from_real(1, 1, ["i*w1*wb1"])  # not Hermitian

@@ -176,25 +176,100 @@ def test_return_witness_matches_the_expanded_return_map(name, M, path):
     assert rank == exact_rank(reference_jacobian_rows(expanded, blocks, point)) == target
 
 
-@pytest.mark.parametrize("path", ["chain", "orbit"])
-@pytest.mark.parametrize("name,M", EXACT_MANIFOLDS, ids=[n for n, _ in EXACT_MANIFOLDS])
-def test_return_witness_makes_2mu_minus_1_exact_flow_steps(name, M, path, monkeypatch):
-    """The search ranks a chain in its chart, where the found try is full
-    rank mod P, so the only exact steps are the one return run: mu flows
-    forward from the start, then mu - 1 back at constant times."""
+def _witness_word(M, path):
+    """(word, target) of the chain witness (the length-mu chain's chart word
+    at the origin) or of the greedy orbit's witness (its flow word)."""
     if path == "chain":
         inv = segre_invariants(M)
         word = chain_word(M, inv.mu, Basepoint.origin(), "L", chart_indices(M, inv.mu))
-        target = inv.orbit_dim_complexified
-    else:
-        system = cr_pair_system(M)
-        res = greedy_multitype(system, witness=False)
-        word, target = flow_word(system, list(res.word), {}), res.orbit_dim
-    steps = flow_steps(monkeypatch)
+        return word, inv.orbit_dim_complexified
+    system = cr_pair_system(M)
+    res = greedy_multitype(system, witness=False)
+    return flow_word(system, list(res.word), {}), res.orbit_dim
+
+
+def _steps_by_point_rank(monkeypatch, residues=True):
+    """(steps, starts): the kernel of every flow step from now on
+    (helpers.flow_steps), and the number made when each ranks._point_rank
+    call began; with residues False every call gets no residue rows, so no
+    rank is read over F_P."""
+    steps, starts = flow_steps(monkeypatch), []
+    point_rank = ranks._point_rank
+
+    def started(matrix_at, residues_at, point):
+        starts.append(len(steps))
+        return point_rank(matrix_at, residues_at if residues else None, point)
+
+    monkeypatch.setattr(ranks, "_point_rank", started)
+    return steps, starts
+
+
+# the chain words whose mu*m time columns, and whose whole state, outnumber
+# the target: the whole state after the return is below full rank mod P
+WIDER_CHARTS = {"ex8_10", "ex8_11", "product_degenerate"}
+
+
+@pytest.mark.parametrize("path", ["chain", "orbit"])
+@pytest.mark.parametrize("name,M", EXACT_MANIFOLDS, ids=[n for n, _ in EXACT_MANIFOLDS])
+def test_return_witness_continues_the_accepted_try_over_f_p(name, M, path, monkeypatch):
+    """Every accepted try is full rank mod P, so after the search the return
+    run goes on from that try's F_P state: mu - 1 F_P steps and no exact
+    one.  Where the whole state is then below full rank mod P (a wider
+    chart), the return reruns exactly from the start: 2mu - 1 exact steps."""
+    word, target = _witness_word(M, path)
+    mu, m = len(word.flows), M.m
+    rerun = target < min(len(word.values(())), mu * m)
+    assert rerun == (path == "chain" and name in WIDER_CHARTS)
+    steps, starts = _steps_by_point_rank(monkeypatch)
     return_witness(word, target, seed=0)
+    after_search = steps[starts[-1]:]  # the return is ranked by the last call
+    assert after_search == [RESIDUES] * (mu - 1) + [EXACT] * (2 * mu - 1 if rerun else 0)
+
+
+@pytest.mark.parametrize("path", ["chain", "orbit"])
+@pytest.mark.parametrize("name,M", EXACT_MANIFOLDS, ids=[n for n, _ in EXACT_MANIFOLDS])
+def test_return_witness_makes_2mu_minus_1_exact_flow_steps(name, M, path, monkeypatch):
+    """With no rank read over F_P, every try is run and ranked exactly, and
+    the return run goes on from the accepted try's exact state: the try's mu
+    flows forward, then mu - 1 back at constant times, all exact."""
+    word, target = _witness_word(M, path)
     mu = len(word.flows)
-    assert RESIDUES in steps and steps.count(EXACT) == 2 * mu - 1
-    assert steps[1 - 2 * mu:] == [EXACT] * (2 * mu - 1)
+    steps, starts = _steps_by_point_rank(monkeypatch, residues=False)
+    return_witness(word, target, seed=0)
+    assert RESIDUES not in steps
+    assert steps[starts[-2]:] == [EXACT] * (2 * mu - 1)
+    assert len(steps) == mu * (len(starts) - 1) + mu - 1
+
+
+@pytest.mark.parametrize("path", ["chain", "orbit"])
+@pytest.mark.parametrize("name,M", EXACT_MANIFOLDS, ids=[n for n, _ in EXACT_MANIFOLDS])
+def test_return_run_mod_p_is_the_image_of_the_exact_one(name, M, path, monkeypatch):
+    """The F_P return run of return_witness, values and rows of the whole
+    state, is the image mod P of the exact return run at the same t*: the
+    word run exactly at t*, then flows mu - 1, ..., 1 at -t*_{mu-1}, ...,
+    -t*_1, stepped here one flow at a time."""
+    word, target = _witness_word(M, path)
+    runs = []
+    returned = ranks._returned
+
+    def recorded(word_, blocks, kernel, states):
+        runs.append((kernel, returned(word_, blocks, kernel, states)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(ranks, "_returned", recorded)
+    t_star, rank, returns = return_witness(word, target, seed=0)
+    assert returns and rank == target
+    assert runs[0][0] is RESIDUES
+    values, rows = runs[0][1]
+    states = {}
+    word.run((), t_star, EXACT, states)
+    exact_values, exact_rows = states[word.flows]
+    for flow, blk in zip(word.flows[-2::-1], reversed(t_star[:-1])):
+        exact_values, exact_rows = flow.advance(exact_values, exact_rows,
+                                                [(-c).zi for c in blk], None)
+    assert values == [series.residue(*v) for v in exact_values]
+    assert rows == _image_mod_p(exact_rows)
+    assert values == [series.residue(*x.zi) for x in word.values(())]
 
 
 @pytest.mark.parametrize("order", [None, 3])
