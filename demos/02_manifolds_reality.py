@@ -38,8 +38,8 @@ print()
 print("== Complexified CR vector fields ==")
 L, Lbar = vector_fields(M)
 space = M.space
-print("L    coefficient of d/dz1 :", format_series(L.coefficients[0][space.index_of('z1')]))
-print("Lbar coefficient of d/dxi1:", format_series(Lbar.coefficients[0][space.index_of('xi1')]))
+print("L    coefficient of d/dz1 :", format_series(L[0].coefficients[space.index_of('z1')]))
+print("Lbar coefficient of d/dxi1:", format_series(Lbar[0].coefficients[space.index_of('xi1')]))
 print("(tangency and commutation certificates were checked symbolically)")
 
 print()

@@ -19,9 +19,10 @@ chains in a half-space chart, from a run of its own the same way
 symbolically.  The witness comes from ranks.return_witness, the one of the
 orbit witness too: it searches the chain word of length mu in its chart,
 then continues the accepted try through the return chain in the kernel
-that proved its rank (F_P, or Z[i] where F_P proves none), so it needs a
-numeric basepoint and an EXACT manifold; for the same reason a truncated
-manifold takes no numeric basepoint but the origin (Basepoint.numeric).  The projected
+that proved its rank (F_P, or Z[i] where F_P proves none) and ranks that
+chart there, so it needs a numeric basepoint and an EXACT manifold; for the
+same reason a truncated manifold takes no numeric basepoint but the origin
+(Basepoint.numeric).  The projected
 witness of psi_rank_checks is one EXACT run of the conjugate chain word
 at the witness times, ranked there by ranks.word_rank.
 """

@@ -6,7 +6,9 @@ complexified manifold, where the pair of m-vector fields takes the form
     L_i    = d/dw_i
     Lbar_i = d/dzeta_i - i * sum_j theta_{j, zeta_i}(zeta, w, qbar) d/dxi_j.
 
-The chart fields come from the ambient rows of manifold.cr_pair_rows.  The
+The chart fields (tangent_fields) come from the ambient rows of
+manifold.cr_pair_rows, built once per manifold and kept on it, so the bracket
+ladder, Levi type and orbit.cr_pair_system share one chart pair.  The
 field type, the bracket and the deduplicated bracket ladder are
 series.TangentVectorField, series.bracket and series.bracket_levels
 (re-exported here).  The bracket ladder and the Levi-type flag rank their
@@ -36,23 +38,28 @@ def chart_space(M: CRManifold) -> VarSpace:
     return _chart_space(M, "wzetaxi")
 
 
-def tangent_fields(M: CRManifold) -> Tuple[List[TangentVectorField], List[TangentVectorField]]:
-    """The 2m chart fields (L_1..L_m, Lbar_1..Lbar_m): the rows of
-    manifold.cr_pair_rows without their z coefficients, each coefficient that
-    reads z restricted to the graph z = qbar, lifted to the chart."""
-    cs = chart_space(M)
-    z_idx = set(M.space.block("z"))
-    keep = [M.space.index_of(v) for v in cs.names]
+def tangent_fields(M: CRManifold) -> Tuple[Tuple[TangentVectorField, ...], ...]:
+    """The 2m chart fields as two m-tuples (L_1..L_m, Lbar_1..Lbar_m): the
+    rows of manifold.cr_pair_rows without their z coefficients, each
+    coefficient that reads z restricted to the graph z = qbar, lifted to the
+    chart.  Built on first use, then kept on M: every caller shares them."""
+    pair = getattr(M, "_tangent_fields", None)
+    if pair is None:
+        cs = chart_space(M)
+        z_idx = set(M.space.block("z"))
+        keep = [M.space.index_of(v) for v in cs.names]
 
-    def chart_field(row, label):
-        coeffs = tuple(
-            (M.restrict(row[a]) if row[a].used_indices() & z_idx else row[a]).lift(cs)
-            for a in keep
-        )
-        return TangentVectorField(cs, coeffs, label)
+        def chart_field(row, label):
+            coeffs = tuple(
+                (M.restrict(row[a]) if row[a].used_indices() & z_idx else row[a]).lift(cs)
+                for a in keep
+            )
+            return TangentVectorField(cs, coeffs, label)
 
-    return tuple([chart_field(row, f"{name}{i + 1}") for i, row in enumerate(rows)]
-                 for name, rows in zip(("L", "Lbar"), cr_pair_rows(M)))
+        pair = M._tangent_fields = tuple(
+            tuple(chart_field(row, f"{name}{i + 1}") for i, row in enumerate(rows))
+            for name, rows in zip(("L", "Lbar"), cr_pair_rows(M)))
+    return pair
 
 
 def chart_point(M: CRManifold, basepoint: Basepoint):

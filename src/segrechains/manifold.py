@@ -12,10 +12,12 @@ term by term (exactly in polynomial mode, modulo the truncation order
 otherwise); failure raises RealityViolation with the first bad monomial.
 
 The complexified CR pair (L, Lbar) is built here once: cr_pair_rows gives
-its ambient coefficient rows, which vector_fields certifies and
-lie.tangent_fields takes to the intrinsic chart, and cr_flows its closed-form
-flows (CRFlow), stepping values and gradient rows at a point (advance, one
-gradient walk of qbar or q per recomputed component) or Series (expand).
+its ambient coefficient rows, which vector_fields returns certified as two
+m-tuples of series.TangentVectorField and lie.tangent_fields takes to the
+intrinsic chart (once per manifold, kept on it), and cr_flows its
+closed-form flows (CRFlow), stepping values and gradient rows at a point
+(advance, one gradient walk of qbar or q per recomputed component) or
+Series (expand).
 A Segre variety (segre_leaf) and a symbolic basepoint are one flow of a
 fixed point; the Segre chains of the chains module are words of flows.
 """
@@ -212,32 +214,27 @@ def graph_from_real(m: int, d: int, h, order=None) -> CRManifold:
     w_vars = space.block_vars("w")
     zeta_vars = space.block_vars("zeta")
     xi_vars = space.block_vars("xi")
-    base = {f"w{i + 1}": Series.variable(space, w_vars[i], order) for i in range(m)}
-    base.update(
+    sub = {f"w{i + 1}": Series.variable(space, w_vars[i], order) for i in range(m)}
+    sub.update(
         {f"wb{i + 1}": Series.variable(space, zeta_vars[i], order) for i in range(m)}
     )
     half_i = GaussianRational(0, "1/2")
     xi = [Series.variable(space, v, order) for v in xi_vars]
     x = xi
-
-    def composed(x):  # h(w, zeta, x), each component composed once
-        sub = dict(base)
+    # h has no term below degree 2, so pass k fixes x in degree k + 2 and a
+    # jet of order N converges by pass N: only EXACT input reaches the cap
+    for _ in range(GRAPH_MAX_ITER if order is None else order):
         sub.update({f"x{j + 1}": x[j] for j in range(d)})
-        return [h.compose(sub) for h in hs]
-
-    for _ in range(GRAPH_MAX_ITER if order is None else max(order, 1)):
-        theta_bar = composed(x)
+        theta_bar = [s.compose(sub) for s in hs]  # h(w, zeta, x)
         new_x = [v + half_i * t for v, t in zip(xi, theta_bar)]
         if new_x == x:  # converged: theta_bar is h at this x
             break
         x = new_x
     else:
-        if order is None:
-            raise SegreError(
-                "transversal elimination does not terminate for this polynomial "
-                "input; rebuild with a finite truncation order"
-            )
-        theta_bar = composed(x)  # a jet at its iteration cap
+        raise SegreError(
+            "transversal elimination does not terminate for this polynomial "
+            "input; rebuild with a finite truncation order"
+        )
     return CRManifold(m, d, theta_bar, order, space)
 
 
@@ -376,26 +373,6 @@ def cr_flows(M: CRManifold) -> dict:
 # -- ambient CR vector fields ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MVectorField:
-    """An m-tuple of commuting coordinate vector fields in the ambient chart.
-
-    coefficients[i][a] is the coefficient series of d/d(ambient var a) in the
-    i-th component field.
-    """
-
-    manifold: CRManifold
-    label: str  # "L" | "Lbar"
-    coefficients: tuple
-
-    def apply(self, i: int, f: Series) -> Series:
-        """Derivation: component i applied to an ambient series."""
-        return self._component(i).apply(f)
-
-    def _component(self, i: int) -> TangentVectorField:
-        return TangentVectorField(self.manifold.space, self.coefficients[i])
-
-
 def cr_pair_rows(M: CRManifold):
     """(L rows, Lbar rows): the ambient coefficients of the complexified CR
     pair L_i = d/dw_i + i*theta_bar_{w_i} d/dz and
@@ -418,30 +395,25 @@ def cr_pair_rows(M: CRManifold):
     return rows("w", "z", M.theta_bar, I), rows("zeta", "xi", M.theta, -I)
 
 
-def vector_fields(M: CRManifold) -> Tuple[MVectorField, MVectorField]:
-    """The complexified CR pair (cr_pair_rows) with symbolic tangency and
-    commutativity certificates."""
-    L_rows, Lbar_rows = cr_pair_rows(M)
-    L = MVectorField(M, "L", L_rows)
-    Lbar = MVectorField(M, "Lbar", Lbar_rows)
-    for X in (L, Lbar):
-        _certify_tangency(M, X)
-        pair = noncommuting_pair([X._component(i) for i in range(M.m)])
-        if pair is not None:
-            i, j = pair
-            raise SegreError(
-                f"internal: components {i + 1},{j + 1} of {X.label} do not commute"
-            )
-    return L, Lbar
-
-
-def _certify_tangency(M: CRManifold, X: MVectorField):
-    for i in range(M.m):
-        for j, r in enumerate(M.rho()):
-            if not M.restrict(X.apply(i, r)).is_zero():
-                raise SegreError(
-                    f"internal: {X.label}^{i + 1} is not tangent to rho_{j + 1}"
-                )
+def vector_fields(M: CRManifold) -> Tuple[tuple, tuple]:
+    """The complexified CR pair (cr_pair_rows) in the ambient chart: two
+    m-tuples of TangentVectorFields, L1..Lm and Lbar1..Lbarm, certified
+    symbolically: each field is tangent (it annihilates every rho_j on the
+    graph z = qbar) and the fields of each tuple commute."""
+    pair = tuple(tuple(TangentVectorField(M.space, row, f"{name}{i + 1}")
+                       for i, row in enumerate(rows))
+                 for name, rows in zip(("L", "Lbar"), cr_pair_rows(M)))
+    rho = M.rho()
+    for X in pair:
+        for f in X:
+            for j, r in enumerate(rho):
+                if not M.restrict(f.apply(r)).is_zero():
+                    raise SegreError(f"internal: {f.label} is not tangent to rho_{j + 1}")
+        bad = noncommuting_pair(X)
+        if bad is not None:
+            raise SegreError("internal: fields {}, {} do not commute".format(
+                *(X[i].label for i in bad)))
+    return pair
 
 
 # -- complexified Segre varieties --------------------------------------------

@@ -133,10 +133,10 @@ class FlowMap:
     of a series.FlowWord, run at a point or expanded.  (A plain class:
     building a dataclass costs milliseconds at every import.)"""
 
-    __slots__ = ("map", "exact", "order")
+    __slots__ = ("map", "exact")
 
-    def __init__(self, map: SeriesMap, exact: bool, order: Optional[int]):
-        self.map, self.exact, self.order = map, exact, order
+    def __init__(self, map: SeriesMap, exact: bool):
+        self.map, self.exact = map, exact
 
     def advance(self, values, rows, times, col, kernel=EXACT):
         """exp(times.L) at values and gradient rows over a series.Kernel (Z[i]
@@ -209,7 +209,7 @@ def formal_flow(system: VFSystem, alpha: int, order: Optional[int]) -> FlowMap:
             )
         exact = exact and terminated and not dropped_any
         comps.append(total.truncate(order))
-    return FlowMap(SeriesMap(comps, system.space), exact, order)
+    return FlowMap(SeriesMap(comps, system.space), exact)
 
 
 def _time_space(system: VFSystem, k: int) -> VarSpace:
@@ -400,10 +400,6 @@ def cr_pair_system(M: CRManifold, check: bool = True) -> VFSystem:
     chart (w, zeta, xi); its greedy multitype reproduces the chain profile."""
     from .lie import tangent_fields
 
-    L, Lbar = tangent_fields(M)
-    space = L[0].space
-    fields = [
-        tuple(tuple(f.coefficients) for f in L),
-        tuple(tuple(f.coefficients) for f in Lbar),
-    ]
-    return VFSystem(space, fields, order=M.order, check=check)
+    pair = tangent_fields(M)
+    fields = [[f.coefficients for f in X] for X in pair]
+    return VFSystem(pair[0][0].space, fields, order=M.order, check=check)

@@ -30,8 +30,8 @@ non-full residue rank goes straight to Bareiss (_point_rank).
 return_witness, the witness of chains and orbits, ranks its search's tries
 by word_rank and keeps their runs; the return flows then continue the
 accepted try in the kernel that proved its rank, and _point_rank ranks the
-rows reached.  Over F_P that rank and the return to the start values are
-read modulo P; the return reruns exactly only where F_P proves no rank.
+rows `out` reached.  Over F_P that rank and the return to the start values
+are read modulo P; the return reruns exactly only where F_P proves no rank.
 
 A SeriesMap (a jet chain, a psi map, a jet orbit flow) is never
 differentiated to be ranked: jacobian_rows reads every partial at a point
@@ -428,15 +428,18 @@ class GrowingRun:
 
 
 def _returned(word, blocks, kernel: Kernel, states: dict):
-    """(values, rows) of the whole state after the word at `blocks` over the
-    kernel, resumed from the longest prefix `states` keeps (FlowWord.run),
-    then on through flows mu - 1, ..., 1 at the constant times -blocks[mu-2],
-    ..., -blocks[0], which add no column."""
+    """(values of the whole state, rows of the components `out`) after the
+    word at `blocks` over the kernel, resumed from the longest prefix
+    `states` keeps (FlowWord.run), then on through flows mu - 1, ..., 1 at
+    the constant times -blocks[mu-2], ..., -blocks[0], which add no column.
+    The return ends at the start, where `out` (a chain's chart) and the
+    whole state are both graph coordinates of M^C: the rows `out`, fewer,
+    have the rank of the whole state's."""
     word.run((), blocks, kernel, states)
     values, rows = states[word.flows]
     for flow, blk in zip(word.flows[-2::-1], reversed(blocks[:-1])):
         values, rows = flow.advance(values, rows, [kernel.scalar(-c) for c in blk], None, kernel)
-    return values, rows
+    return values, rows if word.out is None else [rows[a] for a in word.out]
 
 
 def return_witness(word, target: int, seed: int):
@@ -449,13 +452,14 @@ def return_witness(word, target: int, seed: int):
     none reaches the target.  The accepted try's whole state then goes on
     through flows mu - 1, ..., 1 at the negated times in the kernel that
     proved its rank (_returned): mu - 1 F_P steps, or mu - 1 exact ones
-    where the try was run exactly.  _point_rank ranks the rows reached and
-    reruns exactly from the start (2 mu - 1 steps) an F_P return run with
-    no image in F_P or below full rank mod P.  rank is the exact rank of
-    the rows reached, the word's rank at t* (fixed-time flows are
-    biholomorphisms); returns says whether the values are the word's start
-    values in the kernel that ranked them, over F_P a congruence mod P that
-    the return identity of EXACT flows makes true as well."""
+    where the try was run exactly.  _point_rank ranks the rows `out` reached,
+    the rows the search ranked, and reruns exactly from the start (2 mu - 1
+    steps) an F_P return run with no image in F_P or below full rank mod P.
+    rank is the exact rank of the rows reached, the word's rank at t*
+    (fixed-time flows are biholomorphisms); returns says whether the values
+    are the word's start values in the kernel that ranked them, over F_P a
+    congruence mod P that the return identity of EXACT flows makes true as
+    well."""
     mu, m = len(word.flows), len(word.space_of(1).blocks[0][1])
     rng = random.Random(seed)
     for attempt in range(2 * WITNESS_RETRIES):

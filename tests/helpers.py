@@ -682,7 +682,7 @@ def reference_tangent_fields(M):
             c = M.restrict(M.theta[j].diff(M.space.block_vars("zeta")[i]))
             coeffs[xi_idx[j]] = (-I) * c.lift(cs)
         Lbar.append(TangentVectorField(cs, tuple(coeffs), f"Lbar{i + 1}"))
-    return L, Lbar
+    return tuple(L), tuple(Lbar)
 
 
 def reference_segre_leaf(M, tau_p=None, t_p=None, order=None):

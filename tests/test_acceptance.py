@@ -278,9 +278,9 @@ def test_criterion_13_property_suites():
     for name, M in corpus_manifolds():
         L, Lbar = vector_fields(M)  # raises internally on any failure
         for X in (L, Lbar):
-            for i in range(M.m):
+            for f in X:
                 for r in M.rho():
-                    ok = ok and M.restrict(X.apply(i, r)).is_zero()
+                    ok = ok and M.restrict(f.apply(r)).is_zero()
     # truncated flow group law
     space = coordinate_space(1)
     sys1 = VFSystem(

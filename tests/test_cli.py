@@ -518,3 +518,14 @@ def test_bad_checkall_sidecars_are_usage_errors(tmp_path, capsys, text, message)
     code, out, err = run_cli(capsys, "checkall", str(tmp_path))
     assert code == 2 and out == "" and _single_error_line(err)
     assert err.startswith(f"error: {sidecar}: {message}")
+
+
+@pytest.mark.parametrize("command, name, base, n", [
+    ("levi", "heisenberg", "1,i,1", 2),
+    ("witness", "heisenberg", "1,i,1,0,0", 2),
+    ("hormander", "ex8_10", "0", 4),
+], ids=["short", "long", "one-scalar"])
+def test_base_with_the_wrong_number_of_scalars_is_a_usage_error(capsys, command, name, base, n):
+    code, out, err = run_cli(capsys, command, data_path(name), "--base", base)
+    assert (code, out) == (2, "")
+    assert err == f"error: --base needs {2 * n} comma-separated scalars (w, z, zeta, xi)\n"

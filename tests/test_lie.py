@@ -239,8 +239,8 @@ def test_cross_field_ambient_brackets_stay_tangent(heisenberg, quartic, c3_tube)
         for i in range(M.m):
             for j in range(M.m):
                 coeffs = [
-                    L.apply(i, Lbar.coefficients[j][a])
-                    - Lbar.apply(j, L.coefficients[i][a])
+                    L[i].apply(Lbar[j].coefficients[a])
+                    - Lbar[j].apply(L[i].coefficients[a])
                     for a in range(space.dim)
                 ]
                 for r in M.rho():
@@ -448,3 +448,22 @@ def test_tangent_fields_match_reference(name, M):
     """The chart fields derived from manifold.cr_pair_rows equal the fields
     built directly in the chart."""
     assert tangent_fields(M) == reference_tangent_fields(M)
+
+
+def test_the_chart_pair_is_built_once_per_manifold(monkeypatch):
+    """The bracket ladder, Levi type, holomorphic nondegeneracy and the
+    orbit's CR system share one chart pair, kept on the manifold."""
+    import segrechains.lie as lie
+
+    built = []
+    rows = lie.cr_pair_rows
+    monkeypatch.setattr(lie, "cr_pair_rows", lambda M: built.append(M) or rows(M))
+    M = new_manifold(2, 1, ["w1*zeta1 + w2*zeta2"])
+    hormander_numbers(M)
+    levi_type(M)
+    holomorphic_nondegeneracy(M)
+    system = cr_pair_system(M)
+    assert built == [M]
+    L, Lbar = tangent_fields(M)
+    assert tangent_fields(M)[0] is L and type(L) is type(Lbar) is tuple
+    assert system.fields == tuple(tuple(f.coefficients for f in X) for X in (L, Lbar))

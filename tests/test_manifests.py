@@ -1,5 +1,6 @@
 import pytest
 
+from segrechains.corpus import load_entry
 from segrechains.errors import ParseError
 from segrechains.manifests import load_manifest, parse_manifest
 
@@ -154,3 +155,22 @@ def test_distinct_keys_with_a_shared_prefix_are_kept():
     assert sorted(mf.entries) == [1, 2]
     mf = parse_manifest(SYSTEM + "field_2_1_x1 = x3\n")
     assert (2, 1, "x1") in mf.entries and (2, 1, "x3") in mf.entries
+
+
+@pytest.mark.parametrize("load, error, message", [
+    (lambda: parse_manifest("m=1\nd=2\ntheta_bar_1 = w1*zeta1\n", source="gap.mf")
+     .build_manifold(), ParseError, "gap.mf: missing theta_bar_2"),
+    (lambda: parse_manifest("m=1\nd=1\ntheta_bar_1 w1*zeta1\n", source="eq.mf"),
+     ParseError, "eq.mf:3: expected key=value"),
+    *((lambda k=k: parse_manifest(SYSTEM.replace(f"{k}=", "# "), source="sys.mf"),
+       ParseError, f"sys.mf: missing {k}=") for k in ("n", "m", "a")),
+    (lambda: parse_manifest("kind=surface\nm=1\nd=1\ntheta_bar_1 = 0\n", source="kind.mf"),
+     ParseError, "kind.mf: unknown kind 'surface'"),
+    (lambda: load_entry("no_such_entry"),
+     FileNotFoundError, "no bundled manifest named 'no_such_entry'"),
+], ids=["missing-theta-bar", "no-equals-sign", "system-missing-n", "system-missing-m",
+        "system-missing-a", "unknown-kind", "unknown-corpus-entry"])
+def test_malformed_manifests_are_refused(load, error, message):
+    with pytest.raises(error) as err:
+        load()
+    assert str(err.value) == message

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from segrechains.errors import (
+    DimensionMismatch,
     OffManifold,
     RealityViolation,
     SegreError,
@@ -117,6 +118,16 @@ def test_graph_from_real_composes_h_once_per_pass(m, h, order, passes, monkeypat
     assert tuple(hj.compose(sub) for hj in hs) == M.theta_bar
 
 
+def test_graph_from_real_refuses_an_exact_elimination_that_does_not_terminate():
+    # x = xi + (i/2) w zeta (x + 1) has no polynomial solution; a jet has one
+    h = ["w1*wb1*x1 + w1*wb1"]
+    with pytest.raises(SegreError, match="does not terminate"):
+        graph_from_real(1, 1, h)
+    M = graph_from_real(1, 1, h, order=4)
+    assert M.order == 4
+    assert format_series(M.theta_bar[0]) == "w1*zeta1+w1*zeta1*xi1+1/2*i*w1^2*zeta1^2"
+
+
 def test_graph_from_real_rejects_bad_input():
     with pytest.raises(RealityViolation):
         graph_from_real(1, 1, ["i*w1*wb1"])  # not Hermitian
@@ -147,18 +158,21 @@ def test_rho_sigma_reality(heisenberg, quartic, c3_tube):
 def test_vector_fields_heisenberg(heisenberg):
     L, Lbar = vector_fields(heisenberg)
     space = heisenberg.space
+    for X, labels in ((L, ("L1",)), (Lbar, ("Lbar1",))):
+        assert type(X) is tuple and tuple(f.label for f in X) == labels
+        assert all(isinstance(f, TangentVectorField) and f.space == space for f in X)
     i = G(0, 1)
-    assert L.coefficients[0][space.index_of("w1")] == Series.constant(space, 1)
-    assert L.coefficients[0][space.index_of("z1")] == Series.variable(space, "zeta1") * i
-    assert Lbar.coefficients[0][space.index_of("zeta1")] == Series.constant(space, 1)
-    assert Lbar.coefficients[0][space.index_of("xi1")] == Series.variable(space, "w1") * (-i)
+    assert L[0].coefficients[space.index_of("w1")] == Series.constant(space, 1)
+    assert L[0].coefficients[space.index_of("z1")] == Series.variable(space, "zeta1") * i
+    assert Lbar[0].coefficients[space.index_of("zeta1")] == Series.constant(space, 1)
+    assert Lbar[0].coefficients[space.index_of("xi1")] == Series.variable(space, "w1") * (-i)
 
 
 def test_vector_fields_levi_flat(levi_flat):
     L, Lbar = vector_fields(levi_flat)
     space = levi_flat.space
-    assert L.coefficients[0][space.index_of("z1")].is_zero()
-    assert Lbar.coefficients[0][space.index_of("xi1")].is_zero()
+    assert L[0].coefficients[space.index_of("z1")].is_zero()
+    assert Lbar[0].coefficients[space.index_of("xi1")].is_zero()
 
 
 def test_vector_fields_c5_first_component():
@@ -175,12 +189,12 @@ def test_vector_fields_c5_first_component():
     L, _ = vector_fields(M)
     space = M.space
     # first z-coefficient is i * d(theta_bar_1)/dw = i*zeta
-    assert L.coefficients[0][space.index_of("z1")] == Series.variable(
+    assert L[0].coefficients[space.index_of("z1")] == Series.variable(
         space, "zeta1"
     ) * G(0, 1)
     # second: i * (2 w zeta + zeta^2)
     expected = parse_series("i*(2*w1*zeta1 + zeta1^2)", space)
-    assert L.coefficients[0][space.index_of("z2")] == expected
+    assert L[0].coefficients[space.index_of("z2")] == expected
 
 
 def test_tangency_certificates_all(heisenberg, quartic, c3_tube):
@@ -188,9 +202,9 @@ def test_tangency_certificates_all(heisenberg, quartic, c3_tube):
     for M in (heisenberg, quartic, c3_tube):
         L, Lbar = vector_fields(M)
         for X in (L, Lbar):
-            for i in range(M.m):
+            for f in X:
                 for r in M.rho():
-                    assert M.restrict(X.apply(i, r)).is_zero()
+                    assert M.restrict(f.apply(r)).is_zero()
 
 
 def test_commutativity_certificates_m2():
@@ -199,8 +213,33 @@ def test_commutativity_certificates_m2():
     for X in (L, Lbar):
         for i in range(2):
             for j in range(i + 1, 2):
-                Xi, Xj = (TangentVectorField(M.space, X.coefficients[k]) for k in (i, j))
-                assert all(c.is_zero() for c in bracket(Xi, Xj).coefficients)
+                assert all(c.is_zero() for c in bracket(X[i], X[j]).coefficients)
+    assert [f.label for f in L + Lbar] == ["L1", "L2", "Lbar1", "Lbar2"]
+
+
+def _bend_l_rows(M, rows):
+    """L1 with its z coefficients dropped (not tangent), or L1 + w1*L2 (still
+    tangent, but [L1 + w1*L2, L1] = -L2 is not zero)."""
+    L, Lbar = rows
+    if M.m == 1:
+        z = set(M.space.block("z"))
+        return (tuple(Series.zero(M.space) if a in z else c for a, c in enumerate(L[0])),), Lbar
+    w1 = Series.variable(M.space, "w1")
+    return (tuple(c + w1 * e for c, e in zip(L[0], L[1])), L[0]), Lbar
+
+
+@pytest.mark.parametrize("m, theta_bar, message", [
+    (1, "w1*zeta1", "internal: L1 is not tangent to rho_1"),
+    (2, "w1*zeta1 + w2*zeta2", "internal: fields L1, L2 do not commute"),
+], ids=["not-tangent", "not-commuting"])
+def test_vector_fields_refuse_a_failed_certificate(monkeypatch, m, theta_bar, message):
+    import segrechains.manifold as manifold
+
+    M = new_manifold(m, 1, [theta_bar])
+    rows = manifold.cr_pair_rows(M)
+    monkeypatch.setattr(manifold, "cr_pair_rows", lambda M: _bend_l_rows(M, rows))
+    with pytest.raises(SegreError, match=f"^{message}$"):
+        vector_fields(M)
 
 
 def test_basepoint_numeric_validation(heisenberg):
@@ -323,3 +362,19 @@ def test_builders_refuse_a_jet_where_more_is_asked():
         assert M.order == 2 and M.theta_bar[0].order == 2
     lower = new_manifold(1, 1, [theta], 1)
     assert lower.theta_bar[0] == Series.zero(ambient_space(1, 1), 1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda M: new_manifold(1, 2, ["w1*zeta1"]), "expected 2 graph components, got 1"),
+    (lambda M: graph_from_real(1, 1, ["w1*wb1", "w1^2*wb1^2"]), "expected 1 components, got 2"),
+    (lambda M: Basepoint.numeric(M, [G(1)], [G(0, 1)], [G(1), G(0)], [G(0)]),
+     "basepoint coordinate sizes do not match (m, d)"),
+    (lambda M: segre_leaf(M, tau_p=([ZERO], [ZERO]), t_p=([ZERO], [ZERO])),
+     "give exactly one of tau_p, t_p"),
+    (lambda M: segre_leaf(M), "give exactly one of tau_p, t_p"),
+], ids=["new-manifold-components", "graph-from-real-components", "basepoint-sizes",
+        "segre-leaf-both-points", "segre-leaf-no-point"])
+def test_mismatched_dimensions_are_refused(heisenberg, build, message):
+    with pytest.raises(DimensionMismatch) as err:
+        build(heisenberg)
+    assert str(err.value) == message

@@ -479,3 +479,24 @@ def test_a_greedy_orbit_steps_each_trial_one_flow_at_a_time(monkeypatch):
             # candidate, a - 1 at each of the length - a steps
             assert steps == [RESIDUES] * (2 * a + (a - 1) * (length - a))
         monkeypatch.undo()
+
+
+def _unit(n, i):
+    space = coordinate_space(n)
+    return tuple(Series.constant(space, int(a == i)) for a in range(n))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: VFSystem(coordinate_space(2), []), "a system needs at least one m-vector field"),
+    (lambda: VFSystem(coordinate_space(3), [[_unit(3, 0)], [_unit(3, 1), _unit(3, 2)]]),
+     "all m-vector fields must share one m"),
+    (lambda: VFSystem(coordinate_space(2), [[_unit(2, 0)[:1]]]),
+     "field components need n coefficients"),
+    (lambda: greedy_multitype(VFSystem(coordinate_space(2), [[_unit(2, 0)], [_unit(2, 1)]]),
+                              start_order=[0, 0]),
+     "start_order must be a permutation of the fields"),
+], ids=["no-field", "unequal-m", "short-component", "start-order-not-a-permutation"])
+def test_malformed_systems_are_refused(build, message):
+    with pytest.raises(DimensionMismatch) as err:
+        build()
+    assert str(err.value) == message

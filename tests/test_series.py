@@ -647,3 +647,31 @@ def test_flow_word_run_extends_the_longest_kept_prefix():
         assert values == [kernel.scalar(GaussianRational(10))] and len(rows) == 1
         for f in flows:
             f.steps = 0
+
+
+_X = VarSpace([("x", ("x1", "x2"))])
+_U = VarSpace([("u", ("u1", "u2"))])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: SeriesMap([Series.variable(_X, "x1"), Series.variable(_U, "u1")], _U),
+     VarSpaceMismatch, "components live over different domains"),
+    (lambda: SeriesMap([Series.variable(_X, "x1"), Series.variable(_X, "x2", 3)], _U),
+     VarSpaceMismatch, "components carry different truncation orders"),
+    (lambda: SeriesMap([Series.variable(_X, "x1")], _U),
+     DimensionMismatch, "1 components for codomain of dim 2"),
+    (lambda: VarSpace([("x", ("x1",)), ("x", ("x2",))]),
+     VarSpaceMismatch, "duplicate block name 'x'"),
+    (lambda: VarSpace([("x", ("x1",)), ("y", ("x1",))]),
+     VarSpaceMismatch, "variable names must be unique"),
+    (lambda: VarSpace([("x", ("x1",))], [("x1", "y1")]),
+     UnknownVariable, "pairing refers to unknown variable 'x1'/'y1'"),
+    (lambda: Series(_X, {(1, 0): "one"}), TypeError, "not an exact scalar: 'one'"),
+    (lambda: Series(_X, {(1,): 1}), DimensionMismatch, "exponent length 1 != space dim 2"),
+], ids=["map-mixed-domains", "map-mixed-orders", "map-codomain-size", "space-duplicate-block",
+        "space-duplicate-variable", "space-unknown-pairing", "series-non-scalar",
+        "series-exponent-length"])
+def test_malformed_spaces_series_and_maps_are_refused(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
