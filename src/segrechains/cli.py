@@ -382,7 +382,7 @@ def _check_manifold_expectations(name, manifest, expected, args, emit):
     if "e1_det_nonzero" in expected:
         check("e1_det_nonzero", e1_determinant(M)[1])
     if "orbit_dim" in expected:
-        system = cr_pair_system(M, check=False)
+        system = cr_pair_system(M)
         result = greedy_multitype(system, order=system.order, trials=trials, seed=seed,
                                   witness=False)
         check("orbit_dim", result.orbit_dim)

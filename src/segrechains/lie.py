@@ -8,12 +8,13 @@ complexified manifold, where the pair of m-vector fields takes the form
 
 The chart fields (tangent_fields) come from the ambient rows of
 manifold.cr_pair_rows, built once per manifold and kept on it, so the bracket
-ladder, Levi type and orbit.cr_pair_system share one chart pair.  The
-field type, the bracket and the deduplicated bracket ladder are
-series.TangentVectorField, series.bracket and series.bracket_levels
-(re-exported here).  The bracket ladder and the Levi-type flag rank their
-growing rows through ranks.span_dims: exactly at a numeric basepoint, sampled
-by ranks.sample_rank, generic_rank's sampler, at a symbolic one; each row is
+ladder, Levi type and orbit.cr_pair_system share one chart pair, whose
+m-tuples are checked to commute there, once.  The field type, the bracket
+and the deduplicated bracket ladder are series.TangentVectorField,
+series.bracket and series.bracket_levels (re-exported here).  The bracket
+ladder and the Levi-type flag rank their growing rows through
+ranks.span_dims: exactly at a numeric basepoint, sampled by
+ranks.sample_rank, generic_rank's sampler, at a symbolic one; each row is
 evaluated once per point, and no level past a full span is built.
 """
 
@@ -42,7 +43,8 @@ def tangent_fields(M: CRManifold) -> Tuple[Tuple[TangentVectorField, ...], ...]:
     """The 2m chart fields as two m-tuples (L_1..L_m, Lbar_1..Lbar_m): the
     rows of manifold.cr_pair_rows without their z coefficients, each
     coefficient that reads z restricted to the graph z = qbar, lifted to the
-    chart.  Built on first use, then kept on M: every caller shares them."""
+    chart.  Built and checked once (each m-tuple commutes; the w and zeta
+    columns are the identity, so the fields are independent), kept on M."""
     pair = getattr(M, "_tangent_fields", None)
     if pair is None:
         cs = chart_space(M)
@@ -56,9 +58,14 @@ def tangent_fields(M: CRManifold) -> Tuple[Tuple[TangentVectorField, ...], ...]:
             )
             return TangentVectorField(cs, coeffs, label)
 
-        pair = M._tangent_fields = tuple(
-            tuple(chart_field(row, f"{name}{i + 1}") for i, row in enumerate(rows))
-            for name, rows in zip(("L", "Lbar"), cr_pair_rows(M)))
+        pair = tuple(tuple(chart_field(row, f"{name}{i + 1}") for i, row in enumerate(rows))
+                     for name, rows in zip(("L", "Lbar"), cr_pair_rows(M)))
+        for X in pair:
+            bad = noncommuting_pair(X)
+            if bad is not None:
+                raise SegreError("internal: chart fields {}, {} do not commute".format(
+                    *(X[i].label for i in bad)))
+        M._tangent_fields = pair
     return pair
 
 
@@ -147,8 +154,8 @@ def levi_type(
     symbolic basepoint yields the generic Levi type.
 
     beta runs over multi-indices, not ordered words: the chart fields Lbar_i
-    commute (checked here, one bracket per pair; an internal SegreError if
-    not), so Lbar_{i_k}...Lbar_{i_1} grad rho_j is the same row for every
+    commute (tangent_fields checks this once per manifold), so
+    Lbar_{i_k}...Lbar_{i_1} grad rho_j is the same row for every
     order of i_1..i_k.  Each level therefore extends a row only by the
     fields whose index is at least the last one applied, and builds every
     beta once: at most d*C(m+k-1, k) rows at level k instead of d*m^k, each
@@ -161,10 +168,6 @@ def levi_type(
     if kmax < 1:
         raise SegreError("kmax must be >= 1")
     _, Lbar = tangent_fields(M)
-    pair = noncommuting_pair(Lbar)
-    if pair is not None:
-        X, Y = (Lbar[i] for i in pair)
-        raise SegreError(f"internal: chart fields {X.label}, {Y.label} do not commute")
 
     def levels():
         level = [(0, row) for row in gradient_rows(M)]  # (last field applied, row)

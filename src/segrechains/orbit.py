@@ -14,20 +14,23 @@ the word's last field never does, exact or jet (see greedy_multitype).  The
 resulting orbit dimension am + sum(e) can be cross-checked against the
 independent left-normed bracket span oracle lie_span_dimension.
 
-flow_word gives a concatenated flow as a series.FlowWord, the word of the
-Segre chains too.  EXACT flows (order=None) are never expanded: one
+A VFSystem keeps its flows by (field, order) (system.flow) and their
+expanded prefixes by order; formal_flow alone refuses a flow order that a
+system truncated at order N cannot give (EXACT, or above N).  flow_word
+gives a concatenated flow as a series.FlowWord, the word of the Segre
+chains too.  EXACT flows (order=None) are never expanded: one
 ranks.GrowingRun carries exact (value, d/dt) pairs, over F_P first, from
 the origin through the word's flows at each trial's points (forward-mode
 differentiation, one gradient walk per flow component), and the
 candidates of a greedy step extend the state of their common prefix by
-one flow each, the winner's kept; ranks.word_rank checks the starting
-word at zero times.  The witness is ranks.return_witness, the one the
-chains use too: a seeded point t* of the word's rank, then the accepted
-try's run continued through its reversed flows at the negated times, in
-the kernel that proved its rank.  Truncated jets rank the expanded word
-(concatenated_flow), whose candidates likewise expand their common prefix
-once.  A jet's witness is None, because a truncated flow cannot be
-evaluated at a nonzero time.
+one flow each, the winner's kept.  The starting word is checked from the
+field rows at the origin (VFSystem.rank_at).  The witness is
+ranks.return_witness, the one the chains use too: a seeded point t* of the
+word's rank, then the accepted try's run continued through its reversed
+flows at the negated times, in the kernel that proved its rank.  Truncated
+jets rank the expanded word (concatenated_flow), each candidate expanding
+one flow past the prefixes kept.  A jet's witness is None, because a
+truncated flow cannot be evaluated at a nonzero time.
 """
 
 from __future__ import annotations
@@ -52,10 +55,8 @@ from .ranks import (
     generic_rank,
     integer_rows,
     random_point,
-    rank_at_point,
     return_witness,
     span_dims,
-    word_rank,
 )
 from .scalars import GaussianRational, ZERO, format_scalar
 from .series import (
@@ -86,7 +87,7 @@ class VFSystem:
     fields[alpha][i] is a tuple of n coefficient Series over `space`.
     Components within one m-tuple must commute symbolically, and the a*m
     coefficient vectors must have rank a*m at the origin (checked there and
-    at sampled points).
+    at sampled points, unless check=False).  Flows are kept on it (flow).
     """
 
     def __init__(self, space: VarSpace, fields, order=None, check: bool = True):
@@ -104,9 +105,22 @@ class VFSystem:
             for comp in fld:
                 if len(comp) != self.n:
                     raise DimensionMismatch("field components need n coefficients")
+        self._flows = {}  # (alpha, order) -> FlowMap
+        self._prefixes = {}  # order -> expanded state after each flow prefix (FlowWord)
         if check:
             self._check_commutation()
             self._check_pointwise_rank()
+
+    def flow(self, alpha: int, order: Optional[int]) -> "FlowMap":
+        """formal_flow(self, alpha, order), built once, kept by (field, order)."""
+        key = (alpha, order)
+        if key not in self._flows:
+            self._flows[key] = formal_flow(self, alpha, order)
+        return self._flows[key]
+
+    def rank_at(self, point) -> int:
+        """Exact rank of the a*m field rows at a point (at 0: any a-field word's at t = 0)."""
+        return exact_rank(integer_rows([comp for fld in self.fields for comp in fld], point))
 
     def _check_commutation(self):
         for fld in self.fields:
@@ -115,12 +129,9 @@ class VFSystem:
                 raise ChartMismatch("components within an m-vector field must commute")
 
     def _check_pointwise_rank(self):
-        rows = [comp for fld in self.fields for comp in fld]
-        points = [[ZERO] * self.n]
         rng = random.Random(RANK_CHECK_SEED)
-        points += [random_point(rng, self.n) for _ in range(RANK_CHECK_TRIALS)]
-        for p in points:
-            if exact_rank(integer_rows(rows, p)) != self.a * self.m:
+        for p in [[ZERO] * self.n] + [random_point(rng, self.n) for _ in range(RANK_CHECK_TRIALS)]:
+            if self.rank_at(p) != self.a * self.m:
                 raise RankAssumptionViolated(
                     f"the {self.a * self.m} component fields must be pointwise "
                     f"independent (rank deficit at ({', '.join(map(format_scalar, p))}))"
@@ -161,7 +172,14 @@ def formal_flow(system: VFSystem, alpha: int, order: Optional[int]) -> FlowMap:
     With an integer order, the result is the degree-order jet in (s, x); with
     order=None the Lie series must terminate (polynomial flow) and the map is
     exact.  Satisfies exp(0.L) = id and the flow equation to the jet order.
+    A system truncated at order N has flows of order 1..N only (TruncationUnsound).
     """
+    if order is not None and order < 1:
+        raise SegreError("a flow order must be at least 1")
+    if system.order is not None and (order is None or order > system.order):
+        flows = "EXACT flows" if order is None else f"flows of order {order}"
+        raise TruncationUnsound(f"a system truncated at order {system.order} has no {flows}; "
+                                f"give a flow order of at most {system.order}")
     field = system.fields[alpha]
     n, m = system.n, system.m
     times = tuple(f"s{j}" for j in range(1, m + 1))
@@ -220,37 +238,26 @@ def _time_space(system: VFSystem, k: int) -> VarSpace:
     return VarSpace(blocks)
 
 
-def _flow(system: VFSystem, flows: dict, alpha: int, order: Optional[int]) -> FlowMap:
-    """flows[alpha], built on first use."""
-    if alpha not in flows:
-        flows[alpha] = formal_flow(system, alpha, order)
-    return flows[alpha]
-
-
-def flow_word(system: VFSystem, word: Sequence[int], flows: dict,
-              order: Optional[int] = None, states: Optional[dict] = None) -> FlowWord:
+def flow_word(system: VFSystem, word: Sequence[int], order: Optional[int] = None) -> FlowWord:
     """The concatenated flow of `word` as a series.FlowWord over the t-blocks:
-    the origin carried through the flows exp(t_i.L_word[i-1]).  `states` is
-    shared by greedy candidates (see FlowWord).  `flows` is the dict of
-    FlowMaps by field index, filled on first use."""
+    the origin carried through the flows exp(t_i.L_word[i-1]) of the given
+    order (system.flow), expanded prefixes kept on the system per order."""
     n = system.n
-    return FlowWord([_flow(system, flows, alpha, order) for alpha in word],
+    return FlowWord([system.flow(alpha, order) for alpha in word],
                     lambda k: _time_space(system, k),
                     lambda space: [Series.zero(space, order)] * n,
-                    lambda params: [ZERO] * n, order, states=states)
+                    lambda params: [ZERO] * n, order,
+                    states=system._prefixes.setdefault(order, {}))
 
 
 def concatenated_flow(system: VFSystem, word: Sequence[int],
-                      flows: Optional[dict] = None,
-                      order: Optional[int] = None,
-                      prefixes: Optional[dict] = None) -> Tuple[SeriesMap, bool]:
+                      order: Optional[int] = None) -> Tuple[SeriesMap, bool]:
     """The map t_(k) -> flow_{word[k-1]}(t_k, ... flow_{word[0]}(t_1, 0) ...).
 
-    Returns (map over the t-blocks, all_flows_exact): the expanded flow_word.
-    `prefixes`, shared by words of one system, order and `flows` dict, keeps
-    the expanded state after each of their prefixes.
+    Returns (map over the t-blocks, all_flows_exact): the expanded flow_word,
+    which reuses the expanded state of its longest prefix kept on the system.
     """
-    fw = flow_word(system, word, {} if flows is None else flows, order, states=prefixes)
+    fw = flow_word(system, word, order)
     return SeriesMap(fw.expand(), system.space), all(f.exact for f in fw.flows)
 
 
@@ -280,9 +287,10 @@ def greedy_multitype(
 
     Ties among rank-maximizing candidate fields break to the lowest index;
     kmax bounds the word length (default a + n - a*m + 1); `order` is the
-    flow jet order (None = require terminating Lie series: TruncationUnsound
-    on a truncated system, pass its system.order).  EXACT words are read
-    from one ranks.GrowingRun, jets from their expanded maps
+    flow jet order (None = require terminating Lie series; at most
+    system.order, see formal_flow).  The starting word's Jacobian at zero
+    times is the a*m field rows at 0 (VFSystem.rank_at).  EXACT words are
+    read from one ranks.GrowingRun, jets from their expanded maps
     (concatenated_flow).  The witness needs flows at nonzero constant
     times, which truncated flows cannot give soundly, so with a finite
     order it is None.  The last field is never a candidate: its flows form
@@ -291,9 +299,6 @@ def greedy_multitype(
     from 0 has a constant term and a linear substitution commutes with
     truncation.  The loop ends at rank n, the most in C^n.
     """
-    if order is None and system.order is not None:
-        raise TruncationUnsound(f"a system truncated at order {system.order} has no "
-                                f"EXACT flows; give a flow order such as {system.order}")
     a, m, n = system.a, system.m, system.n
     kmax = a + (n - a * m) + 1 if kmax is None else kmax
     word = list(start_order) if start_order is not None else list(range(a))
@@ -301,21 +306,16 @@ def greedy_multitype(
         raise DimensionMismatch("start_order must be a permutation of the fields")
     if kmax < a:
         raise DimensionMismatch(f"kmax must be >= a = {a}, the starting word's length")
-    flows: dict = {}
-    states: dict = {}  # jet states shared by the candidates of one step
-    base = flow_word(system, word, flows, order, states)
-    if order is None:  # EXACT: every word is read from one run
-        run, start_rank = GrowingRun(base, trials, seed), word_rank(base, (), [[ZERO] * m] * a)
-    else:
-        start_rank = rank_at_point(concatenated_flow(system, word, flows, order, states)[0],
-                                   [f"t{i}" for i in range(1, a + 1)], [ZERO] * (a * m))
-    if start_rank != a * m:
+    base = flow_word(system, word, order)
+    if system.rank_at([ZERO] * n) != a * m:
         raise RankAssumptionViolated("concatenated initial flows are rank-deficient at 0")
+    if order is None:  # EXACT: every word is read from one run
+        run = GrowingRun(base, trials, seed)
 
     def rank_of(w, seed):
         if order is None:
-            return run.rank([_flow(system, flows, alpha, None) for alpha in w]).rank
-        return generic_rank(concatenated_flow(system, w, flows, order, states)[0],
+            return run.rank([system.flow(alpha, None) for alpha in w]).rank
+        return generic_rank(concatenated_flow(system, w, order)[0],
                             wrt=[f"t{i}" for i in range(1, len(w) + 1)],
                             trials=trials, seed=seed).rank
 
@@ -343,24 +343,24 @@ def greedy_multitype(
     )
     if witness and order is None:
         try:
-            record = _orbit_witness(system, result, flows, seed)
+            record = _orbit_witness(system, result, seed)
         except WitnessNotFound:
             record = None
         result = replace(result, witness=record)
     return result
 
 
-def _orbit_witness(system, result, flows, seed):
+def _orbit_witness(system, result, seed):
     """Witness per the greedy construction (ranks.return_witness): a point
     t* = (t_1*, .., t_{mu0-1}*, 0) of maximal rank whose reversed, negated
     flows return the endpoint to 0.  EXACT flows only."""
-    t_star, rank, returns = return_witness(flow_word(system, result.word, flows),
-                                           result.orbit_dim, seed)
+    word = flow_word(system, result.word)
+    t_star, rank, returns = return_witness(word, result.orbit_dim, seed)
     return {
         "t_star": t_star,
         "rank_at_t_star": rank,
         "returns_to_origin": returns,
-        "exact_flows": all(flows[alpha].exact for alpha in result.word),
+        "exact_flows": all(f.exact for f in word.flows),
     }
 
 
@@ -395,11 +395,12 @@ def lie_span_dimension(system: VFSystem, max_length: Optional[int] = None) -> in
     return dim
 
 
-def cr_pair_system(M: CRManifold, check: bool = True) -> VFSystem:
+def cr_pair_system(M: CRManifold) -> VFSystem:
     """The complexified CR pair {L, Lbar} as a VFSystem over the intrinsic
-    chart (w, zeta, xi); its greedy multitype reproduces the chain profile."""
+    chart (w, zeta, xi); its greedy multitype reproduces the chain profile.
+    Unchecked: tangent_fields checks each m-tuple commutes (see there)."""
     from .lie import tangent_fields
 
     pair = tangent_fields(M)
     fields = [[f.coefficients for f in X] for X in pair]
-    return VFSystem(pair[0][0].space, fields, order=M.order, check=check)
+    return VFSystem(pair[0][0].space, fields, order=M.order, check=False)

@@ -17,7 +17,7 @@ bracket ladder and Levi type, the orbit oracle); a GrowingRun, the sampler
 of rank profiles, psi ranks and EXACT greedy orbits, feeds it the indices
 of its trials, each extending one series.FlowWord.run a flow at a time.
 An EXACT word is ranked only by runs: sampled by a GrowingRun, at one
-point by word_rank.
+point by word_rank (the witness tries); a SeriesMap only sampled.
 
 exact_rank first eliminates modulo the prime P under re + i*im ->
 re + ROOT*im, a ring homomorphism Z[i] -> F_P that maps minors to minors,
@@ -352,12 +352,6 @@ def generic_rank(
             minor = [[f.components[r].diff(names[c]) for c in cols] for r in rows]
             certified = not symbolic_determinant(minor).is_zero()
     return RankResult(best_rank, best_point, trials, seed, certified)
-
-
-def rank_at_point(f: SeriesMap, wrt, point) -> int:
-    """Exact rank of the Jacobian of the SeriesMap f at one point (_point_rank);
-    DimensionMismatch for a point of the wrong length."""
-    return _point_rank(jacobian_rows(f, wrt), None, point)[0]
 
 
 def word_rank(word, params, blocks, states=None) -> int:

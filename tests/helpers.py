@@ -20,7 +20,7 @@ from segrechains.manifold import (
 )
 from segrechains.orbit import FlowMap, OrbitResult, _orbit_witness, concatenated_flow, flow_word
 from segrechains.ranks import (
-    CERTIFY_MAX_SIZE, RankResult, exact_rank, generic_rank, integer_rows, rank_at_point,
+    CERTIFY_MAX_SIZE, RankResult, exact_rank, generic_rank, integer_rows, jacobian_rows,
     sample_rank,
 )
 from segrechains.scalars import GaussianRational, I, ONE, ZERO
@@ -527,10 +527,11 @@ def reference_rank(f, wrt=None, trials=5, seed=0, certify=False):
 
 
 def reference_rank_at(f, wrt, point):
-    """rank_at_point of a SeriesMap; the exact rank of an EXACT FlowWord's
-    rows at a flat point (run_at)."""
+    """The exact rank of a SeriesMap's Jacobian rows at a point
+    (ranks.jacobian_rows); that of an EXACT FlowWord's rows at a flat point
+    (run_at)."""
     if isinstance(f, SeriesMap):
-        return rank_at_point(f, wrt, point)
+        return exact_rank(jacobian_rows(f, wrt)(point))
     return exact_rank(run_at(f, point)[1])
 
 
@@ -543,13 +544,13 @@ def reference_chain(M, k, basepoint, parity, chart=None):
     return sampled_chain(M, k, basepoint, parity, chart)
 
 
-def reference_flow(system, word, flows, order=None, states=None):
+def reference_flow(system, word, order=None):
     """The concatenated flow of `word` as the greedy oracle samples it:
     EXACT, the flow_word, run pointwise; a jet expanded
-    (orbit.concatenated_flow, sharing `states`)."""
+    (orbit.concatenated_flow)."""
     if order is None:
-        return flow_word(system, word, flows)
-    return concatenated_flow(system, word, flows, order, states)[0]
+        return flow_word(system, word)
+    return concatenated_flow(system, word, order)[0]
 
 
 def reference_rank_profile(M, basepoint=None, kmax=None, trials=5, seed=0, certify=False,
@@ -600,6 +601,18 @@ def flow_steps(monkeypatch):
 
         monkeypatch.setattr(cls, "advance", counted)
     return steps
+
+
+def bend_l_rows(M, rows):
+    """The CR pair rows (manifold.cr_pair_rows) with L bent: for m = 1, L1
+    with its z coefficients dropped (not tangent); else (L1 + w1*L2, L1),
+    still tangent, but [L1 + w1*L2, L1] = -L2 is not zero."""
+    L, Lbar = rows
+    if M.m == 1:
+        z = set(M.space.block("z"))
+        return (tuple(Series.zero(M.space) if a in z else c for a, c in enumerate(L[0])),), Lbar
+    w1 = Series.variable(M.space, "w1")
+    return (tuple(c + w1 * e for c, e in zip(L[0], L[1])), L[0]), Lbar
 
 
 def codim_family(d):
@@ -758,10 +771,8 @@ def reference_greedy_multitype(system, kmax=None, order=None, trials=5, seed=0,
         raise DimensionMismatch("start_order must be a permutation of the fields")
     if kmax < a:
         raise DimensionMismatch(f"kmax must be >= a = {a}, the starting word's length")
-    flows: dict = {}
-    states: dict = {}  # jet states shared by the candidates of one step
-    base = reference_flow(system, word, flows, order, states)
-    exact = all(flows[alpha].exact for alpha in word)
+    base = reference_flow(system, word, order)
+    exact = all(system.flow(alpha, order).exact for alpha in word)
     blocks = [f"t{i}" for i in range(1, a + 1)]
     zero_pt = [ZERO] * (a * m)
     if reference_rank_at(base, blocks, zero_pt) != a * m:
@@ -774,12 +785,12 @@ def reference_greedy_multitype(system, kmax=None, order=None, trials=5, seed=0,
     while len(word) < kmax:
         best_alpha, best_rank = None, rank
         for alpha in range(a):
-            cand = reference_flow(system, word + [alpha], flows, order, states)
+            cand = reference_flow(system, word + [alpha], order)
             cblocks = [f"t{i}" for i in range(1, len(word) + 2)]
             r = reference_rank(
                 cand, wrt=cblocks, trials=trials, seed=seed + len(word)
             ).rank
-            exact = exact and flows[alpha].exact
+            exact = exact and system.flow(alpha, order).exact
             if r > best_rank:
                 best_alpha, best_rank = alpha, r
         if best_alpha is None:
@@ -803,7 +814,7 @@ def reference_greedy_multitype(system, kmax=None, order=None, trials=5, seed=0,
     )
     if witness and order is None:
         try:
-            record = _orbit_witness(system, result, flows, seed)
+            record = _orbit_witness(system, result, seed)
         except WitnessNotFound:
             record = None
         result = replace(result, witness=record)

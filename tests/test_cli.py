@@ -194,6 +194,7 @@ def test_checkall_bundled(capsys):
 
 
 TRUNCATED_ORBIT = "m=1\nd=1\norder=3\ntheta_bar_1 = w1*zeta1 + w1^2*zeta1^2\n"
+TRUNCATED_ORBIT_M2 = "m=2\nd=1\norder=3\ntheta_bar_1 = w1^2*zeta1^2 + w2^2*zeta2^2\n"
 
 
 def test_orbit_of_a_truncated_manifest_uses_its_order(tmp_path, capsys):
@@ -208,10 +209,14 @@ def test_orbit_of_a_truncated_manifest_uses_its_order(tmp_path, capsys):
     assert reports[0]["provenance"]["order"] == 3
     assert reports[0]["results"]["certified"] is True
     assert reports[0]["results"]["orbit_dim"] == 3
-    # EXACT flows of a jet are refused, with one error line
-    code, out, err = run_cli(capsys, "orbit", str(path), "--order", "EXACT")
-    assert code == 1 and out == "" and _single_error_line(err)
-    assert "truncated at order 3" in err
+    # EXACT flows of a jet, or flows past its order, are refused, with one
+    # error line; the m = 2 jet used to report order 5 and orbit_dim 4
+    for text in (TRUNCATED_ORBIT, TRUNCATED_ORBIT_M2):
+        path.write_text(text)
+        for order in ("EXACT", "5"):
+            code, out, err = run_cli(capsys, "orbit", str(path), "--order", order)
+            assert code == 1 and out == "" and _single_error_line(err), (text, order)
+            assert "truncated at order 3" in err
 
 
 def test_checkall_orbits_of_truncated_manifests(tmp_path, capsys):

@@ -18,9 +18,10 @@ from segrechains.manifold import Basepoint, new_manifold
 from segrechains.ranks import (
     CERTIFY_MAX_SIZE,
     DEFAULT_TRIALS,
+    exact_rank,
     generic_rank,
+    jacobian_rows,
     pivot_positions,
-    rank_at_point,
     symbolic_determinant,
 )
 from segrechains.chains import gamma, u_blocks
@@ -161,7 +162,7 @@ def test_no_submersive_length4_return_chain(quartic):
         a = small_scalar(rng)
         for family in ([ZERO, a, ZERO, -a], [a, ZERO, -a, ZERO]):
             assert g4.map.evaluate(family) == [ZERO] * 4
-            assert rank_at_point(g4.map, u_blocks(g4.k), family) == 2
+            assert exact_rank(jacobian_rows(g4.map, u_blocks(g4.k))(family)) == 2
 
 
 def test_psi_rank_identity(heisenberg, quartic, c3_tube):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from segrechains.errors import ChartMismatch, SegreError, WrongDimensions
 from segrechains.exprs import format_series
+from segrechains.invariants import segre_invariants
 from segrechains.lie import (
     TangentVectorField,
     bracket,
@@ -24,6 +25,7 @@ from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import Series
 
 from helpers import (
+    bend_l_rows,
     brute_ladder,
     cr_oracle_manifolds,
     random_series,
@@ -295,12 +297,17 @@ def _random_rigid_manifold(rng):
 def test_routes_agree_on_random_rigid_manifolds(seed):
     """Three routes to one geometry on random rigid manifolds: the greedy
     orbit of the CR pair has the dimension of the Lie algebra its fields
-    generate (lie_span_dimension), and the chain increments and the bracket
+    generate (lie_span_dimension) and the chains' multitype, its witness
+    returns to 0 at that rank, and the chain increments and the bracket
     multiplicities have equal totals and minimality verdicts
     (crosscheck_totals)."""
     M = _random_rigid_manifold(random.Random(seed))
     system = cr_pair_system(M)
-    assert greedy_multitype(system, witness=False).orbit_dim == lie_span_dimension(system)
+    orbit = greedy_multitype(system, witness=True)
+    assert orbit.orbit_dim == lie_span_dimension(system)
+    assert orbit.multitype == segre_invariants(M).multitype
+    assert orbit.witness["returns_to_origin"]
+    assert orbit.witness["rank_at_t_star"] == orbit.orbit_dim
     out = crosscheck_totals(M)
     assert out["ok"], out
 
@@ -392,19 +399,19 @@ def test_hormander_ladder_matches_brute_words_at_both_basepoints(name, M):
 
 
 def test_levi_type_rejects_noncommuting_fields(monkeypatch):
+    """tangent_fields checks each m-tuple of the chart pair once, as it builds
+    it: with bent rows (L1 + w1*L2, L1) patched into lie.cr_pair_rows, as L
+    or as Lbar, tangent_fields and levi_type raise the internal error."""
     import segrechains.lie as lie
 
-    M = new_manifold(2, 1, ["w1*zeta1 + w2*zeta2"])
-    L, Lbar = tangent_fields(M)
-    cs = Lbar[0].space
-    # Lbar_2 + zeta1 d/dzeta1 no longer commutes with Lbar_1 = d/dzeta1 + ...
-    coeffs = list(Lbar[1].coefficients)
-    coeffs[cs.index_of("zeta1")] = Series.variable(cs, "zeta1")
-    bent = TangentVectorField(cs, tuple(coeffs), "Lbar2'")
-    assert not bracket(Lbar[0], bent).is_zero()
-    monkeypatch.setattr(lie, "tangent_fields", lambda _: (L, [Lbar[0], bent]))
-    with pytest.raises(SegreError, match="commute"):
-        levi_type(M)
+    rows = lie.cr_pair_rows
+    for swap, names in ((1, "L1, L2"), (-1, "Lbar1, Lbar2")):
+        monkeypatch.setattr(lie, "cr_pair_rows", lambda M, s=swap: bend_l_rows(M, rows(M))[::s])
+        for run in (tangent_fields, levi_type):
+            M = new_manifold(2, 1, ["w1*zeta1 + w2*zeta2"])
+            message = f"^internal: chart fields {names} do not commute$"
+            with pytest.raises(SegreError, match=message):
+                run(M)
 
 
 def test_dependent_chart_fields_are_refused_before_any_bracket(monkeypatch, heisenberg):

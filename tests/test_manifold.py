@@ -24,6 +24,7 @@ from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import Series, TangentVectorField, bracket
 
 from helpers import (
+    bend_l_rows,
     cr_oracle_manifolds,
     gaussian_integer_point,
     random_real_graph,
@@ -217,17 +218,6 @@ def test_commutativity_certificates_m2():
     assert [f.label for f in L + Lbar] == ["L1", "L2", "Lbar1", "Lbar2"]
 
 
-def _bend_l_rows(M, rows):
-    """L1 with its z coefficients dropped (not tangent), or L1 + w1*L2 (still
-    tangent, but [L1 + w1*L2, L1] = -L2 is not zero)."""
-    L, Lbar = rows
-    if M.m == 1:
-        z = set(M.space.block("z"))
-        return (tuple(Series.zero(M.space) if a in z else c for a, c in enumerate(L[0])),), Lbar
-    w1 = Series.variable(M.space, "w1")
-    return (tuple(c + w1 * e for c, e in zip(L[0], L[1])), L[0]), Lbar
-
-
 @pytest.mark.parametrize("m, theta_bar, message", [
     (1, "w1*zeta1", "internal: L1 is not tangent to rho_1"),
     (2, "w1*zeta1 + w2*zeta2", "internal: fields L1, L2 do not commute"),
@@ -237,7 +227,7 @@ def test_vector_fields_refuse_a_failed_certificate(monkeypatch, m, theta_bar, me
 
     M = new_manifold(m, 1, [theta_bar])
     rows = manifold.cr_pair_rows(M)
-    monkeypatch.setattr(manifold, "cr_pair_rows", lambda M: _bend_l_rows(M, rows))
+    monkeypatch.setattr(manifold, "cr_pair_rows", lambda M: bend_l_rows(M, rows))
     with pytest.raises(SegreError, match=f"^{message}$"):
         vector_fields(M)
 

@@ -74,6 +74,8 @@ def test_scaling_flow_truncated_lie_series():
     assert c.coefficient({"s1": 3, "x1": 1}) == G("1/6")
     with pytest.raises(SegreError):
         formal_flow(S, 1, order=None)  # the Lie series never terminates
+    with pytest.raises(SegreError, match="at least 1"):
+        formal_flow(S, 1, order=0)  # the identity: no flow at all
 
 
 def test_flow_group_law_to_order():
@@ -274,13 +276,13 @@ def _expanded_at(smap, point):
     return values, rows
 
 
-def _return_map(system, fwd, flows, returns):
+def _return_map(system, fwd, returns):
     """The forward map followed by flows at constant times, composed symbolically."""
     state = list(fwd.components)
     for alpha, times in returns:
         sub = {f"s{j}": Series.constant(fwd.domain, c) for j, c in enumerate(times, 1)}
         sub.update(zip(system.space.names, state))
-        state = [c.compose(sub) for c in flows[alpha].map.components]
+        state = [c.compose(sub) for c in system.flow(alpha, None).map.components]
     return SeriesMap(state, system.space)
 
 
@@ -294,11 +296,10 @@ def test_pointwise_flow_matches_concatenated_flow(name, system):
     m = system.m
     k = _default_kmax(system)
     word = [i % system.a for i in range(k)]
-    flows = {}
     point = gaussian_integer_point(rng, m * k)
-    fwd, exact = concatenated_flow(system, word, flows)
+    fwd, exact = concatenated_flow(system, word)
     assert exact
-    pw = flow_word(system, word, flows)
+    pw = flow_word(system, word)
     assert pw.space_of(k) == fwd.domain
     assert gaussian_at(pw, point) == _expanded_at(fwd, point)
     # the witness's return map: the longer word, reversed flows at negated
@@ -306,9 +307,9 @@ def test_pointwise_flow_matches_concatenated_flow(name, system):
     # forward map followed by the reversed flows at constant times
     back = [(word[i - 1], [-c for c in point[(i - 1) * m : i * m]])
             for i in range(k - 1, 0, -1)]
-    ret = flow_word(system, word + word[-2::-1], flows)
+    ret = flow_word(system, word + word[-2::-1])
     values, rows = gaussian_at(ret, point + [c for _, times in back for c in times])
-    want = _expanded_at(_return_map(system, fwd, flows, back), point)
+    want = _expanded_at(_return_map(system, fwd, back), point)
     assert (values, [row[: m * k] for row in rows]) == want
 
 
@@ -318,8 +319,9 @@ CORPUS_SYSTEMS = [(n, s) for n, s in ORACLE_SYSTEMS if n in dict(corpus())]
 @pytest.mark.parametrize("order", [3, 5])
 @pytest.mark.parametrize("name,system", CORPUS_SYSTEMS, ids=[n for n, _ in CORPUS_SYSTEMS])
 def test_jet_flows_share_expanded_prefixes(name, system, order, monkeypatch):
-    """Every candidate word of a jet-mode greedy run, expanded with one shared
-    prefixes dict, equals its fresh expansion, with fewer compose calls."""
+    """Every candidate word of a jet-mode greedy run, expanded on one system,
+    which keeps the expanded prefixes, equals its expansion on a fresh copy
+    of the system, with fewer compose calls."""
     word = greedy_multitype(system, order=order, witness=False).word
     words = [list(word[:length]) + [alpha]
              for length in range(system.a, len(word) + 1) for alpha in range(system.a)]
@@ -330,11 +332,14 @@ def test_jet_flows_share_expanded_prefixes(name, system, order, monkeypatch):
         calls.append(sub)
         return compose(series, sub)
 
+    def copy():
+        return VFSystem(system.space, system.fields, system.order, check=False)
+
     monkeypatch.setattr(Series, "compose", counted)
-    flows, prefixes = {}, {}
-    shared = [concatenated_flow(system, w, flows, order, prefixes) for w in words]
+    one = copy()
+    shared = [concatenated_flow(one, w, order) for w in words]
     shared_calls = len(calls)
-    fresh = [concatenated_flow(system, w, flows, order) for w in words]
+    fresh = [concatenated_flow(copy(), w, order) for w in words]
     assert shared == fresh
     assert shared_calls < len(calls) - shared_calls
 
@@ -344,20 +349,18 @@ def test_pointwise_flow_rank_matches_expanded(heisenberg, quartic, c3_tube):
         system = cr_pair_system(M)
         for word in ([0, 1], [0, 1, 0], [1, 0, 1, 0]):
             blocks = [f"t{i}" for i in range(1, len(word) + 1)]
-            flows = {}
-            fwd, _ = concatenated_flow(system, word, flows)
+            fwd, _ = concatenated_flow(system, word)
             a = generic_rank(fwd, wrt=blocks, seed=3)
-            b = sampled_word_rank(flow_word(system, word, flows), wrt=blocks, seed=3)
+            b = sampled_word_rank(flow_word(system, word), wrt=blocks, seed=3)
             assert (a.rank, a.witness) == (b.rank, b.witness)
             with pytest.raises(DimensionMismatch):
-                word_rank(flow_word(system, word, flows), (), [a.witness])
+                word_rank(flow_word(system, word), (), [a.witness])
 
 
 def test_jet_flow_word_expands_but_is_not_run_pointwise(heisenberg):
     system = cr_pair_system(heisenberg)
-    flows = {}
-    jet = flow_word(system, [0, 1, 0], flows, order=3)
-    fwd, _ = concatenated_flow(system, [0, 1, 0], flows, 3)
+    jet = flow_word(system, [0, 1, 0], order=3)
+    fwd, _ = concatenated_flow(system, [0, 1, 0], 3)
     assert SeriesMap(jet.expand(), system.space) == fwd
     with pytest.raises(TruncationUnsound):
         run_at(jet, [G(1), G(2), G(3)])
@@ -376,13 +379,30 @@ def test_truncated_system_needs_a_flow_order():
 
     system = cr_pair_system(new_manifold(1, 1, ["w1*zeta1 + w1^2*zeta1^2"], 3))
     assert system.order == 3
-    for run in (greedy_multitype, orbit_dimension):
+    # formal_flow refuses EXACT flows and orders above 3, on every path to it
+    for run in (greedy_multitype, orbit_dimension, lambda S: formal_flow(S, 0, None),
+                lambda S: flow_word(S, [0, 1]), lambda S: concatenated_flow(S, [0, 1]),
+                lambda S: formal_flow(S, 0, 4), lambda S: concatenated_flow(S, [0, 1], 5),
+                lambda S: greedy_multitype(S, order=4)):
         with pytest.raises(TruncationUnsound, match="truncated at order 3"):
             run(system)
     res = greedy_multitype(system, order=system.order)
     assert res.orbit_dim == 3 == lie_span_dimension(system)
     assert res.witness is None
     assert res == reference_greedy_multitype(system, order=system.order)
+
+
+def test_flows_are_kept_by_order():
+    # an order-2 expansion first, then an EXACT run of the same word on the
+    # same system: the run steps the EXACT flows, as on a fresh system
+    M = codim_family(3)
+    system, fresh = cr_pair_system(M), cr_pair_system(M)
+    point = [G(1, 2), G(-3), G(2, -1)]
+    _, exact = concatenated_flow(system, [0, 1, 0], 2)
+    assert not exact and system.flow(0, 2) is not system.flow(0, None)
+    runs = [run_at(flow_word(S, [0, 1, 0]), point) for S in (system, fresh)]
+    assert runs[0] == runs[1]
+    assert concatenated_flow(system, [0, 1, 0]) == concatenated_flow(fresh, [0, 1, 0])
 
 
 def test_kmax_below_starting_word_rejected(heisenberg):
@@ -450,10 +470,9 @@ def test_repeating_the_last_field_adds_no_rank(name, system, order):
     truncated: at every greedy step, word + [word[-1]] has the rank of word,
     sampled on its own as the reference greedy loop samples a candidate."""
     res = greedy_multitype(system, order=order, witness=False)
-    flows = {}
     for length in range(system.a, len(res.word) + 1):
         word = list(res.word[:length])
-        cand = reference_flow(system, word + [word[-1]], flows, order)
+        cand = reference_flow(system, word + [word[-1]], order)
         blocks = [f"t{i}" for i in range(1, length + 2)]
         rank = reference_rank(cand, wrt=blocks, seed=length).rank
         assert rank == res.ranks[length - system.a], word
@@ -462,7 +481,8 @@ def test_repeating_the_last_field_adds_no_rank(name, system, order):
 def test_a_greedy_orbit_steps_each_trial_one_flow_at_a_time(monkeypatch):
     # a candidate extends its step's shared prefix state by one flow, and the
     # winner's state is kept: over each kernel at most trials x (word length
-    # + candidates tried) steps, plus the starting word's check at 0
+    # + candidates tried) steps; the starting word is checked at 0 from the
+    # field rows, with no flow step
     first_trial = [cr_pair_system(codim_family(d)) for d in range(2, 9)] + [
         simple_system(6, [[{0: "1"}], [{1: "1", 2: "x1"}], [{3: "1", 4: "x2", 5: "x1*x2"}]])]
     more_trials = [simple_system(5, [[{0: "1"}], [{1: "1", 2: "x1"}], [{3: "1", 4: "x2"}]])]
@@ -472,12 +492,12 @@ def test_a_greedy_orbit_steps_each_trial_one_flow_at_a_time(monkeypatch):
         a, length = system.a, len(res.word)
         tried = (a - 1) * (length - a + 1)
         for kernel in (RESIDUES, EXACT):
-            assert steps.count(kernel) <= DEFAULT_TRIALS * (length + tried) + a, kernel
+            assert steps.count(kernel) <= DEFAULT_TRIALS * (length + tried), kernel
         if system in first_trial:
             # every rank is full mod P at the first trial, and the word ends
-            # at rank n: a steps at 0, a for the starting word, then one per
+            # at rank n: a steps for the starting word, then one per
             # candidate, a - 1 at each of the length - a steps
-            assert steps == [RESIDUES] * (2 * a + (a - 1) * (length - a))
+            assert steps == [RESIDUES] * (a + (a - 1) * (length - a))
         monkeypatch.undo()
 
 
