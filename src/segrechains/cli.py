@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .chains import check_reparam, default_kmax, gamma, sigma_image
 from .corpus import corpus, load_with_sidecar
-from .errors import ParseError, SegreError, RealityViolation
+from .errors import ParseError, SegreError, RealityViolation, TruncationUnsound
 from .exprs import format_series, parse_series
 from .invariants import (
     hypersurface_minimality,
@@ -111,10 +111,15 @@ def _order_option(text):
 
 
 def _load_manifold(args):
+    """The manifest's manifold, a jet's at most at its own order (TruncationUnsound)."""
     manifest = load_manifest(args.manifest)
     if manifest.kind != "manifold":
         raise ParseError(f"{args.manifest}: expected a manifold manifest")
+    own = manifest.order_value()
     if args.order is not None:
+        if own is not None and (args.order == "EXACT" or args.order > own):
+            raise TruncationUnsound(f"a manifest truncated at order {own} cannot be read at "
+                                    f"order {args.order}; give an order of at most {own}")
         manifest.params["order"] = str(args.order)
     return manifest.build_manifold()
 

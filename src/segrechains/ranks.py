@@ -7,9 +7,10 @@ both through the pointwise gradient (Series.gradient_over).  Ranks
 and pivots ignore den, a row scaling; the public exact_rank and
 pivot_positions also take GaussianRational matrices.
 
-A generic rank is sampled: the highest exact rank of the Jacobian over
-pseudo-random Gaussian-rational points, a certified lower bound that equals
-the generic rank outside a measure-zero set of sample failures.  There is
+A generic rank is sampled: the highest rank of the Jacobian over
+pseudo-random Gaussian-rational points (exact at the first, a proven lower
+bound mod P at a later one with residue rows), a certified lower bound that
+equals the generic rank outside a measure-zero set of sample failures.  There is
 one trials loop (sample_rank, which stops at full rank), one rank
 (exact_rank) and one exact eliminator (pivot_positions, Bareiss over Z[i]).
 sample_rank draws seeded points for generic_rank and for span_dims (lie's
@@ -24,9 +25,10 @@ re + ROOT*im, a ring homomorphism Z[i] -> F_P that maps minors to minors,
 so a full rank mod P proves the exact rank; any other matrix is eliminated
 exactly, and no probability enters a rank.  Word runs go over F_P first
 (series.RESIDUES), their residue rows the image of their integer rows: a
-run whose residue rank is not full, or that has no image in F_P (a
-denominator divisible by P), is rerun exactly at the same point, and a
-non-full residue rank goes straight to Bareiss (_point_rank).
+run with no image in F_P (a denominator divisible by P) is rerun exactly at
+the same point, and so is a word_rank, a return run or a sample's first
+point below full rank mod P, straight to Bareiss (_point_rank); a GrowingRun
+builds no exact run for a later trial that has an image in F_P.
 return_witness, the witness of chains and orbits, ranks its search's tries
 by word_rank and keeps their runs; the return flows then continue the
 accepted try in the kernel that proved its rank, and _point_rank ranks the
@@ -220,13 +222,13 @@ def random_point(
     return [random_scalar(rng, num_bound) for _ in range(dim)]
 
 
-def _point_rank(matrix_at, residues_at, point):
+def _point_rank(matrix_at, residues_at, point, exact: bool = True):
     """(rank, full rank, matrix) at one point: the residue rows of
     residues_at(point) when they exist and their rank mod P is full, which
-    proves the exact rank; else the integer rows of matrix_at(point), by
-    exact Bareiss when the residue rank was not full (the integer rows have
-    that same rank mod P), else by exact_rank.  residues_at None, or a
-    NoImage, means no residue rows."""
+    proves the exact rank, or is a proven lower bound and `exact` is False;
+    else the integer rows of matrix_at(point), by exact Bareiss when the
+    residue rank was not full (they have that rank mod P), else by
+    exact_rank.  residues_at None, or a NoImage, means no residue rows."""
     if residues_at is not None:
         try:
             rows = residues_at(point)
@@ -234,7 +236,7 @@ def _point_rank(matrix_at, residues_at, point):
             pass
         else:
             rank, full = _rank_mod_p(rows), (min(len(rows), len(rows[0])) if rows else 0)
-            if rank == full:
+            if rank == full or not exact:
                 return rank, full, rows
             matrix = matrix_at(point)
             return len(pivot_positions(matrix)), full, matrix
@@ -244,13 +246,13 @@ def _point_rank(matrix_at, residues_at, point):
 
 def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
                 residues_at=None, points=None):
-    """(rank, point, matrix): the highest exact rank of the integer rows
+    """(rank, point, matrix): the highest rank of the integer rows
     matrix_at(point) over up to `trials` points, by default seeded points of
     `dim` coordinates, else those `points` gives (drawn as they are needed),
-    with the first point reaching it and its matrix, or the residue rows
-    residues_at(point) (optional) that proved that rank at full rank mod P
-    (_point_rank).  The loop stops early at full rank, which no later point
-    can exceed, so the answer is the maximum over all trials.
+    with the first point reaching it and its matrix, or its residue rows
+    residues_at(point) (optional) (_point_rank): exact at the first point, a
+    later one's rank mod P where it has residue rows, a proven lower bound.
+    The loop stops early at full rank, which no later point can exceed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -258,8 +260,8 @@ def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0
         rng = random.Random(seed)
         points = (random_point(rng, dim) for _ in range(trials))
     best = (0, None, None)
-    for point in points:
-        r, full, matrix = _point_rank(matrix_at, residues_at, point)
+    for i, point in enumerate(points):
+        r, full, matrix = _point_rank(matrix_at, residues_at, point, i == 0)
         if r > best[0] or best[1] is None:
             best = (r, point, matrix)
         if best[0] == full:
@@ -377,10 +379,11 @@ class GrowingRun:
     after k flows (k blocks, then the parameters) extends to its point after
     k + 1.  Each trial keeps one FlowWord.run state per kernel, over F_P,
     and exactly, built lazily at the same point, only where _point_rank
-    reads exact rows; a word of k flows extends the longest prefix kept, and
-    only prefixes of at least k - 1 flows stay.  A trial whose run over F_P
-    had no image there is not run over F_P again.  A flow at fixed times is
-    a biholomorphism, so no rank drops along one trial."""
+    reads exact rows: the first trial's below full rank mod P, any trial's
+    whose F_P run had no image (not run over F_P again).  A word of k flows
+    extends the longest prefix kept, and only prefixes of at least k - 1
+    flows stay.  A flow at fixed times is a biholomorphism, so no rank drops
+    along one trial."""
 
     def __init__(self, word, trials: int = DEFAULT_TRIALS, seed: int = 0):
         space = word.space_of(1)

@@ -823,15 +823,6 @@ class SeriesMap:
         table = PointTable([x.zi for x in point])
         return [s.evaluate(point, table) for s in self.components]
 
-    def jacobian(self, wrt=None):
-        """Matrix of Series: rows follow components, columns the given variables.
-
-        `wrt` is a list of variable names or block names of the domain
-        (defaults to all domain variables).
-        """
-        names = self._resolve_names(wrt)
-        return [[s.diff(v) for v in names] for s in self.components]
-
     def _resolve_names(self, wrt):
         if wrt is None:
             return list(self.domain.names)

@@ -211,10 +211,18 @@ def gaussian_rows(rows):
             for den, re, im in rows]
 
 
+def reference_jacobian(f, wrt=None):
+    """The Jacobian of a SeriesMap as a matrix of Series, every partial
+    built: rows follow components, columns the `wrt` variables (blocks or
+    names of the domain, all its variables by default)."""
+    names = f._resolve_names(wrt)
+    return [[s.diff(v) for v in names] for s in f.components]
+
+
 def reference_jacobian_rows(f, wrt, point):
     """The integer rows of a SeriesMap's Jacobian at a point the symbolic
-    way: every partial built by SeriesMap.jacobian, then evaluated."""
-    return integer_rows(f.jacobian(wrt), point)
+    way: every partial built by reference_jacobian, then evaluated."""
+    return integer_rows(reference_jacobian(f, wrt), point)
 
 
 def run_at(word, point, kernel=EXACT):
@@ -512,8 +520,9 @@ def ordered_word_levi_type(M, basepoint, kmax, trials=5, seed=0):
 def sampled_word_rank(word, wrt=None, trials=5, seed=0, certify=False):
     """generic_rank of an EXACT FlowWord in all its time blocks (`wrt`),
     sampled pointwise: ranks.sample_rank over seeded points of the word's
-    space, each run over F_P first, exactly where that proves no rank
-    (run_at), certified as generic_rank certifies an EXACT rank."""
+    space, each run over F_P first, the first point exactly where that
+    proves no rank (run_at), certified as generic_rank certifies an EXACT
+    rank."""
     rank, point, _ = sample_rank(lambda p: run_at(word, p)[1],
                                  word.space_of(len(word.flows)).dim, trials, seed,
                                  lambda p: run_at(word, p, RESIDUES)[1])
@@ -615,15 +624,18 @@ def bend_l_rows(M, rows):
     return (tuple(c + w1 * e for c, e in zip(L[0], L[1])), L[0]), Lbar
 
 
-def codim_family(d):
-    """The m = 1 manifold with theta_bar_1 = w1*zeta1 and, for j = 2..d,
-    theta_bar_j = c_j*w1^j*zeta1 + conj(c_j)*w1*zeta1^j, c_j = 1 + (j-1)*i:
-    multitype (1, 1, ..., 1), minimal, rank increments up to length d + 2."""
-    theta = ["w1*zeta1"] + [
+def codim_family(d, m=1):
+    """The manifold with theta_bar_1 = w1*zeta1 + ... + wm*zetam and, for
+    j = 2..d, theta_bar_j = c_j*w1^j*zeta1 + conj(c_j)*w1*zeta1^j,
+    c_j = 1 + (j-1)*i.  For m = 1: multitype (1, 1, ..., 1), minimal, rank
+    increments up to length d + 2.  For m = 2: multitype (2, 2, 2, 1, ...,
+    1), minimal, its increments of 1, below m, leaving chain ranks that are
+    not full."""
+    theta = [" + ".join(f"w{a}*zeta{a}" for a in range(1, m + 1))] + [
         f"(1+{j - 1}*i)*w1^{j}*zeta1 + (1-{j - 1}*i)*w1*zeta1^{j}"
         for j in range(2, d + 1)
     ]
-    return new_manifold(1, d, theta)
+    return new_manifold(m, d, theta)
 
 
 def exact_manifolds():

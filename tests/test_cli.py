@@ -219,6 +219,26 @@ def test_orbit_of_a_truncated_manifest_uses_its_order(tmp_path, capsys):
             assert "truncated at order 3" in err
 
 
+def test_manifold_commands_read_a_jet_at_most_at_its_order(tmp_path, capsys):
+    # theta past a manifest's truncation is not known: hormander --order 5 on
+    # the m = 2 jet used to read the unknown terms as zero and report minimal
+    path = tmp_path / "jet.mf"
+    path.write_text(TRUNCATED_ORBIT_M2)
+    for command in ("validate", "ranks", "multitype", "hormander", "levi"):
+        for order in ("EXACT", "4", "5"):
+            code, out, err = run_cli(capsys, command, str(path), "--order", order)
+            assert code == 1 and out == "" and _single_error_line(err), (command, order)
+            assert "truncated at order 3" in err
+    # its own order, or a lower one, is read as before
+    reports = []
+    for extra in ((), ("--order", "3"), ("--order", "2")):
+        code, out, err = run_cli(capsys, "hormander", str(path), *extra, "--format", "machine")
+        assert code == 0 and err == "", extra
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1] and reports[0]["results"]["minimal"] is False
+    assert reports[2]["provenance"]["order"] == 2
+
+
 def test_checkall_orbits_of_truncated_manifests(tmp_path, capsys):
     (tmp_path / "jet.mf").write_text(TRUNCATED_ORBIT)
     (tmp_path / "jet.expected.json").write_text(json.dumps({"orbit_dim": 3}))

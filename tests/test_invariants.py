@@ -30,7 +30,7 @@ from segrechains.series import EXACT, RESIDUES
 
 from helpers import (
     codim_family, exact_manifolds, flow_steps, numeric_basepoint, random_hypersurface,
-    reference_chain, reference_rank, reference_rank_profile, same_profile,
+    reference_chain, reference_jacobian, reference_rank, reference_rank_profile, same_profile,
 )
 
 
@@ -250,7 +250,7 @@ def _laplace_certified_rank(f, wrt=None, trials=5, seed=0, certify=False):
     res = generic_rank(f, wrt=wrt, trials=trials, seed=seed)
     certified = False
     if certify and 0 < res.rank <= CERTIFY_MAX_SIZE:
-        jac = f.jacobian(wrt)
+        jac = reference_jacobian(f, wrt)
         matrix = [[e.evaluate(res.witness) for e in row] for row in jac]
         rows, cols = zip(*pivot_positions(matrix))
         minor = [[jac[r][c] for c in cols] for r in rows]

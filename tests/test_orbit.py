@@ -27,7 +27,7 @@ from segrechains.series import EXACT, RESIDUES, Series, SeriesMap, VarSpace
 
 from helpers import (
     codim_family, flow_steps, gaussian_at, reference_flow, reference_greedy_multitype,
-    reference_rank, run_at, sampled_word_rank,
+    reference_jacobian, reference_rank, run_at, sampled_word_rank,
 )
 
 
@@ -272,7 +272,7 @@ def _default_kmax(system):
 
 def _expanded_at(smap, point):
     values = smap.evaluate(point)
-    rows = [[entry.evaluate(point) for entry in row] for row in smap.jacobian()]
+    rows = [[entry.evaluate(point) for entry in row] for row in reference_jacobian(smap)]
     return values, rows
 
 

@@ -195,9 +195,9 @@ def _steps_by_point_rank(monkeypatch, residues=True):
     steps, starts = flow_steps(monkeypatch), []
     point_rank = ranks._point_rank
 
-    def started(matrix_at, residues_at, point):
+    def started(matrix_at, residues_at, point, exact=True):
         starts.append(len(steps))
-        return point_rank(matrix_at, residues_at if residues else None, point)
+        return point_rank(matrix_at, residues_at if residues else None, point, exact)
 
     monkeypatch.setattr(ranks, "_point_rank", started)
     return steps, starts
@@ -695,8 +695,8 @@ def test_rank_mod_p_answers_like_the_exact_path(run, monkeypatch):
     with monkeypatch.context() as patch:
         # both shortcuts off: no word runs over F_P, and no rank mod P is
         # full, so every rank is exact Bareiss on the integer rows
-        patch.setattr(ranks, "_point_rank",
-                      lambda matrix_at, residues_at, point: point_rank(matrix_at, None, point))
+        patch.setattr(ranks, "_point_rank", lambda matrix_at, residues_at, point, exact=True:
+                      point_rank(matrix_at, None, point, exact))
         patch.setattr(ranks, "_rank_mod_p", lambda rows: -1)
         steps = flow_steps(patch)
         exact = _recorded_ranks(monkeypatch, run)
@@ -730,6 +730,22 @@ def test_family_needs_no_exact_fallback(exact_eliminations):
     assert exact_eliminations == []
 
 
+@pytest.mark.parametrize("d,deficient", [(4, 1), (8, 5)])
+def test_m2_family_ranks_each_deficient_k_exactly_once(d, deficient, exact_eliminations):
+    # m = 2: increments 2, 2, 2, then 1 (below m) until the rank fills the
+    # chart's d + 4 rows, so each k from 4 to d has a rank below full mod P
+    # (1 at d = 4, 5 at d = 8); its first trial is ranked by one exact
+    # elimination and the later trials keep their ranks mod P
+    M = codim_family(d, m=2)
+    inv = segre_invariants(M)
+    assert inv.multitype == (2, 2, 2) + (1,) * (d - 2) and inv.minimal
+    assert len(exact_eliminations) == deficient
+    system = cr_pair_system(M)
+    orbit = greedy_multitype(system)
+    assert orbit.multitype == inv.multitype
+    assert orbit.orbit_dim == lie_span_dimension(system) == d + 4
+
+
 # -- words without a full rank modulo P: the exact rerun ---------------------
 
 
@@ -739,9 +755,9 @@ def _residue_runs(monkeypatch):
     runs = []
     point_rank = ranks._point_rank
 
-    def recorded(matrix_at, residues_at, point):
+    def recorded(matrix_at, residues_at, point, exact=True):
         if residues_at is None:
-            return point_rank(matrix_at, None, point)
+            return point_rank(matrix_at, None, point, exact)
 
         def residues(point):
             runs.append(False)
@@ -749,7 +765,7 @@ def _residue_runs(monkeypatch):
             runs[-1] = True
             return rows
 
-        return point_rank(matrix_at, residues, point)
+        return point_rank(matrix_at, residues, point, exact)
 
     monkeypatch.setattr(ranks, "_point_rank", recorded)
     return runs
