@@ -7,21 +7,24 @@ alternating the two exact vectorial flows of manifold.cr_flows
     Lbar-flow: (w, z, zeta, xi) |-> (w, z, zeta + u, q(zeta + u, w, z))
 
 starting from a basepoint (origin, numeric, or symbolic).  chain_word gives
-this word of flows as a series.FlowWord, the word of the orbit flows too;
-gamma expands it, keeping the chains from one basepoint on M, so Gamma_k
-extends Gamma_{k-1}.  psi projects the chain alternately to the two
-coordinate half-spaces, v_map builds the classical nested-substitution maps
-independently of the flow machinery, and check_reparam verifies the linear
-reparametrization identities that tie the two constructions together.
+this word of flows as a series.FlowWord, the word of the orbit flows too,
+reporting the components of a chart (by default the chain's own; gamma's
+"ambient" is the whole state) into the chart's space, both kept on M in
+one table per chart; gamma expands it, keeping the chains from one
+basepoint on M, so Gamma_k extends Gamma_{k-1}.  psi projects the chain
+alternately to the two coordinate half-spaces, v_map builds the classical
+nested-substitution maps independently of the flow machinery, and
+check_reparam verifies the linear reparametrization identities that tie
+the two constructions together.
 
 In EXACT mode the same word also runs on exact values at one point,
 carrying the derivatives in the u-blocks along (forward-mode
 differentiation), so a chain is ranked without being expanded: rank
 profiles and psi ranks extend one FlowWord.run a flow at a time
-(ranks.GrowingRun over chain_flows), and one chain (a witness search, the
-projected witness) is the chain_word of its chart's components, ranked at
-a point by ranks.word_rank.  A jet chain is ranked expanded
-(sampled_chain), its last flow skipping the block (z or xi) the chart
+(ranks.GrowingRun.rank of the chain_word in its chart), and one chain (a
+witness search, the projected witness) is ranked at a point by
+ranks.word_rank.  A jet chain word is ranked expanded (the same
+GrowingRun.rank), its last flow skipping the block (z or xi) the chart
 never reads; a partial state is never kept, so gamma, psi and
 check_reparam still build full chains.
 """
@@ -45,18 +48,17 @@ _CHARTS = {
 }
 
 
-def _chart_names(M: CRManifold, chart: str):
-    if chart not in _CHARTS:
-        raise UnknownVariable(f"unknown chart {chart!r}")
-    return [v for b in _CHARTS[chart] for v in M.space.block_vars(b)]
-
-
-def _chart_space(M: CRManifold, chart: str) -> VarSpace:
-    """The space of a chart's blocks, built once per manifold and chart."""
-    spaces = vars(M).setdefault("_chart_spaces", {})
-    if chart not in spaces:
-        spaces[chart] = M.space.subspace(_CHARTS[chart])
-    return spaces[chart]
+def _chart(M: CRManifold, chart: str):
+    """(ambient indices as a tuple, space) of a chart's blocks, built once
+    per manifold and chart and kept on M in one table."""
+    charts = vars(M).setdefault("_charts", {})
+    if chart not in charts:
+        if chart not in _CHARTS:
+            raise UnknownVariable(f"unknown chart {chart!r}")
+        blocks = _CHARTS[chart]
+        charts[chart] = (tuple(M.space.index_of(v) for b in blocks for v in M.space.block_vars(b)),
+                         M.space.subspace(blocks))
+    return charts[chart]
 
 
 def _chain_chart(k: int) -> str:
@@ -95,19 +97,18 @@ def chain_space(M: CRManifold, k: int, basepoint: Basepoint) -> VarSpace:
     return VarSpace(blocks, pairs)
 
 
-def chart_indices(M: CRManifold, k: int, chart: Optional[str] = None):
-    """Ambient indices of a chart, by default a length-k chain's own chart."""
-    return [M.space.index_of(v) for v in _chart_names(M, chart or _chain_chart(k))]
-
-
-def chain_word(M: CRManifold, k: int, basepoint: Basepoint, parity: str, out=None):
+def chain_word(M: CRManifold, k: int, basepoint: Basepoint, parity: str,
+               chart: Optional[str] = None):
     """Gamma_k as a series.FlowWord over chain_space(M, k, basepoint): the k
-    CRFlows of the parity from the basepoint's state.  Its expanded states
-    are kept on M per basepoint, so a chain extends the shorter one."""
+    CRFlows of the parity from the basepoint's state, reporting the
+    components of a chart, by default the chain's own ("ambient": the whole
+    state).  Its expanded states are kept on M per basepoint, so a chain
+    extends the shorter one."""
+    out, codomain = _chart(M, chart or _chain_chart(k))
     states = vars(M).setdefault("_chain_cache", {}).setdefault(basepoint, {})
     return FlowWord(chain_flows(M, k, parity), lambda i: chain_space(M, i, basepoint),
                     lambda space: basepoint.state_components(M, space, M.order),
-                    lambda params: basepoint.state_values(M, params), M.order, out,
+                    lambda params: basepoint.state_values(M, params), M.order, codomain, out,
                     states=states)
 
 
@@ -161,11 +162,8 @@ class ChainMap:
 
     def in_chart(self, chart: Optional[str] = None) -> SeriesMap:
         """Project the ambient map to a coordinate chart of the manifold."""
-        chart = chart or self.chart
-        if chart == "ambient":
-            return self.map
-        names = _chart_names(self.manifold, chart)
-        return self.map.project(names, _chart_space(self.manifold, chart))
+        indices, space = _chart(self.manifold, chart or self.chart)
+        return SeriesMap([self.map.components[a] for a in indices], space)
 
 
 def gamma(M: CRManifold, k: int, basepoint: Optional[Basepoint] = None,
@@ -174,20 +172,11 @@ def gamma(M: CRManifold, k: int, basepoint: Optional[Basepoint] = None,
     if k < 1:
         raise DimensionMismatch("chain length must be >= 1")
     basepoint = basepoint or Basepoint.origin()
-    smap = SeriesMap(chain_word(M, k, basepoint, parity).expand(), M.space)
+    smap = chain_word(M, k, basepoint, parity, "ambient").expand()
     chain = ChainMap(M, k, parity, basepoint, smap, _chain_chart(k))
     if verify:
         verify_in_manifold(chain)
     return chain
-
-
-def sampled_chain(M: CRManifold, k: int, basepoint: Basepoint, parity: str,
-                  chart: Optional[str] = None) -> SeriesMap:
-    """Gamma_k in a chart (by default its own) as the SeriesMap a jet rank
-    samples: the chain_word of the chart's components, expanded, its last
-    flow skipping the block (z or xi) the chart never reads."""
-    word = chain_word(M, k, basepoint, parity, chart_indices(M, k, chart))
-    return SeriesMap(word.expand(), _chart_space(M, chart or _chain_chart(k)))
 
 
 def verify_in_manifold(chain: ChainMap) -> bool:
@@ -219,7 +208,7 @@ def v_map(M: CRManifold, k: int) -> SeriesMap:
     of the flow machinery (cross-check oracle for the chains)."""
     if k < 0:
         raise DimensionMismatch("k must be >= 0")
-    t_space = _chart_space(M, "t")
+    t_space = _chart(M, "t")[1]
     if k == 0:
         space = VarSpace([])
         comps = [Series.zero(space, M.order) for _ in range(M.n)]

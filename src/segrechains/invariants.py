@@ -7,24 +7,24 @@ at the first plateau.  kappa counts the positive increments, the type is
 mu = 2 + kappa, the multitype is (m, m, e_1, ..., e_kappa), and the manifold
 is minimal at the basepoint exactly when the increments sum to d.
 
-The ranks of an EXACT profile are read from one ranks.GrowingRun: each
+The ranks of a profile are read from one ranks.GrowingRun, each r_k the
+rank of chains.chain_word(M, k, ...) in the chart of Gamma_k.  EXACT, each
 trial draws one point sequence and extends one chain state a flow at a
 time, Gamma_{k+1} being Gamma_k followed by one more flow, so r_k is read
-after k flows, in the chart of Gamma_k, with no restart; its Jacobian comes
-from forward-mode differentiation and a certified rank rests on evaluation
-being a ring homomorphism.  psi_rank_checks reads the psi ranks, the
-chains in a half-space chart, from a run of its own the same way
-(_chain_ranks).  Truncated jets are ranked chain by chain
-(chains.sampled_chain, expanded) and their witnessed minors certified
-symbolically.  The witness comes from ranks.return_witness, the one of the
-orbit witness too: it searches the chain word of length mu in its chart,
-then continues the accepted try through the return chain in the kernel
-that proved its rank (F_P, or Z[i] where F_P proves none) and ranks that
-chart there, so it needs a numeric basepoint and an EXACT manifold; for the
-same reason a truncated manifold takes no numeric basepoint but the origin
-(Basepoint.numeric).  The projected
-witness of psi_rank_checks is one EXACT run of the conjugate chain word
-at the witness times, ranked there by ranks.word_rank.
+after k flows with no restart; its Jacobian comes from forward-mode
+differentiation and a certified rank rests on evaluation being a ring
+homomorphism.  A truncated jet chain is expanded and ranked at seed + k,
+its witnessed minor certified symbolically.  psi_rank_checks reads the psi
+ranks, the chains in a half-space chart, from a run of its own the same
+way (_chain_ranks).  The witness comes from ranks.return_witness, the one
+of the orbit witness too: it searches the chain word of length mu in its
+chart, then continues the accepted try through the return chain in the
+kernel that proved its rank (F_P, or Z[i] where F_P proves none) and ranks
+that chart there, so it needs a numeric basepoint and an EXACT manifold;
+for the same reason a truncated manifold takes no numeric basepoint but
+the origin (Basepoint.numeric).  The projected witness of psi_rank_checks
+is one EXACT run of the conjugate chain word in its psi chart at the
+witness times, ranked there by ranks.word_rank.
 """
 
 from __future__ import annotations
@@ -33,12 +33,10 @@ from dataclasses import dataclass
 from itertools import takewhile
 from typing import List, Optional
 
-from .chains import (
-    chain_flows, chain_word, chart_indices, default_kmax, psi_chart, sampled_chain, u_blocks,
-)
+from .chains import chain_word, default_kmax, psi_chart
 from .errors import NotAHypersurface, SegreError, TruncationUnsound
 from .manifold import Basepoint, CRManifold
-from .ranks import DEFAULT_TRIALS, GrowingRun, generic_rank, return_witness, word_rank
+from .ranks import DEFAULT_TRIALS, GrowingRun, return_witness, word_rank
 from .scalars import GaussianRational
 from .series import Series
 
@@ -78,15 +76,9 @@ def _chain_ranks(M, basepoint, parity, trials, seed, certify):
     """(k, chart) -> the rank (a ranks.RankResult) of Gamma_k in a chart, by
     default its intrinsic (2m+d)-coordinate one: equivalent to the ambient
     rank for exact manifolds, and structurally bounded by dim M for
-    truncated jets.  EXACT chains are read from one ranks.GrowingRun after k
-    flows; a jet chain is expanded and ranked on its own, at seed + k."""
-    if M.order is not None:
-        return lambda k, chart=None: generic_rank(
-            sampled_chain(M, k, basepoint, parity, chart), wrt=u_blocks(k), trials=trials,
-            seed=seed + k, certify=certify)
-    run = GrowingRun(chain_word(M, 1, basepoint, parity), trials, seed)
-    return lambda k, chart=None: run.rank(chain_flows(M, k, parity),
-                                          chart_indices(M, k, chart), certify)
+    truncated jets; all read from one ranks.GrowingRun."""
+    run = GrowingRun(trials, seed)
+    return lambda k, chart=None: run.rank(chain_word(M, k, basepoint, parity, chart), certify)
 
 
 def rank_profile(
@@ -191,7 +183,7 @@ def witness_point(
     if basepoint.kind == "symbolic":
         raise SegreError("witness search needs a numeric basepoint")
     mu, target = invariants.mu, invariants.orbit_dim_complexified
-    word = chain_word(M, mu, basepoint, parity, chart_indices(M, mu))
+    word = chain_word(M, mu, basepoint, parity)
     w_star, rank, returns = return_witness(word, target, seed)
     # the return identity and the attained rank are theorems in exact mode;
     # a return run over F_P reads both modulo P (ranks.return_witness), a
@@ -227,8 +219,7 @@ def psi_rank_checks(
         witness = witness_point(M, inv, basepoint, parity="Lbar", seed=seed)
         two_nu = 2 * inv.nu
         # psi of the conjugate parity at even length projects to the (w, z) space
-        pm = chain_word(M, two_nu, basepoint, "Lbar",
-                        chart_indices(M, two_nu, psi_chart(two_nu, "Lbar")))
+        pm = chain_word(M, two_nu, basepoint, "Lbar", psi_chart(two_nu, "Lbar"))
         blocks = (witness.w_star + witness.omega_star)[:two_nu]
         values = [GaussianRational.from_zi(*v) for v in pm.run((), blocks)[0]]
         witness_ok = (values == basepoint.state_values(M)[: M.n]

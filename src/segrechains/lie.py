@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .chains import _chart_space, chart_indices
+from .chains import _chart
 from .errors import SegreError, WrongDimensions
 from .invariants import segre_invariants
 from .manifold import Basepoint, CRManifold, cr_pair_rows
@@ -36,7 +36,7 @@ from .series import (
 
 def chart_space(M: CRManifold) -> VarSpace:
     """The intrinsic (w, zeta, xi) chart of the complexified manifold."""
-    return _chart_space(M, "wzetaxi")
+    return _chart(M, "wzetaxi")[1]
 
 
 def tangent_fields(M: CRManifold) -> Tuple[Tuple[TangentVectorField, ...], ...]:
@@ -47,9 +47,8 @@ def tangent_fields(M: CRManifold) -> Tuple[Tuple[TangentVectorField, ...], ...]:
     columns are the identity, so the fields are independent), kept on M."""
     pair = getattr(M, "_tangent_fields", None)
     if pair is None:
-        cs = chart_space(M)
+        keep, cs = _chart(M, "wzetaxi")
         z_idx = set(M.space.block("z"))
-        keep = [M.space.index_of(v) for v in cs.names]
 
         def chart_field(row, label):
             coeffs = tuple(
@@ -74,7 +73,7 @@ def chart_point(M: CRManifold, basepoint: Basepoint):
     if basepoint.kind == "symbolic":
         return None
     values = basepoint.state_values(M)
-    return [values[a] for a in chart_indices(M, 1)]
+    return [values[a] for a in _chart(M, "wzetaxi")[0]]
 
 
 @dataclass(frozen=True)

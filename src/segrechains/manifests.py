@@ -20,8 +20,9 @@ System manifests:
 
 Blank lines and `#` comments are ignored.  A key given twice (theta_bar_01
 and theta_bar_1 are one key) is refused.  Parsing collects diagnostics with
-line numbers, and an error in an entry's expression names the entry's line;
-serialization is canonical, so parse -> serialize -> parse is the identity.
+line numbers (an unknown key, or a key of the other kind, is ignored), and
+an error in an entry's expression names the entry's line; serialization is
+canonical, so parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class Manifest:
         theta = []
         for j in range(1, d + 1):
             if j not in self.entries:
-                raise ParseError(f"{self.source}: missing theta_bar_{j}")
+                raise ParseError(f"{self.location(j)}: missing theta_bar_{j}")
             theta.append(self.parse_entry(j, space, order))
         return new_manifold(m, d, theta, order)
 
@@ -152,27 +153,31 @@ def parse_manifest(text: str, source: Optional[str] = None) -> Manifest:
     theta_entries = {}
     field_entries = {}
     lines = {}  # each key given, theta and field indices read as ints -> its line
-    diagnostics = []
+    ignored = []  # (line, key) of each unknown key
+    foreign = {"manifold": [], "system": []}  # kind -> (line, key) of the keys it never reads
     kind = None
+    where = source or "<manifest>"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ParseError(f"{source or '<manifest>'}:{lineno}: expected key=value")
+            raise ParseError(f"{where}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         tm = _THETA_KEY.match(key)
         fm = _FIELD_KEY.match(key)
         ident = (int(tm.group(1)) if tm else
                 (int(fm.group(1)), int(fm.group(2)), fm.group(3)) if fm else key)
         if ident in lines:
-            raise ParseError(f"{source or '<manifest>'}:{lineno}: duplicate key {key!r} "
+            raise ParseError(f"{where}:{lineno}: duplicate key {key!r} "
                              f"(first given at line {lines[ident]})")
         lines[ident] = lineno
         if tm:
             theta_entries[ident] = value
+            foreign["system"].append((lineno, key))
         elif fm:
             field_entries[ident] = value
+            foreign["manifold"].append((lineno, key))
         elif key == "kind":
             kind = value
         elif key in ("m", "d", "n", "a"):
@@ -182,35 +187,37 @@ def parse_manifest(text: str, source: Optional[str] = None) -> Manifest:
                     raise ValueError
             except ValueError:
                 raise ParseError(
-                    f"{source or '<manifest>'}:{lineno}: {key} must be a positive integer"
+                    f"{where}:{lineno}: {key} must be a positive integer"
                 ) from None
         elif key == "order":
             try:
                 parse_order(value)
             except ValueError as exc:
-                raise ParseError(f"{source or '<manifest>'}:{lineno}: {exc}") from None
+                raise ParseError(f"{where}:{lineno}: {exc}") from None
             params["order"] = value
         else:
-            diagnostics.append(f"{source or '<manifest>'}:{lineno}: ignored key {key!r}")
+            ignored.append((lineno, key))
     if kind is None:
         if theta_entries and not field_entries:
             kind = "manifold"
         elif field_entries and not theta_entries:
             kind = "system"
         else:
-            raise ParseError(f"{source or '<manifest>'}: cannot infer manifest kind")
+            raise ParseError(f"{where}: cannot infer manifest kind")
     if kind == "manifold":
         for k in ("m", "d"):
             if k not in params:
-                raise ParseError(f"{source or '<manifest>'}: missing {k}=")
+                raise ParseError(f"{where}: missing {k}=")
         entries = theta_entries
     elif kind == "system":
         for k in ("n", "m", "a"):
             if k not in params:
-                raise ParseError(f"{source or '<manifest>'}: missing {k}=")
+                raise ParseError(f"{where}: missing {k}=")
         entries = field_entries
     else:
-        raise ParseError(f"{source or '<manifest>'}: unknown kind {kind!r}")
+        raise ParseError(f"{where}: unknown kind {kind!r}")
+    diagnostics = [f"{where}:{lineno}: ignored key {key!r}"
+                   for lineno, key in sorted(ignored + foreign[kind])]
     return Manifest(kind, params, entries, source, diagnostics, lines)
 
 

@@ -18,19 +18,19 @@ A VFSystem keeps its flows by (field, order) (system.flow) and their
 expanded prefixes by order; formal_flow alone refuses a flow order that a
 system truncated at order N cannot give (EXACT, or above N).  flow_word
 gives a concatenated flow as a series.FlowWord, the word of the Segre
-chains too.  EXACT flows (order=None) are never expanded: one
-ranks.GrowingRun carries exact (value, d/dt) pairs, over F_P first, from
-the origin through the word's flows at each trial's points (forward-mode
-differentiation, one gradient walk per flow component), and the
-candidates of a greedy step extend the state of their common prefix by
-one flow each, the winner's kept.  The starting word is checked from the
-field rows at the origin (VFSystem.rank_at).  The witness is
-ranks.return_witness, the one the chains use too: a seeded point t* of the
-word's rank, then the accepted try's run continued through its reversed
-flows at the negated times, in the kernel that proved its rank.  Truncated
-jets rank the expanded word (concatenated_flow), each candidate expanding
-one flow past the prefixes kept.  A jet's witness is None, because a
-truncated flow cannot be evaluated at a nonzero time.
+chains too, and one ranks.GrowingRun ranks every word of a greedy orbit.
+EXACT flows (order=None) are never expanded: the run carries exact
+(value, d/dt) pairs, over F_P first, from the origin through the word's
+flows at each trial's points (forward-mode differentiation, one gradient
+walk per flow component), and the candidates of a greedy step extend the
+state of their common prefix by one flow each, the winner's kept.  A jet
+word of k flows is expanded, one flow past the prefixes kept, and ranked
+at seed + k.  The starting word is checked from the field rows at the
+origin (VFSystem.rank_at).  The witness is ranks.return_witness, the one
+the chains use too: a seeded point t* of the word's rank, then the
+accepted try's run continued through its reversed flows at the negated
+times, in the kernel that proved its rank.  A jet's witness is None,
+because a truncated flow cannot be evaluated at a nonzero time.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .ranks import (
     DEFAULT_TRIALS,
     GrowingRun,
     exact_rank,
-    generic_rank,
     integer_rows,
     random_point,
     return_witness,
@@ -246,7 +245,7 @@ def flow_word(system: VFSystem, word: Sequence[int], order: Optional[int] = None
     return FlowWord([system.flow(alpha, order) for alpha in word],
                     lambda k: _time_space(system, k),
                     lambda space: [Series.zero(space, order)] * n,
-                    lambda params: [ZERO] * n, order,
+                    lambda params: [ZERO] * n, order, system.space,
                     states=system._prefixes.setdefault(order, {}))
 
 
@@ -258,7 +257,7 @@ def concatenated_flow(system: VFSystem, word: Sequence[int],
     which reuses the expanded state of its longest prefix kept on the system.
     """
     fw = flow_word(system, word, order)
-    return SeriesMap(fw.expand(), system.space), all(f.exact for f in fw.flows)
+    return fw.expand(), all(f.exact for f in fw.flows)
 
 
 @dataclass(frozen=True)
@@ -289,15 +288,15 @@ def greedy_multitype(
     kmax bounds the word length (default a + n - a*m + 1); `order` is the
     flow jet order (None = require terminating Lie series; at most
     system.order, see formal_flow).  The starting word's Jacobian at zero
-    times is the a*m field rows at 0 (VFSystem.rank_at).  EXACT words are
-    read from one ranks.GrowingRun, jets from their expanded maps
-    (concatenated_flow).  The witness needs flows at nonzero constant
-    times, which truncated flows cannot give soundly, so with a finite
-    order it is None.  The last field is never a candidate: its flows form
-    a group (Sussmann 1973), so word + [word[-1]] is word after the linear
-    surjection t_k -> t_k + t_{k+1}, of equal rank; jets too, as no flow
-    from 0 has a constant term and a linear substitution commutes with
-    truncation.  The loop ends at rank n, the most in C^n.
+    times is the a*m field rows at 0 (VFSystem.rank_at).  Every word is
+    ranked by one ranks.GrowingRun, a jet word of k flows at seed + k.  The
+    witness needs flows at nonzero constant times, which truncated flows
+    cannot give soundly, so with a finite order it is None.  The last field
+    is never a candidate: its flows form a group (Sussmann 1973), so
+    word + [word[-1]] is word after the linear surjection
+    t_k -> t_k + t_{k+1}, of equal rank; jets too, as no flow from 0 has a
+    constant term and a linear substitution commutes with truncation.  The
+    loop ends at rank n, the most in C^n.
     """
     a, m, n = system.a, system.m, system.n
     kmax = a + (n - a * m) + 1 if kmax is None else kmax
@@ -309,17 +308,8 @@ def greedy_multitype(
     base = flow_word(system, word, order)
     if system.rank_at([ZERO] * n) != a * m:
         raise RankAssumptionViolated("concatenated initial flows are rank-deficient at 0")
-    if order is None:  # EXACT: every word is read from one run
-        run = GrowingRun(base, trials, seed)
-
-    def rank_of(w, seed):
-        if order is None:
-            return run.rank([system.flow(alpha, None) for alpha in w]).rank
-        return generic_rank(concatenated_flow(system, w, order)[0],
-                            wrt=[f"t{i}" for i in range(1, len(w) + 1)],
-                            trials=trials, seed=seed).rank
-
-    rank = rank_of(word, seed)
+    run = GrowingRun(trials, seed)
+    rank = run.rank(base).rank
     ranks = [rank]
     e: List[int] = []
     while len(word) < kmax and rank < n:
@@ -327,7 +317,7 @@ def greedy_multitype(
         for alpha in range(a):
             if alpha == word[-1]:  # the flow group law: it adds no rank
                 continue
-            r = rank_of(word + [alpha], seed + len(word))
+            r = run.rank(flow_word(system, word + [alpha], order)).rank
             if r > best_rank:
                 best_alpha, best_rank = alpha, r
         if best_alpha is None:

@@ -14,11 +14,13 @@ equals the generic rank outside a measure-zero set of sample failures.  There is
 one trials loop (sample_rank, which stops at full rank), one rank
 (exact_rank) and one exact eliminator (pivot_positions, Bareiss over Z[i]).
 sample_rank draws seeded points for generic_rank and for span_dims (lie's
-bracket ladder and Levi type, the orbit oracle); a GrowingRun, the sampler
-of rank profiles, psi ranks and EXACT greedy orbits, feeds it the indices
-of its trials, each extending one series.FlowWord.run a flow at a time.
-An EXACT word is ranked only by runs: sampled by a GrowingRun, at one
-point by word_rank (the witness tries); a SeriesMap only sampled.
+bracket ladder and Levi type, the orbit oracle).  GrowingRun.rank is the one
+rank of a series.FlowWord sampled (rank profiles, psi ranks, greedy
+orbits): an EXACT word feeds sample_rank the indices of the run's trials,
+each extending one FlowWord.run a flow at a time; a jet word of k flows is
+expanded and ranked by generic_rank in its k time blocks at seed + k.  An
+EXACT word is ranked only by runs: sampled by a GrowingRun, at one point by
+word_rank (the witness tries); a SeriesMap only sampled.
 
 exact_rank first eliminates modulo the prime P under re + i*im ->
 re + ROOT*im, a ring homomorphism Z[i] -> F_P that maps minors to minors,
@@ -54,7 +56,7 @@ from typing import List, Optional, Tuple
 from .errors import DimensionMismatch, WitnessNotFound
 from .scalars import GaussianRational, ZERO
 from .series import (
-    EXACT, P, RESIDUES, ROOT, FlowWord, Kernel, NoImage, PointTable, Series, SeriesMap,
+    EXACT, P, RESIDUES, ROOT, Kernel, NoImage, PointTable, Series, SeriesMap,
     check_point, reduced_row,
 )
 
@@ -372,32 +374,41 @@ def word_rank(word, params, blocks, states=None) -> int:
 
 
 class GrowingRun:
-    """Up to `trials` lazy runs of flows from the start of an EXACT
-    series.FlowWord `word`: the sampler of chain ranks (profiles, psi) and
-    greedy orbits.  Trial t draws from Random(seed + t) the start's
-    parameters once, then a time block per flow as it grows, so its point
-    after k flows (k blocks, then the parameters) extends to its point after
-    k + 1.  Each trial keeps one FlowWord.run state per kernel, over F_P,
-    and exactly, built lazily at the same point, only where _point_rank
-    reads exact rows: the first trial's below full rank mod P, any trial's
-    whose F_P run had no image (not run over F_P again).  A word of k flows
-    extends the longest prefix kept, and only prefixes of at least k - 1
-    flows stay.  A flow at fixed times is a biholomorphism, so no rank drops
-    along one trial."""
+    """The sampler of the words of flows (series.FlowWord) from one start,
+    EXACT or jet: chain ranks (profiles, psi) and greedy orbits.  An EXACT
+    word runs over up to `trials` lazy runs of flows: trial t draws from
+    Random(seed + t) the start's parameters once, then a time block per
+    flow as it grows, so its point after k flows (k blocks, then the
+    parameters) extends to its point after k + 1.  Each trial keeps one
+    FlowWord.run state per kernel, over F_P, and exactly, built lazily at
+    the same point, only where _point_rank reads exact rows: the first
+    trial's below full rank mod P, any trial's whose F_P run had no image
+    (not run over F_P again).  A word of k flows extends the longest prefix
+    kept, and only prefixes of at least k - 1 flows stay.  A flow at fixed
+    times is a biholomorphism, so no rank drops along one trial.  The
+    time-block width and the parameter count are read from the first EXACT
+    word ranked; the words of one run share them and their start."""
 
-    def __init__(self, word, trials: int = DEFAULT_TRIALS, seed: int = 0):
-        space = word.space_of(1)
-        self.word, self.trials, self.seed = word, trials, seed
-        self.m = len(space.blocks[0][1])
-        self.nparams = space.dim - self.m
+    def __init__(self, trials: int = DEFAULT_TRIALS, seed: int = 0):
+        self.trials, self.seed = trials, seed
+        self.m = self.nparams = None
         self.runs = []  # per trial: [its Random, params, time blocks, {kernel: states or None}]
 
-    def rank(self, flows, out=None, certify: bool = False) -> RankResult:
-        """The rank of the rows `out` (all by default) after `flows` in all
-        their time columns, sampled by sample_rank over the trials (their
-        indices its points); certified as generic_rank certifies an EXACT
-        rank."""
-        word = FlowWord(flows, self.word.space_of, self.word.start, self.word.values, None, out)
+    def rank(self, word, certify: bool = False) -> RankResult:
+        """The rank of a FlowWord's components `out` in the time columns of
+        its k flows.  A jet word is expanded and ranked by generic_rank in
+        its first k blocks at seed + k.  An EXACT word is sampled by
+        sample_rank over the trials (their indices its points), certified as
+        generic_rank certifies an EXACT rank."""
+        k = len(word.flows)
+        if word.order is not None:
+            f = word.expand()
+            return generic_rank(f, [b for b, _ in f.domain.blocks[:k]], self.trials,
+                                self.seed + k, certify)
+        if self.m is None:
+            space = word.space_of(1)
+            self.m = len(space.blocks[0][1])
+            self.nparams = space.dim - self.m
 
         def rows_at(kernel):
             def at(t):
@@ -405,21 +416,21 @@ class GrowingRun:
                     rng = random.Random(self.seed + t)
                     self.runs.append([rng, random_point(rng, self.nparams), [], {}])
                 rng, params, blocks, kept = self.runs[t]
-                while len(blocks) < len(word.flows):
+                while len(blocks) < k:
                     blocks.append(random_point(rng, self.m))
                 states = kept.get(kernel, {})
                 if states is None:
                     raise NoImage("this trial's run had no image in F_P")
                 kept[kernel] = None  # kept only if the run ends
                 rows = word.run(params, blocks, kernel, states)[1]
-                kept[kernel] = {f: s for f, s in states.items() if len(f) >= len(word.flows) - 1}
+                kept[kernel] = {f: s for f, s in states.items() if len(f) >= k - 1}
                 return rows
             return at
 
         rank, t, _ = sample_rank(rows_at(EXACT), None, self.trials, self.seed, rows_at(RESIDUES),
                                  range(self.trials))
         _, params, blocks, _ = self.runs[t]
-        point = [c for blk in blocks[: len(word.flows)] for c in blk] + params
+        point = [c for blk in blocks[:k] for c in blk] + params
         return RankResult(rank, point, self.trials, self.seed,
                           certify and 0 < rank <= CERTIFY_MAX_SIZE)
 

@@ -24,12 +24,12 @@ Z[i], the integer rows ranks eliminates; residue_step over F_P), and on it
 the one-flow step of a pointwise run (advance: the rows widen by the flow's
 block of time columns) and the word of flows of Segre chains and orbit
 flows alike (FlowWord: run at a point over a Kernel, EXACT or RESIDUES, one
-advance per flow, or expanded, each keeping the state after every prefix).
-A vector field acts as a derivation (TangentVectorField.apply), and a
-bracket of two fields is one pass of _derivation, every c_a * df/dx_a
-summed into one dict over one denominator; the pass walks only the field's
-support (its nonzero c_a, kept once when the field is built) and forms
-products only for the x_a that occur in f.  On it stand the commutation
+advance per flow, or expanded to a SeriesMap into the word's codomain, each
+keeping the state after every prefix).  A vector field acts as a derivation
+(TangentVectorField.apply), and a bracket of two fields is one pass of
+_derivation, every c_a * df/dx_a summed into one dict over one denominator;
+the pass walks only the field's support (its nonzero c_a, kept once when the
+field is built) and forms products only for the x_a that occur in f.  On it stand the commutation
 check (noncommuting_pair) and the deduplicated left-normed bracket ladder
 (bracket_levels, level 1 first).
 
@@ -835,11 +835,6 @@ class SeriesMap:
                 names.append(item)
         return names
 
-    def project(self, names, codomain: VarSpace) -> "SeriesMap":
-        """Keep the components assigned to `names`, in that order."""
-        comps = [self.component(n) for n in names]
-        return SeriesMap(comps, codomain)
-
     def __eq__(self, other):
         if not isinstance(other, SeriesMap):
             return NotImplemented
@@ -949,7 +944,8 @@ def advance(flow, values, rows, times, kernel: Kernel = EXACT):
 
 class FlowWord:
     """A word of flows from a start state, the one word of Segre chains and
-    orbit flows: run pointwise (run) or expanded to Series (expand).
+    orbit flows: run pointwise (run), expanded to a SeriesMap (expand), or
+    ranked by ranks.GrowingRun, which runs an EXACT word and expands a jet.
 
     Flow i (1-based) takes its times from block i - 1 of space_of(i), whose
     blocks end with the start's parameters.  run, the one pointwise loop,
@@ -961,16 +957,18 @@ class FlowWord:
     expand(state lifted into space_of(i), times, out), whose last flow skips
     a block `out` does not read; the word's `states`, kept by the caller,
     holds the state after each flow prefix, so words sharing one expand it
-    once (never a partial state).  Both report the components `out`.  A
-    plain class: a dataclass costs milliseconds at every import.
+    once (never a partial state).  Both report the components `out` (all by
+    default), the variables of `codomain`.  A plain class: a dataclass costs
+    milliseconds at every import.
     """
 
-    __slots__ = ("flows", "space_of", "start", "values", "order", "out", "states")
+    __slots__ = ("flows", "space_of", "start", "values", "order", "codomain", "out", "states")
 
-    def __init__(self, flows, space_of, start, values, order, out=None,
+    def __init__(self, flows, space_of, start, values, order, codomain: "VarSpace", out=None,
                  states: Optional[dict] = None):
         self.flows, self.space_of, self.start = tuple(flows), space_of, start
-        self.values, self.order, self.out, self.states = values, order, out, states
+        self.values, self.order, self.codomain = values, order, codomain
+        self.out, self.states = out, states
 
     def run(self, params, blocks, kernel: Kernel = EXACT, states: Optional[dict] = None):
         """(values, Jacobian rows in the time blocks) of the components `out`
@@ -996,9 +994,9 @@ class FlowWord:
             return [values[a] for a in self.out], [rows[a] for a in self.out]
         return values, rows
 
-    def expand(self):
-        """The state after the word as Series over space_of(len(flows)) (only
-        `out`, if given)."""
+    def expand(self) -> SeriesMap:
+        """The components `out` after the word as a SeriesMap from
+        space_of(len(flows)) to `codomain`."""
         flows, states = self.flows, {} if self.states is None else self.states
         if () not in states:
             states[()] = self.start(self.space_of(0))
@@ -1012,7 +1010,8 @@ class FlowWord:
                                         self.out if i == last else None)
             if None not in state:
                 states[flows[:i]] = state
-        return state if self.out is None else [state[a] for a in self.out]
+        return SeriesMap(state if self.out is None else [state[a] for a in self.out],
+                         self.codomain)
 
 
 # -- vector fields and brackets ----------------------------------------------

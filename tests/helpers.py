@@ -4,7 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from segrechains.chains import chain_word, chart_indices, default_kmax, sampled_chain, u_blocks
+from segrechains.chains import chain_word, default_kmax, u_blocks
 from segrechains.corpus import corpus
 from segrechains.errors import (
     ChartMismatch, DimensionMismatch, RankAssumptionViolated, SegreError, TruncationUnsound,
@@ -546,11 +546,10 @@ def reference_rank_at(f, wrt, point):
 
 def reference_chain(M, k, basepoint, parity, chart=None):
     """Gamma_k in a chart (by default its own) as the chain-by-chain oracles
-    sample it: EXACT, the chain_word of the chart's components, run
-    pointwise; a jet expanded (chains.sampled_chain)."""
-    if M.order is None:
-        return chain_word(M, k, basepoint, parity, chart_indices(M, k, chart))
-    return sampled_chain(M, k, basepoint, parity, chart)
+    sample it: the chain_word of the chart's components, EXACT run
+    pointwise, a jet expanded."""
+    word = chain_word(M, k, basepoint, parity, chart)
+    return word if M.order is None else word.expand()
 
 
 def reference_flow(system, word, order=None):

@@ -3,21 +3,20 @@ import random
 import pytest
 
 from segrechains.chains import (
+    _chart,
     chain_space,
     chain_word,
-    chart_indices,
     check_reparam,
     default_kmax,
     flow,
     gamma,
     psi,
     psi_chart,
-    sampled_chain,
     sigma_image,
     v_map,
     verify_in_manifold,
 )
-from segrechains.errors import DimensionMismatch, OffManifold, TruncationUnsound
+from segrechains.errors import DimensionMismatch, OffManifold, TruncationUnsound, UnknownVariable
 from segrechains.exprs import format_series
 from segrechains.manifold import Basepoint, new_manifold
 from segrechains.ranks import word_rank
@@ -283,20 +282,20 @@ def test_forward_chain_matches_expanded_chain(name, M):
                 point = gaussian_integer_point(rng, chain.map.domain.dim)
                 names = [f"u{i}_{j}" for i in range(1, k + 1) for j in range(1, M.m + 1)]
                 expected = expanded_values_and_jacobian(chain.map, names, point)
-                assert gaussian_at(chain_word(M, k, bp, parity), point) == expected, (
+                assert gaussian_at(chain_word(M, k, bp, parity, "ambient"), point) == expected, (
                     bp.kind, parity, k)
 
 
-def test_sampled_chain_is_the_expanded_chart_chain(heisenberg):
-    # sampled_chain expands the chart word in either mode; an EXACT chart
-    # word runs pointwise to the same values, at one block per flow, and a
-    # jet word not at all
+def test_chain_word_expands_to_the_chart_chain(heisenberg):
+    # the chart word expands to the chart chain in either mode; an EXACT
+    # chart word runs pointwise to the same values, at one block per flow,
+    # and a jet word not at all
     jet = new_manifold(1, 1, ["w1*zeta1"], order=6)
     bp = Basepoint.origin()
-    assert sampled_chain(jet, 3, bp, "L") == gamma(jet, 3, verify=False).in_chart()
-    assert sampled_chain(jet, 2, bp, "L", psi_chart(2, "L")) == psi(jet, 2)
-    assert sampled_chain(heisenberg, 2, bp, "L", psi_chart(2, "L")) == psi(heisenberg, 2)
-    pointwise = chain_word(heisenberg, 2, bp, "L", chart_indices(heisenberg, 2, psi_chart(2, "L")))
+    assert chain_word(jet, 3, bp, "L").expand() == gamma(jet, 3, verify=False).in_chart()
+    assert chain_word(jet, 2, bp, "L", psi_chart(2, "L")).expand() == psi(jet, 2)
+    assert chain_word(heisenberg, 2, bp, "L", psi_chart(2, "L")).expand() == psi(heisenberg, 2)
+    pointwise = chain_word(heisenberg, 2, bp, "L", psi_chart(2, "L"))
     point = [G(2, 1), G(-1, 3)]
     values = [G.from_zi(*v) for v in run_at(pointwise, point)[0]]
     assert values == psi(heisenberg, 2).evaluate(point)
@@ -304,6 +303,24 @@ def test_sampled_chain_is_the_expanded_chart_chain(heisenberg):
         word_rank(pointwise, (), [point[:1]])
     with pytest.raises(TruncationUnsound):
         run_at(chain_word(jet, 2, bp, "L"), point)
+
+
+def test_a_chain_word_expands_into_its_charts_space(heisenberg):
+    # a chain word reports its chart's indices into its chart's space, both
+    # from the one table kept on M, by default the chain's own chart;
+    # "ambient" is the whole state, into M.space
+    jet = new_manifold(1, 1, ["w1*zeta1"], order=6)
+    bp = Basepoint.origin()
+    for M in (heisenberg, jet):
+        for k in (1, 2, 3):
+            for chart in (None, "wzzeta", "wzetaxi", "t", "tau", "ambient"):
+                word = chain_word(M, k, bp, "L", chart)
+                out, space = _chart(M, chart or ("wzetaxi" if k % 2 else "wzzeta"))
+                assert word.out == out and word.expand().codomain == space, (k, chart)
+        assert _chart(M, "ambient") == (tuple(range(M.space.dim)), M.space)
+        assert _chart(M, "tau")[0] == M.space.block("zeta") + M.space.block("xi")
+    with pytest.raises(UnknownVariable):
+        chain_word(heisenberg, 1, bp, "L", "zw")
 
 
 @pytest.mark.parametrize("m, d, theta", [
@@ -322,11 +339,10 @@ def test_chart_only_chain_matches_the_full_chain(m, d, theta):
         for parity in ("L", "Lbar"):
             for k in range(1, 6):
                 if bp.kind != "numeric":
-                    chart = sampled_chain(jet, k, bp, parity)
+                    chart = chain_word(jet, k, bp, parity).expand()
                     assert chart == gamma(jet, k, bp, parity).in_chart(), (bp.kind, parity, k)
-                out = chart_indices(exact, k)
-                word = chain_word(exact, k, bp, parity, out)
-                full = chain_word(exact, k, bp, parity)
+                word = chain_word(exact, k, bp, parity)
+                full, out = chain_word(exact, k, bp, parity, "ambient"), word.out
                 point = gaussian_integer_point(rng, chain_space(exact, k, bp).dim)
                 for kernel in (EXACT, RESIDUES):
                     values, rows = run_at(full, point, kernel)
@@ -348,8 +364,8 @@ def test_chain_word_expands_to_gamma():
             for parity in ("L", "Lbar"):
                 for k in (1, 2, 3, 4):
                     fresh = new_manifold(1, d, theta, order=order)
-                    comps = chain_word(fresh, k, bp, parity).expand()
-                    assert tuple(comps) == gamma(M, k, bp, parity).map.components
+                    chain = chain_word(fresh, k, bp, parity, "ambient").expand()
+                    assert chain == gamma(M, k, bp, parity).map
 
 
 def test_chain_word_expands_only_the_last_flow(monkeypatch):
@@ -372,9 +388,9 @@ def test_chain_word_expands_only_the_last_flow(monkeypatch):
         bp = Basepoint.origin()
         for parity in ("L", "Lbar"):
             for k in range(1, 6):
-                chain_word(M, k, bp, parity).expand()
+                chain_word(M, k, bp, parity, "ambient").expand()
                 calls.clear()
-                chain_word(M, k + 1, bp, parity, chart_indices(M, k + 1)).expand()
-                assert len(calls) == (0 if parity == "L" else M.d), (order, parity, k)
                 chain_word(M, k + 1, bp, parity).expand()
+                assert len(calls) == (0 if parity == "L" else M.d), (order, parity, k)
+                chain_word(M, k + 1, bp, parity, "ambient").expand()
                 assert len(calls) == M.d, (order, parity, k)

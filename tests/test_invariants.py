@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from segrechains import invariants
+from segrechains import invariants, ranks
 from segrechains.corpus import corpus
 from segrechains.errors import NotAHypersurface, SegreError, TruncationUnsound
 from segrechains.invariants import (
@@ -296,7 +296,7 @@ def test_jet_certificates_match_the_expanded_jacobian(name, M, monkeypatch):
     for bp in (Basepoint.origin(), Basepoint.symbolic()):
         walked = rank_profile(M, bp, certify=True)
         with monkeypatch.context() as patch:
-            patch.setattr(invariants, "generic_rank", _laplace_certified_rank)
+            patch.setattr(ranks, "generic_rank", _laplace_certified_rank)
             expanded = rank_profile(M, bp, certify=True)
         assert walked == expanded
 

@@ -82,6 +82,28 @@ def test_unknown_keys_become_diagnostics():
     assert any("flavor" in d for d in mf.diagnostics)
 
 
+def test_keys_of_the_other_kind_become_diagnostics():
+    # a system's theta_bar keys and a manifold's field keys are ignored as
+    # unknown keys are, each named with its line, in line order
+    mf = parse_manifest(SYSTEM + "theta_bar_01 = w1*zeta1\nflavor=blue\n", source="s.mf")
+    assert mf.diagnostics == ["s.mf:10: ignored key 'theta_bar_01'",
+                              "s.mf:11: ignored key 'flavor'"]
+    mf = parse_manifest(HEIS.replace("order=EXACT", "field_1_1_x1 = 1"))
+    assert mf.diagnostics == ["<manifest>:6: ignored key 'field_1_1_x1'"]
+    assert mf.build_manifold().d == 1
+    assert parse_manifest(SYSTEM).diagnostics == parse_manifest(HEIS).diagnostics == []
+
+
+def test_a_missing_theta_names_the_manifest():
+    # a manifest without a source is named as Manifest.location names it
+    with pytest.raises(ParseError) as err:
+        parse_manifest("m=1\nd=2\ntheta_bar_1 = w1*zeta1\n").build_manifold()
+    assert str(err.value) == "<manifest>: missing theta_bar_2"
+    with pytest.raises(ParseError) as err:
+        parse_manifest("m=1\nd=2\ntheta_bar_1 = w1*zeta1\n", source="two.mf").build_manifold()
+    assert str(err.value) == "two.mf: missing theta_bar_2"
+
+
 def test_order_truncated_build():
     mf = parse_manifest("m=1\nd=1\norder=6\ntheta_bar_1 = w1*zeta1\n")
     M = mf.build_manifold()

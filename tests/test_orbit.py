@@ -361,7 +361,10 @@ def test_jet_flow_word_expands_but_is_not_run_pointwise(heisenberg):
     system = cr_pair_system(heisenberg)
     jet = flow_word(system, [0, 1, 0], order=3)
     fwd, _ = concatenated_flow(system, [0, 1, 0], 3)
-    assert SeriesMap(jet.expand(), system.space) == fwd
+    assert jet.expand() == fwd
+    # an orbit word, EXACT or jet, expands into the system's space
+    for order in (None, 3):
+        assert flow_word(system, [0, 1], order).expand().codomain == system.space
     with pytest.raises(TruncationUnsound):
         run_at(jet, [G(1), G(2), G(3)])
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segrechains import ranks, series
-from segrechains.chains import chain_word, chart_indices, gamma, sampled_chain, u_blocks
+from segrechains.chains import chain_word, gamma, psi_chart, u_blocks
 from segrechains.cli import main
 from segrechains.errors import DimensionMismatch, TruncationUnsound
 from segrechains.invariants import rank_profile, segre_invariants, witness_point
@@ -157,7 +157,7 @@ def test_return_witness_matches_the_expanded_return_map(name, M, path):
     if path == "chain":
         inv = segre_invariants(M)
         mu, target = inv.mu, inv.orbit_dim_complexified
-        word = chain_word(M, mu, Basepoint.origin(), "L", chart_indices(M, mu))
+        word = chain_word(M, mu, Basepoint.origin(), "L")
         expanded, blocks = gamma(M, 2 * mu - 1).map, u_blocks(mu)
     else:
         system = cr_pair_system(M)
@@ -180,7 +180,7 @@ def _witness_word(M, path):
     at the origin) or of the greedy orbit's witness (its flow word)."""
     if path == "chain":
         inv = segre_invariants(M)
-        word = chain_word(M, inv.mu, Basepoint.origin(), "L", chart_indices(M, inv.mu))
+        word = chain_word(M, inv.mu, Basepoint.origin(), "L")
         return word, inv.orbit_dim_complexified
     system = cr_pair_system(M)
     res = greedy_multitype(system, witness=False)
@@ -330,13 +330,35 @@ def test_certification_differentiates_only_the_witnessed_minor(monkeypatch):
         return diff(series, name)
 
     for k in range(1, 5):
-        chain = sampled_chain(M, k, Basepoint.origin(), "L")
+        chain = chain_word(M, k, Basepoint.origin(), "L").expand()
         calls.clear()
         monkeypatch.setattr(Series, "diff", counted)
         res = generic_rank(chain, wrt=u_blocks(k), seed=k, certify=True)
         monkeypatch.undo()
         assert 0 < res.rank and res.certified
         assert len(calls) <= res.rank ** 2
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_a_jet_word_is_ranked_expanded_at_seed_plus_its_length(certify):
+    # the one jet rule: GrowingRun.rank of a jet word of k flows is
+    # generic_rank of its expansion in its first k time blocks at seed + k,
+    # field by field, for chain words in their own chart and in a psi chart
+    # (at the origin and at a symbolic basepoint, whose parameter blocks are
+    # not differentiated) and for orbit words
+    M = new_manifold(1, 2, ["w1*zeta1", "w1^2*zeta1 + w1*zeta1^2"], order=4)
+    system = cr_pair_system(M)
+    words = [(chain_word(M, k, bp, "L", chart), u_blocks(k))
+             for bp in (Basepoint.origin(), Basepoint.symbolic())
+             for k in (1, 2, 3, 4) for chart in (None, psi_chart(k, "L"))]
+    words += [(flow_word(system, w, 3), [f"t{i}" for i in range(1, len(w) + 1)])
+              for w in ([0, 1], [0, 1, 0], [1, 0, 1])]
+    trials, seed = 3, 11
+    run = ranks.GrowingRun(trials, seed)
+    for word, blocks in words:
+        k = len(word.flows)
+        want = generic_rank(word.expand(), blocks, trials, seed + k, certify)
+        assert want.rank > 0 and run.rank(word, certify) == want
 
 
 def test_span_dimension():
@@ -800,7 +822,7 @@ def test_words_without_a_full_rank_mod_p_rerun_exactly(scale, monkeypatch, exact
         assert not any(map(_is_residue_matrix, matrices)) and len(matrices) > 1
         for k, (rank, _, matrix) in enumerate(samples[:5], 1):
             point = list(inv.profile.witnesses[k - 1])
-            word = chain_word(M, k, Basepoint.origin(), "L", chart_indices(M, k))
+            word = chain_word(M, k, Basepoint.origin(), "L")
             assert len(point) == k and rank == inv.profile.r[k - 1]
             assert matrix == run_at(word, point)[1]
 
@@ -811,7 +833,7 @@ def test_word_rank_is_the_rank_of_the_expanded_jacobian(heisenberg, quartic):
     blocks = [[G(1, 2)], [G(-3)], [G(2, -1)]]
     point = [c for blk in blocks for c in blk]
     for M in (heisenberg, quartic):
-        chain = chain_word(M, 3, Basepoint.origin(), "L", chart_indices(M, 3))
+        chain = chain_word(M, 3, Basepoint.origin(), "L")
         expanded = gamma(M, 3, verify=False).in_chart()
         system = cr_pair_system(M)
         orbit_word = flow_word(system, [0, 1, 0])

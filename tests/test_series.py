@@ -633,7 +633,7 @@ def test_flow_word_run_extends_the_longest_kept_prefix():
         return VarSpace([(f"u{j}", (f"u{j}_1",)) for j in range(1, i + 1)])
 
     def word(k, out=None):
-        return FlowWord(flows[:k], space_of, None, lambda params: [ZERO] * 2, None, out)
+        return FlowWord(flows[:k], space_of, None, lambda params: [ZERO] * 2, None, _X, out)
 
     blocks = [[GaussianRational(j)] for j in range(1, 5)]
     for kernel in (EXACT, RESIDUES):
