@@ -1,12 +1,15 @@
 """Demo 6: formal orbits of general vector-field systems.
 
 The orbit engine works for any finite system of commuting m-vector fields
-with polynomial coefficients: flows are truncated Lie series (exact whenever
-the series terminates), and the greedy rank-increment construction finds the
-orbit dimension, cross-checked against an independent bracket-span oracle.
+with polynomial coefficients, each m-vector field an m-tuple of
+TangentVectorField (the type of the bracket ladder too): flows are truncated
+Lie series (exact whenever the series terminates), and the greedy
+rank-increment construction finds the orbit dimension, cross-checked against
+an independent bracket-span oracle.
 """
 
 from segrechains import (
+    TangentVectorField,
     VFSystem,
     coordinate_space,
     cr_pair_system,
@@ -25,7 +28,9 @@ zero = Series.zero(space)
 x1 = Series.variable(space, "x1")
 
 print("== The system {d/dx, d/dy + x d/dz} in C^3 ==")
-S = VFSystem(space, [[(one, zero, zero)], [(zero, one, x1)]])
+X = TangentVectorField(space, (one, zero, zero), "d/dx")
+Y = TangentVectorField(space, (zero, one, x1), "d/dy + x d/dz")
+S = VFSystem([[X], [Y]])
 flow2 = formal_flow(S, 1, order=None)
 print("flow of the second field:",
       ", ".join(format_series(c) for c in flow2.map.components))

@@ -83,8 +83,6 @@ class HormanderData:
     ladder: tuple  # ((mu_1, l_1, dim_1), ...)
     h: int
     minimal: bool
-    base_dim: int  # 2m
-    full_dim: int  # 2m + d
     level_dims: tuple  # dim of D^mu at the basepoint for mu = 1..last computed
 
     def multiplicities(self):
@@ -112,10 +110,9 @@ def hormander_numbers(
     if max_length < 2:
         raise SegreError("max_length must be >= 2")
     L, Lbar = tangent_fields(M)
-    full = 2 * M.m + M.d
     levels = ([f.coefficients for f in level] for level in bracket_levels(L + Lbar, max_length))
     dims = []
-    for dim in span_dims(levels, chart_point(M, basepoint), L[0].space.dim, full, trials, seed):
+    for dim in span_dims(levels, chart_point(M, basepoint), trials, seed):
         if not dims and dim != 2 * M.m:  # before any bracket is built
             raise SegreError("internal: the 2m chart fields must be independent")
         dims.append(dim)
@@ -123,9 +120,7 @@ def hormander_numbers(
     return HormanderData(
         ladder=ladder,
         h=len(ladder),
-        minimal=(dims[-1] == full),
-        base_dim=2 * M.m,
-        full_dim=full,
+        minimal=(dims[-1] == 2 * M.m + M.d),
         level_dims=tuple(dims),
     )
 
@@ -177,7 +172,7 @@ def levi_type(
             level = [(i, row) for i, row in grown if not all(c.is_zero() for c in row)]
             yield [row for _, row in level]
 
-    dims = span_dims(levels(), chart_point(M, basepoint), Lbar[0].space.dim, M.n, trials, seed)
+    dims = span_dims(levels(), chart_point(M, basepoint), trials, seed)
     return next((k for k, dim in enumerate(dims) if dim == M.n), None)
 
 

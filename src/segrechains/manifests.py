@@ -18,6 +18,9 @@ System manifests:
     field_2_1_x2 = 1
     field_2_1_x3 = x1
 
+Each field's component is one series.TangentVectorField over x1..xn (zero
+where no entry is given): the m-tuples of an orbit.VFSystem.
+
 Blank lines and `#` comments are ignored.  A key given twice (theta_bar_01
 and theta_bar_1 are one key) is refused.  Parsing collects diagnostics with
 line numbers (an unknown key, or a key of the other kind, is ignored), and
@@ -35,7 +38,7 @@ from .errors import ParseError
 from .exprs import format_series, parse_series
 from .manifold import ORDER_MESSAGE, CRManifold, ambient_space, new_manifold
 from .orbit import VFSystem, coordinate_space
-from .series import Series
+from .series import Series, TangentVectorField
 
 _THETA_KEY = re.compile(r"^theta_bar_(\d+)$")
 _FIELD_KEY = re.compile(r"^field_(\d+)_(\d+)_([A-Za-z_][A-Za-z0-9_]*)$")
@@ -104,16 +107,16 @@ class Manifest:
         space = coordinate_space(n)
         order = self.order_value()
         zero = Series.zero(space, order)
-        fields = [[[zero] * n for _ in range(m)] for _ in range(a)]
+        coeffs = [[[zero] * n for _ in range(m)] for _ in range(a)]
         for key in self.entries:
             alpha, i, var = key
             if not (1 <= alpha <= a and 1 <= i <= m):
                 raise ParseError(f"{self.location(key)}: field_{alpha}_{i}_{var} out of range")
             if var not in space:
                 raise ParseError(f"{self.location(key)}: unknown variable {var!r}")
-            col = space.index_of(var)
-            fields[alpha - 1][i - 1][col] = self.parse_entry(key, space, order)
-        return VFSystem(space, fields, order=order)
+            coeffs[alpha - 1][i - 1][space.index_of(var)] = self.parse_entry(key, space, order)
+        fields = [[TangentVectorField(space, tuple(c)) for c in fld] for fld in coeffs]
+        return VFSystem(fields, order=order)
 
     # -- serialization --------------------------------------------------------
 

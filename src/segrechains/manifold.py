@@ -419,18 +419,19 @@ def vector_fields(M: CRManifold) -> Tuple[tuple, tuple]:
 # -- complexified Segre varieties --------------------------------------------
 
 
-def segre_leaf(M: CRManifold, tau_p=None, t_p=None, order=None) -> SeriesMap:
+def segre_leaf(M: CRManifold, tau_p=None, t_p=None) -> SeriesMap:
     """Parametrized complexified Segre variety: the L or Lbar flow of its
     fixed point.
 
     With tau_p=(zeta_p, xi_p): the leaf w |-> (w, qbar(w, zeta_p, xi_p),
     zeta_p, xi_p) of the first flow foliation.  With t_p=(w_p, z_p): the
     conjugate leaf zeta |-> (w_p, z_p, zeta, q(zeta, w_p, z_p)).  Fixed-point
-    coordinates may be numeric tuples or the string "symbolic".
+    coordinates may be numeric tuples or the string "symbolic".  The leaf is
+    built at M's truncation order.
     """
     if (tau_p is None) == (t_p is None):
         raise DimensionMismatch("give exactly one of tau_p, t_p")
-    order = M.order if order is None else order
+    order = M.order
     conjugate = t_p is not None
     fixed_p = t_p if conjugate else tau_p
     symbolic = fixed_p == "symbolic"

@@ -1,8 +1,9 @@
 """Formal orbits of systems of commuting m-vector fields.
 
-A VFSystem is a finite family of a m-vector fields (each an m-tuple of
-commuting, pointwise independent coordinate fields) with polynomial
-coefficients.  Flows are realized as truncated Lie series
+A VFSystem is a finite family of a m-vector fields, each an m-tuple of
+commuting, pointwise independent series.TangentVectorField over one
+coordinate space with polynomial coefficients, the type that the bracket
+ladder brackets too.  Flows are realized as truncated Lie series
 exp(s.L)(x) = sum_k (s.L)^k(x) / k!; for fields whose Lie series terminates
 (all the complexified CR pairs in this package) the flow is exact.
 
@@ -45,6 +46,7 @@ from .errors import (
     RankAssumptionViolated,
     SegreError,
     TruncationUnsound,
+    VarSpaceMismatch,
     WitnessNotFound,
 )
 from .manifold import CRManifold
@@ -75,35 +77,36 @@ RANK_CHECK_TRIALS = 3
 RANK_CHECK_SEED = 0
 
 
-def coordinate_space(n: int, prefix: str = "x") -> VarSpace:
-    names = tuple(f"{prefix}{i}" for i in range(1, n + 1))
-    return VarSpace([(prefix, names)])
+def coordinate_space(n: int) -> VarSpace:
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    return VarSpace([("x", names)])
 
 
 class VFSystem:
     """A system of a m-vector fields over an n-dimensional coordinate space.
 
-    fields[alpha][i] is a tuple of n coefficient Series over `space`.
-    Components within one m-tuple must commute symbolically, and the a*m
-    coefficient vectors must have rank a*m at the origin (checked there and
-    at sampled points, unless check=False).  Flows are kept on it (flow).
+    fields[alpha] is an m-tuple of series.TangentVectorField, all over one
+    space, which gives the system its space and n.  Components within one
+    m-tuple must commute symbolically, and the a*m fields must have rank a*m
+    at the origin (checked there and at sampled points, unless check=False).
+    Flows are kept on it (flow).
     """
 
-    def __init__(self, space: VarSpace, fields, order=None, check: bool = True):
-        self.space = space
-        self.n = space.dim
-        self.fields = tuple(tuple(tuple(comp) for comp in fld) for fld in fields)
+    def __init__(self, fields, order=None, check: bool = True):
+        self.fields = tuple(tuple(fld) for fld in fields)
         self.a = len(self.fields)
         if self.a < 1:
             raise DimensionMismatch("a system needs at least one m-vector field")
         self.m = len(self.fields[0])
+        if any(len(fld) != self.m for fld in self.fields):
+            raise DimensionMismatch("all m-vector fields must share one m")
+        if self.m < 1:
+            raise DimensionMismatch("an m-vector field needs at least one component")
+        self.space = self.fields[0][0].space
+        if any(f.space != self.space for fld in self.fields for f in fld):
+            raise VarSpaceMismatch("the fields of a system live over one variable space")
+        self.n = self.space.dim
         self.order = order
-        for fld in self.fields:
-            if len(fld) != self.m:
-                raise DimensionMismatch("all m-vector fields must share one m")
-            for comp in fld:
-                if len(comp) != self.n:
-                    raise DimensionMismatch("field components need n coefficients")
         self._flows = {}  # (alpha, order) -> FlowMap
         self._prefixes = {}  # order -> expanded state after each flow prefix (FlowWord)
         if check:
@@ -119,12 +122,12 @@ class VFSystem:
 
     def rank_at(self, point) -> int:
         """Exact rank of the a*m field rows at a point (at 0: any a-field word's at t = 0)."""
-        return exact_rank(integer_rows([comp for fld in self.fields for comp in fld], point))
+        return exact_rank(integer_rows([f.coefficients for fld in self.fields for f in fld],
+                                       point))
 
     def _check_commutation(self):
         for fld in self.fields:
-            pair = noncommuting_pair([TangentVectorField(self.space, c) for c in fld])
-            if pair is not None:
+            if noncommuting_pair(fld) is not None:
                 raise ChartMismatch("components within an m-vector field must commute")
 
     def _check_pointwise_rank(self):
@@ -179,21 +182,20 @@ def formal_flow(system: VFSystem, alpha: int, order: Optional[int]) -> FlowMap:
         flows = "EXACT flows" if order is None else f"flows of order {order}"
         raise TruncationUnsound(f"a system truncated at order {system.order} has no {flows}; "
                                 f"give a flow order of at most {system.order}")
-    field = system.fields[alpha]
-    n, m = system.n, system.m
-    times = tuple(f"s{j}" for j in range(1, m + 1))
+    n, names = system.n, system.space.names
+    times = tuple(f"s{j}" for j in range(1, system.m + 1))
     domain = VarSpace([("s", times)] + list(system.space.blocks))
-    lifted = [[c.lift(domain) for c in comp] for comp in field]
-    svars = [Series.variable(domain, t) for t in times]
-    # D = sum_j s_j * L_j as one derivation over (s, x).  The Lie series is
-    # accumulated exactly and truncated by total degree: each application of
-    # D raises the s-degree by one, so order+1 terms always suffice, and a
-    # dropped monomial of degree > order can never re-enter lower degrees.
+    # D = sum_j s_j * L_j as one derivation over (s, x), from each field's
+    # nonzero coefficients.  The Lie series is accumulated exactly and
+    # truncated by total degree: each application of D raises the s-degree by
+    # one, so order+1 terms always suffice, and a dropped monomial of degree
+    # > order can never re-enter lower degrees.
     dcoeffs = [Series.zero(domain)] * domain.dim
-    for j in range(m):
-        for a in range(n):
-            idx = domain.index_of(system.space.names[a])
-            dcoeffs[idx] = dcoeffs[idx] + svars[j] * lifted[j][a]
+    for t, X in zip(times, system.fields[alpha]):
+        s = Series.variable(domain, t)
+        for a, c in X.support:
+            idx = domain.index_of(names[a])
+            dcoeffs[idx] = dcoeffs[idx] + s * c.lift(domain)
     D = TangentVectorField(domain, tuple(dcoeffs))
 
     def drop_high(f: Series):
@@ -206,7 +208,7 @@ def formal_flow(system: VFSystem, alpha: int, order: Optional[int]) -> FlowMap:
     comps = []
     exact = True
     for a in range(n):
-        term = Series.variable(domain, system.space.names[a])
+        term = Series.variable(domain, names[a])
         total = term
         k = 0
         terminated = False
@@ -373,24 +375,20 @@ def lie_span_dimension(system: VFSystem, max_length: Optional[int] = None) -> in
     z = conj(z) + i (w conj(w))^k need length 2k); pass max_length explicitly
     to push further.
     """
+    singles = [f for fld in system.fields for f in fld]
     if max_length is None:
-        degmax = max(
-            (c.total_degree() for fld in system.fields for comp in fld for c in comp),
-            default=0,
-        )
+        degmax = max((c.total_degree() for f in singles for c in f.coefficients), default=0)
         max_length = max(system.n + 2, degmax + 1)
-    singles = [TangentVectorField(system.space, comp) for fld in system.fields for comp in fld]
     levels = ([f.coefficients for f in level] for level in bracket_levels(singles, max_length))
-    *_, dim = span_dims(levels, [ZERO] * system.n, system.n, system.n)
+    *_, dim = span_dims(levels, [ZERO] * system.n)
     return dim
 
 
 def cr_pair_system(M: CRManifold) -> VFSystem:
     """The complexified CR pair {L, Lbar} as a VFSystem over the intrinsic
-    chart (w, zeta, xi); its greedy multitype reproduces the chain profile.
-    Unchecked: tangent_fields checks each m-tuple commutes (see there)."""
+    chart (w, zeta, xi): the chart fields of lie.tangent_fields as they are.
+    Its greedy multitype reproduces the chain profile.  Unchecked:
+    tangent_fields checks each m-tuple commutes (see there)."""
     from .lie import tangent_fields
 
-    pair = tangent_fields(M)
-    fields = [[f.coefficients for f in X] for X in pair]
-    return VFSystem(pair[0][0].space, fields, order=M.order, check=False)
+    return VFSystem(tangent_fields(M), order=M.order, check=False)

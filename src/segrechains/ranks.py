@@ -271,13 +271,14 @@ def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0
     return best
 
 
-def span_dims(levels, point, dim: int, full: int, trials: int = DEFAULT_TRIALS, seed: int = 0):
+def span_dims(levels, point, trials: int = DEFAULT_TRIALS, seed: int = 0):
     """Yield the span dimension of the rows of Series read so far after each
-    of `levels`, exact at a numeric point, sampled (sample_rank) when point is
-    None; stop after reaching `full` or after an empty level.  The integer
-    rows at each point are kept by its coordinates and extended by the rows
-    new there, each row evaluated once per point: sample_rank draws the same
-    points at every level."""
+    of `levels`, exact at a numeric point, sampled (sample_rank) at points of
+    the rows' space when point is None; stop after reaching the row width
+    (a full span) or after an empty level.  The first level must not be
+    empty.  The integer rows at each point are kept by its coordinates and
+    extended by the rows new there, each row evaluated once per point:
+    sample_rank draws the same points at every level."""
     rows, done = [], {}
 
     def matrix_at(p):
@@ -288,9 +289,9 @@ def span_dims(levels, point, dim: int, full: int, trials: int = DEFAULT_TRIALS, 
     for level in levels:
         rows.extend(level)
         span = (exact_rank(matrix_at(point)) if point is not None
-                else sample_rank(matrix_at, dim, trials, seed)[0])
+                else sample_rank(matrix_at, rows[0][0].space.dim, trials, seed)[0])
         yield span
-        if span == full or not level:
+        if span == len(rows[0]) or not level:
             return
 
 
@@ -316,8 +317,6 @@ def symbolic_determinant(matrix: List[List[Series]]) -> Series:
 class RankResult:
     rank: int
     witness: Optional[list]
-    trials: int
-    seed: int
     certified: bool
 
 
@@ -355,7 +354,7 @@ def generic_rank(
             names = f._resolve_names(wrt)
             minor = [[f.components[r].diff(names[c]) for c in cols] for r in rows]
             certified = not symbolic_determinant(minor).is_zero()
-    return RankResult(best_rank, best_point, trials, seed, certified)
+    return RankResult(best_rank, best_point, certified)
 
 
 def word_rank(word, params, blocks, states=None) -> int:
@@ -431,8 +430,7 @@ class GrowingRun:
                                  range(self.trials))
         _, params, blocks, _ = self.runs[t]
         point = [c for blk in blocks[:k] for c in blk] + params
-        return RankResult(rank, point, self.trials, self.seed,
-                          certify and 0 < rank <= CERTIFY_MAX_SIZE)
+        return RankResult(rank, point, certify and 0 < rank <= CERTIFY_MAX_SIZE)
 
 
 def _returned(word, blocks, kernel: Kernel, states: dict):

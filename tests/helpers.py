@@ -460,6 +460,12 @@ def random_hypersurface(rng, index):
     return graph_from_real(m, 1, ["0"])
 
 
+def field_tuples(space, fields):
+    """The m-tuples of TangentVectorField over `space` whose coefficient
+    tuples are `fields[alpha][i]`: a VFSystem's fields."""
+    return [[TangentVectorField(space, tuple(c)) for c in fld] for fld in fields]
+
+
 def reference_span_dim(rows, point, dim, trials, seed) -> int:
     """Span dimension of rows of Series at a point, or sampled (point None),
     every row evaluated afresh at every point: the reference for
@@ -526,7 +532,7 @@ def sampled_word_rank(word, wrt=None, trials=5, seed=0, certify=False):
     rank, point, _ = sample_rank(lambda p: run_at(word, p)[1],
                                  word.space_of(len(word.flows)).dim, trials, seed,
                                  lambda p: run_at(word, p, RESIDUES)[1])
-    return RankResult(rank, point, trials, seed, certify and 0 < rank <= CERTIFY_MAX_SIZE)
+    return RankResult(rank, point, certify and 0 < rank <= CERTIFY_MAX_SIZE)
 
 
 def reference_rank(f, wrt=None, trials=5, seed=0, certify=False):
@@ -709,11 +715,11 @@ def reference_tangent_fields(M):
     return tuple(L), tuple(Lbar)
 
 
-def reference_segre_leaf(M, tau_p=None, t_p=None, order=None):
+def reference_segre_leaf(M, tau_p=None, t_p=None):
     """Reference Segre variety by hand-built substitutions: the leaf
     w |-> (w, qbar(w, zeta_p, xi_p), zeta_p, xi_p), or with t_p the
     conjugate leaf zeta |-> (w_p, z_p, zeta, q(zeta, w_p, z_p))."""
-    order = M.order if order is None else order
+    order = M.order
     conjugate = t_p is not None
     leaf_block = ("zeta", tuple(f"zeta{i}" for i in range(1, M.m + 1))) if conjugate \
         else ("w", tuple(f"w{i}" for i in range(1, M.m + 1)))

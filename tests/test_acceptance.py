@@ -39,7 +39,9 @@ from segrechains.ranks import exact_rank, generic_rank, jacobian_rows, symbolic_
 from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import Series
 
-from helpers import brute_ladder, random_hypersurface, reference_jacobian, small_scalar
+from helpers import (
+    brute_ladder, field_tuples, random_hypersurface, reference_jacobian, small_scalar,
+)
 
 
 def report(number, description, ok):
@@ -241,7 +243,7 @@ def test_criterion_12_orbit_engine():
     one = Series.constant(space, 1)
     zero = Series.zero(space)
     x1 = Series.variable(space, "x1")
-    S = VFSystem(space, [[(one, zero, zero)], [(zero, one, x1)]])
+    S = VFSystem(field_tuples(space, [[(one, zero, zero)], [(zero, one, x1)]]))
     res = greedy_multitype(S)
     ok = res.orbit_dim == 3 and res.orbit_dim == lie_span_dimension(S)
     for name, M in corpus_manifolds():
@@ -283,9 +285,7 @@ def test_criterion_13_property_suites():
                     ok = ok and M.restrict(f.apply(r)).is_zero()
     # truncated flow group law
     space = coordinate_space(1)
-    sys1 = VFSystem(
-        space, [[(Series.variable(space, "x1"),)]], check=False
-    )
+    sys1 = VFSystem(field_tuples(space, [[(Series.variable(space, "x1"),)]]), check=False)
     from segrechains.orbit import formal_flow
     from segrechains.series import VarSpace
 

@@ -473,4 +473,4 @@ def test_the_chart_pair_is_built_once_per_manifold(monkeypatch):
     assert built == [M]
     L, Lbar = tangent_fields(M)
     assert tangent_fields(M)[0] is L and type(L) is type(Lbar) is tuple
-    assert system.fields == tuple(tuple(f.coefficients for f in X) for X in (L, Lbar))
+    assert system.fields == tangent_fields(M)

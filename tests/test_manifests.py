@@ -2,7 +2,9 @@ import pytest
 
 from segrechains.corpus import load_entry
 from segrechains.errors import ParseError
+from segrechains.exprs import format_series
 from segrechains.manifests import load_manifest, parse_manifest
+from segrechains.series import TangentVectorField
 
 
 HEIS = """
@@ -38,6 +40,18 @@ def test_parse_system_manifest():
     assert mf.kind == "system"
     S = mf.build_system()
     assert (S.n, S.m, S.a) == (3, 1, 2)
+
+
+def test_a_system_manifest_builds_its_fields():
+    # each field_alpha_i is one TangentVectorField over x1..xn: the parsed
+    # entries at their columns and zero elsewhere, at the manifest's order
+    S = parse_manifest(SYSTEM.replace("order=EXACT", "order=3")).build_system()
+    want = [[["1", "0", "0"]], [["0", "1", "x1"]]]
+    assert [[[format_series(c) for c in X.coefficients] for X in fld]
+            for fld in S.fields] == want
+    for X in (X for fld in S.fields for X in fld):
+        assert type(X) is TangentVectorField and X.space == S.space
+        assert all(c.order == S.order == 3 for c in X.coefficients)
 
 
 def test_kind_inferred():

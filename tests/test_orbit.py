@@ -7,6 +7,7 @@ from segrechains.errors import (
     RankAssumptionViolated,
     SegreError,
     TruncationUnsound,
+    VarSpaceMismatch,
 )
 from segrechains.exprs import format_series
 from segrechains.invariants import segre_invariants
@@ -26,8 +27,8 @@ from segrechains.scalars import GaussianRational as G
 from segrechains.series import EXACT, RESIDUES, Series, SeriesMap, VarSpace
 
 from helpers import (
-    codim_family, flow_steps, gaussian_at, reference_flow, reference_greedy_multitype,
-    reference_jacobian, reference_rank, run_at, sampled_word_rank,
+    codim_family, field_tuples, flow_steps, gaussian_at, reference_flow,
+    reference_greedy_multitype, reference_jacobian, reference_rank, run_at, sampled_word_rank,
 )
 
 
@@ -43,7 +44,8 @@ def simple_system(n, fields, check=True):
             comps[idx] = parse_series(text, space)
         return tuple(comps)
 
-    return VFSystem(space, [[build(f) for f in fld] for fld in fields], check=check)
+    return VFSystem(field_tuples(space, [[build(f) for f in fld] for fld in fields]),
+                    check=check)
 
 
 def test_translation_flow_exact():
@@ -108,7 +110,7 @@ def test_flow_permutation_invariance_m2():
     # use genuinely commuting components: d/dx1 and d/dx2 + x3 d/dx3? keep
     # it simple with translations
     field = [(one, zero, zero), (zero, one, zero)]
-    S = VFSystem(space, [field])
+    S = VFSystem(field_tuples(space, [field]))
     fl = formal_flow(S, 0, order=None)
     # swapping the two time slots fixes the flow of a commuting pair
     dom = fl.map.domain
@@ -130,7 +132,7 @@ def test_noncommuting_tuple_rejected():
     x1 = parse_series("x1", space)
     bad_field = [(one, zero, zero), (zero, one, x1)]  # [d/dx1, ...] != 0
     with pytest.raises(Exception):
-        VFSystem(space, [bad_field])
+        VFSystem(field_tuples(space, [bad_field]))
 
 
 def test_rank_assumption_violated():
@@ -140,7 +142,7 @@ def test_rank_assumption_violated():
     x1 = parse_series("x1", space)
     zero = Series.zero(space)
     with pytest.raises(RankAssumptionViolated):
-        VFSystem(space, [[(x1, zero)]])  # vanishes at the origin
+        VFSystem(field_tuples(space, [[(x1, zero)]]))  # vanishes at the origin
 
 
 def test_greedy_bracket_system():
@@ -218,11 +220,11 @@ def test_single_flow_composition_order_irrelevant():
     x3 = parse_series("x3", space)
     # L_1 = d/dx1 and L_2 = d/dx2 + x3 d/dx4 commute
     pair = [(one, zero, zero, zero), (zero, one, zero, x3)]
-    S = VFSystem(space, [pair])
+    S = VFSystem(field_tuples(space, [pair]))
     joint = formal_flow(S, 0, order=None)
     # single-component systems for each member of the pair
-    S1 = VFSystem(space, [[pair[0]]], check=False)
-    S2 = VFSystem(space, [[pair[1]]], check=False)
+    S1 = VFSystem(field_tuples(space, [[pair[0]]]), check=False)
+    S2 = VFSystem(field_tuples(space, [[pair[1]]]), check=False)
     f1 = formal_flow(S1, 0, order=None)
     f2 = formal_flow(S2, 0, order=None)
     dom = joint.map.domain  # blocks s1, s2, x1..x4
@@ -333,7 +335,7 @@ def test_jet_flows_share_expanded_prefixes(name, system, order, monkeypatch):
         return compose(series, sub)
 
     def copy():
-        return VFSystem(system.space, system.fields, system.order, check=False)
+        return VFSystem(system.fields, system.order, check=False)
 
     monkeypatch.setattr(Series, "compose", counted)
     one = copy()
@@ -424,9 +426,9 @@ def test_noncommuting_components_raise_chart_mismatch():
     # bracket is d/dx3: the commutation check, not the rank check, refuses them
     S = simple_system(3, [[{0: "1"}, {1: "1", 2: "x1"}]], check=False)
     with pytest.raises(ChartMismatch, match="commute"):
-        VFSystem(S.space, S.fields)
+        VFSystem(S.fields)
     # the same components in two separate fields are a valid system
-    two = VFSystem(S.space, [[S.fields[0][0]], [S.fields[0][1]]])
+    two = VFSystem([[S.fields[0][0]], [S.fields[0][1]]])
     assert lie_span_dimension(two) == 3
 
 
@@ -509,17 +511,28 @@ def _unit(n, i):
     return tuple(Series.constant(space, int(a == i)) for a in range(n))
 
 
+def _system(n, fields):
+    return VFSystem(field_tuples(coordinate_space(n), fields))
+
+
 @pytest.mark.parametrize("build, message", [
-    (lambda: VFSystem(coordinate_space(2), []), "a system needs at least one m-vector field"),
-    (lambda: VFSystem(coordinate_space(3), [[_unit(3, 0)], [_unit(3, 1), _unit(3, 2)]]),
+    (lambda: VFSystem([]), "a system needs at least one m-vector field"),
+    (lambda: _system(3, [[_unit(3, 0)], [_unit(3, 1), _unit(3, 2)]]),
      "all m-vector fields must share one m"),
-    (lambda: VFSystem(coordinate_space(2), [[_unit(2, 0)[:1]]]),
-     "field components need n coefficients"),
-    (lambda: greedy_multitype(VFSystem(coordinate_space(2), [[_unit(2, 0)], [_unit(2, 1)]]),
-                              start_order=[0, 0]),
+    (lambda: VFSystem([[]]), "an m-vector field needs at least one component"),
+    (lambda: _system(2, [[_unit(2, 0)[:1]]]), "1 coefficients for space dim 2"),
+    (lambda: greedy_multitype(_system(2, [[_unit(2, 0)], [_unit(2, 1)]]), start_order=[0, 0]),
      "start_order must be a permutation of the fields"),
-], ids=["no-field", "unequal-m", "short-component", "start-order-not-a-permutation"])
+], ids=["no-field", "unequal-m", "empty-m-tuple", "short-component",
+        "start-order-not-a-permutation"])
 def test_malformed_systems_are_refused(build, message):
     with pytest.raises(DimensionMismatch) as err:
         build()
     assert str(err.value) == message
+
+
+def test_fields_over_two_spaces_are_refused():
+    fields = field_tuples(coordinate_space(2), [[_unit(2, 0)]])
+    fields += field_tuples(coordinate_space(3), [[_unit(3, 1)]])
+    with pytest.raises(VarSpaceMismatch, match="one variable space"):
+        VFSystem(fields)

@@ -379,11 +379,28 @@ def test_span_dims_stops_at_full_and_after_an_empty_level():
 
     origin = [ZERO, ZERO]
     # x2 vanishes at the origin but not at a sample point
-    assert list(span_dims(levels([[one, x1]], [[x2, x1]], [[x1, one]]), origin, 2, 2)) == [1, 1, 2]
-    assert list(span_dims(levels([[one, x1]], [[x2, x1]], [[x1, one]]), None, 2, 2)) == [1, 2]
+    assert list(span_dims(levels([[one, x1]], [[x2, x1]], [[x1, one]]), origin)) == [1, 1, 2]
+    assert list(span_dims(levels([[one, x1]], [[x2, x1]], [[x1, one]]), None)) == [1, 2]
     assert pulled == [1, 1, 1, 1, 1]  # no level past a full span is read
-    assert list(span_dims(levels([[one, x1]], [], [[x1, one]]), origin, 2, 2)) == [1, 1]
-    assert list(span_dims(levels(), origin, 2, 2)) == []
+    assert list(span_dims(levels([[one, x1]], [], [[x1, one]]), origin)) == [1, 1]
+    assert list(span_dims(levels(), origin)) == []
+
+
+def test_span_dims_reads_its_width_and_point_dimension_from_its_rows():
+    # rows of one entry over a 2-variable space: the span is full at 1, and
+    # the sample points have the space's 2 coordinates
+    space = VarSpace([("x", ("x1", "x2"))])
+    x1, x2 = (Series.variable(space, n) for n in space.names)
+    pulled = []
+
+    def levels():
+        for level in ([[x2]], [[x1]]):
+            pulled.append(level)
+            yield level
+
+    assert list(span_dims(levels(), [ZERO, G(1)])) == [1]
+    assert list(span_dims(levels(), None)) == [1]
+    assert len(pulled) == 2  # neither run reads the second level
 
 
 class _LadderCount:
