@@ -20,6 +20,7 @@ from .manifold import (
     graph_from_real,
     new_manifold,
     segre_leaf,
+    tangent_fields,
     vector_fields,
 )
 from .chains import (
@@ -49,7 +50,6 @@ from .lie import (
     holomorphic_nondegeneracy,
     hormander_numbers,
     levi_type,
-    tangent_fields,
 )
 from .orbit import (
     OrbitResult,

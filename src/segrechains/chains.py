@@ -9,8 +9,8 @@ alternating the two exact vectorial flows of manifold.cr_flows
 starting from a basepoint (origin, numeric, or symbolic).  chain_word gives
 this word of flows as a series.FlowWord, the word of the orbit flows too,
 reporting the components of a chart (by default the chain's own; gamma's
-"ambient" is the whole state) into the chart's space, both kept on M in
-one table per chart; gamma expands it, keeping the chains from one
+"ambient" is the whole state) into the chart's space, both read from
+manifold.chart; gamma expands it, keeping the chains from one
 basepoint on M, so Gamma_k extends Gamma_{k-1}.  psi projects the chain
 alternately to the two coordinate half-spaces, v_map builds the classical
 nested-substitution maps independently of the flow machinery, and
@@ -34,32 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DimensionMismatch, OffManifold, SegreError, UnknownVariable
-from .manifold import Basepoint, CRManifold, cr_flows
+from .errors import DimensionMismatch, OffManifold, SegreError
+from .manifold import Basepoint, CRManifold, chart as chart_of, cr_flows
 from .series import FlowWord, Series, SeriesMap, VarSpace
-
-# coordinate charts of the complexified manifold, by ambient blocks
-_CHARTS = {
-    "ambient": ("w", "z", "zeta", "xi"),
-    "wzzeta": ("w", "z", "zeta"),
-    "wzetaxi": ("w", "zeta", "xi"),
-    "t": ("w", "z"),
-    "tau": ("zeta", "xi"),
-}
-
-
-def _chart(M: CRManifold, chart: str):
-    """(ambient indices as a tuple, space) of a chart's blocks, built once
-    per manifold and chart and kept on M in one table."""
-    charts = vars(M).setdefault("_charts", {})
-    if chart not in charts:
-        if chart not in _CHARTS:
-            raise UnknownVariable(f"unknown chart {chart!r}")
-        blocks = _CHARTS[chart]
-        charts[chart] = (tuple(M.space.index_of(v) for b in blocks for v in M.space.block_vars(b)),
-                         M.space.subspace(blocks))
-    return charts[chart]
-
 
 def _chain_chart(k: int) -> str:
     """Intrinsic chart of a length-k chain: "wzetaxi" for odd k, "wzzeta" for even."""
@@ -104,7 +81,7 @@ def chain_word(M: CRManifold, k: int, basepoint: Basepoint, parity: str,
     components of a chart, by default the chain's own ("ambient": the whole
     state).  Its expanded states are kept on M per basepoint, so a chain
     extends the shorter one."""
-    out, codomain = _chart(M, chart or _chain_chart(k))
+    out, codomain = chart_of(M, chart or _chain_chart(k))
     states = vars(M).setdefault("_chain_cache", {}).setdefault(basepoint, {})
     return FlowWord(chain_flows(M, k, parity), lambda i: chain_space(M, i, basepoint),
                     lambda space: basepoint.state_components(M, space, M.order),
@@ -162,7 +139,7 @@ class ChainMap:
 
     def in_chart(self, chart: Optional[str] = None) -> SeriesMap:
         """Project the ambient map to a coordinate chart of the manifold."""
-        indices, space = _chart(self.manifold, chart or self.chart)
+        indices, space = chart_of(self.manifold, chart or self.chart)
         return SeriesMap([self.map.components[a] for a in indices], space)
 
 
@@ -208,7 +185,7 @@ def v_map(M: CRManifold, k: int) -> SeriesMap:
     of the flow machinery (cross-check oracle for the chains)."""
     if k < 0:
         raise DimensionMismatch("k must be >= 0")
-    t_space = _chart(M, "t")[1]
+    t_space = chart_of(M, "t")[1]
     if k == 0:
         space = VarSpace([])
         comps = [Series.zero(space, M.order) for _ in range(M.n)]

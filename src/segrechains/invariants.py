@@ -147,9 +147,7 @@ def hypersurface_minimality(M: CRManifold) -> bool:
     """Minimality test for d = 1: the series theta(zeta, w, 0) must be nonzero."""
     if M.d != 1:
         raise NotAHypersurface(f"d = {M.d}, expected a hypersurface")
-    sub = {n: Series.variable(M.space, n, M.order) for n in M.space.names}
-    sub["z1"] = Series.zero(M.space, M.order)
-    return not M.theta[0].compose(sub).is_zero()
+    return not M.theta[0].compose(M.z_subst([Series.zero(M.space, M.order)])).is_zero()
 
 
 @dataclass(frozen=True)

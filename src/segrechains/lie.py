@@ -6,8 +6,8 @@ complexified manifold, where the pair of m-vector fields takes the form
     L_i    = d/dw_i
     Lbar_i = d/dzeta_i - i * sum_j theta_{j, zeta_i}(zeta, w, qbar) d/dxi_j.
 
-The chart fields (tangent_fields) come from the ambient rows of
-manifold.cr_pair_rows, built once per manifold and kept on it, so the bracket
+The chart and its fields (tangent_fields, re-exported here) come from
+manifold, the fields built once per manifold and kept on it, so the bracket
 ladder, Levi type and orbit.cr_pair_system share one chart pair, whose
 m-tuples are checked to commute there, once.  The field type, the bracket
 and the deduplicated bracket ladder are series.TangentVectorField,
@@ -21,51 +21,14 @@ evaluated once per point, and no level past a full span is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from .chains import _chart
 from .errors import SegreError, WrongDimensions
 from .invariants import segre_invariants
-from .manifold import Basepoint, CRManifold, cr_pair_rows
+from .manifold import Basepoint, CRManifold, chart, tangent_fields
 from .ranks import DEFAULT_TRIALS, span_dims
 from .scalars import I
-from .series import (
-    Series, TangentVectorField, VarSpace, bracket, bracket_levels, noncommuting_pair,
-)
-
-
-def chart_space(M: CRManifold) -> VarSpace:
-    """The intrinsic (w, zeta, xi) chart of the complexified manifold."""
-    return _chart(M, "wzetaxi")[1]
-
-
-def tangent_fields(M: CRManifold) -> Tuple[Tuple[TangentVectorField, ...], ...]:
-    """The 2m chart fields as two m-tuples (L_1..L_m, Lbar_1..Lbar_m): the
-    rows of manifold.cr_pair_rows without their z coefficients, each
-    coefficient that reads z restricted to the graph z = qbar, lifted to the
-    chart.  Built and checked once (each m-tuple commutes; the w and zeta
-    columns are the identity, so the fields are independent), kept on M."""
-    pair = getattr(M, "_tangent_fields", None)
-    if pair is None:
-        keep, cs = _chart(M, "wzetaxi")
-        z_idx = set(M.space.block("z"))
-
-        def chart_field(row, label):
-            coeffs = tuple(
-                (M.restrict(row[a]) if row[a].used_indices() & z_idx else row[a]).lift(cs)
-                for a in keep
-            )
-            return TangentVectorField(cs, coeffs, label)
-
-        pair = tuple(tuple(chart_field(row, f"{name}{i + 1}") for i, row in enumerate(rows))
-                     for name, rows in zip(("L", "Lbar"), cr_pair_rows(M)))
-        for X in pair:
-            bad = noncommuting_pair(X)
-            if bad is not None:
-                raise SegreError("internal: chart fields {}, {} do not commute".format(
-                    *(X[i].label for i in bad)))
-        M._tangent_fields = pair
-    return pair
+from .series import Series, TangentVectorField, bracket, bracket_levels
 
 
 def chart_point(M: CRManifold, basepoint: Basepoint):
@@ -73,7 +36,7 @@ def chart_point(M: CRManifold, basepoint: Basepoint):
     if basepoint.kind == "symbolic":
         return None
     values = basepoint.state_values(M)
-    return [values[a] for a in _chart(M, "wzetaxi")[0]]
+    return [values[a] for a in chart(M, "wzetaxi")[0]]
 
 
 @dataclass(frozen=True)
@@ -127,7 +90,7 @@ def hormander_numbers(
 
 def gradient_rows(M: CRManifold) -> List[List[Series]]:
     """Holomorphic gradients of rho_j in chart variables: (-i theta_bar_{j,w}, e_j)."""
-    cs = chart_space(M)
+    cs = chart(M, "wzetaxi")[1]
     rows = []
     for j in range(M.d):
         row = [(-I) * M.theta_bar[j].diff(wv) for wv in M.space.block_vars("w")]
@@ -193,9 +156,7 @@ def e1_determinant(M: CRManifold):
     second chain of the origin (z = 0); it is nonzero iff e_1(0) = 2."""
     if M.m != 2 or M.d != 2:
         raise WrongDimensions("this determinant test needs m = 2, d = 2")
-    sub = {n: Series.variable(M.space, n, M.order) for n in M.space.names}
-    for zv in M.space.block_vars("z"):
-        sub[zv] = Series.zero(M.space, M.order)
+    sub = M.z_subst([Series.zero(M.space, M.order)] * M.d)
     w_vars = M.space.block_vars("w")
     entries = [
         [M.theta[j].diff(w_vars[i]).compose(sub) for i in range(2)] for j in range(2)

@@ -11,10 +11,12 @@ sigma-conjugate of theta_bar.  Construction validates the reality identity
 term by term (exactly in polynomial mode, modulo the truncation order
 otherwise); failure raises RealityViolation with the first bad monomial.
 
-The complexified CR pair (L, Lbar) is built here once: cr_pair_rows gives
-its ambient coefficient rows, which vector_fields returns certified as two
-m-tuples of series.TangentVectorField and lie.tangent_fields takes to the
-intrinsic chart (once per manifold, kept on it), and cr_flows its
+The coordinates of M^C live here: chart(M, name) gives a chart of CHARTS
+(ambient indices, space), kept on M, and z_subst replaces the z block
+(graph_subst: by qbar).  cr_pair_rows gives the ambient rows of the
+complexified CR pair (L, Lbar), one builder labels them and checks each
+m-tuple commutes for vector_fields (certified tangent) and tangent_fields
+(the intrinsic chart (w, zeta, xi), kept on M), and cr_flows gives its
 closed-form flows (CRFlow), stepping values and gradient rows at a point
 (advance, one gradient walk of qbar or q per recomputed component) or
 Series (expand).
@@ -34,6 +36,7 @@ from .errors import (
     SegreError,
     SingularInput,
     TruncationUnsound,
+    UnknownVariable,
 )
 from .exprs import format_series, parse_series
 from .scalars import GaussianRational, I, ZERO
@@ -53,6 +56,29 @@ def ambient_space(m: int, d: int) -> VarSpace:
     return VarSpace(
         [("w", w), ("z", z), ("zeta", zeta), ("xi", xi)], pairs
     )
+
+
+# coordinate charts of the complexified manifold, by ambient blocks
+CHARTS = {
+    "ambient": ("w", "z", "zeta", "xi"),
+    "wzzeta": ("w", "z", "zeta"),
+    "wzetaxi": ("w", "zeta", "xi"),
+    "t": ("w", "z"),
+    "tau": ("zeta", "xi"),
+}
+
+
+def chart(M: CRManifold, name: str):
+    """(ambient indices as a tuple, space) of a chart's blocks, built once
+    per manifold and chart and kept on M in one table."""
+    charts = vars(M).setdefault("_charts", {})
+    if name not in charts:
+        if name not in CHARTS:
+            raise UnknownVariable(f"unknown chart {name!r}")
+        blocks = CHARTS[name]
+        charts[name] = (tuple(M.space.index_of(v) for b in blocks for v in M.space.block_vars(b)),
+                        M.space.subspace(blocks))
+    return charts[name]
 
 
 def real_graph_space(m: int, d: int) -> VarSpace:
@@ -97,16 +123,16 @@ class CRManifold:
             for j in range(self.d)
         )
 
+    def z_subst(self, values) -> dict:
+        """Substitution keeping every ambient variable, the z block replaced by `values`."""
+        sub = {n: Series.variable(self.space, n, self.order) for n in self.space.names}
+        sub.update(zip(self.space.block_vars("z"), values))
+        return sub
+
     def graph_subst(self) -> dict:
         """Substitution restricting an ambient series to the graph z = qbar."""
         if self._graph_subst is None:
-            sub = {
-                n: Series.variable(self.space, n, self.order)
-                for n in self.space.names
-            }
-            for j, zn in enumerate(self.space.block_vars("z")):
-                sub[zn] = self.qbar[j]
-            self._graph_subst = sub
+            self._graph_subst = self.z_subst(self.qbar)
         return self._graph_subst
 
     def restrict(self, s: Series) -> Series:
@@ -156,12 +182,17 @@ class CRManifold:
 ORDER_MESSAGE = "order must be EXACT or a positive integer"
 
 
-def _input_series(items, space: VarSpace, order):
-    """Expression strings or Series taken to `space` at the truncation order,
-    None or an int >= 1, not a bool (else SegreError); a jet of a lower order
-    than asked for, or asked for as EXACT, is refused (TruncationUnsound)."""
+def check_order(order):
+    """SegreError unless the truncation order is None (EXACT) or an int >= 1, not a bool."""
     if order is not None and (type(order) is not int or order < 1):
         raise SegreError(ORDER_MESSAGE)
+
+
+def _input_series(items, space: VarSpace, order):
+    """Expression strings or Series taken to `space` at the truncation order
+    (check_order); a jet of a lower order than asked for, or asked for as
+    EXACT, is refused (TruncationUnsound)."""
+    check_order(order)
     out = [parse_series(s, space, order) if isinstance(s, str)
            else s.lift(space).truncate(order) for s in items]
     for s in out:
@@ -395,24 +426,52 @@ def cr_pair_rows(M: CRManifold):
     return rows("w", "z", M.theta_bar, I), rows("zeta", "xi", M.theta, -I)
 
 
+def _cr_pair(M: CRManifold, field) -> Tuple[tuple, tuple]:
+    """The pair as two m-tuples L1..Lm and Lbar1..Lbarm, field(row, label)
+    building each from its cr_pair_rows row; each m-tuple must commute."""
+    pair = tuple(tuple(field(row, f"{name}{i + 1}") for i, row in enumerate(rows))
+                 for name, rows in zip(("L", "Lbar"), cr_pair_rows(M)))
+    for X in pair:
+        bad = noncommuting_pair(X)
+        if bad is not None:
+            raise SegreError("internal: fields {}, {} do not commute".format(
+                *(X[i].label for i in bad)))
+    return pair
+
+
 def vector_fields(M: CRManifold) -> Tuple[tuple, tuple]:
     """The complexified CR pair (cr_pair_rows) in the ambient chart: two
     m-tuples of TangentVectorFields, L1..Lm and Lbar1..Lbarm, certified
     symbolically: each field is tangent (it annihilates every rho_j on the
     graph z = qbar) and the fields of each tuple commute."""
-    pair = tuple(tuple(TangentVectorField(M.space, row, f"{name}{i + 1}")
-                       for i, row in enumerate(rows))
-                 for name, rows in zip(("L", "Lbar"), cr_pair_rows(M)))
+    pair = _cr_pair(M, lambda row, label: TangentVectorField(M.space, row, label))
     rho = M.rho()
-    for X in pair:
-        for f in X:
-            for j, r in enumerate(rho):
-                if not M.restrict(f.apply(r)).is_zero():
-                    raise SegreError(f"internal: {f.label} is not tangent to rho_{j + 1}")
-        bad = noncommuting_pair(X)
-        if bad is not None:
-            raise SegreError("internal: fields {}, {} do not commute".format(
-                *(X[i].label for i in bad)))
+    for f in pair[0] + pair[1]:
+        for j, r in enumerate(rho):
+            if not M.restrict(f.apply(r)).is_zero():
+                raise SegreError(f"internal: {f.label} is not tangent to rho_{j + 1}")
+    return pair
+
+
+def tangent_fields(M: CRManifold) -> Tuple[tuple, tuple]:
+    """The pair in the intrinsic chart (w, zeta, xi): the rows of
+    cr_pair_rows without their z coefficients, each coefficient that reads z
+    restricted to the graph z = qbar, lifted to the chart.  Built and
+    checked once (each m-tuple commutes; the w and zeta columns are the
+    identity, so the fields are independent), kept on M."""
+    pair = getattr(M, "_tangent_fields", None)
+    if pair is None:
+        keep, cs = chart(M, "wzetaxi")
+        z_idx = set(M.space.block("z"))
+
+        def chart_field(row, label):
+            coeffs = tuple(
+                (M.restrict(row[a]) if row[a].used_indices() & z_idx else row[a]).lift(cs)
+                for a in keep
+            )
+            return TangentVectorField(cs, coeffs, label)
+
+        pair = M._tangent_fields = _cr_pair(M, chart_field)
     return pair
 
 

@@ -16,8 +16,10 @@ resulting orbit dimension am + sum(e) can be cross-checked against the
 independent left-normed bracket span oracle lie_span_dimension.
 
 A VFSystem keeps its flows by (field, order) (system.flow) and their
-expanded prefixes by order; formal_flow alone refuses a flow order that a
-system truncated at order N cannot give (EXACT, or above N).  flow_word
+expanded prefixes by order (EXACT or an int >= 1, manifold.check_order);
+formal_flow alone refuses a flow order that a system truncated at order N
+cannot give (EXACT, or above N).  cr_pair_system is the chart pair of
+manifold.tangent_fields as a system.  flow_word
 gives a concatenated flow as a series.FlowWord, the word of the Segre
 chains too, and one ranks.GrowingRun ranks every word of a greedy orbit.
 EXACT flows (order=None) are never expanded: the run carries exact
@@ -49,7 +51,7 @@ from .errors import (
     VarSpaceMismatch,
     WitnessNotFound,
 )
-from .manifold import CRManifold
+from .manifold import CRManifold, check_order, tangent_fields
 from .ranks import (
     DEFAULT_TRIALS,
     GrowingRun,
@@ -106,6 +108,7 @@ class VFSystem:
         if any(f.space != self.space for fld in self.fields for f in fld):
             raise VarSpaceMismatch("the fields of a system live over one variable space")
         self.n = self.space.dim
+        check_order(order)
         self.order = order
         self._flows = {}  # (alpha, order) -> FlowMap
         self._prefixes = {}  # order -> expanded state after each flow prefix (FlowWord)
@@ -115,6 +118,7 @@ class VFSystem:
 
     def flow(self, alpha: int, order: Optional[int]) -> "FlowMap":
         """formal_flow(self, alpha, order), built once, kept by (field, order)."""
+        check_order(order)  # before the lookup: True == 1 as a key
         key = (alpha, order)
         if key not in self._flows:
             self._flows[key] = formal_flow(self, alpha, order)
@@ -176,8 +180,7 @@ def formal_flow(system: VFSystem, alpha: int, order: Optional[int]) -> FlowMap:
     exact.  Satisfies exp(0.L) = id and the flow equation to the jet order.
     A system truncated at order N has flows of order 1..N only (TruncationUnsound).
     """
-    if order is not None and order < 1:
-        raise SegreError("a flow order must be at least 1")
+    check_order(order)
     if system.order is not None and (order is None or order > system.order):
         flows = "EXACT flows" if order is None else f"flows of order {order}"
         raise TruncationUnsound(f"a system truncated at order {system.order} has no {flows}; "
@@ -373,12 +376,14 @@ def lie_span_dimension(system: VFSystem, max_length: Optional[int] = None) -> in
     coefficients have higher degree, which covers bracket jumps that appear
     only at the weighted order of the coefficients (e.g. the quadrics
     z = conj(z) + i (w conj(w))^k need length 2k); pass max_length explicitly
-    to push further.
+    to push further (1: the fields' span, no bracket; below 1 is refused).
     """
     singles = [f for fld in system.fields for f in fld]
     if max_length is None:
         degmax = max((c.total_degree() for f in singles for c in f.coefficients), default=0)
         max_length = max(system.n + 2, degmax + 1)
+    elif max_length < 1:
+        raise SegreError("max_length must be >= 1")
     levels = ([f.coefficients for f in level] for level in bracket_levels(singles, max_length))
     *_, dim = span_dims(levels, [ZERO] * system.n)
     return dim
@@ -386,9 +391,7 @@ def lie_span_dimension(system: VFSystem, max_length: Optional[int] = None) -> in
 
 def cr_pair_system(M: CRManifold) -> VFSystem:
     """The complexified CR pair {L, Lbar} as a VFSystem over the intrinsic
-    chart (w, zeta, xi): the chart fields of lie.tangent_fields as they are.
+    chart (w, zeta, xi): the chart pair of manifold.tangent_fields as it is.
     Its greedy multitype reproduces the chain profile.  Unchecked:
     tangent_fields checks each m-tuple commutes (see there)."""
-    from .lie import tangent_fields
-
     return VFSystem(tangent_fields(M), order=M.order, check=False)

@@ -11,12 +11,10 @@ from segrechains.errors import (
     UnknownVariable, VarSpaceMismatch, WitnessNotFound,
 )
 from segrechains.invariants import RankProfile
-from segrechains.lie import (
-    bracket, chart_point, chart_space, gradient_rows, tangent_fields,
-)
+from segrechains.lie import bracket, chart_point, gradient_rows, tangent_fields
 from segrechains.manifests import load_manifest
 from segrechains.manifold import (
-    Basepoint, CRFlow, graph_from_real, new_manifold, real_graph_space,
+    Basepoint, CRFlow, chart, graph_from_real, new_manifold, real_graph_space,
 )
 from segrechains.orbit import FlowMap, OrbitResult, _orbit_witness, concatenated_flow, flow_word
 from segrechains.ranks import (
@@ -694,7 +692,7 @@ def reference_tangent_fields(M):
     """Reference chart fields, built directly in the chart: L_i = d/dw_i and
     Lbar_i = d/dzeta_i - i*sum_j theta_{j,zeta_i}(zeta, w, qbar) d/dxi_j, every
     xi coefficient restricted to the graph."""
-    cs = chart_space(M)
+    cs = chart(M, "wzetaxi")[1]
     order = M.order
     zero = Series.zero(cs, order)
     one = Series.constant(cs, 1, order)

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from segrechains.chains import (
-    _chart,
     chain_space,
     chain_word,
     check_reparam,
@@ -18,7 +17,7 @@ from segrechains.chains import (
 )
 from segrechains.errors import DimensionMismatch, OffManifold, TruncationUnsound, UnknownVariable
 from segrechains.exprs import format_series
-from segrechains.manifold import Basepoint, new_manifold
+from segrechains.manifold import Basepoint, chart, new_manifold
 from segrechains.ranks import word_rank
 from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import EXACT, RESIDUES, Series, SeriesMap
@@ -313,12 +312,12 @@ def test_a_chain_word_expands_into_its_charts_space(heisenberg):
     bp = Basepoint.origin()
     for M in (heisenberg, jet):
         for k in (1, 2, 3):
-            for chart in (None, "wzzeta", "wzetaxi", "t", "tau", "ambient"):
-                word = chain_word(M, k, bp, "L", chart)
-                out, space = _chart(M, chart or ("wzetaxi" if k % 2 else "wzzeta"))
-                assert word.out == out and word.expand().codomain == space, (k, chart)
-        assert _chart(M, "ambient") == (tuple(range(M.space.dim)), M.space)
-        assert _chart(M, "tau")[0] == M.space.block("zeta") + M.space.block("xi")
+            for name in (None, "wzzeta", "wzetaxi", "t", "tau", "ambient"):
+                word = chain_word(M, k, bp, "L", name)
+                out, space = chart(M, name or ("wzetaxi" if k % 2 else "wzzeta"))
+                assert word.out == out and word.expand().codomain == space, (k, name)
+        assert chart(M, "ambient") == (tuple(range(M.space.dim)), M.space)
+        assert chart(M, "tau")[0] == M.space.block("zeta") + M.space.block("xi")
     with pytest.raises(UnknownVariable):
         chain_word(heisenberg, 1, bp, "L", "zw")
 

@@ -10,7 +10,6 @@ from segrechains.invariants import segre_invariants
 from segrechains.lie import (
     TangentVectorField,
     bracket,
-    chart_space,
     crosscheck_totals,
     e1_determinant,
     gradient_rows,
@@ -19,7 +18,7 @@ from segrechains.lie import (
     levi_type,
     tangent_fields,
 )
-from segrechains.manifold import Basepoint, ambient_space, new_manifold
+from segrechains.manifold import Basepoint, ambient_space, chart, new_manifold, vector_fields
 from segrechains.orbit import cr_pair_system, greedy_multitype, lie_span_dimension
 from segrechains.scalars import GaussianRational as G, ZERO
 from segrechains.series import Series
@@ -52,7 +51,7 @@ def test_heisenberg_bracket_is_transversal_direction(heisenberg):
 
 def test_bracket_antisymmetry_random(quartic):
     rng = random.Random(18)
-    cs = chart_space(quartic)
+    cs = chart(quartic, "wzetaxi")[1]
     for _ in range(6):
         X = TangentVectorField(
             cs, tuple(random_series(rng, cs, 2, 2) for _ in range(cs.dim))
@@ -69,7 +68,7 @@ def test_bracket_antisymmetry_random(quartic):
 
 def test_jacobi_identity_random(heisenberg):
     rng = random.Random(19)
-    cs = chart_space(heisenberg)
+    cs = chart(heisenberg, "wzetaxi")[1]
     fields = [
         TangentVectorField(
             cs, tuple(random_series(rng, cs, 2, 2) for _ in range(cs.dim))
@@ -103,7 +102,7 @@ def test_brackets_stay_tangent(heisenberg, quartic, c3_tube):
     for M in (heisenberg, quartic, c3_tube):
         L, Lbar = tangent_fields(M)
         b = bracket(L[0], Lbar[0])
-        assert b.space == chart_space(M)
+        assert b.space == chart(M, "wzetaxi")[1]
 
 
 def test_hormander_heisenberg_oracle(heisenberg):
@@ -400,16 +399,17 @@ def test_hormander_ladder_matches_brute_words_at_both_basepoints(name, M):
 
 def test_levi_type_rejects_noncommuting_fields(monkeypatch):
     """tangent_fields checks each m-tuple of the chart pair once, as it builds
-    it: with bent rows (L1 + w1*L2, L1) patched into lie.cr_pair_rows, as L
-    or as Lbar, tangent_fields and levi_type raise the internal error."""
-    import segrechains.lie as lie
+    it: with bent rows (L1 + w1*L2, L1) patched into manifold.cr_pair_rows, as
+    L or as Lbar, tangent_fields and levi_type raise the internal error."""
+    import segrechains.manifold as manifold
 
-    rows = lie.cr_pair_rows
+    rows = manifold.cr_pair_rows
     for swap, names in ((1, "L1, L2"), (-1, "Lbar1, Lbar2")):
-        monkeypatch.setattr(lie, "cr_pair_rows", lambda M, s=swap: bend_l_rows(M, rows(M))[::s])
+        monkeypatch.setattr(manifold, "cr_pair_rows",
+                            lambda M, s=swap: bend_l_rows(M, rows(M))[::s])
         for run in (tangent_fields, levi_type):
             M = new_manifold(2, 1, ["w1*zeta1 + w2*zeta2"])
-            message = f"^internal: chart fields {names} do not commute$"
+            message = f"^internal: fields {names} do not commute$"
             with pytest.raises(SegreError, match=message):
                 run(M)
 
@@ -439,6 +439,12 @@ def test_kmax_and_max_length_are_taken_literally(heisenberg):
     assert holomorphic_nondegeneracy(heisenberg, kmax=1)["kmax"] == 1
     with pytest.raises(SegreError, match="max_length"):
         hormander_numbers(heisenberg, max_length=0)
+    # the orbit oracle's length 1 is the span of the fields, with no bracket
+    system = cr_pair_system(heisenberg)
+    assert lie_span_dimension(system, max_length=1) == 2
+    for max_length in (0, -5):
+        with pytest.raises(SegreError, match=r"^max_length must be >= 1$"):
+            lie_span_dimension(system, max_length=max_length)
 
 
 def test_symbolic_span_rejects_zero_trials(heisenberg):
@@ -457,14 +463,27 @@ def test_tangent_fields_match_reference(name, M):
     assert tangent_fields(M) == reference_tangent_fields(M)
 
 
+@pytest.mark.parametrize("name, M", CR_ORACLE, ids=[n for n, _ in CR_ORACLE])
+def test_the_chart_pair_is_the_ambient_pair_in_the_chart(name, M):
+    """tangent_fields is vector_fields read in the chart (w, zeta, xi): the
+    same labels, and each chart coefficient the ambient one at that chart
+    variable, restricted to the graph z = qbar, lifted to the chart."""
+    keep, cs = chart(M, "wzetaxi")
+    for ambient, intrinsic in zip(vector_fields(M), tangent_fields(M)):
+        assert [f.label for f in intrinsic] == [f.label for f in ambient]
+        for f, g in zip(ambient, intrinsic):
+            want = tuple(M.restrict(f.coefficients[a]).lift(cs) for a in keep)
+            assert g.coefficients == want, g.label
+
+
 def test_the_chart_pair_is_built_once_per_manifold(monkeypatch):
     """The bracket ladder, Levi type, holomorphic nondegeneracy and the
     orbit's CR system share one chart pair, kept on the manifold."""
-    import segrechains.lie as lie
+    import segrechains.manifold as manifold
 
     built = []
-    rows = lie.cr_pair_rows
-    monkeypatch.setattr(lie, "cr_pair_rows", lambda M: built.append(M) or rows(M))
+    rows = manifold.cr_pair_rows
+    monkeypatch.setattr(manifold, "cr_pair_rows", lambda M: built.append(M) or rows(M))
     M = new_manifold(2, 1, ["w1*zeta1 + w2*zeta2"])
     hormander_numbers(M)
     levi_type(M)

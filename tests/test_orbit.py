@@ -11,6 +11,7 @@ from segrechains.errors import (
 )
 from segrechains.exprs import format_series
 from segrechains.invariants import segre_invariants
+from segrechains.manifold import ORDER_MESSAGE
 from segrechains.orbit import (
     VFSystem,
     concatenated_flow,
@@ -76,7 +77,7 @@ def test_scaling_flow_truncated_lie_series():
     assert c.coefficient({"s1": 3, "x1": 1}) == G("1/6")
     with pytest.raises(SegreError):
         formal_flow(S, 1, order=None)  # the Lie series never terminates
-    with pytest.raises(SegreError, match="at least 1"):
+    with pytest.raises(SegreError, match=ORDER_MESSAGE):
         formal_flow(S, 1, order=0)  # the identity: no flow at all
 
 
@@ -511,24 +512,40 @@ def _unit(n, i):
     return tuple(Series.constant(space, int(a == i)) for a in range(n))
 
 
-def _system(n, fields):
-    return VFSystem(field_tuples(coordinate_space(n), fields))
+def _system(n, fields, order=None):
+    return VFSystem(field_tuples(coordinate_space(n), fields), order=order)
 
 
-@pytest.mark.parametrize("build, message", [
-    (lambda: VFSystem([]), "a system needs at least one m-vector field"),
+BAD_ORDERS = (0, -2, True, "3", 2.0)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: VFSystem([]), DimensionMismatch, "a system needs at least one m-vector field"),
     (lambda: _system(3, [[_unit(3, 0)], [_unit(3, 1), _unit(3, 2)]]),
-     "all m-vector fields must share one m"),
-    (lambda: VFSystem([[]]), "an m-vector field needs at least one component"),
-    (lambda: _system(2, [[_unit(2, 0)[:1]]]), "1 coefficients for space dim 2"),
+     DimensionMismatch, "all m-vector fields must share one m"),
+    (lambda: VFSystem([[]]), DimensionMismatch, "an m-vector field needs at least one component"),
+    (lambda: _system(2, [[_unit(2, 0)[:1]]]), DimensionMismatch, "1 coefficients for space dim 2"),
     (lambda: greedy_multitype(_system(2, [[_unit(2, 0)], [_unit(2, 1)]]), start_order=[0, 0]),
-     "start_order must be a permutation of the fields"),
-], ids=["no-field", "unequal-m", "empty-m-tuple", "short-component",
-        "start-order-not-a-permutation"])
-def test_malformed_systems_are_refused(build, message):
-    with pytest.raises(DimensionMismatch) as err:
+     DimensionMismatch, "start_order must be a permutation of the fields"),
+] + [(lambda order=order: _system(1, [[_unit(1, 0)]], order), SegreError, ORDER_MESSAGE)
+     for order in BAD_ORDERS],
+    ids=["no-field", "unequal-m", "empty-m-tuple", "short-component",
+         "start-order-not-a-permutation"] + [f"order-{order!r}" for order in BAD_ORDERS])
+def test_malformed_systems_are_refused(build, error, message):
+    with pytest.raises(error) as err:
         build()
-    assert str(err.value) == message
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_greedy_refuses_a_malformed_flow_order(heisenberg):
+    # refused before any flow is built, and not read as order 1 where the
+    # order-1 flows are kept (True == 1 as a key)
+    system = cr_pair_system(heisenberg)
+    greedy_multitype(system, order=1, witness=False)
+    for order in ("2", 2.5, True):
+        with pytest.raises(SegreError) as err:
+            greedy_multitype(system, order=order)
+        assert type(err.value) is SegreError and str(err.value) == ORDER_MESSAGE, order
 
 
 def test_fields_over_two_spaces_are_refused():
