@@ -34,7 +34,7 @@ from itertools import takewhile
 from typing import List, Optional
 
 from .chains import chain_word, default_kmax, psi_chart
-from .errors import NotAHypersurface, SegreError, TruncationUnsound
+from .errors import DimensionMismatch, NotAHypersurface, SegreError, TruncationUnsound
 from .manifold import Basepoint, CRManifold
 from .ranks import DEFAULT_TRIALS, GrowingRun, return_witness, word_rank
 from .scalars import GaussianRational
@@ -53,10 +53,11 @@ class RankProfile:
     kmax: int
 
     def rank(self, k: int) -> int:
-        """r_k for a computed k (ranks are constant after the plateau)."""
-        if 1 <= k <= len(self.r):
-            return self.r[k - 1]
-        return self.r[-1]
+        """r_k for k >= 1 (ranks are constant after the plateau);
+        DimensionMismatch for k < 1, where no rank is computed."""
+        if k < 1:
+            raise DimensionMismatch(f"r_k is defined for k >= 1, not k = {k}")
+        return self.r[min(k, len(self.r)) - 1]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ and the deduplicated bracket ladder are series.TangentVectorField,
 series.bracket and series.bracket_levels (re-exported here).  The bracket
 ladder and the Levi-type flag rank their growing rows through
 ranks.span_dims: exactly at a numeric basepoint, sampled by
-ranks.sample_rank, generic_rank's sampler, at a symbolic one; each row is
+ranks.sample_rank, the one rank loop, at a symbolic one; each row is
 evaluated once per point, and no level past a full span is built.
 """
 

@@ -5,37 +5,34 @@ integer_rows builds it from a matrix of Series at a point, jacobian_rows
 from a SeriesMap's Jacobian and series.FlowWord.run from a word of flows,
 both through the pointwise gradient (Series.gradient_over).  Ranks
 and pivots ignore den, a row scaling; the public exact_rank and
-pivot_positions also take GaussianRational matrices.
+pivot_positions also take matrices of exact scalars (_integer_matrix).
 
-A generic rank is sampled: the highest rank of the Jacobian over
-pseudo-random Gaussian-rational points (exact at the first, a proven lower
-bound mod P at a later one with residue rows), a certified lower bound that
-equals the generic rank outside a measure-zero set of sample failures.  There is
-one trials loop (sample_rank, which stops at full rank), one rank
-(exact_rank) and one exact eliminator (pivot_positions, Bareiss over Z[i]).
-sample_rank draws seeded points for generic_rank and for span_dims (lie's
-bracket ladder and Levi type, the orbit oracle).  GrowingRun.rank is the one
-rank of a series.FlowWord sampled (rank profiles, psi ranks, greedy
-orbits): an EXACT word feeds sample_rank the indices of the run's trials,
-each extending one FlowWord.run a flow at a time; a jet word of k flows is
-expanded and ranked by generic_rank in its k time blocks at seed + k.  An
-EXACT word is ranked only by runs: sampled by a GrowingRun, at one point by
-word_rank (the witness tries); a SeriesMap only sampled.
+Every rank is taken by one loop, sample_rank, which ranks rows at points
+and keeps the highest, stopping at full rank.  A point is ranked modulo the
+prime P, under re + i*im -> re + ROOT*im, a ring homomorphism Z[i] -> F_P
+that maps minors to minors: on its residue rows where it has them (a word
+run over series.RESIDUES), else on the image of its integer rows.  A full
+rank mod P proves the exact rank.  Below it, exact Bareiss over Z[i]
+(pivot_positions, the one eliminator) on the integer rows ranks the first
+point and every point without residue rows; a later point with residue rows
+keeps its rank mod P, a proven lower bound.  No probability enters a rank
+at a point; a sampled rank is a certified lower bound that equals the
+generic rank outside a measure-zero set of sample failures.
 
-exact_rank first eliminates modulo the prime P under re + i*im ->
-re + ROOT*im, a ring homomorphism Z[i] -> F_P that maps minors to minors,
-so a full rank mod P proves the exact rank; any other matrix is eliminated
-exactly, and no probability enters a rank.  Word runs go over F_P first
-(series.RESIDUES), their residue rows the image of their integer rows: a
-run with no image in F_P (a denominator divisible by P) is rerun exactly at
-the same point, and so is a word_rank, a return run or a sample's first
-point below full rank mod P, straight to Bareiss (_point_rank); a GrowingRun
-builds no exact run for a later trial that has an image in F_P.
-return_witness, the witness of chains and orbits, ranks its search's tries
-by word_rank and keeps their runs; the return flows then continue the
-accepted try in the kernel that proved its rank, and _point_rank ranks the
-rows `out` reached.  Over F_P that rank and the return to the start values
-are read modulo P; the return reruns exactly only where F_P proves no rank.
+The callers choose only the points and the rows.  exact_rank ranks a matrix
+at one point (None).  word_rank ranks an EXACT series.FlowWord at one point
+(the witness tries), the word run over F_P, and exactly only where that
+proves no rank (no image in F_P, or a rank below full).  generic_rank (a
+SeriesMap's Jacobian) and span_dims at a symbolic point (lie's bracket
+ladder and Levi type, the orbit oracle) rank at seeded points
+(sample_points).  GrowingRun.rank, the one rank of a FlowWord sampled (rank
+profiles, psi ranks, greedy orbits), ranks an EXACT word at the indices of
+its trials, each extending one FlowWord.run a flow at a time, exactly only
+where the loop reads integer rows; a jet word of k flows is expanded and
+ranked by generic_rank in its k time blocks at seed + k.  return_witness,
+the witness of chains and orbits, ranks its tries by word_rank, continues
+the accepted try's return in the kernel that proved its rank, and ranks the
+rows `out` reached at one point.
 
 A SeriesMap (a jet chain, a psi map, a jet orbit flow) is never
 differentiated to be ranked: jacobian_rows reads every partial at a point
@@ -110,17 +107,23 @@ def jacobian_rows(f: SeriesMap, wrt=None):
     return rows_at
 
 
+def _scalar(x) -> tuple:
+    """x's Z[i] scalar, x coerced as a Series coefficient is; else TypeError."""
+    if (scalar := GaussianRational._coerce(x)) is None:
+        raise TypeError(f"not an exact scalar: {x!r}")
+    return scalar.zi
+
+
 def _integer_matrix(matrix) -> list:
-    """A matrix of integer rows as it is, with every row of GaussianRationals
-    (or of no entries) converted: the public entries' one conversion."""
-    return [_integer_row([x.zi for x in row])
-            if not row or isinstance(row[0], GaussianRational) else row
-            for row in matrix]
-
-
-def _full_rank(rows) -> int:
-    """min(rows, cols) of integer rows."""
-    return min(len(rows), len(rows[0][1])) if rows else 0
+    """A matrix as integer rows, the public entries' one conversion: an
+    integer row, a (den, re, im) tuple with list parts, as it is, any other
+    row's entries through _scalar; DimensionMismatch for unequal widths."""
+    rows = [row if isinstance(row, tuple) and len(row) == 3
+            and isinstance(row[1], list) and isinstance(row[2], list)
+            else _integer_row([_scalar(x) for x in row]) for row in matrix]
+    if len({len(part) for _, re, im in rows for part in (re, im)}) > 1:
+        raise DimensionMismatch("the rows of a matrix differ in width")
+    return rows
 
 
 def _residue_rows(rows) -> list:
@@ -202,12 +205,10 @@ def pivot_positions(matrix) -> List[Tuple[int, int]]:
 
 
 def exact_rank(matrix) -> int:
-    """Rank over Q(i) of integer rows or of a GaussianRational matrix, the
-    one rank of the package: the rank modulo P when it is full, which proves
-    it (see the module docstring), else the number of exact pivots."""
+    """Rank over Q(i) of integer rows or of a matrix of exact scalars: its
+    integer rows ranked at one point by sample_rank."""
     rows = _integer_matrix(matrix)
-    rank = _rank_mod_p(_residue_rows(rows))
-    return rank if rank == _full_rank(rows) else len(pivot_positions(rows))
+    return sample_rank(lambda _: rows, [None])[0]
 
 
 def random_scalar(rng: random.Random, num_bound: int = NUM_BOUND) -> GaussianRational:
@@ -224,61 +225,52 @@ def random_point(
     return [random_scalar(rng, num_bound) for _ in range(dim)]
 
 
-def _point_rank(matrix_at, residues_at, point, exact: bool = True):
-    """(rank, full rank, matrix) at one point: the residue rows of
-    residues_at(point) when they exist and their rank mod P is full, which
-    proves the exact rank, or is a proven lower bound and `exact` is False;
-    else the integer rows of matrix_at(point), by exact Bareiss when the
-    residue rank was not full (they have that rank mod P), else by
-    exact_rank.  residues_at None, or a NoImage, means no residue rows."""
-    if residues_at is not None:
-        try:
-            rows = residues_at(point)
-        except NoImage:
-            pass
-        else:
-            rank, full = _rank_mod_p(rows), (min(len(rows), len(rows[0])) if rows else 0)
-            if rank == full or not exact:
-                return rank, full, rows
-            matrix = matrix_at(point)
-            return len(pivot_positions(matrix)), full, matrix
-    matrix = matrix_at(point)
-    return exact_rank(matrix), _full_rank(matrix), matrix
+def sample_points(dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0):
+    """`trials` seeded points of `dim` coordinates, drawn from one
+    Random(seed) as they are needed: the points of a sampled rank."""
+    rng = random.Random(seed)
+    return (random_point(rng, dim) for _ in range(trials))
 
 
-def sample_rank(matrix_at, dim: int, trials: int = DEFAULT_TRIALS, seed: int = 0,
-                residues_at=None, points=None):
-    """(rank, point, matrix): the highest rank of the integer rows
-    matrix_at(point) over up to `trials` points, by default seeded points of
-    `dim` coordinates, else those `points` gives (drawn as they are needed),
-    with the first point reaching it and its matrix, or its residue rows
-    residues_at(point) (optional) (_point_rank): exact at the first point, a
-    later one's rank mod P where it has residue rows, a proven lower bound.
-    The loop stops early at full rank, which no later point can exceed.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if points is None:
-        rng = random.Random(seed)
-        points = (random_point(rng, dim) for _ in range(trials))
-    best = (0, None, None)
+def sample_rank(matrix_at, points, residues_at=None):
+    """(rank, point, rows): the highest rank at `points`, the first point
+    reaching it and the rows ranked there, its integer rows matrix_at(point)
+    where they were built, else its residue rows residues_at(point) (no
+    residues_at, or a NoImage, means none).  The one rank loop; its policy
+    is the module docstring's.  ValueError when there is no point."""
+    best = None
     for i, point in enumerate(points):
-        r, full, matrix = _point_rank(matrix_at, residues_at, point, i == 0)
-        if r > best[0] or best[1] is None:
-            best = (r, point, matrix)
+        rows = matrix = None
+        if residues_at is not None:
+            try:
+                rows = residues_at(point)
+            except NoImage:
+                pass
+        if rows is None:
+            matrix = matrix_at(point)
+            rows = _residue_rows(matrix)
+        rank, full = _rank_mod_p(rows), min(len(rows), len(rows[0])) if rows else 0
+        if rank < full and (i == 0 or matrix is not None):
+            if matrix is None:
+                matrix = matrix_at(point)
+            rank = len(pivot_positions(matrix))
+        if best is None or rank > best[0]:
+            best = (rank, point, rows if matrix is None else matrix)
         if best[0] == full:
             break
+    if best is None:
+        raise ValueError("trials must be >= 1")
     return best
 
 
 def span_dims(levels, point, trials: int = DEFAULT_TRIALS, seed: int = 0):
     """Yield the span dimension of the rows of Series read so far after each
-    of `levels`, exact at a numeric point, sampled (sample_rank) at points of
-    the rows' space when point is None; stop after reaching the row width
-    (a full span) or after an empty level.  The first level must not be
-    empty.  The integer rows at each point are kept by its coordinates and
-    extended by the rows new there, each row evaluated once per point:
-    sample_rank draws the same points at every level."""
+    of `levels`, exact at a numeric point, sampled (sample_rank) at seeded
+    points of the rows' space when point is None; stop after reaching the
+    row width (a full span) or after an empty level.  The first level must
+    not be empty.  The integer rows at each point are kept by its
+    coordinates and extended by the rows new there, each row evaluated once
+    per point: sample_points draws the same points at every level."""
     rows, done = [], {}
 
     def matrix_at(p):
@@ -288,8 +280,8 @@ def span_dims(levels, point, trials: int = DEFAULT_TRIALS, seed: int = 0):
 
     for level in levels:
         rows.extend(level)
-        span = (exact_rank(matrix_at(point)) if point is not None
-                else sample_rank(matrix_at, rows[0][0].space.dim, trials, seed)[0])
+        span = (exact_rank(matrix_at(point)) if point is not None else sample_rank(
+            matrix_at, sample_points(rows[0][0].space.dim, trials, seed))[0])
         yield span
         if span == len(rows[0]) or not level:
             return
@@ -331,16 +323,17 @@ def generic_rank(
 
     Deterministic in (seed, trials); monotone nondecreasing in
     trials; the evaluation points range over all domain variables, while only
-    the `wrt` columns are differentiated.  With certify=True and an attained
-    rank of at most CERTIFY_MAX_SIZE the result is flagged certified when the
-    witnessed minor is a nonzero series: in EXACT mode that follows from the
-    nonzero minor at the witness point; in jet mode only the pivot rows and
-    columns of the minor are differentiated (components[r].diff), and its
-    determinant is expanded symbolically.  No other partial is built: the
+    the `wrt` columns are differentiated (sample_rank at sample_points).
+    With certify=True and an attained rank of at most CERTIFY_MAX_SIZE the
+    result is flagged certified when the witnessed minor is a nonzero
+    series: in EXACT mode that follows from the nonzero minor at the witness
+    point; in jet mode only the pivot rows and columns of the minor are
+    differentiated (components[r].diff), and its determinant is expanded
+    symbolically.  No other partial is built: the
     sample points read the Jacobian of a SeriesMap through jacobian_rows.
     """
-    best_rank, best_point, best_matrix = sample_rank(jacobian_rows(f, wrt), f.domain.dim,
-                                                     trials, seed)
+    best_rank, best_point, best_matrix = sample_rank(jacobian_rows(f, wrt),
+                                                     sample_points(f.domain.dim, trials, seed))
     certified = False
     if certify and 0 < best_rank <= CERTIFY_MAX_SIZE:
         if f.order is None:
@@ -360,16 +353,17 @@ def generic_rank(
 def word_rank(word, params, blocks, states=None) -> int:
     """Exact rank of the Jacobian in all time blocks of the rows `out` of an
     EXACT series.FlowWord, run at the start's `params` and `blocks`, one
-    block of m times per flow (DimensionMismatch otherwise): over F_P first,
-    rerun exactly where that proves no rank (_point_rank).  `states`, if
-    given ({EXACT: {}, RESIDUES: {}}), keeps each kernel's run there
-    (FlowWord.run); an EXACT run was made only if its dict is filled."""
+    block of m times per flow (DimensionMismatch otherwise): one point of
+    sample_rank, the word run over F_P and exactly only where that proves no
+    rank.  `states`, if given ({EXACT: {}, RESIDUES: {}}), keeps each
+    kernel's run there (FlowWord.run); an EXACT run was made only if its
+    dict is filled."""
     k, m = len(word.flows), len(word.space_of(1).blocks[0][1])
     if len(blocks) != k or any(len(blk) != m for blk in blocks):
         raise DimensionMismatch(f"a word of {k} flows runs at {k} blocks of {m} times")
     states = {EXACT: {}, RESIDUES: {}} if states is None else states
-    return _point_rank(lambda _: word.run(params, blocks, EXACT, states[EXACT])[1],
-                       lambda _: word.run(params, blocks, RESIDUES, states[RESIDUES])[1], None)[0]
+    return sample_rank(lambda _: word.run(params, blocks, EXACT, states[EXACT])[1], [None],
+                       lambda _: word.run(params, blocks, RESIDUES, states[RESIDUES])[1])[0]
 
 
 class GrowingRun:
@@ -380,7 +374,7 @@ class GrowingRun:
     flow as it grows, so its point after k flows (k blocks, then the
     parameters) extends to its point after k + 1.  Each trial keeps one
     FlowWord.run state per kernel, over F_P, and exactly, built lazily at
-    the same point, only where _point_rank reads exact rows: the first
+    the same point, only where sample_rank reads integer rows: the first
     trial's below full rank mod P, any trial's whose F_P run had no image
     (not run over F_P again).  A word of k flows extends the longest prefix
     kept, and only prefixes of at least k - 1 flows stay.  A flow at fixed
@@ -396,9 +390,9 @@ class GrowingRun:
     def rank(self, word, certify: bool = False) -> RankResult:
         """The rank of a FlowWord's components `out` in the time columns of
         its k flows.  A jet word is expanded and ranked by generic_rank in
-        its first k blocks at seed + k.  An EXACT word is sampled by
-        sample_rank over the trials (their indices its points), certified as
-        generic_rank certifies an EXACT rank."""
+        its first k blocks at seed + k.  An EXACT word is ranked by
+        sample_rank at the indices of the trials, certified as generic_rank
+        certifies an EXACT rank."""
         k = len(word.flows)
         if word.order is not None:
             f = word.expand()
@@ -426,8 +420,7 @@ class GrowingRun:
                 return rows
             return at
 
-        rank, t, _ = sample_rank(rows_at(EXACT), None, self.trials, self.seed, rows_at(RESIDUES),
-                                 range(self.trials))
+        rank, t, _ = sample_rank(rows_at(EXACT), range(self.trials), rows_at(RESIDUES))
         _, params, blocks, _ = self.runs[t]
         point = [c for blk in blocks[:k] for c in blk] + params
         return RankResult(rank, point, certify and 0 < rank <= CERTIFY_MAX_SIZE)
@@ -458,14 +451,14 @@ def return_witness(word, target: int, seed: int):
     none reaches the target.  The accepted try's whole state then goes on
     through flows mu - 1, ..., 1 at the negated times in the kernel that
     proved its rank (_returned): mu - 1 F_P steps, or mu - 1 exact ones
-    where the try was run exactly.  _point_rank ranks the rows `out` reached,
-    the rows the search ranked, and reruns exactly from the start (2 mu - 1
-    steps) an F_P return run with no image in F_P or below full rank mod P.
-    rank is the exact rank of the rows reached, the word's rank at t*
-    (fixed-time flows are biholomorphisms); returns says whether the values
-    are the word's start values in the kernel that ranked them, over F_P a
-    congruence mod P that the return identity of EXACT flows makes true as
-    well."""
+    where the try was run exactly.  sample_rank ranks the rows `out` reached,
+    the rows the search ranked, at one point, and reruns exactly from the
+    start (2 mu - 1 steps) an F_P return run with no image in F_P or below
+    full rank mod P.  rank is the exact rank of the rows reached, the word's
+    rank at t* (fixed-time flows are biholomorphisms); returns says whether
+    the values are the word's start values in the kernel that ranked them,
+    over F_P a congruence mod P that the return identity of EXACT flows
+    makes true as well."""
     mu, m = len(word.flows), len(word.space_of(1).blocks[0][1])
     rng = random.Random(seed)
     for attempt in range(2 * WITNESS_RETRIES):
@@ -487,6 +480,6 @@ def return_witness(word, target: int, seed: int):
             return rows
         return at
 
-    rank = _point_rank(rows_at(EXACT), None if states[EXACT] else rows_at(RESIDUES), None)[0]
-    # exact rows, where they were built, are the ones _point_rank ranked
+    rank = sample_rank(rows_at(EXACT), [None], None if states[EXACT] else rows_at(RESIDUES))[0]
+    # exact rows, where they were built, are the ones sample_rank ranked
     return tuple(map(tuple, found)), rank, returns.get(EXACT, returns.get(RESIDUES))

@@ -19,7 +19,7 @@ from segrechains.manifold import (
 from segrechains.orbit import FlowMap, OrbitResult, _orbit_witness, concatenated_flow, flow_word
 from segrechains.ranks import (
     CERTIFY_MAX_SIZE, RankResult, exact_rank, generic_rank, integer_rows, jacobian_rows,
-    sample_rank,
+    sample_points, sample_rank,
 )
 from segrechains.scalars import GaussianRational, I, ONE, ZERO
 from segrechains.series import (
@@ -470,7 +470,7 @@ def reference_span_dim(rows, point, dim, trials, seed) -> int:
     ranks.span_dims, which evaluates each row once per point."""
     if point is not None:
         return exact_rank(integer_rows(rows, point))
-    return sample_rank(lambda p: integer_rows(rows, p), dim, trials, seed)[0]
+    return sample_rank(lambda p: integer_rows(rows, p), sample_points(dim, trials, seed))[0]
 
 
 def brute_bracket_span_dims(M, basepoint, max_length, trials=5, seed=0):
@@ -528,7 +528,7 @@ def sampled_word_rank(word, wrt=None, trials=5, seed=0, certify=False):
     proves no rank (run_at), certified as generic_rank certifies an EXACT
     rank."""
     rank, point, _ = sample_rank(lambda p: run_at(word, p)[1],
-                                 word.space_of(len(word.flows)).dim, trials, seed,
+                                 sample_points(word.space_of(len(word.flows)).dim, trials, seed),
                                  lambda p: run_at(word, p, RESIDUES)[1])
     return RankResult(rank, point, certify and 0 < rank <= CERTIFY_MAX_SIZE)
 

@@ -5,7 +5,7 @@ import pytest
 
 from segrechains import invariants, ranks
 from segrechains.corpus import corpus
-from segrechains.errors import NotAHypersurface, SegreError, TruncationUnsound
+from segrechains.errors import DimensionMismatch, NotAHypersurface, SegreError, TruncationUnsound
 from segrechains.invariants import (
     hypersurface_minimality,
     psi_rank_checks,
@@ -307,6 +307,16 @@ def test_rank_profile_kmax_zero_is_not_the_default(heisenberg):
         with pytest.raises(SegreError, match="kmax"):
             rank_profile(heisenberg, kmax=kmax)
     assert rank_profile(heisenberg, kmax=3).kmax == 3
+
+
+def test_profile_rank_is_read_for_k_at_least_one():
+    # r_k stays at the plateau past the computed ranks; no r_k exists for k < 1
+    p = rank_profile(new_manifold(1, 1, ["w1*zeta1"]))
+    assert p.r == (1, 2, 3, 3)
+    assert [p.rank(k) for k in range(1, 8)] == [1, 2, 3, 3, 3, 3, 3]
+    for k in (0, -1, -3):
+        with pytest.raises(DimensionMismatch, match=f"k >= 1, not k = {k}$"):
+            p.rank(k)
 
 
 PROFILE_SWEEP = exact_manifolds() + [(f"codim_d{d}", codim_family(d)) for d in (7, 8)]

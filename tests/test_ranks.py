@@ -31,6 +31,7 @@ from segrechains.ranks import (
     random_point,
     random_scalar,
     return_witness,
+    sample_points,
     sample_rank,
     span_dims,
     symbolic_determinant,
@@ -187,19 +188,19 @@ def _witness_word(M, path):
     return flow_word(system, list(res.word)), res.orbit_dim
 
 
-def _steps_by_point_rank(monkeypatch, residues=True):
+def _steps_by_sample_rank(monkeypatch, residues=True):
     """(steps, starts): the kernel of every flow step from now on
-    (helpers.flow_steps), and the number made when each ranks._point_rank
+    (helpers.flow_steps), and the number made when each ranks.sample_rank
     call began; with residues False every call gets no residue rows, so no
     rank is read over F_P."""
     steps, starts = flow_steps(monkeypatch), []
-    point_rank = ranks._point_rank
+    sampled = ranks.sample_rank
 
-    def started(matrix_at, residues_at, point, exact=True):
+    def started(matrix_at, points, residues_at=None):
         starts.append(len(steps))
-        return point_rank(matrix_at, residues_at if residues else None, point, exact)
+        return sampled(matrix_at, points, residues_at if residues else None)
 
-    monkeypatch.setattr(ranks, "_point_rank", started)
+    monkeypatch.setattr(ranks, "sample_rank", started)
     return steps, starts
 
 
@@ -214,7 +215,7 @@ def test_return_witness_continues_the_accepted_try_over_f_p(name, M, path, monke
     ex8_10, ex8_11 and product_degenerate)."""
     word, target = _witness_word(M, path)
     mu = len(word.flows)
-    steps, starts = _steps_by_point_rank(monkeypatch)
+    steps, starts = _steps_by_sample_rank(monkeypatch)
     return_witness(word, target, seed=0)
     after_search = steps[starts[-1]:]  # the return is ranked by the last call
     assert after_search == [RESIDUES] * (mu - 1)
@@ -228,7 +229,7 @@ def test_return_witness_makes_2mu_minus_1_exact_flow_steps(name, M, path, monkey
     flows forward, then mu - 1 back at constant times, all exact."""
     word, target = _witness_word(M, path)
     mu = len(word.flows)
-    steps, starts = _steps_by_point_rank(monkeypatch, residues=False)
+    steps, starts = _steps_by_sample_rank(monkeypatch, residues=False)
     return_witness(word, target, seed=0)
     assert RESIDUES not in steps
     assert steps[starts[-2]:] == [EXACT] * (2 * mu - 1)
@@ -508,7 +509,7 @@ def test_sampler_early_exit_matches_max_over_all_trials():
         draw = random.Random(seed)
         points = [random_point(draw, dim) for _ in range(trials)]
         ranks = [exact_rank(matrix_at(p)) for p in points]
-        rank, point, matrix = sample_rank(matrix_at, dim, trials, seed)
+        rank, point, matrix = sample_rank(matrix_at, sample_points(dim, trials, seed))
         assert rank == max(ranks)
         assert point == points[ranks.index(rank)] and matrix == matrix_at(point)
 
@@ -617,6 +618,80 @@ def test_rank_mod_p_is_taken_only_when_full(exact_eliminations):
     assert len(exact_eliminations) == 4
 
 
+# Integer rows for the loop's policy table: ZERO_2 and LOW are below full
+# rank exactly and mod P, FULL is full mod P, and DROP (a column differing
+# by P) is full exactly but below full mod P
+ZERO_2 = [(1, [0, 0], [0, 0]), (1, [0, 0], [0, 0])]
+LOW = [(1, [1, 2], [0, 0]), (1, [2, 4], [0, 0])]
+FULL = [(1, [1, 0], [0, 0]), (1, [0, 1], [0, 0])]
+DROP = [(1, [1, 1], [0, 0]), (1, [1, 1 + ranks.P], [0, 0])]
+
+
+class _RowSource:
+    """matrix_at and residues_at for sample_rank from the integer rows at
+    each point, counting their calls: the residue rows are the rows' image
+    in F_P, NoImage at the points `no_image`."""
+
+    def __init__(self, rows, no_image=()):
+        self.rows, self.no_image = rows, no_image
+        self.matrix_calls, self.residue_calls = [], []
+
+    def matrix_at(self, point):
+        self.matrix_calls.append(point)
+        return self.rows[point]
+
+    def residues_at(self, point):
+        self.residue_calls.append(point)
+        if point in self.no_image:
+            raise NoImage("no image in F_P")
+        return _image_mod_p(self.rows[point])
+
+
+# (rows by point, points, residues given, NoImage points, (rank, point,
+# rows returned: "int" integer rows or "res" residue rows), matrix_at calls,
+# residues_at calls, Bareiss eliminations)
+LOOP_POLICY = {
+    "residues_full_at_the_first_point": (
+        [FULL, LOW], range(2), True, (), (2, 0, "res"), [], [0], 0),
+    "residues_below_full_at_the_first_point": (
+        [DROP, FULL], range(2), True, (), (2, 0, "int"), [0], [0], 1),
+    "a_later_point_keeps_its_rank_mod_p": (
+        [ZERO_2, DROP, LOW], range(3), True, (), (1, 1, "res"), [0], [0, 1, 2], 1),
+    "no_image_at_a_later_point_below_full": (
+        [ZERO_2, LOW, FULL], range(3), True, (1,), (2, 2, "res"), [0, 1], [0, 1, 2], 2),
+    "no_image_at_a_later_point_full": (
+        [ZERO_2, FULL, LOW], range(3), True, (1,), (2, 1, "int"), [0, 1], [0, 1], 1),
+    "no_residues_at": (
+        [ZERO_2, LOW, DROP, FULL], range(4), False, (), (2, 2, "int"), [0, 1, 2], [], 3),
+    "one_none_point": (
+        {None: LOW}, [None], False, (), (1, None, "int"), [None], [], 1),
+    "one_none_point_with_residues": (
+        {None: DROP}, [None], True, (), (2, None, "int"), [None], [None], 1),
+}
+
+
+@pytest.mark.parametrize("case", LOOP_POLICY.values(), ids=LOOP_POLICY.keys())
+def test_the_rank_loop_policy(case, exact_eliminations):
+    rows, points, residues, no_image, want, matrix_calls, residue_calls, bareiss = case
+    source = _RowSource(rows, no_image)
+    rank, point, ranked = sample_rank(source.matrix_at, points,
+                                      source.residues_at if residues else None)
+    want_rank, want_point, kind = want
+    assert (rank, point) == (want_rank, want_point)
+    assert ranked == (rows[point] if kind == "int" else _image_mod_p(rows[point]))
+    assert source.matrix_calls == matrix_calls
+    assert source.residue_calls == residue_calls
+    assert len(exact_eliminations) == bareiss
+
+
+def test_the_rank_loop_refuses_no_point():
+    source = _RowSource([FULL])
+    for points in ([], range(0), sample_points(2, 0)):
+        with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+            sample_rank(source.matrix_at, points, source.residues_at)
+    assert source.matrix_calls == source.residue_calls == []
+
+
 def test_exact_rank_matches_gaussian_elimination_oracle(exact_eliminations):
     rng = random.Random(4243)
     matrices = [_oracle_matrix(rng) for _ in range(600)]
@@ -653,6 +728,50 @@ def test_public_entries_take_gaussian_rational_matrices():
             assert gaussian_rows(rows) == [list(row) for row in m]
             assert exact_rank(m) == exact_rank(rows) == len(pivots), m
             assert pivot_positions(m) == pivot_positions(rows) == pivots, m
+
+
+def _gr_twin(matrix):
+    """A matrix of ints and Fractions with every entry a GaussianRational."""
+    return [[G(x) for x in row] for row in matrix]
+
+
+def test_public_entries_coerce_exact_scalars():
+    # ints and Fractions are coerced as Series coerces a coefficient: a
+    # matrix of them ranks and pivots as its GaussianRational twin
+    half = Fraction(1, 2)
+    for m in ([[1, 2], [3, 4]], [[1, 2, 3], [2, 4, 6]], [[0, 5], [0, 7], [1, 0]],
+              [[half, 1], [1, 2]], [[3]], [[0, 0]]):
+        twin = _gr_twin(m)
+        assert exact_rank(m) == exact_rank(twin) == len(reference_pivot_positions(twin)), m
+        assert pivot_positions(m) == pivot_positions(twin), m
+    # a row may mix entry types; integer rows pass as they are
+    assert exact_rank([[G(1), 2], [3, G(4)]]) == 2
+    assert exact_rank([(1, [1, 2], [0, 0]), [2, G(4)]]) == 1
+    # no row, or rows of no entry, have rank 0 and no pivot
+    for m in ([], [[]], [[], []]):
+        assert exact_rank(m) == 0 and pivot_positions(m) == [], m
+
+
+MALFORMED = {
+    "a_float": ([[G(1), 2.5]], TypeError, r"^not an exact scalar: 2\.5$"),
+    "a_string": ([[1, 2], [G(1), "3"]], TypeError, r"^not an exact scalar: '3'$"),
+    "none": ([[None]], TypeError, r"^not an exact scalar: None$"),
+    "a_list_row_of_parts": ([[1, [1], [0]]], TypeError, r"^not an exact scalar: \[1\]$"),
+    "a_short_second_row": ([[G(1), G(2)], [G(3)]], DimensionMismatch, "differ in width"),
+    "a_long_second_row": ([[G(1)], [G(0), G(1)]], DimensionMismatch, "differ in width"),
+    "a_short_last_row": ([[G(0), G(1)], [G(1)]], DimensionMismatch, "differ in width"),
+    "an_empty_row": ([[G(1)], []], DimensionMismatch, "differ in width"),
+    "integer_rows": ([(1, [1, 2], [0, 0]), (1, [1], [0])], DimensionMismatch, "differ in width"),
+    "mixed_rows": ([(1, [1, 2], [0, 0]), [G(1)]], DimensionMismatch, "differ in width"),
+    "unequal_parts": ([(1, [1, 2], [0])], DimensionMismatch, "differ in width"),
+}
+
+
+@pytest.mark.parametrize("matrix,error,match", MALFORMED.values(), ids=MALFORMED.keys())
+def test_public_entries_refuse_malformed_matrices(matrix, error, match):
+    for entry in (exact_rank, pivot_positions):
+        with pytest.raises(error, match=match):
+            entry(matrix)
 
 
 def _package_modules():
@@ -730,12 +849,12 @@ def _image_mod_p(rows):
                          ids=["corpus", "family_d2_8", "orbits_levi", "chain_witnesses"])
 def test_rank_mod_p_answers_like_the_exact_path(run, monkeypatch):
     shipped = _recorded_ranks(monkeypatch, run)
-    point_rank = ranks._point_rank
+    sampled = ranks.sample_rank
     with monkeypatch.context() as patch:
         # both shortcuts off: no word runs over F_P, and no rank mod P is
         # full, so every rank is exact Bareiss on the integer rows
-        patch.setattr(ranks, "_point_rank", lambda matrix_at, residues_at, point, exact=True:
-                      point_rank(matrix_at, None, point, exact))
+        patch.setattr(ranks, "sample_rank", lambda matrix_at, points, residues_at=None:
+                      sampled(matrix_at, points))
         patch.setattr(ranks, "_rank_mod_p", lambda rows: -1)
         steps = flow_steps(patch)
         exact = _recorded_ranks(monkeypatch, run)
@@ -790,13 +909,13 @@ def test_m2_family_ranks_each_deficient_k_exactly_once(d, deficient, exact_elimi
 
 def _residue_runs(monkeypatch):
     """Whether the residue rows of a word or a trial had an image in F_P,
-    one per residue run, in call order: every run is read by _point_rank."""
+    one per residue run, in call order: every run is read by sample_rank."""
     runs = []
-    point_rank = ranks._point_rank
+    sampled = ranks.sample_rank
 
-    def recorded(matrix_at, residues_at, point, exact=True):
+    def recorded(matrix_at, points, residues_at=None):
         if residues_at is None:
-            return point_rank(matrix_at, None, point, exact)
+            return sampled(matrix_at, points)
 
         def residues(point):
             runs.append(False)
@@ -804,9 +923,9 @@ def _residue_runs(monkeypatch):
             runs[-1] = True
             return rows
 
-        return point_rank(matrix_at, residues, point, exact)
+        return sampled(matrix_at, points, residues)
 
-    monkeypatch.setattr(ranks, "_point_rank", recorded)
+    monkeypatch.setattr(ranks, "sample_rank", recorded)
     return runs
 
 
